@@ -55,7 +55,7 @@ def run_point() -> tuple[dict, RunResult]:
         result = run_protocol(
             N, f, factory, adversary=adversary, params=params,
             stop_condition=stop_when_all_decided, seed=SEED,
-            max_deliveries=MAX_DELIVERIES, delivery_mode="batched",
+            max_deliveries=MAX_DELIVERIES,
         )
         elapsed = time.perf_counter() - start
     finally:
@@ -90,7 +90,7 @@ def run_point() -> tuple[dict, RunResult]:
         # Volatile (excluded from gating by the `seconds` substring).
         "wallclock_seconds": round(elapsed, 3),
         "deliveries_per_second": round(result.deliveries / elapsed, 1)
-        if elapsed else 0.0,  # path contains `second` -> excluded too
+        if elapsed else 0.0,  # `per_second` paths are excluded too
     }
     return payload, result
 

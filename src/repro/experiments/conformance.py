@@ -126,7 +126,6 @@ def run_check(
                             "f": f,
                             "seed": seed,
                             "scheduler": "random",
-                            "delivery_mode": "classic",
                         },
                         signatures,
                     )

@@ -69,7 +69,6 @@ def _trial(
     whp_sigmas: float,
     max_deliveries: int,
     scheduler: str | None = None,
-    delivery_mode: str = "classic",
 ) -> tuple[float | None, tuple[int, int, int] | None]:
     """One seeded run; top-level so sweep workers can pickle it.
 
@@ -89,7 +88,6 @@ def _trial(
         params=params,
         stop_condition=stop_when_all_decided, seed=seed,
         max_deliveries=max_deliveries,
-        delivery_mode=delivery_mode,
     )
     if not (result.live and result.all_correct_decided):
         return lam, None
@@ -124,7 +122,6 @@ def run_curve(
     whp_sigmas: float = 3.0,
     workers: int | None = None,
     scheduler: str | None = None,
-    delivery_mode: str = "classic",
 ) -> ScalingCurve:
     words_per_n: list[float] = []
     messages_per_n: list[float] = []
@@ -136,8 +133,7 @@ def run_curve(
         outcomes = parallel_map(
             _trial,
             [
-                (name, n, f, seed, whp_sigmas, max_deliveries,
-                 scheduler, delivery_mode)
+                (name, n, f, seed, whp_sigmas, max_deliveries, scheduler)
                 for seed in seeds
             ],
             workers=workers,
@@ -205,7 +201,6 @@ def run(
     whp_sigmas: float = 3.0,
     workers: int | None = None,
     scheduler: str | None = None,
-    delivery_mode: str = "classic",
 ) -> list[ScalingCurve]:
     """Sweep n for each protocol.
 
@@ -218,16 +213,12 @@ def run(
     the resilience-stressed configurations live in T1/E8 instead.
 
     ``scheduler`` names the delivery schedule (``"fifo"``, ``"delay"``,
-    ``"random"``; ``None`` = run_protocol's seeded random default) and
-    ``delivery_mode`` selects the kernel loop (``"classic"``/
-    ``"batched"``) -- both paths produce byte-identical results, so
-    large-n sweeps can use the batched kernel without changing any
-    measurement.
+    ``"random"``; ``None`` = run_protocol's seeded random default).
     """
     return [
         run_curve(
             name, n_values, seeds, f=f, whp_sigmas=whp_sigmas,
-            workers=workers, scheduler=scheduler, delivery_mode=delivery_mode,
+            workers=workers, scheduler=scheduler,
         )
         for name in protocols
     ]

@@ -253,6 +253,7 @@ GATE_EXCLUDED_SUBSTRINGS = (
     "wallclock",
     "elapsed",
     "seconds",
+    "per_second",
     ".ts",
     ".report",
     "interval",

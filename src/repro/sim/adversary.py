@@ -91,6 +91,14 @@ class Scheduler:
     delay-bounded) set it False and the kernel skips building the
     per-submission :class:`EnvelopeView` -- measurable at n>=1000 where
     submissions outnumber deliveries' other overheads.
+
+    A scheduler whose ``choose`` only ever picks a pool *position* may
+    also define ``choose_index(size) -> int`` next to it, promising
+    ``choose(pool) == pool.seq_at(self.choose_index(len(pool)))`` with
+    the same side effects (RNG draws).  The kernel's fast loop then calls
+    ``choose_index`` instead and builds no seq index.  A subclass that
+    overrides ``choose`` without ``choose_index`` voids the promise: the
+    kernel goes back to calling ``choose``.
     """
 
     content_aware = False
@@ -144,8 +152,8 @@ class Scheduler:
         when the run terminates mid-batch (stop condition or delivery
         budget), in which case the scheduler is never consulted again.
 
-        Return ``None`` (the default) to decline; the kernel falls back to
-        the classic one-``choose``-per-delivery step.
+        Return ``None`` (the default) to decline; the kernel then delivers
+        a batch of one, picked through ``choose`` (or ``choose_index``).
         """
         return None
 
@@ -158,6 +166,10 @@ class RandomScheduler(Scheduler):
 
     def choose(self, pool: "SchedulerPool") -> int:
         return pool.random_seq(self.rng)
+
+    def choose_index(self, size: int) -> int:
+        # The draw pool.random_seq makes: same pick, same RNG stream.
+        return self.rng.randrange(size)
 
 
 class FIFOScheduler(Scheduler):

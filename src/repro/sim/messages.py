@@ -41,9 +41,16 @@ class Envelope:
     submitted; the delivery event surfaces it so subscribers can read
     link latency off a single event.  Slotted but not frozen: the kernel
     creates one per (message, destination) pair -- the single hottest
-    allocation site -- and a frozen dataclass pays seven
-    ``object.__setattr__`` calls per construction.  Kernel discipline:
-    nothing mutates an envelope after submission.
+    allocation site -- and a frozen dataclass pays one
+    ``object.__setattr__`` call per field per construction.
+
+    ``pos`` is the envelope's index in the kernel's dense in-flight list
+    and the one field the kernel mutates after submission (a swap-remove
+    rewrites the moved envelope's ``pos``).  It is kernel-owned: kept up
+    only while the envelope is in flight and the kernel addresses the
+    pool by seq, and excluded from equality and ``repr``.  Everything
+    else is fixed at submission.  The default keeps seven-argument
+    constructions valid.
     """
 
     seq: int
@@ -53,6 +60,7 @@ class Envelope:
     depth: int
     sender_correct: bool
     sent_step: int
+    pos: int = field(default=0, compare=False, repr=False)
 
     @property
     def instance(self) -> Hashable:

@@ -55,6 +55,10 @@ DEFAULT_MAX_DELIVERIES = 2_000_000
 
 _FATE_RATE_FIELDS = ("drop_rate", "duplicate_rate", "reorder_rate", "corrupt_rate")
 
+# What the fast loop iterates when the scheduler committed no batch: one
+# delivery, its envelope already picked (drained batches hold seqs).
+_BATCH_OF_ONE = (None,)
+
 
 @dataclass(frozen=True)
 class LossyLinkConfig:
@@ -305,10 +309,10 @@ class SchedulerPool:
         self._simulation = simulation
 
     def __len__(self) -> int:
-        return len(self._simulation._seq_list)
+        return len(self._simulation._in_flight)
 
     def _require_messages(self) -> None:
-        if not self._simulation._seq_list:
+        if not self._simulation._in_flight:
             scheduler = type(self._simulation.adversary.scheduler).__name__
             raise EmptySchedulerPoolError(
                 f"scheduler {scheduler} requested a message from an empty "
@@ -317,14 +321,26 @@ class SchedulerPool:
 
     def seq_at(self, index: int) -> int:
         self._require_messages()
-        return self._simulation._seq_list[index]
+        return self._simulation._in_flight[index].seq
 
     def random_seq(self, rng: random.Random) -> int:
         self._require_messages()
-        return self._simulation._seq_list[rng.randrange(len(self._simulation._seq_list))]
+        in_flight = self._simulation._in_flight
+        return in_flight[rng.randrange(len(in_flight))].seq
+
+    def _envelope(self, seq: int) -> Envelope:
+        by_seq = self._simulation._by_seq
+        if by_seq is not None:
+            return by_seq[seq]
+        # Positional run: the kernel keeps no seq index, and no positional
+        # scheduler looks a seq up during a run -- scan.
+        for envelope in self._simulation._in_flight:
+            if envelope.seq == seq:
+                return envelope
+        raise KeyError(seq)
 
     def view(self, seq: int) -> EnvelopeView:
-        return EnvelopeView.of(self._simulation._in_flight[seq])
+        return EnvelopeView.of(self._envelope(seq))
 
     def payload(self, seq: int) -> Message:
         if not self._simulation.adversary.scheduler.content_aware:
@@ -332,7 +348,30 @@ class SchedulerPool:
                 "content-oblivious scheduler attempted to read a payload; "
                 "this would violate the delayed-adaptive adversary model"
             )
-        return self._simulation._in_flight[seq].payload
+        return self._envelope(seq).payload
+
+
+def _picks_by_position(scheduler: Scheduler) -> bool:
+    """May the kernel call ``scheduler.choose_index`` instead of ``choose``?
+
+    A scheduler that defines ``choose_index(size)`` promises that its
+    ``choose`` -- the one defined in the same class -- returns
+    ``pool.seq_at(self.choose_index(len(pool)))``.  The kernel can then
+    pick by position and keep no seq index at all.  The promise says
+    nothing about a ``choose`` overridden further down the MRO (or on the
+    instance), so then the override decides every delivery; and a
+    scheduler that drains or listens to ``on_delivered`` deals in seqs,
+    so it keeps the seq-addressed path too.
+    """
+    cls = type(scheduler)
+    owner = next((c for c in cls.__mro__ if "choose_index" in vars(c)), None)
+    return (
+        owner is not None
+        and vars(owner).get("choose") is cls.choose
+        and "choose" not in getattr(scheduler, "__dict__", ())
+        and cls.drain is Scheduler.drain
+        and cls.on_delivered is Scheduler.on_delivered
+    )
 
 
 class Simulation:
@@ -368,27 +407,26 @@ class Simulation:
         is not free and wall-clock is the one observable that legitimately
         differs between identical runs.
     delivery_mode:
-        ``"classic"`` (default) runs one scheduler ``choose`` per
-        delivery.  ``"batched"`` asks the scheduler to
-        :meth:`~repro.sim.adversary.Scheduler.drain` every committed seq
-        in one call and delivers the batch in a tight loop -- observably
-        identical (the drain contract guarantees the same delivery order,
-        and every per-delivery effect, including stop-condition checks,
-        corruption hooks and wait evaluation, still happens per
-        envelope), but without the per-delivery dispatch overhead.
-        Schedulers that decline to drain (e.g. uniformly random) fall
-        back to the classic step, so batched mode is always safe to
-        request.  Under ``profile=True`` the classic loop is used
-        regardless, so the ``kernel.schedule``/``kernel.step`` timers
-        keep their per-delivery meaning.
+        ``"batched"`` (default) runs the fast loop: it delivers a whole
+        committed batch when the scheduler's
+        :meth:`~repro.sim.adversary.Scheduler.drain` returns one, and
+        otherwise a batch of one -- picked by pool position when the
+        scheduler declares ``choose_index``, else by ``choose``.
+        ``"classic"`` runs the reference loop: one ``choose`` per
+        delivery through the readable ``_remove_in_flight`` +
+        ``_deliver`` step.  The two are observably identical (same
+        delivery order, RNG stream, events and metrics; the equivalence
+        tests compare them), so ``"classic"`` exists for those tests;
+        ``profile=True`` also selects it, so the ``kernel.schedule``/
+        ``kernel.step`` timers keep their per-delivery meaning.
     lossy:
         Optional :class:`LossyLinkConfig` enabling the lossy-link model
         extension.  ``None`` (default) or an all-zero config keeps the
-        kernel byte-identical to the reliable model.  An active config
-        forces the classic stepping loop (reorder holds are incompatible
-        with the batched drain contract, so batched mode falls back
-        cleanly) and does not record the ``kernel.schedule``/
-        ``kernel.step`` profile timers.
+        kernel byte-identical to the reliable model.  While a config is
+        active both loops release held (reordered) envelopes before each
+        choice, and the fast loop commits no drained batch (a hold breaks
+        the drain contract's commitment), so every delivery is a batch of
+        one.
     """
 
     def __init__(
@@ -403,7 +441,7 @@ class Simulation:
         stop_condition: Callable[["Simulation"], bool] | None = None,
         eager_wakeups: bool = False,
         profile: bool = False,
-        delivery_mode: str = "classic",
+        delivery_mode: str = "batched",
         lossy: LossyLinkConfig | None = None,
     ) -> None:
         if pki.n != n:
@@ -463,9 +501,16 @@ class Simulation:
         self._pending_remaining: dict[int, int] = {}
         self._factories: dict[int, ProtocolFactory] = {}
 
-        self._in_flight: dict[int, Envelope] = {}
-        self._seq_list: list[int] = []
-        self._seq_pos: dict[int, int] = {}
+        # The in-flight set is one dense list, removal a swap with its last
+        # element.  Schedulers name messages by seq, so `_by_seq` maps seq
+        # to envelope and each envelope carries its list index (`pos`) --
+        # except on the fast loop under a scheduler that picks by position:
+        # nothing looks a seq up then, `_by_seq` is None and `pos` unused.
+        scheduler = adversary.scheduler
+        self._in_flight: list[Envelope] = []
+        self._reference_loop = profile or delivery_mode == "classic"
+        positional = not self._reference_loop and _picks_by_position(scheduler)
+        self._by_seq: dict[int, Envelope] | None = None if positional else {}
         self._next_seq = 0
         self._pool = SchedulerPool(self)
         self._stopped = False
@@ -476,7 +521,6 @@ class Simulation:
         # Submission fast path: skip the per-envelope EnvelopeView (and
         # the call itself) when the scheduler's on_submit is the base
         # no-op or declares it ignores the view.
-        scheduler = adversary.scheduler
         if type(scheduler).on_submit is Scheduler.on_submit:
             self._submit_hook = None
         else:
@@ -502,208 +546,42 @@ class Simulation:
 
     # -- kernel services used by ProcessContext ---------------------------------
 
-    def submit(self, sender: int, dest: int, message: Message) -> None:
+    def submit(
+        self, sender: int, dest: int, message: Message, *, injected: bool = False
+    ) -> None:
         """Place a message on the link from ``sender`` to ``dest``.
 
         Links are reliable (the paper's model) unless an active
-        :class:`LossyLinkConfig` was installed, in which case the
-        message's fate is rolled in :meth:`_submit_lossy`.
+        :class:`LossyLinkConfig` was installed; then the envelope's fate
+        is a deterministic function of (run seed, seq).  ``injected`` is
+        the kernel's own: it marks the second copy of a duplicated
+        message, which takes a fresh seq but never re-rolls a fate (no
+        recursive duplication) and is not counted as a protocol send.
         """
-        if self._lossy is not None:
-            self._submit_lossy(sender, dest, message)
-            return
         if not 0 <= dest < self.n:
             raise ValueError(f"invalid destination {dest}")
         if not 0 <= sender < self.n:
             # A negative sender would silently index contexts[-1] and stamp
             # the wrong depth/sender_correct; fail like an invalid dest.
             raise ValueError(f"invalid sender {sender}")
-        ctx = self.contexts[sender]
-        # Positional: keyword construction measurably slows this path.
-        envelope = Envelope(
-            self._next_seq,
-            sender,
-            dest,
-            message,
-            ctx.depth + 1,
-            sender not in self.corrupted,
-            self.deliveries,
-        )
-        self._next_seq += 1
-        self.metrics.record_send(envelope)
-        if self._subscribers:
-            self.events.emit(
-                SendEvent(
-                    step=self.deliveries,
-                    seq=envelope.seq,
-                    sender=sender,
-                    dest=dest,
-                    instance=message.instance,
-                    message_kind=type(message).__name__,
-                    words=message.words(),
-                    depth=envelope.depth,
-                    sender_correct=envelope.sender_correct,
-                )
-            )
-        self._in_flight[envelope.seq] = envelope
-        self._seq_pos[envelope.seq] = len(self._seq_list)
-        self._seq_list.append(envelope.seq)
-        on_submit = self._submit_hook
-        if on_submit is not None:
-            on_submit(
-                envelope.seq,
-                EnvelopeView.of(envelope) if self._submit_wants_view else None,
-            )
-        scheduler = self.adversary.scheduler
-        if scheduler.content_aware:
-            inspect = getattr(scheduler, "inspect_payload", None)
-            if inspect is not None:
-                inspect(envelope.seq, message, sender)
-
-    def submit_broadcast(self, sender: int, message: Message) -> None:
-        """Submit ``message`` from ``sender`` to every process (self included).
-
-        Observably identical to ``n`` consecutive :meth:`submit` calls in
-        destination order -- same seqs, envelopes, events, metrics and
-        scheduler callbacks -- with the per-message work (word count, kind,
-        depth, the metrics increments) hoisted out of the destination loop.
-        Broadcast is the protocols' only send primitive, so this is the
-        kernel's hottest submission path.
-        """
-        n = self.n
-        if self._lossy is not None:
-            # Lossy runs take the per-destination path so every envelope
-            # rolls its own fate; the hoisted fast path below assumes the
-            # reliable model.
-            for dest in range(n):
-                self._submit_lossy(sender, dest, message)
-            return
-        if not 0 <= sender < n:
-            raise ValueError(f"invalid sender {sender}")
-        ctx = self.contexts[sender]
-        depth = ctx.depth + 1
-        sender_correct = sender not in self.corrupted
-        sent_step = self.deliveries
-        metrics = self.metrics
-        words = message.words()
-        kind = type(message).__name__
-        # record_send x n, batched: identical final counter values.
-        metrics.words_total += words * n
-        metrics.messages_sent_total += n
-        if sender_correct:
-            metrics.words_correct += words * n
-            metrics.messages_sent_correct += n
-            metrics.words_by_kind[kind] += words * n
-            metrics.messages_by_kind[kind] += n
-            metrics.words_by_sender[sender] += words * n
-            metrics.messages_by_sender[sender] += n
-        emit = self.events.emit if self._subscribers else None
-        instance = message.instance
-        in_flight = self._in_flight
-        seq_pos = self._seq_pos
-        seq_list = self._seq_list
-        on_submit = self._submit_hook
-        wants_view = self._submit_wants_view
-        scheduler = self.adversary.scheduler
-        inspect = (
-            getattr(scheduler, "inspect_payload", None)
-            if scheduler.content_aware
-            else None
-        )
-        seq = self._next_seq
-        first_seq = seq
-        pos = len(seq_list)
-        for dest in range(n):
-            # Positional: keyword construction measurably slows this loop.
-            envelope = Envelope(
-                seq, sender, dest, message, depth, sender_correct, sent_step
-            )
-            if emit is not None:
-                emit(
-                    SendEvent(
-                        step=sent_step,
-                        seq=seq,
-                        sender=sender,
-                        dest=dest,
-                        instance=instance,
-                        message_kind=kind,
-                        words=words,
-                        depth=depth,
-                        sender_correct=sender_correct,
-                    )
-                )
-            in_flight[seq] = envelope
-            seq_pos[seq] = pos
-            seq_list.append(seq)
-            if on_submit is not None and wants_view:
-                on_submit(seq, EnvelopeView.of(envelope))
-            if inspect is not None:
-                inspect(seq, message, sender)
-            seq += 1
-            pos += 1
-        self._next_seq = seq
-        if on_submit is not None and not wants_view:
-            # Seq-only bookkeeping: one bulk call per broadcast.  Deferring
-            # it past the destination loop is invisible -- the kernel only
-            # consults the scheduler between deliveries, never mid-submit.
-            scheduler.on_submit_range(first_seq, seq)
-
-    def _insert_in_flight(self, envelope: Envelope) -> None:
-        """Enter ``envelope`` into the scheduler pool (lossy paths only).
-
-        The same pool bookkeeping + scheduler callbacks :meth:`submit`
-        inlines; factored out so reordered envelopes can join the pool at
-        release time rather than submit time.
-        """
-        seq = envelope.seq
-        self._in_flight[seq] = envelope
-        self._seq_pos[seq] = len(self._seq_list)
-        self._seq_list.append(seq)
-        on_submit = self._submit_hook
-        if on_submit is not None:
-            on_submit(
-                seq,
-                EnvelopeView.of(envelope) if self._submit_wants_view else None,
-            )
-        scheduler = self.adversary.scheduler
-        if scheduler.content_aware:
-            inspect = getattr(scheduler, "inspect_payload", None)
-            if inspect is not None:
-                inspect(seq, envelope.payload, envelope.sender)
-
-    def _submit_lossy(
-        self, sender: int, dest: int, message: Message, injected: bool = False
-    ) -> None:
-        """:meth:`submit` under an active :class:`LossyLinkConfig`.
-
-        The envelope's fate is a deterministic function of (run seed,
-        seq).  ``injected`` marks the second copy of a duplicated
-        message: it takes a fresh seq but never re-rolls a fate (no
-        recursive duplication) and is not counted as a protocol send.
-        """
-        if not 0 <= dest < self.n:
-            raise ValueError(f"invalid destination {dest}")
-        if not 0 <= sender < self.n:
-            raise ValueError(f"invalid sender {sender}")
         lossy = self._lossy
         seq = self._next_seq
-        if injected:
-            fate, rng, config = "deliver", None, None
-        else:
+        fate = "deliver"
+        if lossy is not None and not injected:
             fate, rng, config = lossy.fate(seq, sender, dest)
-        if fate == "corrupt":
-            corrupted_payload = _bit_corrupt(message, rng)
-            if corrupted_payload is not None:
-                lossy.corruptions += 1
-                lossy.count("corruptions", type(message).__name__)
-                message = corrupted_payload
-        ctx = self.contexts[sender]
+            if fate == "corrupt":
+                corrupted_payload = _bit_corrupt(message, rng)
+                if corrupted_payload is not None:
+                    lossy.corruptions += 1
+                    lossy.count("corruptions", type(message).__name__)
+                    message = corrupted_payload
+        # Positional: keyword construction measurably slows this path.
         envelope = Envelope(
             seq,
             sender,
             dest,
             message,
-            ctx.depth + 1,
+            self.contexts[sender].depth + 1,
             sender not in self.corrupted,
             self.deliveries,
         )
@@ -738,7 +616,119 @@ class Simulation:
         if fate == "duplicate":
             lossy.duplicates += 1
             lossy.count("duplicates", type(message).__name__)
-            self._submit_lossy(sender, dest, message, injected=True)
+            self.submit(sender, dest, message, injected=True)
+
+    def submit_broadcast(self, sender: int, message: Message) -> None:
+        """Submit ``message`` from ``sender`` to every process (self included).
+
+        Observably identical to ``n`` consecutive :meth:`submit` calls in
+        destination order -- same seqs, envelopes, events, metrics and
+        scheduler callbacks -- with the per-message work (word count, kind,
+        depth, the metrics increments) hoisted out of the destination loop.
+        Broadcast is the protocols' only send primitive, so this is the
+        kernel's hottest submission path.
+        """
+        n = self.n
+        if self._lossy is not None:
+            # Lossy runs take the per-destination path so every envelope
+            # rolls its own fate; the hoisted fast path below assumes the
+            # reliable model.
+            for dest in range(n):
+                self.submit(sender, dest, message)
+            return
+        if not 0 <= sender < n:
+            raise ValueError(f"invalid sender {sender}")
+        ctx = self.contexts[sender]
+        depth = ctx.depth + 1
+        sender_correct = sender not in self.corrupted
+        sent_step = self.deliveries
+        metrics = self.metrics
+        words = message.words()
+        kind = type(message).__name__
+        # record_send x n, batched: identical final counter values.
+        metrics.words_total += words * n
+        metrics.messages_sent_total += n
+        if sender_correct:
+            metrics.words_correct += words * n
+            metrics.messages_sent_correct += n
+            metrics.words_by_kind[kind] += words * n
+            metrics.messages_by_kind[kind] += n
+            metrics.words_by_sender[sender] += words * n
+            metrics.messages_by_sender[sender] += n
+        emit = self.events.emit if self._subscribers else None
+        instance = message.instance
+        in_flight = self._in_flight
+        by_seq = self._by_seq
+        on_submit = self._submit_hook
+        wants_view = self._submit_wants_view
+        scheduler = self.adversary.scheduler
+        inspect = (
+            getattr(scheduler, "inspect_payload", None)
+            if scheduler.content_aware
+            else None
+        )
+        seq = self._next_seq
+        first_seq = seq
+        pos = len(in_flight)
+        for dest in range(n):
+            # Positional: keyword construction measurably slows this loop.
+            envelope = Envelope(
+                seq, sender, dest, message, depth, sender_correct, sent_step
+            )
+            if emit is not None:
+                emit(
+                    SendEvent(
+                        step=sent_step,
+                        seq=seq,
+                        sender=sender,
+                        dest=dest,
+                        instance=instance,
+                        message_kind=kind,
+                        words=words,
+                        depth=depth,
+                        sender_correct=sender_correct,
+                    )
+                )
+            in_flight.append(envelope)
+            if by_seq is not None:
+                envelope.pos = pos
+                by_seq[seq] = envelope
+            if on_submit is not None and wants_view:
+                on_submit(seq, EnvelopeView.of(envelope))
+            if inspect is not None:
+                inspect(seq, message, sender)
+            seq += 1
+            pos += 1
+        self._next_seq = seq
+        if on_submit is not None and not wants_view:
+            # Seq-only bookkeeping: one bulk call per broadcast.  Deferring
+            # it past the destination loop is invisible -- the kernel only
+            # consults the scheduler between deliveries, never mid-submit.
+            scheduler.on_submit_range(first_seq, seq)
+
+    def _insert_in_flight(self, envelope: Envelope) -> None:
+        """Enter ``envelope`` into the scheduler pool.
+
+        The pool bookkeeping + scheduler callbacks of one unicast
+        (:meth:`submit_broadcast` inlines the same); a reordered envelope
+        joins the pool through here at release time, not submit time.
+        """
+        seq = envelope.seq
+        if self._by_seq is not None:
+            envelope.pos = len(self._in_flight)
+            self._by_seq[seq] = envelope
+        self._in_flight.append(envelope)
+        on_submit = self._submit_hook
+        if on_submit is not None:
+            on_submit(
+                seq,
+                EnvelopeView.of(envelope) if self._submit_wants_view else None,
+            )
+        scheduler = self.adversary.scheduler
+        if scheduler.content_aware:
+            inspect = getattr(scheduler, "inspect_payload", None)
+            if inspect is not None:
+                inspect(seq, envelope.payload, envelope.sender)
 
     def note_decision(self, pid: int) -> None:
         self.decided.add(pid)
@@ -913,13 +903,26 @@ class Simulation:
                     self.metrics.wait_skips += 1
 
     def _remove_in_flight(self, seq: int) -> Envelope:
-        envelope = self._in_flight.pop(seq)
-        position = self._seq_pos.pop(seq)
-        last = self._seq_list.pop()
-        if position < len(self._seq_list):
-            self._seq_list[position] = last
-            self._seq_pos[last] = position
+        """Swap-remove: the last envelope takes the removed one's place."""
+        envelope = self._by_seq.pop(seq)
+        last = self._in_flight.pop()
+        if last is not envelope:
+            self._in_flight[envelope.pos] = last
+            last.pos = envelope.pos
         return envelope
+
+    def _release_held(self) -> None:
+        """Move reordered envelopes whose hold expired into the pool.
+
+        If the pool is empty while messages are still held, the earliest
+        is released immediately: a lossy link may delay but cannot
+        withhold forever -- only genuine drops can deadlock a run.
+        """
+        held = self._lossy.held
+        while held and held[0][0] <= self.deliveries:
+            self._insert_in_flight(heappop(held)[2])
+        if not self._in_flight:
+            self._insert_in_flight(heappop(held)[2])
 
     # -- main loop -----------------------------------------------------------------
 
@@ -955,44 +958,12 @@ class Simulation:
             if pid not in self.corrupted:
                 self._advance(pid, None, first=True)
 
-        scheduler = self.adversary.scheduler
-        corruption = self.adversary.corruption
-        profile = self.profile
-        perf = time.perf_counter
-        restore_verify = self._install_verify_timers() if profile else None
-        corruption_reacts = self._corruption_reacts
+        restore_verify = self._install_verify_timers() if self.profile else None
         try:
-            if self._lossy is not None:
-                self._run_lossy(scheduler, corruption)
-            elif self.delivery_mode == "batched" and not profile:
-                self._run_batched(scheduler, corruption)
+            if self._reference_loop:
+                self._run_reference()
             else:
-                while self._in_flight and self.deliveries < self.max_deliveries:
-                    if self._should_stop():
-                        self._stopped = True
-                        break
-                    if profile:
-                        start = perf()
-                        seq = scheduler.choose(self._pool)
-                        chosen = perf()
-                        self.metrics.add_timing("kernel.schedule", chosen - start)
-                        envelope = self._remove_in_flight(seq)
-                        scheduler.on_delivered(seq)
-                        self._deliver(envelope)
-                        self.metrics.add_timing("kernel.step", perf() - chosen)
-                    else:
-                        seq = scheduler.choose(self._pool)
-                        envelope = self._remove_in_flight(seq)
-                        scheduler.on_delivered(seq)
-                        self._deliver(envelope)
-                    if corruption_reacts and len(self.corrupted) < self.f:
-                        view = EnvelopeView.of(envelope)
-                        for pid in corruption.on_delivery(
-                            view, frozenset(self.corrupted)
-                        ):
-                            self.corrupt(pid)
-                else:
-                    self._stopped = self._should_stop()
+                self._run_fast()
         finally:
             if restore_verify is not None:
                 restore_verify()
@@ -1012,60 +983,67 @@ class Simulation:
             self.metrics.lossy_by_kind = self.lossy_by_kind
         return self
 
-    def _run_lossy(self, scheduler: Scheduler, corruption: CorruptionStrategy) -> None:
-        """The classic stepping loop with lossy-link fates applied.
+    def _run_reference(self) -> None:
+        """The reference loop: one readable ``choose`` + step per delivery.
 
-        Identical per-delivery semantics to the classic loop, plus the
-        reorder-release machinery: held envelopes enter the pool once the
-        delivery counter reaches their release point, and if the pool
-        empties while messages are still held, the earliest is released
-        immediately (a lossy link may delay but cannot withhold forever
-        -- only genuine drops can deadlock a run).  Batched draining is
-        skipped because a hold breaks the drain contract's commitment
-        semantics; schedulers of either mode run here unchanged.
+        ``delivery_mode="classic"`` selects it so the equivalence tests
+        can hold :meth:`_run_fast` against it, and ``profile=True`` uses
+        it for the per-delivery ``kernel.schedule``/``kernel.step``
+        timers.  Every scheduler is asked through ``choose``, so the
+        kernel keeps the seq index here.
         """
-        lossy = self._lossy
-        held = lossy.held
+        scheduler = self.adversary.scheduler
+        corruption = self.adversary.corruption
         corruption_reacts = self._corruption_reacts
+        held = self._lossy.held if self._lossy is not None else ()
+        profile = self.profile
+        perf = time.perf_counter
         while (self._in_flight or held) and self.deliveries < self.max_deliveries:
             if self._should_stop():
                 self._stopped = True
-                break
-            while held and held[0][0] <= self.deliveries:
-                self._insert_in_flight(heappop(held)[2])
-            if not self._in_flight:
-                self._insert_in_flight(heappop(held)[2])
+                return
+            if held:
+                self._release_held()
+            start = perf()
             seq = scheduler.choose(self._pool)
+            chosen = perf()
+            if profile:
+                self.metrics.add_timing("kernel.schedule", chosen - start)
             envelope = self._remove_in_flight(seq)
             scheduler.on_delivered(seq)
             self._deliver(envelope)
+            if profile:
+                self.metrics.add_timing("kernel.step", perf() - chosen)
             if corruption_reacts and len(self.corrupted) < self.f:
                 view = EnvelopeView.of(envelope)
                 for pid in corruption.on_delivery(view, frozenset(self.corrupted)):
                     self.corrupt(pid)
-        else:
-            self._stopped = self._should_stop()
+        self._stopped = self._should_stop()
 
-    def _run_batched(self, scheduler: Scheduler, corruption: CorruptionStrategy) -> None:
-        """The batched delivery loop (``delivery_mode="batched"``).
+    def _run_fast(self) -> None:
+        """The production loop (``delivery_mode="batched"``, the default).
 
-        Per-envelope semantics are identical to the classic loop: the stop
-        condition is checked before every delivery, the corruption
-        strategy observes every delivery, and the pending-wait gates
-        (instance subscription, min_count countdown) fire per envelope --
-        so event streams, metrics and results are byte-identical.  What
-        changes is dispatch: committed batches from
-        :meth:`~repro.sim.adversary.Scheduler.drain` are delivered in one
-        tight loop with ``_remove_in_flight``/``_deliver`` inlined and the
-        kernel's per-delivery attribute traffic hoisted into locals.
-        Schedulers that decline to drain fall back to the classic step, so
-        any adversary runs under either mode.
+        Per-envelope semantics are identical to :meth:`_run_reference`:
+        the stop condition is checked before every delivery, the
+        corruption strategy observes every delivery, held (reordered)
+        envelopes are released before every choice, and the pending-wait
+        gates (instance subscription, min_count countdown) fire per
+        envelope -- so event streams, metrics and results are
+        byte-identical.  What changes is dispatch.  The next envelope is
+        the next seq of a batch the scheduler committed through
+        :meth:`~repro.sim.adversary.Scheduler.drain`, or else a batch of
+        one: the envelope at ``choose_index(len(pool))`` when the
+        scheduler picks by position (no seq index exists then), otherwise
+        ``choose(pool)``.  ``_remove_in_flight``/``_deliver``/
+        ``Mailbox.add`` are inlined and the kernel's per-delivery
+        attribute traffic is hoisted into locals.
         """
+        scheduler = self.adversary.scheduler
+        corruption = self.adversary.corruption
         # Aliases, not copies: mutations from corrupt()/submit() during the
-        # batch stay visible to the loop.
+        # loop stay visible to it.
         in_flight = self._in_flight
-        seq_list = self._seq_list
-        seq_pos = self._seq_pos
+        by_seq = self._by_seq
         contexts = self.contexts
         corrupted = self.corrupted
         behaviors = self._behaviors
@@ -1080,12 +1058,24 @@ class Simulation:
         corruption_reacts = self._corruption_reacts
         max_deliveries = self.max_deliveries
         budget = self.f
-        drain = scheduler.drain
         pool = self._pool
+        choose = scheduler.choose
+        choose_index = scheduler.choose_index if by_seq is None else None
+        on_delivered = scheduler.on_delivered
+        held = self._lossy.held if self._lossy is not None else ()
+        # A hold breaks the drain contract's commitment, so an active lossy
+        # config commits no batch; the base drain only ever declines.
+        drain = (
+            scheduler.drain
+            if self._lossy is None and type(scheduler).drain is not Scheduler.drain
+            else None
+        )
+        chosen = -1  # seq to report through on_delivered, -1 for none
         # Monotone stop conditions (see runner.stop_when_all_decided) only
         # change value when decided/finished/corrupted grow; skip the call
         # while that fingerprint is unchanged.  Same stop point, evaluated
-        # once per state change instead of once per delivery.
+        # once per state change instead of once per delivery.  Any other
+        # condition is keyed on the delivery counter: asked every time.
         stop_condition = self.stop_condition
         stop_monotone = bool(getattr(stop_condition, "monotone_stop", False))
         decided = self.decided
@@ -1093,56 +1083,65 @@ class Simulation:
         stop_fp = -1
         stop_val = False
 
-        while in_flight and self.deliveries < max_deliveries:
+        while (in_flight or held) and self.deliveries < max_deliveries:
             if stop_condition is not None:
-                if stop_monotone:
-                    fp = len(decided) + len(finished) + len(corrupted)
-                    if fp != stop_fp:
-                        stop_fp = fp
-                        stop_val = bool(stop_condition(self))
-                    if stop_val:
-                        self._stopped = True
-                        return
-                elif self._should_stop():
+                fp = (
+                    len(decided) + len(finished) + len(corrupted)
+                    if stop_monotone
+                    else self.deliveries
+                )
+                if fp != stop_fp:
+                    stop_fp = fp
+                    stop_val = bool(stop_condition(self))
+                if stop_val:
                     self._stopped = True
                     return
-            batch = drain(pool, max_deliveries - self.deliveries)
-            if not batch:
-                # Nothing committed (or the scheduler declined): one
-                # classic step, then ask again.
-                seq = scheduler.choose(pool)
-                envelope = self._remove_in_flight(seq)
-                scheduler.on_delivered(seq)
-                self._deliver(envelope)
-                if corruption_reacts and len(corrupted) < budget:
-                    view = EnvelopeView.of(envelope)
-                    for pid in corruption.on_delivery(view, frozenset(corrupted)):
-                        self.corrupt(pid)
-                continue
-            self.drain_batches += 1
-            first_in_batch = True
+            if held:
+                self._release_held()
+            batch = drain and drain(pool, max_deliveries - self.deliveries)
+            if batch:
+                # Drained seqs already left the scheduler's books: no
+                # on_delivered for them.
+                self.drain_batches += 1
+                chosen = -1
+                first_in_batch = True
+            else:
+                batch = _BATCH_OF_ONE
+                if choose_index is not None:
+                    position = choose_index(len(in_flight))
+                    envelope = in_flight[position]
+                else:
+                    chosen = choose(pool)
+                    envelope = by_seq.pop(chosen)
+                    position = envelope.pos
             for seq in batch:
-                if first_in_batch:
-                    first_in_batch = False  # the outer loop just checked stop
-                elif stop_condition is not None:
-                    if stop_monotone:
-                        fp = len(decided) + len(finished) + len(corrupted)
+                if seq is not None:
+                    if first_in_batch:
+                        first_in_batch = False  # the outer loop just checked stop
+                    elif stop_condition is not None:
+                        fp = (
+                            len(decided) + len(finished) + len(corrupted)
+                            if stop_monotone
+                            else self.deliveries
+                        )
                         if fp != stop_fp:
                             stop_fp = fp
                             stop_val = bool(stop_condition(self))
                         if stop_val:
                             self._stopped = True
                             return
-                    elif self._should_stop():
-                        self._stopped = True
-                        return
-                # -- _remove_in_flight, inlined --
-                envelope = in_flight.pop(seq)
-                position = seq_pos.pop(seq)
-                last = seq_list.pop()
-                if position < len(seq_list):
-                    seq_list[position] = last
-                    seq_pos[last] = position
+                    envelope = by_seq.pop(seq)
+                    position = envelope.pos
+                    self.batched_deliveries += 1
+                # -- _remove_in_flight, inlined (positional picks never read
+                # `pos`, so it is kept up only beside a seq index) --
+                last = in_flight.pop()
+                if last is not envelope:
+                    in_flight[position] = last
+                    if by_seq is not None:
+                        last.pos = position
+                if chosen >= 0:
+                    on_delivered(chosen)
                 # -- _deliver, inlined --
                 payload = envelope.payload
                 metrics.messages_delivered += 1
@@ -1165,7 +1164,6 @@ class Simulation:
                         )
                     )
                 self.deliveries += 1
-                self.batched_deliveries += 1
                 pid = envelope.dest
                 ctx = contexts[pid]
                 if ctx.depth < envelope.depth:

@@ -199,7 +199,7 @@ def run_protocol(
     verify_cache: bool = True,
     eager_wakeups: bool = False,
     profile: bool = False,
-    delivery_mode: str = "classic",
+    delivery_mode: str = "batched",
     lossy: Any = None,
     subscribers: list[Callable[[Any], None]] | None = None,
     monitors: Any = None,
@@ -215,9 +215,9 @@ def run_protocol(
     memoized verification (only consulted when ``pki`` is created here);
     ``eager_wakeups=True`` disables instance-keyed wait wakeups.  Both
     exist for equivalence testing and benchmarking against the uncached
-    kernel.  ``delivery_mode="batched"`` turns on the batched kernel
-    loop (observably identical; schedulers that cannot commit batches
-    fall back to the classic step -- see ``Simulation``).
+    kernel.  So does ``delivery_mode="classic"``: it selects the kernel's
+    reference loop in place of the default fast loop (observably
+    identical -- see ``Simulation``).
 
     ``profile=True`` turns on the wall-clock kernel/span timers
     (``metrics.phase_timings``); ``subscribers`` attaches kernel
@@ -245,7 +245,8 @@ def run_protocol(
     enabling the lossy-link model *extension* (per-link drop / duplicate
     / reorder / bit-corrupt fates, deterministic from ``seed``).  ``None``
     or an all-zero config keeps the run byte-identical to the reliable
-    model; an active config forces classic stepping (see ``Simulation``).
+    model; an active config runs on either kernel loop (see
+    ``Simulation``).
 
     ``coverage`` attaches a :class:`~repro.sim.coverage.CoverageProbe`
     (another event-bus subscriber): the probe folds the run into its

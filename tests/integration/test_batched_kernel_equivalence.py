@@ -1,15 +1,19 @@
-"""Batched delivery is pure: delivery_mode='batched' == 'classic'.
+"""The fast loop is pure: delivery_mode='batched' == 'classic'.
 
-The batched kernel commits scheduler-chosen delivery batches and skips
-gated wait re-evaluations, but every committed batch is exactly the seq
-sequence the classic one-choose-per-delivery loop would have produced
-(the ``Scheduler.drain`` contract), and every skipped evaluation is a
-provable no-op (the ``Wait``/``min_count`` contracts).  This matrix is
-the empirical certificate: for each (protocol, scheduler, seed) cell the
-two modes must agree on *every* observable -- RunResult fields, the full
-deterministic metrics dict, and the kernel event stream -- including
-under schedulers that cannot drain (the batched kernel then falls back
-to the classic step) and with the observability stack attached.
+The kernel's fast loop (``delivery_mode="batched"``, the default)
+delivers scheduler-committed batches, picks by pool position under a
+positional scheduler, and skips gated wait re-evaluations -- but every
+committed batch is exactly the seq sequence the reference
+one-choose-per-delivery loop (``delivery_mode="classic"``) would have
+produced (the ``Scheduler.drain`` contract), every positional pick is
+the draw ``choose`` would have made (the ``choose_index`` contract), and
+every skipped evaluation is a provable no-op (the ``Wait``/``min_count``
+contracts).  This matrix is the empirical certificate: for each
+(protocol, scheduler, seed) cell the two loops must agree on *every*
+observable -- RunResult fields, the full deterministic metrics dict, and
+the kernel event stream -- under draining, positional and seq-choosing
+schedulers alike, over lossy links, and with the observability stack
+attached.
 """
 
 from __future__ import annotations
@@ -26,12 +30,13 @@ from repro.experiments.protocols import make_runner
 from repro.sim.adversary import (
     Adversary,
     DelayBoundedScheduler,
+    RandomScheduler,
     StaticCorruption,
 )
 from repro.sim.diffing import diff_events, divergence_hint
 from repro.sim.flightrecorder import FlightRecorder
 from repro.sim.monitors import MonitorSuite, default_monitors
-from repro.sim.network import Simulation
+from repro.sim.network import LossyLinkConfig, Simulation
 from repro.sim.runner import (
     RunResult,
     run_protocol,
@@ -43,9 +48,10 @@ from tests.integration.test_determinism_matrix import SCHEDULER_FACTORIES
 
 N, F = 10, 2
 
-# The zoo from the determinism matrix (includes drain-declining and
-# content-aware schedulers, which exercise the classic fallback) plus the
-# bounded-delay scheduler, the canonical randomised *draining* schedule.
+# The zoo from the determinism matrix (the positional random scheduler,
+# seq-choosing and content-aware ones, which the fast loop asks through
+# ``choose``) plus the bounded-delay scheduler, the canonical randomised
+# *draining* schedule.
 ALL_SCHEDULERS = dict(SCHEDULER_FACTORIES)
 ALL_SCHEDULERS["delay"] = lambda seed: DelayBoundedScheduler(
     rng=random.Random(seed)
@@ -126,7 +132,7 @@ class TestAgreementMatrix:
 
 class TestEventStreamIdentity:
     @pytest.mark.parametrize(
-        "scheduler", ["fifo", "delay", "partition", "targeted"]
+        "scheduler", ["fifo", "delay", "random", "partition", "targeted"]
     )
     def test_full_event_stream_identical(self, scheduler):
         """Not just the aggregates: the *entire* event sequence (sends,
@@ -176,6 +182,81 @@ class TestObservabilityStack:
         assert batched_snapshot == classic_snapshot
 
 
+def simulate_ba(n, seed, mode, scheduler, lossy=None):
+    """One whp_ba run with direct Simulation access (for the batch
+    counters and the pool layout), set up exactly as ``run_protocol``
+    would."""
+    factory, params, f = make_runner("whp_ba", n, seed=seed)
+    rng = random.Random(derive_seed(seed, "setup"))
+    pki = PKI.create(n, backend="simulated", rng=rng)
+    sim = Simulation(
+        n=n, f=f, pki=pki,
+        adversary=Adversary(
+            scheduler=scheduler,
+            corruption=StaticCorruption(set(range(f))),
+        ),
+        seed=seed, params=params,
+        stop_condition=stop_when_all_decided,
+        delivery_mode=mode, lossy=lossy,
+    )
+    recorder = FlightRecorder().attach(sim)
+    sim.set_protocol_all(factory)
+    sim.run()
+    return sim, recorder, RunResult.of(sim)
+
+
+def assert_same_run(reference, other, label):
+    """``(sim, recorder, result)`` triples agree event for event."""
+    if other[1].events != reference[1].events:
+        pytest.fail(
+            diff_events(reference[1].events, other[1].events).describe()
+            + "\n"
+            + divergence_hint(label)
+        )
+    assert observable(other[2]) == observable(reference[2]), divergence_hint(label)
+
+
+LOSSY = LossyLinkConfig(duplicate_rate=0.2, reorder_rate=0.3, reorder_hold=8)
+
+
+@pytest.mark.parametrize("lossy", [None, LOSSY], ids=["reliable", "lossy"])
+class TestRandomSchedulerFastLoop:
+    """The default adversary is a *non-trivial* row: under
+    ``RandomScheduler`` the fast loop picks by pool position and keeps no
+    seq index, while the reference loop asks ``choose`` and looks the seq
+    up -- different code, same run, over reliable and lossy links."""
+
+    N_BA, SEED = 40, 13
+
+    def _run(self, mode, lossy, scheduler=None):
+        scheduler = scheduler or RandomScheduler(random.Random(self.SEED))
+        return simulate_ba(self.N_BA, self.SEED, mode, scheduler, lossy=lossy)
+
+    def test_positional_fast_loop_equals_reference(self, lossy):
+        reference = self._run("classic", lossy)
+        fast = self._run("batched", lossy)
+        # The premise: the two sides really ran different pool layouts.
+        assert fast[0]._by_seq is None
+        assert reference[0]._by_seq is not None
+        if lossy is not None:
+            counters = fast[0].lossy_counters
+            assert counters["duplicates"] > 0 and counters["reorders"] > 0
+        assert_same_run(reference, fast, "positional fast loop != reference")
+        # Same picks from the same stream: the scheduler RNGs end equal.
+        assert (
+            fast[0].adversary.scheduler.rng.getstate()
+            == reference[0].adversary.scheduler.rng.getstate()
+        )
+
+    @pytest.mark.parametrize("replay_mode", ["classic", "batched"])
+    def test_fast_loop_recording_replays_seq_exactly(self, lossy, replay_mode):
+        original = self._run("batched", lossy)
+        replayed = self._run(
+            replay_mode, lossy, scheduler=original[1].replay_scheduler()
+        )
+        assert_same_run(original, replayed, "replay of a fast-loop recording diverged")
+
+
 class TestBatchedReplay:
     """Flight recordings made under the batched kernel replay seq-exactly.
 
@@ -183,69 +264,35 @@ class TestBatchedReplay:
     recording must feed a seq-exact :class:`ReplayScheduler` that
     reproduces the stream bit for bit -- and because a replay schedule's
     choices cannot be promised insensitive to mid-batch submissions, the
-    scheduler must *decline* to drain: a batched-mode replay falls back
-    to the classic step cleanly rather than diverging.
+    scheduler must *decline* to drain: a batched-mode replay delivers
+    batches of one through ``choose`` rather than diverging.
     """
 
     N_BA, SEED = 40, 9
 
     def _simulate(self, mode, scheduler):
-        """One whp_ba run with direct Simulation access (for the batch
-        counters), set up exactly as ``run_protocol`` would."""
-        factory, params, f = make_runner("whp_ba", self.N_BA, seed=self.SEED)
-        rng = random.Random(derive_seed(self.SEED, "setup"))
-        pki = PKI.create(self.N_BA, backend="simulated", rng=rng)
-        sim = Simulation(
-            n=self.N_BA, f=f, pki=pki,
-            adversary=Adversary(
-                scheduler=scheduler,
-                corruption=StaticCorruption(set(range(f))),
-            ),
-            seed=self.SEED, params=params,
-            stop_condition=stop_when_all_decided,
-            delivery_mode=mode,
-        )
-        recorder = FlightRecorder().attach(sim)
-        sim.set_protocol_all(factory)
-        sim.run()
-        return sim, recorder, RunResult.of(sim)
+        return simulate_ba(self.N_BA, self.SEED, mode, scheduler)
 
     def _record_batched(self):
-        sim, recorder, result = self._simulate(
+        original = self._simulate(
             "batched", DelayBoundedScheduler(rng=random.Random(self.SEED))
         )
         # The premise: this recording really was produced by committed
-        # scheduler batches, not by the classic fallback.
-        assert sim.drain_batches > 0
-        assert sim.batched_deliveries > 0
-        return recorder, result
+        # scheduler batches, not by batches of one.
+        assert original[0].drain_batches > 0
+        assert original[0].batched_deliveries > 0
+        return original
 
     def test_batched_recording_replays_seq_exactly(self):
-        recorder, original = self._record_batched()
-        sim, replay_recorder, replayed = self._simulate(
-            "classic", recorder.replay_scheduler()
-        )
-        if replay_recorder.events != recorder.events:
-            pytest.fail(
-                diff_events(recorder.events, replay_recorder.events).describe()
-                + "\n"
-                + divergence_hint("replay of a batched recording diverged")
-            )
-        assert observable(replayed) == observable(original)
+        original = self._record_batched()
+        replayed = self._simulate("classic", original[1].replay_scheduler())
+        assert_same_run(original, replayed, "replay of a batched recording diverged")
 
     def test_replay_under_batched_mode_declines_and_matches(self):
-        recorder, original = self._record_batched()
-        sim, replay_recorder, replayed = self._simulate(
-            "batched", recorder.replay_scheduler()
-        )
-        # ReplayScheduler declines every drain, so the batched kernel
-        # took the classic fallback for the whole run...
-        assert sim.batched_deliveries == 0
+        original = self._record_batched()
+        replayed = self._simulate("batched", original[1].replay_scheduler())
+        # ReplayScheduler declines every drain, so the fast loop asked
+        # ``choose`` for the whole run...
+        assert replayed[0].batched_deliveries == 0
         # ...and the replay still reproduces the recording exactly.
-        if replay_recorder.events != recorder.events:
-            pytest.fail(
-                diff_events(recorder.events, replay_recorder.events).describe()
-                + "\n"
-                + divergence_hint("batched-mode replay diverged")
-            )
-        assert observable(replayed) == observable(original)
+        assert_same_run(original, replayed, "batched-mode replay diverged")

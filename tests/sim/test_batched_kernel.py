@@ -326,14 +326,14 @@ class TestSubmitBroadcast:
             sim.submit_broadcast(4, Note("x"))
 
 
-# -- batched mode fallback ----------------------------------------------------
+# -- delivery modes -----------------------------------------------------------
 
 
-class TestBatchedFallback:
-    def test_random_scheduler_falls_back_to_classic_step(self):
-        """delivery_mode='batched' under a drain-declining scheduler must
-        still run (classic one-choose-per-delivery) and agree byte-for-byte
-        with the classic mode."""
+class TestDeliveryModes:
+    def test_random_scheduler_fast_loop_matches_reference(self):
+        """Under a drain-declining scheduler the fast loop delivers batches
+        of one (by pool position here) and must agree byte-for-byte with
+        the reference loop."""
 
         def chatter(ctx):
             ctx.broadcast(Note("x"))
@@ -348,9 +348,13 @@ class TestBatchedFallback:
                            delivery_mode=mode)
             sim.set_protocol_all(chatter)
             sim.run()
+            assert sim.batched_deliveries == 0
             return sim.returns, sim.deliveries, sim.metrics.words_total
 
         assert run_mode("batched") == run_mode("classic")
+
+    def test_fast_loop_is_the_default(self):
+        assert make_sim().delivery_mode == "batched"
 
     def test_invalid_delivery_mode_rejected(self):
         with pytest.raises(ValueError, match="delivery_mode"):

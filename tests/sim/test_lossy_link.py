@@ -241,9 +241,13 @@ class TestDeterminismAndReplay:
         assert [event_to_record(e) for e in replay.events] == original
 
 
-class TestBatchedDeclinesToClassic:
-    def test_batched_mode_with_lossy_matches_classic(self):
-        lossy = LossyLinkConfig(duplicate_rate=0.5)
+class TestFastLoopUnderLossyLinks:
+    def test_fast_loop_commits_no_batch_and_matches_reference(self):
+        """While a lossy config is active the fast loop never consults
+        ``drain`` (a hold breaks the drain contract's commitment), so a
+        draining scheduler delivers batches of one -- and agrees with the
+        reference loop event for event."""
+        lossy = LossyLinkConfig(duplicate_rate=0.3, reorder_rate=0.3, reorder_hold=4)
         results = {}
         for mode in ("classic", "batched"):
             recorder = FlightRecorder()
@@ -258,5 +262,6 @@ class TestBatchedDeclinesToClassic:
                 sim.returns,
                 sim.lossy_counters,
             )
-            assert sim.batched_deliveries == 0
+            assert sim.batched_deliveries == 0 and sim.drain_batches == 0
+            assert sim.lossy_counters["reorders"] > 0
         assert results["classic"] == results["batched"]

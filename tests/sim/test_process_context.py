@@ -58,7 +58,8 @@ class TestBroadcast:
         from repro.sim.messages import Message
 
         sim.contexts[0].broadcast(Message(instance="b"))
-        dests = sorted(env.dest for env in sim._in_flight.values())
+        pool = sim._pool
+        dests = sorted(pool.view(pool.seq_at(i)).dest for i in range(len(pool)))
         assert dests == list(range(sim.n))
 
     def test_environment_properties(self):

@@ -84,8 +84,7 @@ class TestReplay:
     def test_replay_scheduler_declines_batched_drain(self):
         """A replay schedule cannot promise submission-insensitive
         batches, so it must return None from ``drain`` -- that is what
-        makes ``delivery_mode='batched'`` fall back to the classic step
-        instead of diverging (see the batched-kernel equivalence
-        tests)."""
+        makes the fast loop ask ``choose`` for every delivery instead of
+        diverging (see the batched-kernel equivalence tests)."""
         scheduler = ReplayScheduler([(0, 1), (1, 0)], seqs=[0, 1])
         assert scheduler.drain(pool=None, limit=8) is None
