@@ -15,8 +15,9 @@ from repro.core.params import ProtocolParams
 from repro.core.shared_coin import shared_coin
 from repro.crypto.rsa import generate_keypair, rsa_sign, rsa_verify
 from repro.crypto.shamir import reconstruct_secret, split_secret
+from repro.crypto.signatures import SchnorrSignatureScheme
 from repro.crypto.threshold import ThresholdCoinDealer
-from repro.crypto.vrf import RSAFDHVRF, SimulatedVRF
+from repro.crypto.vrf import ECVRF, RSAFDHVRF, SimulatedVRF
 from repro.sim.runner import run_protocol
 
 
@@ -42,6 +43,32 @@ def test_rsa_fdh_vrf_prove(benchmark):
     scheme = RSAFDHVRF(modulus_bits=512)
     sk, _ = scheme.keygen(random.Random(4))
     benchmark(lambda: scheme.prove(sk, b"round-7"))
+
+
+def test_ecvrf_prove(benchmark):
+    scheme = ECVRF()
+    sk, _ = scheme.keygen(random.Random(7))
+    benchmark(lambda: scheme.prove(sk, b"round-7"))
+
+
+def test_ecvrf_verify(benchmark):
+    scheme = ECVRF()
+    sk, pk = scheme.keygen(random.Random(8))
+    output = scheme.prove(sk, b"round-7")
+    assert benchmark(lambda: scheme.verify(pk, b"round-7", output))
+
+
+def test_schnorr_sign(benchmark):
+    scheme = SchnorrSignatureScheme()
+    sk, _ = scheme.keygen(random.Random(9))
+    benchmark(lambda: scheme.sign(sk, b"message"))
+
+
+def test_schnorr_verify(benchmark):
+    scheme = SchnorrSignatureScheme()
+    sk, pk = scheme.keygen(random.Random(10))
+    signature = scheme.sign(sk, b"message")
+    assert benchmark(lambda: scheme.verify(pk, b"message", signature))
 
 
 def test_rsa_sign(benchmark, rsa_key):

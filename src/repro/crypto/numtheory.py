@@ -6,6 +6,7 @@ RSA-FDH VRF/signatures and the discrete-log group of the threshold coin.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Iterable
 
@@ -58,10 +59,12 @@ def egcd(a: int, b: int) -> tuple[int, int, int]:
 
 def modinv(a: int, m: int) -> int:
     """Modular inverse of ``a`` mod ``m``; raises ``ValueError`` if none exists."""
-    g, x, _ = egcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} has no inverse modulo {m} (gcd={g})")
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise ValueError(
+            f"{a} has no inverse modulo {m} (gcd={math.gcd(a, m)})"
+        ) from None
 
 
 def _miller_rabin_witness(n: int, a: int, d: int, s: int) -> bool:

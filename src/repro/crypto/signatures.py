@@ -76,7 +76,7 @@ class SchnorrSignatureScheme(SignatureScheme):
         from repro.crypto import ec
 
         secret = rng.randrange(1, ec.CURVE_ORDER)
-        return secret, ec.scalar_mult(secret, ec.GENERATOR)
+        return secret, ec.public_key(secret)
 
     def sign(self, private_key: int, message: bytes):
         from repro.crypto import ec
@@ -88,7 +88,7 @@ class SchnorrSignatureScheme(SignatureScheme):
             + 1
         )
         r_point = ec.scalar_mult(nonce, ec.GENERATOR)
-        public = ec.scalar_mult(private_key, ec.GENERATOR)
+        public = ec.public_key(private_key)
         challenge = hash_to_int(
             "schnorr-challenge", r_point.encode(), public.encode(), message, bits=128
         )
@@ -104,18 +104,29 @@ class SchnorrSignatureScheme(SignatureScheme):
         r_x, r_y, s = signature
         if not all(isinstance(part, int) for part in signature):
             return False
+        # One signature, one encoding: the curve arithmetic reduces scalars
+        # mod N, so s ± N would verify too -- each a fresh verify-cache key.
+        if not 0 <= s < ec.CURVE_ORDER:
+            return False
         r_point = ec.Point(r_x, r_y)
         if r_point.is_infinity or not ec.is_on_curve(r_point):
             return False
-        if not isinstance(public_key, ec.Point) or not ec.is_on_curve(public_key):
+        # The identity passes is_on_curve but is no key: R + e·∞ = R, so
+        # (s·G, s) would verify for every message.
+        if (
+            not isinstance(public_key, ec.Point)
+            or public_key.is_infinity
+            or not ec.is_on_curve(public_key)
+        ):
             return False
         challenge = hash_to_int(
             "schnorr-challenge", r_point.encode(), public_key.encode(), message,
             bits=128,
         )
-        left = ec.scalar_mult(s, ec.GENERATOR)
-        right = ec.point_add(r_point, ec.scalar_mult(challenge, public_key))
-        return left == right
+        # s·G = R + e·pk, checked as s·G + e·(−pk) = R on one ladder; negating
+        # the point keeps the 128-bit e short where −e mod N would not be.
+        negated_key = ec.Point(public_key.x, -public_key.y % ec.FIELD_P)
+        return ec.lincomb2(s, ec.GENERATOR, challenge, negated_key) == r_point
 
 
 @dataclass(frozen=True)

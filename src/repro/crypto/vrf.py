@@ -48,6 +48,9 @@ __all__ = [
 # shared coin compares them as integers and takes the LSB of the minimum.
 VRF_OUTPUT_BITS = 256
 
+# Width of the ECVRF Fiat-Shamir challenge c.
+_EC_CHALLENGE_BITS = 128
+
 
 @dataclass(frozen=True)
 class VRFOutput:
@@ -152,8 +155,7 @@ class ECVRF(VRFScheme):
         from repro.crypto import ec
 
         secret = rng.randrange(1, ec.CURVE_ORDER)
-        public = ec.scalar_mult(secret, ec.GENERATOR)
-        return secret, public
+        return secret, ec.public_key(secret)
 
     @staticmethod
     def _challenge(h_point, public_key, gamma, u_point, v_point) -> int:
@@ -167,7 +169,7 @@ class ECVRF(VRFScheme):
             gamma.encode(),
             u_point.encode(),
             v_point.encode(),
-            bits=128,
+            bits=_EC_CHALLENGE_BITS,
         )
 
     def prove(self, private_key: int, alpha: bytes) -> VRFOutput:
@@ -175,7 +177,7 @@ class ECVRF(VRFScheme):
 
         h_point = ec.hash_to_point(alpha)
         gamma = ec.scalar_mult(private_key, h_point)
-        public_key = ec.scalar_mult(private_key, ec.GENERATOR)
+        public_key = ec.public_key(private_key)
         # Deterministic nonce (RFC-6979 in spirit): keyed by sk and alpha.
         nonce = (
             hash_to_int("ecvrf-nonce", private_key, alpha, bits=256)
@@ -198,18 +200,24 @@ class ECVRF(VRFScheme):
         gamma_x, gamma_y, challenge, s = proof
         if not all(isinstance(part, int) for part in proof):
             return False
+        # One proof, one encoding: the curve arithmetic reduces scalars
+        # mod N, so s ± N would verify too -- each a fresh verify-cache key.
+        if not (0 <= s < ec.CURVE_ORDER and 0 <= challenge < 1 << _EC_CHALLENGE_BITS):
+            return False
         gamma = ec.Point(gamma_x, gamma_y)
         if gamma.is_infinity or not ec.is_on_curve(gamma):
             return False
-        if not isinstance(public_key, ec.Point) or not ec.is_on_curve(public_key):
+        # The identity passes is_on_curve but is no key (sk = 0 is outside
+        # keygen's range); refuse it as the Schnorr verifier must.
+        if (
+            not isinstance(public_key, ec.Point)
+            or public_key.is_infinity
+            or not ec.is_on_curve(public_key)
+        ):
             return False
         h_point = ec.hash_to_point(alpha)
-        u_point = ec.point_add(
-            ec.scalar_mult(s, ec.GENERATOR), ec.scalar_mult(challenge, public_key)
-        )
-        v_point = ec.point_add(
-            ec.scalar_mult(s, h_point), ec.scalar_mult(challenge, gamma)
-        )
+        u_point = ec.lincomb2(s, ec.GENERATOR, challenge, public_key)
+        v_point = ec.lincomb2(s, h_point, challenge, gamma)
         if challenge != self._challenge(h_point, public_key, gamma, u_point, v_point):
             return False
         expected = hash_to_int("ecvrf-out", gamma.encode(), bits=VRF_OUTPUT_BITS)

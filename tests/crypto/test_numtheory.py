@@ -80,6 +80,24 @@ class TestModinv:
     def test_negative_argument(self):
         assert (-3) * modinv(-3, 97) % 97 == 1
 
+    @given(st.integers(-(10**30), 10**30), st.integers(2, 10**30))
+    def test_matches_extended_euclid(self, a, m):
+        """``pow(a, -1, m)`` agrees with the egcd definition, sign and all."""
+        g, x, _ = egcd(a % m, m)
+        if g == 1:
+            inverse = modinv(a, m)
+            assert inverse == x % m
+            assert 0 <= inverse < m and a * inverse % m == 1
+        else:
+            with pytest.raises(ValueError, match=f"gcd={g}"):
+                modinv(a, m)
+
+    def test_zero_has_no_inverse(self):
+        with pytest.raises(ValueError):
+            modinv(0, 97)
+        with pytest.raises(ValueError):
+            modinv(97, 97)
+
 
 class TestMillerRabin:
     @pytest.mark.parametrize("p", KNOWN_PRIMES)

@@ -1,7 +1,8 @@
-"""End-to-end runs over the *real* RSA-FDH crypto (small keys, small n).
+"""End-to-end runs over the *real* crypto backends (small keys, small n).
 
 Everything else in the suite uses the fast simulated backend; these tests
-pin that the genuine number-theoretic path drives the same protocol logic.
+pin that the genuine number-theoretic paths -- RSA-FDH, and secp256k1
+ECVRF + Schnorr -- drive the same protocol logic.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ from repro.core.approver import approve
 from repro.core.params import ProtocolParams
 from repro.core.shared_coin import shared_coin
 from repro.crypto.pki import PKI
-from repro.sim.runner import run_protocol, stop_when_all_decided
+from repro.experiments.protocols import make_runner
+from repro.sim.runner import RunResult, run_protocol, stop_when_all_decided
+
+from tests.integration.test_cached_kernel_equivalence import observable
 
 
 @pytest.fixture(scope="module")
@@ -54,3 +58,40 @@ class TestRealCryptoPaths:
         assert result.live
         assert result.all_correct_decided
         assert result.agreement
+
+
+def run_ba_over_ec(value_fn, verify_cache: bool = True) -> RunResult:
+    """``whp_ba`` at n = 8, f = 1 (pid 0 silent) over ECVRF + Schnorr."""
+    factory, params, f = make_runner("whp_ba", 8, seed=3, value_fn=value_fn)
+    pki = PKI.create(8, backend="ec", rng=random.Random(71), verify_cache=verify_cache)
+    return run_protocol(
+        8, f, factory, corrupt=set(range(f)), pki=pki, params=params,
+        stop_condition=stop_when_all_decided, seed=3,
+    )
+
+
+class TestAgreementOverEC:
+    """The paper's VRF-validated construction, run for real in tier-1."""
+
+    @pytest.fixture(scope="class")
+    def unanimous(self) -> RunResult:
+        return run_ba_over_ec(lambda ctx: 1)
+
+    def test_split_inputs_reach_agreement(self):
+        result = run_ba_over_ec(lambda ctx: ctx.pid % 2)
+        assert result.live
+        assert result.all_correct_decided
+        assert result.agreement
+        assert result.decided_values <= {0, 1}
+
+    def test_unanimous_input_is_the_decision(self, unanimous):
+        assert unanimous.live
+        assert unanimous.all_correct_decided
+        assert unanimous.decided_values == {1}  # Validity (and Agreement)
+        assert unanimous.metrics.verification_cache_hits > 0
+
+    def test_verify_cache_does_not_change_the_run(self, unanimous):
+        """``verify_cache=False`` performs every verification in full."""
+        uncached = run_ba_over_ec(lambda ctx: 1, verify_cache=False)
+        assert uncached.metrics.verification_cache_hits == 0
+        assert observable(uncached) == observable(unanimous)
