@@ -48,7 +48,7 @@ def _record_whp(n: int, seed: int) -> FlightRecorder:
     run_protocol(
         n, f, factory, corrupt=set(range(f)), params=params,
         stop_condition=stop_when_all_decided, seed=seed,
-        subscribers=[recorder.on_event],
+        observers=[recorder],
     )
     return recorder
 

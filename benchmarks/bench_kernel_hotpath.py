@@ -3,7 +3,7 @@
 
 Times the same seed sweep (WHP coin at n=120 and full BA at n=100) twice:
 once on the optimised kernel (verification cache + instance-keyed
-wakeups), once with both disabled (``verify_cache=False`` +
+wakeups), once with both disabled (a ``PKI`` built with ``verify_cache=False`` +
 ``eager_wakeups=True`` -- the pre-optimisation kernel).  Asserts
 
 * every observable RunResult field is identical between the two paths
@@ -23,11 +23,14 @@ Run standalone for CI smoke (tiny sweep, no pytest-benchmark)::
 from __future__ import annotations
 
 import os
+import random
 import sys
 import time
 
 from repro.core.params import ProtocolParams
 from repro.core.whp_coin import whp_coin
+from repro.crypto.hashing import derive_seed
+from repro.crypto.pki import PKI
 from repro.experiments.parallel import derive_sweep_seeds, parallel_map
 from repro.experiments.protocols import make_runner
 from repro.sim.runner import RunResult, run_protocol, stop_when_all_decided
@@ -60,12 +63,18 @@ def _observable(result: RunResult) -> tuple:
     )
 
 
+def _pki(n: int, seed: int, fast: bool) -> PKI:
+    """The keys ``run_protocol`` would generate, with the memo on or off."""
+    rng = random.Random(derive_seed(seed, "setup"))
+    return PKI.create(n, rng=rng, verify_cache=fast)
+
+
 def _coin_trial(seed: int, fast: bool) -> RunResult:
     params = ProtocolParams.simulation_scale(n=COIN_N, f=COIN_F)
     return run_protocol(
         COIN_N, COIN_F, lambda ctx: whp_coin(ctx, 0),
         corrupt=set(range(COIN_F)), params=params, seed=seed,
-        verify_cache=fast, eager_wakeups=not fast,
+        pki=_pki(COIN_N, seed, fast), eager_wakeups=not fast,
     )
 
 
@@ -74,7 +83,7 @@ def _ba_trial(seed: int, fast: bool) -> RunResult:
     return run_protocol(
         BA_N, f, factory, corrupt=set(range(f)), params=params,
         stop_condition=stop_when_all_decided, seed=seed,
-        verify_cache=fast, eager_wakeups=not fast,
+        pki=_pki(BA_N, seed, fast), eager_wakeups=not fast,
     )
 
 

@@ -9,12 +9,11 @@ event by event: each hunted member had already broadcast before it was
 corrupted, so the corruption changed nothing.
 
 The recorder sees every kernel event (sends, deliveries, corruptions,
-decisions, wait blocking, protocol phases); the classic
-``attach_trace``/``TraceRecorder`` API still works — it is now a bus
-subscriber too, no longer a kernel monkeypatch — but new code should
-subscribe to ``sim.events`` directly, as done here.  A recording can
-also be persisted and rendered: see ``python -m repro record`` /
-``python -m repro report``.
+decisions, wait blocking, protocol phases).  A hand-built simulation
+attaches observers with ``sim.events.attach``, as done here;
+``run_protocol(..., observers=[recorder])`` is the same seam.  A
+recording can also be persisted and rendered: see ``python -m repro
+record`` / ``python -m repro report``.
 
 Run:  python examples/tracing_a_run.py
 """
@@ -29,12 +28,9 @@ from repro.crypto.pki import PKI
 from repro.sim import (
     Adversary,
     CommitteeTargetingCorruption,
-    CorruptEvent,
-    DeliverEvent,
     FlightRecorder,
     PhaseEvent,
     RandomScheduler,
-    SendEvent,
     Simulation,
 )
 
@@ -51,13 +47,13 @@ def main() -> None:
         ),
         seed=11, params=params,
     )
-    recorder = FlightRecorder().attach(sim)
+    recorder = sim.events.attach(FlightRecorder())
     sim.set_protocol_all(lambda ctx: whp_coin(ctx, 0))
     sim.run()
 
     events = recorder.events
-    sends = [e for e in events if isinstance(e, SendEvent)]
-    delivers = [e for e in events if isinstance(e, DeliverEvent)]
+    sends = recorder.of_kind("send")
+    delivers = recorder.of_kind("deliver")
     outputs = {sim.returns[pid] for pid in sim.correct_pids if pid in sim.returns}
     print(f"coin outputs of correct processes: {outputs}")
     print(f"events recorded: {len(events)}  "
@@ -75,10 +71,10 @@ def main() -> None:
               f"{event.message_kind} ({event.summary.words} words, "
               f"depth {event.depth})")
 
-    corruptions = [e for e in events if isinstance(e, CorruptEvent)]
+    corruptions = recorder.of_kind("corrupt")
     print(f"\nadaptive corruptions: {[e.pid for e in corruptions]}")
     for event in corruptions:
-        first_send = next(s for s in sends if s.sender == event.pid)
+        first_send = recorder.sends_by(event.pid)[0]
         verdict = (
             "TOO LATE (replaceability)"
             if first_send.step <= event.step

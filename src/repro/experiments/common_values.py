@@ -26,8 +26,8 @@ from repro.experiments.parallel import parallel_map
 from repro.experiments.tables import format_table
 from repro.sim.adversary import Adversary, RandomScheduler, StaticCorruption
 from repro.sim.events import DeliverEvent
+from repro.sim.flightrecorder import FlightRecorder
 from repro.sim.network import Simulation
-from repro.sim.trace import attach_trace
 
 __all__ = ["CommonValuesPoint", "format_common_values", "run"]
 
@@ -63,11 +63,11 @@ def run_once(n: int, f: int, seed: int) -> CommonValuesRun:
         ),
         seed=seed, params=params,
     )
-    trace = attach_trace(sim)
+    trace = sim.events.attach(FlightRecorder())
 
     # Trusted-measurement subscriber: FIRST-value origins are read from the
-    # live payload *during* the delivery callback (trace rows only keep an
-    # immutable summary).  The trace is an observer's tool, not part of the
+    # live payload *during* the delivery callback (the recorder only keeps
+    # an immutable summary).  Both are observers' tools, not part of the
     # adversary interface, so this does not weaken the model.
     first_deliveries: list[tuple[int, int, int]] = []  # (step, dest, origin)
 

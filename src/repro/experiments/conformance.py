@@ -95,7 +95,7 @@ def run_check(
             result = run_protocol(
                 n, f, factory, corrupt=set(range(f)), params=params,
                 stop_condition=stop_when_all_decided, seed=seed,
-                monitors=suite, coverage=probe, **kwargs,
+                observers=[suite, probe] if coverage else [suite], **kwargs,
             )
             row = {
                 "seed": seed,

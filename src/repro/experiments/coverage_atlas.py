@@ -28,12 +28,11 @@ fail loudly with one-line diagnoses, same policy as the trend store.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.experiments.store import load_jsonl
+from repro.experiments.store import append_jsonl, load_journal
 from repro.experiments.trends import sparkline
 
 __all__ = [
@@ -60,22 +59,7 @@ class CoverageAtlas:
     def load(self) -> list[dict]:
         """All records, oldest first; ``ValueError`` (one line, with the
         record number) on foreign schemas or future versions."""
-        if not self.path.exists():
-            return []
-        records = load_jsonl(self.path)
-        for index, record in enumerate(records, start=1):
-            if record.get("schema") != ATLAS_SCHEMA:
-                raise ValueError(
-                    f"{self.path}: record {index} has schema "
-                    f"{record.get('schema')!r}, expected {ATLAS_SCHEMA!r}"
-                )
-            if record.get("version") != ATLAS_SCHEMA_VERSION:
-                raise ValueError(
-                    f"{self.path}: record {index} has version "
-                    f"{record.get('version')!r}, this build reads "
-                    f"{ATLAS_SCHEMA_VERSION}"
-                )
-        return records
+        return load_journal(self.path, ATLAS_SCHEMA, ATLAS_SCHEMA_VERSION)
 
     def known_signatures(self, records: list[dict] | None = None) -> set[str]:
         """Every signature any recorded run has ever covered."""
@@ -112,10 +96,7 @@ class CoverageAtlas:
             "new_count": len(new),
             "known_after": len(known | set(signatures)),
         }
-        self.root.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as handle:
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
+        append_jsonl(self.path, record)
         return record
 
     # -- derived views ---------------------------------------------------------

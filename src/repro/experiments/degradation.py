@@ -91,13 +91,14 @@ def run_cell(
     seed: int,
     f: int | None = None,
     max_deliveries: int | None = None,
-    subscribers: list | None = None,
+    observers: Sequence[Any] = (),
 ) -> tuple[Any, RunResult, MonitorSuite]:
     """Execute one (scenario, rate, seed) cell with a fresh monitor suite.
 
     Returns ``(spec, result, suite)``; the spec's ``name`` is the
     canonical rate-suffixed scenario name a recording of this cell
-    should carry as its protocol header.
+    should carry as its protocol header.  ``observers`` ride along
+    beside the suite.
     """
     spec = make_scenario(scenario, n, f=f, seed=seed, rate=rate)
     suite = MonitorSuite()
@@ -113,8 +114,7 @@ def run_cell(
         params=spec.params,
         stop_condition=spec.stop_condition,
         lossy=spec.lossy,
-        monitors=suite,
-        subscribers=subscribers,
+        observers=[suite, *observers],
         **kwargs,
     )
     return spec, result, suite
@@ -287,7 +287,7 @@ def _export_cell(
         seed,
         f=f,
         max_deliveries=cap,
-        subscribers=[recorder.on_event],
+        observers=[recorder],
     )
     directory = Path(export_dir)
     directory.mkdir(parents=True, exist_ok=True)

@@ -128,8 +128,7 @@ def _execute(
     plan: _RunPlan,
     order: Sequence[tuple[int, int]],
     seqs: Sequence[int],
-    monitors: MonitorSuite | None = None,
-    recorder: FlightRecorder | None = None,
+    observers: Sequence[Any] = (),
 ) -> RunResult:
     header = recording.header
     adversary = Adversary(
@@ -147,8 +146,7 @@ def _execute(
         stop_condition=plan.stop_condition,
         max_deliveries=len(order),
         lossy=plan.lossy,
-        subscribers=[recorder.on_event] if recorder is not None else None,
-        monitors=monitors,
+        observers=observers,
     )
 
 
@@ -157,8 +155,7 @@ def replay_recording(
     protocol: str | None = None,
     order: Sequence[tuple[int, int]] | None = None,
     seqs: Sequence[int] | None = None,
-    monitors: MonitorSuite | None = None,
-    recorder: FlightRecorder | None = None,
+    observers: Sequence[Any] = (),
 ) -> RunResult:
     """Re-execute a recording seq-exactly (or under a modified schedule).
 
@@ -172,7 +169,7 @@ def replay_recording(
         order = recording.delivery_order()
     if seqs is None:
         seqs = recording.delivery_seqs()
-    return _execute(recording, plan, order, seqs, monitors=monitors, recorder=recorder)
+    return _execute(recording, plan, order, seqs, observers)
 
 
 def _decisions_of(result: RunResult) -> dict[str, Any]:
@@ -235,7 +232,7 @@ def _reproducer(
     def reproduce(order: Sequence[tuple[int, int]], seqs: Sequence[int]) -> bool:
         suite = MonitorSuite()
         try:
-            result = _execute(recording, plan, order, seqs, monitors=suite)
+            result = _execute(recording, plan, order, seqs, [suite])
         except RuntimeError:
             return False  # schedule not realizable -> failure not reproduced
         if failure["type"] == "violation":
@@ -279,9 +276,7 @@ def explain_recording(
     replay_error: str | None = None
     result = None
     try:
-        result = _execute(
-            recording, plan, order, seqs, monitors=suite, recorder=recorder
-        )
+        result = _execute(recording, plan, order, seqs, [suite, recorder])
     except RuntimeError as exc:
         replay_error = str(exc)
 

@@ -35,7 +35,7 @@ import json
 import random
 from dataclasses import replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 from repro.crypto.hashing import derive_seed
 from repro.experiments.coverage_atlas import CoverageAtlas
@@ -65,9 +65,7 @@ def _execute_candidate(
     plan,
     candidate: FuzzCandidate,
     explore_cap: int,
-    monitors: MonitorSuite | None = None,
-    coverage: CoverageProbe | None = None,
-    recorder: FlightRecorder | None = None,
+    observers: Sequence[Any] = (),
 ):
     """Run one candidate; raises ``RuntimeError`` when unrealizable."""
     if candidate.explore_seed is not None:
@@ -98,9 +96,7 @@ def _execute_candidate(
         stop_condition=plan.stop_condition,
         max_deliveries=max_deliveries,
         lossy=candidate.lossy,
-        monitors=monitors,
-        coverage=coverage,
-        subscribers=[recorder.on_event] if recorder is not None else None,
+        observers=observers,
     )
 
 
@@ -128,7 +124,7 @@ def _bundle_counterexample(
     recorder = FlightRecorder()
     suite = MonitorSuite()
     result = _execute_candidate(
-        header, plan, candidate, explore_cap, monitors=suite, recorder=recorder
+        header, plan, candidate, explore_cap, [suite, recorder]
     )
     recording_path = Path(f"{out_prefix}_ce{index}.jsonl")
     from repro.sim.flightrecorder import save_recording
@@ -179,9 +175,7 @@ def _bundle_counterexample(
                 explore_seed=None,
             )
             try:
-                _execute_candidate(
-                    header, plan, shrunk, explore_cap, monitors=probe_suite
-                )
+                _execute_candidate(header, plan, shrunk, explore_cap, [probe_suite])
             except RuntimeError:
                 return False
             return any(
@@ -277,8 +271,7 @@ def fuzz_recording(
     seed_probe = CoverageProbe()
     try:
         _execute_candidate(
-            header, plan, seed_candidate, explore_cap,
-            monitors=seed_suite, coverage=seed_probe,
+            header, plan, seed_candidate, explore_cap, [seed_suite, seed_probe]
         )
     except RuntimeError as exc:
         payload["error"] = (
@@ -341,10 +334,7 @@ def fuzz_recording(
         suite = MonitorSuite()
         probe = CoverageProbe()
         try:
-            _execute_candidate(
-                header, plan, candidate, explore_cap,
-                monitors=suite, coverage=probe,
-            )
+            _execute_candidate(header, plan, candidate, explore_cap, [suite, probe])
         except RuntimeError:
             unrealizable += 1
             continue

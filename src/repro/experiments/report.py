@@ -82,8 +82,7 @@ def record_run(
     common = dict(
         seed=seed,
         profile=profile,
-        subscribers=[recorder.on_event],
-        telemetry=probe,
+        observers=[recorder, probe] if telemetry else [recorder],
     )
     if is_scenario(name):
         spec = make_scenario(name, n, f=f, seed=seed)

@@ -17,7 +17,9 @@ from pathlib import Path
 from typing import Any
 
 __all__ = [
+    "append_jsonl",
     "compare_results",
+    "load_journal",
     "load_jsonl",
     "load_results",
     "save_jsonl",
@@ -102,6 +104,39 @@ def load_jsonl(path: str | Path) -> list[dict[str, Any]]:
                     f"{path}: line {lineno} is not valid JSON ({exc.msg}); "
                     "truncated or corrupt file?"
                 ) from exc
+    return records
+
+
+def append_jsonl(path: str | Path, record: dict[str, Any]) -> None:
+    """Append one record to the journal at ``path`` (created on demand)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("a") as handle:
+        handle.write(json.dumps(record, sort_keys=True))
+        handle.write("\n")
+
+
+def load_journal(path: str | Path, schema: str, version: int) -> list[dict[str, Any]]:
+    """All records of an append-only journal, oldest first.
+
+    A missing file is an empty journal.  Raises ``ValueError`` (one
+    line, with the record number) on a record from a different schema or
+    another version -- don't silently misread someone else's journal.
+    """
+    if not Path(path).exists():
+        return []
+    records = load_jsonl(path)
+    for index, record in enumerate(records, start=1):
+        if record.get("schema") != schema:
+            raise ValueError(
+                f"{path}: record {index} has schema "
+                f"{record.get('schema')!r}, expected {schema!r}"
+            )
+        if record.get("version") != version:
+            raise ValueError(
+                f"{path}: record {index} has version "
+                f"{record.get('version')!r}, this build reads {version}"
+            )
     return records
 
 

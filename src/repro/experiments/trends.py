@@ -34,7 +34,12 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.experiments.store import compare_results, load_jsonl, to_jsonable
+from repro.experiments.store import (
+    append_jsonl,
+    compare_results,
+    load_journal,
+    to_jsonable,
+)
 
 __all__ = [
     "GATE_EXCLUDED_SUBSTRINGS",
@@ -170,32 +175,14 @@ class TrendStore:
             "fingerprint": fingerprint,
             "commit": commit,
         }
-        self.root.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as handle:
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
+        append_jsonl(self.path, record)
         return record
 
     def load(self) -> list[dict]:
         """All records, oldest first.  Raises ``ValueError`` on records
         from a different schema or a future version (don't silently
         misread someone else's journal)."""
-        if not self.path.exists():
-            return []
-        records = load_jsonl(self.path)
-        for index, record in enumerate(records, start=1):
-            if record.get("schema") != TREND_SCHEMA:
-                raise ValueError(
-                    f"{self.path}: record {index} has schema "
-                    f"{record.get('schema')!r}, expected {TREND_SCHEMA!r}"
-                )
-            if record.get("version") != TREND_SCHEMA_VERSION:
-                raise ValueError(
-                    f"{self.path}: record {index} has version "
-                    f"{record.get('version')!r}, this build reads "
-                    f"{TREND_SCHEMA_VERSION}"
-                )
-        return records
+        return load_journal(self.path, TREND_SCHEMA, TREND_SCHEMA_VERSION)
 
     def names(self) -> list[str]:
         return sorted({record["name"] for record in self.load()})

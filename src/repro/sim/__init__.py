@@ -76,7 +76,6 @@ from repro.sim.telemetry import (
     save_telemetry,
     telemetry_from_events,
 )
-from repro.sim.trace import TraceEvent, TraceRecorder, attach_trace
 from repro.sim.traceexport import (
     chrome_trace_events,
     export_chrome_trace,
@@ -130,13 +129,10 @@ __all__ = [
     "StaticCorruption",
     "TargetedDelayScheduler",
     "TelemetryProbe",
-    "TraceEvent",
-    "TraceRecorder",
     "ViolationReport",
     "Wait",
     "WaitBlockEvent",
     "WaitWakeEvent",
-    "attach_trace",
     "chrome_trace_events",
     "critical_path",
     "default_monitors",

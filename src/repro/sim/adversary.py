@@ -407,8 +407,8 @@ class ReplayScheduler(Scheduler):
     """Re-executes a recorded schedule exactly.
 
     Takes the ``(sender, dest)`` delivery order of a previous run (from
-    :meth:`repro.sim.trace.TraceRecorder.delivery_order` or a flight
-    recording) and delivers the in-flight message matching each pair in
+    :meth:`repro.sim.flightrecorder.FlightRecorder.delivery_order` or a
+    loaded recording) and delivers the in-flight message matching each pair in
     turn.  Valid only when the replayed run is byte-identical up to
     scheduling (same protocol code, keys and seed); raises loudly when
     the schedule diverges.

@@ -53,7 +53,7 @@ Design rules, inherited from the telemetry probe (DESIGN.md section 11):
   ``benchmarks/bench_observability_overhead.py`` bounds an attached
   probe's dispatch under the same < 3% envelope as the monitors.
 
-Attach with ``run_protocol(..., coverage=probe)``; accumulate across
+Attach with ``run_protocol(..., observers=[probe])``; accumulate across
 runs with :class:`repro.experiments.coverage_atlas.CoverageAtlas`;
 render with ``python -m repro coverage``.
 """
@@ -64,6 +64,7 @@ import re
 from typing import Any, Iterable
 
 from repro.sim.events import (
+    ChunkedObserver,
     CorruptEvent,
     DeliverEvent,
     KernelEvent,
@@ -119,11 +120,13 @@ def _abstract(value: Any) -> str:
     return _DIGITS.sub("*", str(value))
 
 
-class CoverageProbe:
+class CoverageProbe(ChunkedObserver):
     """Fold a kernel event stream into a coverage-signature multiset.
 
-    Subscribe via ``run_protocol(..., coverage=probe)`` (or
-    ``probe.attach(simulation)``); call :meth:`snapshot` after the run.
+    Attach via ``run_protocol(..., observers=[probe])`` (or
+    ``simulation.events.attach(probe)``); call :meth:`snapshot` after
+    the run.  The online path (one append per event, chunked folds) is
+    :class:`~repro.sim.events.ChunkedObserver`'s.
 
     The fold keeps raw tuple keys (live instance labels, interned kind
     strings, small int buckets) and defers *all* string rendering --
@@ -131,11 +134,10 @@ class CoverageProbe:
     :meth:`snapshot`, so the per-event price is dict arithmetic only.
     """
 
-    _CHUNK = 1024
-
     def __init__(self, signature_budget: int = 8192) -> None:
         if signature_budget < 8:
             raise ValueError("signature budget must be at least 8")
+        super().__init__()
         self.signature_budget = signature_budget
         # Raw signature keys -> hit counts for the rare families (wait
         # blocks/wakes, corruptions).  Keys are tuples whose head names
@@ -172,39 +174,16 @@ class CoverageProbe:
             "corrupts": 0,
             "phases": 0,
         }
-        # The online path, identical to the telemetry probe's: one
-        # append, one length check, amortised chunk folds.
-        pending_events: list[KernelEvent] = []
-        self._pending_events = pending_events
-
-        def on_event(
-            event: KernelEvent,
-            _append=pending_events.append,
-            _pending=pending_events,
-            _chunk=self._CHUNK,
-            _fold=self._fold,
-        ) -> None:
-            _append(event)
-            if len(_pending) >= _chunk:
-                _fold()
-
-        self.on_event = on_event
-
-    def attach(self, simulation) -> "CoverageProbe":
-        """Subscribe to ``simulation``'s event bus; returns self."""
-        simulation.events.subscribe(self.on_event)
-        return self
 
     # -- the fold --------------------------------------------------------------
 
-    def _fold(self) -> None:
-        """Fold the pending chunk into the raw signature counts.
+    def _fold(self, chunk: list[KernelEvent]) -> None:
+        """Fold one pending chunk into the raw signature counts.
 
         One tight loop, every hot name a local.  Additions must stay
         O(1) dict/int work per event: the overhead benchmark holds an
         attached probe inside the < 3% dispatch envelope.
         """
-        chunk = self._pending_events
         counts = self._counts
         budget = self.signature_budget
         tracked = self._tracked
@@ -403,7 +382,6 @@ class CoverageProbe:
         counters["wait_wakes"] += n_wakes
         counters["corrupts"] += n_corrupts
         counters["phases"] += n_phases
-        del chunk[:]
 
     # -- snapshotting ----------------------------------------------------------
 
@@ -463,8 +441,7 @@ class CoverageProbe:
 
     def snapshot(self) -> dict[str, Any]:
         """The JSON-ready coverage document (schema-versioned)."""
-        if self._pending_events:
-            self._fold()
+        self._flush()
         signatures = self._render()
         families: dict[str, dict[str, int]] = {}
         for sig, count in signatures.items():

@@ -35,6 +35,7 @@ if TYPE_CHECKING:
 __all__ = [
     "EVENT_SCHEMA",
     "EVENT_SCHEMA_VERSION",
+    "ChunkedObserver",
     "CorruptEvent",
     "DecideEvent",
     "DeliverEvent",
@@ -238,6 +239,13 @@ class EventBus:
     per emission site is one attribute read plus one branch.  Subscribers
     are invoked synchronously in subscription order and must not mutate
     the kernel or the payloads they are shown.
+
+    An *observer* is any object with ``on_event(event)`` and, optionally,
+    ``begin_run()`` and ``finalize(result, simulation)`` -- the flight
+    recorder, the monitor suite and the telemetry/coverage probes all
+    are.  :meth:`attach` is the one way observers reach the bus
+    (``run_protocol(observers=[...])`` calls it per entry); bare
+    callables keep the raw :meth:`subscribe`.
     """
 
     __slots__ = ("subscribers",)
@@ -251,6 +259,19 @@ class EventBus:
             self.subscribers.append(callback)
         return callback
 
+    def attach(self, observer: Any) -> Any:
+        """Start ``observer``'s run and subscribe it; returns the observer.
+
+        ``begin_run`` (if the observer has one) resets its per-run state;
+        ``on_event`` is read from the instance here, so a caller that
+        rebinds it beforehand (the perf tracer does) is honoured.
+        """
+        begin_run = getattr(observer, "begin_run", None)
+        if begin_run is not None:
+            begin_run()
+        self.subscribe(observer.on_event)
+        return observer
+
     def unsubscribe(self, callback: Callable[[KernelEvent], None]) -> None:
         if callback in self.subscribers:
             self.subscribers.remove(callback)
@@ -261,6 +282,48 @@ class EventBus:
 
     def __bool__(self) -> bool:
         return bool(self.subscribers)
+
+
+class ChunkedObserver:
+    """Base for observers that buffer events and fold them in chunks.
+
+    The online path is one list append and one length check per event,
+    bound as a closure with default-argument locals so it costs no
+    attribute lookups; every ``_CHUNK`` events (and before any read, via
+    :meth:`_flush`) the buffer goes through the subclass's
+    :meth:`_fold` and is emptied.  Memory stays O(chunk), never
+    O(events).  No ``__slots__``: callers may rebind ``on_event`` on the
+    instance.
+    """
+
+    _CHUNK = 1024
+
+    def __init__(self) -> None:
+        pending: list[KernelEvent] = []
+        self._pending = pending
+
+        def on_event(
+            event: KernelEvent,
+            _append=pending.append,
+            _pending=pending,
+            _chunk=self._CHUNK,
+            _flush=self._flush,
+        ) -> None:
+            _append(event)
+            if len(_pending) >= _chunk:
+                _flush()
+
+        self.on_event = on_event
+
+    def _flush(self) -> None:
+        """Fold whatever is pending (subclasses call this before reading)."""
+        pending = self._pending
+        if pending:
+            self._fold(pending)
+            del pending[:]
+
+    def _fold(self, chunk: list[KernelEvent]) -> None:
+        raise NotImplementedError
 
 
 # -- serialization -------------------------------------------------------------

@@ -18,6 +18,7 @@ be re-executed delivery-for-delivery.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -33,7 +34,6 @@ from repro.sim.events import (
 )
 
 if TYPE_CHECKING:
-    from repro.sim.network import Simulation
     from repro.sim.runner import RunResult
 
 __all__ = [
@@ -49,25 +49,41 @@ __all__ = [
 class FlightRecorder:
     """Collects every kernel event of a run, ready to persist or analyse.
 
-    Subscribe with :meth:`attach` (or pass ``subscribers=[recorder.on_event]``
-    to :func:`repro.sim.runner.run_protocol`).  Deliver events are stored
+    Attach via ``run_protocol(..., observers=[recorder])`` (or
+    ``simulation.events.attach(recorder)``).  Deliver events are stored
     with the live payload reference dropped -- only the immutable
     :class:`~repro.sim.events.PayloadSummary` survives -- so holding a
     recording never pins or aliases protocol message objects.
+
+    One recorder holds one run: attaching it again starts a fresh
+    :attr:`events` list (the previous run's list is left intact for
+    whoever still holds it).
     """
 
     def __init__(self) -> None:
         self.events: list[KernelEvent] = []
+
+    def begin_run(self) -> None:
+        self.events = []
 
     def on_event(self, event: KernelEvent) -> None:
         if type(event) is DeliverEvent and event.payload is not None:
             event = replace(event, payload=None)
         self.events.append(event)
 
-    def attach(self, simulation: "Simulation") -> "FlightRecorder":
-        """Subscribe to ``simulation``'s event bus; returns self."""
-        simulation.events.subscribe(self.on_event)
-        return self
+    def of_kind(self, kind: str) -> list[KernelEvent]:
+        """Events whose ``kind`` tag is ``kind`` (``"send"``, ``"deliver"``, ...)."""
+        return [event for event in self.events if event.kind == kind]
+
+    def sends_by(self, pid: int, message_kind: str | None = None) -> list[SendEvent]:
+        """``pid``'s sends, optionally only those of one message kind."""
+        return [
+            event
+            for event in self.events
+            if type(event) is SendEvent
+            and event.sender == pid
+            and (message_kind is None or event.message_kind == message_kind)
+        ]
 
     def delivery_order(self) -> list[tuple[int, int]]:
         """The run's ``(sender, dest)`` delivery schedule, replay-ready."""
@@ -136,9 +152,18 @@ def save_recording(
     from (``make_runner``/``make_scenario``); recordings that carry it
     can be re-executed by ``python -m repro explain`` without the caller
     remembering how the run was built.
+
+    Raises ``ValueError`` when the log's delivery count is not the
+    result's: the recorder watched a different run, or more than one.
     """
     from repro.experiments.store import save_jsonl
 
+    delivered = len(recorder.delivery_seqs())
+    if delivered != result.deliveries:
+        raise ValueError(
+            f"{path}: recorder holds {delivered} deliveries but the result "
+            f"reports {result.deliveries}; it did not record exactly this run"
+        )
     header = {
         "k": "header",
         "schema": EVENT_SCHEMA,
@@ -161,17 +186,8 @@ def save_recording(
         "metrics": result.metrics.to_dict(),
         "protocol": result.metrics.protocol_summary(),
     }
-    records = [header, *map(event_to_record, _persistable(recorder.events)), summary]
+    records = chain([header], map(event_to_record, recorder.events), [summary])
     return save_jsonl(path, records)
-
-
-def _persistable(events: list[KernelEvent]) -> list[KernelEvent]:
-    return [
-        replace(event, payload=None)
-        if type(event) is DeliverEvent and event.payload is not None
-        else event
-        for event in events
-    ]
 
 
 def load_recording(path: str | Path) -> Recording:

@@ -9,7 +9,7 @@ whichever experiment script happens to aggregate the right numbers.
 
 A :class:`MonitorSuite` is an event-bus subscriber plus a set of
 :class:`Monitor` objects.  Attach it with
-``run_protocol(..., monitors=suite)``: the suite sees every kernel event
+``run_protocol(..., observers=[suite])``: the suite sees every kernel event
 online (cheap bookkeeping only -- no crypto, so a monitored run stays
 byte-identical to a bare run) and, once the run is snapshotted, each
 monitor's :meth:`~Monitor.finalize` performs the authoritative pass over
@@ -62,7 +62,6 @@ __all__ = [
     "SEVERITY_SAFETY",
     "SEVERITY_WHP",
     "ViolationReport",
-    "as_suite",
     "default_monitors",
 ]
 
@@ -714,7 +713,7 @@ def default_monitors() -> list[Monitor]:
 
 
 class MonitorSuite:
-    """Attaches a set of monitors to a run (``run_protocol(monitors=...)``).
+    """Attaches a set of monitors to a run (``run_protocol(observers=[suite])``).
 
     The suite keeps its own payload-stripped event log (the evidence base
     for critical-path slices) and dispatches each event only to the
@@ -809,10 +808,3 @@ class MonitorSuite:
                 monitor.name: monitor.report() for monitor in self.monitors
             },
         }
-
-
-def as_suite(monitors: "MonitorSuite | Iterable[Monitor]") -> MonitorSuite:
-    """Coerce ``run_protocol``'s ``monitors`` argument into a suite."""
-    if isinstance(monitors, MonitorSuite):
-        return monitors
-    return MonitorSuite(monitors)

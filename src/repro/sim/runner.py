@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.crypto.hashing import derive_seed
 from repro.crypto.pki import PKI
@@ -196,50 +196,37 @@ def run_protocol(
     stop_condition: Callable[[Simulation], bool] | None = stop_when_all_returned,
     max_deliveries: int = DEFAULT_MAX_DELIVERIES,
     protocols_by_pid: dict[int, ProtocolFactory] | None = None,
-    verify_cache: bool = True,
     eager_wakeups: bool = False,
     profile: bool = False,
     delivery_mode: str = "batched",
     lossy: Any = None,
-    subscribers: list[Callable[[Any], None]] | None = None,
-    monitors: Any = None,
-    telemetry: Any = None,
-    coverage: Any = None,
+    observers: Sequence[Any] | None = None,
 ) -> RunResult:
     """Run one protocol instance end to end and snapshot the result.
 
     By default every process runs ``protocol``, the ``corrupt`` pid set is
     statically Byzantine-silent, scheduling is uniformly random (seeded
-    from ``seed``), and the run stops when every correct process's
-    generator returns.  ``verify_cache=False`` disables the PKI's
-    memoized verification (only consulted when ``pki`` is created here);
-    ``eager_wakeups=True`` disables instance-keyed wait wakeups.  Both
-    exist for equivalence testing and benchmarking against the uncached
-    kernel.  So does ``delivery_mode="classic"``: it selects the kernel's
-    reference loop in place of the default fast loop (observably
-    identical -- see ``Simulation``).
+    from ``seed``), the ``pki`` is created here, and the run stops when
+    every correct process's generator returns.  ``eager_wakeups=True``
+    disables instance-keyed wait wakeups and ``delivery_mode="classic"``
+    selects the kernel's reference loop in place of the default fast loop
+    (observably identical -- see ``Simulation``); both exist for
+    equivalence testing, as does a ``pki`` built with
+    ``verify_cache=False``.  ``profile=True`` turns on the wall-clock
+    kernel/span timers (``metrics.phase_timings``).
 
-    ``profile=True`` turns on the wall-clock kernel/span timers
-    (``metrics.phase_timings``); ``subscribers`` attaches kernel
-    event-bus callbacks before the run starts (e.g. a
-    ``FlightRecorder.on_event`` or ``TraceRecorder.on_event``).  Both are
-    off by default so an unobserved run does no observability work beyond
-    one list-truthiness check per emission site.
-
-    ``monitors`` attaches conformance monitors (a
-    :class:`~repro.sim.monitors.MonitorSuite` or an iterable of
-    :class:`~repro.sim.monitors.Monitor`): the suite subscribes to the
-    event bus for the run and is finalized against the snapshotted
-    result, so the paper's properties are checked online without
-    perturbing the run (see DESIGN.md section 8).  The same suite may be
-    passed to successive runs to accumulate cross-run statistics.
-
-    ``telemetry`` attaches a :class:`~repro.sim.telemetry.TelemetryProbe`
-    (just another event-bus subscriber, so the same no-subscriber guard
-    applies): the probe folds the run's event stream into bounded
-    virtual-time series -- in-flight messages, mailbox backlog, blocked
-    processes, cumulative words by layer, latency quantiles -- call
-    ``probe.snapshot()`` afterwards (see DESIGN.md section 9).
+    ``observers`` is the one attachment seam.  An observer is any object
+    with ``on_event(event)`` and, optionally, ``begin_run()`` and
+    ``finalize(result, simulation)``: each is attached to the kernel
+    event bus before the run (:meth:`~repro.sim.events.EventBus.attach`)
+    and finalized against the snapshotted result after it.
+    ``FlightRecorder``, ``MonitorSuite`` (reusable across runs to
+    accumulate statistics), ``TelemetryProbe`` and ``CoverageProbe`` are
+    the stock ones (DESIGN.md sections 7-9 and 11); read them afterwards
+    through their own ``events`` / ``report()`` / ``snapshot()``.
+    Observers never perturb the run or see each other, so order is
+    irrelevant; with none attached a run does no observability work
+    beyond one list-truthiness check per emission site.
 
     ``lossy`` attaches a :class:`~repro.sim.network.LossyLinkConfig`
     enabling the lossy-link model *extension* (per-link drop / duplicate
@@ -247,23 +234,19 @@ def run_protocol(
     or an all-zero config keeps the run byte-identical to the reliable
     model; an active config runs on either kernel loop (see
     ``Simulation``).
-
-    ``coverage`` attaches a :class:`~repro.sim.coverage.CoverageProbe`
-    (another event-bus subscriber): the probe folds the run into its
-    schedule-coverage signature set -- which races resolved which way,
-    which wait interleavings and delivery permutations occurred -- call
-    ``probe.snapshot()`` afterwards (see DESIGN.md section 11).
     """
-    suite = None
-    if monitors is not None:
-        from repro.sim.monitors import as_suite
-
-        suite = as_suite(monitors)
-    rng = random.Random(derive_seed(seed, "setup"))
-    if pki is None:
-        pki = PKI.create(n, backend=backend, rng=rng, verify_cache=verify_cache)
+    # Reject bad arguments before paying for key generation.
     if adversary is not None and corrupt is not None:
         raise ValueError("pass either a full adversary or a corrupt set, not both")
+    for index, observer in enumerate(observers or ()):
+        if not callable(getattr(observer, "on_event", None)):
+            raise TypeError(
+                f"observers[{index}] ({type(observer).__name__}) has no "
+                "callable on_event"
+            )
+    if pki is None:
+        rng = random.Random(derive_seed(seed, "setup"))
+        pki = PKI.create(n, backend=backend, rng=rng)
     if adversary is None:
         adversary = Adversary(
             scheduler=RandomScheduler(random.Random(derive_seed(seed, "sched"))),
@@ -283,21 +266,16 @@ def run_protocol(
         delivery_mode=delivery_mode,
         lossy=lossy,
     )
-    for subscriber in subscribers or ():
-        simulation.events.subscribe(subscriber)
-    if telemetry is not None:
-        simulation.events.subscribe(telemetry.on_event)
-    if coverage is not None:
-        simulation.events.subscribe(coverage.on_event)
-    if suite is not None:
-        suite.begin_run()
-        simulation.events.subscribe(suite.on_event)
+    for observer in observers or ():
+        simulation.events.attach(observer)
     simulation.set_protocol_all(protocol)
     if protocols_by_pid:
         for pid, factory in protocols_by_pid.items():
             simulation.set_protocol(pid, factory)
     simulation.run()
     result = RunResult.of(simulation)
-    if suite is not None:
-        suite.finalize(result, simulation)
+    for observer in observers or ():
+        finalize = getattr(observer, "finalize", None)
+        if finalize is not None:
+            finalize(result, simulation)
     return result

@@ -46,7 +46,7 @@ across the chunk -- bounded alongside the monitors' dispatch cost at
 < 3% of the bare run's wall-clock by
 ``benchmarks/bench_observability_overhead.py``.
 
-Attach with ``run_protocol(..., telemetry=probe)``; persist with
+Attach with ``run_protocol(..., observers=[probe])``; persist with
 :func:`save_telemetry` (``python -m repro record`` writes the sidecar
 ``<recording>.telemetry.json`` automatically); rebuild from any loaded
 recording with :func:`telemetry_from_events`.  ``python -m repro
@@ -60,6 +60,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.sim.events import (
+    ChunkedObserver,
     CorruptEvent,
     DecideEvent,
     DeliverEvent,
@@ -216,23 +217,24 @@ class StreamingQuantiles:
         }
 
 
-class TelemetryProbe:
+class TelemetryProbe(ChunkedObserver):
     """Fold a kernel event stream into bounded virtual-time telemetry.
 
-    Subscribe via ``run_protocol(..., telemetry=probe)`` (or
-    ``probe.attach(simulation)``); call :meth:`snapshot` after the run.
+    Attach via ``run_protocol(..., observers=[probe])`` (or
+    ``simulation.events.attach(probe)``); call :meth:`snapshot` after
+    the run.
 
-    The online path is deliberately minimal -- one buffer append per
-    event, with the buffer folded into the gauges/series/sketches every
-    ``_CHUNK`` events -- so an attached probe's dispatch cost stays
-    under the same < 3% bound as the conformance monitors (asserted by
+    The online path is :class:`~repro.sim.events.ChunkedObserver`'s --
+    one buffer append per event, with the buffer folded into the
+    gauges/series/sketches every ``_CHUNK`` events -- so an attached
+    probe's dispatch cost stays under the same < 3% bound as the
+    conformance monitors (asserted by
     ``bench_observability_overhead.py``).  State is O(chunk + sample
     budgets + n), never O(events).
     """
 
-    _CHUNK = 1024
-
     def __init__(self, sample_budget: int = 256, quantile_budget: int = 1024) -> None:
+        super().__init__()
         self.sample_budget = sample_budget
         # Gauge state, advanced chunk-at-a-time by _fold().  The backlog
         # is a pid-indexed list (grown on demand) because list indexing
@@ -281,41 +283,17 @@ class TelemetryProbe:
             "wait_wakes": 0,
             "phases": 0,
         }
-        # The online path: append, fold when the chunk fills.  Bound as
-        # a closure so the per-event cost is one call, one append and
-        # one length check -- no attribute lookups.
-        pending: list[KernelEvent] = []
-        self._pending = pending
-
-        def on_event(
-            event: KernelEvent,
-            _append=pending.append,
-            _pending=pending,
-            _chunk=self._CHUNK,
-            _fold=self._fold,
-        ) -> None:
-            _append(event)
-            if len(_pending) >= _chunk:
-                _fold()
-
-        self.on_event = on_event
 
     # -- event handling --------------------------------------------------------
 
-    def attach(self, simulation) -> "TelemetryProbe":
-        """Subscribe to ``simulation``'s event bus; returns self."""
-        simulation.events.subscribe(self.on_event)
-        return self
-
-    def _fold(self) -> None:
-        """Fold the pending chunk into gauges, series and sketches.
+    def _fold(self, chunk: list[KernelEvent]) -> None:
+        """Fold one pending chunk into gauges, series and sketches.
 
         One tight loop with every piece of state (and every constant)
         aliased to a local; this is the amortised per-event cost the
         overhead benchmark bounds, so additions here must stay O(1)
         dict/int work per event.
         """
-        chunk = self._pending
         backlog = self._backlog
         blocked = self._blocked
         block_at = self._block_at
@@ -428,7 +406,6 @@ class TelemetryProbe:
         record_latency = self.link_latency_steps.record
         for value in latencies:
             record_latency(value)
-        del chunk[:]
 
     def _sample(self, step: int) -> bool:
         """Sample every gauge at ``step``; True when the grid coarsened.
@@ -457,8 +434,7 @@ class TelemetryProbe:
 
     def snapshot(self) -> dict[str, Any]:
         """The JSON-ready telemetry document (schema-versioned)."""
-        if self._pending:
-            self._fold()
+        self._flush()
         series = self.bank.to_dict()
         words_by_layer = {
             layer: series.pop(f"words_{layer}") for layer in _LAYERS

@@ -12,8 +12,8 @@ from repro.core.params import ProtocolParams
 from repro.core.whp_coin import whp_coin
 from repro.crypto.pki import PKI
 from repro.sim.adversary import Adversary, RandomScheduler, StaticCorruption
+from repro.sim.flightrecorder import FlightRecorder
 from repro.sim.network import Simulation
-from repro.sim.trace import attach_trace
 
 N, F = 60, 4
 
@@ -30,7 +30,7 @@ def setup():
         ),
         seed=321, params=params,
     )
-    trace = attach_trace(sim)
+    trace = sim.events.attach(FlightRecorder())
     sim.set_protocol_all(lambda ctx: whp_coin(ctx, 0))
     sim.run()
     return params, pki, sim, trace
@@ -40,7 +40,7 @@ class TestSenderDiscipline:
     def test_only_first_committee_sends_first(self, setup):
         params, pki, sim, trace = setup
         first_committee = sample_committee(pki, ("whp_coin", 0), "first", params)
-        senders = {event.pid for event in trace.of_kind("send")
+        senders = {event.sender for event in trace.of_kind("send")
                    if event.message_kind == "FirstMsg"}
         correct_senders = senders - sim.corrupted
         assert correct_senders <= first_committee
@@ -48,7 +48,7 @@ class TestSenderDiscipline:
     def test_only_second_committee_sends_second(self, setup):
         params, pki, sim, trace = setup
         second_committee = sample_committee(pki, ("whp_coin", 0), "second", params)
-        senders = {event.pid for event in trace.of_kind("send")
+        senders = {event.sender for event in trace.of_kind("send")
                    if event.message_kind == "SecondMsg"}
         correct_senders = senders - sim.corrupted
         assert correct_senders <= second_committee

@@ -103,7 +103,7 @@ class TestSharedCoinMatrix:
 
 
 def run_ba(protocol: str, scheduler_name: str, seed: int, mode: str,
-           n: int = 40, subscribers=None, telemetry=None, monitors=None):
+           n: int = 40, observers=()):
     factory, params, f = make_runner(protocol, n, seed=seed)
     adversary = Adversary(
         scheduler=ALL_SCHEDULERS[scheduler_name](seed),
@@ -112,8 +112,7 @@ def run_ba(protocol: str, scheduler_name: str, seed: int, mode: str,
     return run_protocol(
         n, f, factory, adversary=adversary, params=params,
         stop_condition=stop_when_all_decided, seed=seed,
-        delivery_mode=mode, subscribers=subscribers,
-        telemetry=telemetry, monitors=monitors,
+        delivery_mode=mode, observers=observers,
     )
 
 
@@ -138,12 +137,10 @@ class TestEventStreamIdentity:
         """Not just the aggregates: the *entire* event sequence (sends,
         deliveries, wait blocks/wakes, decides) matches event for event,
         so flight recordings and traces are mode-independent."""
-        classic_events: list = []
-        batched_events: list = []
-        run_ba("whp_ba", scheduler, seed=3, mode="classic",
-               subscribers=[classic_events.append])
-        run_ba("whp_ba", scheduler, seed=3, mode="batched",
-               subscribers=[batched_events.append])
+        classic, batched = FlightRecorder(), FlightRecorder()
+        run_ba("whp_ba", scheduler, seed=3, mode="classic", observers=[classic])
+        run_ba("whp_ba", scheduler, seed=3, mode="batched", observers=[batched])
+        classic_events, batched_events = classic.events, batched.events
         assert classic_events, "no events recorded"
         if batched_events != classic_events:
             report = diff_events(classic_events, batched_events)
@@ -165,7 +162,7 @@ class TestObservabilityStack:
             probe = TelemetryProbe()
             suite = MonitorSuite(default_monitors())
             result = run_ba("whp_ba", "fifo", seed=5, mode=mode,
-                            telemetry=probe, monitors=suite)
+                            observers=[probe, suite])
             safety = [
                 violation
                 for violation in suite.violations
@@ -199,7 +196,7 @@ def simulate_ba(n, seed, mode, scheduler, lossy=None):
         stop_condition=stop_when_all_decided,
         delivery_mode=mode, lossy=lossy,
     )
-    recorder = FlightRecorder().attach(sim)
+    recorder = sim.events.attach(FlightRecorder())
     sim.set_protocol_all(factory)
     sim.run()
     return sim, recorder, RunResult.of(sim)

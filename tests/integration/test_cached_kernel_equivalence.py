@@ -89,7 +89,8 @@ def test_whp_coin_equivalence(seed):
         return run_protocol(
             n, f, lambda ctx: whp_coin(ctx, 0),
             corrupt=set(range(f)), params=params, seed=seed,
-            verify_cache=fast, eager_wakeups=not fast,
+            pki=PKI.create(n, rng=random.Random(seed), verify_cache=fast),
+            eager_wakeups=not fast,
         )
 
     fast, slow = run(True), run(False)
@@ -109,7 +110,8 @@ def test_byzantine_agreement_equivalence(seed):
         return run_protocol(
             n, f, factory, corrupt=set(range(f)), params=params,
             stop_condition=stop_when_all_decided, seed=seed,
-            verify_cache=fast, eager_wakeups=not fast,
+            pki=PKI.create(n, rng=random.Random(seed), verify_cache=fast),
+            eager_wakeups=not fast,
         )
 
     fast, slow = run(True), run(False)

@@ -66,15 +66,15 @@ class TestCorruptionTiming:
         """Every hunted process had its committee message submitted before
         corruption: the trace shows a send before the corrupt event."""
         from repro.crypto.pki import PKI
+        from repro.sim.flightrecorder import FlightRecorder
         from repro.sim.network import Simulation
-        from repro.sim.trace import attach_trace
 
         pki = PKI.create(N, rng=random.Random(0))
         sim = Simulation(
             n=N, f=F, pki=pki, adversary=committee_hunting_adversary(5),
             seed=5, params=params,
         )
-        trace = attach_trace(sim)
+        trace = sim.events.attach(FlightRecorder())
         sim.set_protocol_all(lambda ctx: whp_coin(ctx, 0))
         sim.run()
         corrupt_events = trace.of_kind("corrupt")

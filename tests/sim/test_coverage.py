@@ -8,7 +8,6 @@ import json
 import pytest
 
 from repro.experiments.protocols import make_runner
-from repro.experiments.store import to_jsonable
 from repro.sim.coverage import (
     COVERAGE_SCHEMA,
     COVERAGE_SCHEMA_VERSION,
@@ -26,13 +25,12 @@ from repro.sim.runner import run_protocol, stop_when_all_decided
 N = 20
 
 
-def covered_run(seed=3, coverage=None, recorder=None):
+def covered_run(*observers, seed=3):
     factory, params, f = make_runner("whp_ba", N, seed=seed)
-    subscribers = [recorder.on_event] if recorder is not None else None
     return run_protocol(
         N, f, factory, corrupt=set(range(f)), params=params,
         stop_condition=stop_when_all_decided, seed=seed,
-        subscribers=subscribers, coverage=coverage,
+        observers=observers,
     )
 
 
@@ -42,7 +40,7 @@ def recorded():
     run is the expensive part, the assertions are cheap)."""
     recorder = FlightRecorder()
     probe = CoverageProbe()
-    result = covered_run(coverage=probe, recorder=recorder)
+    result = covered_run(probe, recorder)
     return recorder, probe.snapshot(), result
 
 
@@ -71,14 +69,9 @@ class TestDeterminism:
         """Two probes watching identical runs agree exactly."""
         first = CoverageProbe()
         second = CoverageProbe()
-        covered_run(coverage=first)
-        covered_run(coverage=second)
+        covered_run(first)
+        covered_run(second)
         assert canonical(first.snapshot()) == canonical(second.snapshot())
-
-    def test_attaching_probe_does_not_change_the_run(self):
-        bare = covered_run()
-        covered = covered_run(coverage=CoverageProbe())
-        assert to_jsonable(bare) == to_jsonable(covered)
 
 
 class TestSignatures:
@@ -119,7 +112,7 @@ class TestSignatures:
         the point of abstraction: the atlas can accumulate them."""
         _, snapshot, _ = recorded
         other = CoverageProbe()
-        covered_run(seed=11, coverage=other)
+        covered_run(other, seed=11)
         shared = signature_set(snapshot) & signature_set(other.snapshot())
         assert len(shared) >= 10
 

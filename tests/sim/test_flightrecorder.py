@@ -1,5 +1,7 @@
 """Flight recordings: persistence, replay fidelity, critical path,
-observability under mid-run corruption, and observer-effect freedom."""
+one-run-per-recorder, and observability under mid-run corruption.
+(Observer-effect freedom is ``test_observers.py``'s; ordering facts read
+off the event log are ``test_trace.py``'s.)"""
 
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from repro.sim.adversary import (
     RandomScheduler,
     StaticCorruption,
 )
-from repro.sim.events import CorruptEvent
+from repro.sim.events import CorruptEvent, DeliverEvent
 from repro.sim.flightrecorder import (
     FlightRecorder,
     critical_path,
@@ -46,16 +48,6 @@ def ba_factory(ctx):
 
 
 class TestObserverEffect:
-    def test_recorded_run_result_is_byte_identical(self):
-        bare = run_protocol(N, F, ba_factory, seed=5, **ba_args())
-        recorder = FlightRecorder()
-        observed = run_protocol(
-            N, F, ba_factory, seed=5,
-            subscribers=[recorder.on_event], **ba_args(),
-        )
-        assert recorder.events
-        assert to_jsonable(bare) == to_jsonable(observed)
-
     def test_profiled_run_differs_only_in_timings(self):
         bare = run_protocol(N, F, ba_factory, seed=5, **ba_args())
         profiled = run_protocol(N, F, ba_factory, seed=5, profile=True, **ba_args())
@@ -73,7 +65,7 @@ class TestRoundTrip:
         recorder = FlightRecorder()
         result = run_protocol(
             N, F, ba_factory, seed=3,
-            subscribers=[recorder.on_event], **ba_args(),
+            observers=[recorder], **ba_args(),
         )
         path = save_recording(tmp_path / "run.jsonl", recorder, result)
         recording = load_recording(path)
@@ -110,7 +102,7 @@ class TestReplayFidelity:
             stop_condition=stop_when_all_decided,
             max_deliveries=200_000,
         )
-        recorder = FlightRecorder().attach(sim)
+        recorder = sim.events.attach(FlightRecorder())
         sim.set_protocol_all(ba_factory)
         sim.run()
         return sim, recorder
@@ -160,7 +152,7 @@ class TestCriticalPath:
             ),
             seed=seed, params=ProtocolParams.simulation_scale(n=N, f=F),
         )
-        recorder = FlightRecorder().attach(sim)
+        recorder = sim.events.attach(FlightRecorder())
         sim.set_protocol_all(protocol)
         sim.run()
         return sim, recorder.events
@@ -173,7 +165,7 @@ class TestCriticalPath:
         recorder = FlightRecorder()
         result = run_protocol(
             N, F, ba_factory, seed=3,
-            subscribers=[recorder.on_event], **ba_args(),
+            observers=[recorder], **ba_args(),
         )
         chain = critical_path(recorder.events)
         assert chain, "a decided run must have a critical path"
@@ -197,8 +189,51 @@ class TestCriticalPath:
         recorder = FlightRecorder()
         result = run_protocol(
             N, F, ba_factory, seed=3,
-            subscribers=[recorder.on_event], **ba_args(),
+            observers=[recorder], **ba_args(),
         )
         path = save_recording(tmp_path / "run.jsonl", recorder, result)
         recording = load_recording(path)
         assert critical_path(recording.events) == critical_path(recorder.events)
+
+
+def coin_simulation(n=10, f=2, seed=3):
+    pki = PKI.create(n, rng=random.Random(seed))
+    return Simulation(
+        n=n, f=f, pki=pki,
+        adversary=Adversary(
+            scheduler=RandomScheduler(random.Random(seed)),
+            corruption=StaticCorruption(set(range(f))),
+        ),
+        seed=seed, params=ProtocolParams(n=n, f=f),
+    )
+
+
+class TestOneRunPerRecorder:
+    def test_reused_recorder_holds_only_the_latest_run(self, tmp_path):
+        recorder = FlightRecorder()
+        first = run_protocol(N, F, ba_factory, seed=1, observers=[recorder], **ba_args())
+        first_events = recorder.events
+        second = run_protocol(N, F, ba_factory, seed=2, observers=[recorder], **ba_args())
+        # The first run's list is left alone for whoever still holds it ...
+        assert recorder.events is not first_events
+        assert len([e for e in first_events if type(e) is DeliverEvent]) == first.deliveries
+        # ... and the recorder now holds exactly the second run.
+        assert len(recorder.of_kind("deliver")) == second.deliveries
+        path = save_recording(tmp_path / "run.jsonl", recorder, second)
+        assert len(load_recording(path).delivery_seqs()) == second.deliveries
+
+    def test_save_rejects_a_log_that_is_not_this_run(self, tmp_path):
+        """Raw ``subscribe`` bypasses ``begin_run``, so a recorder left
+        subscribed across two hand-built simulations holds both."""
+        recorder = FlightRecorder()
+        for _ in range(2):
+            sim = coin_simulation()
+            sim.events.subscribe(recorder.on_event)
+            sim.set_protocol_all(lambda ctx: shared_coin(ctx, 0))
+            sim.run()
+        result = RunResult.of(sim)
+        assert len(recorder.of_kind("deliver")) == 2 * result.deliveries
+        path = tmp_path / "two_runs.jsonl"
+        with pytest.raises(ValueError, match="did not record exactly this run"):
+            save_recording(path, recorder, result)
+        assert not path.exists()

@@ -90,7 +90,7 @@ def tagged_gossip_protocol(ctx):
 def run_gossip(n=4, seed=0, recorder=None, **kwargs):
     sim = make_sim(n=n, seed=seed, **kwargs)
     if recorder is not None:
-        recorder.attach(sim)
+        sim.events.attach(recorder)
     sim.set_protocol_all(gossip_protocol)
     sim.run()
     return sim

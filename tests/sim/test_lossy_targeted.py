@@ -65,7 +65,7 @@ def run_gossip(n=4, seed=0, scheduler=None, recorder=None, lossy=None):
     )
     sim = Simulation(n=n, f=0, pki=pki, adversary=adversary, seed=seed, lossy=lossy)
     if recorder is not None:
-        recorder.attach(sim)
+        sim.events.attach(recorder)
     sim.set_protocol_all(gossip_protocol)
     sim.run()
     return sim

@@ -1,11 +1,10 @@
-"""Conformance monitors: paper-property checking with zero observer effect.
+"""Conformance monitors: paper-property checking on live runs.
 
-Three layers of coverage:
+Two layers of coverage (that a monitored run is byte-identical to a bare
+one is ``test_observers.py``'s):
 
 * clean seed scenarios pass every monitor (and accumulate sensible
   cross-run statistics);
-* a monitored run is byte-identical to a bare run -- event log, metrics
-  and results (the observer-effect-freedom satellite);
 * deliberately broken protocols (a two-decision split, an un-proposed
   decision, fabricated record logs) actually trip the right monitor,
   with ViolationReports naming the offending processes and events.
@@ -21,7 +20,6 @@ from types import SimpleNamespace
 from repro.experiments.protocols import make_runner
 from repro.experiments.store import to_jsonable
 from repro.sim.byzantine import ScriptedBehavior
-from repro.sim.flightrecorder import FlightRecorder
 from repro.sim.messages import Message
 from repro.sim.metrics import MetricsRecorder, ProtocolRecord
 from repro.sim.monitors import (
@@ -29,8 +27,6 @@ from repro.sim.monitors import (
     CoinMonitor,
     CommitteeMonitor,
     MonitorSuite,
-    SafetyMonitor,
-    as_suite,
     default_monitors,
 )
 from repro.sim.adversary import Adversary, RandomScheduler, StaticCorruption
@@ -42,12 +38,12 @@ from repro.sim.runner import (
 )
 
 
-def monitored_ba(n=16, seed=5, suite=None, subscribers=None):
+def monitored_ba(suite, n=16, seed=5):
     factory, params, f = make_runner("whp_ba", n, seed=seed)
     result = run_protocol(
         n, f, factory, corrupt=set(range(f)), params=params,
         stop_condition=stop_when_all_decided, seed=seed,
-        monitors=suite, subscribers=subscribers,
+        observers=[suite],
     )
     return result
 
@@ -55,7 +51,8 @@ def monitored_ba(n=16, seed=5, suite=None, subscribers=None):
 class TestCleanRun:
     def test_seed_scenario_passes_every_monitor(self):
         suite = MonitorSuite()
-        result = monitored_ba(suite=suite)
+        assert len(suite.monitors) == len(default_monitors()) == 4
+        result = monitored_ba(suite)
         assert result.all_correct_decided
         assert suite.ok
         assert suite.violations == []
@@ -77,49 +74,18 @@ class TestCleanRun:
 
     def test_report_is_json_serializable(self):
         suite = MonitorSuite()
-        monitored_ba(suite=suite)
+        monitored_ba(suite)
         json.dumps(to_jsonable(suite.report()))
 
     def test_suite_accumulates_across_runs(self):
         suite = MonitorSuite()
-        monitored_ba(seed=5, suite=suite)
+        monitored_ba(suite, seed=5)
         trials_one = suite.report()["monitors"]["coin"]["variants"]["whp"]["trials"]
-        monitored_ba(seed=6, suite=suite)
+        monitored_ba(suite, seed=6)
         report = suite.report()
         assert report["runs"] == 2
         assert report["monitors"]["coin"]["variants"]["whp"]["trials"] > trials_one
         assert report["monitors"]["safety"]["decisions_checked"] >= 2 * 15
-
-    def test_as_suite_coercion(self):
-        suite = MonitorSuite()
-        assert as_suite(suite) is suite
-        wrapped = as_suite([SafetyMonitor()])
-        assert isinstance(wrapped, MonitorSuite)
-        assert len(wrapped.monitors) == 1
-        assert len(default_monitors()) == 4
-
-
-class TestObserverEffectFreedom:
-    """Satellite: a monitored run is byte-identical to a bare run."""
-
-    def test_monitored_run_identical_to_bare(self):
-        bare_recorder = FlightRecorder()
-        bare = monitored_ba(subscribers=[bare_recorder.on_event])
-
-        suite = MonitorSuite()
-        monitored_recorder = FlightRecorder()
-        monitored = monitored_ba(
-            suite=suite, subscribers=[monitored_recorder.on_event]
-        )
-
-        # Results, metrics (verification counters included) and the full
-        # kernel event log must be byte-identical.
-        assert to_jsonable(bare) == to_jsonable(monitored)
-        assert bare.metrics.to_dict() == monitored.metrics.to_dict()
-        assert [to_jsonable(e) for e in bare_recorder.events] == [
-            to_jsonable(e) for e in monitored_recorder.events
-        ]
-        assert suite.ok
 
 
 # -- deliberately broken protocols --------------------------------------------
@@ -155,7 +121,7 @@ class TestSafetyMonitorFires:
         )
         return run_protocol(
             n, f, split_decider, adversary=adversary, seed=11,
-            stop_condition=stop_when_all_decided, monitors=suite,
+            stop_condition=stop_when_all_decided, observers=[suite],
         )
 
     def test_two_decisions_flagged_with_offenders_and_evidence(self):
@@ -210,7 +176,7 @@ class TestValidityMonitor:
         suite = MonitorSuite()
         run_protocol(
             3, 0, validity_breaker, seed=2,
-            stop_condition=stop_when_all_returned, monitors=suite,
+            stop_condition=stop_when_all_returned, observers=[suite],
         )
         violations = [v for v in suite.safety_violations if v.prop == "Validity"]
         assert len(violations) == 3  # every correct process decided 1

@@ -16,8 +16,8 @@ from repro.sim.adversary import (
     ReplayScheduler,
     StaticCorruption,
 )
+from repro.sim.flightrecorder import FlightRecorder
 from repro.sim.network import Simulation
-from repro.sim.trace import attach_trace
 
 N, F = 12, 2
 
@@ -32,7 +32,7 @@ def record_run(protocol, params, seed=7):
         ),
         seed=seed, params=params,
     )
-    trace = attach_trace(sim)
+    trace = sim.events.attach(FlightRecorder())
     sim.set_protocol_all(protocol)
     sim.run()
     return pki, sim, trace

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import pytest
 
+from repro.crypto.pki import PKI
 from repro.sim.messages import Message
 from repro.sim.process import Wait
 from repro.sim.runner import run_protocol, stop_when_all_decided
@@ -38,6 +40,22 @@ def heartbeat(ctx):
     return (ctx.pid, count)
 
 
+class _Watcher:
+    """A minimal observer: the three protocol methods, nothing else."""
+
+    def __init__(self):
+        self.calls = []
+
+    def begin_run(self):
+        self.calls.append("begin_run")
+
+    def on_event(self, event):
+        self.calls.append("event")
+
+    def finalize(self, result, simulation):
+        self.calls.append(("finalize", result))
+
+
 class TestRunProtocol:
     def test_basic_run(self):
         result = run_protocol(5, 0, heartbeat, seed=1)
@@ -53,11 +71,41 @@ class TestRunProtocol:
         assert result.correct_pids == [0, 1, 2, 3]
         assert result.all_correct_decided
 
+    def test_surface_is_pinned(self):
+        """The next keyword on ``run_protocol`` is a deliberate diff here."""
+        assert list(inspect.signature(run_protocol).parameters) == [
+            "n", "f", "protocol",
+            "adversary", "corrupt", "seed", "pki", "backend", "params",
+            "stop_condition", "max_deliveries", "protocols_by_pid",
+            "eager_wakeups", "profile", "delivery_mode", "lossy", "observers",
+        ]
+
     def test_adversary_and_corrupt_conflict(self):
         from repro.sim.adversary import Adversary
 
         with pytest.raises(ValueError):
             run_protocol(3, 1, heartbeat, adversary=Adversary(), corrupt={0})
+
+    def test_bad_arguments_rejected_before_key_generation(self, monkeypatch):
+        from repro.sim.adversary import Adversary
+
+        def no_keygen(*args, **kwargs):
+            raise AssertionError("generated keys for a run that cannot start")
+
+        monkeypatch.setattr(PKI, "create", no_keygen)
+        with pytest.raises(ValueError, match="not both"):
+            run_protocol(3, 1, heartbeat, adversary=Adversary(), corrupt={0})
+        seen = []
+        with pytest.raises(TypeError, match=r"observers\[1\] \(builtin_function_or_method\)"):
+            run_protocol(3, 0, heartbeat, observers=[_Watcher(), seen.append])
+
+    def test_observer_lifecycle(self):
+        """begin_run, then every event, then finalize with the result."""
+        watcher = _Watcher()
+        result = run_protocol(5, 0, heartbeat, seed=1, observers=[watcher])
+        assert watcher.calls[0] == "begin_run"
+        assert watcher.calls[-1] == ("finalize", result)
+        assert watcher.calls.count("event") == len(watcher.calls) - 2 > result.deliveries
 
     def test_per_pid_protocol_override(self):
         def zero_decider(ctx):

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.experiments.protocols import make_runner
-from repro.experiments.store import to_jsonable
 from repro.sim.flightrecorder import FlightRecorder
 from repro.sim.runner import run_protocol, stop_when_all_decided
 from repro.sim.telemetry import (
@@ -102,12 +101,12 @@ class TestStreamingQuantiles:
             StreamingQuantiles(budget=2)
 
 
-def _ba_run(seed=7, n=16, telemetry=None, subscribers=None):
+def _ba_run(*observers, seed=7, n=16):
     factory, params, f = make_runner("whp_ba", n, seed=seed)
     return run_protocol(
         n, f, factory, corrupt=set(range(f)), params=params,
         stop_condition=stop_when_all_decided, seed=seed,
-        telemetry=telemetry, subscribers=subscribers,
+        observers=observers,
     )
 
 
@@ -116,21 +115,16 @@ def probed_run():
     """One whp_ba run with a probe and a recorder attached."""
     probe = TelemetryProbe(sample_budget=64)
     recorder = FlightRecorder()
-    result = _ba_run(telemetry=probe, subscribers=[recorder.on_event])
+    result = _ba_run(probe, recorder)
     return probe, recorder, result
 
 
 class TestTelemetryProbe:
-    def test_attached_probe_does_not_perturb_the_run(self, probed_run):
-        _, _, observed = probed_run
-        bare = _ba_run()
-        assert to_jsonable(bare) == to_jsonable(observed)
-
     def test_identical_seeds_produce_identical_snapshots(self):
         first = TelemetryProbe(sample_budget=64)
         second = TelemetryProbe(sample_budget=64)
-        _ba_run(telemetry=first)
-        _ba_run(telemetry=second)
+        _ba_run(first)
+        _ba_run(second)
         assert first.snapshot() == second.snapshot()
 
     def test_snapshot_is_pure_function_of_event_log(self, probed_run):

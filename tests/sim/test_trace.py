@@ -1,4 +1,5 @@
-"""Event tracing: ordering facts the aggregate metrics cannot express."""
+"""Tracing a run: ordering facts the aggregate metrics cannot express,
+read off a :class:`~repro.sim.flightrecorder.FlightRecorder`'s event log."""
 
 from __future__ import annotations
 
@@ -12,11 +13,11 @@ from repro.core.shared_coin import shared_coin
 from repro.crypto.pki import PKI
 from repro.sim.adversary import Adversary, RandomScheduler, StaticCorruption
 from repro.sim.events import PayloadSummary
+from repro.sim.flightrecorder import FlightRecorder
 from repro.sim.network import Simulation
-from repro.sim.trace import TraceEvent, TraceRecorder, attach_trace
 
 
-def run_traced_coin(n=10, f=2, seed=3):
+def coin_simulation(n=10, f=2, seed=3):
     pki = PKI.create(n, rng=random.Random(seed))
     sim = Simulation(
         n=n, f=f, pki=pki,
@@ -26,30 +27,15 @@ def run_traced_coin(n=10, f=2, seed=3):
         ),
         seed=seed, params=ProtocolParams(n=n, f=f),
     )
-    trace = attach_trace(sim)
     sim.set_protocol_all(lambda ctx: shared_coin(ctx, 0))
+    return sim
+
+
+def run_traced_coin():
+    sim = coin_simulation()
+    trace = sim.events.attach(FlightRecorder())
     sim.run()
     return sim, trace
-
-
-class TestTraceRecorder:
-    def test_queries(self):
-        recorder = TraceRecorder()
-        recorder.record(TraceEvent(step=0, kind="send", pid=1, peer=2))
-        recorder.record(TraceEvent(step=1, kind="deliver", pid=2, peer=1))
-        recorder.record(TraceEvent(step=1, kind="decide", pid=2, detail=0))
-        assert len(recorder) == 3
-        assert len(recorder.of_kind("send")) == 1
-        assert len(recorder.for_process(2)) == 2
-        assert recorder.first("decide", pid=2).detail == 0
-        assert recorder.first("decide", pid=7) is None
-
-    def test_render_truncates(self):
-        recorder = TraceRecorder()
-        for i in range(60):
-            recorder.record(TraceEvent(step=i, kind="send", pid=0, peer=1))
-        text = recorder.render(limit=10)
-        assert "50 more events" in text
 
 
 class TestAttachedTrace:
@@ -68,14 +54,16 @@ class TestAttachedTrace:
         happens only after it delivered n-f FIRST messages."""
         sim, trace = run_traced_coin()
         quorum = sim.n - sim.f
+        delivers = trace.of_kind("deliver")
         for pid in sim.correct_pids:
             second_sends = trace.sends_by(pid, "SecondMsg")
             assert second_sends  # every correct process reaches phase 2
+            assert len(trace.sends_by(pid)) > len(second_sends)
             first_send_step = second_sends[0].step
             firsts_before = [
                 event
-                for event in trace.of_kind("deliver")
-                if event.pid == pid
+                for event in delivers
+                if event.dest == pid
                 and event.message_kind == "FirstMsg"
                 and event.step <= first_send_step
             ]
@@ -88,27 +76,19 @@ class TestAttachedTrace:
 
     def test_attach_is_idempotent(self):
         """Attaching twice must not double-record every event."""
-        pki = PKI.create(10, rng=random.Random(3))
-        sim = Simulation(
-            n=10, f=2, pki=pki,
-            adversary=Adversary(
-                scheduler=RandomScheduler(random.Random(3)),
-                corruption=StaticCorruption({0, 1}),
-            ),
-            seed=3, params=ProtocolParams(n=10, f=2),
-        )
-        first = attach_trace(sim)
-        second = attach_trace(sim)
-        assert second is first
-        sim.set_protocol_all(lambda ctx: shared_coin(ctx, 0))
+        sim = coin_simulation()
+        trace = FlightRecorder()
+        assert sim.events.attach(trace) is trace
+        sim.events.attach(trace)
         sim.run()
-        assert len(first.of_kind("deliver")) == sim.metrics.messages_delivered
+        assert len(trace.of_kind("deliver")) == sim.metrics.messages_delivered
 
     def test_deliver_detail_is_immutable_summary(self):
-        """The detail field snapshots the payload instead of aliasing it."""
+        """The log keeps a snapshot of the payload, never the live object."""
         _, trace = run_traced_coin()
         deliver = trace.of_kind("deliver")[0]
-        summary = deliver.detail
+        assert deliver.payload is None
+        summary = deliver.summary
         assert isinstance(summary, PayloadSummary)
         assert summary.kind == deliver.message_kind
         assert summary.instance == deliver.instance

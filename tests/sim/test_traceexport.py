@@ -26,7 +26,7 @@ def recording(tmp_path_factory):
     result = run_protocol(
         N, f, factory, corrupt=set(range(f)), params=params,
         stop_condition=stop_when_all_decided, seed=SEED,
-        subscribers=[recorder.on_event],
+        observers=[recorder],
     )
     path = save_recording(
         tmp_path_factory.mktemp("trace") / "run.jsonl", recorder, result
