@@ -16,6 +16,14 @@ Run standalone for CI smoke::
 The smoke run records the same ``degradation`` trend-series payload as
 ``python -m repro degrade --smoke`` (the journal dedupes the twin), so
 either entry point keeps ``repro trends --gate`` fed.
+
+The smoke run also guards the *lossy tax*: one ``whp_ba`` run over
+duplicating and reordering links against the same seed over reliable
+links.  The ratio of the two wall-clocks is machine-independent; it was
+about 5 when every message seeded its own generator and is about 1.5
+with one fate table per 256 seqs (the injected duplicates alone add
+about a fifth more deliveries, so it cannot reach 1).  Above
+``LOSSY_TAX_LIMIT`` the run exits non-zero.
 """
 
 from __future__ import annotations
@@ -29,8 +37,43 @@ from repro.experiments.degradation import (
     smoke_degradation,
     sweep_degradation,
 )
+from repro.experiments.protocols import make_runner
+from repro.sim.network import LossyLinkConfig
+from repro.sim.runner import run_protocol, stop_when_all_decided
 
 FULL = dict(scenario="lossy_uniform", n=8, rates=(0.0, 0.05, 0.1), seeds=4)
+
+# The perf ledger's `ba_lossy_n200` link model at a CI-sized n.  Seed 1
+# decides in two rounds on both sides; a seed whose reliable twin decides
+# a round earlier would measure the coin's luck, not the links' cost.
+LOSSY_TAX = dict(n=64, seed=1)
+LOSSY_TAX_LINKS = LossyLinkConfig(duplicate_rate=0.2, reorder_rate=0.3, reorder_hold=64)
+LOSSY_TAX_LIMIT = 2.5
+
+
+def lossy_tax(n: int, seed: int, repeats: int = 3) -> dict:
+    """Best-of-``repeats`` wall-clock of one run, lossy over reliable."""
+    factory, params, f = make_runner("whp_ba", n, seed=seed)
+    seconds, rounds = {}, {}
+    for name, lossy in (("reliable", None), ("lossy", LOSSY_TAX_LINKS)):
+        timings = []
+        for _ in range(repeats):
+            started = time.perf_counter()
+            result = run_protocol(
+                n, f, factory, params=params, seed=seed,
+                stop_condition=stop_when_all_decided, lossy=lossy,
+            )
+            timings.append(time.perf_counter() - started)
+        assert result.live and result.all_correct_decided, name
+        seconds[name], rounds[name] = min(timings), len(result.rounds)
+    assert rounds["lossy"] == rounds["reliable"], (
+        f"lossy-tax premise broken: the two sides ran {rounds} rounds"
+    )
+    return {
+        "reliable_s": seconds["reliable"],
+        "lossy_s": seconds["lossy"],
+        "ratio": seconds["lossy"] / seconds["reliable"],
+    }
 
 
 def _sweep(smoke: bool) -> dict:
@@ -100,6 +143,16 @@ def main(argv: list[str]) -> int:
     report, summary = run_degradation(smoke=smoke)
     print(report)
     if smoke:
+        tax = lossy_tax(**LOSSY_TAX)
+        print(
+            f"lossy tax (n={LOSSY_TAX['n']}, seed {LOSSY_TAX['seed']}): "
+            f"{tax['lossy_s']:.3f} s over lossy links / {tax['reliable_s']:.3f} s "
+            f"over reliable ones = {tax['ratio']:.2f} (limit {LOSSY_TAX_LIMIT})"
+        )
+        if tax["ratio"] > LOSSY_TAX_LIMIT:
+            print("lossy tax above its limit: the link layer, not the protocol, "
+                  "is what a lossy run pays for (see DESIGN.md section 13)")
+            return 1
         # Record the raw sweep payload (not the timed summary): it must
         # fingerprint identically to `python -m repro degrade --smoke`.
         payload = {

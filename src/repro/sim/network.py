@@ -24,7 +24,7 @@ from __future__ import annotations
 import copy
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Mapping
 
@@ -99,7 +99,11 @@ class LossyLinkConfig:
     reorder_rate: float = 0.0
     corrupt_rate: float = 0.0
     reorder_hold: int = 16
-    per_link: Mapping[tuple[int, int], "LossyLinkConfig"] | None = None
+    # Compared but not hashed: a dict is unhashable, and equal configs
+    # still hash equal on the scalar fields.
+    per_link: Mapping[tuple[int, int], "LossyLinkConfig"] | None = field(
+        default=None, hash=False
+    )
 
     def __post_init__(self) -> None:
         total = 0.0
@@ -198,19 +202,32 @@ class LossyLinkConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "LossyLinkConfig":
-        per_link = None
-        if data.get("per_link"):
-            per_link = {}
-            for key, sub in data["per_link"].items():
-                sender, _, dest = key.partition("->")
-                per_link[(int(sender), int(dest))] = cls.from_dict(sub)
+        """Inverse of :meth:`to_dict`; unknown or malformed keys are errors.
+
+        A misspelt rate would otherwise load as a *reliable* link and a
+        hand-edited recipe would replay the wrong model.
+        """
+        scalars = (*_FATE_RATE_FIELDS, "reorder_hold")
+        for key in data:
+            if key not in scalars and key != "per_link":
+                raise ValueError(
+                    f"unknown LossyLinkConfig key {key!r} (expected one of "
+                    f"{', '.join(scalars)}, per_link)"
+                )
+        per_link = {}
+        for key, sub in (data.get("per_link") or {}).items():
+            sender, _, dest = str(key).partition("->")
+            try:
+                link = (int(sender), int(dest))
+            except ValueError:
+                raise ValueError(
+                    f"malformed per_link key {key!r}: expected 'sender->dest' "
+                    "with integer process ids"
+                ) from None
+            per_link[link] = cls.from_dict(sub)
         return cls(
-            drop_rate=data.get("drop_rate", 0.0),
-            duplicate_rate=data.get("duplicate_rate", 0.0),
-            reorder_rate=data.get("reorder_rate", 0.0),
-            corrupt_rate=data.get("corrupt_rate", 0.0),
-            reorder_hold=data.get("reorder_hold", 16),
-            per_link=per_link,
+            per_link=per_link or None,
+            **{name: data[name] for name in scalars if name in data},
         )
 
 
@@ -242,50 +259,82 @@ def _bit_corrupt(message: Message, rng: random.Random) -> Message | None:
     return clone
 
 
-class _LossyState:
-    """Per-run lossy-link machinery: fate rolls, the reorder heap, counters."""
+_FATE_BLOCK = 256  # consecutive seqs covered by one fate table
 
-    __slots__ = ("config", "_root", "drops", "duplicates", "reorders",
-                 "corruptions", "held", "by_kind")
+
+def _fate_thresholds(config: LossyLinkConfig) -> tuple[float, float, float, float, int]:
+    """Cumulative drop/duplicate/reorder/corrupt thresholds + ``reorder_hold``.
+
+    A roll in [0, 1) below the first threshold it meets takes that fate.
+    A zero rate repeats the previous threshold exactly (``x + 0.0 == x``),
+    so a zero-rate fate can never fire.
+    """
+    drop = config.drop_rate
+    duplicate = drop + config.duplicate_rate
+    reorder = duplicate + config.reorder_rate
+    return drop, duplicate, reorder, reorder + config.corrupt_rate, config.reorder_hold
+
+
+class _LossyState:
+    """Per-run lossy-link machinery: fate tables, the reorder heap, counters."""
+
+    __slots__ = ("_root", "_base", "_links", "_block", "_table", "counters",
+                 "held", "by_kind")
 
     def __init__(self, config: LossyLinkConfig, seed: int) -> None:
-        self.config = config
         self._root = derive_seed(seed, "lossy")
-        self.drops = 0
-        self.duplicates = 0
-        self.reorders = 0
-        self.corruptions = 0
-        # Fate counters split by message kind (class name), one dict per
-        # fate -- the per-kind accounting `repro report` renders.
-        self.by_kind: dict[str, dict[str, int]] = {
-            "drops": {}, "duplicates": {}, "reorders": {}, "corruptions": {}
+        self._base = _fate_thresholds(config)
+        self._links = {
+            link: _fate_thresholds(override)
+            for link, override in (config.per_link or {}).items()
         }
+        self._block = -1
+        self._table: list[float] = []
+        # How often each fate fired, and the same split by message kind
+        # (class name) -- the per-kind accounting `repro report` renders.
+        self.counters = {"drops": 0, "duplicates": 0, "reorders": 0, "corruptions": 0}
+        self.by_kind: dict[str, dict[str, int]] = {key: {} for key in self.counters}
         # Min-heap of (release_at_deliveries, seq, envelope): reordered
         # messages waiting outside the scheduler pool.
         self.held: list[tuple[int, int, Envelope]] = []
 
     def count(self, fate_key: str, kind: str) -> None:
+        self.counters[fate_key] += 1
         kinds = self.by_kind[fate_key]
         kinds[kind] = kinds.get(kind, 0) + 1
 
-    def fate(
-        self, seq: int, sender: int, dest: int
-    ) -> tuple[str, random.Random, LossyLinkConfig]:
-        """The fate of seq on this link, deterministic in (run seed, seq)."""
-        config = self.config.rates_for(sender, dest)
-        rng = random.Random(derive_seed(self._root, seq))
-        roll = rng.random()
-        for name, fate in (
-            ("drop_rate", "drop"),
-            ("duplicate_rate", "duplicate"),
-            ("reorder_rate", "reorder"),
-            ("corrupt_rate", "corrupt"),
-        ):
-            rate = getattr(config, name)
-            if roll < rate:
-                return fate, rng, config
-            roll -= rate
-        return "deliver", rng, config
+    def fate(self, seq: int, sender: int, dest: int) -> tuple[str, float, int]:
+        """``(fate, aux, reorder_hold)`` of seq on the ``sender -> dest`` link.
+
+        A pure function of (run seed, seq, link config): block
+        ``seq // 256`` seeds one generator that draws a roll and an
+        auxiliary float per seq.  Seqs are allocated monotonically, so
+        only the current block is kept; any other is recomputed on demand.
+        ``aux`` places a reorder's release and seeds a corruption's bit
+        choice.
+        """
+        block, slot = divmod(seq, _FATE_BLOCK)
+        if block != self._block:
+            rng = random.Random(derive_seed(self._root, block)).random
+            self._table = [rng() for _ in range(2 * _FATE_BLOCK)]
+            self._block = block
+        links = self._links
+        drop, duplicate, reorder, corrupt, hold = (
+            links.get((sender, dest), self._base) if links else self._base
+        )
+        index = 2 * slot
+        roll = self._table[index]
+        if roll >= corrupt:
+            fate = "deliver"
+        elif roll < drop:
+            fate = "drop"
+        elif roll < duplicate:
+            fate = "duplicate"
+        elif roll < reorder:
+            fate = "reorder"
+        else:
+            fate = "corrupt"
+        return fate, self._table[index + 1], hold
 
 
 class EmptySchedulerPoolError(RuntimeError):
@@ -453,10 +502,19 @@ class Simulation:
                 f"unknown delivery_mode {delivery_mode!r}; "
                 "expected 'classic' or 'batched'"
             )
-        if lossy is not None and not isinstance(lossy, LossyLinkConfig):
-            raise TypeError(
-                f"lossy must be a LossyLinkConfig or None, got {type(lossy).__name__}"
-            )
+        if lossy is not None:
+            if not isinstance(lossy, LossyLinkConfig):
+                raise TypeError(
+                    f"lossy must be a LossyLinkConfig or None, got {type(lossy).__name__}"
+                )
+            for link in lossy.per_link or ():
+                if not (0 <= link[0] < n and 0 <= link[1] < n):
+                    # Such an override never matches: the run would
+                    # silently follow the base rates.
+                    raise ValueError(
+                        f"lossy per_link override {link} names a process "
+                        f"outside [0, {n})"
+                    )
         self.n = n
         self.f = f
         self.pki = pki
@@ -546,17 +604,13 @@ class Simulation:
 
     # -- kernel services used by ProcessContext ---------------------------------
 
-    def submit(
-        self, sender: int, dest: int, message: Message, *, injected: bool = False
-    ) -> None:
+    def submit(self, sender: int, dest: int, message: Message) -> None:
         """Place a message on the link from ``sender`` to ``dest``.
 
         Links are reliable (the paper's model) unless an active
-        :class:`LossyLinkConfig` was installed; then the envelope's fate
-        is a deterministic function of (run seed, seq).  ``injected`` is
-        the kernel's own: it marks the second copy of a duplicated
-        message, which takes a fresh seq but never re-rolls a fate (no
-        recursive duplication) and is not counted as a protocol send.
+        :class:`LossyLinkConfig` was installed; then the link applies the
+        envelope's fate -- a deterministic function of (run seed, seq,
+        link config) -- after the sender has paid for the send.
         """
         if not 0 <= dest < self.n:
             raise ValueError(f"invalid destination {dest}")
@@ -564,17 +618,7 @@ class Simulation:
             # A negative sender would silently index contexts[-1] and stamp
             # the wrong depth/sender_correct; fail like an invalid dest.
             raise ValueError(f"invalid sender {sender}")
-        lossy = self._lossy
         seq = self._next_seq
-        fate = "deliver"
-        if lossy is not None and not injected:
-            fate, rng, config = lossy.fate(seq, sender, dest)
-            if fate == "corrupt":
-                corrupted_payload = _bit_corrupt(message, rng)
-                if corrupted_payload is not None:
-                    lossy.corruptions += 1
-                    lossy.count("corruptions", type(message).__name__)
-                    message = corrupted_payload
         # Positional: keyword construction measurably slows this path.
         envelope = Envelope(
             seq,
@@ -586,15 +630,22 @@ class Simulation:
             self.deliveries,
         )
         self._next_seq = seq + 1
-        if not injected:
-            self.metrics.record_send(envelope)
+        self.metrics.record_send(envelope)
+        self._emit_send(envelope)
+        if self._lossy is None:
+            self._insert_in_flight(envelope)
+        else:
+            self._route_lossy(envelope, *self._lossy.fate(seq, sender, dest))
+
+    def _emit_send(self, envelope: Envelope) -> None:
         if self._subscribers:
+            message = envelope.payload
             self.events.emit(
                 SendEvent(
-                    step=self.deliveries,
-                    seq=seq,
-                    sender=sender,
-                    dest=dest,
+                    step=envelope.sent_step,
+                    seq=envelope.seq,
+                    sender=envelope.sender,
+                    dest=envelope.dest,
                     instance=message.instance,
                     message_kind=type(message).__name__,
                     words=message.words(),
@@ -602,40 +653,54 @@ class Simulation:
                     sender_correct=envelope.sender_correct,
                 )
             )
+
+    def _route_lossy(self, envelope: Envelope, fate: str, aux: float, hold: int) -> None:
+        """Apply a lossy link's ``fate`` to an envelope its sender just sent.
+
+        The per-envelope routing :meth:`submit` and
+        :meth:`submit_broadcast` share; ``self._next_seq`` must already be
+        past ``envelope.seq``, because a duplicate's second copy takes the
+        next seq.  That copy is the network's, not the process's: it emits
+        a ``SendEvent`` but is not counted as a protocol send, and it
+        rolls no fate of its own (no recursive duplication).
+        """
+        lossy = self._lossy
+        kind = type(envelope.payload).__name__
         if fate == "drop":
-            lossy.drops += 1
-            lossy.count("drops", type(message).__name__)
+            lossy.count("drops", kind)
             return
         if fate == "reorder":
-            lossy.reorders += 1
-            lossy.count("reorders", type(message).__name__)
-            release_at = self.deliveries + 1 + rng.randrange(config.reorder_hold)
-            heappush(lossy.held, (release_at, seq, envelope))
+            lossy.count("reorders", kind)
+            release_at = self.deliveries + 1 + int(aux * hold)
+            heappush(lossy.held, (release_at, envelope.seq, envelope))
             return
+        if fate == "corrupt":
+            corrupted = _bit_corrupt(envelope.payload, random.Random(int(aux * (1 << 53))))
+            if corrupted is not None:
+                lossy.count("corruptions", kind)
+                envelope.payload = corrupted
         self._insert_in_flight(envelope)
         if fate == "duplicate":
-            lossy.duplicates += 1
-            lossy.count("duplicates", type(message).__name__)
-            self.submit(sender, dest, message, injected=True)
+            lossy.count("duplicates", kind)
+            twin = Envelope(
+                self._next_seq, envelope.sender, envelope.dest, envelope.payload,
+                envelope.depth, envelope.sender_correct, envelope.sent_step,
+            )
+            self._next_seq += 1
+            self._emit_send(twin)
+            self._insert_in_flight(twin)
 
     def submit_broadcast(self, sender: int, message: Message) -> None:
         """Submit ``message`` from ``sender`` to every process (self included).
 
         Observably identical to ``n`` consecutive :meth:`submit` calls in
-        destination order -- same seqs, envelopes, events, metrics and
-        scheduler callbacks -- with the per-message work (word count, kind,
-        depth, the metrics increments) hoisted out of the destination loop.
-        Broadcast is the protocols' only send primitive, so this is the
-        kernel's hottest submission path.
+        destination order -- same seqs, envelopes, events, metrics, link
+        fates and scheduler callbacks -- with the per-message work (word
+        count, kind, depth, the metrics increments) hoisted out of the
+        destination loop.  Broadcast is the protocols' only send
+        primitive, so this is the kernel's hottest submission path.
         """
         n = self.n
-        if self._lossy is not None:
-            # Lossy runs take the per-destination path so every envelope
-            # rolls its own fate; the hoisted fast path below assumes the
-            # reliable model.
-            for dest in range(n):
-                self.submit(sender, dest, message)
-            return
         if not 0 <= sender < n:
             raise ValueError(f"invalid sender {sender}")
         ctx = self.contexts[sender]
@@ -659,8 +724,12 @@ class Simulation:
         instance = message.instance
         in_flight = self._in_flight
         by_seq = self._by_seq
+        lossy = self._lossy
         on_submit = self._submit_hook
         wants_view = self._submit_wants_view
+        # Seq-only bookkeeping takes one bulk call per broadcast -- unless
+        # a lossy link may keep seqs of the range out of the pool.
+        per_seq = on_submit is not None and (wants_view or lossy is not None)
         scheduler = self.adversary.scheduler
         inspect = (
             getattr(scheduler, "inspect_payload", None)
@@ -689,21 +758,29 @@ class Simulation:
                         sender_correct=sender_correct,
                     )
                 )
+            if lossy is not None:
+                fate, aux, hold = lossy.fate(seq, sender, dest)
+                if fate != "deliver":
+                    self._next_seq = seq + 1
+                    self._route_lossy(envelope, fate, aux, hold)
+                    seq = self._next_seq
+                    pos = len(in_flight)
+                    continue
             in_flight.append(envelope)
             if by_seq is not None:
                 envelope.pos = pos
                 by_seq[seq] = envelope
-            if on_submit is not None and wants_view:
-                on_submit(seq, EnvelopeView.of(envelope))
+            if per_seq:
+                on_submit(seq, EnvelopeView.of(envelope) if wants_view else None)
             if inspect is not None:
                 inspect(seq, message, sender)
             seq += 1
             pos += 1
         self._next_seq = seq
-        if on_submit is not None and not wants_view:
-            # Seq-only bookkeeping: one bulk call per broadcast.  Deferring
-            # it past the destination loop is invisible -- the kernel only
-            # consults the scheduler between deliveries, never mid-submit.
+        if on_submit is not None and not per_seq:
+            # Deferring the bulk call past the destination loop is
+            # invisible -- the kernel only consults the scheduler between
+            # deliveries, never mid-submit.
             scheduler.on_submit_range(first_seq, seq)
 
     def _insert_in_flight(self, envelope: Envelope) -> None:
@@ -1284,15 +1361,9 @@ class Simulation:
     @property
     def lossy_counters(self) -> dict[str, int]:
         """How often each lossy-link fate fired (all zero when disabled)."""
-        state = self._lossy
-        if state is None:
+        if self._lossy is None:
             return {"drops": 0, "duplicates": 0, "reorders": 0, "corruptions": 0}
-        return {
-            "drops": state.drops,
-            "duplicates": state.duplicates,
-            "reorders": state.reorders,
-            "corruptions": state.corruptions,
-        }
+        return dict(self._lossy.counters)
 
     @property
     def lossy_by_kind(self) -> dict[str, dict[str, int]]:

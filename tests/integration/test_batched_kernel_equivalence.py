@@ -29,9 +29,13 @@ from repro.crypto.pki import PKI
 from repro.experiments.protocols import make_runner
 from repro.sim.adversary import (
     Adversary,
+    ContentAwareMinWithholdScheduler,
     DelayBoundedScheduler,
+    FIFOScheduler,
     RandomScheduler,
+    Scheduler,
     StaticCorruption,
+    TargetedDelayScheduler,
 )
 from repro.sim.diffing import diff_events, divergence_hint
 from repro.sim.flightrecorder import FlightRecorder
@@ -179,10 +183,11 @@ class TestObservabilityStack:
         assert batched_snapshot == classic_snapshot
 
 
-def simulate_ba(n, seed, mode, scheduler, lossy=None):
+def simulate_ba(n, seed, mode, scheduler, lossy=None, unicast=False):
     """One whp_ba run with direct Simulation access (for the batch
     counters and the pool layout), set up exactly as ``run_protocol``
-    would."""
+    would.  ``unicast=True`` turns every ``ctx.broadcast`` into n
+    ``ctx.send`` calls in destination order."""
     factory, params, f = make_runner("whp_ba", n, seed=seed)
     rng = random.Random(derive_seed(seed, "setup"))
     pki = PKI.create(n, backend="simulated", rng=rng)
@@ -197,6 +202,11 @@ def simulate_ba(n, seed, mode, scheduler, lossy=None):
         delivery_mode=mode, lossy=lossy,
     )
     recorder = sim.events.attach(FlightRecorder())
+    if unicast:
+        for ctx in sim.contexts:
+            ctx.broadcast = lambda message, send=ctx.send: [
+                send(dest, message) for dest in range(n)
+            ]
     sim.set_protocol_all(factory)
     sim.run()
     return sim, recorder, RunResult.of(sim)
@@ -214,6 +224,22 @@ def assert_same_run(reference, other, label):
 
 
 LOSSY = LossyLinkConfig(duplicate_rate=0.2, reorder_rate=0.3, reorder_hold=8)
+
+
+def _logging(scheduler_cls: type[Scheduler]) -> type[Scheduler]:
+    """``scheduler_cls`` that also keeps the ``on_submit`` sequence it saw."""
+
+    class Logging(scheduler_cls):
+        def on_submit(self, seq, view):
+            self.__dict__.setdefault("submitted", []).append((seq, view))
+            super().on_submit(seq, view)
+
+        def on_submit_range(self, start, stop):
+            # The documented per-seq equivalent of the bulk call.
+            for seq in range(start, stop):
+                self.on_submit(seq, None)
+
+    return Logging
 
 
 @pytest.mark.parametrize("lossy", [None, LOSSY], ids=["reliable", "lossy"])
@@ -252,6 +278,46 @@ class TestRandomSchedulerFastLoop:
             replay_mode, lossy, scheduler=original[1].replay_scheduler()
         )
         assert_same_run(original, replayed, "replay of a fast-loop recording diverged")
+
+    @pytest.mark.parametrize("mode", ["classic", "batched"])
+    @pytest.mark.parametrize(
+        "make_scheduler",
+        [
+            lambda seed: RandomScheduler(random.Random(seed)),
+            lambda seed: _logging(FIFOScheduler)(),
+            lambda seed: _logging(TargetedDelayScheduler)({0, 1}, random.Random(seed)),
+            lambda seed: _logging(ContentAwareMinWithholdScheduler)(random.Random(seed)),
+        ],
+        ids=["random-no-hook", "fifo-seq-only", "targeted-view", "content-aware"],
+    )
+    def test_broadcast_equals_unicasts_in_destination_order(
+        self, lossy, mode, make_scheduler
+    ):
+        """One ``submit_broadcast`` is n ``submit`` calls: same seqs
+        (injected duplicates included), ``SendEvent`` records, metrics,
+        link-fault counters and scheduler ``on_submit`` sequence -- so the
+        whole run is the same run, on either loop."""
+        n = 24  # the smallest n at which this seed still decides over lossy links
+        broadcast = simulate_ba(n, self.SEED, mode, make_scheduler(self.SEED), lossy=lossy)
+        unicast = simulate_ba(
+            n, self.SEED, mode, make_scheduler(self.SEED), lossy=lossy, unicast=True
+        )
+        assert_same_run(unicast, broadcast, "submit_broadcast != n unicast submits")
+        sends = broadcast[1].of_kind("send")
+        assert [event.seq for event in sends] == list(range(broadcast[0]._next_seq))
+        assert broadcast[0].lossy_counters == unicast[0].lossy_counters
+        assert broadcast[0].lossy_by_kind == unicast[0].lossy_by_kind
+        if lossy is not None:
+            counters = broadcast[0].lossy_counters
+            assert counters["duplicates"] > 0 and counters["reorders"] > 0
+            # Injected copies take seqs but are not protocol sends.
+            sent = broadcast[2].metrics.messages_sent_total
+            assert len(sends) == sent + counters["duplicates"]
+        submitted = getattr(broadcast[0].adversary.scheduler, "submitted", None)
+        assert submitted == getattr(unicast[0].adversary.scheduler, "submitted", None)
+        if submitted is not None:
+            # Every seq that entered the pool was announced exactly once.
+            assert len(submitted) == broadcast[2].deliveries + len(broadcast[0]._in_flight)
 
 
 class TestBatchedReplay:

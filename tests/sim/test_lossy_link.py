@@ -3,18 +3,23 @@
 The lossy layer is a documented *extension* of the paper's reliable-link
 model (DESIGN.md section 13): every submitted message gets at most one
 fate -- drop, duplicate, reorder, bit-corrupt -- decided purely from the
-run seed and the envelope seq.  These tests pin the contract the fuzzer
-depends on: an inactive config is byte-invisible, fates are
-deterministic and replayable, and batched delivery declines to the
-classic stepping loop when a lossy config is active.
+run seed, the envelope seq and the link's config (one seeded fate table
+per block of 256 seqs).  These tests pin the contract the fuzzer depends
+on: an inactive config is byte-invisible, fates are pure, correctly
+distributed, deterministic and replayable, and the fast loop commits no
+drained batch while a lossy config is active.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.pki import PKI
 from repro.sim.adversary import (
@@ -27,7 +32,13 @@ from repro.sim.adversary import (
 from repro.sim.events import event_to_record
 from repro.sim.flightrecorder import FlightRecorder
 from repro.sim.messages import Message
-from repro.sim.network import LossyLinkConfig, Simulation
+from repro.sim import network
+from repro.sim.network import (
+    LossyLinkConfig,
+    Simulation,
+    _fate_thresholds,
+    _LossyState,
+)
 from repro.sim.process import Wait
 
 
@@ -138,6 +149,45 @@ class TestConfigValidation:
         with pytest.raises(TypeError):
             make_sim(lossy={"drop_rate": 0.5})
 
+    def test_from_dict_rejects_unknown_keys(self):
+        # A misspelt rate used to load as a *reliable* link.
+        with pytest.raises(ValueError, match="unknown LossyLinkConfig key 'drop_rat'"):
+            LossyLinkConfig.from_dict({"drop_rat": 0.5})
+        with pytest.raises(ValueError, match="'hold'"):
+            LossyLinkConfig.from_dict(
+                {"per_link": {"0->1": {"drop_rate": 0.5, "hold": 3}}}
+            )
+
+    @pytest.mark.parametrize("key", ["0-1", "0->", "->1", "a->b", "0->1->2", "7"])
+    def test_from_dict_rejects_malformed_link_keys(self, key):
+        with pytest.raises(ValueError) as raised:
+            LossyLinkConfig.from_dict({"per_link": {key: {"drop_rate": 0.5}}})
+        message = str(raised.value)
+        assert "malformed per_link key" in message and repr(key) in message
+        assert "\n" not in message
+
+    def test_config_with_per_link_is_hashable(self):
+        def build():
+            return LossyLinkConfig(
+                drop_rate=0.1, per_link={(0, 1): LossyLinkConfig(corrupt_rate=0.5)}
+            )
+
+        assert build() == build() and hash(build()) == hash(build())
+        assert len({build(), build(), LossyLinkConfig(drop_rate=0.1)}) == 2
+
+    @pytest.mark.parametrize("link", [(0, 4), (4, 0), (-1, 2), (7, 7)])
+    def test_simulation_rejects_out_of_range_links(self, link):
+        lossy = LossyLinkConfig(per_link={link: LossyLinkConfig(drop_rate=1.0)})
+        with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+            make_sim(n=4, lossy=lossy)
+
+    def test_targeted_at_a_missing_process_is_rejected(self):
+        # These overrides could never match; the run used to follow the
+        # base rates silently.
+        lossy = LossyLinkConfig.targeted(4, senders=[4 + 3], drop_rate=0.5)
+        with pytest.raises(ValueError, match="per_link override"):
+            make_sim(n=4, lossy=lossy)
+
 
 class TestInactiveConfigIsInvisible:
     def test_zero_rate_config_matches_no_config(self):
@@ -152,6 +202,118 @@ class TestInactiveConfigIsInvisible:
         assert run_gossip(lossy=LossyLinkConfig()).lossy_counters == {
             "drops": 0, "duplicates": 0, "reorders": 0, "corruptions": 0,
         }
+
+
+FATE_NAMES = ("drop", "duplicate", "reorder", "corrupt")
+MIXED = LossyLinkConfig(
+    drop_rate=0.05, duplicate_rate=0.2, reorder_rate=0.3, corrupt_rate=0.1,
+    reorder_hold=16,
+    per_link={
+        (1, 2): LossyLinkConfig(drop_rate=0.4, reorder_rate=0.25, reorder_hold=3)
+    },
+)
+
+
+class TestFateFunction:
+    """``_LossyState.fate``: one seeded table per block of 256 seqs."""
+
+    def test_fate_is_pure_in_seed_seq_and_link(self):
+        seqs = range(0, 700)
+        in_order = [_LossyState(MIXED, 5).fate(seq, 0, 1) for seq in seqs]
+        state = _LossyState(MIXED, 5)
+        assert [state.fate(seq, 0, 1) for seq in seqs] == in_order
+        # Reverse order recomputes each block on demand.
+        state = _LossyState(MIXED, 5)
+        assert [state.fate(seq, 0, 1) for seq in reversed(seqs)] == in_order[::-1]
+        # Ping-pong across the 255/256 block boundary: every query reseeds.
+        state = _LossyState(MIXED, 5)
+        for seq in (255, 256, 255, 511, 512, 256, 0):
+            assert state.fate(seq, 0, 1) == in_order[seq]
+        # Independent of which other seqs were queried at all.
+        state = _LossyState(MIXED, 5)
+        assert [state.fate(seq, 0, 1) for seq in (699, 3, 300)] == [
+            in_order[699], in_order[3], in_order[300],
+        ]
+        # The roll and the auxiliary float belong to the seq, not the link:
+        # a different link config reclassifies the same draw.
+        for seq in seqs:
+            assert _LossyState(MIXED, 5).fate(seq, 1, 2)[1] == in_order[seq][1]
+        assert in_order != [_LossyState(MIXED, 6).fate(seq, 0, 1) for seq in seqs]
+
+    @pytest.mark.parametrize("link", [(0, 1), (1, 2)], ids=["base", "override"])
+    def test_fate_frequencies_match_the_configured_rates(self, link):
+        trials = 120_000
+        config = MIXED.rates_for(*link)
+        state = _LossyState(MIXED, 2020)
+        counts = dict.fromkeys((*FATE_NAMES, "deliver"), 0)
+        for seq in range(trials):
+            fate, aux, hold = state.fate(seq, *link)
+            counts[fate] += 1
+            assert 0.0 <= aux < 1.0 and hold == config.reorder_hold
+        assert sum(counts.values()) == trials
+        for name in FATE_NAMES:
+            rate = getattr(config, f"{name}_rate")
+            band = 5 * math.sqrt(trials * rate * (1 - rate))
+            assert abs(counts[name] - trials * rate) <= band, (name, counts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        raw=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        zeroed=st.lists(st.booleans(), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32),
+    )
+    def test_thresholds_are_monotone_and_zero_rates_never_fire(
+        self, raw, zeroed, seed
+    ):
+        rates = [0.0 if zero else rate for rate, zero in zip(raw, zeroed)]
+        scale = max(1.0, sum(rates))
+        rates = [rate / scale for rate in rates]
+        config = LossyLinkConfig(
+            **{f"{name}_rate": rate for name, rate in zip(FATE_NAMES, rates)}
+        )
+        *thresholds, hold = _fate_thresholds(config)
+        assert thresholds == sorted(thresholds) and thresholds[0] >= 0.0
+        assert hold == config.reorder_hold
+        state = _LossyState(config, seed)
+        fired = {state.fate(seq, 0, 0)[0] for seq in range(512)}
+        impossible = {name for name, rate in zip(FATE_NAMES, rates) if rate == 0.0}
+        assert not fired & impossible
+
+    def test_reorder_release_is_within_the_hold_bound(self):
+        """A held envelope re-enters the pool after at most ``reorder_hold``
+        further deliveries (per-link holds included)."""
+        sim = make_sim(n=4, lossy=LossyLinkConfig(
+            reorder_rate=1.0, reorder_hold=7,
+            per_link={(1, 2): LossyLinkConfig(reorder_rate=1.0, reorder_hold=2)},
+        ))
+        offsets = {}
+        for step in (0, 10, 1000):
+            sim.deliveries = step
+            for _ in range(300):
+                sim.submit_broadcast(1, Ping("x"))
+        assert len(sim._lossy.held) == 3 * 300 * 4 and not sim._in_flight
+        for release_at, seq, envelope in sim._lossy.held:
+            hold = 2 if envelope.dest == 2 else 7
+            offset = release_at - envelope.sent_step
+            assert 1 <= offset <= hold and seq == envelope.seq
+            offsets.setdefault(hold, set()).add(offset)
+        # The whole window is used, not just its first slot.
+        assert offsets == {2: {1, 2}, 7: set(range(1, 8))}
+
+    def test_one_generator_per_block_of_seqs(self, monkeypatch):
+        built = []
+
+        def counting(seed):
+            built.append(seed)
+            return random.Random(seed)
+
+        monkeypatch.setattr(network, "random", SimpleNamespace(Random=counting))
+        sim = make_sim(n=8, lossy=LossyLinkConfig(duplicate_rate=0.2, reorder_rate=0.3))
+        for sender in range(8):
+            for _ in range(40):
+                sim.submit_broadcast(sender, Ping("x"))
+        assert sim._next_seq > 8 * 40 * 8
+        assert len(built) == math.ceil(sim._next_seq / 256)
 
 
 class TestFates:
