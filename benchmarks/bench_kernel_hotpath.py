@@ -4,7 +4,9 @@
 Times the same seed sweep (WHP coin at n=120 and full BA at n=100) twice:
 once on the optimised kernel (verification cache + instance-keyed
 wakeups), once with both disabled (a ``PKI`` built with ``verify_cache=False`` +
-``eager_wakeups=True`` -- the pre-optimisation kernel).  Asserts
+``Simulation(eager_wakeups=True)`` -- the pre-optimisation kernel; the
+switch is not on ``run_protocol``, so trials build their ``Simulation``).
+Asserts
 
 * every observable RunResult field is identical between the two paths
   (the optimisations are pure); and
@@ -33,7 +35,9 @@ from repro.crypto.hashing import derive_seed
 from repro.crypto.pki import PKI
 from repro.experiments.parallel import derive_sweep_seeds, parallel_map
 from repro.experiments.protocols import make_runner
-from repro.sim.runner import RunResult, run_protocol, stop_when_all_decided
+from repro.sim.adversary import Adversary, RandomScheduler, StaticCorruption
+from repro.sim.network import Simulation
+from repro.sim.runner import RunResult, stop_when_all_decided, stop_when_all_returned
 
 COIN_N, COIN_F = 120, 4
 BA_N = 100
@@ -63,28 +67,35 @@ def _observable(result: RunResult) -> tuple:
     )
 
 
-def _pki(n: int, seed: int, fast: bool) -> PKI:
-    """The keys ``run_protocol`` would generate, with the memo on or off."""
-    rng = random.Random(derive_seed(seed, "setup"))
-    return PKI.create(n, rng=rng, verify_cache=fast)
+def _run(n: int, f: int, factory, params, seed: int, fast: bool, stop_condition):
+    """The run ``run_protocol(corrupt=set(range(f)), seed=seed)`` makes, with
+    the verify memo and the keyed wakeups both on or both off."""
+    pki = PKI.create(
+        n, rng=random.Random(derive_seed(seed, "setup")), verify_cache=fast
+    )
+    adversary = Adversary(
+        scheduler=RandomScheduler(random.Random(derive_seed(seed, "sched"))),
+        corruption=StaticCorruption(set(range(f))),
+    )
+    simulation = Simulation(
+        n, f, pki, adversary, seed=seed, params=params,
+        stop_condition=stop_condition, eager_wakeups=not fast,
+    )
+    simulation.set_protocol_all(factory)
+    return RunResult.of(simulation.run())
 
 
 def _coin_trial(seed: int, fast: bool) -> RunResult:
     params = ProtocolParams.simulation_scale(n=COIN_N, f=COIN_F)
-    return run_protocol(
-        COIN_N, COIN_F, lambda ctx: whp_coin(ctx, 0),
-        corrupt=set(range(COIN_F)), params=params, seed=seed,
-        pki=_pki(COIN_N, seed, fast), eager_wakeups=not fast,
+    return _run(
+        COIN_N, COIN_F, lambda ctx: whp_coin(ctx, 0), params, seed, fast,
+        stop_when_all_returned,
     )
 
 
 def _ba_trial(seed: int, fast: bool) -> RunResult:
     factory, params, f = make_runner("whp_ba", BA_N, seed=seed)
-    return run_protocol(
-        BA_N, f, factory, corrupt=set(range(f)), params=params,
-        stop_condition=stop_when_all_decided, seed=seed,
-        pki=_pki(BA_N, seed, fast), eager_wakeups=not fast,
-    )
+    return _run(BA_N, f, factory, params, seed, fast, stop_when_all_decided)
 
 
 def _timed_sweep(coin_seeds, ba_seeds, fast: bool):

@@ -128,8 +128,8 @@ def membership_checker(
     same PKI counters -- validation hot paths (one check per message per
     receiver) use this so the per-call lru-cache traffic of the free
     function disappears from profiles.  ``pki.vrf_verify`` is resolved
-    per call, not captured, so profiled runs that shadow it with timing
-    wrappers keep seeing every verification.
+    per call, not captured, so a caller that shadows it on the instance
+    (the perf ledger's call counter) keeps seeing every verification.
 
     When the PKI's verify cache is on, the checker additionally memoizes
     each verdict in ``pki.shared_validation_memo`` against the *identity*

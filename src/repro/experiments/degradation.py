@@ -2,7 +2,7 @@
 
 The paper's guarantees -- agreement and termination WHP, O(n polylog n)
 words -- are stated for reliable asynchronous links.  The lossy-link
-extension (:class:`repro.sim.network.LossyLinkConfig`) can break a run;
+extension (:class:`repro.sim.lossy.LossyLinkConfig`) can break a run;
 this module measures *curves*, not pass/fail: it sweeps a hostility rate
 across the scenario zoo (:mod:`repro.experiments.scenarios`) and many
 seeds per point, and reports per rate

@@ -57,7 +57,7 @@ from repro.sim.adversary import (
 )
 from repro.sim.byzantine import ByzantineBehavior, ScriptedBehavior
 from repro.sim.messages import Message
-from repro.sim.network import LossyLinkConfig
+from repro.sim.lossy import LossyLinkConfig
 from repro.sim.process import ProcessContext, Protocol, Wait
 from repro.sim.runner import stop_when_all_decided
 

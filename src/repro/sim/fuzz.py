@@ -41,7 +41,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.sim.adversary import CorruptionStrategy
 from repro.sim.messages import EnvelopeView
-from repro.sim.network import LossyLinkConfig
+from repro.sim.lossy import LossyLinkConfig
 
 __all__ = [
     "FuzzCandidate",

@@ -12,23 +12,20 @@ Correct processes are generator coroutines (see
 :class:`~repro.sim.byzantine.ByzantineBehavior` hooks.  Reliable links:
 nothing is ever dropped -- the adversary only reorders.
 
-:class:`LossyLinkConfig` relaxes the reliable-link assumption as a
-documented *model extension* (per-link drop/duplicate/reorder/corrupt
-rates, off by default, deterministic from the run seed).  With no config
--- or an all-zero one -- the kernel is byte-identical to the reliable
-model.
+The lossy-link *model extension* lives beside the kernel, in
+:mod:`repro.sim.lossy`; with no :class:`LossyLinkConfig` -- or an all-zero
+one -- the kernel is byte-identical to the reliable model.  Under an
+active one the kernel still allocates every seq, emits every
+``SendEvent`` and makes every pool insertion; the link layer only says
+what each envelope's fate is and which held envelopes are due.
 """
 
 from __future__ import annotations
 
-import copy
 import random
 import time
-from dataclasses import dataclass, field
-from heapq import heappop, heappush
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable
 
-from repro.crypto.hashing import derive_seed
 from repro.crypto.pki import PKI
 from repro.sim.adversary import Adversary, CorruptionStrategy, Scheduler
 from repro.sim.events import (
@@ -40,301 +37,23 @@ from repro.sim.events import (
     WaitWakeEvent,
     summarize_payload,
 )
+from repro.sim.lossy import LossyLinkConfig, _LossyState, zero_counters
 from repro.sim.messages import Envelope, EnvelopeView, Message
 from repro.sim.metrics import MetricsRecorder
 from repro.sim.process import ProcessContext, ProtocolFactory, Wait
 
 __all__ = [
     "EmptySchedulerPoolError",
-    "LossyLinkConfig",
+    "LossyLinkConfig",  # re-exported: its home is repro.sim.lossy
     "SchedulerPool",
     "Simulation",
 ]
 
 DEFAULT_MAX_DELIVERIES = 2_000_000
 
-_FATE_RATE_FIELDS = ("drop_rate", "duplicate_rate", "reorder_rate", "corrupt_rate")
-
 # What the fast loop iterates when the scheduler committed no batch: one
 # delivery, its envelope already picked (drained batches hold seqs).
 _BATCH_OF_ONE = (None,)
-
-
-@dataclass(frozen=True)
-class LossyLinkConfig:
-    """Lossy-link fault model: a documented *extension* of the paper's model.
-
-    The paper assumes reliable asynchronous links -- the adversary may
-    reorder arbitrarily but never loses a message.  This config relaxes
-    that per link.  Every submitted message is assigned at most one
-    *fate*, decided deterministically from the run seed and the message
-    seq (so lossy runs replay bit-for-bit):
-
-    ``drop``
-        The message never enters the scheduler pool.  The sender still
-        pays for it (metrics + SendEvent) -- the link ate it.  Drops can
-        legitimately deadlock a protocol that the reliable model keeps
-        live; that degradation is the experiment.
-    ``duplicate``
-        A second envelope with a fresh seq and the same payload is
-        injected.  Injected duplicates do not re-roll fates and are not
-        counted as protocol sends (the *network* pays, not the process).
-    ``reorder``
-        The message is held outside the pool until the delivery counter
-        advances by a bounded amount (``reorder_hold``), then released.
-        A lossy link may delay but cannot withhold forever: if the pool
-        empties while messages are held, the earliest is released early.
-    ``corrupt``
-        The destination receives a shallow copy of the payload with one
-        bit flipped in an integer field (never ``instance``).  Messages
-        with no eligible field are delivered intact.
-
-    All rates default to zero; an all-zero config leaves the kernel
-    byte-identical to a run without one.  ``per_link`` maps
-    ``(sender, dest)`` pairs to override configs (one level deep).
-    """
-
-    drop_rate: float = 0.0
-    duplicate_rate: float = 0.0
-    reorder_rate: float = 0.0
-    corrupt_rate: float = 0.0
-    reorder_hold: int = 16
-    # Compared but not hashed: a dict is unhashable, and equal configs
-    # still hash equal on the scalar fields.
-    per_link: Mapping[tuple[int, int], "LossyLinkConfig"] | None = field(
-        default=None, hash=False
-    )
-
-    def __post_init__(self) -> None:
-        total = 0.0
-        for name in _FATE_RATE_FIELDS:
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate!r}")
-            total += rate
-        if total > 1.0 + 1e-9:
-            raise ValueError(
-                "fates are mutually exclusive: drop_rate + duplicate_rate + "
-                f"reorder_rate + corrupt_rate must be <= 1, got {total}"
-            )
-        if self.reorder_hold < 1:
-            raise ValueError(f"reorder_hold must be >= 1, got {self.reorder_hold}")
-        if self.per_link:
-            for link, config in self.per_link.items():
-                if config.per_link:
-                    raise ValueError(
-                        f"per_link override for {link} cannot itself carry "
-                        "per_link overrides"
-                    )
-
-    @property
-    def active(self) -> bool:
-        """True when any fate can actually fire (here or in an override)."""
-        if any(getattr(self, name) > 0.0 for name in _FATE_RATE_FIELDS):
-            return True
-        if self.per_link:
-            return any(config.active for config in self.per_link.values())
-        return False
-
-    def rates_for(self, sender: int, dest: int) -> "LossyLinkConfig":
-        """The effective config on the ``sender -> dest`` link."""
-        if self.per_link:
-            override = self.per_link.get((sender, dest))
-            if override is not None:
-                return override
-        return self
-
-    def to_dict(self) -> dict[str, Any]:
-        payload: dict[str, Any] = {
-            name: getattr(self, name) for name in _FATE_RATE_FIELDS
-        }
-        payload["reorder_hold"] = self.reorder_hold
-        if self.per_link:
-            payload["per_link"] = {
-                f"{sender}->{dest}": config.to_dict()
-                for (sender, dest), config in sorted(self.per_link.items())
-            }
-        return payload
-
-    @classmethod
-    def targeted(
-        cls,
-        n: int,
-        senders: Iterable[int] = (),
-        dests: Iterable[int] = (),
-        base: "LossyLinkConfig | None" = None,
-        **rates: Any,
-    ) -> "LossyLinkConfig":
-        """Aim ``rates`` at specific processes via per-link overrides.
-
-        Builds a config whose ``per_link`` overrides apply
-        ``cls(**rates)`` to every link *out of* a pid in ``senders`` and
-        every link *into* a pid in ``dests`` (self-links included: the
-        kernel routes loopback sends through the same link model).  All
-        other links follow ``base`` (default: lossless).  Overrides from
-        ``base.per_link`` are kept but lose to the targeted ones.
-
-        This is how committee-targeted scenarios are built: compute the
-        committee membership from the trusted setup
-        (:func:`repro.core.committees.sample_committee`) and starve
-        exactly those links, e.g.
-        ``LossyLinkConfig.targeted(n, senders=members, drop_rate=0.4)``.
-        """
-        override = cls(**rates)
-        base = base if base is not None else cls()
-        links: dict[tuple[int, int], "LossyLinkConfig"] = (
-            dict(base.per_link) if base.per_link else {}
-        )
-        for sender in senders:
-            for dest in range(n):
-                links[(sender, dest)] = override
-        for dest in dests:
-            for sender in range(n):
-                links[(sender, dest)] = override
-        return cls(
-            drop_rate=base.drop_rate,
-            duplicate_rate=base.duplicate_rate,
-            reorder_rate=base.reorder_rate,
-            corrupt_rate=base.corrupt_rate,
-            reorder_hold=base.reorder_hold,
-            per_link=links,
-        )
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LossyLinkConfig":
-        """Inverse of :meth:`to_dict`; unknown or malformed keys are errors.
-
-        A misspelt rate would otherwise load as a *reliable* link and a
-        hand-edited recipe would replay the wrong model.
-        """
-        scalars = (*_FATE_RATE_FIELDS, "reorder_hold")
-        for key in data:
-            if key not in scalars and key != "per_link":
-                raise ValueError(
-                    f"unknown LossyLinkConfig key {key!r} (expected one of "
-                    f"{', '.join(scalars)}, per_link)"
-                )
-        per_link = {}
-        for key, sub in (data.get("per_link") or {}).items():
-            sender, _, dest = str(key).partition("->")
-            try:
-                link = (int(sender), int(dest))
-            except ValueError:
-                raise ValueError(
-                    f"malformed per_link key {key!r}: expected 'sender->dest' "
-                    "with integer process ids"
-                ) from None
-            per_link[link] = cls.from_dict(sub)
-        return cls(
-            per_link=per_link or None,
-            **{name: data[name] for name in scalars if name in data},
-        )
-
-
-def _bit_corrupt(message: Message, rng: random.Random) -> Message | None:
-    """A shallow copy of ``message`` with one integer bit flipped.
-
-    Returns ``None`` when the message has no eligible field (no plain
-    ``int`` besides ``instance``, or the dataclass is frozen/slotted) --
-    the caller then delivers the original intact.
-    """
-    try:
-        fields = vars(message)
-    except TypeError:
-        return None
-    names = sorted(
-        name
-        for name, value in fields.items()
-        if name != "instance" and type(value) is int
-    )
-    if not names:
-        return None
-    name = names[rng.randrange(len(names))]
-    value = fields[name]
-    clone = copy.copy(message)
-    try:
-        setattr(clone, name, value ^ (1 << rng.randrange(max(value.bit_length(), 8))))
-    except AttributeError:
-        return None
-    return clone
-
-
-_FATE_BLOCK = 256  # consecutive seqs covered by one fate table
-
-
-def _fate_thresholds(config: LossyLinkConfig) -> tuple[float, float, float, float, int]:
-    """Cumulative drop/duplicate/reorder/corrupt thresholds + ``reorder_hold``.
-
-    A roll in [0, 1) below the first threshold it meets takes that fate.
-    A zero rate repeats the previous threshold exactly (``x + 0.0 == x``),
-    so a zero-rate fate can never fire.
-    """
-    drop = config.drop_rate
-    duplicate = drop + config.duplicate_rate
-    reorder = duplicate + config.reorder_rate
-    return drop, duplicate, reorder, reorder + config.corrupt_rate, config.reorder_hold
-
-
-class _LossyState:
-    """Per-run lossy-link machinery: fate tables, the reorder heap, counters."""
-
-    __slots__ = ("_root", "_base", "_links", "_block", "_table", "counters",
-                 "held", "by_kind")
-
-    def __init__(self, config: LossyLinkConfig, seed: int) -> None:
-        self._root = derive_seed(seed, "lossy")
-        self._base = _fate_thresholds(config)
-        self._links = {
-            link: _fate_thresholds(override)
-            for link, override in (config.per_link or {}).items()
-        }
-        self._block = -1
-        self._table: list[float] = []
-        # How often each fate fired, and the same split by message kind
-        # (class name) -- the per-kind accounting `repro report` renders.
-        self.counters = {"drops": 0, "duplicates": 0, "reorders": 0, "corruptions": 0}
-        self.by_kind: dict[str, dict[str, int]] = {key: {} for key in self.counters}
-        # Min-heap of (release_at_deliveries, seq, envelope): reordered
-        # messages waiting outside the scheduler pool.
-        self.held: list[tuple[int, int, Envelope]] = []
-
-    def count(self, fate_key: str, kind: str) -> None:
-        self.counters[fate_key] += 1
-        kinds = self.by_kind[fate_key]
-        kinds[kind] = kinds.get(kind, 0) + 1
-
-    def fate(self, seq: int, sender: int, dest: int) -> tuple[str, float, int]:
-        """``(fate, aux, reorder_hold)`` of seq on the ``sender -> dest`` link.
-
-        A pure function of (run seed, seq, link config): block
-        ``seq // 256`` seeds one generator that draws a roll and an
-        auxiliary float per seq.  Seqs are allocated monotonically, so
-        only the current block is kept; any other is recomputed on demand.
-        ``aux`` places a reorder's release and seeds a corruption's bit
-        choice.
-        """
-        block, slot = divmod(seq, _FATE_BLOCK)
-        if block != self._block:
-            rng = random.Random(derive_seed(self._root, block)).random
-            self._table = [rng() for _ in range(2 * _FATE_BLOCK)]
-            self._block = block
-        links = self._links
-        drop, duplicate, reorder, corrupt, hold = (
-            links.get((sender, dest), self._base) if links else self._base
-        )
-        index = 2 * slot
-        roll = self._table[index]
-        if roll >= corrupt:
-            fate = "deliver"
-        elif roll < drop:
-            fate = "drop"
-        elif roll < duplicate:
-            fate = "duplicate"
-        elif roll < reorder:
-            fate = "reorder"
-        else:
-            fate = "corrupt"
-        return fate, self._table[index + 1], hold
 
 
 class EmptySchedulerPoolError(RuntimeError):
@@ -423,6 +142,19 @@ def _picks_by_position(scheduler: Scheduler) -> bool:
     )
 
 
+def _timed(call: Callable, add_timing: Callable[[str, float], None]) -> Callable:
+    """``call``, with its wall-clock added to ``kernel.schedule``."""
+    perf = time.perf_counter
+
+    def timed_call(*args: Any) -> Any:
+        start = perf()
+        result = call(*args)
+        add_timing("kernel.schedule", perf() - start)
+        return result
+
+    return timed_call
+
+
 class Simulation:
     """One run of a protocol under one adversary.
 
@@ -443,39 +175,31 @@ class Simulation:
         ``callable(sim) -> bool`` evaluated after every delivery; lets BA
         runs halt once every correct process decided even though the
         protocol itself loops forever.
-    eager_wakeups:
-        When True, ignore ``Wait.instances`` subscriptions and re-evaluate
-        every pending condition after every delivery (the pre-subscription
-        behaviour).  Exists so equivalence tests can diff the keyed and
-        eager paths.
     profile:
-        When True, wall-clock timers wrap the kernel sections (scheduler
-        choice, delivery/stepping, signature+VRF verification) and every
-        :meth:`~repro.sim.process.ProcessContext.span`; totals land in
-        ``metrics.phase_timings``.  Off by default: timing every delivery
-        is not free and wall-clock is the one observable that legitimately
-        differs between identical runs.
-    delivery_mode:
-        ``"batched"`` (default) runs the fast loop: it delivers a whole
-        committed batch when the scheduler's
-        :meth:`~repro.sim.adversary.Scheduler.drain` returns one, and
-        otherwise a batch of one -- picked by pool position when the
-        scheduler declares ``choose_index``, else by ``choose``.
-        ``"classic"`` runs the reference loop: one ``choose`` per
-        delivery through the readable ``_remove_in_flight`` +
-        ``_deliver`` step.  The two are observably identical (same
-        delivery order, RNG stream, events and metrics; the equivalence
-        tests compare them), so ``"classic"`` exists for those tests;
-        ``profile=True`` also selects it, so the ``kernel.schedule``/
-        ``kernel.step`` timers keep their per-delivery meaning.
+        When True, wall-clock totals land in ``metrics.phase_timings``:
+        ``kernel.schedule`` (the scheduler's ``choose`` / ``choose_index``
+        / ``drain`` calls), ``kernel.step`` (the delivery loop minus
+        scheduling), ``kernel.verify`` (scheme time on verify-cache
+        misses, nested in the steps) and a ``span.<phase>`` per
+        :meth:`~repro.sim.process.ProcessContext.span`.  It selects no
+        loop and changes no delivery.  Off by default: wall-clock is the
+        one observable that legitimately differs between identical runs.
     lossy:
-        Optional :class:`LossyLinkConfig` enabling the lossy-link model
-        extension.  ``None`` (default) or an all-zero config keeps the
-        kernel byte-identical to the reliable model.  While a config is
-        active both loops release held (reordered) envelopes before each
-        choice, and the fast loop commits no drained batch (a hold breaks
-        the drain contract's commitment), so every delivery is a batch of
-        one.
+        Optional :class:`~repro.sim.lossy.LossyLinkConfig` enabling the
+        lossy-link model extension.  ``None`` (default) or an all-zero
+        config keeps the kernel byte-identical to the reliable model.
+        While a config is active both loops release held (reordered)
+        envelopes before each choice, and the fast loop commits no
+        drained batch (a hold breaks the drain contract's commitment), so
+        every delivery is a batch of one.
+    eager_wakeups, delivery_mode:
+        Reference switches for the equivalence tests only (absent from
+        :func:`~repro.sim.runner.run_protocol`).  ``eager_wakeups=True``
+        ignores ``Wait.instances`` subscriptions and re-evaluates every
+        pending condition after every delivery; ``delivery_mode="classic"``
+        runs :meth:`_run_reference` instead of the default ``"batched"``
+        :meth:`_run_fast`.  Either way the run is observably identical
+        (delivery order, RNG stream, events, metrics): the tests' claim.
     """
 
     def __init__(
@@ -502,19 +226,6 @@ class Simulation:
                 f"unknown delivery_mode {delivery_mode!r}; "
                 "expected 'classic' or 'batched'"
             )
-        if lossy is not None:
-            if not isinstance(lossy, LossyLinkConfig):
-                raise TypeError(
-                    f"lossy must be a LossyLinkConfig or None, got {type(lossy).__name__}"
-                )
-            for link in lossy.per_link or ():
-                if not (0 <= link[0] < n and 0 <= link[1] < n):
-                    # Such an override never matches: the run would
-                    # silently follow the base rates.
-                    raise ValueError(
-                        f"lossy per_link override {link} names a process "
-                        f"outside [0, {n})"
-                    )
         self.n = n
         self.f = f
         self.pki = pki
@@ -526,12 +237,9 @@ class Simulation:
         self.eager_wakeups = eager_wakeups
         self.profile = profile
         self.delivery_mode = delivery_mode
-        self.lossy = lossy
         # Inactive configs compile to the exact reliable-model code paths:
         # `self._lossy is None` is the only check the hot paths make.
-        self._lossy = (
-            _LossyState(lossy, seed) if lossy is not None and lossy.active else None
-        )
+        self._lossy = _LossyState.for_run(lossy, seed, n)
         self.metrics = MetricsRecorder()
         # The kernel event bus.  Emission sites read this list reference
         # directly: `if subscribers:` is the whole no-subscriber cost.
@@ -566,8 +274,7 @@ class Simulation:
         # nothing looks a seq up then, `_by_seq` is None and `pos` unused.
         scheduler = adversary.scheduler
         self._in_flight: list[Envelope] = []
-        self._reference_loop = profile or delivery_mode == "classic"
-        positional = not self._reference_loop and _picks_by_position(scheduler)
+        positional = delivery_mode == "batched" and _picks_by_position(scheduler)
         self._by_seq: dict[int, Envelope] | None = None if positional else {}
         self._next_seq = 0
         self._pool = SchedulerPool(self)
@@ -596,6 +303,8 @@ class Simulation:
 
     def set_protocol(self, pid: int, factory: ProtocolFactory) -> None:
         """Install the protocol a (correct) process will run."""
+        if not 0 <= pid < self.n:
+            raise ValueError(f"invalid process id {pid}")
         self._factories[pid] = factory
 
     def set_protocol_all(self, factory: ProtocolFactory) -> None:
@@ -655,40 +364,24 @@ class Simulation:
             )
 
     def _route_lossy(self, envelope: Envelope, fate: str, aux: float, hold: int) -> None:
-        """Apply a lossy link's ``fate`` to an envelope its sender just sent.
+        """Enter into the pool what a lossy link makes of a just-sent envelope.
 
-        The per-envelope routing :meth:`submit` and
-        :meth:`submit_broadcast` share; ``self._next_seq`` must already be
-        past ``envelope.seq``, because a duplicate's second copy takes the
-        next seq.  That copy is the network's, not the process's: it emits
-        a ``SendEvent`` but is not counted as a protocol send, and it
-        rolls no fate of its own (no recursive duplication).
+        Shared by :meth:`submit` and :meth:`submit_broadcast`;
+        ``self._next_seq`` must already be past ``envelope.seq``, because a
+        duplicate's twin takes the next seq.  The twin is the network's
+        copy: it emits a ``SendEvent`` but is no protocol send.
         """
-        lossy = self._lossy
-        kind = type(envelope.payload).__name__
-        if fate == "drop":
-            lossy.count("drops", kind)
-            return
-        if fate == "reorder":
-            lossy.count("reorders", kind)
-            release_at = self.deliveries + 1 + int(aux * hold)
-            heappush(lossy.held, (release_at, envelope.seq, envelope))
-            return
-        if fate == "corrupt":
-            corrupted = _bit_corrupt(envelope.payload, random.Random(int(aux * (1 << 53))))
-            if corrupted is not None:
-                lossy.count("corruptions", kind)
-                envelope.payload = corrupted
-        self._insert_in_flight(envelope)
-        if fate == "duplicate":
-            lossy.count("duplicates", kind)
-            twin = Envelope(
-                self._next_seq, envelope.sender, envelope.dest, envelope.payload,
-                envelope.depth, envelope.sender_correct, envelope.sent_step,
-            )
-            self._next_seq += 1
-            self._emit_send(twin)
-            self._insert_in_flight(twin)
+        copies = self._lossy.route(envelope, fate, aux, hold, self.deliveries)
+        if copies:
+            self._insert_in_flight(envelope)
+            if copies == 2:
+                twin = Envelope(
+                    self._next_seq, envelope.sender, envelope.dest, envelope.payload,
+                    envelope.depth, envelope.sender_correct, envelope.sent_step,
+                )
+                self._next_seq += 1
+                self._emit_send(twin)
+                self._insert_in_flight(twin)
 
     def submit_broadcast(self, sender: int, message: Message) -> None:
         """Submit ``message`` from ``sender`` to every process (self included).
@@ -988,19 +681,6 @@ class Simulation:
             last.pos = envelope.pos
         return envelope
 
-    def _release_held(self) -> None:
-        """Move reordered envelopes whose hold expired into the pool.
-
-        If the pool is empty while messages are still held, the earliest
-        is released immediately: a lossy link may delay but cannot
-        withhold forever -- only genuine drops can deadlock a run.
-        """
-        held = self._lossy.held
-        while held and held[0][0] <= self.deliveries:
-            self._insert_in_flight(heappop(held)[2])
-        if not self._in_flight:
-            self._insert_in_flight(heappop(held)[2])
-
     # -- main loop -----------------------------------------------------------------
 
     def _should_stop(self) -> bool:
@@ -1035,15 +715,21 @@ class Simulation:
             if pid not in self.corrupted:
                 self._advance(pid, None, first=True)
 
-        restore_verify = self._install_verify_timers() if self.profile else None
-        try:
-            if self._reference_loop:
-                self._run_reference()
-            else:
-                self._run_fast()
-        finally:
-            if restore_verify is not None:
-                restore_verify()
+        classic = self.delivery_mode == "classic"
+        loop = self._run_reference if classic else self._run_fast
+        if self.profile:
+            # Scheduling and verification both accrue inside the loop, so
+            # step = loop - schedule, and verify stays nested in step.
+            add_timing = self.metrics.add_timing
+            verify_before = self.pki.verify_seconds
+            start = time.perf_counter()
+            loop()
+            elapsed = time.perf_counter() - start
+            scheduling = self.metrics.phase_timings.get("kernel.schedule", 0.0)
+            add_timing("kernel.step", elapsed - scheduling)
+            add_timing("kernel.verify", self.pki.verify_seconds - verify_before)
+        else:
+            loop()
 
         # A run that hits its stop condition on exactly the last permitted
         # delivery terminated normally; only report exhaustion when the
@@ -1057,40 +743,33 @@ class Simulation:
             # RunResult/recordings/reports carry it without reaching back
             # into the simulation object.
             self.metrics.lossy_link = self.lossy_counters
-            self.metrics.lossy_by_kind = self.lossy_by_kind
+            self.metrics.lossy_by_kind = self._lossy.kinds_hit()
         return self
 
     def _run_reference(self) -> None:
         """The reference loop: one readable ``choose`` + step per delivery.
 
-        ``delivery_mode="classic"`` selects it so the equivalence tests
-        can hold :meth:`_run_fast` against it, and ``profile=True`` uses
-        it for the per-delivery ``kernel.schedule``/``kernel.step``
-        timers.  Every scheduler is asked through ``choose``, so the
-        kernel keeps the seq index here.
+        ``delivery_mode="classic"`` selects it, and only the equivalence
+        tests do, to hold :meth:`_run_fast` against it.  Every scheduler
+        is asked through ``choose``, so the kernel keeps the seq index
+        here.  It carries no timers: under ``profile=True`` its whole
+        duration is ``kernel.step``.
         """
         scheduler = self.adversary.scheduler
         corruption = self.adversary.corruption
         corruption_reacts = self._corruption_reacts
         held = self._lossy.held if self._lossy is not None else ()
-        profile = self.profile
-        perf = time.perf_counter
         while (self._in_flight or held) and self.deliveries < self.max_deliveries:
             if self._should_stop():
                 self._stopped = True
                 return
             if held:
-                self._release_held()
-            start = perf()
+                for envelope in self._lossy.due(self.deliveries, not self._in_flight):
+                    self._insert_in_flight(envelope)
             seq = scheduler.choose(self._pool)
-            chosen = perf()
-            if profile:
-                self.metrics.add_timing("kernel.schedule", chosen - start)
             envelope = self._remove_in_flight(seq)
             scheduler.on_delivered(seq)
             self._deliver(envelope)
-            if profile:
-                self.metrics.add_timing("kernel.step", perf() - chosen)
             if corruption_reacts and len(self.corrupted) < self.f:
                 view = EnvelopeView.of(envelope)
                 for pid in corruption.on_delivery(view, frozenset(self.corrupted)):
@@ -1098,7 +777,7 @@ class Simulation:
         self._stopped = self._should_stop()
 
     def _run_fast(self) -> None:
-        """The production loop (``delivery_mode="batched"``, the default).
+        """The loop every run takes (``delivery_mode="batched"``, the default).
 
         Per-envelope semantics are identical to :meth:`_run_reference`:
         the stop condition is checked before every delivery, the
@@ -1139,14 +818,25 @@ class Simulation:
         choose = scheduler.choose
         choose_index = scheduler.choose_index if by_seq is None else None
         on_delivered = scheduler.on_delivered
-        held = self._lossy.held if self._lossy is not None else ()
+        lossy = self._lossy
+        held = lossy.held if lossy is not None else ()
+        due = lossy.due if lossy is not None else None
+        insert = self._insert_in_flight
         # A hold breaks the drain contract's commitment, so an active lossy
         # config commits no batch; the base drain only ever declines.
         drain = (
             scheduler.drain
-            if self._lossy is None and type(scheduler).drain is not Scheduler.drain
+            if lossy is None and type(scheduler).drain is not Scheduler.drain
             else None
         )
+        if self.profile:
+            # Timed twins bound once, before the loop: an unprofiled run
+            # pays for no timer, not even a branch per delivery.
+            add_timing = metrics.add_timing
+            add_timing("kernel.schedule", 0.0)  # present even if nothing is scheduled
+            choose = _timed(choose, add_timing)
+            choose_index = choose_index and _timed(choose_index, add_timing)
+            drain = drain and _timed(drain, add_timing)
         chosen = -1  # seq to report through on_delivered, -1 for none
         # Monotone stop conditions (see runner.stop_when_all_decided) only
         # change value when decided/finished/corrupted grow; skip the call
@@ -1174,7 +864,8 @@ class Simulation:
                     self._stopped = True
                     return
             if held:
-                self._release_held()
+                for envelope in due(self.deliveries, not in_flight):
+                    insert(envelope)
             batch = drain and drain(pool, max_deliveries - self.deliveries)
             if batch:
                 # Drained seqs already left the scheduler's books: no
@@ -1303,79 +994,12 @@ class Simulation:
                         self.corrupt(pid)
         self._stopped = self._should_stop()
 
-    def _install_verify_timers(self) -> Callable[[], None]:
-        """Wrap the PKI's verify entry points with wall-clock accumulators.
-
-        Only active under ``profile=True``.  The wrappers are instance
-        attributes shadowing the bound methods, so the (possibly shared)
-        PKI object is restored by the returned callable as soon as the run
-        loop exits.  Verification time is nested inside ``kernel.step``.
-
-        Restoration reinstates the *prior* instance-attribute state (a
-        shared PKI may already carry instance-level verify wrappers, e.g.
-        from an outer profiled run); a bare ``del`` would destroy them and
-        raise if restore ran twice.  The returned callable is idempotent.
-        """
-        pki = self.pki
-        metrics = self.metrics
-        perf = time.perf_counter
-        original_vrf = pki.vrf_verify
-        original_sig = pki.signature_verify
-        # Prior *instance* state (distinct from the bound class methods
-        # captured above): what restore() must put back.
-        missing = object()
-        prior_vrf = pki.__dict__.get("vrf_verify", missing)
-        prior_sig = pki.__dict__.get("signature_verify", missing)
-
-        def timed_vrf(process_id, alpha, output):
-            start = perf()
-            try:
-                return original_vrf(process_id, alpha, output)
-            finally:
-                metrics.add_timing("kernel.verify", perf() - start)
-
-        def timed_sig(process_id, message, signature):
-            start = perf()
-            try:
-                return original_sig(process_id, message, signature)
-            finally:
-                metrics.add_timing("kernel.verify", perf() - start)
-
-        pki.vrf_verify = timed_vrf  # type: ignore[method-assign]
-        pki.signature_verify = timed_sig  # type: ignore[method-assign]
-
-        def restore() -> None:
-            if prior_vrf is missing:
-                pki.__dict__.pop("vrf_verify", None)
-            else:
-                pki.vrf_verify = prior_vrf  # type: ignore[method-assign]
-            if prior_sig is missing:
-                pki.__dict__.pop("signature_verify", None)
-            else:
-                pki.signature_verify = prior_sig  # type: ignore[method-assign]
-
-        return restore
-
     # -- post-run inspection ----------------------------------------------------
 
     @property
     def lossy_counters(self) -> dict[str, int]:
         """How often each lossy-link fate fired (all zero when disabled)."""
-        if self._lossy is None:
-            return {"drops": 0, "duplicates": 0, "reorders": 0, "corruptions": 0}
-        return dict(self._lossy.counters)
-
-    @property
-    def lossy_by_kind(self) -> dict[str, dict[str, int]]:
-        """Lossy fate counters split by message kind (empty when disabled)."""
-        state = self._lossy
-        if state is None:
-            return {}
-        return {
-            fate: dict(sorted(kinds.items()))
-            for fate, kinds in state.by_kind.items()
-            if kinds
-        }
+        return zero_counters() if self._lossy is None else dict(self._lossy.counters)
 
     @property
     def correct_pids(self) -> list[int]:

@@ -71,7 +71,7 @@ class Wait:
     *earliest* side effect.  ``0`` (the default) disables the floor;
     ``min_count`` is only honoured when ``instances`` is given (the floor
     is defined over the subscribed streams) and is ignored under
-    ``eager_wakeups``.
+    ``Simulation(eager_wakeups=True)``, the equivalence tests' reference.
     """
 
     condition: Callable[[Mailbox], Any]

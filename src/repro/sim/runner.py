@@ -9,6 +9,7 @@ from typing import Any, Callable, Sequence
 from repro.crypto.hashing import derive_seed
 from repro.crypto.pki import PKI
 from repro.sim.adversary import Adversary, RandomScheduler, StaticCorruption
+from repro.sim.lossy import zero_counters
 from repro.sim.metrics import MetricsRecorder
 from repro.sim.network import DEFAULT_MAX_DELIVERIES, Simulation
 from repro.sim.process import ProcessContext, ProtocolFactory
@@ -93,9 +94,7 @@ class RunResult:
     @property
     def lossy_counters(self) -> dict[str, int]:
         """Link-fault counters (all zero for reliable-model runs)."""
-        if self.metrics.lossy_link:
-            return dict(self.metrics.lossy_link)
-        return {"drops": 0, "duplicates": 0, "reorders": 0, "corruptions": 0}
+        return {**zero_counters(), **self.metrics.lossy_link}
 
     @property
     def lossy_by_kind(self) -> dict[str, dict[str, int]]:
@@ -196,9 +195,7 @@ def run_protocol(
     stop_condition: Callable[[Simulation], bool] | None = stop_when_all_returned,
     max_deliveries: int = DEFAULT_MAX_DELIVERIES,
     protocols_by_pid: dict[int, ProtocolFactory] | None = None,
-    eager_wakeups: bool = False,
     profile: bool = False,
-    delivery_mode: str = "batched",
     lossy: Any = None,
     observers: Sequence[Any] | None = None,
 ) -> RunResult:
@@ -207,13 +204,12 @@ def run_protocol(
     By default every process runs ``protocol``, the ``corrupt`` pid set is
     statically Byzantine-silent, scheduling is uniformly random (seeded
     from ``seed``), the ``pki`` is created here, and the run stops when
-    every correct process's generator returns.  ``eager_wakeups=True``
-    disables instance-keyed wait wakeups and ``delivery_mode="classic"``
-    selects the kernel's reference loop in place of the default fast loop
-    (observably identical -- see ``Simulation``); both exist for
-    equivalence testing, as does a ``pki`` built with
-    ``verify_cache=False``.  ``profile=True`` turns on the wall-clock
-    kernel/span timers (``metrics.phase_timings``).
+    every correct process's generator returns.  Every run takes the
+    kernel's one production loop; the reference switches the equivalence
+    tests compare it against are ``Simulation`` keywords, not offered
+    here (a ``pki`` built with ``verify_cache=False`` is the third such
+    reference).  ``profile=True`` adds the wall-clock kernel/span timers
+    (``metrics.phase_timings``) to that same loop.
 
     ``observers`` is the one attachment seam.  An observer is any object
     with ``on_event(event)`` and, optionally, ``begin_run()`` and
@@ -228,12 +224,11 @@ def run_protocol(
     irrelevant; with none attached a run does no observability work
     beyond one list-truthiness check per emission site.
 
-    ``lossy`` attaches a :class:`~repro.sim.network.LossyLinkConfig`
+    ``lossy`` attaches a :class:`~repro.sim.lossy.LossyLinkConfig`
     enabling the lossy-link model *extension* (per-link drop / duplicate
     / reorder / bit-corrupt fates, deterministic from ``seed``).  ``None``
     or an all-zero config keeps the run byte-identical to the reliable
-    model; an active config runs on either kernel loop (see
-    ``Simulation``).
+    model.
     """
     # Reject bad arguments before paying for key generation.
     if adversary is not None and corrupt is not None:
@@ -244,6 +239,9 @@ def run_protocol(
                 f"observers[{index}] ({type(observer).__name__}) has no "
                 "callable on_event"
             )
+    for pid in protocols_by_pid or ():
+        if not 0 <= pid < n:
+            raise ValueError(f"invalid process id {pid} in protocols_by_pid")
     if pki is None:
         rng = random.Random(derive_seed(seed, "setup"))
         pki = PKI.create(n, backend=backend, rng=rng)
@@ -261,9 +259,7 @@ def run_protocol(
         params=params,
         max_deliveries=max_deliveries,
         stop_condition=stop_condition,
-        eager_wakeups=eager_wakeups,
         profile=profile,
-        delivery_mode=delivery_mode,
         lossy=lossy,
     )
     for observer in observers or ():

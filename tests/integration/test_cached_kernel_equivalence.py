@@ -2,7 +2,8 @@
 
 Runs the same (protocol, scheduler, seed) cell through the optimised
 kernel (verification cache on, instance-keyed wakeups honoured) and the
-reference kernel (cache off, eager wakeups) and asserts every observable
+reference kernel (cache off, ``Simulation(eager_wakeups=True)`` through
+``tests.conftest.run_on_kernel``) and asserts every observable
 RunResult field matches -- across the scheduler zoo for the shared coin,
 and under random scheduling for WHP coin and full Byzantine Agreement.
 This is the soundness certificate for DESIGN.md's cache/wakeup argument.
@@ -19,10 +20,16 @@ from repro.core.shared_coin import shared_coin
 from repro.core.whp_coin import whp_coin
 from repro.crypto.pki import PKI
 from repro.experiments.protocols import make_runner
-from repro.sim.adversary import Adversary, StaticCorruption
+from repro.crypto.hashing import derive_seed
+from repro.sim.adversary import Adversary, RandomScheduler, StaticCorruption
 from repro.sim.diffing import divergence_hint
-from repro.sim.runner import RunResult, run_protocol, stop_when_all_decided
+from repro.sim.runner import (
+    RunResult,
+    stop_when_all_decided,
+    stop_when_all_returned,
+)
 
+from tests.conftest import run_on_kernel
 from tests.integration.test_determinism_matrix import SCHEDULER_FACTORIES
 
 N, F = 10, 2
@@ -60,10 +67,18 @@ def run_shared_coin(scheduler_name: str, seed: int, fast: bool) -> RunResult:
         scheduler=SCHEDULER_FACTORIES[scheduler_name](seed),
         corruption=StaticCorruption({0, 1}),
     )
-    return run_protocol(
+    return run_on_kernel(
         N, F, lambda ctx: shared_coin(ctx, 0),
         adversary=adversary, pki=pki, params=ProtocolParams(n=N, f=F), seed=seed,
-        eager_wakeups=not fast,
+        stop_condition=stop_when_all_returned, eager_wakeups=not fast,
+    )
+
+
+def default_adversary(seed: int, f: int) -> Adversary:
+    """What ``run_protocol(corrupt=set(range(f)), seed=seed)`` builds."""
+    return Adversary(
+        scheduler=RandomScheduler(random.Random(derive_seed(seed, "sched"))),
+        corruption=StaticCorruption(set(range(f))),
     )
 
 
@@ -86,11 +101,11 @@ def test_whp_coin_equivalence(seed):
     params = ProtocolParams.simulation_scale(n=n, f=f)
 
     def run(fast: bool) -> RunResult:
-        return run_protocol(
+        return run_on_kernel(
             n, f, lambda ctx: whp_coin(ctx, 0),
-            corrupt=set(range(f)), params=params, seed=seed,
+            adversary=default_adversary(seed, f), params=params, seed=seed,
             pki=PKI.create(n, rng=random.Random(seed), verify_cache=fast),
-            eager_wakeups=not fast,
+            stop_condition=stop_when_all_returned, eager_wakeups=not fast,
         )
 
     fast, slow = run(True), run(False)
@@ -107,8 +122,8 @@ def test_byzantine_agreement_equivalence(seed):
     factory, params, f = make_runner("whp_ba", n, seed=seed)
 
     def run(fast: bool) -> RunResult:
-        return run_protocol(
-            n, f, factory, corrupt=set(range(f)), params=params,
+        return run_on_kernel(
+            n, f, factory, adversary=default_adversary(seed, f), params=params,
             stop_condition=stop_when_all_decided, seed=seed,
             pki=PKI.create(n, rng=random.Random(seed), verify_cache=fast),
             eager_wakeups=not fast,

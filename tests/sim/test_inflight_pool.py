@@ -111,7 +111,7 @@ class TestBypassGuard:
         sim = make_sim(RandomScheduler(random.Random(1)))
         assert sim._by_seq is None
 
-    @pytest.mark.parametrize("kwargs", [{"delivery_mode": "classic"}, {"profile": True}])
+    @pytest.mark.parametrize("kwargs", [{"delivery_mode": "classic"}])
     def test_reference_loop_keeps_the_seq_index(self, kwargs):
         sim = make_sim(RandomScheduler(random.Random(1)), **kwargs)
         assert sim._by_seq == {}

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
+from typing import Any
 
 import pytest
 
 from repro.crypto.pki import PKI
-from repro.sim.adversary import Adversary, RandomScheduler
+from repro.sim.adversary import Adversary, FIFOScheduler, RandomScheduler
+from repro.sim.lossy import LossyLinkConfig
 from repro.sim.messages import Message
 from repro.sim.network import Simulation
 from repro.sim.process import Wait
+from repro.sim.runner import run_protocol
 
 
 @dataclass
@@ -20,11 +24,11 @@ class Tick(Message):
         return 1
 
 
-def make_sim(n=3, seed=0, **kwargs):
-    pki = PKI.create(n, rng=random.Random(seed))
+def make_sim(n=3, seed=0, scheduler=None, pki=None, **kwargs):
+    pki = pki or PKI.create(n, rng=random.Random(seed))
+    scheduler = scheduler or RandomScheduler(random.Random(seed))
     sim = Simulation(
-        n=n, f=0, pki=pki,
-        adversary=Adversary(scheduler=RandomScheduler(random.Random(seed))),
+        n=n, f=0, pki=pki, adversary=Adversary(scheduler=scheduler),
         seed=seed, **kwargs,
     )
     return sim
@@ -131,6 +135,16 @@ class TestSubmitValidation:
         with pytest.raises(ValueError, match="invalid sender"):
             sim.submit(3, 0, Tick("t"))
 
+    @pytest.mark.parametrize("pid", [-1, 3, 99])
+    def test_protocol_for_a_process_outside_the_system_rejected(self, pid, monkeypatch):
+        """Such a factory used to be stored and silently never run."""
+        with pytest.raises(ValueError, match=f"invalid process id {pid}"):
+            make_sim().set_protocol(pid, lambda ctx: iter(()))
+        # ...and run_protocol says so before paying for key generation.
+        monkeypatch.setattr(PKI, "create", None)
+        with pytest.raises(ValueError, match=f"invalid process id {pid}"):
+            run_protocol(3, 0, lambda ctx: iter(()), protocols_by_pid={pid: None})
+
 
 class TestLivelockDiagnostics:
     def test_error_names_wait_and_subscriptions(self):
@@ -155,44 +169,102 @@ class TestLivelockDiagnostics:
         assert "'round-3'" in text
 
 
+@dataclass
+class Attest(Message):
+    output: Any = None
+
+    def words(self) -> int:
+        return 1
+
+
+def attested(ctx):
+    """Everyone broadcasts a VRF output twice and verifies all it hears."""
+    ctx.broadcast(Attest("a", output=ctx.vrf(b"alpha")))
+    ctx.broadcast(Attest("a", output=ctx.vrf(b"alpha")))
+
+    def all_valid(mailbox):
+        stream = mailbox.stream("a")
+        if len(stream) < 2 * ctx.n:
+            return None
+        return all(ctx.verify_vrf(who, b"alpha", m.output) for who, m in stream)
+
+    return (yield Wait(all_valid, instances={"a"}))
+
+
+def run_attested(**kwargs):
+    sim = make_sim(n=5, **kwargs)
+    sim.set_protocol_all(attested)
+    start = time.perf_counter()
+    sim.run()
+    return sim, time.perf_counter() - start
+
+
+PROFILED_CASES = {
+    "random": lambda: {"scheduler": RandomScheduler(random.Random(4))},
+    "fifo": lambda: {"scheduler": FIFOScheduler()},
+    "lossy": lambda: {
+        "lossy": LossyLinkConfig(duplicate_rate=0.2, reorder_rate=0.3, reorder_hold=4)
+    },
+}
+
+
+class TestProfilerOnTheFastLoop:
+    """``profile=True`` times the loop every run takes; it selects nothing."""
+
+    @pytest.mark.parametrize("case", sorted(PROFILED_CASES))
+    def test_timers_describe_the_same_run(self, case):
+        bare, _ = run_attested(**PROFILED_CASES[case]())
+        profiled, wall = run_attested(profile=True, **PROFILED_CASES[case]())
+        assert profiled.returns == {pid: True for pid in range(5)}
+        if case == "fifo":
+            assert profiled.batched_deliveries > 0  # drained, as unprofiled
+        else:
+            assert profiled._by_seq is None  # positional, as unprofiled
+        if case == "lossy":
+            assert profiled.lossy_counters["reorders"] > 0
+        timings = profiled.metrics.phase_timings
+        assert {"kernel.schedule", "kernel.step", "kernel.verify"} <= set(timings)
+        assert all(seconds >= 0.0 for seconds in timings.values())
+        assert timings["kernel.schedule"] + timings["kernel.step"] <= wall
+        assert not bare.metrics.phase_timings
+        assert profiled.metrics.to_dict(include_timings=False) == (
+            bare.metrics.to_dict(include_timings=False)
+        )
+
+    def test_verify_time_is_scheme_time_on_misses(self):
+        """A PKI whose cache is off pays the scheme on every call."""
+        uncached = PKI.create(5, rng=random.Random(0), verify_cache=False)
+        profiled, _ = run_attested(profile=True, pki=uncached)
+        assert profiled.metrics.vrf_verifications == 50
+        timings = profiled.metrics.phase_timings
+        assert 0.0 < timings["kernel.verify"] <= timings["kernel.step"]
+        assert timings["kernel.verify"] == pytest.approx(uncached.verify_seconds)
+
+    def test_callers_verify_wrapper_is_left_alone_and_called(self):
+        """The ledger's tracer shadows ``pki.vrf_verify`` on the instance;
+        a profiled run calls that wrapper, leaves it installed, and never
+        touches the (possibly shared) PKI's attributes itself."""
+        pki = PKI.create(5, rng=random.Random(0))
+        inner = pki.vrf_verify
+        calls = []
+
+        def counted(process_id, alpha, output):
+            calls.append(set(pki.__dict__))
+            return inner(process_id, alpha, output)
+
+        pki.vrf_verify = counted
+        attributes = set(pki.__dict__)
+        profiled, _ = run_attested(profile=True, pki=pki)
+        assert len(calls) == profiled.metrics.vrf_verifications == 50
+        assert all(seen == attributes for seen in calls)
+        assert pki.__dict__["vrf_verify"] is counted
+        assert set(pki.__dict__) == attributes
+
+
 class TestVerifyTimerRestore:
-    def test_restore_reinstates_prior_wrapper(self):
-        """A shared PKI may already carry instance-level verify wrappers
-        (e.g. from an outer profiled run); restore() must put them back,
-        not delete them."""
-        sim = make_sim()
-        pki = sim.pki
-
-        def outer_wrapper(process_id, alpha, output):  # pragma: no cover
-            raise AssertionError("never called in this test")
-
-        pki.vrf_verify = outer_wrapper
-        restore = sim._install_verify_timers()
-        assert pki.vrf_verify is not outer_wrapper  # timers installed
-        restore()
-        assert pki.__dict__["vrf_verify"] is outer_wrapper
-        del pki.vrf_verify  # leave the module-scoped fixture clean
-
-    def test_restore_clears_when_no_prior_wrapper(self):
-        sim = make_sim()
-        pki = sim.pki
-        assert "vrf_verify" not in pki.__dict__
-        restore = sim._install_verify_timers()
-        assert "vrf_verify" in pki.__dict__
-        restore()
-        assert "vrf_verify" not in pki.__dict__
-        assert "signature_verify" not in pki.__dict__
-
-    def test_restore_is_idempotent(self):
-        sim = make_sim()
-        restore = sim._install_verify_timers()
-        restore()
-        restore()  # a bare `del` here would raise AttributeError
-        assert "vrf_verify" not in sim.pki.__dict__
-
     def test_profiled_run_leaves_shared_pki_clean(self):
-        """End to end: profile=True wraps, the run ends, the PKI is back
-        to its class-level methods."""
+        """End to end: a profiled run never shadows the PKI's class-level
+        verify methods, during or after."""
 
         def quick(ctx):
             ctx.broadcast(Tick("t"))

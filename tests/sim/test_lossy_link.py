@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import math
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -32,13 +35,9 @@ from repro.sim.adversary import (
 from repro.sim.events import event_to_record
 from repro.sim.flightrecorder import FlightRecorder
 from repro.sim.messages import Message
-from repro.sim import network
-from repro.sim.network import (
-    LossyLinkConfig,
-    Simulation,
-    _fate_thresholds,
-    _LossyState,
-)
+from repro.sim import lossy as lossy_module
+from repro.sim.lossy import LossyLinkConfig, _fate_thresholds, _LossyState
+from repro.sim.network import Simulation
 from repro.sim.process import Wait
 
 
@@ -105,6 +104,32 @@ def run_gossip(n=4, seed=0, recorder=None, **kwargs):
     sim.set_protocol_all(gossip_protocol)
     sim.run()
     return sim
+
+
+class TestSeam:
+    def test_kernel_module_still_exports_the_config(self):
+        """``benchmarks/perf/adapter.py`` imports it from there."""
+        from repro.sim.network import LossyLinkConfig as reexported
+
+        assert reexported is LossyLinkConfig
+
+    def test_link_layer_does_not_import_the_kernel(self):
+        """``repro.sim.lossy`` and everything it imports load without
+        ``repro.sim.network``.  The ``repro`` and ``repro.sim`` package
+        ``__init__``s import the kernel eagerly, so the subprocess stands
+        bare packages in for them and judges the module on its own
+        imports."""
+        package = Path(lossy_module.__file__).parent
+        script = (
+            "import sys, types\n"
+            f"for name, path in (('repro', {str(package.parent)!r}), "
+            f"('repro.sim', {str(package)!r})):\n"
+            "    sys.modules[name] = types.ModuleType(name)\n"
+            "    sys.modules[name].__path__ = [path]\n"
+            "import repro.sim.lossy\n"
+            "assert 'repro.sim.network' not in sys.modules, sorted(sys.modules)\n"
+        )
+        subprocess.run([sys.executable, "-c", script], check=True)
 
 
 class TestConfigValidation:
@@ -307,7 +332,7 @@ class TestFateFunction:
             built.append(seed)
             return random.Random(seed)
 
-        monkeypatch.setattr(network, "random", SimpleNamespace(Random=counting))
+        monkeypatch.setattr(lossy_module, "random", SimpleNamespace(Random=counting))
         sim = make_sim(n=8, lossy=LossyLinkConfig(duplicate_rate=0.2, reorder_rate=0.3))
         for sender in range(8):
             for _ in range(40):

@@ -9,6 +9,7 @@ import pytest
 
 from repro.crypto.pki import PKI
 from repro.sim.messages import Message
+from repro.sim.network import Simulation
 from repro.sim.process import Wait
 from repro.sim.runner import run_protocol, stop_when_all_decided
 
@@ -77,7 +78,17 @@ class TestRunProtocol:
             "n", "f", "protocol",
             "adversary", "corrupt", "seed", "pki", "backend", "params",
             "stop_condition", "max_deliveries", "protocols_by_pid",
-            "eager_wakeups", "profile", "delivery_mode", "lossy", "observers",
+            "profile", "lossy", "observers",
+        ]
+
+    def test_simulation_surface_is_pinned(self):
+        """``eager_wakeups`` and ``delivery_mode`` are the two reference
+        switches, for the equivalence tests; a third is a deliberate diff
+        here."""
+        assert list(inspect.signature(Simulation.__init__).parameters) == [
+            "self", "n", "f", "pki", "adversary", "seed", "params",
+            "max_deliveries", "stop_condition",
+            "eager_wakeups", "profile", "delivery_mode", "lossy",
         ]
 
     def test_adversary_and_corrupt_conflict(self):
