@@ -13,12 +13,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 __all__ = [
     "append_jsonl",
     "compare_results",
+    "iter_jsonl",
     "load_journal",
     "load_jsonl",
     "load_results",
@@ -67,44 +69,62 @@ def load_results(name: str, directory: str | Path) -> Any:
     return json.loads(path.read_text())
 
 
-def save_jsonl(path: str | Path, records: Any) -> Path:
+def save_jsonl(path: str | Path, records: Iterable[dict[str, Any]]) -> Path:
     """Write an iterable of records to ``path``, one JSON object per line.
 
     The streaming sibling of :func:`save_results`: flight recordings are
     schedule-sized (one line per kernel event), so they are written
-    line-by-line instead of as one indented document.
+    line-by-line instead of as one indented document, in canonical form
+    (sorted keys, no padding) so equal records give equal bytes.
+
+    Records must already be JSON-native -- the caller runs
+    :func:`to_jsonable` over the few values that may not be, never a
+    whole-record walk per line; anything else raises ``TypeError``.  The
+    lines go to a sibling ``.partial`` file that replaces ``path`` only
+    once ``records`` is exhausted, so a generator may validate as it goes
+    and raise: nothing is left behind and an older file at ``path``
+    survives.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as handle:
-        for record in records:
-            handle.write(json.dumps(to_jsonable(record), sort_keys=True))
-            handle.write("\n")
+    partial = path.with_name(path.name + ".partial")
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    try:
+        with partial.open("w") as handle:
+            handle.writelines(encode(record) + "\n" for record in records)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
     return path
 
 
-def load_jsonl(path: str | Path) -> list[dict[str, Any]]:
-    """Read a JSONL file back as a list of dicts (blank lines skipped).
+def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
+    """``(line number, record)`` for each line of a JSONL file (blank
+    lines skipped, numbering from 1).
 
     A line that is not valid JSON raises ``ValueError`` naming the file
     and line number -- the usual cause is a truncated write (killed run,
     full disk), and "line 812 is cut short" beats a bare decoder
     traceback.
     """
-    records = []
     with Path(path).open() as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(
                     f"{path}: line {lineno} is not valid JSON ({exc.msg}); "
                     "truncated or corrupt file?"
                 ) from exc
-    return records
+            yield lineno, record
+
+
+def load_jsonl(path: str | Path) -> list[dict[str, Any]]:
+    """A JSONL file's records as a list (see :func:`iter_jsonl`)."""
+    return [record for _, record in iter_jsonl(path)]
 
 
 def append_jsonl(path: str | Path, record: dict[str, Any]) -> None:

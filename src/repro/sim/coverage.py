@@ -109,7 +109,7 @@ def _abstract(value: Any) -> str:
     ``('whp_coin', 3)`` and ``('whp_coin', 7)`` are the same schedule
     site in different rounds; abstracting the integers makes them cover
     the same signature.  Deterministic for every JSON-round-trippable
-    instance label (tuples come back as tuples, see ``_as_instance``).
+    instance label (tuples come back as tuples, see ``events.instance_from_json``).
     """
     if isinstance(value, tuple):
         return "(" + ",".join(_abstract(item) for item in value) + ")"

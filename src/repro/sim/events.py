@@ -21,7 +21,8 @@ emission time, so events are totally ordered by (step, index-in-log).
 
 The JSONL flight-recording schema is versioned here
 (:data:`EVENT_SCHEMA`, :data:`EVENT_SCHEMA_VERSION`); bump the version
-whenever an event gains, loses or renames a field.
+whenever an event gains, loses or renames a field, or the file layout
+:mod:`repro.sim.flightrecorder` writes around the events changes.
 """
 
 from __future__ import annotations
@@ -48,7 +49,10 @@ __all__ = [
     "WaitWakeEvent",
     "event_from_record",
     "event_to_record",
+    "instance_from_json",
+    "require_schema_version",
     "summarize_payload",
+    "without_payload",
 ]
 
 EVENT_SCHEMA = "repro.flight"
@@ -57,7 +61,26 @@ EVENT_SCHEMA = "repro.flight"
 # DeliverEvent carries ``sent_step`` so link latency (how long the
 # adversary held a message) is a per-event subtraction instead of a
 # send/deliver join.
-EVENT_SCHEMA_VERSION = 2
+# v3: the events are unchanged, the *file* stops repeating itself.  A
+# message's summary is written once, as a ``payload`` line, and every
+# deliver line cites it by id; consecutive sends that differ only by
+# ``seq`` and ``dest`` both stepping by one (a broadcast) are one send
+# line with a ``count``.  Both expand on load.  There is no v2 reader:
+# no recording is tracked, all are regenerated artefacts, so an old file
+# gets the re-record diagnostic below.
+EVENT_SCHEMA_VERSION = 3
+
+
+def require_schema_version(version: Any, source: Any = None) -> None:
+    """Raise the one unknown-schema-version ``ValueError`` unless
+    ``version`` is this build's; ``source`` (a path) prefixes it."""
+    if version != EVENT_SCHEMA_VERSION:
+        prefix = f"{source}: " if source is not None else ""
+        raise ValueError(
+            f"{prefix}unknown {EVENT_SCHEMA} schema version {version!r}: this "
+            f"build reads version {EVENT_SCHEMA_VERSION}; re-record the run or "
+            "load it with a matching build"
+        )
 
 
 @dataclass(frozen=True)
@@ -128,6 +151,27 @@ class DeliverEvent:
     sent_step: int
     summary: PayloadSummary
     payload: Any = None
+
+
+def without_payload(event: DeliverEvent) -> DeliverEvent:
+    """``event`` minus its live payload reference: what an observer may keep.
+
+    Positional, and not ``dataclasses.replace``: observers call this once
+    per delivery, and ``replace`` re-reads every field through
+    ``fields()`` before it calls the same constructor.
+    """
+    return DeliverEvent(
+        event.step,
+        event.seq,
+        event.sender,
+        event.dest,
+        event.instance,
+        event.message_kind,
+        event.words,
+        event.depth,
+        event.sent_step,
+        event.summary,
+    )
 
 
 @dataclass(frozen=True)
@@ -231,6 +275,16 @@ _EVENT_TYPES: dict[str, type] = {
 }
 
 
+# Per class, the fields a record copies as they are -- computed once, so
+# no per-event ``fields()`` introspection.
+_RECORD_FIELDS: dict[type, tuple[str, ...]] = {
+    cls: tuple(
+        spec.name for spec in fields(cls) if spec.name not in ("summary", "payload")
+    )
+    for cls in _EVENT_TYPES.values()
+}
+
+
 class EventBus:
     """Dispatches kernel events to zero or more subscriber callables.
 
@@ -248,10 +302,33 @@ class EventBus:
     callables keep the raw :meth:`subscribe`.
     """
 
-    __slots__ = ("subscribers",)
+    __slots__ = ("subscribers", "_summaries")
 
     def __init__(self) -> None:
         self.subscribers: list[Callable[[KernelEvent], None]] = []
+
+    def summary_of(self, message: "Message") -> PayloadSummary:
+        """This run's one :class:`PayloadSummary` of the ``message`` object.
+
+        A broadcast hands one message object to n destinations, so its
+        ``repr`` and word count are taken at the first delivery and shared
+        by the rest.  Sound because a message is immutable once submitted
+        (``tests/sim/test_payload_memo.py`` recomputes both at every
+        delivery).  Keyed on identity, not cached on the message: the
+        lossy link's bit-corruption ``copy.copy``s a message, and the
+        clone must get a text of its own.  Each entry holds its message,
+        so an ``id`` cannot be reused while the entry lives.  The memo is
+        created on first use and goes with the run's ``Simulation``, which
+        owns this bus; no event or recording refers to it.
+        """
+        try:
+            memo = self._summaries
+        except AttributeError:
+            memo = self._summaries = {}
+        entry = memo.get(id(message))
+        if entry is None:
+            entry = memo[id(message)] = (summarize_payload(message), message)
+        return entry[0]
 
     def subscribe(self, callback: Callable[[KernelEvent], None]) -> Callable:
         """Register ``callback``; returns it (handy for unsubscribe)."""
@@ -334,58 +411,58 @@ def event_to_record(event: KernelEvent) -> dict[str, Any]:
 
     Deliver events drop the live payload reference and inline the
     summary's fields; everything else serialises field-for-field.  The
-    inverse is :func:`event_from_record`.
+    inverse is :func:`event_from_record`.  This is the one flat
+    definition of an event's fields: diff and violation reports show it,
+    and a recording's line is this record with the summary's text
+    swapped for a payload id (:func:`repro.sim.flightrecorder.encode_events`).
     """
     record: dict[str, Any] = {"k": event.kind}
-    for spec in fields(event):
-        value = getattr(event, spec.name)
-        if spec.name == "payload":
-            continue
-        if spec.name == "summary":
-            record["payload_words"] = value.words
-            record["payload_text"] = value.text
-            continue
-        record[spec.name] = value
+    for name in _RECORD_FIELDS[type(event)]:
+        record[name] = getattr(event, name)
+    if type(event) is DeliverEvent:
+        record["payload_words"] = event.summary.words
+        record["payload_text"] = event.summary.text
     return record
 
 
-def _as_instance(value: Any) -> Hashable:
+def instance_from_json(value: Any) -> Hashable:
     """Recover hashable instance labels from JSON round-trips (list->tuple)."""
     if isinstance(value, list):
-        return tuple(_as_instance(item) for item in value)
+        return tuple(instance_from_json(item) for item in value)
     return value
 
 
 def event_from_record(
-    record: dict[str, Any], version: int = EVENT_SCHEMA_VERSION
+    record: dict[str, Any],
+    version: int = EVENT_SCHEMA_VERSION,
+    summary: PayloadSummary | None = None,
 ) -> KernelEvent:
     """Rebuild a typed event from :func:`event_to_record` output.
 
     Tolerates JSON round-trips: instance tuples come back from lists.
-    Raises ``ValueError`` on unknown kinds or an unknown schema
-    ``version`` (pass the recording header's version through), so schema
-    drift fails loudly instead of misrendering.
+    A deliver record either carries its summary inline (``payload_words``
+    / ``payload_text``, the flat form) or the caller passes the shared
+    ``summary`` it resolved from a recording's payload table.  Raises
+    ``ValueError`` on unknown kinds, and on a ``version`` other than this
+    build's for callers that hand over records of another provenance.
     """
-    if version != EVENT_SCHEMA_VERSION:
-        raise ValueError(
-            f"unknown {EVENT_SCHEMA} schema version {version!r}: this build "
-            f"reads version {EVENT_SCHEMA_VERSION}; re-record the run or "
-            "load it with a matching build"
-        )
+    require_schema_version(version)
     data = dict(record)
     kind = data.pop("k", None)
     cls = _EVENT_TYPES.get(kind)
     if cls is None:
         raise ValueError(f"unknown event kind {kind!r} in record {record!r}")
-    if cls is DeliverEvent:
-        data["summary"] = PayloadSummary(
-            kind=data["message_kind"],
-            instance=_as_instance(data["instance"]),
-            words=data.pop("payload_words"),
-            text=data.pop("payload_text"),
-        )
     if "instance" in data:
-        data["instance"] = _as_instance(data["instance"])
+        data["instance"] = instance_from_json(data["instance"])
     if "value" in data:
-        data["value"] = _as_instance(data["value"])
+        data["value"] = instance_from_json(data["value"])
+    if cls is DeliverEvent:
+        if summary is None:
+            summary = PayloadSummary(
+                kind=data["message_kind"],
+                instance=data["instance"],
+                words=data.pop("payload_words"),
+                text=data.pop("payload_text"),
+            )
+        data["summary"] = summary
     return cls(**data)

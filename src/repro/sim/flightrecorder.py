@@ -4,8 +4,10 @@ A :class:`FlightRecorder` is an event-bus subscriber that keeps every
 kernel event of a run (with live payload references stripped, so the log
 stays valid after the run).  :func:`save_recording` /
 :func:`load_recording` move a recording through the schema-versioned
-JSONL format -- one header line, one line per event, one summary footer
--- via :mod:`repro.experiments.store`.  :func:`critical_path` walks a
+JSONL format -- one header line, the event lines of
+:func:`encode_events` (a payload table and broadcast send-runs instead
+of one full line per event), one summary footer -- via
+:mod:`repro.experiments.store`.  :func:`critical_path` walks a
 recorded event log back from the deepest decision along the causal
 depth chain, recovering the message sequence whose length *is* the run's
 running time (paper Section 2's longest causally-related chain).
@@ -17,10 +19,10 @@ be re-executed delivery-for-delivery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import chain
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.sim.events import (
     EVENT_SCHEMA,
@@ -28,9 +30,13 @@ from repro.sim.events import (
     DecideEvent,
     DeliverEvent,
     KernelEvent,
+    PayloadSummary,
     SendEvent,
     event_from_record,
     event_to_record,
+    instance_from_json,
+    require_schema_version,
+    without_payload,
 )
 
 if TYPE_CHECKING:
@@ -41,6 +47,8 @@ __all__ = [
     "Recording",
     "causal_chain",
     "critical_path",
+    "decode_events",
+    "encode_events",
     "load_recording",
     "save_recording",
 ]
@@ -68,7 +76,7 @@ class FlightRecorder:
 
     def on_event(self, event: KernelEvent) -> None:
         if type(event) is DeliverEvent and event.payload is not None:
-            event = replace(event, payload=None)
+            event = without_payload(event)
         self.events.append(event)
 
     def of_kind(self, kind: str) -> list[KernelEvent]:
@@ -135,6 +143,161 @@ def _replay_scheduler(events):
     return ReplayScheduler(_delivery_order(events), seqs=_delivery_seqs(events))
 
 
+# What the sends of one broadcast share: every field but the two that
+# step by one.
+_SEND_RUN_KEY = attrgetter(
+    *(spec.name for spec in fields(SendEvent) if spec.name not in ("seq", "dest"))
+)
+
+
+def encode_events(events: Iterable[KernelEvent]) -> Iterator[dict[str, Any]]:
+    """The JSON-native event lines of a recording, from an event stream.
+
+    Each line is the event's :func:`~repro.sim.events.event_to_record`
+    with two savings, both a pure function of the stream (the kernel is
+    not involved) and both undone by :func:`decode_events`:
+
+    * **Payload table.**  A deliver line cites its summary as
+      ``payload_id``; the summary itself (kind, instance, words, text) is
+      one ``{"k": "payload", "id": ...}`` line written immediately before
+      the first deliver that cites it.  Equal summaries share an id, so
+      the n deliveries of a broadcast write its text once.
+    * **Send-runs.**  Consecutive send events that differ only
+      by ``seq`` and ``dest`` both stepping by one are a single send line
+      with a ``count`` (omitted when 1).  A broadcast is one line;
+      unicasts, Byzantine per-destination sends and a lossy link's
+      duplicate twins simply do not group.
+
+    Lazy, so a recorder that streams can feed it as events arrive.
+    """
+    from repro.experiments.store import to_jsonable
+
+    instances: dict[Any, Any] = {}
+
+    def jsonable(instance: Any) -> Any:
+        # One to_jsonable walk per distinct instance label, not per event.
+        try:
+            return instances[instance]
+        except KeyError:
+            value = instances[instance] = to_jsonable(instance)
+            return value
+
+    def send_line(head: SendEvent, count: int) -> dict[str, Any]:
+        record = event_to_record(head)
+        record["instance"] = jsonable(head.instance)
+        if count > 1:
+            record["count"] = count
+        return record
+
+    payload_ids: dict[PayloadSummary, int] = {}
+    head: SendEvent | None = None
+    head_key: tuple = ()
+    count = 0
+    for event in events:
+        cls = type(event)
+        if cls is SendEvent:
+            if head is not None:
+                if (
+                    event.seq == head.seq + count
+                    and event.dest == head.dest + count
+                    and _SEND_RUN_KEY(event) == head_key
+                ):
+                    count += 1
+                    continue
+                yield send_line(head, count)
+            head, head_key, count = event, _SEND_RUN_KEY(event), 1
+            continue
+        if head is not None:
+            yield send_line(head, count)
+            head = None
+        record = event_to_record(event)
+        if cls is DeliverEvent:
+            summary = event.summary
+            payload_id = payload_ids.get(summary)
+            if payload_id is None:
+                payload_id = payload_ids[summary] = len(payload_ids)
+                yield {
+                    "k": "payload",
+                    "id": payload_id,
+                    "kind": summary.kind,
+                    "instance": jsonable(summary.instance),
+                    "words": summary.words,
+                    "text": summary.text,
+                }
+            del record["payload_words"], record["payload_text"]
+            record["payload_id"] = payload_id
+        if "instance" in record:
+            record["instance"] = jsonable(record["instance"])
+        if "value" in record:
+            record["value"] = to_jsonable(record["value"])
+        yield record
+    if head is not None:
+        yield send_line(head, count)
+
+
+def _decode_line(
+    record: dict[str, Any], payloads: dict[Any, PayloadSummary]
+) -> tuple[KernelEvent, ...]:
+    """The events one :func:`encode_events` line stands for (none for a
+    payload line, which extends ``payloads`` instead)."""
+    kind = record["k"]
+    if kind == "payload":
+        payload_id = record["id"]
+        if payload_id in payloads:
+            raise ValueError(f"duplicate payload id {payload_id!r}")
+        payloads[payload_id] = PayloadSummary(
+            kind=record["kind"],
+            instance=instance_from_json(record["instance"]),
+            words=record["words"],
+            text=record["text"],
+        )
+        return ()
+    record = dict(record)
+    if kind == "deliver":
+        payload_id = record.pop("payload_id")
+        if payload_id not in payloads:
+            raise ValueError(
+                f"deliver seq {record.get('seq')!r} cites payload id "
+                f"{payload_id!r}, which no earlier payload line defines"
+            )
+        return (event_from_record(record, summary=payloads[payload_id]),)
+    if kind == "send":
+        count = record.pop("count", 1)
+        if type(count) is not int or count < 1:
+            raise ValueError(f"send count {count!r} is not a positive integer")
+        first = event_from_record(record)
+        shared = vars(first)
+        return (first,) + tuple(
+            SendEvent(**{**shared, "seq": first.seq + step, "dest": first.dest + step})
+            for step in range(1, count)
+        )
+    return (event_from_record(record),)
+
+
+def decode_events(
+    numbered: Iterable[tuple[int, dict[str, Any]]], source: Any = "<records>"
+) -> Iterator[KernelEvent]:
+    """The event stream behind ``(line number, record)`` pairs of
+    :func:`encode_events` lines: its exact inverse.
+
+    Send-runs expand to one :class:`SendEvent` per destination and every
+    deliver gets the (shared) summary its ``payload_id`` names; a payload
+    line nothing cites is fine.  A malformed line -- a deliver citing an
+    id no earlier payload line defines, a duplicate payload id, a send
+    ``count`` below one, an unknown kind, a missing or surplus field --
+    raises a one-line ``ValueError`` naming ``source`` and the line.
+    """
+    payloads: dict[Any, PayloadSummary] = {}
+    for lineno, record in numbered:
+        try:
+            decoded = _decode_line(record, payloads)
+        except KeyError as exc:
+            raise ValueError(f"{source}: line {lineno}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{source}: line {lineno}: {exc}") from None
+        yield from decoded
+
+
 def save_recording(
     path: str | Path,
     recorder: FlightRecorder,
@@ -143,10 +306,11 @@ def save_recording(
 ) -> Path:
     """Write a run's flight recording to ``path`` as schema-versioned JSONL.
 
-    Line 1 is the header (schema name/version and run identity), then one
-    line per event, then a ``summary`` footer carrying the persisted
-    metrics (timings included -- a recording documents one concrete run)
-    and the protocol rollups, so reports render without re-execution.
+    Line 1 is the header (schema name/version and run identity), then the
+    :func:`encode_events` lines, then a ``summary`` footer carrying the
+    persisted metrics (timings included -- a recording documents one
+    concrete run) and the protocol rollups, so reports render without
+    re-execution.
 
     ``protocol`` names the protocol/scenario registry entry the run came
     from (``make_runner``/``make_scenario``); recordings that carry it
@@ -155,15 +319,11 @@ def save_recording(
 
     Raises ``ValueError`` when the log's delivery count is not the
     result's: the recorder watched a different run, or more than one.
+    The count is taken while writing, and the store only moves a
+    completed file to ``path``, so nothing is left there.
     """
-    from repro.experiments.store import save_jsonl
+    from repro.experiments.store import save_jsonl, to_jsonable
 
-    delivered = len(recorder.delivery_seqs())
-    if delivered != result.deliveries:
-        raise ValueError(
-            f"{path}: recorder holds {delivered} deliveries but the result "
-            f"reports {result.deliveries}; it did not record exactly this run"
-        )
     header = {
         "k": "header",
         "schema": EVENT_SCHEMA,
@@ -186,49 +346,68 @@ def save_recording(
         "metrics": result.metrics.to_dict(),
         "protocol": result.metrics.protocol_summary(),
     }
-    records = chain([header], map(event_to_record, recorder.events), [summary])
-    return save_jsonl(path, records)
+
+    def lines() -> Iterator[dict[str, Any]]:
+        yield to_jsonable(header)
+        delivered = 0
+        for record in encode_events(recorder.events):
+            delivered += record["k"] == "deliver"
+            yield record
+        if delivered != result.deliveries:
+            raise ValueError(
+                f"{path}: recorder holds {delivered} deliveries but the result "
+                f"reports {result.deliveries}; it did not record exactly this run"
+            )
+        yield to_jsonable(summary)
+
+    return save_jsonl(path, lines())
 
 
 def load_recording(path: str | Path) -> Recording:
     """Load a :func:`save_recording` file back into typed events.
 
-    Raises ``ValueError`` on anything that is not a complete recording of
-    this build's schema -- empty file, missing header, unknown schema or
-    version, a truncated line (diagnosed with its line number by the
-    store), or a missing summary footer (the writer always ends with one,
-    so its absence means the recording was cut short) -- so stale or
-    damaged recordings fail loudly rather than misrender.
+    Raises a one-line ``ValueError`` on anything that is not a complete
+    recording of this build's schema -- empty file, missing header,
+    unknown schema or version, a truncated line (diagnosed with its line
+    number by the store), an event line :func:`decode_events` rejects,
+    anything after the summary footer (a second footer included), or a
+    missing footer (the writer always ends with one, so its absence means
+    the recording was cut short) -- so stale or damaged recordings fail
+    loudly rather than misrender.
     """
-    from repro.experiments.store import load_jsonl
+    from repro.experiments.store import iter_jsonl
 
-    records = load_jsonl(path)
-    if not records:
+    numbered = iter_jsonl(path)
+    _, header = next(numbered, (0, None))
+    if header is None:
         raise ValueError(f"{path}: empty file (not a flight recording)")
-    if records[0].get("k") != "header":
+    if not isinstance(header, dict) or header.get("k") != "header":
         raise ValueError(f"{path}: not a flight recording (no header line)")
-    header = records[0]
     if header.get("schema") != EVENT_SCHEMA:
         raise ValueError(f"{path}: unknown schema {header.get('schema')!r}")
-    version = header.get("version")
-    if version != EVENT_SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: schema version {version!r}, "
-            f"expected {EVENT_SCHEMA_VERSION}"
-        )
-    summary: dict[str, Any] = {}
-    events = []
-    for record in records[1:]:
-        if record.get("k") == "summary":
-            summary = record
-            continue
-        events.append(event_from_record(record, version=version))
-    if not summary:
+    require_schema_version(header.get("version"), path)
+    summary: dict[str, Any] | None = None
+
+    def event_lines() -> Iterator[tuple[int, dict[str, Any]]]:
+        nonlocal summary
+        for lineno, record in numbered:
+            if summary is not None:
+                raise ValueError(
+                    f"{path}: line {lineno}: a {record.get('k')!r} line follows "
+                    "the summary footer, which ends a recording"
+                )
+            if record.get("k") == "summary":
+                summary = record
+            else:
+                yield lineno, record
+
+    events = tuple(decode_events(event_lines(), path))
+    if summary is None:
         raise ValueError(
             f"{path}: no summary footer after {len(events)} events; "
             "the recording is truncated"
         )
-    return Recording(header=header, events=tuple(events), summary=summary)
+    return Recording(header=header, events=events, summary=summary)
 
 
 def critical_path(events, target: DecideEvent | None = None) -> list[dict[str, Any]]:

@@ -36,7 +36,7 @@ Severities separate hard failures from expected whp mass:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
 
 from repro.sim.events import (
@@ -45,6 +45,7 @@ from repro.sim.events import (
     DeliverEvent,
     KernelEvent,
     event_to_record,
+    without_payload,
 )
 from repro.sim.flightrecorder import critical_path
 
@@ -757,7 +758,7 @@ class MonitorSuite:
 
     def on_event(self, event: KernelEvent) -> None:
         if type(event) is DeliverEvent and event.payload is not None:
-            event = replace(event, payload=None)
+            event = without_payload(event)
         events = self.events
         events.append(event)
         for monitor in self._dispatch.get(type(event), ()):

@@ -35,7 +35,6 @@ from repro.sim.events import (
     SendEvent,
     WaitBlockEvent,
     WaitWakeEvent,
-    summarize_payload,
 )
 from repro.sim.lossy import LossyLinkConfig, _LossyState, zero_counters
 from repro.sim.messages import Envelope, EnvelopeView, Message
@@ -603,6 +602,7 @@ class Simulation:
         self.metrics.record_delivery(envelope)
         if self._subscribers:
             payload = envelope.payload
+            summary = self.events.summary_of(payload)
             self.events.emit(
                 DeliverEvent(
                     step=self.deliveries,
@@ -610,11 +610,11 @@ class Simulation:
                     sender=envelope.sender,
                     dest=envelope.dest,
                     instance=payload.instance,
-                    message_kind=type(payload).__name__,
-                    words=payload.words(),
+                    message_kind=summary.kind,
+                    words=summary.words,
                     depth=envelope.depth,
                     sent_step=envelope.sent_step,
-                    summary=summarize_payload(payload),
+                    summary=summary,
                     payload=payload,
                 )
             )
@@ -916,6 +916,7 @@ class Simulation:
                 metrics.words_delivered += payload.words()
                 payload_instance = payload.instance
                 if subscribers:
+                    summary = self.events.summary_of(payload)
                     emit(
                         DeliverEvent(
                             step=self.deliveries,
@@ -923,11 +924,11 @@ class Simulation:
                             sender=envelope.sender,
                             dest=envelope.dest,
                             instance=payload_instance,
-                            message_kind=type(payload).__name__,
-                            words=payload.words(),
+                            message_kind=summary.kind,
+                            words=summary.words,
                             depth=envelope.depth,
                             sent_step=envelope.sent_step,
-                            summary=summarize_payload(payload),
+                            summary=summary,
                             payload=payload,
                         )
                     )

@@ -207,3 +207,40 @@ class TestEventSchemaVersion:
         with pytest.raises(SystemExit) as excinfo:
             main(["report", str(recording)])
         assert "version" in str(excinfo.value)
+
+    V2_HEADER = '{"k": "header", "schema": "repro.flight", "version": 2}\n'
+
+    @pytest.mark.parametrize(
+        "command", ["report", "export", "diff", "explain", "fuzz", "coverage"]
+    )
+    def test_every_recording_command_gives_the_one_diagnostic(
+        self, command, tmp_path, monkeypatch
+    ):
+        """A v2 file (there is no v2 reader) fails each command with the
+        same one line, raised where the header is read."""
+        monkeypatch.chdir(tmp_path)
+        old = tmp_path / "old.jsonl"
+        old.write_text(self.V2_HEADER)
+        argv = [command, str(old)] + ([str(old)] if command == "diff" else [])
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = str(excinfo.value)
+        assert message == (
+            f"repro {command}: {old}: unknown repro.flight schema version 2: "
+            "this build reads version 3; re-record the run or load it with a "
+            "matching build"
+        )
+
+    def test_dashboard_degrades_to_the_same_diagnostic(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """The dashboard never refuses to render: its one line is a note."""
+        monkeypatch.chdir(tmp_path)
+        old = tmp_path / "old.jsonl"
+        old.write_text(self.V2_HEADER)
+        assert main(["dashboard", str(old), "--out", str(tmp_path / "d.html")]) == 0
+        out = capsys.readouterr().out
+        assert (
+            f"note: recording unusable: {old}: unknown repro.flight schema "
+            "version 2: this build reads version 3; re-record the run"
+        ) in out
