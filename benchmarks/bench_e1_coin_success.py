@@ -10,31 +10,17 @@ from __future__ import annotations
 
 from conftest import once
 
-from repro.experiments import coin_success
+from repro.experiments.registry import EXPERIMENTS
 
-N = 24
-F_VALUES = (0, 1, 2, 3, 4, 5, 6, 7)
-SEEDS = range(60)
+E1 = EXPERIMENTS["e1"]
 
 
 def test_e1_success_vs_epsilon(benchmark, save_report):
-    points = once(benchmark, lambda: coin_success.run(n=N, f_values=F_VALUES, seeds=SEEDS))
+    points = once(benchmark, lambda: E1.run(**E1.budget))
     for point in points:
         assert point.estimate.mean >= max(0.0, 2 * point.paper_bound) - 1e-9
     assert points[0].estimate.mean == 1.0  # f = 0: perfect coin
     rates = [point.estimate.mean for point in points]
     # Shape: rate does not collapse as f grows within the tolerated range.
     assert min(rates) >= 0.5
-    save_report(
-        "E1_coin_success",
-        f"E1: Algorithm 1 agreement rate vs epsilon (n={N}, {len(list(SEEDS))} seeds/point)\n\n"
-        + coin_success.format_coin_success(points),
-    )
-
-
-def test_e1_single_point_timing(benchmark):
-    counter = iter(range(10**9))
-    benchmark.pedantic(
-        lambda: coin_success.run_point(N, 4, [next(counter)]),
-        rounds=1, iterations=3,
-    )
+    save_report(*E1.artefact(points))

@@ -10,24 +10,16 @@ from __future__ import annotations
 
 from conftest import once
 
-from repro.experiments import common_values
+from repro.experiments.registry import EXPERIMENTS
 
-N = 24
-F_VALUES = (0, 2, 4, 6)
-SEEDS = range(25)
+E1B = EXPERIMENTS["e1b"]
 
 
 def test_e1b_common_values_vs_lemma_4_2(benchmark, save_report):
-    points = once(
-        benchmark, lambda: common_values.run(n=N, f_values=F_VALUES, seeds=SEEDS)
-    )
+    points = once(benchmark, lambda: E1B.run(**E1B.budget))
     for point in points:
         assert point.min_c >= point.paper_bound_c - 1e-9, point.f
         # Agreement can only happen at least as often as 'min common'
         # forces it (the converse direction of Lemma 4.6).
         assert point.agreement_rate >= point.min_common_rate - 1e-9
-    save_report(
-        "E1b_common_values",
-        f"E1b: common values per run (n={N}, {len(list(SEEDS))} seeds/point)\n\n"
-        + common_values.format_common_values(points),
-    )
+    save_report(*E1B.artefact(points))

@@ -16,19 +16,13 @@ from __future__ import annotations
 
 from conftest import once
 
-from repro.experiments import committee_bounds
+from repro.experiments.registry import E2_SIMULATION_SCALE, EXPERIMENTS
 
-SEEDS = range(100)
+E2A, E2B = EXPERIMENTS["e2"], E2_SIMULATION_SCALE
 
 
 def test_e2_paper_lambda(benchmark, save_report):
-    points = once(
-        benchmark,
-        lambda: committee_bounds.run(
-            n_values=(100, 400, 1600, 6400), f_fraction=0.1,
-            seeds=SEEDS, paper_lambda=True,
-        ),
-    )
+    points = once(benchmark, lambda: E2A.run(**E2A.budget))
     for point in points:
         for name in ("S1", "S2", "S3", "S4"):
             measured = point.violations[name] / point.trials
@@ -36,26 +30,12 @@ def test_e2_paper_lambda(benchmark, save_report):
             bound = min(1.0, point.chernoff[name])
             sigma = (bound * (1 - bound) / point.trials) ** 0.5
             assert measured <= bound + 4 * sigma + 0.05, (point.params.n, name)
-    save_report(
-        "E2_committee_bounds_paper",
-        f"E2a: S1-S4 violation rates, paper lambda = 8 ln n ({len(list(SEEDS))} seeds)\n\n"
-        + committee_bounds.format_committee_bounds(points),
-    )
+    save_report(*E2A.artefact(points))
 
 
 def test_e2_simulation_scale(benchmark, save_report):
-    points = once(
-        benchmark,
-        lambda: committee_bounds.run(
-            n_values=(100, 400, 1600), f_fraction=0.05,
-            seeds=SEEDS, paper_lambda=False,
-        ),
-    )
+    points = once(benchmark, lambda: E2B.run(**E2B.budget))
     for point in points:
         assert point.violations["S3"] / point.trials <= 0.05, point.params.n
         assert point.violations["S4"] / point.trials <= 0.05, point.params.n
-    save_report(
-        "E2_committee_bounds_simscale",
-        f"E2b: S1-S4 violation rates, simulation-scale parameters ({len(list(SEEDS))} seeds)\n\n"
-        + committee_bounds.format_committee_bounds(points),
-    )
+    save_report(*E2B.artefact(points))

@@ -10,18 +10,13 @@ from __future__ import annotations
 
 from conftest import once
 
-from repro.experiments import whp_coin_sweep
+from repro.experiments.registry import EXPERIMENTS
 
-N, F = 120, 4
-D_VALUES = (0.005, 0.01, 0.02, 0.04)
-SEEDS = range(30)
+E3 = EXPERIMENTS["e3"]
 
 
 def test_e3_success_vs_d(benchmark, save_report):
-    points = once(
-        benchmark,
-        lambda: whp_coin_sweep.run(n=N, f=F, d_values=D_VALUES, seeds=SEEDS),
-    )
+    points = once(benchmark, lambda: E3.run(**E3.budget))
     for point in points:
         if point.live:
             bound = max(0.0, 2 * point.paper_bound)
@@ -31,20 +26,4 @@ def test_e3_success_vs_d(benchmark, save_report):
     live_rates = [point.live / point.trials for point in points]
     assert live_rates[0] >= live_rates[-1] - 0.1
     assert live_rates[0] >= 0.9
-    save_report(
-        "E3_whp_coin",
-        f"E3: Algorithm 2 agreement and liveness vs d (n={N}, f={F}, "
-        f"{len(list(SEEDS))} seeds/point)\n\n"
-        + whp_coin_sweep.format_whp_coin(points),
-    )
-
-
-def test_e3_single_run_timing(benchmark):
-    from repro.core.params import ProtocolParams
-
-    params = ProtocolParams.simulation_scale(n=N, f=F)
-    counter = iter(range(10**9))
-    benchmark.pedantic(
-        lambda: whp_coin_sweep.run_point(params, [next(counter)]),
-        rounds=1, iterations=2,
-    )
+    save_report(*E3.artefact(points))

@@ -17,21 +17,13 @@ from __future__ import annotations
 
 from conftest import once
 
-from repro.experiments import scaling
+from repro.experiments.registry import EXPERIMENTS
 
-N_VALUES = (50, 100, 200, 400)
-SEEDS = range(2)
+E4 = EXPERIMENTS["e4"]
 
 
 def test_e4_scaling_curves(benchmark, save_report, save_json):
-    curves = once(
-        benchmark,
-        lambda: scaling.run(
-            n_values=N_VALUES, seeds=SEEDS,
-            protocols=("cachin", "mmr+alg1", "whp_ba"),
-            f=2, whp_sigmas=3.0,
-        ),
-    )
+    curves = once(benchmark, lambda: E4.run(**E4.budget))
     by_name = {curve.protocol: curve for curve in curves}
     assert by_name["cachin"].slope_words_per_round > 1.8
     assert by_name["mmr+alg1"].slope_words_per_round > 1.8
@@ -42,15 +34,5 @@ def test_e4_scaling_curves(benchmark, save_report, save_json):
     )
     # Message-count crossover by the top of the sweep.
     assert by_name["whp_ba"].mean_messages[-1] < by_name["mmr+alg1"].mean_messages[-1]
-    from repro.analysis.complexity import predicted_crossover
-
-    word_crossover = predicted_crossover("whp_ba", "mmr")
-    save_report(
-        "E4_scaling",
-        f"E4: words/messages vs n, split inputs, f=2 fixed, "
-        f"{len(list(SEEDS))} seeds/point\n\n"
-        + scaling.format_scaling(curves)
-        + f"\n\nmodel-predicted word crossover vs MMR (lam = 8 ln n): "
-        f"n ~ {word_crossover:,}",
-    )
-    save_json("E4_scaling", curves)
+    save_report(*E4.artefact(curves))
+    save_json(E4.results, curves)

@@ -35,6 +35,7 @@ import time
 
 from repro.experiments.protocols import make_runner
 from repro.experiments.scaling import make_adversary
+from repro.experiments.sweep import BARun
 from repro.sim.runner import RunResult, run_protocol, stop_when_all_decided
 
 N = 1000
@@ -62,13 +63,8 @@ def run_point() -> tuple[dict, RunResult]:
         if gc_was_enabled:
             gc.enable()
 
-    assert result.live, "n=1000 run hit the delivery budget"
-    assert result.all_correct_decided, "n=1000 run did not decide"
-    decision_rounds = [
-        notes["decision_round"] + 1
-        for notes in result.notes.values()
-        if "decision_round" in notes
-    ]
+    run = BARun.from_result(result)
+    assert run.completed, "n=1000 run hit the delivery budget or did not decide"
     metrics = result.metrics
     payload = {
         # Configuration (gated: a silent config change is a regression).
@@ -82,7 +78,7 @@ def run_point() -> tuple[dict, RunResult]:
         "words": result.words,
         "messages_sent_correct": metrics.messages_sent_correct,
         "decided": len(result.decisions),
-        "rounds": max(decision_rounds) if decision_rounds else 1,
+        "rounds": run.max_round or 1,
         "verifications": metrics.verifications,
         "verification_cache_hits": metrics.verification_cache_hits,
         "wait_evaluations": metrics.wait_evaluations,

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 from conftest import once
 
-from repro.experiments import rounds
+from repro.experiments.registry import EXPERIMENTS
 
-N_VALUES = (40, 80, 140)
-SEEDS = range(6)
+E5 = EXPERIMENTS["e5"]
 
 
 def test_e5_rounds_flat_in_n(benchmark, save_report):
-    points = once(benchmark, lambda: rounds.run(n_values=N_VALUES, seeds=SEEDS))
+    points = once(benchmark, lambda: E5.run(**E5.budget))
     for point in points:
         assert point.completed >= point.trials - 1  # allow one whp shortfall
         assert point.mean_rounds <= 4.0, point.n
@@ -24,8 +23,4 @@ def test_e5_rounds_flat_in_n(benchmark, save_report):
     means = [point.mean_rounds for point in points]
     # Flatness: no doubling across a 3.5x n range.
     assert max(means) <= 2 * min(means) + 1
-    save_report(
-        "E5_rounds",
-        f"E5: deciding round of Algorithm 4 vs n ({len(list(SEEDS))} seeds/point)\n\n"
-        + rounds.format_rounds(points),
-    )
+    save_report(*E5.artefact(points))

@@ -11,22 +11,17 @@ from __future__ import annotations
 
 from conftest import once
 
-from repro.experiments import ablation
+from repro.experiments.registry import EXPERIMENTS
 
-N, F = 16, 3
-SEEDS = range(60)
+E6 = EXPERIMENTS["e6"]
 
 
 def test_e6_delayed_adaptivity_ablation(benchmark, save_report):
-    rows = once(benchmark, lambda: ablation.run(n=N, f=F, seeds=SEEDS))
+    rows = once(benchmark, lambda: E6.run(**E6.budget))
     by_name = {row.scheduler: row for row in rows}
     assert by_name["random"].agreement.mean >= 0.95
     assert by_name["targeted"].agreement.mean >= 0.95
     assert by_name["content-aware"].agreement.mean <= 0.8
     gap = by_name["random"].agreement.mean - by_name["content-aware"].agreement.mean
     assert gap >= 0.2
-    save_report(
-        "E6_ablation",
-        f"E6: Algorithm 1 agreement by scheduler (n={N}, f={F}, "
-        f"{len(list(SEEDS))} seeds/row)\n\n" + ablation.format_ablation(rows),
-    )
+    save_report(*E6.artefact(rows))

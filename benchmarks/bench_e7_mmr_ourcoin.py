@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from conftest import once
 
-from repro.experiments import mmr_ourcoin
+from repro.experiments.registry import EXPERIMENTS
 
-N = 25
-SEEDS = range(12)
+E7 = EXPERIMENTS["e7"]
 
 
 def test_e7_mmr_with_algorithm1_coin(benchmark, save_report):
-    rows = once(benchmark, lambda: mmr_ourcoin.run(n=N, seeds=SEEDS))
+    rows = once(benchmark, lambda: E7.run(**E7.budget))
     by_name = {row.variant: row for row in rows}
     assert by_name["mmr+alg1"].completed == by_name["mmr+alg1"].trials
     # Common-coin instantiations decide in a small constant round count.
@@ -25,8 +24,4 @@ def test_e7_mmr_with_algorithm1_coin(benchmark, save_report):
     assert by_name["cachin"].mean_rounds <= 4
     # The local coin pays more rounds on average under split inputs.
     assert by_name["mmr"].mean_rounds >= by_name["mmr+alg1"].mean_rounds
-    save_report(
-        "E7_mmr_ourcoin",
-        f"E7: MMR coin instantiations at n={N} ({len(list(SEEDS))} seeds)\n\n"
-        + mmr_ourcoin.format_mmr_ourcoin(rows),
-    )
+    save_report(*E7.artefact(rows))

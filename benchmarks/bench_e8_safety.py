@@ -10,27 +10,15 @@ from __future__ import annotations
 
 from conftest import once
 
-from repro.experiments import safety
+from repro.experiments.registry import EXPERIMENTS
 
-N = 40
-SEEDS = range(4)
+E8 = EXPERIMENTS["e8"]
 
 
 def test_e8_safety_grid(benchmark, save_report):
-    cells = once(
-        benchmark,
-        lambda: safety.run(
-            protocols=("whp_ba", "mmr", "cachin"),
-            n=N, seeds=SEEDS,
-        ),
-    )
+    cells = once(benchmark, lambda: E8.run(**E8.budget))
     for cell in cells:
         assert cell.agreement_violations == 0, (cell.protocol, cell.strategy)
         assert cell.validity_violations == 0, (cell.protocol, cell.strategy)
         assert cell.terminated >= cell.trials - 1, (cell.protocol, cell.strategy)
-    save_report(
-        "E8_safety",
-        f"E8: safety grid at n={N} ({len(list(SEEDS))} seeds/cell; each "
-        "(protocol, strategy) appears twice: split then unanimous inputs)\n\n"
-        + safety.format_safety(cells),
-    )
+    save_report(*E8.artefact(cells))

@@ -11,37 +11,16 @@ from __future__ import annotations
 
 from conftest import once
 
-from repro.analysis.bounds import committee_property_bounds
-from repro.core.params import ProtocolParams
-from repro.experiments import fig1
+from repro.experiments.registry import EXPERIMENTS
 
-PARAMS = ProtocolParams.simulation_scale(n=400, f=20)
-SEEDS = range(40)
+F1 = EXPERIMENTS["f1"]
 
 
 def test_f1_regenerate_figure1(benchmark, save_report):
-    params, stats = once(benchmark, lambda: fig1.run(seeds=SEEDS, params=PARAMS))
+    params, stats = once(benchmark, lambda: F1.run(**F1.budget))
     assert len(stats) == 4
     for stat in stats:
         # 3-sigma margins: allow at most one tail draw per committee role.
         assert stat.s3_violations <= 1, stat.role
         assert stat.s4_violations <= 1, stat.role
-    bounds = committee_property_bounds(params)
-    bounds_text = "\n".join(
-        f"  {name}: Chernoff bound {min(value, 1.0):.4f}" for name, value in bounds.items()
-    )
-    save_report(
-        "F1_committees",
-        f"F1: approver committees over {len(list(SEEDS))} keysets\n\n"
-        + fig1.format_fig1(params, stats)
-        + "\n\nAppendix A tail bounds per committee:\n" + bounds_text,
-    )
-
-
-def test_f1_sampling_throughput(benchmark):
-    """Timing canary: sampling all four committees for one keyset."""
-    counter = iter(range(10**9))
-    benchmark.pedantic(
-        lambda: fig1.run(seeds=[next(counter)], params=PARAMS),
-        rounds=1, iterations=3,
-    )
+    save_report(*F1.artefact((params, stats)))

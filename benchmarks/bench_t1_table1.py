@@ -12,28 +12,17 @@ from __future__ import annotations
 
 from conftest import once
 
-from repro.experiments import table1
+from repro.experiments.registry import EXPERIMENTS
 
-N = 40
-SEEDS = range(3)
+T1 = EXPERIMENTS["t1"]
 
 
 def test_t1_regenerate_table1(benchmark, save_report, save_json):
-    rows = once(benchmark, lambda: table1.run(n=N, seeds=SEEDS))
+    rows = once(benchmark, lambda: T1.run(**T1.budget))
     for row in rows:
         # The committee-based row terminates whp, not surely: tolerate one
         # committee-shortfall seed (the table reports the exact fraction).
         assert row.terminated >= row.trials - 1, row.protocol
         assert row.agreed == row.terminated, row.protocol
-    save_report("T1_table1", f"T1: Table 1 at n={N}, seeds={len(list(SEEDS))}\n\n"
-                + table1.format_table1(rows))
-    save_json("T1_table1", rows)
-
-
-def test_t1_single_row_timing(benchmark):
-    """Timing canary: one MMR run at the table's scale."""
-    counter = iter(range(10**9))
-    row = benchmark.pedantic(
-        lambda: table1.run_row("mmr", N, [next(counter)]), rounds=1, iterations=2
-    )
-    assert row.terminated == row.trials
+    save_report(*T1.artefact(rows))
+    save_json(T1.results, rows)

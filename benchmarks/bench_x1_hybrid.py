@@ -11,19 +11,13 @@ from __future__ import annotations
 
 from conftest import once
 
-from repro.experiments import hybrid_fallback
+from repro.experiments.registry import EXPERIMENTS
 
-N, F = 60, 4
-SEEDS = range(8)
+X1 = EXPERIMENTS["x1"]
 
 
 def test_x1_fallback_tradeoff(benchmark, save_report):
-    points = once(
-        benchmark,
-        lambda: hybrid_fallback.run(
-            n=N, f=F, committee_round_values=(0, 1, 2, 4), seeds=SEEDS
-        ),
-    )
+    points = once(benchmark, lambda: X1.run(**X1.budget))
     by_rounds = {point.committee_rounds: point for point in points}
     for point in points:
         assert point.agreement_ok == point.terminated
@@ -32,9 +26,4 @@ def test_x1_fallback_tradeoff(benchmark, save_report):
     assert by_rounds[0].committee_deciders == 0
     # With 4 committee rounds, essentially everyone decides sub-quadratically.
     assert by_rounds[4].fallback_deciders <= by_rounds[4].committee_deciders / 10
-    save_report(
-        "X1_hybrid",
-        f"X1: hybrid fallback rate vs committee rounds (n={N}, f={F}, "
-        f"{len(list(SEEDS))} seeds/point)\n\n"
-        + hybrid_fallback.format_hybrid(points),
-    )
+    save_report(*X1.artefact(points))

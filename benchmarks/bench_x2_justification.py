@@ -10,16 +10,13 @@ from __future__ import annotations
 
 from conftest import once
 
-from repro.experiments import justification_ablation
+from repro.experiments.registry import EXPERIMENTS
 
-N, F = 60, 4
-SEEDS = range(10)
+X2 = EXPERIMENTS["x2"]
 
 
 def test_x2_justification_tradeoff(benchmark, save_report):
-    points = once(
-        benchmark, lambda: justification_ablation.run(n=N, f=F, seeds=SEEDS)
-    )
+    points = once(benchmark, lambda: X2.run(**X2.budget))
     by_key = {(point.justify, point.attack): point for point in points}
     # Justified: zero violations, attack or not.
     assert by_key[(True, False)].validity_violations == 0
@@ -29,9 +26,4 @@ def test_x2_justification_tradeoff(benchmark, save_report):
     assert by_key[(False, True)].validity_violations >= by_key[(False, True)].live * 0.8
     # The words saved are the lambda^2 term: a multiple, not a percent.
     assert by_key[(True, False)].mean_words > 5 * by_key[(False, False)].mean_words
-    save_report(
-        "X2_justification",
-        f"X2: ok-justification ablation (n={N}, f={F}, {len(list(SEEDS))} "
-        "seeds/cell)\n\n"
-        + justification_ablation.format_justification(points),
-    )
+    save_report(*X2.artefact(points))

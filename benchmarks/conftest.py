@@ -30,9 +30,10 @@ def save_report():
 
     RESULTS_DIR.mkdir(exist_ok=True)
 
-    def _save(name: str, text: str) -> Path:
+    def _save(name: str, text: str, provenance: str = "") -> Path:
+        # provenance: an Experiment.artefact()'s `# ` header; not trended.
         path = RESULTS_DIR / f"{name}.txt"
-        path.write_text(text + "\n")
+        path.write_text(provenance + text + "\n")
         record_bench(name, {"report": text}, root=REPO_ROOT)
         print(f"\n{text}\n[saved to {path}]")
         return path

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 
-from repro.analysis.bounds import committee_property_bounds
 from repro.core.committees import (
     committee_seed,
     committee_val,
@@ -55,9 +54,6 @@ def figure_1_statistics() -> None:
     params = ProtocolParams(n=400, f=20, lam=60.0, d=0.06)
     run_params, stats = fig1.run(n=400, seeds=range(25), params=params)
     print(fig1.format_fig1(run_params, stats))
-    print("\nChernoff bounds on per-committee violation probabilities:")
-    for name, bound in committee_property_bounds(params).items():
-        print(f"  {name}: <= {min(bound, 1.0):.3f}")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,13 @@
 """Command-line entry point: ``python -m repro <command>``.
 
-Regenerates the paper's artefacts without pytest -- handy for quick looks
-and for refreshing ``benchmarks/results`` piecemeal::
+Regenerates the paper's artefacts without pytest.  Each experiment key
+runs at the budget in :mod:`repro.experiments.registry`, the one its
+tracked table under ``benchmarks/results/`` was made with, so the output
+below the banner is that file's body::
 
     python -m repro list                 # what can be regenerated
-    python -m repro t1 --n 40 --seeds 3  # Table 1
-    python -m repro e6 --seeds 40        # the ablation
+    python -m repro t1                   # Table 1, as tracked
+    python -m repro e6 --seeds 20        # the ablation, fewer seeds
     python -m repro all --quick          # everything, smoke-scale
 
 plus the flight-recorder family::
@@ -61,118 +63,34 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable
 
-from repro.experiments import (
-    ablation,
-    coin_success,
-    committee_bounds,
-    common_values,
-    fig1,
-    hybrid_fallback,
-    justification_ablation,
-    mmr_ourcoin,
-    rounds,
-    safety,
-    scaling,
-    table1,
-    whp_coin_sweep,
-)
+from repro.experiments.registry import EXPERIMENTS
 
 __all__ = ["main"]
 
 
-def _run_t1(args) -> str:
-    rows = table1.run(n=args.n or 40, seeds=range(args.seeds or 3), workers=args.workers)
-    return table1.format_table1(rows)
+def _run_experiments(
+    keys: list[str], quick: bool, overrides: dict, workers: int | None
+) -> int:
+    """Run experiments at (registry budget | quick) + overrides: one key
+    rejects an override its budget has no entry for (exit 2), several
+    (``all``) apply it wherever there is one."""
+    for key in keys:
+        experiment = EXPERIMENTS[key]
+        try:
+            budget = experiment.resolve(quick, overrides, strict=len(keys) == 1)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+        print(f"== {key}: {experiment.description} ==")
+        start = time.time()
+        print(experiment.report(experiment.run(**budget, workers=workers), budget))
+        print(f"[{time.time() - start:.1f}s]\n")
+    return 0
 
 
-def _run_f1(args) -> str:
-    params, stats = fig1.run(n=args.n or 200, seeds=range(args.seeds or 20))
-    return fig1.format_fig1(params, stats)
-
-
-def _run_e1(args) -> str:
-    points = coin_success.run(
-        n=args.n or 24, seeds=range(args.seeds or 40), workers=args.workers
-    )
-    return coin_success.format_coin_success(points)
-
-
-def _run_e1b(args) -> str:
-    points = common_values.run(
-        n=args.n or 24, seeds=range(args.seeds or 20), workers=args.workers
-    )
-    return common_values.format_common_values(points)
-
-
-def _run_e2(args) -> str:
-    points = committee_bounds.run(seeds=range(args.seeds or 60))
-    return committee_bounds.format_committee_bounds(points)
-
-
-def _run_e3(args) -> str:
-    points = whp_coin_sweep.run(
-        n=args.n or 120, seeds=range(args.seeds or 20), workers=args.workers
-    )
-    return whp_coin_sweep.format_whp_coin(points)
-
-
-def _run_e4(args) -> str:
-    curves = scaling.run(seeds=range(args.seeds or 2), workers=args.workers)
-    return scaling.format_scaling(curves)
-
-
-def _run_e5(args) -> str:
-    points = rounds.run(seeds=range(args.seeds or 5), workers=args.workers)
-    return rounds.format_rounds(points)
-
-
-def _run_e6(args) -> str:
-    rows = ablation.run(n=args.n or 16, seeds=range(args.seeds or 40))
-    return ablation.format_ablation(rows)
-
-
-def _run_e7(args) -> str:
-    rows = mmr_ourcoin.run(
-        n=args.n or 25, seeds=range(args.seeds or 10), workers=args.workers
-    )
-    return mmr_ourcoin.format_mmr_ourcoin(rows)
-
-
-def _run_e8(args) -> str:
-    cells = safety.run(n=args.n or 40, seeds=range(args.seeds or 3), workers=args.workers)
-    return safety.format_safety(cells)
-
-
-def _run_x2(args) -> str:
-    points = justification_ablation.run(n=args.n or 60, seeds=range(args.seeds or 8))
-    return justification_ablation.format_justification(points)
-
-
-def _run_x1(args) -> str:
-    points = hybrid_fallback.run(n=args.n or 60, seeds=range(args.seeds or 8))
-    return hybrid_fallback.format_hybrid(points)
-
-
-COMMANDS: dict[str, tuple[str, Callable]] = {
-    "t1": ("Table 1: all protocols compared", _run_t1),
-    "f1": ("Figure 1: approver committee structure", _run_f1),
-    "e1": ("shared-coin success vs epsilon (Thm 4.13)", _run_e1),
-    "e1b": ("common values, measured (Lem 4.2)", _run_e1b),
-    "e2": ("committee properties S1-S4 (Claim 1)", _run_e2),
-    "e3": ("WHP-coin success vs d (Lem B.7)", _run_e3),
-    "e4": ("word-complexity scaling (Sec 6.2)", _run_e4),
-    "e5": ("O(1) expected rounds (Lem 6.14)", _run_e5),
-    "e6": ("delayed-adaptivity ablation (Def 2.1)", _run_e6),
-    "e7": ("MMR with the Algorithm 1 coin (Sec 4)", _run_e7),
-    "e8": ("safety/liveness grid (Def 6.6)", _run_e8),
-    "x1": ("extension: probability-1-termination hybrid", _run_x1),
-    "x2": ("extension: ok-justification ablation (the lambda^2 term)", _run_x2),
-}
-
-# Flight-recorder commands; separate from COMMANDS because they take a
-# file path, not sweep parameters, and are excluded from `all`.
+# Flight-recorder commands; separate from the experiments because they
+# take a file path, not sweep parameters, and are excluded from `all`.
 
 
 def _run_record(args) -> str:
@@ -472,14 +390,6 @@ def _run_dashboard(args) -> str:
     lines += [f"  note: {message}" for message in diagnostics]
     return "\n".join(lines)
 
-# Quick-mode overrides: (n, seeds) small enough for a coffee-break run.
-_QUICK = {
-    "t1": (24, 2), "f1": (100, 8), "e1": (16, 10), "e1b": (12, 5), "e2": (None, 20),
-    "e3": (60, 6), "e4": (None, 1), "e5": (None, 2), "e6": (12, 15),
-    "e7": (16, 4), "e8": (25, 2), "x1": (40, 2), "x2": (40, 2),
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -488,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "command",
         choices=[
-            *COMMANDS, "record", "report", "export", "diff", "explain",
+            *EXPERIMENTS, "record", "report", "export", "diff", "explain",
             "fuzz", "check", "trends", "coverage", "dashboard", "degrade",
             "all", "list",
         ],
@@ -573,8 +483,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list":
-        for name, (description, _) in COMMANDS.items():
-            print(f"  {name:4s} {description}")
+        for key, experiment in EXPERIMENTS.items():
+            print(f"  {key:4s} {experiment.description}")
         print("  record  run one protocol with the flight recorder attached")
         print("  report  render a recorded run (round timeline, words, coin, ...)")
         print("  export  convert a recording to Chrome/Perfetto trace JSON")
@@ -623,22 +533,13 @@ def main(argv: list[str] | None = None) -> int:
         print(text)
         return code
 
-    names = list(COMMANDS) if args.command == "all" else [args.command]
-    for name in names:
-        description, runner = COMMANDS[name]
-        if args.quick and name in _QUICK:
-            quick_n, quick_seeds = _QUICK[name]
-            if args.n is None:
-                args.n = quick_n
-            if args.seeds is None:
-                args.seeds = quick_seeds
-        print(f"== {name}: {description} ==")
-        start = time.time()
-        print(runner(args))
-        print(f"[{time.time() - start:.1f}s]\n")
-        if args.command == "all":
-            args.n = args.seeds = None  # per-experiment defaults
-    return 0
+    overrides = {}
+    if args.n:
+        overrides["n"] = args.n
+    if args.seeds:
+        overrides["seeds"] = range(args.seeds)
+    keys = list(EXPERIMENTS) if args.command == "all" else [args.command]
+    return _run_experiments(keys, args.quick, overrides, args.workers)
 
 
 if __name__ == "__main__":

@@ -1,34 +1,18 @@
 """The experiment harness: one module per artefact in DESIGN.md's index.
 
-Each module exposes ``run(...)`` returning structured rows and
-``format_table(rows)`` rendering the same table the paper's artefact
-shows.  The ``benchmarks/`` tree drives these with publication-scale
-parameters; the test suite drives them with smoke-scale ones.
+:mod:`repro.experiments.registry` is the index: ``EXPERIMENTS`` maps each
+key (``t1``, ``f1``, ``e1`` ... ``e8``, ``e1b``, ``x1``, ``x2``) to its
+module's ``run`` / ``format_*`` pair, the budget its tracked table under
+``benchmarks/results/`` was made with, and a smoke-scale ``quick``
+budget.  The CLI, ``benchmarks/`` and the tests all size their sweeps
+from it.  :mod:`repro.experiments.sweep` is the harness the modules run
+on (the BA-run record, ``sweep`` over cells x seeds, the folds).
 
-=========  ====================================================
-T1         Table 1 -- all six BA protocols compared empirically
-F1         Figure 1 -- the approver's four sampled committees
-E1         Theorem 4.13 -- shared-coin success rate vs epsilon
-E1b        Lemma 4.2 -- common values counted from run traces
-E2         Claim 1 -- S1-S4 violation rates vs Chernoff bounds
-E3         Lemma B.7 -- WHP-coin success rate vs d and lambda
-E4         Section 6.2 -- word-complexity scaling and crossover
-E5         Lemma 6.14 -- O(1) expected rounds, independent of n
-E6         Definition 2.1 -- delayed-adaptivity ablation
-E7         Section 4 -- MMR instantiated with the Algorithm 1 coin
-E8         Definition 6.6 -- safety/liveness violation sweep
-X1         Section 7 future work -- probability-1-termination hybrid
-X2         Section 6.1 ablation -- the ok-justification / lambda^2 trade
-=========  ====================================================
-
-Modules: ``table1``, ``fig1``, ``coin_success``, ``common_values``,
-``committee_bounds``, ``whp_coin_sweep``, ``scaling``, ``rounds``,
-``ablation``, ``mmr_ourcoin``, ``safety``, ``hybrid_fallback``,
-``justification_ablation``; plus ``protocols`` (the registry),
-``parallel`` (deterministic multi-seed sweep execution),
-``tables``/``ascii_plot`` (rendering), ``store`` (JSON persistence
-with drift comparison), ``trends`` (the cross-run BENCH_* trend store)
-and ``conformance`` (the monitored `repro check` sweep).
+Around them: ``protocols`` (uniform construction of the Table 1
+protocols), ``parallel`` (deterministic multi-seed execution),
+``tables``/``ascii_plot`` (rendering), ``store`` (JSON persistence with
+drift comparison), ``trends`` (the cross-run BENCH_* trend store) and
+``conformance`` (the monitored `repro check` sweep).
 """
 
 from repro.experiments.tables import format_table

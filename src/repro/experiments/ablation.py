@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from repro.analysis.stats import BernoulliEstimate
 from repro.core.params import ProtocolParams
 from repro.core.shared_coin import shared_coin
+from repro.experiments.sweep import interval_cell, sweep
 from repro.experiments.tables import format_table
 from repro.sim.adversary import (
     Adversary,
@@ -54,41 +55,41 @@ class AblationRow:
     agreement: BernoulliEstimate
 
 
-def run_row(name: str, n: int, f: int, seeds) -> AblationRow:
-    params = ProtocolParams(n=n, f=f)
-    agreements = trials = 0
-    for seed in seeds:
-        trials += 1
-        adversary = Adversary(scheduler=_make_scheduler(name, n, seed))
-        result = run_protocol(
-            n, f, lambda ctx: shared_coin(ctx, 0),
-            adversary=adversary, params=params, seed=seed,
-        )
-        if result.live and len(result.returned_values) == 1:
-            agreements += 1
-    return AblationRow(
-        scheduler=name,
-        legal=name != "content-aware",
-        n=n,
-        f=f,
-        agreement=BernoulliEstimate(successes=agreements, trials=trials),
+def _trial(name: str, n: int, f: int, seed: int) -> bool:
+    """One seeded run; top-level so sweep workers can pickle it."""
+    result = run_protocol(
+        n, f, lambda ctx: shared_coin(ctx, 0),
+        adversary=Adversary(scheduler=_make_scheduler(name, n, seed)),
+        params=ProtocolParams(n=n, f=f), seed=seed,
     )
+    return result.live and len(result.returned_values) == 1
 
 
-def run(n: int = 16, f: int = 3, seeds=range(40), schedulers=SCHEDULERS) -> list[AblationRow]:
+def run(
+    n: int, f: int, seeds, schedulers=SCHEDULERS, workers: int | None = None
+) -> list[AblationRow]:
     """Corruption budget f is reserved but unspent: the pure-scheduling
     adversary shows the ablation most sharply (see the scheduler's
     docstring on quorum slack)."""
-    return [run_row(name, n, f, seeds) for name in schedulers]
+    cells = [(name, n, f) for name in schedulers]
+    return [
+        AblationRow(
+            scheduler=name,
+            legal=name != "content-aware",
+            n=n,
+            f=f,
+            agreement=BernoulliEstimate(successes=sum(outcomes), trials=len(outcomes)),
+        )
+        for (name, _, _), outcomes in sweep(_trial, cells, seeds, workers)
+    ]
 
 
 def format_ablation(rows: list[AblationRow]) -> str:
     headers = ["scheduler", "legal under Def 2.1", "n", "f", "agreement rate", "95% CI"]
     body = []
     for row in rows:
-        low, high = row.agreement.interval
         body.append([
             row.scheduler, "yes" if row.legal else "NO", row.n, row.f,
-            row.agreement.mean, f"[{low:.3f}, {high:.3f}]",
+            row.agreement.mean, interval_cell(row.agreement),
         ])
     return format_table(headers, body)

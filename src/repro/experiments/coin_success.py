@@ -17,11 +17,11 @@ from repro.analysis.bounds import shared_coin_success_bound
 from repro.analysis.stats import BernoulliEstimate
 from repro.core.params import ProtocolParams
 from repro.core.shared_coin import shared_coin
-from repro.experiments.parallel import parallel_map
+from repro.experiments.sweep import interval_cell, sweep
 from repro.experiments.tables import format_table
 from repro.sim.runner import run_protocol
 
-__all__ = ["CoinPoint", "format_coin_success", "run"]
+__all__ = ["CoinPoint", "format_coin_success", "run", "sweep_params"]
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,15 @@ class CoinPoint:
     paper_bound: float  # per-outcome rate rho; agreement >= 2*rho
 
 
-def _trial(n: int, f: int, seed: int) -> bool:
+def sweep_params(n: int, f_values) -> list[ProtocolParams]:
+    # Only f < n/3 keeps epsilon in the protocol's domain; silently
+    # dropping out-of-range sweep points keeps small-n CLI runs usable.
+    return [ProtocolParams(n=n, f=f) for f in f_values if f < n / 3]
+
+
+def _trial(params: ProtocolParams, seed: int) -> bool:
     """One seeded run; top-level so sweep workers can pickle it."""
-    params = ProtocolParams(n=n, f=f)
+    n, f = params.n, params.f
     result = run_protocol(
         n, f, lambda ctx: shared_coin(ctx, 0),
         corrupt=set(range(f)), params=params, seed=seed,
@@ -43,27 +49,18 @@ def _trial(n: int, f: int, seed: int) -> bool:
     return result.live and len(result.returned_values) == 1
 
 
-def run_point(n: int, f: int, seeds, workers: int | None = None) -> CoinPoint:
-    params = ProtocolParams(n=n, f=f)
-    outcomes = parallel_map(_trial, [(n, f, seed) for seed in seeds], workers=workers)
-    return CoinPoint(
-        n=n,
-        f=f,
-        epsilon=params.epsilon,
-        estimate=BernoulliEstimate(successes=sum(outcomes), trials=len(outcomes)),
-        paper_bound=shared_coin_success_bound(params.epsilon),
-    )
-
-
-def run(
-    n: int = 24,
-    f_values=(0, 1, 2, 3, 4, 5, 6, 7),
-    seeds=range(40),
-    workers: int | None = None,
-) -> list[CoinPoint]:
-    # Only f < n/3 keeps epsilon in the protocol's domain; silently
-    # dropping out-of-range sweep points keeps small-n CLI runs usable.
-    return [run_point(n, f, seeds, workers=workers) for f in f_values if f < n / 3]
+def run(n: int, f_values, seeds, workers: int | None = None) -> list[CoinPoint]:
+    cells = [(params,) for params in sweep_params(n, f_values)]
+    return [
+        CoinPoint(
+            n=params.n,
+            f=params.f,
+            epsilon=params.epsilon,
+            estimate=BernoulliEstimate(successes=sum(outcomes), trials=len(outcomes)),
+            paper_bound=shared_coin_success_bound(params.epsilon),
+        )
+        for (params,), outcomes in sweep(_trial, cells, seeds, workers)
+    ]
 
 
 def format_coin_success(points: list[CoinPoint]) -> str:
@@ -73,11 +70,10 @@ def format_coin_success(points: list[CoinPoint]) -> str:
     ]
     rows = []
     for point in points:
-        low, high = point.estimate.interval
         bound = max(0.0, 2 * point.paper_bound)
         rows.append([
             point.n, point.f, point.epsilon,
-            point.estimate.mean, f"[{low:.3f}, {high:.3f}]",
+            point.estimate.mean, interval_cell(point.estimate),
             bound, "yes" if point.estimate.mean >= bound else "NO",
         ])
     return format_table(headers, rows)

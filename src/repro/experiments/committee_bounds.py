@@ -9,6 +9,7 @@ analytic tail bound.  This makes the 'whp' claim quantitative at finite n
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ from repro.core.committees import sample_committee
 from repro.core.params import ProtocolParams
 from repro.crypto.hashing import derive_seed
 from repro.crypto.pki import PKI
+from repro.experiments.sweep import sweep
 from repro.experiments.tables import format_table
 
 __all__ = ["BoundsPoint", "format_committee_bounds", "run"]
@@ -30,47 +32,39 @@ class BoundsPoint:
     chernoff: dict[str, float]  # S1..S4 -> analytic bound
 
 
-def run_point(params: ProtocolParams, seeds) -> BoundsPoint:
-    n, f = params.n, params.f
+def _trial(params: ProtocolParams, seed: int) -> tuple[int, int]:
+    """One committee over a fresh keyset: ``(size, correct members)``.
+    Top-level so sweep workers can pickle it."""
+    n = params.n
+    pki = PKI.create(n, rng=random.Random(derive_seed("e2", n, seed)))
+    members = sample_committee(pki, ("e2", seed), "probe", params)
+    return len(members), len(members - set(range(params.f)))
+
+
+def _point(params: ProtocolParams, draws: list[tuple[int, int]]) -> BoundsPoint:
     W = params.committee_quorum
     B = params.committee_byzantine_bound
     high = (1 + params.d) * params.lam
     low = (1 - params.d) * params.lam
-    violations = {"S1": 0, "S2": 0, "S3": 0, "S4": 0}
-    trials = 0
-    byzantine = set(range(f))
-    for seed in seeds:
-        trials += 1
-        pki = PKI.create(n, rng=random.Random(derive_seed("e2", n, seed)))
-        members = sample_committee(pki, ("e2", seed), "probe", params)
-        size = len(members)
-        correct = len(members - byzantine)
-        byz = size - correct
-        if size > high:
-            violations["S1"] += 1
-        if size < low:
-            violations["S2"] += 1
-        if correct < W:
-            violations["S3"] += 1
-        if byz > B:
-            violations["S4"] += 1
     return BoundsPoint(
         params=params,
-        trials=trials,
-        violations=violations,
+        trials=len(draws),
+        violations={
+            "S1": sum(size > high for size, _ in draws),
+            "S2": sum(size < low for size, _ in draws),
+            "S3": sum(correct < W for _, correct in draws),
+            "S4": sum(size - correct > B for size, correct in draws),
+        },
         chernoff=committee_property_bounds(params),
     )
 
 
-def run(
-    n_values=(100, 400, 1600), f_fraction: float = 0.1, seeds=range(60),
-    paper_lambda: bool = True,
-) -> list[BoundsPoint]:
-    """Sweep n; with ``paper_lambda`` use λ = 8 ln n and mid-window d,
-    otherwise the feasibility-inflated simulation defaults."""
-    import math
-
-    points = []
+def sweep_params(
+    n_values, f_fraction: float, paper_lambda: bool = True
+) -> list[ProtocolParams]:
+    """One bundle per n: with ``paper_lambda`` λ = 8 ln n and mid-window
+    d, otherwise the feasibility-inflated simulation defaults."""
+    bundles = []
     for n in n_values:
         f = max(1, int(f_fraction * n))
         if paper_lambda:
@@ -78,11 +72,20 @@ def run(
             eps = 1 / 3 - f / n
             d_high = eps / 3 - 1 / (3 * lam)
             d = max(min(0.05, d_high), 0.02)
-            params = ProtocolParams(n=n, f=f, lam=lam, d=d)
+            bundles.append(ProtocolParams(n=n, f=f, lam=lam, d=d))
         else:
-            params = ProtocolParams.simulation_scale(n=n, f=f)
-        points.append(run_point(params, seeds))
-    return points
+            bundles.append(ProtocolParams.simulation_scale(n=n, f=f))
+    return bundles
+
+
+def run(
+    n_values, f_fraction: float, seeds, paper_lambda: bool = True,
+    workers: int | None = None,
+) -> list[BoundsPoint]:
+    cells = [(params,) for params in sweep_params(n_values, f_fraction, paper_lambda)]
+    return [
+        _point(params, draws) for (params,), draws in sweep(_trial, cells, seeds, workers)
+    ]
 
 
 def format_committee_bounds(points: list[BoundsPoint]) -> str:

@@ -22,7 +22,8 @@ from repro.core.params import ProtocolParams
 from repro.core.shared_coin import shared_coin
 from repro.crypto.hashing import derive_seed
 from repro.crypto.pki import PKI
-from repro.experiments.parallel import parallel_map
+from repro.experiments.coin_success import sweep_params
+from repro.experiments.sweep import sweep
 from repro.experiments.tables import format_table
 from repro.sim.adversary import Adversary, RandomScheduler, StaticCorruption
 from repro.sim.events import DeliverEvent
@@ -110,29 +111,24 @@ def run_once(n: int, f: int, seed: int) -> CommonValuesRun:
     return CommonValuesRun(c=c, min_was_common=min_common, agreed=len(outputs) == 1)
 
 
-def run_point(n: int, f: int, seeds, workers: int | None = None) -> CommonValuesPoint:
-    runs = parallel_map(run_once, [(n, f, seed) for seed in seeds], workers=workers)
-    params = ProtocolParams(n=n, f=f)
+def _point(n: int, f: int, runs: list[CommonValuesRun]) -> CommonValuesPoint:
+    epsilon = ProtocolParams(n=n, f=f).epsilon
     return CommonValuesPoint(
         n=n,
         f=f,
-        epsilon=params.epsilon,
+        epsilon=epsilon,
         trials=len(runs),
         mean_c=mean(r.c for r in runs),
         min_c=min(r.c for r in runs),
-        paper_bound_c=common_values_fraction_bound(params.epsilon) * n,
+        paper_bound_c=common_values_fraction_bound(epsilon) * n,
         min_common_rate=mean(r.min_was_common for r in runs),
         agreement_rate=mean(r.agreed for r in runs),
     )
 
 
-def run(
-    n: int = 24,
-    f_values=(0, 2, 4, 6),
-    seeds=range(20),
-    workers: int | None = None,
-) -> list[CommonValuesPoint]:
-    return [run_point(n, f, seeds, workers=workers) for f in f_values if f < n / 3]
+def run(n: int, f_values, seeds, workers: int | None = None) -> list[CommonValuesPoint]:
+    cells = [(params.n, params.f) for params in sweep_params(n, f_values)]
+    return [_point(*cell, runs) for cell, runs in sweep(run_once, cells, seeds, workers)]
 
 
 def format_common_values(points: list[CommonValuesPoint]) -> str:

@@ -13,10 +13,12 @@ import random
 from dataclasses import dataclass
 from statistics import mean
 
+from repro.analysis.bounds import committee_property_bounds
 from repro.core.committees import sample_committee
 from repro.core.params import ProtocolParams
 from repro.crypto.hashing import derive_seed
 from repro.crypto.pki import PKI
+from repro.experiments.sweep import sweep
 from repro.experiments.tables import format_table
 
 __all__ = ["CommitteeStats", "format_fig1", "run"]
@@ -41,36 +43,44 @@ class CommitteeStats:
     trials: int
 
 
+def default_params(n: int) -> ProtocolParams:
+    """Simulation-scale committee parameters at f = n/20."""
+    return ProtocolParams.simulation_scale(n=n, f=max(1, n // 20))
+
+
+def _trial(params: ProtocolParams, seed: int) -> list[tuple[int, int]]:
+    """The four committees over one fresh keyset: ``(size, correct
+    members)`` per role.  Top-level so sweep workers can pickle it."""
+    pki = PKI.create(params.n, rng=random.Random(derive_seed("fig1", seed)))
+    byzantine = set(range(params.f))
+    draws = []
+    for role in ROLES:
+        members = sample_committee(pki, ("approver", seed), role, params)
+        draws.append((len(members), len(members - byzantine)))
+    return draws
+
+
 def run(
-    n: int = 200, f: int | None = None, seeds=range(20), params: ProtocolParams | None = None
+    n: int,
+    seeds,
+    params: ProtocolParams | None = None,
+    workers: int | None = None,
 ) -> tuple[ProtocolParams, list[CommitteeStats]]:
-    """Sample the approver's committees over fresh keysets."""
+    """Sample the approver's committees over fresh keysets (``params``,
+    when given, replaces the simulation-scale ones derived from n)."""
     if params is None:
-        params = ProtocolParams.simulation_scale(n=n, f=f if f is not None else max(1, n // 20))
-    n = params.n
-    f = params.f
+        params = default_params(n)
     W = params.committee_quorum
     B = params.committee_byzantine_bound
     high = (1 + params.d) * params.lam
     low = (1 - params.d) * params.lam
 
-    per_role: dict[object, dict[str, list[int]]] = {
-        role: {"size": [], "correct": [], "byz": []} for role in ROLES
-    }
-    for seed in seeds:
-        pki = PKI.create(n, rng=random.Random(derive_seed("fig1", seed)))
-        byzantine = set(range(f))
-        for role in ROLES:
-            members = sample_committee(pki, ("approver", seed), role, params)
-            per_role[role]["size"].append(len(members))
-            per_role[role]["correct"].append(len(members - byzantine))
-            per_role[role]["byz"].append(len(members & byzantine))
-
+    ((_, keysets),) = sweep(_trial, [(params,)], seeds, workers)
     stats = []
-    for role in ROLES:
-        sizes = per_role[role]["size"]
-        corrects = per_role[role]["correct"]
-        byz = per_role[role]["byz"]
+    for index, role in enumerate(ROLES):
+        sizes = [draws[index][0] for draws in keysets]
+        corrects = [draws[index][1] for draws in keysets]
+        byz = [size - correct for size, correct in zip(sizes, corrects)]
         stats.append(
             CommitteeStats(
                 role=str(role),
@@ -109,4 +119,11 @@ def format_fig1(params: ProtocolParams, stats: list[CommitteeStats]) -> str:
         f"Approver committees at {params.describe()}  "
         f"(band ({(1 - params.d) * params.lam:.1f}, {(1 + params.d) * params.lam:.1f}))\n"
     )
-    return header + format_table(headers, rows)
+    bounds = "\n".join(
+        f"  {name}: Chernoff bound {min(value, 1.0):.4f}"
+        for name, value in committee_property_bounds(params).items()
+    )
+    return (
+        header + format_table(headers, rows)
+        + "\n\nAppendix A tail bounds per committee:\n" + bounds
+    )

@@ -12,10 +12,10 @@ the round count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import mean
 
 from repro.core.hybrid import hybrid_agreement
 from repro.core.params import ProtocolParams
+from repro.experiments.sweep import BACell, BARun, ratio_cell, sweep
 from repro.experiments.tables import format_table
 from repro.sim.runner import run_protocol, stop_when_all_decided
 
@@ -36,58 +36,57 @@ class HybridPoint:
     mean_words: float
 
 
-def run_point(
-    committee_rounds: int, n: int, f: int, params: ProtocolParams, seeds
-) -> HybridPoint:
-    terminated = agreement_ok = fallback_runs = 0
-    fallback_deciders = committee_deciders = 0
-    words: list[int] = []
-    trials = 0
-    for seed in seeds:
-        trials += 1
-        result = run_protocol(
-            n, f,
-            lambda ctx: hybrid_agreement(
-                ctx, ctx.pid % 2, committee_rounds=committee_rounds
-            ),
-            corrupt=set(range(f)), params=params,
-            stop_condition=stop_when_all_decided, seed=seed,
-        )
-        if not (result.live and result.all_correct_decided):
-            continue
-        terminated += 1
-        if result.agreement:
-            agreement_ok += 1
-        words.append(result.words)
-        sources = [
-            notes.get("decided_by")
-            for pid, notes in result.notes.items()
-            if pid in result.decisions
-        ]
-        fallback_deciders += sum(1 for source in sources if source == "fallback")
-        committee_deciders += sum(1 for source in sources if source == "committee")
-        if any(notes.get("fallback") for notes in result.notes.values()):
-            fallback_runs += 1
+def _trial(
+    committee_rounds: int, params: ProtocolParams, seed: int
+) -> tuple[BARun, int, int, bool]:
+    """One seeded run; top-level so sweep workers can pickle it.  Returns
+    ``(run, fallback deciders, committee deciders, anyone fell back)``."""
+    n, f = params.n, params.f
+    result = run_protocol(
+        n, f,
+        lambda ctx: hybrid_agreement(
+            ctx, ctx.pid % 2, committee_rounds=committee_rounds
+        ),
+        corrupt=set(range(f)), params=params,
+        stop_condition=stop_when_all_decided, seed=seed,
+    )
+    sources = [
+        notes.get("decided_by")
+        for pid, notes in result.notes.items()
+        if pid in result.decisions
+    ]
+    return (
+        BARun.from_result(result, params.lam),
+        sources.count("fallback"),
+        sources.count("committee"),
+        any(notes.get("fallback") for notes in result.notes.values()),
+    )
+
+
+def _point(committee_rounds: int, params: ProtocolParams, trials: list) -> HybridPoint:
+    cell = BACell(tuple(run for run, *_ in trials))
+    done = [trial for trial in trials if trial[0].completed]
     return HybridPoint(
         committee_rounds=committee_rounds,
-        n=n,
-        f=f,
-        trials=trials,
-        terminated=terminated,
-        agreement_ok=agreement_ok,
-        fallback_runs=fallback_runs,
-        fallback_deciders=fallback_deciders,
-        committee_deciders=committee_deciders,
-        mean_words=mean(words) if words else float("nan"),
+        n=params.n,
+        f=params.f,
+        trials=len(cell.runs),
+        terminated=len(cell.done),
+        agreement_ok=cell.agreed,
+        fallback_runs=sum(fell_back for *_, fell_back in done),
+        fallback_deciders=sum(fallback for _, fallback, _, _ in done),
+        committee_deciders=sum(committee for _, _, committee, _ in done),
+        mean_words=cell.mean("words"),
     )
 
 
 def run(
-    n: int = 60, f: int = 4, committee_round_values=(0, 1, 2, 4), seeds=range(10)
+    n: int, f: int, committee_round_values, seeds, workers: int | None = None
 ) -> list[HybridPoint]:
     params = ProtocolParams.simulation_scale(n=n, f=f, safety_sigmas=4.0)
+    cells = [(rounds, params) for rounds in committee_round_values]
     return [
-        run_point(rounds, n, f, params, seeds) for rounds in committee_round_values
+        _point(*cell, trials) for cell, trials in sweep(_trial, cells, seeds, workers)
     ]
 
 
@@ -100,8 +99,8 @@ def format_hybrid(points: list[HybridPoint]) -> str:
         [
             point.committee_rounds, point.n, point.f,
             f"{point.terminated}/{point.trials}",
-            f"{point.agreement_ok}/{point.terminated}" if point.terminated else "-",
-            f"{point.fallback_runs}/{point.terminated}" if point.terminated else "-",
+            ratio_cell(point.agreement_ok, point.terminated),
+            ratio_cell(point.fallback_runs, point.terminated),
             point.committee_deciders, point.fallback_deciders, point.mean_words,
         ]
         for point in points

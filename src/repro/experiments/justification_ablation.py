@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from statistics import mean
 
 from repro.core.approver import approve
 from repro.core.committees import sample
 from repro.core.messages import OkMsg
 from repro.core.params import ProtocolParams
 from repro.crypto.hashing import derive_seed
+from repro.experiments.sweep import mean_or_nan, ratio_cell, sweep
 from repro.experiments.tables import format_table
 from repro.sim.adversary import Adversary, RandomScheduler, StaticCorruption
 from repro.sim.byzantine import ScriptedBehavior
@@ -62,48 +62,55 @@ def _injector(params: ProtocolParams):
     return lambda pid: ScriptedBehavior(on_start=on_start)
 
 
-def run_point(
-    justify: bool, attack: bool, n: int, f: int, params: ProtocolParams, seeds
-) -> JustificationPoint:
-    live = violations = trials = 0
-    words: list[int] = []
-    for seed in seeds:
-        trials += 1
-        adversary = Adversary(
-            scheduler=RandomScheduler(random.Random(derive_seed("x2", seed))),
-            corruption=StaticCorruption(set(range(f))),
-            behavior_factory=_injector(params) if attack else None,
-        )
-        result = run_protocol(
-            n, f,
-            lambda ctx: approve(ctx, INSTANCE, HONEST_VALUE, params, justify=justify),
-            adversary=adversary, params=params, seed=seed,
-        )
-        if not result.live:
-            continue
-        live += 1
-        words.append(result.words)
-        if any(INJECTED_VALUE in rv for rv in result.returned_values):
-            violations += 1
-    return JustificationPoint(
-        justify=justify,
-        attack=attack,
-        n=n,
-        f=f,
-        trials=trials,
-        live=live,
-        validity_violations=violations,
-        mean_words=mean(words) if words else float("nan"),
+def _trial(
+    justify: bool, attack: bool, params: ProtocolParams, seed: int
+) -> tuple[bool, int, bool]:
+    """One seeded approver instance; top-level so sweep workers can
+    pickle it.  Returns ``(live, words, injected value returned)``."""
+    n, f = params.n, params.f
+    adversary = Adversary(
+        scheduler=RandomScheduler(random.Random(derive_seed("x2", seed))),
+        corruption=StaticCorruption(set(range(f))),
+        behavior_factory=_injector(params) if attack else None,
+    )
+    result = run_protocol(
+        n, f,
+        lambda ctx: approve(ctx, INSTANCE, HONEST_VALUE, params, justify=justify),
+        adversary=adversary, params=params, seed=seed,
+    )
+    return (
+        result.live,
+        result.words,
+        any(INJECTED_VALUE in rv for rv in result.returned_values),
     )
 
 
-def run(n: int = 60, f: int = 4, seeds=range(10)) -> list[JustificationPoint]:
+def _point(
+    justify: bool, attack: bool, params: ProtocolParams, trials: list
+) -> JustificationPoint:
+    live = [trial for trial in trials if trial[0]]
+    return JustificationPoint(
+        justify=justify,
+        attack=attack,
+        n=params.n,
+        f=params.f,
+        trials=len(trials),
+        live=len(live),
+        validity_violations=sum(injected for _, _, injected in live),
+        mean_words=mean_or_nan(words for _, words, _ in live),
+    )
+
+
+def run(n: int, f: int, seeds, workers: int | None = None) -> list[JustificationPoint]:
     params = ProtocolParams.simulation_scale(n=n, f=f, safety_sigmas=4.0)
-    points = []
-    for justify in (True, False):
-        for attack in (False, True):
-            points.append(run_point(justify, attack, n, f, params, seeds))
-    return points
+    cells = [
+        (justify, attack, params)
+        for justify in (True, False)
+        for attack in (False, True)
+    ]
+    return [
+        _point(*cell, trials) for cell, trials in sweep(_trial, cells, seeds, workers)
+    ]
 
 
 def format_justification(points: list[JustificationPoint]) -> str:
@@ -116,7 +123,7 @@ def format_justification(points: list[JustificationPoint]) -> str:
             "yes" if point.justify else "NO (ablation)",
             "yes" if point.attack else "no",
             point.n, point.f, f"{point.live}/{point.trials}",
-            f"{point.validity_violations}/{point.live}" if point.live else "-",
+            ratio_cell(point.validity_violations, point.live),
             point.mean_words,
         ]
         for point in points

@@ -12,37 +12,13 @@ variant's round count is the one that degrades.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import mean
 
-from repro.experiments.parallel import parallel_map
-from repro.experiments.protocols import make_runner
+from repro.experiments.sweep import ba_sweep, mean_or_nan
 from repro.experiments.tables import format_table
-from repro.sim.runner import run_protocol, stop_when_all_decided
 
 __all__ = ["MMRVariantRow", "format_mmr_ourcoin", "run"]
 
 VARIANTS = ("mmr", "mmr+alg1", "cachin")
-
-
-def _trial(name: str, n: int, seed: int) -> tuple[int, tuple[int, int | None] | None]:
-    """One seeded run; top-level so sweep workers can pickle it.
-
-    Returns ``(f_used, (words, max_round) | None)``.
-    """
-    factory, params, f = make_runner(name, n, seed=seed)
-    result = run_protocol(
-        n, f, factory, corrupt=set(range(f)), params=params,
-        stop_condition=stop_when_all_decided, seed=seed,
-    )
-    if not (result.live and result.all_correct_decided):
-        return f, None
-    decision_rounds = [
-        notes["decision_round"] + 1
-        for notes in result.notes.values()
-        if "decision_round" in notes
-    ]
-    max_round = max(decision_rounds) if decision_rounds else None
-    return f, (result.words, max_round)
 
 
 @dataclass(frozen=True)
@@ -57,41 +33,22 @@ class MMRVariantRow:
     mean_words: float
 
 
-def run_variant(
-    name: str, n: int, seeds, workers: int | None = None
-) -> MMRVariantRow:
-    rounds: list[int] = []
-    words: list[int] = []
-    completed = 0
-    outcomes = parallel_map(
-        _trial, [(name, n, seed) for seed in seeds], workers=workers
-    )
-    trials = len(outcomes)
-    f_used = outcomes[-1][0] if outcomes else 0
-    for _, measured in outcomes:
-        if measured is None:
-            continue
-        completed += 1
-        run_words, max_round = measured
-        words.append(run_words)
-        if max_round is not None:
-            rounds.append(max_round)
-    return MMRVariantRow(
-        variant=name,
-        n=n,
-        f=f_used,
-        trials=trials,
-        completed=completed,
-        mean_rounds=mean(rounds) if rounds else float("nan"),
-        max_rounds=max(rounds) if rounds else 0,
-        mean_words=mean(words) if words else float("nan"),
-    )
-
-
 def run(
-    n: int = 25, seeds=range(10), variants=VARIANTS, workers: int | None = None
+    n: int, seeds, variants=VARIANTS, workers: int | None = None
 ) -> list[MMRVariantRow]:
-    return [run_variant(name, n, seeds, workers=workers) for name in variants]
+    return [
+        MMRVariantRow(
+            variant=name,
+            n=n,
+            f=cell.f,
+            trials=len(cell.runs),
+            completed=len(cell.done),
+            mean_rounds=mean_or_nan(cell.deciding_rounds),
+            max_rounds=max(cell.deciding_rounds, default=0),
+            mean_words=cell.mean("words"),
+        )
+        for (name, _), cell in ba_sweep([(name, n) for name in variants], seeds, workers)
+    ]
 
 
 def format_mmr_ourcoin(rows: list[MMRVariantRow]) -> str:

@@ -92,14 +92,3 @@ def parallel_map(
             return [future.result() for future in futures]
     except (OSError, ImportError, PermissionError):
         return [worker(*args) for args in jobs]
-
-
-def chunk_counts(total: int, parts: int) -> list[int]:
-    """Split ``total`` runs into ``parts`` near-equal positive chunks.
-
-    Helper for drivers that batch several runs per task to amortise
-    process start-up; chunks differ by at most one and sum to ``total``.
-    """
-    parts = max(1, min(parts, total)) if total else 1
-    base, extra = divmod(total, parts)
-    return [base + (1 if i < extra else 0) for i in range(parts)] if total else []

@@ -7,37 +7,12 @@ collects the distribution of the deciding round; the mean must stay flat
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from statistics import mean
 
-from repro.core.params import ProtocolParams
-from repro.experiments.parallel import parallel_map
-from repro.experiments.protocols import make_runner
+from repro.experiments.sweep import ba_sweep, mean_or_nan
 from repro.experiments.tables import format_table
-from repro.sim.runner import run_protocol, stop_when_all_decided
 
 __all__ = ["RoundsPoint", "format_rounds", "run"]
-
-
-def _trial(protocol: str, n: int, seed: int) -> tuple[int, list[int] | None]:
-    """One seeded run; top-level so sweep workers can pickle it.
-
-    Returns ``(f_used, deciding_rounds | None)`` (None = incomplete run).
-    """
-    factory, params, f = make_runner(protocol, n, seed=seed)
-    result = run_protocol(
-        n, f, factory, corrupt=set(range(f)), params=params,
-        stop_condition=stop_when_all_decided, seed=seed,
-    )
-    if not (result.live and result.all_correct_decided):
-        return f, None
-    rounds = [
-        notes["decision_round"] + 1
-        for notes in result.notes.values()
-        if "decision_round" in notes
-    ]
-    return f, rounds
 
 
 @dataclass(frozen=True)
@@ -51,42 +26,21 @@ class RoundsPoint:
     histogram: dict[int, int]  # deciding round (1-based) -> process count
 
 
-def run_point(
-    n: int, seeds, protocol: str = "whp_ba", workers: int | None = None
-) -> RoundsPoint:
-    histogram: Counter = Counter()
-    per_run_max: list[int] = []
-    completed = 0
-    outcomes = parallel_map(
-        _trial, [(protocol, n, seed) for seed in seeds], workers=workers
-    )
-    trials = len(outcomes)
-    f_used = outcomes[-1][0] if outcomes else 0
-    for _, rounds in outcomes:
-        if rounds is None:
-            continue
-        completed += 1
-        histogram.update(rounds)
-        if rounds:
-            per_run_max.append(max(rounds))
-    return RoundsPoint(
-        n=n,
-        f=f_used,
-        trials=trials,
-        completed=completed,
-        mean_rounds=mean(per_run_max) if per_run_max else float("nan"),
-        max_rounds=max(per_run_max) if per_run_max else 0,
-        histogram=dict(sorted(histogram.items())),
-    )
-
-
 def run(
-    n_values=(40, 80, 160),
-    seeds=range(8),
-    protocol: str = "whp_ba",
-    workers: int | None = None,
+    n_values, seeds, protocol: str = "whp_ba", workers: int | None = None
 ) -> list[RoundsPoint]:
-    return [run_point(n, seeds, protocol, workers=workers) for n in n_values]
+    return [
+        RoundsPoint(
+            n=n,
+            f=cell.f,
+            trials=len(cell.runs),
+            completed=len(cell.done),
+            mean_rounds=mean_or_nan(cell.deciding_rounds),
+            max_rounds=max(cell.deciding_rounds, default=0),
+            histogram=cell.histogram,
+        )
+        for (_, n), cell in ba_sweep([(protocol, n) for n in n_values], seeds, workers)
+    ]
 
 
 def format_rounds(points: list[RoundsPoint]) -> str:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from repro.crypto.hashing import derive_seed
-from repro.experiments.parallel import parallel_map
-from repro.experiments.protocols import make_runner
+from repro.experiments.sweep import BARun, ba_sweep, ba_trial
 from repro.experiments.tables import format_table
 from repro.sim.adversary import (
     AdaptiveFirstSpeakersCorruption,
@@ -23,14 +23,14 @@ from repro.sim.adversary import (
     StaticCorruption,
     TargetedDelayScheduler,
 )
-from repro.sim.runner import run_protocol, stop_when_all_decided
 
 __all__ = ["SafetyCell", "format_safety", "run"]
 
+PROTOCOLS = ("whp_ba", "mmr", "cachin")
 STRATEGIES = ("silent-static", "silent-adaptive", "delay-targets")
 
 
-def _make_adversary(strategy: str, n: int, f: int, seed: int) -> Adversary:
+def _make_adversary(strategy: str, f: int, seed: int) -> Adversary:
     rng = random.Random(derive_seed("e8", strategy, seed))
     if strategy == "silent-static":
         return Adversary(
@@ -62,86 +62,49 @@ class SafetyCell:
 
 
 def _trial(
-    protocol: str, strategy: str, n: int, seed: int, unanimous_value: int | None
-) -> tuple[int, tuple[bool, bool] | None]:
-    """One seeded run; top-level so sweep workers can pickle it.
-
-    Returns ``(f_used, (agreement_violated, validity_violated) | None)``.
-    """
-    value_fn = (
-        (lambda ctx: unanimous_value) if unanimous_value is not None
-        else (lambda ctx: ctx.pid % 2)
-    )
-    factory, params, f = make_runner(protocol, n, seed=seed, value_fn=value_fn)
-    result = run_protocol(
-        n, f, factory, adversary=_make_adversary(strategy, n, f, seed),
-        params=params, stop_condition=stop_when_all_decided, seed=seed,
-    )
-    if not (result.live and result.all_correct_decided):
-        return f, None
-    agreement_violated = not result.agreement
-    validity_violated = (
-        unanimous_value is not None and result.decided_values != {unanimous_value}
-    )
-    return f, (agreement_violated, validity_violated)
-
-
-def run_cell(
-    protocol: str,
-    strategy: str,
-    n: int,
-    seeds,
-    unanimous_value: int | None = None,
-    workers: int | None = None,
-) -> SafetyCell:
-    """One grid cell.  ``unanimous_value`` switches inputs from the
-    split pattern to all-same (which arms the validity check)."""
-    terminated = agreement_violations = validity_violations = 0
-    outcomes = parallel_map(
-        _trial,
-        [(protocol, strategy, n, seed, unanimous_value) for seed in seeds],
-        workers=workers,
-    )
-    trials = len(outcomes)
-    f_used = outcomes[-1][0] if outcomes else 0
-    for _, violations in outcomes:
-        if violations is None:
-            continue
-        terminated += 1
-        agreement_violated, validity_violated = violations
-        if agreement_violated:
-            agreement_violations += 1
-        if validity_violated:
-            validity_violations += 1
-    return SafetyCell(
-        protocol=protocol,
-        strategy=strategy,
-        n=n,
-        f=f_used,
-        trials=trials,
-        terminated=terminated,
-        agreement_violations=agreement_violations,
-        validity_violations=validity_violations,
+    protocol: str, strategy: str, n: int, unanimous_value: int | None, seed: int
+) -> BARun:
+    """One seeded run; top-level so sweep workers can pickle it."""
+    return ba_trial(
+        protocol, n, seed, unanimous_value=unanimous_value,
+        adversary=partial(_make_adversary, strategy),
     )
 
 
 def run(
-    protocols=("whp_ba", "mmr", "cachin"),
+    n: int,
+    seeds,
+    protocols=PROTOCOLS,
     strategies=STRATEGIES,
-    n: int = 40,
-    seeds=range(5),
     workers: int | None = None,
 ) -> list[SafetyCell]:
-    cells = []
-    for protocol in protocols:
-        for strategy in strategies:
-            cells.append(run_cell(protocol, strategy, n, seeds, workers=workers))
-            cells.append(
-                run_cell(
-                    protocol, strategy, n, seeds, unanimous_value=1, workers=workers
-                )
-            )
-    return cells
+    """Every (protocol, strategy) cell twice: split inputs, then
+    unanimous inputs (which arms the validity check)."""
+    cells = [
+        (protocol, strategy, n, unanimous_value)
+        for protocol in protocols
+        for strategy in strategies
+        for unanimous_value in (None, 1)
+    ]
+    return [
+        SafetyCell(
+            protocol=protocol,
+            strategy=strategy,
+            n=n,
+            f=cell.f,
+            trials=len(cell.runs),
+            terminated=len(cell.done),
+            agreement_violations=len(cell.done) - cell.agreed,
+            validity_violations=sum(
+                unanimous_value is not None
+                and set(run.decided_values) != {unanimous_value}
+                for run in cell.done
+            ),
+        )
+        for (protocol, strategy, _, unanimous_value), cell in ba_sweep(
+            cells, seeds, workers, _trial
+        )
+    ]
 
 
 def format_safety(cells: list[SafetyCell]) -> str:

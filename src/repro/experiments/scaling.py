@@ -10,23 +10,22 @@ advantage our way as n grows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from statistics import mean
 
-from repro.analysis.complexity import fit_loglog_slope, word_complexity_model
+from repro.analysis.complexity import (
+    fit_loglog_slope,
+    predicted_crossover,
+    word_complexity_model,
+)
 from repro.experiments.ascii_plot import loglog_plot
-from repro.experiments.parallel import parallel_map
-from repro.experiments.protocols import make_runner
+from repro.experiments.sweep import BACell, BARun, ba_sweep, ba_trial, mean_or_nan
 from repro.experiments.tables import format_table
-from repro.sim.runner import run_protocol, stop_when_all_decided
 
 __all__ = ["ScalingCurve", "format_scaling", "make_adversary", "run"]
 
-# Scheduler registry for sweep trials.  Trials run in worker processes
-# that rebuild everything from primitive (picklable) arguments, so the
-# sweep API takes a scheduler *name* rather than an instance; ``None``
-# keeps run_protocol's seeded uniform-random default.
+# Schedulers by name, for callers that rebuild a run from primitive
+# (picklable) arguments; ``None`` keeps run_protocol's seeded
+# uniform-random default, which is what the E4 sweep runs under.
 _SCHEDULERS = ("fifo", "delay", "random")
 
 
@@ -61,43 +60,11 @@ def make_adversary(scheduler: str | None, f_used: int, seed: int):
     )
 
 
-def _trial(
-    name: str,
-    n: int,
-    f: int | None,
-    seed: int,
-    whp_sigmas: float,
-    max_deliveries: int,
-    scheduler: str | None = None,
-) -> tuple[float | None, tuple[int, int, int] | None]:
-    """One seeded run; top-level so sweep workers can pickle it.
-
-    The protocol closure is rebuilt inside the worker from primitive
-    arguments (closures themselves do not pickle).  Returns
-    ``(lam, (words, messages, rounds) | None)``.
-    """
-    factory, params, f_used = make_runner(
-        name, n, f=f, seed=seed, whp_sigmas=whp_sigmas
+def _trial(name: str, n: int, f: int | None, whp_sigmas: float, seed: int) -> BARun:
+    """One seeded run; top-level so sweep workers can pickle it."""
+    return ba_trial(
+        name, n, seed, f=f, whp_sigmas=whp_sigmas, max_deliveries=8_000_000
     )
-    lam = params.lam if params.lam is not None else 8 * math.log(n)
-    adversary = make_adversary(scheduler, f_used, seed)
-    result = run_protocol(
-        n, f_used, factory,
-        adversary=adversary,
-        corrupt=None if adversary is not None else set(range(f_used)),
-        params=params,
-        stop_condition=stop_when_all_decided, seed=seed,
-        max_deliveries=max_deliveries,
-    )
-    if not (result.live and result.all_correct_decided):
-        return lam, None
-    decision_rounds = [
-        notes["decision_round"] + 1
-        for notes in result.notes.values()
-        if "decision_round" in notes
-    ]
-    rounds = max(decision_rounds) if decision_rounds else 1
-    return lam, (result.words, result.metrics.messages_sent_correct, rounds)
 
 
 @dataclass(frozen=True)
@@ -113,58 +80,34 @@ class ScalingCurve:
     model_words: tuple[float, ...]
 
 
-def run_curve(
-    name: str,
-    n_values,
-    seeds,
-    max_deliveries: int = 8_000_000,
-    f: int | None = None,
-    whp_sigmas: float = 3.0,
-    workers: int | None = None,
-    scheduler: str | None = None,
-) -> ScalingCurve:
-    words_per_n: list[float] = []
-    messages_per_n: list[float] = []
-    rounds_per_n: list[float] = []
+def _curve(name: str, points: list[tuple[int, BACell]]) -> ScalingCurve:
+    """Fold one protocol's ``(n, cell)`` points into its curve."""
+    n_values = [n for n, _ in points]
+    words = [cell.mean("words") for _, cell in points]
+    rounds = [
+        mean_or_nan(run.max_round or 1 for run in cell.done) for _, cell in points
+    ]
     model = word_complexity_model("whp_ba" if name == "whp_ba" else
                                   "mmr_shared_coin" if name == "mmr+alg1" else name)
-    model_points = []
-    for n in n_values:
-        outcomes = parallel_map(
-            _trial,
-            [
-                (name, n, f, seed, whp_sigmas, max_deliveries, scheduler)
-                for seed in seeds
-            ],
-            workers=workers,
-        )
-        lam = outcomes[-1][0] if outcomes else None
-        stats = [measured for _, measured in outcomes if measured is not None]
-        words = [w for w, _, _ in stats]
-        messages = [m for _, m, _ in stats]
-        rounds = [r for _, _, r in stats]
-        words_per_n.append(mean(words) if words else float("nan"))
-        messages_per_n.append(mean(messages) if messages else float("nan"))
-        rounds_per_n.append(mean(rounds) if rounds else float("nan"))
-        model_points.append(model(n, lam))
     # Words-per-round strips the per-run round-count noise that otherwise
     # dominates the slope fit at small n (rounds are O(1) in expectation
     # but vary 1..4 run to run).
     per_round = [
         w / r if w == w and r == r and r > 0 else float("nan")
-        for w, r in zip(words_per_n, rounds_per_n)
+        for w, r in zip(words, rounds)
     ]
-
     return ScalingCurve(
         protocol=name,
         n_values=tuple(n_values),
-        mean_words=tuple(words_per_n),
-        mean_messages=tuple(messages_per_n),
-        mean_rounds=tuple(rounds_per_n),
+        mean_words=tuple(words),
+        mean_messages=tuple(cell.mean("messages") for _, cell in points),
+        mean_rounds=tuple(rounds),
         words_per_round=tuple(per_round),
-        slope_words=_fit(n_values, words_per_n, name, "words"),
+        slope_words=_fit(n_values, words, name, "words"),
         slope_words_per_round=_fit(n_values, per_round, name, "words_per_round"),
-        model_words=tuple(model_points),
+        model_words=tuple(
+            model(n, cell.runs[-1].lam if cell.runs else None) for n, cell in points
+        ),
     )
 
 
@@ -194,34 +137,29 @@ def _fit(n_values, ys, protocol: str, series: str) -> float:
 
 
 def run(
-    n_values=(30, 60, 120),
-    seeds=range(3),
-    protocols=("mmr+alg1", "cachin", "whp_ba"),
+    n_values,
+    seeds,
+    protocols,
     f: int | None = None,
     whp_sigmas: float = 3.0,
     workers: int | None = None,
-    scheduler: str | None = None,
 ) -> list[ScalingCurve]:
     """Sweep n for each protocol.
 
-    ``f`` fixes the corruption budget across the sweep (default: each
-    protocol's resilience fraction).  Scaling runs default to fixed small
-    f and 3-sigma committee margins: the sub-quadratic shape only emerges
-    once the feasibility-inflated lambda *plateaus* (lambda must absorb
-    ~(sigmas/epsilon)^2 regardless of n), so growing f with n would keep
-    the measurement pinned in the pre-asymptotic lambda-growth regime --
-    the resilience-stressed configurations live in T1/E8 instead.
-
-    ``scheduler`` names the delivery schedule (``"fifo"``, ``"delay"``,
-    ``"random"``; ``None`` = run_protocol's seeded random default).
+    ``f`` fixes the corruption budget across the sweep (None: each
+    protocol's resilience fraction).  The tracked table fixes a small f
+    and scaling runs default to 3-sigma committee margins: the
+    sub-quadratic shape only emerges once the feasibility-inflated lambda
+    *plateaus* (lambda must absorb ~(sigmas/epsilon)^2 regardless of n),
+    so growing f with n would keep the measurement pinned in the
+    pre-asymptotic lambda-growth regime -- the resilience-stressed
+    configurations live in T1/E8 instead.
     """
-    return [
-        run_curve(
-            name, n_values, seeds, f=f, whp_sigmas=whp_sigmas,
-            workers=workers, scheduler=scheduler,
-        )
-        for name in protocols
-    ]
+    cells = [(name, n, f, whp_sigmas) for name in protocols for n in n_values]
+    points: dict[str, list] = {name: [] for name in protocols}
+    for (name, n, *_), cell in ba_sweep(cells, seeds, workers, _trial):
+        points[name].append((n, cell))
+    return [_curve(name, points[name]) for name in protocols]
 
 
 def format_scaling(curves: list[ScalingCurve]) -> str:
@@ -249,4 +187,8 @@ def format_scaling(curves: list[ScalingCurve]) -> str:
         for curve in curves
     }
     plot = loglog_plot(series, x_label="n", y_label="words")
-    return table + f"\n\nfitted log-log word slopes: {slopes}\n\n{plot}"
+    return (
+        table + f"\n\nfitted log-log word slopes: {slopes}\n\n{plot}"
+        "\n\nmodel-predicted word crossover vs MMR (lam = 8 ln n): "
+        f"n ~ {predicted_crossover('whp_ba', 'mmr'):,}"
+    )

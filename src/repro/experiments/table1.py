@@ -9,38 +9,12 @@ word complexity, termination behaviour and safety.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import mean
 
-from repro.experiments.parallel import parallel_map
-from repro.experiments.protocols import PROTOCOLS, make_runner
+from repro.experiments.protocols import PROTOCOLS
+from repro.experiments.sweep import ba_sweep, mean_or_nan, ratio_cell
 from repro.experiments.tables import format_table
-from repro.sim.runner import run_protocol, stop_when_all_decided
 
 __all__ = ["Table1Row", "format_table1", "run"]
-
-
-def _trial(
-    name: str, n: int, seed: int, max_deliveries: int
-) -> tuple[int, tuple[bool, int, int, float | None] | None]:
-    """One seeded run; top-level so sweep workers can pickle it.
-
-    Returns ``(f_used, (agreed, words, duration, max_round) | None)``.
-    """
-    factory, params, f = make_runner(name, n, seed=seed)
-    result = run_protocol(
-        n, f, factory, corrupt=set(range(f)), params=params,
-        stop_condition=stop_when_all_decided, seed=seed,
-        max_deliveries=max_deliveries,
-    )
-    if not (result.live and result.all_correct_decided):
-        return f, None
-    decision_rounds = [
-        notes["decision_round"] + 1
-        for notes in result.notes.values()
-        if "decision_round" in notes
-    ]
-    max_round = max(decision_rounds) if decision_rounds else None
-    return f, (result.agreement, result.words, result.duration, max_round)
 
 # The paper's analytic claims per row (n > x*f, word complexity class).
 PAPER_CLAIMS = {
@@ -67,54 +41,25 @@ class Table1Row:
     mean_rounds: float
 
 
-def run_row(
-    name: str,
-    n: int,
-    seeds,
-    max_deliveries: int = 2_000_000,
-    workers: int | None = None,
-) -> Table1Row:
-    """Run one protocol at its operating point over the given seeds."""
-    terminated = agreed = 0
-    words: list[int] = []
-    durations: list[int] = []
-    rounds: list[float] = []
-    outcomes = parallel_map(
-        _trial,
-        [(name, n, seed, max_deliveries) for seed in seeds],
-        workers=workers,
-    )
-    trials = len(outcomes)
-    f_used = outcomes[-1][0] if outcomes else 0
-    for _, measured in outcomes:
-        if measured is None:
-            continue
-        run_agreed, run_words, run_duration, max_round = measured
-        terminated += 1
-        if run_agreed:
-            agreed += 1
-        words.append(run_words)
-        durations.append(run_duration)
-        if max_round is not None:
-            rounds.append(max_round)
-    return Table1Row(
-        protocol=name,
-        n=n,
-        f=f_used,
-        trials=trials,
-        terminated=terminated,
-        agreed=agreed,
-        mean_words=mean(words) if words else float("nan"),
-        mean_duration=mean(durations) if durations else float("nan"),
-        mean_rounds=mean(rounds) if rounds else float("nan"),
-    )
-
-
 def run(
-    n: int = 45, seeds=range(5), protocols=PROTOCOLS, workers: int | None = None
+    n: int, seeds, protocols=PROTOCOLS, workers: int | None = None
 ) -> list[Table1Row]:
-    """Regenerate Table 1 at system size ``n`` over ``seeds``."""
-    return [run_row(name, n, seeds, workers=workers) for name in protocols]
+    """Regenerate Table 1 at system size ``n`` over ``seeds``: every
+    protocol at its resilience operating point."""
+    return [
+        Table1Row(
+            protocol=name,
+            n=n,
+            f=cell.f,
+            trials=len(cell.runs),
+            terminated=len(cell.done),
+            agreed=cell.agreed,
+            mean_words=cell.mean("words"),
+            mean_duration=cell.mean("duration"),
+            mean_rounds=mean_or_nan(cell.deciding_rounds),
+        )
+        for (name, _), cell in ba_sweep([(name, n) for name in protocols], seeds, workers)
+    ]
 
 
 def format_table1(rows: list[Table1Row]) -> str:
@@ -130,7 +75,7 @@ def format_table1(rows: list[Table1Row]) -> str:
             row.protocol, resilience, words_class, termination,
             row.n, row.f,
             f"{row.terminated}/{row.trials}",
-            f"{row.agreed}/{row.terminated}" if row.terminated else "-",
+            ratio_cell(row.agreed, row.terminated),
             row.mean_words, row.mean_rounds, row.mean_duration,
         ])
     return format_table(headers, body)

@@ -14,7 +14,7 @@ from repro.analysis.bounds import whp_coin_success_bound
 from repro.analysis.stats import BernoulliEstimate
 from repro.core.params import ProtocolParams
 from repro.core.whp_coin import whp_coin
-from repro.experiments.parallel import parallel_map
+from repro.experiments.sweep import interval_cell, sweep
 from repro.experiments.tables import format_table
 from repro.sim.runner import run_protocol
 
@@ -30,9 +30,7 @@ class WhpCoinPoint:
     paper_bound: float
 
 
-def _trial(
-    params: ProtocolParams, seed: int, max_deliveries: int
-) -> tuple[bool, bool]:
+def _trial(params: ProtocolParams, seed: int) -> tuple[bool, bool]:
     """One seeded run; top-level so sweep workers can pickle it.
 
     Returns ``(live, agreed)`` (``agreed`` only meaningful when live).
@@ -41,50 +39,46 @@ def _trial(
     result = run_protocol(
         n, f, lambda ctx: whp_coin(ctx, 0),
         corrupt=set(range(f)), params=params, seed=seed,
-        max_deliveries=max_deliveries,
     )
     live = result.live and len(result.returns) == n - f
     return live, live and len(result.returned_values) == 1
 
 
-def run_point(
-    params: ProtocolParams,
-    seeds,
-    max_deliveries: int = 2_000_000,
-    workers: int | None = None,
-) -> WhpCoinPoint:
-    outcomes = parallel_map(
-        _trial,
-        [(params, seed, max_deliveries) for seed in seeds],
-        workers=workers,
-    )
-    live = sum(1 for alive, _ in outcomes if alive)
-    agreements = sum(1 for _, agreed in outcomes if agreed)
+def _point(params: ProtocolParams, outcomes: list[tuple[bool, bool]]) -> WhpCoinPoint:
+    live = sum(alive for alive, _ in outcomes)
     return WhpCoinPoint(
         params=params,
         live=live,
         trials=len(outcomes),
-        agreement=BernoulliEstimate(successes=agreements, trials=max(live, 1)),
+        agreement=BernoulliEstimate(
+            successes=sum(agreed for _, agreed in outcomes), trials=max(live, 1)
+        ),
         paper_bound=whp_coin_success_bound(params.d),
     )
 
 
-def run(
-    n: int = 120,
-    f: int = 4,
-    d_values=(0.01, 0.03, 0.05),
-    lam: float | None = None,
-    seeds=range(25),
-    workers: int | None = None,
-) -> list[WhpCoinPoint]:
-    """Sweep d at fixed n, f, λ (default: feasibility-inflated 8 ln n)."""
+def sweep_params(
+    n: int, f: int, d_values, lam: float | None = None
+) -> list[ProtocolParams]:
+    """One bundle per d at fixed n, f, λ (default: feasibility-inflated 8 ln n)."""
     if lam is None:
         lam = ProtocolParams.simulation_scale(n=n, f=f).lam
-    points = []
-    for d in d_values:
-        params = ProtocolParams(n=n, f=f, lam=lam, d=d)
-        points.append(run_point(params, seeds, workers=workers))
-    return points
+    return [ProtocolParams(n=n, f=f, lam=lam, d=d) for d in d_values]
+
+
+def run(
+    n: int,
+    f: int,
+    d_values,
+    seeds,
+    lam: float | None = None,
+    workers: int | None = None,
+) -> list[WhpCoinPoint]:
+    cells = [(params,) for params in sweep_params(n, f, d_values, lam)]
+    return [
+        _point(params, outcomes)
+        for (params,), outcomes in sweep(_trial, cells, seeds, workers)
+    ]
 
 
 def format_whp_coin(points: list[WhpCoinPoint]) -> str:
@@ -95,11 +89,10 @@ def format_whp_coin(points: list[WhpCoinPoint]) -> str:
     rows = []
     for point in points:
         p = point.params
-        low, high = point.agreement.interval
         rows.append([
             p.n, p.f, p.lam, p.d, p.committee_quorum, p.committee_byzantine_bound,
             f"{point.live}/{point.trials}",
-            point.agreement.mean, f"[{low:.3f}, {high:.3f}]",
+            point.agreement.mean, interval_cell(point.agreement),
             max(0.0, 2 * point.paper_bound),
         ])
     return format_table(headers, rows)

@@ -9,11 +9,7 @@ from __future__ import annotations
 
 import os
 
-import pytest
-
-from repro.experiments import coin_success
 from repro.experiments.parallel import (
-    chunk_counts,
     derive_sweep_seeds,
     parallel_map,
     resolve_workers,
@@ -84,21 +80,3 @@ class TestParallelMap:
 
     def test_single_job_runs_inline(self):
         assert parallel_map(_square, [(9,)], workers=8) == [81]
-
-
-class TestChunkCounts:
-    def test_sums_and_balance(self):
-        for total in (0, 1, 7, 16):
-            for parts in (1, 2, 5):
-                chunks = chunk_counts(total, parts)
-                assert sum(chunks) == total
-                if chunks:
-                    assert max(chunks) - min(chunks) <= 1
-                    assert all(c > 0 for c in chunks)
-
-
-class TestDriverEquivalence:
-    def test_coin_success_point_is_worker_count_invariant(self):
-        serial = coin_success.run_point(8, 0, range(4), workers=1)
-        pooled = coin_success.run_point(8, 0, range(4), workers=2)
-        assert serial == pooled
