@@ -16,10 +16,14 @@ seconds, which is the acceptance bar this benchmark pins down:
 * wall-clock goes into fields containing ``seconds`` -- named so the
   gate's volatile-path exclusion (``GATE_EXCLUDED_SUBSTRINGS``) skips
   them -- and is *asserted* single-digit only in the full (non-smoke)
-  run, where the machine is the one the claim is made on.
+  run, where the machine is the one the claim is made on;
+* the process's peak resident set (``peak_rss_mib``, from
+  ``resource.getrusage``) sits next to the seconds: recorded in the
+  series and printed, never gated (the ``rss`` substring is excluded
+  too) -- memory, not time, is what caps the E4 points beyond n=1000.
 
 The timed section runs with the cyclic GC disabled (standard bench
-hygiene: the run allocates ~1.9M envelopes that a mid-run collection
+hygiene: the run keeps ~1.6M mailbox entries that a mid-run collection
 would otherwise scan; nothing in the kernel relies on collection).
 
 Run standalone for CI (records the trend series, no timing assertion)::
@@ -30,6 +34,7 @@ Run standalone for CI (records the trend series, no timing assertion)::
 from __future__ import annotations
 
 import gc
+import resource
 import sys
 import time
 
@@ -87,6 +92,10 @@ def run_point() -> tuple[dict, RunResult]:
         "wallclock_seconds": round(elapsed, 3),
         "deliveries_per_second": round(result.deliveries / elapsed, 1)
         if elapsed else 0.0,  # `per_second` paths are excluded too
+        # ru_maxrss is KiB on Linux: the process's peak, set by this run.
+        "peak_rss_mib": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
+        ),
     }
     return payload, result
 
@@ -98,7 +107,8 @@ def format_point(payload: dict) -> str:
         f"  {payload['deliveries']} deliveries, {payload['rounds']} round(s), "
         f"{payload['decided']}/{payload['n'] - payload['f']} correct decided\n"
         f"  {payload['wallclock_seconds']:.2f}s wall-clock "
-        f"({payload['deliveries_per_second']:.0f} deliveries/s)"
+        f"({payload['deliveries_per_second']:.0f} deliveries/s), "
+        f"peak RSS {payload['peak_rss_mib']:.1f} MiB"
     )
 
 

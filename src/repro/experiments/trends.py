@@ -231,16 +231,17 @@ def record_bench(
 # -- numeric drift extraction (the gate's view of a payload) -----------------
 
 # Path substrings excluded from gating and sparklines: legitimately
-# volatile between otherwise identical runs (wall clock, timestamps,
-# rendered text, machine-speed-derived bounds, and coverage-novelty
-# counts, which depend on how much the atlas had accumulated *before*
-# the run rather than on the run itself).
+# volatile between otherwise identical runs (wall clock, peak resident
+# set, timestamps, rendered text, machine-speed-derived bounds, and
+# coverage-novelty counts, which depend on how much the atlas had
+# accumulated *before* the run rather than on the run itself).
 GATE_EXCLUDED_SUBSTRINGS = (
     "phase_timings",
     "wallclock",
     "elapsed",
     "seconds",
     "per_second",
+    "rss",
     ".ts",
     ".report",
     "interval",

@@ -2,7 +2,7 @@
 
 :mod:`repro.sim.network` is the paper's reliable-link model; everything
 about the lossy *extension* is here -- :class:`LossyLinkConfig`, the
-deterministic fate of every seq, and what a fate does to an envelope
+deterministic fate of every seq, and what a fate does to a sent copy
 (drop, hold and release, bit flip, counters).  The kernel asks
 :meth:`_LossyState.fate`, :meth:`~_LossyState.route` and
 :meth:`~_LossyState.due`; seqs, ``SendEvent`` s and pool insertion stay
@@ -18,7 +18,7 @@ from heapq import heappop, heappush
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.crypto.hashing import derive_seed
-from repro.sim.messages import Envelope, Message
+from repro.sim.messages import Message
 
 __all__ = ["LossyLinkConfig", "zero_counters"]
 
@@ -257,9 +257,9 @@ class _LossyState:
         # (class name) -- the per-kind accounting `repro report` renders.
         self.counters = zero_counters()
         self.by_kind: dict[str, dict[str, int]] = {key: {} for key in self.counters}
-        # Min-heap of (release_at_deliveries, seq, envelope): reordered
-        # messages waiting outside the scheduler pool.
-        self.held: list[tuple[int, int, Envelope]] = []
+        # Min-heap of (release_at_deliveries, seq): reordered messages
+        # waiting outside the scheduler pool.
+        self.held: list[tuple[int, int]] = []
 
     @classmethod
     def for_run(cls, config: Any, seed: int, n: int) -> "_LossyState | None":
@@ -326,36 +326,37 @@ class _LossyState:
             fate = "corrupt"
         return fate, self._table[index + 1], hold
 
-    def route(self, envelope: Envelope, fate: str, aux: float, hold: int,
-              deliveries: int) -> int:
-        """Apply ``fate``; returns how many copies enter the pool now.
+    def route(self, seq: int, payload: Message, fate: str, aux: float, hold: int,
+              deliveries: int) -> tuple[int, Message | None]:
+        """Apply ``fate`` to the copy sent as ``seq``.
 
-        0: dropped, or held until ``deliveries`` advances by at most
-        ``hold``.  1: the envelope (bit-flipped under ``corrupt`` if it has
-        an eligible field).  2: the envelope and a twin the caller builds
-        under the next seq, which rolls no fate of its own.
+        Returns how many copies enter the pool now, and the payload the
+        destination receives instead if the link flipped a bit.  0:
+        dropped, or held until ``deliveries`` advances by at most ``hold``.
+        1: the copy (corrupted if it has an eligible field).  2: the copy
+        and a twin the caller enters under the next seq, which rolls no
+        fate of its own.
         """
-        kind = type(envelope.payload).__name__
+        kind = type(payload).__name__
         if fate == "drop":
             self._count("drops", kind)
-            return 0
+            return 0, None
         if fate == "reorder":
             self._count("reorders", kind)
-            release_at = deliveries + 1 + int(aux * hold)
-            heappush(self.held, (release_at, envelope.seq, envelope))
-            return 0
+            heappush(self.held, (deliveries + 1 + int(aux * hold), seq))
+            return 0, None
         if fate == "corrupt":
-            corrupted = _bit_corrupt(envelope.payload, random.Random(int(aux * (1 << 53))))
+            corrupted = _bit_corrupt(payload, random.Random(int(aux * (1 << 53))))
             if corrupted is not None:
                 self._count("corruptions", kind)
-                envelope.payload = corrupted
-        elif fate == "duplicate":
+            return 1, corrupted
+        if fate == "duplicate":
             self._count("duplicates", kind)
-            return 2
-        return 1
+            return 2, None
+        return 1, None
 
-    def due(self, deliveries: int, pool_empty: bool) -> Sequence[Envelope]:
-        """Pop the held envelopes whose hold expired (call while any is held).
+    def due(self, deliveries: int, pool_empty: bool) -> Sequence[int]:
+        """Pop the held seqs whose hold expired (call while any is held).
 
         With an empty pool and nothing due the earliest is released at
         once: a lossy link may delay but cannot withhold forever -- only
@@ -366,7 +367,7 @@ class _LossyState:
             return ()
         released = []
         while held and held[0][0] <= deliveries:
-            released.append(heappop(held)[2])
+            released.append(heappop(held)[1])
         if pool_empty and not released:
-            released.append(heappop(held)[2])
+            released.append(heappop(held)[1])
         return released

@@ -10,10 +10,10 @@ explicitly content-aware (ablation E6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Hashable
+from dataclasses import dataclass
+from typing import Hashable
 
-__all__ = ["Envelope", "Message"]
+__all__ = ["Envelope", "Flight", "Message"]
 
 
 @dataclass
@@ -35,22 +35,16 @@ class Message:
 
 @dataclass(slots=True)
 class Envelope:
-    """One in-flight message: payload plus routing and causality metadata.
+    """One message on one link: payload plus routing and causality metadata.
+
+    A value the kernel materialises on demand -- for a Byzantine
+    behaviour's ``on_deliver``, a scheduler's pool view, the reference
+    loop -- and never stores: what is in flight is a :class:`Flight` per
+    send call plus the per-copy ``seq`` and ``dest``.
 
     ``sent_step`` is the kernel's delivery counter when the message was
     submitted; the delivery event surfaces it so subscribers can read
-    link latency off a single event.  Slotted but not frozen: the kernel
-    creates one per (message, destination) pair -- the single hottest
-    allocation site -- and a frozen dataclass pays one
-    ``object.__setattr__`` call per field per construction.
-
-    ``pos`` is the envelope's index in the kernel's dense in-flight list
-    and the one field the kernel mutates after submission (a swap-remove
-    rewrites the moved envelope's ``pos``).  It is kernel-owned: kept up
-    only while the envelope is in flight and the kernel addresses the
-    pool by seq, and excluded from equality and ``repr``.  Everything
-    else is fixed at submission.  The default keeps seven-argument
-    constructions valid.
+    link latency off a single event.
     """
 
     seq: int
@@ -60,11 +54,36 @@ class Envelope:
     depth: int
     sender_correct: bool
     sent_step: int
-    pos: int = field(default=0, compare=False, repr=False)
 
     @property
     def instance(self) -> Hashable:
         return self.payload.instance
+
+
+class Flight:
+    """What every copy made by one ``submit`` / ``submit_broadcast`` call shares.
+
+    A broadcast hands one message object, one depth and one ``sent_step``
+    to n destinations; the only per-copy facts are ``seq`` and ``dest``,
+    which the kernel keeps in flat per-seq tables.  ``words`` and
+    ``instance`` are the payload's, read once per send instead of once
+    per delivery; ``entry`` is the one ``(sender, payload)`` tuple every
+    receiver's mailbox stream appends.
+    """
+
+    __slots__ = ("sender", "payload", "depth", "sender_correct", "sent_step",
+                 "words", "instance", "entry")
+
+    def __init__(self, sender: int, payload: Message, depth: int,
+                 sender_correct: bool, sent_step: int) -> None:
+        self.sender = sender
+        self.payload = payload
+        self.depth = depth
+        self.sender_correct = sender_correct
+        self.sent_step = sent_step
+        self.words = payload.words()
+        self.instance = payload.instance
+        self.entry = (sender, payload)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
-from repro.sim.messages import Envelope
+from repro.sim.messages import Envelope, Flight
 
 __all__ = ["MetricsRecorder", "ProtocolRecord", "histogram"]
 
@@ -122,18 +122,19 @@ class MetricsRecorder:
         self.sig_verifications = after[2] - before[2]
         self.sig_cache_hits = after[3] - before[3]
 
-    def record_send(self, envelope: Envelope) -> None:
-        words = envelope.payload.words()
-        kind = type(envelope.payload).__name__
+    def record_send(self, sent: Flight | Envelope) -> None:
+        """Count one sent copy: the kernel passes the copy's flight record."""
+        words = sent.payload.words()
+        kind = type(sent.payload).__name__
         self.words_total += words
         self.messages_sent_total += 1
-        if envelope.sender_correct:
+        if sent.sender_correct:
             self.words_correct += words
             self.messages_sent_correct += 1
             self.words_by_kind[kind] += words
             self.messages_by_kind[kind] += 1
-            self.words_by_sender[envelope.sender] += words
-            self.messages_by_sender[envelope.sender] += 1
+            self.words_by_sender[sent.sender] += words
+            self.messages_by_sender[sent.sender] += 1
 
     def record_delivery(self, envelope: Envelope) -> None:
         self.messages_delivered += 1

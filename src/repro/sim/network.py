@@ -4,7 +4,7 @@ One :class:`Simulation` models one run.  The event loop is::
 
     while in-flight messages remain and the stop condition is unmet:
         seq  <- adversary.scheduler.choose(pool)   # all asynchrony is here
-        deliver envelope(seq) to its destination
+        deliver the copy sent as seq to its destination
         let the corruption strategy react (budget f, no message removal)
 
 Correct processes are generator coroutines (see
@@ -17,13 +17,14 @@ The lossy-link *model extension* lives beside the kernel, in
 one -- the kernel is byte-identical to the reliable model.  Under an
 active one the kernel still allocates every seq, emits every
 ``SendEvent`` and makes every pool insertion; the link layer only says
-what each envelope's fate is and which held envelopes are due.
+what each sent copy's fate is and which held seqs are due.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from array import array
 from typing import Any, Callable
 
 from repro.crypto.pki import PKI
@@ -37,7 +38,7 @@ from repro.sim.events import (
     WaitWakeEvent,
 )
 from repro.sim.lossy import LossyLinkConfig, _LossyState, zero_counters
-from repro.sim.messages import Envelope, EnvelopeView, Message
+from repro.sim.messages import Envelope, EnvelopeView, Flight, Message
 from repro.sim.metrics import MetricsRecorder
 from repro.sim.process import ProcessContext, ProtocolFactory, Wait
 
@@ -45,13 +46,14 @@ __all__ = [
     "EmptySchedulerPoolError",
     "LossyLinkConfig",  # re-exported: its home is repro.sim.lossy
     "SchedulerPool",
+    "SeqNotInFlightError",
     "Simulation",
 ]
 
 DEFAULT_MAX_DELIVERIES = 2_000_000
 
 # What the fast loop iterates when the scheduler committed no batch: one
-# delivery, its envelope already picked (drained batches hold seqs).
+# delivery, its seq already picked (drained batches hold seqs).
 _BATCH_OF_ONE = (None,)
 
 
@@ -63,6 +65,18 @@ class EmptySchedulerPoolError(RuntimeError):
     test drove the pool directly).  Named so adversary authors get a
     diagnosable failure instead of a bare ``randrange(0)`` traceback.
     """
+
+
+class SeqNotInFlightError(KeyError):
+    """A scheduler chose a seq the kernel cannot deliver.
+
+    The per-seq tables are arrays: a negative or stale seq would address
+    some other message's slot instead of failing, so both loops check
+    every chosen and drained seq and name the scheduler and the cause.
+    """
+
+    def __str__(self) -> str:
+        return str(self.args[0])  # KeyError would print the repr
 
 
 class SchedulerPool:
@@ -88,23 +102,25 @@ class SchedulerPool:
 
     def seq_at(self, index: int) -> int:
         self._require_messages()
-        return self._simulation._in_flight[index].seq
+        return self._simulation._in_flight[index]
 
     def random_seq(self, rng: random.Random) -> int:
         self._require_messages()
         in_flight = self._simulation._in_flight
-        return in_flight[rng.randrange(len(in_flight))].seq
+        return in_flight[rng.randrange(len(in_flight))]
 
     def _envelope(self, seq: int) -> Envelope:
-        by_seq = self._simulation._by_seq
-        if by_seq is not None:
-            return by_seq[seq]
-        # Positional run: the kernel keeps no seq index, and no positional
-        # scheduler looks a seq up during a run -- scan.
-        for envelope in self._simulation._in_flight:
-            if envelope.seq == seq:
-                return envelope
-        raise KeyError(seq)
+        simulation = self._simulation
+        pos_at = simulation._pos_at
+        if pos_at is None:
+            # Positional run: the kernel keeps no seq index, and no
+            # positional scheduler looks a seq up during a run -- scan.
+            found = seq in simulation._in_flight
+        else:
+            found = 0 <= seq < len(pos_at) and pos_at[seq] >= 0
+        if not found:
+            raise KeyError(seq)
+        return simulation._envelope(seq)
 
     def view(self, seq: int) -> EnvelopeView:
         return EnvelopeView.of(self._envelope(seq))
@@ -266,23 +282,28 @@ class Simulation:
         self._pending_remaining: dict[int, int] = {}
         self._factories: dict[int, ProtocolFactory] = {}
 
-        # The in-flight set is one dense list, removal a swap with its last
-        # element.  Schedulers name messages by seq, so `_by_seq` maps seq
-        # to envelope and each envelope carries its list index (`pos`) --
-        # except on the fast loop under a scheduler that picks by position:
-        # nothing looks a seq up then, `_by_seq` is None and `pos` unused.
+        # The in-flight set is one dense list of seqs, removal a swap with
+        # its last element.  What a seq stands for is in flat tables with
+        # one slot per seq ever allocated: the flight it belongs to (None
+        # once a lossy link dropped it) and its destination.  Schedulers
+        # name messages by seq, so `_pos_at` holds each seq's index in the
+        # list, -1 while it is not in it -- except on the fast loop under a
+        # scheduler that picks by position: nothing looks a seq up then,
+        # and `_pos_at` is None.
         scheduler = adversary.scheduler
-        self._in_flight: list[Envelope] = []
+        self._in_flight: list[int] = []
+        self._flight_at: list[Flight | None] = []
+        self._dest_at = array("i")
         positional = delivery_mode == "batched" and _picks_by_position(scheduler)
-        self._by_seq: dict[int, Envelope] | None = None if positional else {}
-        self._next_seq = 0
+        self._pos_at: array | None = None if positional else array("i")
+        self._all_dests = array("i", range(n))
         self._pool = SchedulerPool(self)
         self._stopped = False
         self._started = False
         # Set again by run(); initialised here so a never-run simulation
         # answers `exhausted`/`deadlocked` instead of raising.
         self.exhausted = False
-        # Submission fast path: skip the per-envelope EnvelopeView (and
+        # Submission fast path: skip the per-copy EnvelopeView (and
         # the call itself) when the scheduler's on_submit is the base
         # no-op or declares it ignores the view.
         if type(scheduler).on_submit is Scheduler.on_submit:
@@ -312,12 +333,40 @@ class Simulation:
 
     # -- kernel services used by ProcessContext ---------------------------------
 
+    @property
+    def _next_seq(self) -> int:
+        """The seq the next sent copy takes: one table slot per seq."""
+        return len(self._flight_at)
+
+    def _allocate(self, flight: Flight, dest: int) -> int:
+        """Give one copy of ``flight`` the next seq; it is not in the pool yet."""
+        seq = len(self._flight_at)
+        self._flight_at.append(flight)
+        self._dest_at.append(dest)
+        if self._pos_at is not None:
+            self._pos_at.append(-1)
+        return seq
+
+    def _envelope(self, seq: int) -> Envelope:
+        """Materialise the envelope of an allocated, undropped ``seq``."""
+        flight = self._flight_at[seq]
+        # Positional: keyword construction measurably slows this path.
+        return Envelope(
+            seq,
+            flight.sender,
+            self._dest_at[seq],
+            flight.payload,
+            flight.depth,
+            flight.sender_correct,
+            flight.sent_step,
+        )
+
     def submit(self, sender: int, dest: int, message: Message) -> None:
         """Place a message on the link from ``sender`` to ``dest``.
 
         Links are reliable (the paper's model) unless an active
         :class:`LossyLinkConfig` was installed; then the link applies the
-        envelope's fate -- a deterministic function of (run seed, seq,
+        copy's fate -- a deterministic function of (run seed, seq,
         link config) -- after the sender has paid for the send.
         """
         if not 0 <= dest < self.n:
@@ -326,81 +375,84 @@ class Simulation:
             # A negative sender would silently index contexts[-1] and stamp
             # the wrong depth/sender_correct; fail like an invalid dest.
             raise ValueError(f"invalid sender {sender}")
-        seq = self._next_seq
-        # Positional: keyword construction measurably slows this path.
-        envelope = Envelope(
-            seq,
+        flight = Flight(
             sender,
-            dest,
             message,
             self.contexts[sender].depth + 1,
             sender not in self.corrupted,
             self.deliveries,
         )
-        self._next_seq = seq + 1
-        self.metrics.record_send(envelope)
-        self._emit_send(envelope)
+        seq = self._allocate(flight, dest)
+        self.metrics.record_send(flight)
+        self._emit_send(seq, dest, flight)
         if self._lossy is None:
-            self._insert_in_flight(envelope)
+            self._insert_in_flight(seq)
         else:
-            self._route_lossy(envelope, *self._lossy.fate(seq, sender, dest))
+            self._route_lossy(seq, dest, flight, *self._lossy.fate(seq, sender, dest))
 
-    def _emit_send(self, envelope: Envelope) -> None:
+    def _emit_send(self, seq: int, dest: int, flight: Flight) -> None:
         if self._subscribers:
-            message = envelope.payload
             self.events.emit(
                 SendEvent(
-                    step=envelope.sent_step,
-                    seq=envelope.seq,
-                    sender=envelope.sender,
-                    dest=envelope.dest,
-                    instance=message.instance,
-                    message_kind=type(message).__name__,
-                    words=message.words(),
-                    depth=envelope.depth,
-                    sender_correct=envelope.sender_correct,
+                    step=flight.sent_step,
+                    seq=seq,
+                    sender=flight.sender,
+                    dest=dest,
+                    instance=flight.instance,
+                    message_kind=type(flight.payload).__name__,
+                    words=flight.words,
+                    depth=flight.depth,
+                    sender_correct=flight.sender_correct,
                 )
             )
 
-    def _route_lossy(self, envelope: Envelope, fate: str, aux: float, hold: int) -> None:
-        """Enter into the pool what a lossy link makes of a just-sent envelope.
+    def _route_lossy(
+        self, seq: int, dest: int, flight: Flight, fate: str, aux: float, hold: int
+    ) -> None:
+        """Enter into the pool what a lossy link makes of a just-sent copy.
 
-        Shared by :meth:`submit` and :meth:`submit_broadcast`;
-        ``self._next_seq`` must already be past ``envelope.seq``, because a
-        duplicate's twin takes the next seq.  The twin is the network's
-        copy: it emits a ``SendEvent`` but is no protocol send.
+        Shared by :meth:`submit` and :meth:`submit_broadcast`.  A
+        duplicate's twin takes the next seq and shares the flight; it is
+        the network's copy: it emits a ``SendEvent`` but is no protocol
+        send.  A bit-flipped payload gets a flight of its own, so the
+        broadcast's other receivers still see the object that was sent.
         """
-        copies = self._lossy.route(envelope, fate, aux, hold, self.deliveries)
+        copies, corrupted = self._lossy.route(
+            seq, flight.payload, fate, aux, hold, self.deliveries
+        )
+        if corrupted is not None:
+            self._flight_at[seq] = Flight(
+                flight.sender, corrupted, flight.depth,
+                flight.sender_correct, flight.sent_step,
+            )
         if copies:
-            self._insert_in_flight(envelope)
+            self._insert_in_flight(seq)
             if copies == 2:
-                twin = Envelope(
-                    self._next_seq, envelope.sender, envelope.dest, envelope.payload,
-                    envelope.depth, envelope.sender_correct, envelope.sent_step,
-                )
-                self._next_seq += 1
-                self._emit_send(twin)
+                twin = self._allocate(flight, dest)
+                self._emit_send(twin, dest, flight)
                 self._insert_in_flight(twin)
+        elif fate == "drop":
+            self._flight_at[seq] = None
 
     def submit_broadcast(self, sender: int, message: Message) -> None:
         """Submit ``message`` from ``sender`` to every process (self included).
 
         Observably identical to ``n`` consecutive :meth:`submit` calls in
-        destination order -- same seqs, envelopes, events, metrics, link
-        fates and scheduler callbacks -- with the per-message work (word
-        count, kind, depth, the metrics increments) hoisted out of the
-        destination loop.  Broadcast is the protocols' only send
-        primitive, so this is the kernel's hottest submission path.
+        destination order -- same seqs, events, metrics, link fates and
+        scheduler callbacks -- with the per-message work (word count,
+        kind, depth, the metrics increments, the flight record) hoisted
+        out of the destination loop.  Broadcast is the protocols' only
+        send primitive, so this is the kernel's hottest submission path.
         """
         n = self.n
         if not 0 <= sender < n:
             raise ValueError(f"invalid sender {sender}")
-        ctx = self.contexts[sender]
-        depth = ctx.depth + 1
         sender_correct = sender not in self.corrupted
         sent_step = self.deliveries
+        depth = self.contexts[sender].depth + 1
+        flight = Flight(sender, message, depth, sender_correct, sent_step)
         metrics = self.metrics
-        words = message.words()
+        words = flight.words
         kind = type(message).__name__
         # record_send x n, batched: identical final counter values.
         metrics.words_total += words * n
@@ -413,9 +465,10 @@ class Simulation:
             metrics.words_by_sender[sender] += words * n
             metrics.messages_by_sender[sender] += n
         emit = self.events.emit if self._subscribers else None
-        instance = message.instance
         in_flight = self._in_flight
-        by_seq = self._by_seq
+        flight_at = self._flight_at
+        dest_at = self._dest_at
+        pos_at = self._pos_at
         lossy = self._lossy
         on_submit = self._submit_hook
         wants_view = self._submit_wants_view
@@ -428,76 +481,84 @@ class Simulation:
             if scheduler.content_aware
             else None
         )
-        seq = self._next_seq
-        first_seq = seq
-        pos = len(in_flight)
-        for dest in range(n):
-            # Positional: keyword construction measurably slows this loop.
-            envelope = Envelope(
-                seq, sender, dest, message, depth, sender_correct, sent_step
-            )
-            if emit is not None:
-                emit(
-                    SendEvent(
-                        step=sent_step,
-                        seq=seq,
-                        sender=sender,
-                        dest=dest,
-                        instance=instance,
-                        message_kind=kind,
-                        words=words,
-                        depth=depth,
-                        sender_correct=sender_correct,
+        seq = first_seq = len(flight_at)
+        if emit is None and lossy is None and not per_seq and inspect is None:
+            # Nobody looks at a single copy: the n copies are four bulk
+            # extends, and differ only in their table slots.
+            seq += n
+            flight_at.extend([flight] * n)
+            dest_at.extend(self._all_dests)
+            if pos_at is not None:
+                pos = len(in_flight)
+                pos_at.extend(range(pos, pos + n))
+            in_flight.extend(range(first_seq, seq))
+        else:
+            instance = flight.instance
+            for dest in range(n):
+                flight_at.append(flight)
+                dest_at.append(dest)
+                if emit is not None:
+                    emit(
+                        SendEvent(
+                            step=sent_step,
+                            seq=seq,
+                            sender=sender,
+                            dest=dest,
+                            instance=instance,
+                            message_kind=kind,
+                            words=words,
+                            depth=depth,
+                            sender_correct=sender_correct,
+                        )
                     )
-                )
-            if lossy is not None:
-                fate, aux, hold = lossy.fate(seq, sender, dest)
-                if fate != "deliver":
-                    self._next_seq = seq + 1
-                    self._route_lossy(envelope, fate, aux, hold)
-                    seq = self._next_seq
-                    pos = len(in_flight)
-                    continue
-            in_flight.append(envelope)
-            if by_seq is not None:
-                envelope.pos = pos
-                by_seq[seq] = envelope
-            if per_seq:
-                on_submit(seq, EnvelopeView.of(envelope) if wants_view else None)
-            if inspect is not None:
-                inspect(seq, message, sender)
-            seq += 1
-            pos += 1
-        self._next_seq = seq
+                if lossy is not None:
+                    fate, aux, hold = lossy.fate(seq, sender, dest)
+                    if fate != "deliver":
+                        if pos_at is not None:
+                            pos_at.append(-1)
+                        self._route_lossy(seq, dest, flight, fate, aux, hold)
+                        seq = len(flight_at)  # past a duplicate's twin too
+                        continue
+                if pos_at is not None:
+                    pos_at.append(len(in_flight))
+                in_flight.append(seq)
+                if per_seq:
+                    on_submit(
+                        seq, EnvelopeView.of(self._envelope(seq)) if wants_view else None
+                    )
+                if inspect is not None:
+                    inspect(seq, message, sender)
+                seq += 1
         if on_submit is not None and not per_seq:
             # Deferring the bulk call past the destination loop is
             # invisible -- the kernel only consults the scheduler between
             # deliveries, never mid-submit.
             scheduler.on_submit_range(first_seq, seq)
 
-    def _insert_in_flight(self, envelope: Envelope) -> None:
-        """Enter ``envelope`` into the scheduler pool.
+    def _insert_in_flight(self, seq: int) -> None:
+        """Enter the allocated ``seq`` into the scheduler pool.
 
         The pool bookkeeping + scheduler callbacks of one unicast
-        (:meth:`submit_broadcast` inlines the same); a reordered envelope
+        (:meth:`submit_broadcast` inlines the same); a reordered seq
         joins the pool through here at release time, not submit time.
         """
-        seq = envelope.seq
-        if self._by_seq is not None:
-            envelope.pos = len(self._in_flight)
-            self._by_seq[seq] = envelope
-        self._in_flight.append(envelope)
+        if self._pos_at is not None:
+            self._pos_at[seq] = len(self._in_flight)
+        self._in_flight.append(seq)
         on_submit = self._submit_hook
         if on_submit is not None:
             on_submit(
                 seq,
-                EnvelopeView.of(envelope) if self._submit_wants_view else None,
+                EnvelopeView.of(self._envelope(seq))
+                if self._submit_wants_view
+                else None,
             )
         scheduler = self.adversary.scheduler
         if scheduler.content_aware:
             inspect = getattr(scheduler, "inspect_payload", None)
             if inspect is not None:
-                inspect(seq, envelope.payload, envelope.sender)
+                flight = self._flight_at[seq]
+                inspect(seq, flight.payload, flight.sender)
 
     def note_decision(self, pid: int) -> None:
         self.decided.add(pid)
@@ -673,13 +734,33 @@ class Simulation:
                     self.metrics.wait_skips += 1
 
     def _remove_in_flight(self, seq: int) -> Envelope:
-        """Swap-remove: the last envelope takes the removed one's place."""
-        envelope = self._by_seq.pop(seq)
+        """Swap-remove: the last seq takes the removed one's place."""
+        pos_at = self._pos_at
+        position = pos_at[seq] if 0 <= seq < len(pos_at) else -1
+        if position < 0:
+            raise self._not_in_flight(seq)
         last = self._in_flight.pop()
-        if last is not envelope:
-            self._in_flight[envelope.pos] = last
-            last.pos = envelope.pos
-        return envelope
+        if last != seq:
+            self._in_flight[position] = last
+            pos_at[last] = position
+        pos_at[seq] = -1
+        return self._envelope(seq)
+
+    def _not_in_flight(self, seq: int) -> SeqNotInFlightError:
+        """The error for a scheduler that chose ``seq``, naming why it cannot go."""
+        if not 0 <= seq < len(self._flight_at):
+            cause = "never submitted"
+        elif self._flight_at[seq] is None or (
+            self._lossy is not None
+            and any(seq == held_seq for _, held_seq in self._lossy.held)
+        ):
+            cause = "dropped or held by a lossy link"
+        else:
+            cause = "already delivered"
+        scheduler = type(self.adversary.scheduler).__name__
+        return SeqNotInFlightError(
+            f"scheduler {scheduler} chose seq {seq}, which is not in flight ({cause})"
+        )
 
     # -- main loop -----------------------------------------------------------------
 
@@ -751,9 +832,10 @@ class Simulation:
 
         ``delivery_mode="classic"`` selects it, and only the equivalence
         tests do, to hold :meth:`_run_fast` against it.  Every scheduler
-        is asked through ``choose``, so the kernel keeps the seq index
-        here.  It carries no timers: under ``profile=True`` its whole
-        duration is ``kernel.step``.
+        is asked through ``choose``, so the kernel keeps ``_pos_at``
+        here, and every delivery materialises its :class:`Envelope`.  It
+        carries no timers: under ``profile=True`` its whole duration is
+        ``kernel.step``.
         """
         scheduler = self.adversary.scheduler
         corruption = self.adversary.corruption
@@ -764,8 +846,8 @@ class Simulation:
                 self._stopped = True
                 return
             if held:
-                for envelope in self._lossy.due(self.deliveries, not self._in_flight):
-                    self._insert_in_flight(envelope)
+                for seq in self._lossy.due(self.deliveries, not self._in_flight):
+                    self._insert_in_flight(seq)
             seq = scheduler.choose(self._pool)
             envelope = self._remove_in_flight(seq)
             scheduler.on_delivered(seq)
@@ -779,27 +861,31 @@ class Simulation:
     def _run_fast(self) -> None:
         """The loop every run takes (``delivery_mode="batched"``, the default).
 
-        Per-envelope semantics are identical to :meth:`_run_reference`:
+        Per-delivery semantics are identical to :meth:`_run_reference`:
         the stop condition is checked before every delivery, the
         corruption strategy observes every delivery, held (reordered)
-        envelopes are released before every choice, and the pending-wait
+        seqs are released before every choice, and the pending-wait
         gates (instance subscription, min_count countdown) fire per
-        envelope -- so event streams, metrics and results are
-        byte-identical.  What changes is dispatch.  The next envelope is
+        delivery -- so event streams, metrics and results are
+        byte-identical.  What changes is dispatch.  The next delivery is
         the next seq of a batch the scheduler committed through
         :meth:`~repro.sim.adversary.Scheduler.drain`, or else a batch of
-        one: the envelope at ``choose_index(len(pool))`` when the
-        scheduler picks by position (no seq index exists then), otherwise
+        one: the seq at ``choose_index(len(pool))`` when the scheduler
+        picks by position (no ``_pos_at`` exists then), otherwise
         ``choose(pool)``.  ``_remove_in_flight``/``_deliver``/
-        ``Mailbox.add`` are inlined and the kernel's per-delivery
-        attribute traffic is hoisted into locals.
+        ``Mailbox.add`` are inlined, the kernel's per-delivery attribute
+        traffic is hoisted into locals, and an :class:`Envelope` is
+        built only for a corrupted receiver or a reacting corruption
+        strategy.
         """
         scheduler = self.adversary.scheduler
         corruption = self.adversary.corruption
         # Aliases, not copies: mutations from corrupt()/submit() during the
         # loop stay visible to it.
         in_flight = self._in_flight
-        by_seq = self._by_seq
+        flight_at = self._flight_at
+        dest_at = self._dest_at
+        pos_at = self._pos_at
         contexts = self.contexts
         corrupted = self.corrupted
         behaviors = self._behaviors
@@ -816,7 +902,7 @@ class Simulation:
         budget = self.f
         pool = self._pool
         choose = scheduler.choose
-        choose_index = scheduler.choose_index if by_seq is None else None
+        choose_index = scheduler.choose_index if pos_at is None else None
         on_delivered = scheduler.on_delivered
         lossy = self._lossy
         held = lossy.held if lossy is not None else ()
@@ -864,8 +950,8 @@ class Simulation:
                     self._stopped = True
                     return
             if held:
-                for envelope in due(self.deliveries, not in_flight):
-                    insert(envelope)
+                for seq in due(self.deliveries, not in_flight):
+                    insert(seq)
             batch = drain and drain(pool, max_deliveries - self.deliveries)
             if batch:
                 # Drained seqs already left the scheduler's books: no
@@ -877,13 +963,16 @@ class Simulation:
                 batch = _BATCH_OF_ONE
                 if choose_index is not None:
                     position = choose_index(len(in_flight))
-                    envelope = in_flight[position]
+                    picked = in_flight[position]
                 else:
-                    chosen = choose(pool)
-                    envelope = by_seq.pop(chosen)
-                    position = envelope.pos
+                    picked = chosen = choose(pool)
+                    position = pos_at[picked] if 0 <= picked < len(pos_at) else -1
+                    if position < 0:
+                        raise self._not_in_flight(picked)
             for seq in batch:
-                if seq is not None:
+                if seq is None:
+                    seq = picked
+                else:
                     if first_in_batch:
                         first_in_batch = False  # the outer loop just checked stop
                     elif stop_condition is not None:
@@ -898,55 +987,61 @@ class Simulation:
                         if stop_val:
                             self._stopped = True
                             return
-                    envelope = by_seq.pop(seq)
-                    position = envelope.pos
+                    position = pos_at[seq] if 0 <= seq < len(pos_at) else -1
+                    if position < 0:
+                        raise self._not_in_flight(seq)
                     self.batched_deliveries += 1
-                # -- _remove_in_flight, inlined (positional picks never read
-                # `pos`, so it is kept up only beside a seq index) --
+                # -- _remove_in_flight, inlined (positional picks keep no
+                # `pos_at`) --
                 last = in_flight.pop()
-                if last is not envelope:
+                if last != seq:
                     in_flight[position] = last
-                    if by_seq is not None:
-                        last.pos = position
+                    if pos_at is not None:
+                        pos_at[last] = position
+                if pos_at is not None:
+                    pos_at[seq] = -1
                 if chosen >= 0:
                     on_delivered(chosen)
                 # -- _deliver, inlined --
-                payload = envelope.payload
+                flight = flight_at[seq]
+                payload = flight.payload
                 metrics.messages_delivered += 1
-                metrics.words_delivered += payload.words()
-                payload_instance = payload.instance
+                metrics.words_delivered += flight.words
+                payload_instance = flight.instance
+                pid = dest_at[seq]
                 if subscribers:
                     summary = self.events.summary_of(payload)
                     emit(
                         DeliverEvent(
                             step=self.deliveries,
-                            seq=envelope.seq,
-                            sender=envelope.sender,
-                            dest=envelope.dest,
+                            seq=seq,
+                            sender=flight.sender,
+                            dest=pid,
                             instance=payload_instance,
                             message_kind=summary.kind,
                             words=summary.words,
-                            depth=envelope.depth,
-                            sent_step=envelope.sent_step,
+                            depth=flight.depth,
+                            sent_step=flight.sent_step,
                             summary=summary,
                             payload=payload,
                         )
                     )
                 self.deliveries += 1
-                pid = envelope.dest
                 ctx = contexts[pid]
-                if ctx.depth < envelope.depth:
-                    ctx.depth = envelope.depth
+                depth = flight.depth
+                if ctx.depth < depth:
+                    ctx.depth = depth
                 if pid in corrupted:
-                    behaviors[pid].on_deliver(ctx, envelope)
+                    behaviors[pid].on_deliver(ctx, self._envelope(seq))
                 else:
                     mailbox = ctx.mailbox
-                    # -- Mailbox.add, inlined (kernel-owned hot path) --
+                    # -- Mailbox.add, inlined (kernel-owned hot path); every
+                    # receiver of a send appends the flight's one tuple --
                     by_instance = mailbox._by_instance
                     stream_list = by_instance.get(payload_instance)
                     if stream_list is None:
                         by_instance[payload_instance] = stream_list = []
-                    stream_list.append((envelope.sender, payload))
+                    stream_list.append(flight.entry)
                     mailbox_counts = mailbox.counts
                     mailbox_counts[payload_instance] = (
                         mailbox_counts.get(payload_instance, 0) + 1
@@ -990,7 +1085,7 @@ class Simulation:
                             else:
                                 metrics.wait_skips += 1
                 if corruption_reacts and len(corrupted) < budget:
-                    view = EnvelopeView.of(envelope)
+                    view = EnvelopeView.of(self._envelope(seq))
                     for pid in corruption.on_delivery(view, frozenset(corrupted)):
                         self.corrupt(pid)
         self._stopped = self._should_stop()

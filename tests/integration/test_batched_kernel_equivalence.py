@@ -265,8 +265,8 @@ class TestRandomSchedulerFastLoop:
         reference = self._run("classic", lossy)
         fast = self._run("batched", lossy)
         # The premise: the two sides really ran different pool layouts.
-        assert fast[0]._by_seq is None
-        assert reference[0]._by_seq is not None
+        assert fast[0]._pos_at is None
+        assert reference[0]._pos_at is not None
         if lossy is not None:
             counters = fast[0].lossy_counters
             assert counters["duplicates"] > 0 and counters["reorders"] > 0

@@ -1,20 +1,26 @@
-"""The kernel's in-flight pool: dense envelope list, positional picks.
+"""The kernel's in-flight pool: dense seq list, per-seq tables, positional picks.
 
-The pool is one ``list[Envelope]`` with swap-remove.  Seq-choosing
-schedulers get a ``seq -> envelope`` index beside it; a scheduler that
-declares ``choose_index`` (``RandomScheduler``) is picked by position on
-the fast loop and gets none.  These tests pin the three claims the layout
-rests on: the positional path is taken only when the scheduler's own
-``choose`` would have made the same pick (the bypass guard),
-``SchedulerPool`` keeps its contract with or without the index, and
-``choose_index`` is the very draw ``pool.random_seq`` makes (DESIGN.md
-section 10).
+The pool is one ``list[int]`` of seqs with swap-remove; what a seq stands
+for is in ``_flight_at`` / ``_dest_at``, one slot per seq ever allocated.
+Seq-choosing schedulers get ``_pos_at`` (seq -> pool index, -1 outside
+the pool) beside it; a scheduler that declares ``choose_index``
+(``RandomScheduler``) is picked by position on the fast loop and gets
+none.  These tests pin the claims the layout rests on: the positional
+path is taken only when the scheduler's own ``choose`` would have made
+the same pick (the bypass guard), ``SchedulerPool`` keeps its contract
+with or without ``_pos_at``, ``choose_index`` is the very draw
+``pool.random_seq`` makes, every copy of a send shares one flight record,
+and a copy in flight costs what DESIGN.md section 10 says it costs.
 """
 
 from __future__ import annotations
 
+import gc
+import platform
 import random
-from dataclasses import dataclass
+import sys
+import tracemalloc
+from dataclasses import dataclass, fields
 
 import pytest
 
@@ -25,9 +31,12 @@ from repro.sim.adversary import (
     DelayBoundedScheduler,
     FIFOScheduler,
     RandomScheduler,
+    StaticCorruption,
 )
+from repro.sim.byzantine import ScriptedBehavior
 from repro.sim.events import DeliverEvent
-from repro.sim.messages import Message
+from repro.sim.lossy import LossyLinkConfig
+from repro.sim.messages import Envelope, Message
 from repro.sim.network import EmptySchedulerPoolError, Simulation
 from repro.sim.process import Wait
 
@@ -109,12 +118,12 @@ class Halving(RandomScheduler):
 class TestBypassGuard:
     def test_random_scheduler_is_picked_by_position(self):
         sim = make_sim(RandomScheduler(random.Random(1)))
-        assert sim._by_seq is None
+        assert sim._pos_at is None
 
     @pytest.mark.parametrize("kwargs", [{"delivery_mode": "classic"}])
     def test_reference_loop_keeps_the_seq_index(self, kwargs):
         sim = make_sim(RandomScheduler(random.Random(1)), **kwargs)
-        assert sim._by_seq == {}
+        assert sim._pos_at is not None and len(sim._pos_at) == 0
 
     @pytest.mark.parametrize(
         "scheduler",
@@ -126,12 +135,13 @@ class TestBypassGuard:
         ids=lambda scheduler: type(scheduler).__name__,
     )
     def test_seq_choosing_schedulers_keep_the_seq_index(self, scheduler):
-        assert make_sim(scheduler)._by_seq == {}
+        sim = make_sim(scheduler)
+        assert sim._pos_at is not None and len(sim._pos_at) == 0
 
     def test_overridden_choose_decides_every_delivery(self):
         scheduler = FirstInPool()
         sim, delivered = run_chatter(scheduler)
-        assert sim._by_seq is not None
+        assert sim._pos_at is not None
         assert scheduler.picks == delivered
         assert len(delivered) == sim.deliveries
         # ...and the inherited positional draw was never consulted.
@@ -152,7 +162,7 @@ class TestBypassGuard:
         scheduler.__class__ = type("Traced", (RandomScheduler,), {"choose": counted})
         traced_sim, traced = run_chatter(scheduler, seed=7)
         plain_sim, plain = run_chatter(RandomScheduler(random.Random(7)), seed=7)
-        assert plain_sim._by_seq is None and traced_sim._by_seq is not None
+        assert plain_sim._pos_at is None and traced_sim._pos_at is not None
         assert len(calls) == traced_sim.deliveries
         assert traced == plain
 
@@ -168,11 +178,11 @@ class TestBypassGuard:
         _, reference_order = run_chatter(
             Halving(random.Random(5)), seed=5, delivery_mode="classic"
         )
-        assert fast._by_seq is None
+        assert fast._pos_at is None
         assert fast_order == reference_order
 
 
-# -- SchedulerPool's contract, with and without the seq index -----------------
+# -- SchedulerPool's contract, with and without `_pos_at` ---------------------
 
 
 def pool_scheduler(layout):
@@ -187,7 +197,8 @@ def pool_scheduler(layout):
 class TestSchedulerPoolContract:
     def _filled(self, layout, rounds=200):
         """A pool after a randomized insert/remove trace, next to a plain
-        model of the same swap-remove order."""
+        model of the same swap-remove order; the table invariants are
+        checked after every step."""
         sim = make_sim(pool_scheduler(layout), n=5)
         rng = random.Random(11)
         model = []  # (seq, sender, dest, value) in pool order
@@ -204,12 +215,13 @@ class TestSchedulerPoolContract:
                 sim.submit(sender, dest, Note("i", value=next_seq * 3))
                 model.append((next_seq, sender, dest, next_seq * 3))
                 next_seq += 1
+            self._check_tables(sim, next_seq)
         assert len(model) > 5
         return sim, model
 
     @staticmethod
     def _remove(sim, index, seq):
-        if sim._by_seq is None:
+        if sim._pos_at is None:
             # What the fast loop's positional pick does.
             last = sim._in_flight.pop()
             if index < len(sim._in_flight):
@@ -217,17 +229,34 @@ class TestSchedulerPoolContract:
         else:
             assert sim._remove_in_flight(seq).seq == seq
 
+    @staticmethod
+    def _check_tables(sim, next_seq):
+        pool = sim._in_flight
+        assert len(sim._flight_at) == len(sim._dest_at) == sim._next_seq == next_seq
+        if sim._pos_at is not None:
+            # Beside `_pos_at` every seq knows its own position, or -1.
+            assert len(sim._pos_at) == next_seq
+            assert [sim._pos_at[seq] for seq in pool] == list(range(len(pool)))
+            in_pool = set(pool)
+            assert all(
+                sim._pos_at[seq] == -1 for seq in range(next_seq) if seq not in in_pool
+            )
+
     def test_len_and_seq_at_follow_swap_remove_order(self, layout):
         sim, model = self._filled(layout)
         pool = sim._pool
         assert len(pool) == len(model)
         assert [pool.seq_at(i) for i in range(len(pool))] == [row[0] for row in model]
         assert pool.seq_at(-1) == model[-1][0]
-        if sim._by_seq is not None:
-            # Beside a seq index every envelope knows its own position.
-            assert [e.pos for e in sim._in_flight] == list(range(len(pool)))
-            assert all(sim._by_seq[e.seq] is e for e in sim._in_flight)
-            assert len(sim._by_seq) == len(pool)
+        assert sim._in_flight == [row[0] for row in model]
+        # The tables say what each seq in the pool stands for.
+        for seq, sender, dest, value in model:
+            flight = sim._flight_at[seq]
+            assert (flight.sender, sim._dest_at[seq], flight.payload.value) == (
+                sender, dest, value,
+            )
+            assert flight.entry == (sender, flight.payload)
+            assert flight.entry[1] is flight.payload
 
     def test_random_seq_is_seq_at_a_randrange_draw(self, layout):
         sim, model = self._filled(layout)
@@ -308,3 +337,194 @@ class TestChooseIndexIdentity:
         for _ in range(100):
             assert a.choose(pool) == pool.seq_at(b.choose_index(len(pool)))
         assert a.rng.getstate() == b.rng.getstate()
+
+
+# -- every copy of a send shares one flight record ------------------------------
+
+
+def idle(ctx):
+    """Waits for nothing that comes, so whatever is delivered stays in the
+    mailbox."""
+    yield Wait(lambda mailbox: None, instances={"never"})
+
+
+def run_idle(sim):
+    sim.set_protocol_all(idle)
+    delivered = []
+    sim.events.subscribe(
+        lambda event: delivered.append(event)
+        if isinstance(event, DeliverEvent) else None
+    )
+    sim.run()
+    return delivered
+
+
+ONE_BIT = {"drops": 0, "duplicates": 0, "reorders": 0, "corruptions": 1}
+ONE_TWIN = {"drops": 0, "duplicates": 1, "reorders": 0, "corruptions": 0}
+
+
+class TestFlightSharing:
+    def _after_broadcasts(self, mode):
+        sim = make_sim(FIFOScheduler(), n=5, delivery_mode=mode)
+        sent = [Note("x", value=1), Note("x", value=2), Note("y", value=3)]
+        for sender, note in enumerate(sent):
+            sim.submit_broadcast(sender, note)
+        run_idle(sim)
+        assert sim.deliveries == 15
+        return sim, sent
+
+    def test_receivers_share_one_stream_entry_per_broadcast(self):
+        sim, sent = self._after_broadcasts("batched")
+        streams = [sim.contexts[pid].mailbox.stream("x") for pid in range(5)]
+        for index in range(2):
+            entry = streams[0][index]
+            assert entry == (index, sent[index]) and entry[1] is sent[index]
+            assert all(stream[index] is entry for stream in streams)
+
+    def test_reference_loop_streams_equal_the_fast_loops(self):
+        fast, _ = self._after_broadcasts("batched")
+        reference, _ = self._after_broadcasts("classic")
+        for pid in range(5):
+            for instance in ("x", "y"):
+                assert (
+                    reference.contexts[pid].mailbox.stream(instance)
+                    == fast.contexts[pid].mailbox.stream(instance)
+                )
+
+    @pytest.mark.parametrize("mode", ["batched", "classic"])
+    def test_a_corrupting_link_changes_one_receivers_payload_only(self, mode):
+        link = {(0, 2): LossyLinkConfig(corrupt_rate=1.0)}
+        sim = make_sim(
+            FIFOScheduler(), n=4, delivery_mode=mode, lossy=LossyLinkConfig(per_link=link)
+        )
+        sent = Note("x", value=5)
+        sim.submit_broadcast(0, sent)
+        delivered = {event.dest: event.payload for event in run_idle(sim)}
+        assert sorted(delivered) == [0, 1, 2, 3]
+        for dest in (0, 1, 3):
+            assert delivered[dest] is sent
+        flipped = delivered[2]
+        assert flipped is not sent and flipped.instance == "x"
+        assert bin(flipped.value ^ 5).count("1") == 1 and sent.value == 5
+        assert sim.lossy_counters == ONE_BIT
+        assert sim.contexts[2].mailbox.stream("x")[0] == (0, flipped)
+
+    @pytest.mark.parametrize("mode", ["batched", "classic"])
+    def test_a_duplicates_twin_is_the_same_object_under_the_next_seq(self, mode):
+        link = {(0, 1): LossyLinkConfig(duplicate_rate=1.0)}
+        sim = make_sim(
+            FIFOScheduler(), n=4, delivery_mode=mode, lossy=LossyLinkConfig(per_link=link)
+        )
+        sent = Note("x", value=5)
+        sim.submit_broadcast(0, sent)
+        delivered = run_idle(sim)
+        assert [(event.seq, event.dest) for event in delivered] == [
+            (0, 0), (1, 1), (2, 1), (3, 2), (4, 3),
+        ]
+        assert all(event.payload is sent for event in delivered)
+        assert sim._flight_at[1] is sim._flight_at[2]
+        assert sim.lossy_counters == ONE_TWIN
+
+    @pytest.mark.parametrize("mode", ["batched", "classic"])
+    def test_a_corrupted_receiver_is_handed_the_whole_envelope(self, mode):
+        seen = []
+        pki = PKI.create(4, rng=random.Random(0))
+        sim = Simulation(
+            n=4, f=1, pki=pki, seed=0, delivery_mode=mode,
+            adversary=Adversary(
+                scheduler=FIFOScheduler(),
+                corruption=StaticCorruption({3}),
+                behavior_factory=lambda pid: ScriptedBehavior(
+                    on_deliver=lambda ctx, envelope: seen.append(envelope)
+                ),
+            ),
+        )
+
+        def speaker(ctx):
+            if ctx.pid == 1:
+                ctx.broadcast(Note("x", value=7))
+                ctx.send(3, Note("y", value=8))
+            yield from idle(ctx)
+
+        sim.set_protocol_all(speaker)
+        sim.run()
+        assert [field.name for field in fields(Envelope)] == [
+            "seq", "sender", "dest", "payload", "depth", "sender_correct", "sent_step",
+        ]
+        broadcast, unicast = seen
+        assert broadcast == Envelope(3, 1, 3, Note("x", value=7), 1, True, 0)
+        assert unicast == Envelope(4, 1, 3, Note("y", value=8), 1, True, 0)
+        assert broadcast.payload is sim.contexts[0].mailbox.stream("x")[0][1]
+
+    @pytest.mark.parametrize("layout", ["positional", "seq-addressed"])
+    @pytest.mark.parametrize("fate", ["drop", "reorder"])
+    def test_a_dropped_or_held_seq_has_no_view(self, layout, fate):
+        link = {(0, 1): LossyLinkConfig(**{f"{fate}_rate": 1.0}, reorder_hold=50)}
+        sim = make_sim(pool_scheduler(layout), n=3, lossy=LossyLinkConfig(per_link=link))
+        sim.submit_broadcast(0, Note("x"))
+        assert sim._in_flight == [0, 2]
+        assert sim._pool.view(2).dest == 2
+        with pytest.raises(KeyError) as raised:
+            sim._pool.view(1)
+        assert raised.value.args == (1,)
+
+
+# -- what a copy in flight costs -------------------------------------------------
+
+
+@pytest.mark.skipif(
+    platform.python_implementation() != "CPython",
+    reason="allocation sizes are CPython's",
+)
+class TestMemoryGuard:
+    """Exact allocation counts, not timings: deterministic on one interpreter.
+
+    DESIGN.md section 10 has the table: a broadcast's copies differ in a
+    seq and a destination, so a copy in flight is a few table slots (plus
+    the scheduler's own entry), and a delivery adds one list slot to the
+    receiver's stream.  The parent layout paid 161 / 285 / 72 bytes.
+    """
+
+    N, BROADCASTS = 1000, 50
+
+    def _submitted(self, scheduler):
+        sim = make_sim(scheduler, n=self.N)
+        notes = [Note("x", value=index) for index in range(self.BROADCASTS)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for sender, note in enumerate(notes):
+                sim.submit_broadcast(sender, note)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        copies = self.N * self.BROADCASTS
+        assert len(sim._in_flight) == copies
+        return sim, grown / copies
+
+    @pytest.mark.parametrize(
+        "scheduler, budget",
+        [(RandomScheduler(random.Random(0)), 80), (FIFOScheduler(), 130)],
+        ids=["positional", "fifo"],
+    )
+    def test_bytes_per_in_flight_copy(self, scheduler, budget):
+        _, per_copy = self._submitted(scheduler)
+        assert per_copy <= budget, f"{per_copy:.1f} B per in-flight copy"
+
+    def test_bytes_per_delivery_in_the_mailboxes(self):
+        sim, _ = self._submitted(FIFOScheduler())
+        run_idle(sim)
+        assert sim.deliveries == self.N * self.BROADCASTS
+        # Stream lists plus every distinct entry tuple they hold: what the
+        # deliveries left behind (tracemalloc's delta over the deliveries
+        # would net the pool's frees against it).
+        entries = {}
+        held = 0
+        for ctx in sim.contexts:
+            stream = ctx.mailbox.stream("x")
+            held += sys.getsizeof(stream)
+            entries.update((id(entry), sys.getsizeof(entry)) for entry in stream)
+        assert len(entries) == self.BROADCASTS
+        per_delivery = (held + sum(entries.values())) / sim.deliveries
+        assert per_delivery <= 16, f"{per_delivery:.1f} B per delivery"

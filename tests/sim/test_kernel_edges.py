@@ -10,10 +10,10 @@ from typing import Any
 import pytest
 
 from repro.crypto.pki import PKI
-from repro.sim.adversary import Adversary, FIFOScheduler, RandomScheduler
+from repro.sim.adversary import Adversary, FIFOScheduler, RandomScheduler, Scheduler
 from repro.sim.lossy import LossyLinkConfig
 from repro.sim.messages import Message
-from repro.sim.network import Simulation
+from repro.sim.network import SeqNotInFlightError, Simulation
 from repro.sim.process import Wait
 from repro.sim.runner import run_protocol
 
@@ -146,6 +146,100 @@ class TestSubmitValidation:
             run_protocol(3, 0, lambda ctx: iter(()), protocols_by_pid={pid: None})
 
 
+class Naming(Scheduler):
+    """Names the scripted seqs through ``choose``, or as one drained batch."""
+
+    def __init__(self, seqs, drains=False):
+        self.seqs = list(seqs)
+        self.drains = drains
+
+    def choose(self, pool):
+        return self.seqs.pop(0)
+
+    def drain(self, pool, limit):
+        if not self.drains:
+            return None
+        batch, self.seqs = self.seqs, []
+        return batch
+
+
+def one_broadcast(ctx):
+    """Process 0 broadcasts once (seqs 0, 1, 2 at n=3); everyone waits."""
+    if ctx.pid == 0:
+        ctx.broadcast(Tick("t"))
+    yield Wait(lambda mailbox: None, instances={"never"})
+
+
+LINK_0_TO_1 = {
+    "dropped": LossyLinkConfig(per_link={(0, 1): LossyLinkConfig(drop_rate=1.0)}),
+    "held": LossyLinkConfig(
+        per_link={(0, 1): LossyLinkConfig(reorder_rate=1.0, reorder_hold=50)}
+    ),
+}
+
+
+class TestSchedulerNamesASeqNotInFlight:
+    """The per-seq tables are arrays: a seq outside the pool must be refused
+    by name, never index some other message's slot (it used to surface as a
+    bare ``KeyError: -1`` out of the seq dict)."""
+
+    def _run(self, seqs, mode, drains=False, lossy=None):
+        sim = make_sim(
+            scheduler=Naming(seqs, drains), delivery_mode=mode, lossy=lossy
+        )
+        sim.set_protocol_all(one_broadcast)
+        with pytest.raises(SeqNotInFlightError) as raised:
+            sim.run()
+        return sim, str(raised.value)
+
+    @pytest.mark.parametrize("mode", ["batched", "classic"])
+    @pytest.mark.parametrize("seq", [-1, -3, 3, 10**9])
+    def test_never_submitted(self, mode, seq):
+        sim, message = self._run([0, seq], mode)
+        assert message == (
+            f"scheduler Naming chose seq {seq}, which is not in flight "
+            "(never submitted)"
+        )
+        assert sim.deliveries == 1  # seq 0 went; nothing else was touched
+
+    @pytest.mark.parametrize("mode", ["batched", "classic"])
+    def test_already_delivered(self, mode):
+        sim, message = self._run([1, 1], mode)
+        assert message == (
+            "scheduler Naming chose seq 1, which is not in flight "
+            "(already delivered)"
+        )
+        assert sim.deliveries == 1
+
+    @pytest.mark.parametrize("mode", ["batched", "classic"])
+    @pytest.mark.parametrize("cause", sorted(LINK_0_TO_1))
+    def test_dropped_or_held_by_a_lossy_link(self, mode, cause):
+        sim, message = self._run([0, 1], mode, lossy=LINK_0_TO_1[cause])
+        assert message == (
+            "scheduler Naming chose seq 1, which is not in flight "
+            "(dropped or held by a lossy link)"
+        )
+        assert sim.deliveries == 1 and sim.lossy_counters[
+            "drops" if cause == "dropped" else "reorders"
+        ] == 1
+
+    @pytest.mark.parametrize(
+        "batch, cause",
+        [([0, -1], "never submitted"), ([0, 3], "never submitted"),
+         ([2, 0, 2], "already delivered")],
+    )
+    def test_drained_batches_are_checked_too(self, batch, cause):
+        sim, message = self._run(batch, "batched", drains=True)
+        assert message == (
+            f"scheduler Naming chose seq {batch[-1]}, which is not in flight "
+            f"({cause})"
+        )
+        assert sim.deliveries == len(batch) - 1
+
+    def test_it_is_a_key_error_as_before(self):
+        assert issubclass(SeqNotInFlightError, KeyError)
+
+
 class TestLivelockDiagnostics:
     def test_error_names_wait_and_subscriptions(self):
         """The livelock guard's RuntimeError carries the wait description
@@ -219,7 +313,7 @@ class TestProfilerOnTheFastLoop:
         if case == "fifo":
             assert profiled.batched_deliveries > 0  # drained, as unprofiled
         else:
-            assert profiled._by_seq is None  # positional, as unprofiled
+            assert profiled._pos_at is None  # positional, as unprofiled
         if case == "lossy":
             assert profiled.lossy_counters["reorders"] > 0
         timings = profiled.metrics.phase_timings

@@ -305,7 +305,7 @@ class TestFateFunction:
         assert not fired & impossible
 
     def test_reorder_release_is_within_the_hold_bound(self):
-        """A held envelope re-enters the pool after at most ``reorder_hold``
+        """A held seq re-enters the pool after at most ``reorder_hold``
         further deliveries (per-link holds included)."""
         sim = make_sim(n=4, lossy=LossyLinkConfig(
             reorder_rate=1.0, reorder_hold=7,
@@ -317,10 +317,11 @@ class TestFateFunction:
             for _ in range(300):
                 sim.submit_broadcast(1, Ping("x"))
         assert len(sim._lossy.held) == 3 * 300 * 4 and not sim._in_flight
-        for release_at, seq, envelope in sim._lossy.held:
-            hold = 2 if envelope.dest == 2 else 7
-            offset = release_at - envelope.sent_step
-            assert 1 <= offset <= hold and seq == envelope.seq
+        for release_at, seq in sim._lossy.held:
+            # A held seq stays out of the pool and keeps its table slots.
+            hold = 2 if sim._dest_at[seq] == 2 else 7
+            offset = release_at - sim._flight_at[seq].sent_step
+            assert 1 <= offset <= hold
             offsets.setdefault(hold, set()).add(offset)
         # The whole window is used, not just its first slot.
         assert offsets == {2: {1, 2}, 7: set(range(1, 8))}
