@@ -13,6 +13,7 @@ below the banner is that file's body::
 plus the flight-recorder family::
 
     python -m repro record --n 100 --out flight.jsonl   # run + record BA
+    python -m repro record --protocol lossy_uniform@0.1 # any `list`ed name
     python -m repro report flight.jsonl                 # render the report
     python -m repro export flight.jsonl                 # Perfetto trace JSON
 
@@ -20,6 +21,12 @@ the divergence-forensics pair (see DESIGN.md section 12)::
 
     python -m repro diff a.jsonl b.jsonl     # first divergent event + slice
     python -m repro explain flight.jsonl     # replay, minimize, explain
+
+``--protocol`` names a run: a Table 1 protocol (its benign run) or a zoo
+scenario, both resolved by ``repro.experiments.scenarios.resolve_run`` and
+listed by ``python -m repro list``.  ``record`` defaults it to ``whp_ba``;
+``explain`` and ``fuzz`` rebuild the run from the recording's header, and
+an explicit ``--protocol`` overrides the header's name.
 
 the conformance pair (see DESIGN.md section 8)::
 
@@ -98,19 +105,20 @@ def _run_record(args) -> str:
 
     from repro.sim.telemetry import telemetry_path_for
 
-    out = args.out or f"flight_{args.protocol}_n{args.n or 40}_s{args.seed}.jsonl"
+    protocol = args.protocol or "whp_ba"
+    out = args.out or f"flight_{protocol}_n{args.n or 40}_s{args.seed}.jsonl"
     try:
         path, result = report.record_run(
             out,
-            name=args.protocol,
+            name=protocol,
             n=args.n or 40,
             seed=args.seed,
             profile=not args.no_profile,
             telemetry=not args.no_telemetry,
         )
     except ValueError as exc:
-        # Most commonly an unknown --protocol; the message lists the
-        # protocols and the self-describing scenario zoo.
+        # Most commonly an unknown --protocol; the message is the
+        # `repro list` listing of protocols and zoo scenarios.
         raise SystemExit(f"repro record: {exc}")
     text = (
         f"recorded {result.deliveries} deliveries "
@@ -212,13 +220,10 @@ def _run_explain(args) -> tuple[str, int]:
     from repro.experiments.forensics import explain_recording, format_explain
     from repro.sim.diffing import save_divergence
 
-    recording = _load_recording_or_exit(args.path, "explain")
-    protocol = None if args.protocol == "whp_ba" else args.protocol
+    _load_recording_or_exit(args.path, "explain")
     try:
         payload = explain_recording(
-            args.path,
-            protocol=recording.header.get("protocol") or protocol,
-            max_slice=args.slice or 20,
+            args.path, protocol=args.protocol, max_slice=args.slice or 20
         )
     except ValueError as exc:
         raise SystemExit(f"repro explain: {exc}")
@@ -233,12 +238,11 @@ def _run_explain(args) -> tuple[str, int]:
 def _run_fuzz(args) -> tuple[str, int]:
     from repro.experiments.fuzzing import format_fuzz, fuzz_recording
 
-    recording = _load_recording_or_exit(args.path, "fuzz")
-    protocol = None if args.protocol == "whp_ba" else args.protocol
+    _load_recording_or_exit(args.path, "fuzz")
     try:
         payload = fuzz_recording(
             args.path,
-            protocol=recording.header.get("protocol") or protocol,
+            protocol=args.protocol,
             budget=args.budget or 200,
             seed=args.seed,
             atlas_root=args.atlas or ".",
@@ -418,7 +422,9 @@ def main(argv: list[str] | None = None) -> int:
         "--out", default=None, help="recording output path (record command)"
     )
     parser.add_argument(
-        "--protocol", default="whp_ba", help="protocol to record (record command)"
+        "--protocol", default=None,
+        help="record: protocol or zoo scenario to run (default whp_ba; see "
+        "`list`); explain/fuzz: overrides the recording header's name",
     )
     parser.add_argument(
         "--protocols", default=None,
@@ -496,6 +502,10 @@ def main(argv: list[str] | None = None) -> int:
         print("  coverage  schedule-coverage atlas views (--gate: stagnation)")
         print("  dashboard  single-pane HTML report (telemetry+trends+conformance)")
         print("  degrade  lossy-rate sweep over a zoo scenario (curves + knee)")
+        from repro.experiments.scenarios import describe_runs
+
+        print("\nwhat --protocol accepts (record; explain/fuzz to override a header):")
+        print(describe_runs())
         return 0
 
     if args.command in ("record", "report", "export", "dashboard"):

@@ -1,6 +1,7 @@
 """`python -m repro check`: sweep protocols with the conformance monitors on.
 
-Runs each requested protocol over a seed sweep with one
+Runs each requested protocol (any name ``resolve_run`` accepts; a Table 1
+protocol means its benign run) over a seed sweep with one
 :class:`~repro.sim.monitors.MonitorSuite` attached per protocol (the
 suite accumulates across seeds -- that is what gives the coin-rho and
 S1-S4 Wilson intervals their trials), renders a conformance table per
@@ -20,11 +21,11 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
-from repro.experiments.protocols import make_runner
+from repro.experiments.scenarios import resolve_run
 from repro.experiments.trends import record_bench
 from repro.sim.coverage import CoverageProbe, signature_set
 from repro.sim.monitors import MonitorSuite
-from repro.sim.runner import run_protocol, stop_when_all_decided
+from repro.sim.network import DEFAULT_MAX_DELIVERIES
 
 __all__ = [
     "CONFORMANCE_SCHEMA",
@@ -49,7 +50,7 @@ def run_check(
     protocols: Sequence[str] = DEFAULT_PROTOCOLS,
     n: int = 24,
     seeds: Iterable[int] = range(6),
-    max_deliveries: int | None = None,
+    max_deliveries: int = DEFAULT_MAX_DELIVERIES,
     coverage: bool = True,
     atlas: Any = None,
 ) -> dict[str, Any]:
@@ -87,15 +88,12 @@ def run_check(
         protocol_signatures: set[str] = set()
         protocol_rows_with_new = 0
         for seed in seeds:
-            factory, params, f = make_runner(name, n, seed=seed)
-            kwargs: dict[str, Any] = {}
-            if max_deliveries is not None:
-                kwargs["max_deliveries"] = max_deliveries
+            spec = resolve_run(name, n, seed=seed)
+            f = spec.f
             probe = CoverageProbe() if coverage else None
-            result = run_protocol(
-                n, f, factory, corrupt=set(range(f)), params=params,
-                stop_condition=stop_when_all_decided, seed=seed,
-                observers=[suite, probe] if coverage else [suite], **kwargs,
+            result = spec.run(
+                observers=[suite, probe] if coverage else [suite],
+                max_deliveries=max_deliveries,
             )
             row = {
                 "seed": seed,

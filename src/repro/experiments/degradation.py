@@ -36,13 +36,10 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from repro.analysis.stats import wilson_interval
-from repro.experiments.scenarios import (
-    make_scenario,
-    parse_scenario_name,
-    scenario_adversary,
-)
+from repro.experiments.scenarios import RunSpec, parse_scenario_name, resolve_run
+from repro.sim.flightrecorder import FlightRecorder, save_recording
 from repro.sim.monitors import SEVERITY_WHP, MonitorSuite
-from repro.sim.runner import RunResult, run_protocol
+from repro.sim.runner import RunResult
 
 __all__ = [
     "DEFAULT_RATES",
@@ -89,10 +86,10 @@ def run_cell(
     n: int,
     rate: float,
     seed: int,
+    max_deliveries: int,
     f: int | None = None,
-    max_deliveries: int | None = None,
     observers: Sequence[Any] = (),
-) -> tuple[Any, RunResult, MonitorSuite]:
+) -> tuple[RunSpec, RunResult, MonitorSuite]:
     """Execute one (scenario, rate, seed) cell with a fresh monitor suite.
 
     Returns ``(spec, result, suite)``; the spec's ``name`` is the
@@ -100,23 +97,9 @@ def run_cell(
     should carry as its protocol header.  ``observers`` ride along
     beside the suite.
     """
-    spec = make_scenario(scenario, n, f=f, seed=seed, rate=rate)
+    spec = resolve_run(scenario, n, f=f, seed=seed, rate=rate)
     suite = MonitorSuite()
-    kwargs: dict[str, Any] = {}
-    if max_deliveries is not None:
-        kwargs["max_deliveries"] = max_deliveries
-    result = run_protocol(
-        n,
-        spec.f,
-        spec.factory,
-        adversary=scenario_adversary(spec, seed),
-        seed=seed,
-        params=spec.params,
-        stop_condition=spec.stop_condition,
-        lossy=spec.lossy,
-        observers=[suite, *observers],
-        **kwargs,
-    )
+    result = spec.run(observers=[suite, *observers], max_deliveries=max_deliveries)
     return spec, result, suite
 
 
@@ -237,9 +220,7 @@ def sweep_degradation(
         cells: list[tuple[RunResult, MonitorSuite]] = []
         failing_seed: int | None = None
         for seed in range(seeds):
-            spec, result, suite = run_cell(
-                base, n, rate, seed, f=f, max_deliveries=cap
-            )
+            spec, result, suite = run_cell(base, n, rate, seed, cap, f=f)
             spec_f = spec.f
             cells.append((result, suite))
             if failing_seed is None and not result.all_correct_decided:
@@ -277,21 +258,14 @@ def _export_cell(
     cap: int,
 ) -> str:
     """Re-run one failing cell with the flight recorder and persist it."""
-    from repro.sim.flightrecorder import FlightRecorder, save_recording
-
     recorder = FlightRecorder()
     spec, result, _ = run_cell(
-        scenario,
-        n,
-        rate,
-        seed,
-        f=f,
-        max_deliveries=cap,
-        observers=[recorder],
+        scenario, n, rate, seed, cap, f=f, observers=[recorder]
     )
     directory = Path(export_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    out = directory / f"cell_{scenario}_r{rate:g}_s{seed}.jsonl"
+    # repr(rate), like the spec's name: two swept rates never share a file.
+    out = directory / f"cell_{scenario}_r{rate!r}_s{seed}.jsonl"
     save_recording(out, recorder, result, protocol=spec.name)
     return out.name
 

@@ -5,9 +5,8 @@ machinery:
 
 * :func:`replay_recording` re-executes a flight recording under a
   seq-exact :class:`~repro.sim.adversary.ReplayScheduler`, rebuilding
-  the run from its header alone (the ``protocol`` header names a
-  :mod:`repro.experiments.protocols` or
-  :mod:`repro.experiments.scenarios` registry entry).
+  the run from its header alone (the ``protocol`` header is a name
+  :func:`repro.experiments.scenarios.resolve_run` resolves).
 * :func:`explain_recording` then turns a red check into an explanation:
   it re-runs the conformance monitors on the replay, identifies the
   failure (a safety violation, or a decision disagreement baked into the
@@ -23,16 +22,12 @@ path is untouched.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from repro.experiments.protocols import PROTOCOLS, make_runner
-from repro.experiments.scenarios import (
-    SCENARIOS,
-    is_scenario,
-    make_scenario,
-)
-from repro.sim.adversary import Adversary, ReplayScheduler, StaticCorruption
+from repro.experiments.scenarios import RunSpec, describe_runs, resolve_run
+from repro.sim.adversary import ReplayScheduler, StaticCorruption
 from repro.sim.diffing import (
     DEFAULT_MAX_SLICE,
     diff_events,
@@ -41,39 +36,15 @@ from repro.sim.diffing import (
 from repro.sim.flightrecorder import FlightRecorder, Recording, load_recording
 from repro.sim.minimize import minimize_schedule
 from repro.sim.monitors import MonitorSuite
-from repro.sim.runner import RunResult, run_protocol, stop_when_all_decided
+from repro.sim.runner import RunResult
 
 __all__ = [
     "explain_recording",
     "format_explain",
     "replay_recording",
     "resolve_protocol",
+    "spec_of",
 ]
-
-
-class _RunPlan:
-    """Everything needed to re-execute a recording's run under any scheduler."""
-
-    def __init__(
-        self,
-        name: str,
-        factory,
-        params,
-        corruption,
-        behavior_factory,
-        stop_condition,
-        lossy=None,
-    ) -> None:
-        self.name = name
-        self.factory = factory
-        self.params = params
-        self.corruption = corruption
-        self.behavior_factory = behavior_factory
-        self.stop_condition = stop_condition
-        # The scenario's LossyLinkConfig (None for the reliable model).
-        # Fates are deterministic in (seed, seq), so replays and fuzz
-        # mutations must carry the config to reproduce the faults.
-        self.lossy = lossy
 
 
 def resolve_protocol(recording: Recording, protocol: str | None = None) -> str:
@@ -87,72 +58,50 @@ def resolve_protocol(recording: Recording, protocol: str | None = None) -> str:
     name = protocol or recording.header.get("protocol")
     if not name:
         raise ValueError(
-            "recording has no protocol name in its header; pass --protocol "
-            f"(one of {PROTOCOLS + SCENARIOS})"
-        )
-    if name not in PROTOCOLS and not is_scenario(name):
-        raise ValueError(
-            f"unknown protocol {name!r}; one of {PROTOCOLS + SCENARIOS} "
-            "(scenarios also accept a rate suffix, e.g. lossy_uniform@0.1)"
+            "recording has no protocol name in its header; pass --protocol\n"
+            + describe_runs()
         )
     return name
 
 
-def _plan(recording: Recording, name: str) -> _RunPlan:
+def spec_of(recording: Recording, protocol: str | RunSpec | None = None) -> RunSpec:
+    """The run behind a recording, rebuilt from its header alone.
+
+    ``protocol`` overrides the header's name, or is the spec itself (the
+    fuzzer hands over a candidate's perturbed one).  The header's
+    ``corrupted`` set is the replay's corruption, so recordings of runs
+    that did not corrupt ``range(f)`` replay as they ran.
+    """
+    if isinstance(protocol, RunSpec):
+        return protocol
     header = recording.header
-    n, f, seed = header["n"], header["f"], header["seed"]
-    if is_scenario(name):
-        spec = make_scenario(name, n, f=f, seed=seed)
-        return _RunPlan(
-            name,
-            spec.factory,
-            spec.params,
-            spec.corruption,
-            spec.behavior_factory,
-            spec.stop_condition,
-            lossy=spec.lossy,
-        )
-    factory, params, _ = make_runner(name, n, f=f, seed=seed)
-    return _RunPlan(
-        name,
-        factory,
-        params,
-        StaticCorruption(set(header.get("corrupted", ()))),
-        None,
-        stop_when_all_decided,
+    spec = resolve_run(
+        resolve_protocol(recording, protocol),
+        header["n"],
+        f=header["f"],
+        seed=header["seed"],
     )
+    if "corrupted" in header:
+        spec = replace(spec, corruption=StaticCorruption(header["corrupted"]))
+    return spec
 
 
-def _execute(
-    recording: Recording,
-    plan: _RunPlan,
+def _replay(
+    spec: RunSpec,
     order: Sequence[tuple[int, int]],
     seqs: Sequence[int],
     observers: Sequence[Any] = (),
 ) -> RunResult:
-    header = recording.header
-    adversary = Adversary(
-        scheduler=ReplayScheduler(list(order), seqs=list(seqs)),
-        corruption=plan.corruption,
-        behavior_factory=plan.behavior_factory,
-    )
-    return run_protocol(
-        header["n"],
-        header["f"],
-        plan.factory,
-        adversary=adversary,
-        seed=header["seed"],
-        params=plan.params,
-        stop_condition=plan.stop_condition,
+    return spec.run(
+        ReplayScheduler(list(order), seqs=list(seqs)),
+        observers,
         max_deliveries=len(order),
-        lossy=plan.lossy,
-        observers=observers,
     )
 
 
 def replay_recording(
     recording: Recording,
-    protocol: str | None = None,
+    protocol: str | RunSpec | None = None,
     order: Sequence[tuple[int, int]] | None = None,
     seqs: Sequence[int] | None = None,
     observers: Sequence[Any] = (),
@@ -164,12 +113,11 @@ def replay_recording(
     (the minimizer does).  Raises ``RuntimeError`` from the replay
     scheduler if the run diverges from the requested schedule.
     """
-    plan = _plan(recording, resolve_protocol(recording, protocol))
     if order is None:
         order = recording.delivery_order()
     if seqs is None:
         seqs = recording.delivery_seqs()
-    return _execute(recording, plan, order, seqs, observers)
+    return _replay(spec_of(recording, protocol), order, seqs, observers)
 
 
 def _decisions_of(result: RunResult) -> dict[str, Any]:
@@ -224,7 +172,7 @@ def _find_failure(
 
 
 def _reproducer(
-    recording: Recording, plan: _RunPlan, failure: dict[str, Any]
+    spec: RunSpec, failure: dict[str, Any]
 ) -> Callable[[Sequence[tuple[int, int]], Sequence[int]], bool]:
     """``reproduce(order, seqs)`` deciding if the failure recurs."""
     target = (failure.get("monitor"), failure.get("prop"))
@@ -232,7 +180,7 @@ def _reproducer(
     def reproduce(order: Sequence[tuple[int, int]], seqs: Sequence[int]) -> bool:
         suite = MonitorSuite()
         try:
-            result = _execute(recording, plan, order, seqs, [suite])
+            result = _replay(spec, order, seqs, [suite])
         except RuntimeError:
             return False  # schedule not realizable -> failure not reproduced
         if failure["type"] == "violation":
@@ -247,7 +195,7 @@ def _reproducer(
 
 def explain_recording(
     source: str | Path | Recording,
-    protocol: str | None = None,
+    protocol: str | RunSpec | None = None,
     max_slice: int = DEFAULT_MAX_SLICE,
     minimize: bool = True,
     minimize_budget: int | None = None,
@@ -259,15 +207,15 @@ def explain_recording(
     logs), identifies the failure, and -- when one reproduces -- shrinks
     its schedule to the deliveries that matter.  Returns the JSON-ready
     payload (``kind: "explain"``); ``failure is None`` means the
-    recording is clean.  ``minimize_budget`` caps the ddmin phase's
-    replay count (the fuzzer bounds per-counterexample work this way).
+    recording is clean.  ``protocol`` is as for :func:`spec_of`.
+    ``minimize_budget`` caps the ddmin phase's replay count (the fuzzer
+    bounds per-counterexample work this way).
     """
     if isinstance(source, Recording):
         recording, path = source, None
     else:
         path, recording = Path(source), load_recording(source)
-    name = resolve_protocol(recording, protocol)
-    plan = _plan(recording, name)
+    spec = spec_of(recording, protocol)
     order = recording.delivery_order()
     seqs = recording.delivery_seqs()
 
@@ -276,17 +224,17 @@ def explain_recording(
     replay_error: str | None = None
     result = None
     try:
-        result = _execute(recording, plan, order, seqs, [suite, recorder])
+        result = _replay(spec, order, seqs, [suite, recorder])
     except RuntimeError as exc:
         replay_error = str(exc)
 
     payload: dict[str, Any] = {
         "kind": "explain",
         "recording": str(path) if path is not None else None,
-        "protocol": name,
-        "n": recording.header.get("n"),
-        "f": recording.header.get("f"),
-        "seed": recording.header.get("seed"),
+        "protocol": spec.name,
+        "n": spec.n,
+        "f": spec.f,
+        "seed": spec.seed,
         "deliveries": len(order),
     }
     if replay_error is not None:
@@ -319,7 +267,7 @@ def explain_recording(
     if minimize and failure["type"] in ("violation", "decision_disagreement"):
         try:
             minimized = minimize_schedule(
-                _reproducer(recording, plan, failure),
+                _reproducer(spec, failure),
                 order,
                 seqs,
                 max_tests=minimize_budget,

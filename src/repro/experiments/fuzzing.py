@@ -39,16 +39,21 @@ from typing import Any, Sequence
 
 from repro.crypto.hashing import derive_seed
 from repro.experiments.coverage_atlas import CoverageAtlas
-from repro.experiments.forensics import _plan, explain_recording, resolve_protocol
+from repro.experiments.forensics import explain_recording, spec_of
+from repro.experiments.scenarios import RunSpec
 from repro.experiments.trends import record_bench
-from repro.sim.adversary import Adversary, RandomScheduler, ReplayScheduler
+from repro.sim.adversary import RandomScheduler, ReplayScheduler
 from repro.sim.coverage import CoverageProbe, signature_families, signature_set
 from repro.sim.diffing import save_divergence
-from repro.sim.flightrecorder import FlightRecorder, Recording, load_recording
+from repro.sim.flightrecorder import (
+    FlightRecorder,
+    Recording,
+    load_recording,
+    save_recording,
+)
 from repro.sim.fuzz import FuzzCandidate, MutationContext, ScheduledCorruption, mutate
-from repro.sim.minimize import minimize_schedule
 from repro.sim.monitors import SEVERITY_SAFETY, MonitorSuite
-from repro.sim.runner import run_protocol
+from repro.sim.runner import RunResult
 
 __all__ = ["FUZZ_SCHEMA", "FUZZ_SCHEMA_VERSION", "format_fuzz", "fuzz_recording"]
 
@@ -60,13 +65,22 @@ DEFAULT_MINIMIZE_BUDGET = 48
 DEFAULT_MAX_BUNDLES = 3
 
 
+def _candidate_spec(spec: RunSpec, candidate: FuzzCandidate) -> RunSpec:
+    """The recorded run with the candidate's links and corruption siting."""
+    corruption = (
+        ScheduledCorruption(candidate.corrupt_after)
+        if candidate.corrupt_after is not None
+        else spec.corruption
+    )
+    return replace(spec, lossy=candidate.lossy, corruption=corruption)
+
+
 def _execute_candidate(
-    header: dict[str, Any],
-    plan,
+    spec: RunSpec,
     candidate: FuzzCandidate,
     explore_cap: int,
     observers: Sequence[Any] = (),
-):
+) -> RunResult:
     """Run one candidate; raises ``RuntimeError`` when unrealizable."""
     if candidate.explore_seed is not None:
         scheduler = RandomScheduler(random.Random(candidate.explore_seed))
@@ -76,36 +90,15 @@ def _execute_candidate(
             list(candidate.order), seqs=list(candidate.seqs)
         )
         max_deliveries = len(candidate.order)
-    corruption = (
-        ScheduledCorruption(candidate.corrupt_after)
-        if candidate.corrupt_after is not None
-        else plan.corruption
-    )
-    adversary = Adversary(
-        scheduler=scheduler,
-        corruption=corruption,
-        behavior_factory=plan.behavior_factory,
-    )
-    return run_protocol(
-        header["n"],
-        header["f"],
-        plan.factory,
-        adversary=adversary,
-        seed=header["seed"],
-        params=plan.params,
-        stop_condition=plan.stop_condition,
-        max_deliveries=max_deliveries,
-        lossy=candidate.lossy,
-        observers=observers,
+    return _candidate_spec(spec, candidate).run(
+        scheduler, observers, max_deliveries=max_deliveries
     )
 
 
 def _bundle_counterexample(
     out_prefix: str,
     index: int,
-    header: dict[str, Any],
-    plan,
-    name: str,
+    spec: RunSpec,
     candidate: FuzzCandidate,
     target: tuple[str, str],
     explore_cap: int,
@@ -113,83 +106,24 @@ def _bundle_counterexample(
 ) -> dict[str, Any]:
     """Persist one violating candidate: recording + minimized bundle.
 
-    Plain schedule candidates go through :func:`explain_recording`
-    unchanged (the recording alone reproduces them).  Candidates that
-    need extra machinery to re-execute -- a lossy config, a re-sited
-    corruption -- get the same bundle shape built here, with the
-    candidate recipe embedded and minimization run under a
-    candidate-aware reproducer (lossy fates are functions of the seq, so
-    a lossy run still replays seq-exactly under its own config).
+    The candidate is re-executed under a flight recorder and the
+    recording goes through :func:`explain_recording` with the
+    candidate's spec, so a lossy or corruption-moved candidate is
+    replayed, checked for fidelity and minimized exactly like a plain
+    one (lossy fates are functions of the seq, so a lossy run replays
+    seq-exactly under its own config); the candidate recipe rides along
+    because the recording's header names only the unperturbed run.
     """
     recorder = FlightRecorder()
-    suite = MonitorSuite()
-    result = _execute_candidate(
-        header, plan, candidate, explore_cap, [suite, recorder]
-    )
+    result = _execute_candidate(spec, candidate, explore_cap, [recorder])
     recording_path = Path(f"{out_prefix}_ce{index}.jsonl")
-    from repro.sim.flightrecorder import save_recording
-
-    save_recording(recording_path, recorder, result, protocol=name)
+    save_recording(recording_path, recorder, result, protocol=spec.name)
     divergence_path = Path(f"{out_prefix}_ce{index}.divergence.json")
-
-    plain = (
-        candidate.lossy is None
-        and candidate.corrupt_after is None
-        and candidate.explore_seed is None
+    payload = explain_recording(
+        recording_path,
+        protocol=_candidate_spec(spec, candidate),
+        minimize_budget=minimize_budget,
     )
-    if plain:
-        payload = explain_recording(
-            recording_path, protocol=name, minimize_budget=minimize_budget
-        )
-    else:
-        order = recorder.delivery_order()
-        seqs = recorder.delivery_seqs()
-        violation = next(
-            v for v in suite.violations if (v.monitor, v.prop) == target
-        )
-        payload = {
-            "kind": "explain",
-            "recording": str(recording_path),
-            "protocol": name,
-            "n": header["n"],
-            "f": header["f"],
-            "seed": header["seed"],
-            "deliveries": len(order),
-            "failure": {
-                "type": "violation",
-                "monitor": violation.monitor,
-                "prop": violation.prop,
-                "severity": violation.severity,
-                "message": violation.message,
-                "step": violation.step,
-                "violation": violation.to_dict(),
-            },
-        }
-
-        def reproduce(order_part, seqs_part) -> bool:
-            probe_suite = MonitorSuite()
-            shrunk = replace(
-                candidate,
-                order=tuple(tuple(link) for link in order_part),
-                seqs=tuple(seqs_part),
-                explore_seed=None,
-            )
-            try:
-                _execute_candidate(header, plan, shrunk, explore_cap, [probe_suite])
-            except RuntimeError:
-                return False
-            return any(
-                (v.monitor, v.prop) == target for v in probe_suite.violations
-            )
-
-        try:
-            minimized = minimize_schedule(
-                reproduce, order, seqs, max_tests=minimize_budget
-            )
-            payload["minimized"] = minimized.to_dict()
-        except ValueError as exc:
-            payload["minimize_error"] = str(exc)
-
     payload["source"] = "fuzz"
     payload["candidate"] = candidate.to_dict()
     save_divergence(divergence_path, payload)
@@ -236,14 +170,14 @@ def fuzz_recording(
         if path is None:
             raise ValueError("pass `out` when fuzzing an in-memory recording")
         out = str(path.with_suffix("")) + ".fuzz"
-    name = resolve_protocol(recording, protocol)
-    plan = _plan(recording, name)
-    header = recording.header
+    spec = spec_of(recording, protocol)
+    name = spec.name
+    run = {"protocol": name, "n": spec.n, "f": spec.f, "seed": spec.seed}
     base_order = tuple(tuple(link) for link in recording.delivery_order())
     base_seqs = tuple(recording.delivery_seqs())
     explore_cap = max(4 * len(base_order), 64)
     ctx = MutationContext(
-        corrupted=tuple(sorted(header.get("corrupted", ()))),
+        corrupted=tuple(sorted(recording.header.get("corrupted", ()))),
         deliveries=len(base_order),
     )
 
@@ -252,10 +186,7 @@ def fuzz_recording(
         "version": FUZZ_SCHEMA_VERSION,
         "kind": "fuzz",
         "recording": str(path) if path is not None else None,
-        "protocol": name,
-        "n": header.get("n"),
-        "f": header.get("f"),
-        "seed": header.get("seed"),
+        **run,
         "deliveries": len(base_order),
         "budget": budget,
     }
@@ -265,13 +196,13 @@ def fuzz_recording(
     # it or the recorded schedule is unrealizable (the fates that shaped
     # the recording never fire on replay).
     seed_candidate = FuzzCandidate(
-        order=base_order, seqs=base_seqs, lossy=plan.lossy
+        order=base_order, seqs=base_seqs, lossy=spec.lossy
     )
     seed_suite = MonitorSuite()
     seed_probe = CoverageProbe()
     try:
         _execute_candidate(
-            header, plan, seed_candidate, explore_cap, [seed_suite, seed_probe]
+            spec, seed_candidate, explore_cap, [seed_suite, seed_probe]
         )
     except RuntimeError as exc:
         payload["error"] = (
@@ -294,10 +225,7 @@ def fuzz_recording(
     atlas.record_run(
         {
             "source": "fuzz",
-            "protocol": name,
-            "n": header.get("n"),
-            "f": header.get("f"),
-            "seed": header.get("seed"),
+            **run,
             "scheduler": "replay",
             "mutation": "seed",
         },
@@ -334,7 +262,7 @@ def fuzz_recording(
         suite = MonitorSuite()
         probe = CoverageProbe()
         try:
-            _execute_candidate(header, plan, candidate, explore_cap, [suite, probe])
+            _execute_candidate(spec, candidate, explore_cap, [suite, probe])
         except RuntimeError:
             unrealizable += 1
             continue
@@ -354,10 +282,7 @@ def fuzz_recording(
             atlas.record_run(
                 {
                     "source": "fuzz",
-                    "protocol": name,
-                    "n": header.get("n"),
-                    "f": header.get("f"),
-                    "seed": header.get("seed"),
+                    **run,
                     "scheduler": (
                         "lossy+random"
                         if candidate.explore_seed is not None
@@ -380,8 +305,8 @@ def fuzz_recording(
             bundled_targets.add(target)
             bundles.append(
                 _bundle_counterexample(
-                    out, len(bundles), header, plan, name, candidate,
-                    target, explore_cap, minimize_budget,
+                    out, len(bundles), spec, candidate, target,
+                    explore_cap, minimize_budget,
                 )
             )
 
@@ -447,10 +372,7 @@ def fuzz_recording(
         "fuzzing",
         {
             "recording": payload["recording"],
-            "protocol": name,
-            "n": header.get("n"),
-            "f": header.get("f"),
-            "seed": header.get("seed"),
+            **run,
             "budget": budget,
             "deliveries": len(base_order),
             "baseline_violations": payload["baseline_violations"],

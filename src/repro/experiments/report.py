@@ -21,13 +21,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any
 
-from repro.experiments.protocols import PROTOCOLS, make_runner
-from repro.experiments.scenarios import (
-    describe_scenarios,
-    is_scenario,
-    make_scenario,
-    scenario_adversary,
-)
+from repro.experiments.scenarios import resolve_run
 from repro.sim.events import DeliverEvent, SendEvent
 from repro.sim.flightrecorder import (
     FlightRecorder,
@@ -36,7 +30,7 @@ from repro.sim.flightrecorder import (
     load_recording,
     save_recording,
 )
-from repro.sim.runner import RunResult, run_protocol, stop_when_all_decided
+from repro.sim.runner import RunResult
 from repro.sim.telemetry import (
     LAYER_OF_KIND as _LAYER_OF_KIND,
     TelemetryProbe,
@@ -70,58 +64,27 @@ def record_run(
     rides along and its snapshot lands in the ``.telemetry.json``
     sidecar next to the recording (the dashboard's preferred source).
 
-    ``name`` may also be a :mod:`repro.experiments.scenarios` entry
-    (e.g. ``byz_split``, or a rate-suffixed ``lossy_uniform@0.1``): the
-    run then faces the scenario's adversary and lossy-link config -- a
-    deliberately hostile run whose recording feeds ``python -m repro
-    explain``.  Unknown names raise a ``ValueError`` listing the
-    protocols and the self-describing scenario zoo.
+    ``name`` is anything :func:`~repro.experiments.scenarios.resolve_run`
+    accepts: a Table 1 protocol (its benign run) or a zoo scenario (e.g.
+    ``byz_split``, or a rate-suffixed ``lossy_uniform@0.1``), which faces
+    the scenario's adversary and lossy-link config -- a deliberately
+    hostile run whose recording feeds ``python -m repro explain``.
+    Unknown names raise a ``ValueError`` listing both.
     """
+    spec = resolve_run(name, n, f=f, seed=seed)
     recorder = FlightRecorder()
     probe = TelemetryProbe() if telemetry else None
-    common = dict(
-        seed=seed,
-        profile=profile,
-        observers=[recorder, probe] if telemetry else [recorder],
+    result = spec.run(
+        observers=[recorder, probe] if telemetry else [recorder], profile=profile
     )
-    if is_scenario(name):
-        spec = make_scenario(name, n, f=f, seed=seed)
-        name = spec.name  # canonical (rate-suffixed when non-default)
-        result = run_protocol(
-            n,
-            spec.f,
-            spec.factory,
-            adversary=scenario_adversary(spec, seed),
-            params=spec.params,
-            stop_condition=spec.stop_condition,
-            lossy=spec.lossy,
-            **common,
-        )
-    elif name in PROTOCOLS:
-        factory, params, f = make_runner(name, n, f=f, seed=seed)
-        result = run_protocol(
-            n,
-            f,
-            factory,
-            corrupt=set(range(f)),
-            params=params,
-            stop_condition=stop_when_all_decided,
-            **common,
-        )
-    else:
-        raise ValueError(
-            f"unknown protocol or scenario {name!r}\n"
-            f"protocols: {', '.join(PROTOCOLS)}\n"
-            "scenarios (append @rate to override the hostility rate):\n"
-            + describe_scenarios()
-        )
-    path = save_recording(out, recorder, result, protocol=name)
+    # spec.name is canonical (rate-suffixed when non-default).
+    path = save_recording(out, recorder, result, protocol=spec.name)
     if probe is not None:
         save_telemetry(
             telemetry_path_for(path),
             probe,
             header={
-                "protocol": name,
+                "protocol": spec.name,
                 "n": result.n,
                 "f": result.f,
                 "seed": result.seed,

@@ -37,16 +37,25 @@ replay reproduces a recorded scenario bit for bit.  A scenario name may
 carry an explicit rate suffix (``lossy_uniform@0.1``); recordings written
 by the degradation sweep use this form so ``repro explain`` can rebuild
 the exact swept cell from the recording header alone.
+
+A zoo entry is one perturbation of the *benign* run of a Table 1
+protocol, and both are the same :class:`RunSpec`: :func:`resolve_run`
+turns any name ``repro record --protocol`` accepts into one, and
+:meth:`RunSpec.run` is the one place the tool family (``record``,
+``explain``, ``fuzz``, ``degrade``, ``check``) builds an adversary and
+calls the kernel.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Sequence
 
+from repro.core.committees import sample_committee
 from repro.crypto.hashing import derive_seed
 from repro.crypto.pki import PKI
+from repro.experiments.protocols import PROTOCOLS, make_runner
 from repro.sim.adversary import (
     Adversary,
     CorruptionStrategy,
@@ -59,18 +68,16 @@ from repro.sim.byzantine import ByzantineBehavior, ScriptedBehavior
 from repro.sim.messages import Message
 from repro.sim.lossy import LossyLinkConfig
 from repro.sim.process import ProcessContext, Protocol, Wait
-from repro.sim.runner import stop_when_all_decided
+from repro.sim.network import DEFAULT_MAX_DELIVERIES
+from repro.sim.runner import RunResult, run_protocol, stop_when_all_decided
 
 __all__ = [
     "SCENARIOS",
     "Nudge",
-    "ScenarioSpec",
-    "describe_scenarios",
-    "is_scenario",
-    "make_scenario",
+    "RunSpec",
+    "describe_runs",
     "parse_scenario_name",
-    "scenario_adversary",
-    "scenario_descriptions",
+    "resolve_run",
     "split_decider",
 ]
 
@@ -101,254 +108,196 @@ def split_decider(ctx: ProcessContext) -> Protocol:
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
-    """Everything needed to (re)build one named scenario run.
+class RunSpec:
+    """One run of the paper's model, fully determined: protocol, n, f,
+    trusted set-up (``seed``), adversary and link model.
 
-    ``corruption`` and ``behavior_factory`` plug into
-    :class:`~repro.sim.adversary.Adversary` alongside any scheduler --
-    the recorder uses :func:`scenario_adversary` (the spec's scheduler,
-    or the seeded random one), the forensics replay a
-    :class:`~repro.sim.adversary.ReplayScheduler`.  ``lossy`` is the
-    scenario's link-fault config (``None`` for the reliable model) and
-    must be passed to ``run_protocol`` on record *and* replay: fates are
-    deterministic in (seed, seq), so the same config reproduces the same
-    faults under a seq-exact schedule.  ``rate`` is the hostility knob
-    the degradation sweep turns; ``name`` embeds it (``name@rate``) when
-    it differs from the scenario default, so a recording header alone
-    rebuilds the exact cell.
+    :func:`resolve_run` builds one from a name; ``dataclasses.replace``
+    perturbs one (the zoo entries, a fuzz candidate's ``lossy`` and
+    ``corruption``, a replay's recorded corruption set).  ``scheduler``
+    makes the run's own scheduler from its seeded generator; ``lossy``
+    is the link-fault config (``None`` for the reliable model), whose
+    fates are deterministic in (seed, seq), so the same spec under a
+    seq-exact schedule reproduces the same faults.  ``rate`` is the
+    hostility knob the degradation sweep turns; ``name`` embeds it
+    (``name@rate``) when it differs from the scenario default, so a
+    recording header alone rebuilds the exact cell.
     """
 
     name: str
+    n: int
+    f: int
+    seed: int
     factory: Callable[[ProcessContext], Protocol]
     params: Any
-    f: int
     corruption: CorruptionStrategy
-    behavior_factory: Callable[[int], ByzantineBehavior] | None
-    stop_condition: Callable
-    description: str = ""
+    behavior_factory: Callable[[int], ByzantineBehavior] | None = None
     rate: float = 0.0
     lossy: LossyLinkConfig | None = None
-    scheduler_factory: Callable[[int], Scheduler] | None = field(
-        default=None, compare=False
-    )
+    scheduler: Callable[[random.Random], Scheduler] = RandomScheduler
 
-    def describe(self) -> str:
-        """One line for listings: ``name  description``."""
-        return f"{self.name}: {self.description}"
+    def run(
+        self,
+        scheduler: Scheduler | None = None,
+        observers: Sequence[Any] = (),
+        max_deliveries: int = DEFAULT_MAX_DELIVERIES,
+        profile: bool = False,
+    ) -> RunResult:
+        """Execute the run until every correct process has decided,
+        under ``scheduler`` (a replay, an explorer) or, by default, the
+        spec's own: seeded exactly as ``run_protocol`` seeds its default,
+        so a benign spec is the run ``run_protocol(n, f, factory,
+        corrupt=set(range(f)))`` makes."""
+        if scheduler is None:
+            scheduler = self.scheduler(random.Random(derive_seed(self.seed, "sched")))
+        return run_protocol(
+            self.n,
+            self.f,
+            self.factory,
+            adversary=Adversary(scheduler, self.corruption, self.behavior_factory),
+            seed=self.seed,
+            params=self.params,
+            stop_condition=stop_when_all_decided,
+            max_deliveries=max_deliveries,
+            profile=profile,
+            lossy=self.lossy,
+            observers=observers,
+        )
 
 
-def _whp_runner(n: int, f: int | None, seed: int):
-    """The real protocol under test (imported lazily: no import cycle)."""
-    from repro.experiments.protocols import make_runner
-
-    return make_runner("whp_ba", n, f=f, seed=seed)
-
-
-def _setup_pki(n: int, seed: int) -> PKI:
-    """The same trusted setup ``run_protocol`` will build for this run."""
-    return PKI.create(n, rng=random.Random(derive_seed(seed, "setup")))
+def _benign(protocol: str, n: int, f: int | None, seed: int) -> RunSpec:
+    """A Table 1 protocol as every experiment runs it: the first ``f``
+    processes statically corrupted and silent, reliable links, the
+    seeded random scheduler, stop when every correct process decided."""
+    factory, params, f = make_runner(protocol, n, f=f, seed=seed)
+    return RunSpec(protocol, n, f, seed, factory, params, StaticCorruption(range(f)))
 
 
-def _byz_split(n: int, f: int | None, seed: int, rate: float) -> ScenarioSpec:
+# A zoo entry's builder: (n, f, seed, rate) -> the perturbed run.
+_Perturbation = Callable[[int, "int | None", int, float], RunSpec]
+
+
+def _links(config: Callable[[float], LossyLinkConfig]) -> _Perturbation:
+    """Perturbation: benign ``whp_ba`` over ``config(rate)`` links."""
+
+    def perturb(n: int, f: int | None, seed: int, rate: float) -> RunSpec:
+        spec = _benign("whp_ba", n, f, seed)
+        return replace(spec, lossy=config(rate)) if rate > 0.0 else spec
+
+    return perturb
+
+
+def _byz_split(n: int, f: int | None, seed: int, rate: float) -> RunSpec:
     if n < 3:
         raise ValueError("byz_split needs n >= 3 (two correct parities + 1 Byzantine)")
-    byzantine = n - 1
-    # rate > 0 layers uniform drop on top of the scripted violation, so
-    # even the broken scenario has a degradation axis.
-    lossy = LossyLinkConfig(drop_rate=rate) if rate > 0.0 else None
-    return ScenarioSpec(
-        name=_spec_name("byz_split", rate, default=0.0),
-        factory=split_decider,
-        params=None,
-        f=f if f is not None else 1,
-        corruption=StaticCorruption({byzantine}),
+    return RunSpec(
+        "byz_split",
+        n,
+        f if f is not None else 1,
+        seed,
+        split_decider,
+        None,
+        StaticCorruption({n - 1}),
         behavior_factory=lambda pid: ScriptedBehavior(
             on_start=lambda ctx: ctx.broadcast(Nudge("nudge"))
         ),
-        stop_condition=stop_when_all_decided,
-        description=_DESCRIPTIONS["byz_split"],
-        rate=rate,
-        lossy=lossy,
+        # rate > 0 layers uniform drop on top of the scripted violation,
+        # so even the broken scenario has a degradation axis.
+        lossy=LossyLinkConfig(drop_rate=rate) if rate > 0.0 else None,
     )
 
 
-def _lossy_uniform(n: int, f: int | None, seed: int, rate: float) -> ScenarioSpec:
-    factory, params, eff_f = _whp_runner(n, f, seed)
-    lossy = (
-        LossyLinkConfig(
-            drop_rate=0.6 * rate,
-            duplicate_rate=0.2 * rate,
-            reorder_rate=0.2 * rate,
-        )
-        if rate > 0.0
-        else None
+def _targeted_committee_drop(n: int, f: int | None, seed: int, rate: float) -> RunSpec:
+    spec = _benign("whp_ba", n, f, seed)
+    if rate <= 0.0:
+        return spec
+    # The same trusted setup ``run_protocol`` will build for this run.
+    pki = PKI.create(n, rng=random.Random(derive_seed(seed, "setup")))
+    # The round-0 WHP-coin committees ("first" holds the value
+    # candidates, "second" the minimum-takers -- whp_coin.py).  The
+    # agreement tag is "ba" (byzantine_agreement's default), so the coin
+    # instance for round 0 is ("whp_coin", ("ba", 0)).
+    instance = ("whp_coin", ("ba", 0))
+    members = sample_committee(pki, instance, "first", spec.params) | (
+        sample_committee(pki, instance, "second", spec.params)
     )
-    return ScenarioSpec(
-        name=_spec_name("lossy_uniform", rate, default=0.05),
-        factory=factory,
-        params=params,
-        f=eff_f,
-        corruption=StaticCorruption(set(range(eff_f))),
-        behavior_factory=None,
-        stop_condition=stop_when_all_decided,
-        description=_DESCRIPTIONS["lossy_uniform"],
-        rate=rate,
-        lossy=lossy,
+    return replace(
+        spec, lossy=LossyLinkConfig.targeted(n, senders=members, drop_rate=rate)
     )
 
 
-def _targeted_committee_drop(
-    n: int, f: int | None, seed: int, rate: float
-) -> ScenarioSpec:
-    from repro.core.committees import sample_committee
-
-    factory, params, eff_f = _whp_runner(n, f, seed)
-    lossy = None
-    if rate > 0.0:
-        pki = _setup_pki(n, seed)
-        # The round-0 WHP-coin committees ("first" holds the value
-        # candidates, "second" the minimum-takers -- whp_coin.py).  The
-        # agreement tag is "ba" (byzantine_agreement's default), so the
-        # coin instance for round 0 is ("whp_coin", ("ba", 0)).
-        instance = ("whp_coin", ("ba", 0))
-        members = sample_committee(pki, instance, "first", params) | (
-            sample_committee(pki, instance, "second", params)
-        )
-        lossy = LossyLinkConfig.targeted(n, senders=members, drop_rate=rate)
-    return ScenarioSpec(
-        name=_spec_name("targeted_committee_drop", rate, default=0.4),
-        factory=factory,
-        params=params,
-        f=eff_f,
-        corruption=StaticCorruption(set(range(eff_f))),
-        behavior_factory=None,
-        stop_condition=stop_when_all_decided,
-        description=_DESCRIPTIONS["targeted_committee_drop"],
-        rate=rate,
-        lossy=lossy,
-    )
-
-
-def _coin_partition(n: int, f: int | None, seed: int, rate: float) -> ScenarioSpec:
-    factory, params, eff_f = _whp_runner(n, f, seed)
+def _coin_partition(n: int, f: int | None, seed: int, rate: float) -> RunSpec:
+    spec = _benign("whp_ba", n, f, seed)
     # rate scales how long the cut lasts, in intra-partition deliveries:
     # rate=1 holds the partition for ~8 broadcast rounds' worth of
     # traffic (8·n²); rate=0 never installs the cut.
     heal_after = int(rate * 8 * n * n)
+    if heal_after <= 0:
+        return spec
     group_a = frozenset(range(n // 2))
-
-    def scheduler_factory(run_seed: int) -> Scheduler:
-        rng = random.Random(derive_seed(run_seed, "sched"))
-        if heal_after <= 0:
-            return RandomScheduler(rng)
-        return PartitionScheduler(group_a, heal_after, rng=rng)
-
-    return ScenarioSpec(
-        name=_spec_name("coin_partition", rate, default=0.5),
-        factory=factory,
-        params=params,
-        f=eff_f,
-        corruption=StaticCorruption(set(range(eff_f))),
-        behavior_factory=None,
-        stop_condition=stop_when_all_decided,
-        description=_DESCRIPTIONS["coin_partition"],
-        rate=rate,
-        scheduler_factory=scheduler_factory,
+    return replace(
+        spec, scheduler=lambda rng: PartitionScheduler(group_a, heal_after, rng=rng)
     )
 
 
-def _dup_storm(n: int, f: int | None, seed: int, rate: float) -> ScenarioSpec:
-    factory, params, eff_f = _whp_runner(n, f, seed)
-    lossy = LossyLinkConfig(duplicate_rate=rate) if rate > 0.0 else None
-    return ScenarioSpec(
-        name=_spec_name("dup_storm", rate, default=0.35),
-        factory=factory,
-        params=params,
-        f=eff_f,
-        corruption=StaticCorruption(set(range(eff_f))),
-        behavior_factory=None,
-        stop_condition=stop_when_all_decided,
-        description=_DESCRIPTIONS["dup_storm"],
-        rate=rate,
-        lossy=lossy,
-    )
-
-
-def _reorder_heavy(n: int, f: int | None, seed: int, rate: float) -> ScenarioSpec:
-    factory, params, eff_f = _whp_runner(n, f, seed)
-    lossy = (
-        LossyLinkConfig(reorder_rate=rate, reorder_hold=64)
-        if rate > 0.0
-        else None
-    )
-    return ScenarioSpec(
-        name=_spec_name("reorder_heavy", rate, default=0.5),
-        factory=factory,
-        params=params,
-        f=eff_f,
-        corruption=StaticCorruption(set(range(eff_f))),
-        behavior_factory=None,
-        stop_condition=stop_when_all_decided,
-        description=_DESCRIPTIONS["reorder_heavy"],
-        rate=rate,
-        lossy=lossy,
-    )
-
-
-_DESCRIPTIONS: dict[str, str] = {
+# name -> (description, default rate, perturbation).  The default rate is
+# what `repro record --protocol <name>` uses; the degradation sweep
+# overrides it per point (and embeds the override in the recorded name).
+# Every perturbation but byz_split (which swaps the protocol itself)
+# changes one thing about the benign whp_ba run.  New hostile strategies
+# register here.
+_ZOO: dict[str, tuple[str, float, _Perturbation]] = {
     "byz_split": (
         "broken decider + scripted Byzantine nudge; the canonical "
-        "Agreement violation (rate adds uniform drop)"
+        "Agreement violation (rate adds uniform drop)",
+        0.0,
+        _byz_split,
     ),
     "lossy_uniform": (
         "whp_ba under a uniform lossy mix (60% drop / 20% duplicate / "
-        "20% reorder of the rate)"
+        "20% reorder of the rate)",
+        0.05,
+        _links(
+            lambda rate: LossyLinkConfig(
+                drop_rate=0.6 * rate,
+                duplicate_rate=0.2 * rate,
+                reorder_rate=0.2 * rate,
+            )
+        ),
     ),
     "targeted_committee_drop": (
         "whp_ba with drops aimed at the round-0 coin committee's "
-        "outbound links (per-link overrides)"
+        "outbound links (per-link overrides)",
+        0.4,
+        _targeted_committee_drop,
     ),
     "coin_partition": (
         "whp_ba under a half/half partition scheduler; rate scales the "
-        "cut's duration before healing"
+        "cut's duration before healing",
+        0.5,
+        _coin_partition,
     ),
-    "dup_storm": "whp_ba under heavy duplication (network pays, nothing lost)",
+    "dup_storm": (
+        "whp_ba under heavy duplication (network pays, nothing lost)",
+        0.35,
+        _links(lambda rate: LossyLinkConfig(duplicate_rate=rate)),
+    ),
     "reorder_heavy": (
-        "whp_ba under heavy bounded reordering (hold window 64 deliveries)"
+        "whp_ba under heavy bounded reordering (hold window 64 deliveries)",
+        0.5,
+        _links(lambda rate: LossyLinkConfig(reorder_rate=rate, reorder_hold=64)),
     ),
 }
 
-# name -> (builder, default_rate).  The default rate is what
-# `repro record --protocol <name>` uses; the degradation sweep overrides
-# it per point (and embeds the override in the recorded name).
-_BUILDERS: dict[
-    str, tuple[Callable[[int, int | None, int, float], ScenarioSpec], float]
-] = {
-    "byz_split": (_byz_split, 0.0),
-    "lossy_uniform": (_lossy_uniform, 0.05),
-    "targeted_committee_drop": (_targeted_committee_drop, 0.4),
-    "coin_partition": (_coin_partition, 0.5),
-    "dup_storm": (_dup_storm, 0.35),
-    "reorder_heavy": (_reorder_heavy, 0.5),
-}
-
-SCENARIOS = tuple(_BUILDERS)
-
-
-def _spec_name(base: str, rate: float, default: float) -> str:
-    """The canonical spec/recording name: rate-suffixed when non-default."""
-    if rate == default:
-        return base
-    return f"{base}@{rate:g}"
+SCENARIOS = tuple(_ZOO)
 
 
 def parse_scenario_name(name: str) -> tuple[str, float | None]:
     """Split ``"lossy_uniform@0.1"`` into ``("lossy_uniform", 0.1)``.
 
     Plain names parse to ``(name, None)`` (meaning: the scenario's
-    default rate).  A malformed rate suffix raises ``ValueError`` with
-    the usual unknown-scenario listing, so every caller degrades the
-    same way.
+    default rate).  A malformed or out-of-range rate suffix raises
+    ``ValueError``, so every caller degrades the same way.
     """
     base, sep, suffix = name.partition("@")
     if not sep:
@@ -365,67 +314,48 @@ def parse_scenario_name(name: str) -> tuple[str, float | None]:
     return base, rate
 
 
-def is_scenario(name: str) -> bool:
-    """True when ``name`` (with or without a rate suffix) names a scenario."""
-    base, _, _ = name.partition("@")
-    return base in _BUILDERS
-
-
-def scenario_descriptions() -> dict[str, str]:
-    """Registry name -> one-line description (the self-describing view)."""
-    return dict(_DESCRIPTIONS)
-
-
-def describe_scenarios() -> str:
-    """Multi-line listing used by error messages and the CLI."""
-    width = max(len(name) for name in _BUILDERS)
+def describe_runs() -> str:
+    """What ``--protocol`` accepts: the listing the unknown-name error
+    and ``repro list`` both print."""
+    width = max(len(name) for name in _ZOO)
     return "\n".join(
-        f"  {name:<{width}}  {_DESCRIPTIONS[name]}" for name in _BUILDERS
+        [
+            "protocols (the benign run: f silent corruptions, random scheduler):",
+            f"  {', '.join(PROTOCOLS)}",
+            "scenarios (append @rate to override the hostility rate):",
+            *(f"  {name:<{width}}  {entry[0]}" for name, entry in _ZOO.items()),
+        ]
     )
 
 
-def make_scenario(
+def resolve_run(
     name: str,
     n: int,
     f: int | None = None,
     seed: int = 0,
     rate: float | None = None,
-) -> ScenarioSpec:
-    """Build the named scenario spec for an ``n``-process run.
+) -> RunSpec:
+    """The run a name stands for, for an ``n``-process system.
 
-    ``rate`` (or a ``name@rate`` suffix -- the explicit argument wins)
-    overrides the scenario's default hostility rate; the returned spec's
-    ``name`` carries the suffix whenever the effective rate is not the
-    default, so recordings of swept cells replay at the right rate.
+    A Table 1 protocol name is its benign run; a zoo name is that run
+    with one perturbation, at ``rate`` (or a ``name@rate`` suffix -- the
+    explicit argument wins; default: the scenario's own).  The returned
+    spec's ``name`` carries the suffix whenever the effective rate is
+    not the default, written with ``repr`` so that resolving it again
+    yields the very same rate: recordings of swept cells replay as they
+    ran.  An unknown name raises ``ValueError`` with the full listing.
     """
     base, suffix_rate = parse_scenario_name(name)
-    entry = _BUILDERS.get(base)
-    if entry is None:
-        raise ValueError(
-            f"unknown scenario {name!r}; available scenarios:\n"
-            + describe_scenarios()
-        )
-    builder, default_rate = entry
-    effective = rate if rate is not None else (
-        suffix_rate if suffix_rate is not None else default_rate
-    )
-    return builder(n, f, seed, effective)
-
-
-def scenario_adversary(spec: ScenarioSpec, seed: int) -> Adversary:
-    """The adversary a fresh (non-replay) run of ``spec`` should face.
-
-    The spec's scheduler when it has one (e.g. the partition), otherwise
-    the seeded random scheduler every recorder uses -- same derivation as
-    ``run_protocol``'s default, so a scenario run with and without an
-    explicit adversary sees the same schedule.
-    """
-    if spec.scheduler_factory is not None:
-        scheduler = spec.scheduler_factory(seed)
-    else:
-        scheduler = RandomScheduler(random.Random(derive_seed(seed, "sched")))
-    return Adversary(
-        scheduler=scheduler,
-        corruption=spec.corruption,
-        behavior_factory=spec.behavior_factory,
+    if rate is None:
+        rate = suffix_rate
+    if base in PROTOCOLS and rate is None:
+        return _benign(base, n, f, seed)
+    if base not in _ZOO:
+        raise ValueError(f"unknown protocol or scenario {name!r}\n" + describe_runs())
+    _, default_rate, perturb = _ZOO[base]
+    rate = default_rate if rate is None else float(rate)
+    return replace(
+        perturb(n, f, seed, rate),
+        name=base if rate == default_rate else f"{base}@{rate!r}",
+        rate=rate,
     )

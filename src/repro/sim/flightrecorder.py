@@ -312,8 +312,8 @@ def save_recording(
     concrete run) and the protocol rollups, so reports render without
     re-execution.
 
-    ``protocol`` names the protocol/scenario registry entry the run came
-    from (``make_runner``/``make_scenario``); recordings that carry it
+    ``protocol`` names the run (a ``repro.experiments.scenarios.resolve_run``
+    name: Table 1 protocol or zoo scenario); recordings that carry it
     can be re-executed by ``python -m repro explain`` without the caller
     remembering how the run was built.
 

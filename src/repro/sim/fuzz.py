@@ -126,8 +126,9 @@ class ScheduledCorruption(CorruptionStrategy):
     The fuzzer's ``move_corruption`` mutation: the recorded corruption
     set is kept but each corruption is re-sited to fire after
     ``after_deliveries`` observed deliveries (0 = initial corruption,
-    like :class:`~repro.sim.adversary.StaticCorruption`).  Stateful --
-    build a fresh instance per run.
+    like :class:`~repro.sim.adversary.StaticCorruption`).  The count
+    restarts with each run, so one instance serves a spec that is run
+    many times (a replay, then the minimizer's probes).
     """
 
     def __init__(self, schedule: Iterable[tuple[int, int]]) -> None:
@@ -135,6 +136,7 @@ class ScheduledCorruption(CorruptionStrategy):
         self._seen = 0
 
     def initial_corruptions(self, n: int, f: int) -> set[int]:
+        self._seen = 0
         return {pid for pid, after in self._schedule if after <= 0}
 
     def on_delivery(

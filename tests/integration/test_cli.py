@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import _run_experiments, main
+from repro.experiments.protocols import PROTOCOLS
 from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.scenarios import SCENARIOS
 
 
 class TestCLI:
@@ -14,6 +18,13 @@ class TestCLI:
         out = capsys.readouterr().out
         for name in EXPERIMENTS:
             assert name in out
+
+    def test_list_shows_what_protocol_accepts(self, capsys):
+        assert main(["list"]) == 0
+        listing = capsys.readouterr().out.split("--protocol accepts", 1)[1]
+        for name in (*PROTOCOLS, *SCENARIOS):
+            assert name in listing
+        assert "Agreement violation" in listing  # descriptions, from the table
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -83,3 +94,61 @@ class TestCLI:
     def test_report_without_path_rejected(self):
         with pytest.raises(SystemExit):
             main(["report"])
+
+
+def _without_protocol_header(src, dst):
+    """Copy a recording, dropping ``protocol`` from its header line."""
+    head, _, rest = src.read_text().partition("\n")
+    header = json.loads(head)
+    del header["protocol"]
+    dst.write_text(json.dumps(header) + "\n" + rest)
+    return dst
+
+
+class TestProtocolFlag:
+    """``--protocol`` goes straight to the resolver: an explicit name wins
+    over the recording's header, and ``whp_ba`` is a name like any other."""
+
+    @pytest.fixture(scope="class")
+    def whp_recording(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("flag") / "whp.jsonl"
+        assert main([
+            "record", "--n", "8", "--seed", "3",
+            "--no-telemetry", "--no-profile", "--out", str(path),
+        ]) == 0
+        return path
+
+    def test_record_defaults_to_whp_ba(self, whp_recording):
+        header = json.loads(whp_recording.read_text().partition("\n")[0])
+        assert header["protocol"] == "whp_ba"
+
+    @pytest.mark.parametrize("command", ["explain", "fuzz"])
+    def test_explicit_whp_ba_on_a_headerless_recording(
+        self, command, whp_recording, tmp_path, capsys, monkeypatch
+    ):
+        bare = _without_protocol_header(whp_recording, tmp_path / "bare.jsonl")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match="pass --protocol"):
+            main([command, str(bare), "--budget", "4"])
+        capsys.readouterr()
+        assert main([command, str(bare), "--protocol", "whp_ba", "--budget", "4"]) == 0
+        assert "protocol=whp_ba" in capsys.readouterr().out
+
+    def test_explicit_protocol_wins_over_the_header(
+        self, whp_recording, tmp_path, capsys, monkeypatch
+    ):
+        # The recorded whp_ba schedule is not one bracha can follow: the
+        # explicit name was used, so the replay diverges (and says so).
+        monkeypatch.chdir(tmp_path)
+        assert main(["explain", str(whp_recording), "--protocol", "bracha"]) == 1
+        out = capsys.readouterr().out
+        assert "protocol=bracha" in out
+        assert "replay_divergence" in out
+
+    def test_unknown_explicit_protocol_lists_the_names(self, whp_recording):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explain", str(whp_recording), "--protocol", "nope"])
+        message = str(excinfo.value)
+        assert "unknown protocol or scenario 'nope'" in message
+        for name in (*PROTOCOLS, *SCENARIOS):
+            assert name in message

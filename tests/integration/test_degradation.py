@@ -24,10 +24,9 @@ from repro.experiments.forensics import explain_recording
 from repro.experiments.report import record_run
 from repro.experiments.scenarios import (
     SCENARIOS,
-    describe_scenarios,
-    is_scenario,
-    make_scenario,
+    describe_runs,
     parse_scenario_name,
+    resolve_run,
 )
 from repro.sim.flightrecorder import load_recording
 
@@ -56,13 +55,13 @@ class TestScenarioZoo:
             "byz_split", "lossy_uniform", "targeted_committee_drop",
             "coin_partition", "dup_storm", "reorder_heavy",
         }
-        listing = describe_scenarios()
+        listing = describe_runs()
         for name in SCENARIOS:
             assert name in listing
 
     def test_unknown_scenario_error_carries_the_listing(self):
         with pytest.raises(ValueError) as excinfo:
-            make_scenario("nope", N)
+            resolve_run("nope", N)
         message = str(excinfo.value)
         for name in SCENARIOS:
             assert name in message
@@ -74,16 +73,16 @@ class TestScenarioZoo:
             parse_scenario_name("lossy_uniform@lots")
         with pytest.raises(ValueError):
             parse_scenario_name("lossy_uniform@1.5")
-        assert is_scenario("dup_storm@0.2")
-        assert not is_scenario("whp_ba")
+        assert parse_scenario_name("dup_storm@0.2")[0] in SCENARIOS
+        assert "whp_ba" not in SCENARIOS
 
     def test_explicit_rate_wins_over_suffix(self):
-        spec = make_scenario("lossy_uniform@0.1", N, rate=0.2)
+        spec = resolve_run("lossy_uniform@0.1", N, rate=0.2)
         assert spec.rate == 0.2
         assert spec.name == "lossy_uniform@0.2"
         # The default rate produces the bare name (recordings of the
         # default cell need no suffix to replay right).
-        assert make_scenario("lossy_uniform", N).name == "lossy_uniform"
+        assert resolve_run("lossy_uniform", N).name == "lossy_uniform"
 
     def test_every_scenario_records(self, tmp_path):
         for name in SCENARIOS:

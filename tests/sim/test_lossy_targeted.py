@@ -177,10 +177,10 @@ class TestCommitteeTargetedScenario:
     def test_overrides_cover_exactly_the_round0_committee_outlinks(self):
         from repro.core.committees import sample_committee
         from repro.crypto.hashing import derive_seed
-        from repro.experiments.scenarios import make_scenario
+        from repro.experiments.scenarios import resolve_run
 
         n, seed = 8, 0
-        spec = make_scenario("targeted_committee_drop", n, seed=seed)
+        spec = resolve_run("targeted_committee_drop", n, seed=seed)
         assert spec.lossy is not None and spec.lossy.active
         # Recompute the round-0 WHP-coin committees from the same trusted
         # setup the scenario builder derives.
@@ -201,8 +201,9 @@ class TestCommitteeTargetedScenario:
         assert spec.lossy.drop_rate == 0.0
 
     def test_zero_rate_builds_a_reliable_scenario(self):
-        from repro.experiments.scenarios import make_scenario
+        from repro.experiments.scenarios import resolve_run
 
-        spec = make_scenario("targeted_committee_drop", 8, rate=0.0)
+        spec = resolve_run("targeted_committee_drop", 8, rate=0.0)
         assert spec.lossy is None
-        assert spec.name == "targeted_committee_drop@0"
+        # repr(rate): the name resolves back to exactly this rate.
+        assert spec.name == "targeted_committee_drop@0.0"

@@ -15,24 +15,19 @@ from __future__ import annotations
 import gc
 import json
 import weakref
+from dataclasses import replace
 
 import pytest
 
 import repro.sim.events as events_module
-from repro.experiments.protocols import PROTOCOLS, make_runner
-from repro.experiments.scenarios import (
-    SCENARIOS,
-    Nudge,
-    make_scenario,
-    scenario_adversary,
-    split_decider,
-)
+from repro.experiments.protocols import PROTOCOLS
+from repro.experiments.scenarios import SCENARIOS, Nudge, resolve_run, split_decider
 from repro.sim.adversary import Adversary, StaticCorruption
 from repro.sim.byzantine import ScriptedBehavior
 from repro.sim.events import DeliverEvent
 from repro.sim.flightrecorder import FlightRecorder, save_recording
 from repro.sim.lossy import LossyLinkConfig
-from repro.sim.runner import run_protocol, stop_when_all_decided
+from repro.sim.runner import run_protocol
 
 from tests.sim.test_lossy_link import make_sim, tagged_gossip_protocol
 
@@ -68,20 +63,10 @@ class SummaryAudit:
 
 def run_named(name: str, n: int, seed: int, observers, lossy=None):
     """One registry protocol or scenario run, as ``repro record`` builds it."""
-    if name in SCENARIOS:
-        spec = make_scenario(name, n, seed=seed)
-        return run_protocol(
-            n, spec.f, spec.factory,
-            adversary=scenario_adversary(spec, seed), params=spec.params,
-            stop_condition=spec.stop_condition, lossy=lossy or spec.lossy,
-            seed=seed, observers=observers, max_deliveries=MAX_DELIVERIES,
-        )
-    factory, params, f = make_runner(name, n, seed=seed, max_rounds=6)
-    return run_protocol(
-        n, f, factory, corrupt=set(range(f)), params=params,
-        stop_condition=stop_when_all_decided, lossy=lossy,
-        seed=seed, observers=observers, max_deliveries=MAX_DELIVERIES,
-    )
+    spec = resolve_run(name, n, seed=seed)
+    if lossy is not None:
+        spec = replace(spec, lossy=lossy)
+    return spec.run(observers=observers, max_deliveries=MAX_DELIVERIES)
 
 
 class TestMessagesAreImmutableOnceSubmitted:
