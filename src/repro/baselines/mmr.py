@@ -105,8 +105,24 @@ def make_whp_coin(params: ProtocolParams | None = None) -> CoinProtocol:
     return coin
 
 
+def _is_bit(value: object) -> bool:
+    """A vote value a correct process could have sent: the int 0 or 1.
+
+    An equality test alone (``value in (0, 1)``) would admit ``True`` and
+    ``1.0`` from a Byzantine sender, and a correct process would then
+    adopt -- and decide -- that foreign object.
+    """
+    return type(value) is int and value in (0, 1)
+
+
 class _BVState:
-    """One round's BV-broadcast bookkeeping, pumped by a background handler."""
+    """One round's BV-broadcast bookkeeping, pumped by a background handler.
+
+    ``aux_counts[v]`` is the number of senders whose *first* AUX carried
+    ``v``, kept as AUX messages arrive, so the AUX-quorum wait (which the
+    kernel re-evaluates on every delivery) reads O(1) state instead of
+    rescanning ``aux_senders``.
+    """
 
     def __init__(self, ctx: ProcessContext, instance: Hashable, f: int) -> None:
         self.ctx = ctx
@@ -116,7 +132,9 @@ class _BVState:
         self.relayed: set[int] = set()
         self.bin_values: set[int] = set()
         self.aux_senders: dict[int, int] = {}
+        self.aux_counts: dict[int, int] = {0: 0, 1: 0}
         self._cursor = 0
+        self._stream: list | None = None
 
     def start(self, estimate: int) -> None:
         """Broadcast our estimate and arm the forever-active relay rule."""
@@ -125,11 +143,16 @@ class _BVState:
         self.ctx.add_background_handler(self.pump)
 
     def pump(self, mailbox: Mailbox) -> None:
-        stream = mailbox.stream(self.instance)
+        stream = self._stream
+        if stream is None:
+            # Identity-stable once created (append-only): cache the list.
+            stream = mailbox.stream(self.instance)
+            if type(stream) is list:
+                self._stream = stream
         while self._cursor < len(stream):
             sender, msg = stream[self._cursor]
             self._cursor += 1
-            if isinstance(msg, BValMsg) and msg.value in (0, 1):
+            if isinstance(msg, BValMsg) and _is_bit(msg.value):
                 senders = self.bval_senders[msg.value]
                 senders.add(sender)
                 if len(senders) > self.f and msg.value not in self.relayed:
@@ -137,14 +160,16 @@ class _BVState:
                     self.ctx.broadcast(BValMsg(self.instance, value=msg.value))
                 if len(senders) > 2 * self.f:
                     self.bin_values.add(msg.value)
-            elif isinstance(msg, AuxMsg) and msg.value in (0, 1):
-                self.aux_senders.setdefault(sender, msg.value)
+            elif (isinstance(msg, AuxMsg) and _is_bit(msg.value)
+                  and sender not in self.aux_senders):
+                self.aux_senders[sender] = msg.value
+                self.aux_counts[msg.value] += 1
 
     def valid_aux_count(self) -> int:
-        return sum(1 for value in self.aux_senders.values() if value in self.bin_values)
+        return sum(self.aux_counts[value] for value in self.bin_values)
 
     def aux_values(self) -> set[int]:
-        return {value for value in self.aux_senders.values() if value in self.bin_values}
+        return {value for value in self.bin_values if self.aux_counts[value]}
 
 
 def mmr_agreement(

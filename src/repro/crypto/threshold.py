@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 
-from repro.crypto.hashing import derive_seed, hash_to_int
+from repro.crypto.hashing import derive_seed, encode, hash_to_int
 from repro.crypto.numtheory import modinv
 from repro.crypto.shamir import FIELD_PRIME, Share, reconstruct_secret, split_secret
 
@@ -92,11 +92,24 @@ class ThresholdCoinDealer:
             for coefficient in reversed(polynomial):
                 acc = (acc * i + coefficient) % _SCHNORR_Q
             self._exponent_shares.append(acc)
+        # (process_id, encode(round_id)) -> share.  A share is a pure
+        # function of the key, so each costs one 768-bit modexp per dealer
+        # instead of one per verification.  The round is keyed by its
+        # canonical encoding, not by ``==``: rounds 1 and True hash to
+        # different bases and must not share an entry.
+        self._shares: dict[tuple[int, bytes], int] = {}
 
     def coin_share(self, process_id: int, round_id: int) -> int:
         """Process ``process_id``'s share of the round-``round_id`` coin."""
-        base = _hash_to_group(round_id)
-        return pow(base, self._exponent_shares[process_id], _SCHNORR_P)
+        if not 0 <= process_id < self.n:
+            raise ValueError(f"process id {process_id} outside [0, {self.n})")
+        key = (process_id, encode(round_id))
+        share = self._shares.get(key)
+        if share is None:
+            base = _hash_to_group(round_id)
+            share = pow(base, self._exponent_shares[process_id], _SCHNORR_P)
+            self._shares[key] = share
+        return share
 
     def verify_share(self, process_id: int, round_id: int, share: int) -> bool:
         """Registry-backed share validity check (stands in for CKS's ZK proof)."""
@@ -157,6 +170,8 @@ class RabinLotteryDealer:
 
     def coin_share(self, process_id: int, round_id: int) -> Share:
         """Process ``process_id``'s pre-distributed share for the round."""
+        if not 0 <= process_id < self.n:
+            raise ValueError(f"process id {process_id} outside [0, {self.n})")
         _, shares = self._materialise(round_id)
         return shares[process_id]
 

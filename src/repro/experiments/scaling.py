@@ -60,10 +60,22 @@ def make_adversary(scheduler: str | None, f_used: int, seed: int):
     )
 
 
+def _delivery_cap(n: int) -> int:
+    """Delivery budget for one E4 run at size ``n``.
+
+    An MMR-shaped round (BVAL, its relays, AUX, coin shares) costs ~5n²
+    deliveries, so 40n² covers eight rounds; the 8,000,000 floor is the
+    cap every tracked point (n <= 400) was made with.  A fixed cap would
+    stop the quadratic baselines before they decide from n = 800 on, and
+    their points would silently drop out of the fit.
+    """
+    return max(8_000_000, 40 * n * n)
+
+
 def _trial(name: str, n: int, f: int | None, whp_sigmas: float, seed: int) -> BARun:
     """One seeded run; top-level so sweep workers can pickle it."""
     return ba_trial(
-        name, n, seed, f=f, whp_sigmas=whp_sigmas, max_deliveries=8_000_000
+        name, n, seed, f=f, whp_sigmas=whp_sigmas, max_deliveries=_delivery_cap(n)
     )
 
 

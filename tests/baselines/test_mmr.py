@@ -5,9 +5,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.mmr import (
+    AuxMsg,
     BValMsg,
+    _BVState,
     local_coin,
     make_shared_coin,
     mmr_agreement,
@@ -15,6 +19,7 @@ from repro.baselines.mmr import (
 from repro.core.params import ProtocolParams
 from repro.sim.adversary import Adversary, RandomScheduler, StaticCorruption
 from repro.sim.byzantine import ScriptedBehavior
+from repro.sim.mailbox import Mailbox
 from repro.sim.runner import run_protocol, stop_when_all_decided
 
 N, F = 16, 3
@@ -107,8 +112,14 @@ class TestByzantineBVBroadcast:
         assert result.agreement
 
     def test_garbage_values_ignored(self):
+        # True and 1.0 compare equal to 1: admitted by equality, they used
+        # to become the value correct processes adopted and decided.
         def garbage(ctx):
-            ctx.broadcast(BValMsg(("mmr", 0), value=99))
+            for round_id in range(3):
+                instance = ("mmr", round_id)
+                for value in (99, True, 1.0):
+                    ctx.broadcast(BValMsg(instance, value=value))
+                    ctx.broadcast(AuxMsg(instance, value=value))
 
         adversary = Adversary(
             scheduler=RandomScheduler(random.Random(9)),
@@ -121,7 +132,54 @@ class TestByzantineBVBroadcast:
             stop_condition=stop_when_all_decided, seed=9,
         )
         assert result.live
+        assert result.all_correct_decided
         assert result.decided_values == {1}
+        for pid in result.correct_pids:
+            assert type(result.decisions[pid]) is int
+
+
+class _StubContext:
+    """Just enough of a ProcessContext for a free-standing ``_BVState``."""
+
+    def __init__(self) -> None:
+        self.sent = []
+
+    def broadcast(self, message) -> None:
+        self.sent.append(message)
+
+
+_VOTE = st.tuples(
+    st.integers(0, 6),                      # sender (repeats are the point)
+    st.sampled_from((BValMsg, AuxMsg)),
+    st.sampled_from((0, 1, 99, True)),
+    st.booleans(),                          # pump after this delivery?
+)
+
+
+class TestAuxQuorumCounters:
+    """The incremental AUX counters against the full rescan they replace."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_VOTE, max_size=60))
+    def test_counters_match_rescan(self, votes):
+        instance = ("mmr", 0)
+        bv = _BVState(_StubContext(), instance, f=1)
+        mailbox = Mailbox()
+        first_aux: dict[int, int] = {}
+        for sender, kind, value, pump in votes:
+            mailbox.add(sender, kind(instance, value=value))
+            if kind is AuxMsg and type(value) is int and value in (0, 1):
+                first_aux.setdefault(sender, value)
+            if not pump:
+                continue
+            bv.pump(mailbox)
+            assert bv.aux_senders == first_aux
+            # The scan over aux_senders that valid_aux_count/aux_values did
+            # before the counters existed.
+            scan = [v for v in bv.aux_senders.values() if v in bv.bin_values]
+            assert bv.valid_aux_count() == len(scan)
+            assert bv.aux_values() == set(scan)
+            assert all(type(v) is int for v in bv.bin_values | bv.aux_values())
 
 
 class TestRoundStructure:

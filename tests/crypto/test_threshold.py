@@ -49,6 +49,10 @@ class TestDealerContract:
         share = dealer.coin_share(0, 0)
         assert not dealer.verify_share(-1, 0, share)
         assert not dealer.verify_share(dealer.n, 0, share)
+        # A negative index would otherwise read pid n-1's share.
+        for pid in (-1, dealer.n):
+            with pytest.raises(ValueError):
+                dealer.coin_share(pid, 0)
 
     def test_combine_needs_threshold_shares(self, dealer):
         shares = {pid: dealer.coin_share(pid, 0) for pid in range(dealer.threshold - 1)}
@@ -108,3 +112,46 @@ class TestCKSSpecifics:
         # accepts any canonically encodable value.
         share = cks_dealer.coin_share(0, ("mmr", 3))
         assert cks_dealer.verify_share(0, ("mmr", 3), share)
+
+
+class TestCKSShareMemo:
+    """Each share is computed once per dealer; verification stays exact."""
+
+    def test_hash_to_group_once_per_pid_and_round(self, monkeypatch):
+        from repro.crypto import threshold
+
+        calls = []
+        original = threshold._hash_to_group
+
+        def counting(round_id):
+            calls.append(round_id)
+            return original(round_id)
+
+        monkeypatch.setattr(threshold, "_hash_to_group", counting)
+        dealer = ThresholdCoinDealer(n=5, threshold=2, rng=random.Random(7))
+        for _ in range(3):
+            for round_id in range(4):
+                shares = {pid: dealer.coin_share(pid, round_id) for pid in range(5)}
+                for pid, share in shares.items():
+                    assert dealer.verify_share(pid, round_id, share)
+                dealer.combine(shares, round_id)
+        assert len(calls) == 5 * 4
+
+    def test_bad_shares_fail_with_memo_warm(self):
+        dealer = ThresholdCoinDealer(n=5, threshold=2, rng=random.Random(8))
+        shares = {pid: dealer.coin_share(pid, 0) for pid in range(5)}
+        dealer.coin_share(0, 1)
+        assert dealer.verify_share(0, 0, shares[0])
+        assert not dealer.verify_share(0, 0, shares[0] + 1)  # tampered
+        assert not dealer.verify_share(0, 0, dealer.coin_share(0, 1))  # wrong round
+        assert not dealer.verify_share(0, 0, shares[1])  # another process's
+        with pytest.raises(ValueError):
+            dealer.combine({0: shares[0] + 1, 1: shares[1]}, 0)
+        with pytest.raises(ValueError):
+            dealer.combine({0: dealer.coin_share(0, 1), 1: shares[1]}, 0)
+
+    def test_equal_but_distinct_round_ids_not_aliased(self):
+        # 1 == True, but they encode (and hash to a base) differently.
+        dealer = ThresholdCoinDealer(n=3, threshold=2, rng=random.Random(9))
+        assert dealer.coin_share(0, 1) != dealer.coin_share(0, True)
+        assert not dealer.verify_share(0, True, dealer.coin_share(0, 1))

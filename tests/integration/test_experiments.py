@@ -145,6 +145,16 @@ class TestE4:
         assert 1.0 < curve.slope_words < 3.0
         assert "slope" in e4.format_scaling(curves)
 
+    def test_delivery_cap_scales_with_n_squared(self):
+        # Every tracked point (n <= 400) keeps the 8M cap its table was
+        # made with; from n = 800 the cap covers eight ~5n²-delivery
+        # MMR rounds instead of stopping the baselines mid-run.
+        for n in (16, 50, 100, 200, 400):
+            assert e4._delivery_cap(n) == 8_000_000
+        for n in (800, 1600, 3200):
+            assert e4._delivery_cap(n) >= 8 * 5 * n * n
+        assert e4._delivery_cap(1600) > e4._delivery_cap(800) > 8_000_000
+
 
 class TestE5:
     def test_rounds_constant_ish(self):
