@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.sim.byzantine import ByzantineBehavior, SilentBehavior
 from repro.sim.messages import EnvelopeView
@@ -132,19 +132,21 @@ class Scheduler:
         """Return the ``seq`` of the message to deliver next."""
         raise NotImplementedError
 
-    def drain(self, pool: "SchedulerPool", limit: int) -> list[int] | None:
+    def drain(self, pool: "SchedulerPool", limit: int) -> Sequence[int] | None:
         """Return a batch of seqs committed for delivery, oldest first.
 
-        The batched-kernel contract: the returned list must be **exactly**
-        the sequence of seqs that ``limit`` consecutive
+        The batched-kernel contract: the batch -- any sequence of seqs
+        (a list, a range, ...) -- must be **exactly** a prefix of the
+        sequence of seqs that ``limit`` consecutive
         ``choose``/``on_delivered`` cycles would have produced, *no matter
-        what messages are submitted between those deliveries*.  A scheduler
-        can only promise that when its future choices are insensitive to
-        future submissions over the batch -- FIFO (new seqs sort after
-        every drained seq) and bounded-delay schedules (ranks of future
-        submissions are bounded below) qualify; a uniformly random
-        scheduler does not, because each submission reweights every
-        subsequent draw.
+        what messages are submitted between those deliveries*.  Any
+        non-empty prefix will do; the kernel asks again for the next
+        batch.  A scheduler can only promise that when its future choices
+        are insensitive to future submissions over the batch -- FIFO (new
+        seqs sort after every drained seq) and bounded-delay schedules
+        (ranks of future submissions are bounded below) qualify; a
+        uniformly random scheduler does not, because each submission
+        reweights every subsequent draw.
 
         Drained seqs leave the scheduler's bookkeeping immediately: the
         kernel does **not** call :meth:`on_delivered` for them.  The kernel
@@ -186,16 +188,17 @@ class FIFOScheduler(Scheduler):
 
     def __init__(self) -> None:
         # The kernel assigns seqs monotonically, so submission order IS
-        # ascending seq order: a deque (O(1) at both ends) replaces the
-        # heap with identical delivery order.
-        self._queue: deque[int] = deque()
+        # ascending seq order: a deque of non-empty seq ranges, one per
+        # broadcast (or unicast), holds the queue without an int per copy.
+        self._queue: deque[range] = deque()
         self._delivered: set[int] = set()
 
     def on_submit(self, seq: int, view: EnvelopeView | None) -> None:
-        self._queue.append(seq)
+        self._queue.append(range(seq, seq + 1))
 
     def on_submit_range(self, start: int, stop: int) -> None:
-        self._queue.extend(range(start, stop))
+        if start < stop:
+            self._queue.append(range(start, stop))
 
     def on_delivered(self, seq: int) -> None:
         self._delivered.add(seq)
@@ -203,23 +206,36 @@ class FIFOScheduler(Scheduler):
     def choose(self, pool: "SchedulerPool") -> int:
         queue = self._queue
         delivered = self._delivered
-        while queue and queue[0] in delivered:
-            delivered.discard(queue.popleft())
-        return queue[0]
+        while queue and queue[0].start in delivered:
+            head = queue.popleft()
+            delivered.discard(head.start)
+            if len(head) > 1:
+                queue.appendleft(head[1:])
+        return queue[0].start
 
     def drain(self, pool: "SchedulerPool", limit: int) -> list[int] | None:
+        """The head range, capped at ``limit`` (delivered seqs skipped)."""
         queue = self._queue
         delivered = self._delivered
-        popleft = queue.popleft
-        batch: list[int] = []
-        append = batch.append
-        while queue and len(batch) < limit:
-            seq = popleft()
-            if seq in delivered:
-                delivered.discard(seq)
-            else:
-                append(seq)
-        return batch or None
+        while queue:
+            head = queue.popleft()
+            if not delivered:
+                if len(head) > limit:
+                    queue.appendleft(head[limit:])
+                    head = head[:limit]
+                return list(head)  # not the range: callers compare batches with lists
+            batch: list[int] = []
+            for index, seq in enumerate(head):
+                if seq in delivered:
+                    delivered.discard(seq)
+                elif len(batch) < limit:
+                    batch.append(seq)
+                else:
+                    queue.appendleft(head[index:])
+                    break
+            if batch:
+                return batch
+        return None
 
 
 class DelayBoundedScheduler(Scheduler):

@@ -6,7 +6,8 @@ deterministic fate of every seq, and what a fate does to a sent copy
 (drop, hold and release, bit flip, counters).  The kernel asks
 :meth:`_LossyState.fate`, :meth:`~_LossyState.route` and
 :meth:`~_LossyState.due`; seqs, ``SendEvent`` s and pool insertion stay
-its own.  Nothing here imports the kernel.
+its own.  Nothing here imports the kernel: a held copy's flight and
+destination ride in the heap as opaque values.
 """
 
 from __future__ import annotations
@@ -257,9 +258,10 @@ class _LossyState:
         # (class name) -- the per-kind accounting `repro report` renders.
         self.counters = zero_counters()
         self.by_kind: dict[str, dict[str, int]] = {key: {} for key in self.counters}
-        # Min-heap of (release_at_deliveries, seq): reordered messages
-        # waiting outside the scheduler pool.
-        self.held: list[tuple[int, int]] = []
+        # Min-heap of (release_at_deliveries, seq, flight, dest): reordered
+        # copies waiting outside the scheduler pool.  Seqs are unique, so
+        # the flight is never compared.
+        self.held: list[tuple[int, int, Any, int]] = []
 
     @classmethod
     def for_run(cls, config: Any, seed: int, n: int) -> "_LossyState | None":
@@ -326,24 +328,26 @@ class _LossyState:
             fate = "corrupt"
         return fate, self._table[index + 1], hold
 
-    def route(self, seq: int, payload: Message, fate: str, aux: float, hold: int,
-              deliveries: int) -> tuple[int, Message | None]:
-        """Apply ``fate`` to the copy sent as ``seq``.
+    def route(self, seq: int, flight: Any, dest: int, fate: str, aux: float,
+              hold: int, deliveries: int) -> tuple[int, Message | None]:
+        """Apply ``fate`` to the copy of ``flight`` sent to ``dest`` as ``seq``.
 
         Returns how many copies enter the pool now, and the payload the
         destination receives instead if the link flipped a bit.  0:
-        dropped, or held until ``deliveries`` advances by at most ``hold``.
+        dropped (nothing is kept), or held with its flight and
+        destination until ``deliveries`` advances by at most ``hold``.
         1: the copy (corrupted if it has an eligible field).  2: the copy
         and a twin the caller enters under the next seq, which rolls no
         fate of its own.
         """
+        payload = flight.payload
         kind = type(payload).__name__
         if fate == "drop":
             self._count("drops", kind)
             return 0, None
         if fate == "reorder":
             self._count("reorders", kind)
-            heappush(self.held, (deliveries + 1 + int(aux * hold), seq))
+            heappush(self.held, (deliveries + 1 + int(aux * hold), seq, flight, dest))
             return 0, None
         if fate == "corrupt":
             corrupted = _bit_corrupt(payload, random.Random(int(aux * (1 << 53))))
@@ -355,8 +359,10 @@ class _LossyState:
             return 2, None
         return 1, None
 
-    def due(self, deliveries: int, pool_empty: bool) -> Sequence[int]:
-        """Pop the held seqs whose hold expired (call while any is held).
+    def due(
+        self, deliveries: int, pool_empty: bool
+    ) -> Sequence[tuple[int, int, Any, int]]:
+        """Pop the held entries whose hold expired (call while any is held).
 
         With an empty pool and nothing due the earliest is released at
         once: a lossy link may delay but cannot withhold forever -- only
@@ -367,7 +373,7 @@ class _LossyState:
             return ()
         released = []
         while held and held[0][0] <= deliveries:
-            released.append(heappop(held)[1])
+            released.append(heappop(held))
         if pool_empty and not released:
-            released.append(heappop(held)[1])
+            released.append(heappop(held))
         return released

@@ -65,10 +65,10 @@ class Flight:
 
     A broadcast hands one message object, one depth and one ``sent_step``
     to n destinations; the only per-copy facts are ``seq`` and ``dest``,
-    which the kernel keeps in flat per-seq tables.  ``words`` and
-    ``instance`` are the payload's, read once per send instead of once
-    per delivery; ``entry`` is the one ``(sender, payload)`` tuple every
-    receiver's mailbox stream appends.
+    which the kernel keeps beside the flight in its pool columns.
+    ``words`` and ``instance`` are the payload's, read once per send
+    instead of once per delivery; ``entry`` is the one
+    ``(sender, payload)`` tuple every receiver's mailbox stream appends.
     """
 
     __slots__ = ("sender", "payload", "depth", "sender_correct", "sent_step",

@@ -17,12 +17,13 @@ The lossy-link *model extension* lives beside the kernel, in
 one -- the kernel is byte-identical to the reliable model.  Under an
 active one the kernel still allocates every seq, emits every
 ``SendEvent`` and makes every pool insertion; the link layer only says
-what each sent copy's fate is and which held seqs are due.
+what each sent copy's fate is and which held copies are due.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 import time
 from array import array
 from typing import Any, Callable
@@ -56,6 +57,48 @@ DEFAULT_MAX_DELIVERIES = 2_000_000
 # delivery, its seq already picked (drained batches hold seqs).
 _BATCH_OF_ONE = (None,)
 
+# The seq index keeps slots for a window of seqs, and the loops trim its
+# dead leading chunks of this many slots once per this many deliveries.
+_SEQ_CHUNK = 65_536
+_DEAD_CHUNK = array("i", [-1]) * _SEQ_CHUNK
+
+
+class _RangeBytes:
+    """Called with ``first``: the bytes of ``array(typecode, range(first, first + n))``.
+
+    Extending an array from a range converts every value through the
+    argument parser (~40 ns each).  A block of n consecutive values is the
+    block ``0 .. n-1`` plus ``first`` in every word instead: one bignum
+    multiply-add over the block's bytes, ~8 ns a value, and no word
+    carries into the next while every value fits the typecode.
+    """
+
+    __slots__ = ("_size", "_zero", "_ones")
+
+    def __init__(self, typecode: str, n: int) -> None:
+        zero = array(typecode, range(n))
+        self._size = zero.itemsize * n
+        self._zero = int.from_bytes(zero.tobytes(), sys.byteorder)
+        ones = array(typecode, [1]) * n
+        self._ones = int.from_bytes(ones.tobytes(), sys.byteorder)
+
+    def __call__(self, first: int) -> bytes:
+        return (self._zero + first * self._ones).to_bytes(self._size, sys.byteorder)
+
+
+def _envelope(seq: int, flight: Flight, dest: int) -> Envelope:
+    """The envelope of the copy of ``flight`` sent to ``dest`` as ``seq``."""
+    # Positional: keyword construction measurably slows this path.
+    return Envelope(
+        seq,
+        flight.sender,
+        dest,
+        flight.payload,
+        flight.depth,
+        flight.sender_correct,
+        flight.sent_step,
+    )
+
 
 class EmptySchedulerPoolError(RuntimeError):
     """A scheduler asked the pool for a message while nothing is in flight.
@@ -70,9 +113,9 @@ class EmptySchedulerPoolError(RuntimeError):
 class SeqNotInFlightError(KeyError):
     """A scheduler chose a seq the kernel cannot deliver.
 
-    The per-seq tables are arrays: a negative or stale seq would address
-    some other message's slot instead of failing, so both loops check
-    every chosen and drained seq and name the scheduler and the cause.
+    The seq index is an array: a negative or stale seq would address some
+    other message's slot instead of failing, so both loops check every
+    chosen and drained seq and name the scheduler and the cause.
     """
 
     def __str__(self) -> str:
@@ -111,16 +154,12 @@ class SchedulerPool:
 
     def _envelope(self, seq: int) -> Envelope:
         simulation = self._simulation
-        pos_at = simulation._pos_at
-        if pos_at is None:
-            # Positional run: the kernel keeps no seq index, and no
-            # positional scheduler looks a seq up during a run -- scan.
-            found = seq in simulation._in_flight
-        else:
-            found = 0 <= seq < len(pos_at) and pos_at[seq] >= 0
-        if not found:
+        position = simulation._position(seq)
+        if position < 0:
             raise KeyError(seq)
-        return simulation._envelope(seq)
+        return _envelope(
+            seq, simulation._flights[position], simulation._dests[position]
+        )
 
     def view(self, seq: int) -> EnvelopeView:
         return EnvelopeView.of(self._envelope(seq))
@@ -282,21 +321,32 @@ class Simulation:
         self._pending_remaining: dict[int, int] = {}
         self._factories: dict[int, ProtocolFactory] = {}
 
-        # The in-flight set is one dense list of seqs, removal a swap with
-        # its last element.  What a seq stands for is in flat tables with
-        # one slot per seq ever allocated: the flight it belongs to (None
-        # once a lossy link dropped it) and its destination.  Schedulers
-        # name messages by seq, so `_pos_at` holds each seq's index in the
-        # list, -1 while it is not in it -- except on the fast loop under a
-        # scheduler that picks by position: nothing looks a seq up then,
-        # and `_pos_at` is None.
+        # The pool is the only place a sent copy lives: three parallel
+        # columns, one entry per copy in flight -- its seq (an array, so
+        # no boxed int per copy), the flight it belongs to and its
+        # destination (one of n shared ints) -- swap-removed together.  A delivered or dropped
+        # copy leaves nothing behind; a held (reordered) one waits in
+        # `_LossyState.held` with its flight and destination.  Schedulers
+        # name messages by seq, so `_pos_at[seq - _pos_base]` holds each
+        # seq's position, -1 while it is not in the pool; the loops trim
+        # its dead leading chunks (`_compact_seq_index`).  On the fast
+        # loop under a scheduler that picks by position nothing looks a
+        # seq up, and `_pos_at` is None: no per-seq state at all.
         scheduler = adversary.scheduler
-        self._in_flight: list[int] = []
-        self._flight_at: list[Flight | None] = []
-        self._dest_at = array("i")
+        self._in_flight = array("q")
+        self._flights: list[Flight] = []
+        self._dests: list[int] = []
+        self._next_seq = 0
         positional = delivery_mode == "batched" and _picks_by_position(scheduler)
         self._pos_at: array | None = None if positional else array("i")
-        self._all_dests = array("i", range(n))
+        self._pos_base = 0
+        # What a broadcast appends to the columns: its runs of seqs and of
+        # positions (as bytes) and its destinations, n int objects that
+        # every copy shares (a list slot is read, popped and stored at a
+        # quarter of an array item's cost, for 4 bytes more per copy).
+        self._seq_run = _RangeBytes("q", n)
+        self._pos_run = _RangeBytes("i", n)
+        self._all_dests = list(range(n))
         self._pool = SchedulerPool(self)
         self._stopped = False
         self._started = False
@@ -333,33 +383,26 @@ class Simulation:
 
     # -- kernel services used by ProcessContext ---------------------------------
 
-    @property
-    def _next_seq(self) -> int:
-        """The seq the next sent copy takes: one table slot per seq."""
-        return len(self._flight_at)
-
-    def _allocate(self, flight: Flight, dest: int) -> int:
-        """Give one copy of ``flight`` the next seq; it is not in the pool yet."""
-        seq = len(self._flight_at)
-        self._flight_at.append(flight)
-        self._dest_at.append(dest)
+    def _allocate(self) -> int:
+        """The next seq, for a copy that is not in the pool yet."""
+        seq = self._next_seq
+        self._next_seq = seq + 1
         if self._pos_at is not None:
             self._pos_at.append(-1)
         return seq
 
-    def _envelope(self, seq: int) -> Envelope:
-        """Materialise the envelope of an allocated, undropped ``seq``."""
-        flight = self._flight_at[seq]
-        # Positional: keyword construction measurably slows this path.
-        return Envelope(
-            seq,
-            flight.sender,
-            self._dest_at[seq],
-            flight.payload,
-            flight.depth,
-            flight.sender_correct,
-            flight.sent_step,
-        )
+    def _position(self, seq: int) -> int:
+        """``seq``'s index in the pool, or -1 if it is not in flight."""
+        pos_at = self._pos_at
+        if pos_at is None:
+            # Positional run: the kernel keeps no seq index, and no
+            # positional scheduler looks a seq up during a run -- scan.
+            try:
+                return self._in_flight.index(seq)
+            except ValueError:
+                return -1
+        index = seq - self._pos_base
+        return pos_at[index] if 0 <= index < len(pos_at) else -1
 
     def submit(self, sender: int, dest: int, message: Message) -> None:
         """Place a message on the link from ``sender`` to ``dest``.
@@ -382,11 +425,11 @@ class Simulation:
             sender not in self.corrupted,
             self.deliveries,
         )
-        seq = self._allocate(flight, dest)
+        seq = self._allocate()
         self.metrics.record_send(flight)
         self._emit_send(seq, dest, flight)
         if self._lossy is None:
-            self._insert_in_flight(seq)
+            self._insert_in_flight(seq, flight, dest)
         else:
             self._route_lossy(seq, dest, flight, *self._lossy.fate(seq, sender, dest))
 
@@ -414,25 +457,27 @@ class Simulation:
         Shared by :meth:`submit` and :meth:`submit_broadcast`.  A
         duplicate's twin takes the next seq and shares the flight; it is
         the network's copy: it emits a ``SendEvent`` but is no protocol
-        send.  A bit-flipped payload gets a flight of its own, so the
-        broadcast's other receivers still see the object that was sent.
+        send.  A bit-flipped payload gets a flight of its own in the copy's
+        pool slot, so the broadcast's other receivers still see the object
+        that was sent.  A dropped copy leaves nothing behind; a held one
+        waits in the link's heap.
         """
         copies, corrupted = self._lossy.route(
-            seq, flight.payload, fate, aux, hold, self.deliveries
+            seq, flight, dest, fate, aux, hold, self.deliveries
         )
-        if corrupted is not None:
-            self._flight_at[seq] = Flight(
-                flight.sender, corrupted, flight.depth,
-                flight.sender_correct, flight.sent_step,
-            )
         if copies:
-            self._insert_in_flight(seq)
+            self._insert_in_flight(
+                seq,
+                flight if corrupted is None else Flight(
+                    flight.sender, corrupted, flight.depth,
+                    flight.sender_correct, flight.sent_step,
+                ),
+                dest,
+            )
             if copies == 2:
-                twin = self._allocate(flight, dest)
+                twin = self._allocate()
                 self._emit_send(twin, dest, flight)
-                self._insert_in_flight(twin)
-        elif fate == "drop":
-            self._flight_at[seq] = None
+                self._insert_in_flight(twin, flight, dest)
 
     def submit_broadcast(self, sender: int, message: Message) -> None:
         """Submit ``message`` from ``sender`` to every process (self included).
@@ -466,8 +511,8 @@ class Simulation:
             metrics.messages_by_sender[sender] += n
         emit = self.events.emit if self._subscribers else None
         in_flight = self._in_flight
-        flight_at = self._flight_at
-        dest_at = self._dest_at
+        flights = self._flights
+        dests = self._dests
         pos_at = self._pos_at
         lossy = self._lossy
         on_submit = self._submit_hook
@@ -481,22 +526,19 @@ class Simulation:
             if scheduler.content_aware
             else None
         )
-        seq = first_seq = len(flight_at)
+        seq = first_seq = self._next_seq
         if emit is None and lossy is None and not per_seq and inspect is None:
-            # Nobody looks at a single copy: the n copies are four bulk
-            # extends, and differ only in their table slots.
+            # Nobody looks at a single copy: the n copies are bulk extends
+            # of the pool columns, and differ only in their seq and dest.
             seq += n
-            flight_at.extend([flight] * n)
-            dest_at.extend(self._all_dests)
             if pos_at is not None:
-                pos = len(in_flight)
-                pos_at.extend(range(pos, pos + n))
-            in_flight.extend(range(first_seq, seq))
+                pos_at.frombytes(self._pos_run(len(in_flight)))
+            in_flight.frombytes(self._seq_run(first_seq))
+            flights.extend([flight] * n)
+            dests.extend(self._all_dests)
         else:
             instance = flight.instance
-            for dest in range(n):
-                flight_at.append(flight)
-                dest_at.append(dest)
+            for dest in self._all_dests:
                 if emit is not None:
                     emit(
                         SendEvent(
@@ -516,40 +558,50 @@ class Simulation:
                     if fate != "deliver":
                         if pos_at is not None:
                             pos_at.append(-1)
+                        self._next_seq = seq + 1
                         self._route_lossy(seq, dest, flight, fate, aux, hold)
-                        seq = len(flight_at)  # past a duplicate's twin too
+                        seq = self._next_seq  # past a duplicate's twin too
                         continue
                 if pos_at is not None:
                     pos_at.append(len(in_flight))
                 in_flight.append(seq)
+                flights.append(flight)
+                dests.append(dest)
                 if per_seq:
                     on_submit(
-                        seq, EnvelopeView.of(self._envelope(seq)) if wants_view else None
+                        seq,
+                        EnvelopeView.of(_envelope(seq, flight, dest))
+                        if wants_view
+                        else None,
                     )
                 if inspect is not None:
                     inspect(seq, message, sender)
                 seq += 1
+        self._next_seq = seq
         if on_submit is not None and not per_seq:
             # Deferring the bulk call past the destination loop is
             # invisible -- the kernel only consults the scheduler between
             # deliveries, never mid-submit.
             scheduler.on_submit_range(first_seq, seq)
 
-    def _insert_in_flight(self, seq: int) -> None:
-        """Enter the allocated ``seq`` into the scheduler pool.
+    def _insert_in_flight(self, seq: int, flight: Flight, dest: int) -> None:
+        """Enter the copy of ``flight`` sent to ``dest`` as ``seq`` into the pool.
 
         The pool bookkeeping + scheduler callbacks of one unicast
-        (:meth:`submit_broadcast` inlines the same); a reordered seq
+        (:meth:`submit_broadcast` inlines the same); a reordered copy
         joins the pool through here at release time, not submit time.
         """
+        in_flight = self._in_flight
         if self._pos_at is not None:
-            self._pos_at[seq] = len(self._in_flight)
-        self._in_flight.append(seq)
+            self._pos_at[seq - self._pos_base] = len(in_flight)
+        in_flight.append(seq)
+        self._flights.append(flight)
+        self._dests.append(dest)
         on_submit = self._submit_hook
         if on_submit is not None:
             on_submit(
                 seq,
-                EnvelopeView.of(self._envelope(seq))
+                EnvelopeView.of(_envelope(seq, flight, dest))
                 if self._submit_wants_view
                 else None,
             )
@@ -557,7 +609,6 @@ class Simulation:
         if scheduler.content_aware:
             inspect = getattr(scheduler, "inspect_payload", None)
             if inspect is not None:
-                flight = self._flight_at[seq]
                 inspect(seq, flight.payload, flight.sender)
 
     def note_decision(self, pid: int) -> None:
@@ -734,29 +785,70 @@ class Simulation:
                     self.metrics.wait_skips += 1
 
     def _remove_in_flight(self, seq: int) -> Envelope:
-        """Swap-remove: the last seq takes the removed one's place."""
-        pos_at = self._pos_at
-        position = pos_at[seq] if 0 <= seq < len(pos_at) else -1
+        """Take ``seq`` out of the pool and materialise its envelope."""
+        position = self._position(seq)
         if position < 0:
             raise self._not_in_flight(seq)
-        last = self._in_flight.pop()
+        return _envelope(*self._take(position))
+
+    def _take(self, position: int) -> tuple[int, Flight, int]:
+        """Swap-remove the copy at ``position``: the last copy fills the hole.
+
+        Returns its seq, flight and destination; :meth:`_run_fast`
+        inlines the same.
+        """
+        in_flight, flights, dests = self._in_flight, self._flights, self._dests
+        seq, flight, dest = in_flight[position], flights[position], dests[position]
+        last = in_flight.pop()
+        last_flight = flights.pop()
+        last_dest = dests.pop()
+        pos_at = self._pos_at
         if last != seq:
-            self._in_flight[position] = last
-            pos_at[last] = position
-        pos_at[seq] = -1
-        return self._envelope(seq)
+            in_flight[position] = last
+            flights[position] = last_flight
+            dests[position] = last_dest
+            if pos_at is not None:
+                pos_at[last - self._pos_base] = position
+        if pos_at is not None:
+            pos_at[seq - self._pos_base] = -1
+        return seq, flight, dest
+
+    def _compact_seq_index(self) -> None:
+        """Drop the seq index's chunks below the low-water mark.
+
+        The mark is the lowest seq still in the pool or held by a lossy
+        link.  Below it every slot is -1, so the dead chunks are exactly
+        the leading ones equal to a chunk of -1s (below the lowest held
+        seq): a memory compare each, not a scan of the pool.
+        """
+        pos_at = self._pos_at
+        limit = self._next_seq
+        if self._lossy is not None and self._lossy.held:
+            limit = min(limit, min(entry[1] for entry in self._lossy.held))
+        dead = 0
+        while (
+            self._pos_base + dead + _SEQ_CHUNK <= limit
+            and pos_at[dead:dead + _SEQ_CHUNK] == _DEAD_CHUNK
+        ):
+            dead += _SEQ_CHUNK
+        if dead:
+            del pos_at[:dead]
+            self._pos_base += dead
 
     def _not_in_flight(self, seq: int) -> SeqNotInFlightError:
-        """The error for a scheduler that chose ``seq``, naming why it cannot go."""
-        if not 0 <= seq < len(self._flight_at):
+        """The error for a scheduler that chose ``seq``, naming why it cannot go.
+
+        The kernel keeps no history of delivered or dropped seqs, so under
+        an active lossy config it cannot tell those two apart.
+        """
+        if not 0 <= seq < self._next_seq:
             cause = "never submitted"
-        elif self._flight_at[seq] is None or (
-            self._lossy is not None
-            and any(seq == held_seq for _, held_seq in self._lossy.held)
-        ):
-            cause = "dropped or held by a lossy link"
-        else:
+        elif self._lossy is None:
             cause = "already delivered"
+        elif any(entry[1] == seq for entry in self._lossy.held):
+            cause = "held by a lossy link"
+        else:
+            cause = "already delivered or dropped by a lossy link"
         scheduler = type(self.adversary.scheduler).__name__
         return SeqNotInFlightError(
             f"scheduler {scheduler} chose seq {seq}, which is not in flight ({cause})"
@@ -841,13 +933,19 @@ class Simulation:
         corruption = self.adversary.corruption
         corruption_reacts = self._corruption_reacts
         held = self._lossy.held if self._lossy is not None else ()
+        compact_at = _SEQ_CHUNK
         while (self._in_flight or held) and self.deliveries < self.max_deliveries:
+            if self.deliveries >= compact_at:
+                self._compact_seq_index()
+                compact_at = self.deliveries + _SEQ_CHUNK
             if self._should_stop():
                 self._stopped = True
                 return
             if held:
-                for seq in self._lossy.due(self.deliveries, not self._in_flight):
-                    self._insert_in_flight(seq)
+                for _, seq, flight, dest in self._lossy.due(
+                    self.deliveries, not self._in_flight
+                ):
+                    self._insert_in_flight(seq, flight, dest)
             seq = scheduler.choose(self._pool)
             envelope = self._remove_in_flight(seq)
             scheduler.on_delivered(seq)
@@ -872,20 +970,21 @@ class Simulation:
         :meth:`~repro.sim.adversary.Scheduler.drain`, or else a batch of
         one: the seq at ``choose_index(len(pool))`` when the scheduler
         picks by position (no ``_pos_at`` exists then), otherwise
-        ``choose(pool)``.  ``_remove_in_flight``/``_deliver``/
-        ``Mailbox.add`` are inlined, the kernel's per-delivery attribute
-        traffic is hoisted into locals, and an :class:`Envelope` is
-        built only for a corrupted receiver or a reacting corruption
-        strategy.
+        ``choose(pool)``.  ``_take``/``_deliver``/``Mailbox.add`` are
+        inlined, the kernel's per-delivery attribute traffic is hoisted
+        into locals (``_pos_base`` too, refreshed after each compaction
+        of the seq index), and an :class:`Envelope` is built only for a
+        corrupted receiver or a reacting corruption strategy.
         """
         scheduler = self.adversary.scheduler
         corruption = self.adversary.corruption
         # Aliases, not copies: mutations from corrupt()/submit() during the
         # loop stay visible to it.
         in_flight = self._in_flight
-        flight_at = self._flight_at
-        dest_at = self._dest_at
+        flights = self._flights
+        dests = self._dests
         pos_at = self._pos_at
+        pos_base = self._pos_base
         contexts = self.contexts
         corrupted = self.corrupted
         behaviors = self._behaviors
@@ -899,6 +998,11 @@ class Simulation:
         advance = self._advance
         corruption_reacts = self._corruption_reacts
         max_deliveries = self.max_deliveries
+        # One comparison per turn guards the delivery budget and the next
+        # compaction of the seq index (which a positional run never has).
+        check_at = (
+            max_deliveries if pos_at is None else min(_SEQ_CHUNK, max_deliveries)
+        )
         budget = self.f
         pool = self._pool
         choose = scheduler.choose
@@ -936,7 +1040,13 @@ class Simulation:
         stop_fp = -1
         stop_val = False
 
-        while (in_flight or held) and self.deliveries < max_deliveries:
+        while in_flight or held:
+            if self.deliveries >= check_at:
+                if self.deliveries >= max_deliveries:
+                    break
+                self._compact_seq_index()
+                pos_base = self._pos_base
+                check_at = min(self.deliveries + _SEQ_CHUNK, max_deliveries)
             if stop_condition is not None:
                 fp = (
                     len(decided) + len(finished) + len(corrupted)
@@ -950,15 +1060,17 @@ class Simulation:
                     self._stopped = True
                     return
             if held:
-                for seq in due(self.deliveries, not in_flight):
-                    insert(seq)
+                for _, seq, flight, dest in due(self.deliveries, not in_flight):
+                    insert(seq, flight, dest)
             batch = drain and drain(pool, max_deliveries - self.deliveries)
             if batch:
                 # Drained seqs already left the scheduler's books: no
-                # on_delivered for them.
+                # on_delivered for them.  They are counted up front, and a
+                # batch the run abandons is uncounted where it stops.
                 self.drain_batches += 1
+                self.batched_deliveries += len(batch)
+                batch_end = self.deliveries + len(batch)
                 chosen = -1
-                first_in_batch = True
             else:
                 batch = _BATCH_OF_ONE
                 if choose_index is not None:
@@ -966,16 +1078,20 @@ class Simulation:
                     picked = in_flight[position]
                 else:
                     picked = chosen = choose(pool)
-                    position = pos_at[picked] if 0 <= picked < len(pos_at) else -1
+                    index = picked - pos_base
+                    try:
+                        position = pos_at[index] if index >= 0 else -1
+                    except IndexError:
+                        position = -1
                     if position < 0:
                         raise self._not_in_flight(picked)
             for seq in batch:
                 if seq is None:
                     seq = picked
                 else:
-                    if first_in_batch:
-                        first_in_batch = False  # the outer loop just checked stop
-                    elif stop_condition is not None:
+                    # Before the batch's first seq this repeats the outer
+                    # loop's fingerprint: no second call.
+                    if stop_condition is not None:
                         fp = (
                             len(decided) + len(finished) + len(corrupted)
                             if stop_monotone
@@ -985,30 +1101,39 @@ class Simulation:
                             stop_fp = fp
                             stop_val = bool(stop_condition(self))
                         if stop_val:
+                            self.batched_deliveries -= batch_end - self.deliveries
                             self._stopped = True
                             return
-                    position = pos_at[seq] if 0 <= seq < len(pos_at) else -1
+                    index = seq - pos_base
+                    try:
+                        position = pos_at[index] if index >= 0 else -1
+                    except IndexError:
+                        position = -1
                     if position < 0:
+                        self.batched_deliveries -= batch_end - self.deliveries
                         raise self._not_in_flight(seq)
-                    self.batched_deliveries += 1
-                # -- _remove_in_flight, inlined (positional picks keep no
-                # `pos_at`) --
+                # -- _take, inlined (positional picks keep no `pos_at`) --
                 last = in_flight.pop()
                 if last != seq:
                     in_flight[position] = last
+                    flight = flights[position]
+                    flights[position] = flights.pop()
+                    pid = dests[position]
+                    dests[position] = dests.pop()
                     if pos_at is not None:
-                        pos_at[last] = position
+                        pos_at[last - pos_base] = position
+                else:
+                    flight = flights.pop()
+                    pid = dests.pop()
                 if pos_at is not None:
-                    pos_at[seq] = -1
+                    pos_at[index] = -1
                 if chosen >= 0:
                     on_delivered(chosen)
                 # -- _deliver, inlined --
-                flight = flight_at[seq]
                 payload = flight.payload
                 metrics.messages_delivered += 1
                 metrics.words_delivered += flight.words
                 payload_instance = flight.instance
-                pid = dest_at[seq]
                 if subscribers:
                     summary = self.events.summary_of(payload)
                     emit(
@@ -1032,7 +1157,7 @@ class Simulation:
                 if ctx.depth < depth:
                     ctx.depth = depth
                 if pid in corrupted:
-                    behaviors[pid].on_deliver(ctx, self._envelope(seq))
+                    behaviors[pid].on_deliver(ctx, _envelope(seq, flight, pid))
                 else:
                     mailbox = ctx.mailbox
                     # -- Mailbox.add, inlined (kernel-owned hot path); every
@@ -1085,7 +1210,7 @@ class Simulation:
                             else:
                                 metrics.wait_skips += 1
                 if corruption_reacts and len(corrupted) < budget:
-                    view = EnvelopeView.of(self._envelope(seq))
+                    view = EnvelopeView.of(_envelope(seq, flight, pid))
                     for pid in corruption.on_delivery(view, frozenset(corrupted)):
                         self.corrupt(pid)
         self._stopped = self._should_stop()

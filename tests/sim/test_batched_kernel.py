@@ -9,9 +9,12 @@ each against its documented contract (see DESIGN.md section 10).
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.pki import PKI
 from repro.sim.adversary import (
@@ -50,44 +53,149 @@ def make_sim(n=4, seed=0, scheduler=None, **kwargs):
 # -- scheduler drain / on_submit_range ---------------------------------------
 
 
+class DequeFIFO(FIFOScheduler):
+    """The per-seq deque FIFO the range queue replaced: the reference model."""
+
+    def __init__(self):
+        self._queue = deque()
+        self._delivered = set()
+
+    def on_submit(self, seq, view):
+        self._queue.append(seq)
+
+    def on_submit_range(self, start, stop):
+        self._queue.extend(range(start, stop))
+
+    def choose(self, pool):
+        queue = self._queue
+        while queue and queue[0] in self._delivered:
+            self._delivered.discard(queue.popleft())
+        return queue[0]
+
+    def drain(self, pool, limit):
+        batch = []
+        while self._queue and len(batch) < limit:
+            seq = self._queue.popleft()
+            if seq in self._delivered:
+                self._delivered.discard(seq)
+            else:
+                batch.append(seq)
+        return batch or None
+
+
+def drained(scheduler, limit):
+    """The concatenated batches of draining up to ``limit`` seqs."""
+    seqs = []
+    while len(seqs) < limit:
+        batch = scheduler.drain(None, limit - len(seqs))
+        if batch is None:
+            break
+        assert 1 <= len(batch) <= limit - len(seqs)
+        seqs.extend(batch)
+    return seqs
+
+
 class TestFIFODrain:
     def test_drain_matches_choose_sequence(self):
-        """drain(limit) must return exactly what `limit` choose/on_delivered
-        cycles would have -- the batched-kernel contract."""
+        """Batches drained up to ``limit`` concatenate to exactly what
+        ``limit`` choose/on_delivered cycles would have produced -- the
+        batched-kernel contract; each batch is a prefix of it."""
         reference = FIFOScheduler()
         draining = FIFOScheduler()
         for seq in range(10):
             reference.on_submit(seq, None)
             draining.on_submit(seq, None)
+        draining.on_submit_range(10, 14)
+        reference.on_submit_range(10, 14)
         expected = []
-        for _ in range(6):
+        for _ in range(12):
             seq = reference.choose(None)
             reference.on_delivered(seq)
             expected.append(seq)
-        assert draining.drain(None, 6) == expected
+        assert drained(draining, 12) == expected
 
     def test_drain_respects_limit_and_continues(self):
         scheduler = FIFOScheduler()
         scheduler.on_submit_range(0, 8)
+        scheduler.on_submit_range(8, 10)
         assert scheduler.drain(None, 3) == [0, 1, 2]
         assert scheduler.drain(None, 3) == [3, 4, 5]
-        assert scheduler.drain(None, 99) == [6, 7]
+        assert scheduler.drain(None, 99) == [6, 7]  # one broadcast per batch
+        assert drained(scheduler, 99) == [8, 9]
         assert scheduler.drain(None, 1) is None  # empty -> decline
 
     def test_drain_skips_already_delivered(self):
         scheduler = FIFOScheduler()
         scheduler.on_submit_range(0, 4)
+        scheduler.on_submit(4, None)
         seq = scheduler.choose(None)
         scheduler.on_delivered(seq)
-        assert scheduler.drain(None, 10) == [1, 2, 3]
+        scheduler.on_delivered(2)
+        scheduler.on_delivered(4)
+        assert drained(scheduler, 10) == [1, 3]
 
     def test_on_submit_range_equals_per_seq(self):
         bulk = FIFOScheduler()
         single = FIFOScheduler()
         bulk.on_submit_range(5, 9)
+        bulk.on_submit_range(9, 9)  # an empty range queues nothing
         for seq in range(5, 9):
             single.on_submit(seq, None)
-        assert list(bulk._queue) == list(single._queue)
+        assert len(bulk._queue) == 1  # one entry per broadcast, not per copy
+        assert drained(bulk, 99) == drained(single, 99) == [5, 6, 7, 8]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("submit"), st.integers(0, 0)),
+                st.tuples(st.just("submit_range"), st.integers(0, 6)),
+                st.tuples(st.just("choose"), st.integers(0, 0)),
+                st.tuples(st.just("deliver"), st.integers(0, 50)),
+                st.tuples(st.just("drain"), st.integers(1, 8)),
+            ),
+            max_size=60,
+        )
+    )
+    def test_range_queue_yields_the_deque_sequence(self, ops):
+        """Over random interleavings of the five hooks, every ``choose``
+        equals the deque model's and every drained batch is exactly the
+        model's next ``len(batch)`` seqs."""
+        queue, model = FIFOScheduler(), DequeFIFO()
+        next_seq = 0
+        pending = []  # submitted, not yet delivered, in seq order
+        for op, arg in ops:
+            if op == "submit":
+                queue.on_submit(next_seq, None)
+                model.on_submit(next_seq, None)
+                pending.append(next_seq)
+                next_seq += 1
+            elif op == "submit_range":
+                queue.on_submit_range(next_seq, next_seq + arg)
+                model.on_submit_range(next_seq, next_seq + arg)
+                pending.extend(range(next_seq, next_seq + arg))
+                next_seq += arg
+            elif op == "choose" and pending:
+                seq = queue.choose(None)
+                assert seq == model.choose(None) == pending[0]
+                queue.on_delivered(seq)
+                model.on_delivered(seq)
+                pending.remove(seq)
+            elif op == "deliver" and pending:
+                # Delivered behind the queue's back, out of order.
+                seq = pending.pop(arg % len(pending))
+                queue.on_delivered(seq)
+                model.on_delivered(seq)
+            elif op == "drain":
+                batch = queue.drain(None, arg)
+                if batch is None:
+                    assert model.drain(None, arg) is None and not pending
+                else:
+                    batch = list(batch)
+                    assert 1 <= len(batch) <= arg
+                    assert batch == model.drain(None, len(batch)) == pending[:len(batch)]
+                    del pending[:len(batch)]
+        assert drained(queue, next_seq + 1) == drained(model, next_seq + 1) == pending
 
 
 class TestDelayBoundedDrain:
@@ -352,6 +460,25 @@ class TestDeliveryModes:
             return sim.returns, sim.deliveries, sim.metrics.words_total
 
         assert run_mode("batched") == run_mode("classic")
+
+    def test_a_batch_the_stop_condition_abandons_is_uncounted(self):
+        """Drained deliveries are counted per batch; the seqs of a batch
+        the run abandons mid-way are not counted as delivered."""
+
+        def chatter(ctx):
+            ctx.broadcast(Note("x"))
+            yield Wait(lambda mailbox: None, instances={"never"})
+
+        sim = make_sim(
+            scheduler=FIFOScheduler(),
+            stop_condition=lambda simulation: simulation.deliveries >= 6,
+        )
+        sim.set_protocol_all(chatter)
+        sim.run()
+        assert sim.stopped_by_condition and sim.deliveries == 6
+        # One batch per broadcast: all of pid 0's, then two of pid 1's.
+        assert sim.drain_batches == 2
+        assert sim.batched_deliveries == 6
 
     def test_fast_loop_is_the_default(self):
         assert make_sim().delivery_mode == "batched"

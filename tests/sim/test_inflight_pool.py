@@ -1,16 +1,18 @@
-"""The kernel's in-flight pool: dense seq list, per-seq tables, positional picks.
+"""The kernel's in-flight pool: position columns, a windowed seq index.
 
-The pool is one ``list[int]`` of seqs with swap-remove; what a seq stands
-for is in ``_flight_at`` / ``_dest_at``, one slot per seq ever allocated.
-Seq-choosing schedulers get ``_pos_at`` (seq -> pool index, -1 outside
-the pool) beside it; a scheduler that declares ``choose_index``
-(``RandomScheduler``) is picked by position on the fast loop and gets
-none.  These tests pin the claims the layout rests on: the positional
-path is taken only when the scheduler's own ``choose`` would have made
-the same pick (the bypass guard), ``SchedulerPool`` keeps its contract
-with or without ``_pos_at``, ``choose_index`` is the very draw
-``pool.random_seq`` makes, every copy of a send shares one flight record,
-and a copy in flight costs what DESIGN.md section 10 says it costs.
+The pool is three parallel columns swap-removed together -- seqs
+(``array('q')``), flights, destinations -- one entry per copy in flight
+and nothing for a delivered or dropped one.  Seq-choosing schedulers get
+``_pos_at`` (slot ``seq - _pos_base`` -> pool index, -1 outside the
+pool), whose dead leading chunks the loops drop; a scheduler that
+declares ``choose_index`` (``RandomScheduler``) is picked by position on
+the fast loop and gets none.  These tests pin the claims the layout rests
+on: the positional path is taken only when the scheduler's own ``choose``
+would have made the same pick (the bypass guard), ``SchedulerPool`` keeps
+its contract with or without ``_pos_at``, ``choose_index`` is the very
+draw ``pool.random_seq`` makes, every copy of a send shares one flight
+record, the seq index stays a window, and a copy in flight costs what
+DESIGN.md section 10 says it costs.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import platform
 import random
 import sys
 import tracemalloc
+from array import array
 from dataclasses import dataclass, fields
 
 import pytest
@@ -37,7 +40,13 @@ from repro.sim.byzantine import ScriptedBehavior
 from repro.sim.events import DeliverEvent
 from repro.sim.lossy import LossyLinkConfig
 from repro.sim.messages import Envelope, Message
-from repro.sim.network import EmptySchedulerPoolError, Simulation
+from repro.sim.network import (
+    _SEQ_CHUNK,
+    _RangeBytes,
+    EmptySchedulerPoolError,
+    SeqNotInFlightError,
+    Simulation,
+)
 from repro.sim.process import Wait
 
 
@@ -197,7 +206,7 @@ def pool_scheduler(layout):
 class TestSchedulerPoolContract:
     def _filled(self, layout, rounds=200):
         """A pool after a randomized insert/remove trace, next to a plain
-        model of the same swap-remove order; the table invariants are
+        model of the same swap-remove order; the column invariants are
         checked after every step."""
         sim = make_sim(pool_scheduler(layout), n=5)
         rng = random.Random(11)
@@ -215,7 +224,7 @@ class TestSchedulerPoolContract:
                 sim.submit(sender, dest, Note("i", value=next_seq * 3))
                 model.append((next_seq, sender, dest, next_seq * 3))
                 next_seq += 1
-            self._check_tables(sim, next_seq)
+            self._check_columns(sim, next_seq, model)
         assert len(model) > 5
         return sim, model
 
@@ -223,23 +232,30 @@ class TestSchedulerPoolContract:
     def _remove(sim, index, seq):
         if sim._pos_at is None:
             # What the fast loop's positional pick does.
-            last = sim._in_flight.pop()
-            if index < len(sim._in_flight):
-                sim._in_flight[index] = last
+            assert sim._take(index)[0] == seq
         else:
             assert sim._remove_in_flight(seq).seq == seq
 
     @staticmethod
-    def _check_tables(sim, next_seq):
+    def _check_columns(sim, next_seq, model):
         pool = sim._in_flight
-        assert len(sim._flight_at) == len(sim._dest_at) == sim._next_seq == next_seq
+        assert sim._next_seq == next_seq
+        # One entry per copy in flight, in all three columns, and no more.
+        assert len(pool) == len(sim._flights) == len(sim._dests) == len(model)
+        for position, (seq, sender, dest, value) in enumerate(model):
+            flight = sim._flights[position]
+            assert (pool[position], sim._dests[position]) == (seq, dest)
+            assert (flight.sender, flight.payload.value) == (sender, value)
         if sim._pos_at is not None:
-            # Beside `_pos_at` every seq knows its own position, or -1.
-            assert len(sim._pos_at) == next_seq
-            assert [sim._pos_at[seq] for seq in pool] == list(range(len(pool)))
+            # Beside `_pos_at` every seq of the window knows its own
+            # position, or -1.
+            base = sim._pos_base
+            assert len(sim._pos_at) == next_seq - base
+            assert [sim._pos_at[seq - base] for seq in pool] == list(range(len(pool)))
             in_pool = set(pool)
             assert all(
-                sim._pos_at[seq] == -1 for seq in range(next_seq) if seq not in in_pool
+                sim._pos_at[seq - base] == -1
+                for seq in range(base, next_seq) if seq not in in_pool
             )
 
     def test_len_and_seq_at_follow_swap_remove_order(self, layout):
@@ -248,14 +264,9 @@ class TestSchedulerPoolContract:
         assert len(pool) == len(model)
         assert [pool.seq_at(i) for i in range(len(pool))] == [row[0] for row in model]
         assert pool.seq_at(-1) == model[-1][0]
-        assert sim._in_flight == [row[0] for row in model]
-        # The tables say what each seq in the pool stands for.
-        for seq, sender, dest, value in model:
-            flight = sim._flight_at[seq]
-            assert (flight.sender, sim._dest_at[seq], flight.payload.value) == (
-                sender, dest, value,
-            )
-            assert flight.entry == (sender, flight.payload)
+        assert list(sim._in_flight) == [row[0] for row in model]
+        for flight in sim._flights:
+            assert flight.entry == (flight.sender, flight.payload)
             assert flight.entry[1] is flight.payload
 
     def test_random_seq_is_seq_at_a_randrange_draw(self, layout):
@@ -399,6 +410,11 @@ class TestFlightSharing:
         )
         sent = Note("x", value=5)
         sim.submit_broadcast(0, sent)
+        # The bit-flipped copy's own flight sits in its column slot.
+        shared, _, own, _ = flights = sim._flights
+        assert list(sim._in_flight) == [0, 1, 2, 3] and list(sim._dests) == [0, 1, 2, 3]
+        assert [flight is shared for flight in flights] == [True, True, False, True]
+        assert own.payload is not sent and (own.sender, own.depth) == (0, shared.depth)
         delivered = {event.dest: event.payload for event in run_idle(sim)}
         assert sorted(delivered) == [0, 1, 2, 3]
         for dest in (0, 1, 3):
@@ -417,12 +433,14 @@ class TestFlightSharing:
         )
         sent = Note("x", value=5)
         sim.submit_broadcast(0, sent)
+        assert list(sim._in_flight) == [0, 1, 2, 3, 4]
+        assert list(sim._dests) == [0, 1, 1, 2, 3]
+        assert all(flight is sim._flights[0] for flight in sim._flights)
         delivered = run_idle(sim)
         assert [(event.seq, event.dest) for event in delivered] == [
             (0, 0), (1, 1), (2, 1), (3, 2), (4, 3),
         ]
         assert all(event.payload is sent for event in delivered)
-        assert sim._flight_at[1] is sim._flight_at[2]
         assert sim.lossy_counters == ONE_TWIN
 
     @pytest.mark.parametrize("mode", ["batched", "classic"])
@@ -462,11 +480,118 @@ class TestFlightSharing:
         link = {(0, 1): LossyLinkConfig(**{f"{fate}_rate": 1.0}, reorder_hold=50)}
         sim = make_sim(pool_scheduler(layout), n=3, lossy=LossyLinkConfig(per_link=link))
         sim.submit_broadcast(0, Note("x"))
-        assert sim._in_flight == [0, 2]
+        assert list(sim._in_flight) == [0, 2] and list(sim._dests) == [0, 2]
+        assert len(sim._flights) == 2
+        if fate == "drop":
+            assert not sim._lossy.held  # nothing is left of a dropped copy
+        else:
+            # A held copy carries its flight and destination until released.
+            [(_, seq, flight, dest)] = sim._lossy.held
+            assert (seq, flight, dest) == (1, sim._flights[0], 1)
         assert sim._pool.view(2).dest == 2
         with pytest.raises(KeyError) as raised:
             sim._pool.view(1)
         assert raised.value.args == (1,)
+
+
+# -- the seq index is a window, and only where a seq is looked up ---------------
+
+
+def gossip_rounds(rounds):
+    """Everyone broadcasts round r, waits for all n of it, then moves on."""
+
+    def protocol(ctx):
+        for r in range(rounds):
+            ctx.broadcast(Note(r))
+            yield Wait(
+                lambda mailbox, r=r: True if mailbox.counts.get(r, 0) >= ctx.n else None,
+                instances={r},
+                min_count=ctx.n,
+            )
+
+    return protocol
+
+
+class TestSeqIndexWindow:
+    def test_a_long_fifo_run_keeps_only_the_live_window(self):
+        """Over > 4 chunks of deliveries the index ends no longer than the
+        peak pool plus two chunks, where one slot per seq would be all
+        of them."""
+        peak = [0]
+
+        def watch(simulation):
+            peak[0] = max(peak[0], len(simulation._in_flight))
+            return False
+
+        sim = make_sim(FIFOScheduler(), n=16, stop_condition=watch)
+        sim.set_protocol_all(gossip_rounds(1100))
+        sim.run()
+        assert sim.deliveries == sim._next_seq == 1100 * 16 * 16 > 4 * _SEQ_CHUNK
+        assert sim.returns == {pid: None for pid in range(16)}
+        assert sim._pos_base > 0
+        assert len(sim._pos_at) == sim._next_seq - sim._pos_base
+        assert len(sim._pos_at) <= peak[0] + 2 * _SEQ_CHUNK
+        # A seq below the window is refused by name like any other.
+        with pytest.raises(SeqNotInFlightError, match=r"seq 0, .*\(already delivered\)"):
+            sim._remove_in_flight(0)
+        with pytest.raises(SeqNotInFlightError, match="never submitted"):
+            sim._remove_in_flight(sim._next_seq)
+
+    @pytest.mark.parametrize("lossy", [None, LossyLinkConfig(reorder_rate=0.3)])
+    def test_a_positional_run_keeps_no_per_seq_state(self, lossy):
+        seen = []
+
+        def watch(simulation):
+            assert simulation._pos_at is None
+            assert (
+                len(simulation._in_flight) == len(simulation._flights)
+                == len(simulation._dests) == len(simulation._pool)
+            )
+            seen.append(len(simulation._pool))
+            return False
+
+        sim = make_sim(RandomScheduler(random.Random(6)), n=6, lossy=lossy,
+                       stop_condition=watch)
+        sim.set_protocol_all(gossip_rounds(3))
+        sim.run()
+        assert sim.returns == {pid: None for pid in range(6)}
+        assert len(seen) > sim.deliveries // 2 and max(seen) > 6
+
+    def test_compaction_keeps_the_slots_of_held_seqs(self):
+        """A chunk below the lowest held seq goes; the held seq's chunk
+        stays, so its release still finds a slot."""
+        link = {(0, 1): LossyLinkConfig(reorder_rate=1.0, reorder_hold=10**9)}
+        sim = make_sim(FIFOScheduler(), n=8, lossy=LossyLinkConfig(per_link=link))
+        note = Note("x")
+        sim.submit(0, 0, note)  # seq 0: in the pool
+        for _ in range(_SEQ_CHUNK // 8):
+            sim.submit_broadcast(1, note)
+        sim.submit(0, 1, note)  # held
+        held_seq = sim._next_seq - 1
+        for _ in range(_SEQ_CHUNK // 8):
+            sim.submit_broadcast(1, note)
+        sim._compact_seq_index()
+        assert sim._pos_base == 0  # seq 0 pins the first chunk
+        while sim._in_flight:
+            sim._take(len(sim._in_flight) - 1)
+        sim._compact_seq_index()
+        assert sim._pos_base == held_seq // _SEQ_CHUNK * _SEQ_CHUNK > 0
+        [(_, seq, flight, dest)] = sim._lossy.due(2 * 10**9, False)
+        sim._insert_in_flight(seq, flight, dest)
+        assert sim._pool.view(held_seq).dest == 1
+        assert sim._remove_in_flight(held_seq).seq == held_seq
+        sim._compact_seq_index()
+        assert sim._pos_base == sim._next_seq // _SEQ_CHUNK * _SEQ_CHUNK
+
+
+@pytest.mark.parametrize("typecode", ["q", "i"])
+@pytest.mark.parametrize("n", [1, 3, 48, 1000])
+def test_range_bytes_is_the_ranges_array(typecode, n):
+    """A broadcast's seqs and positions enter the columns as bytes."""
+    run = _RangeBytes(typecode, n)
+    top = 2**62 if typecode == "q" else 2**31 - n
+    for first in (0, 1, 255, 65_535, 2**31 - n, top):
+        assert run(first) == array(typecode, range(first, first + n)).tobytes()
 
 
 # -- what a copy in flight costs -------------------------------------------------
@@ -480,9 +605,10 @@ class TestMemoryGuard:
     """Exact allocation counts, not timings: deterministic on one interpreter.
 
     DESIGN.md section 10 has the table: a broadcast's copies differ in a
-    seq and a destination, so a copy in flight is a few table slots (plus
-    the scheduler's own entry), and a delivery adds one list slot to the
-    receiver's stream.  The parent layout paid 161 / 285 / 72 bytes.
+    seq and a destination, so a copy in flight is one slot in each pool
+    column (plus a seq-index slot and, under FIFO, a share of one queued
+    range per broadcast), and a delivery adds one list slot to the
+    receiver's stream.  The per-seq tables layout paid 54 / 98 bytes.
     """
 
     N, BROADCASTS = 1000, 50
@@ -505,7 +631,7 @@ class TestMemoryGuard:
 
     @pytest.mark.parametrize(
         "scheduler, budget",
-        [(RandomScheduler(random.Random(0)), 80), (FIFOScheduler(), 130)],
+        [(RandomScheduler(random.Random(0)), 28), (FIFOScheduler(), 34)],
         ids=["positional", "fifo"],
     )
     def test_bytes_per_in_flight_copy(self, scheduler, budget):

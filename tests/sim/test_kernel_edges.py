@@ -179,9 +179,12 @@ LINK_0_TO_1 = {
 
 
 class TestSchedulerNamesASeqNotInFlight:
-    """The per-seq tables are arrays: a seq outside the pool must be refused
-    by name, never index some other message's slot (it used to surface as a
-    bare ``KeyError: -1`` out of the seq dict)."""
+    """The seq index is an array: a seq outside the pool must be refused by
+    name, never index some other message's slot (it used to surface as a
+    bare ``KeyError: -1`` out of the seq dict).  The kernel keeps no
+    history of delivered or dropped seqs: "never submitted" and "held"
+    are exact, and so is "already delivered" on reliable links; under an
+    active lossy config a seq that is neither is named with both causes."""
 
     def _run(self, seqs, mode, drains=False, lossy=None):
         sim = make_sim(
@@ -215,13 +218,26 @@ class TestSchedulerNamesASeqNotInFlight:
     @pytest.mark.parametrize("cause", sorted(LINK_0_TO_1))
     def test_dropped_or_held_by_a_lossy_link(self, mode, cause):
         sim, message = self._run([0, 1], mode, lossy=LINK_0_TO_1[cause])
+        named = {
+            "dropped": "already delivered or dropped by a lossy link",
+            "held": "held by a lossy link",
+        }[cause]
         assert message == (
-            "scheduler Naming chose seq 1, which is not in flight "
-            "(dropped or held by a lossy link)"
+            f"scheduler Naming chose seq 1, which is not in flight ({named})"
         )
         assert sim.deliveries == 1 and sim.lossy_counters[
             "drops" if cause == "dropped" else "reorders"
         ] == 1
+
+    @pytest.mark.parametrize("mode", ["batched", "classic"])
+    @pytest.mark.parametrize("cause", sorted(LINK_0_TO_1))
+    def test_delivered_under_a_lossy_link_names_both_causes(self, mode, cause):
+        sim, message = self._run([2, 2], mode, lossy=LINK_0_TO_1[cause])
+        assert message == (
+            "scheduler Naming chose seq 2, which is not in flight "
+            "(already delivered or dropped by a lossy link)"
+        )
+        assert sim.deliveries == 1
 
     @pytest.mark.parametrize(
         "batch, cause",
@@ -234,7 +250,7 @@ class TestSchedulerNamesASeqNotInFlight:
             f"scheduler Naming chose seq {batch[-1]}, which is not in flight "
             f"({cause})"
         )
-        assert sim.deliveries == len(batch) - 1
+        assert sim.deliveries == sim.batched_deliveries == len(batch) - 1
 
     def test_it_is_a_key_error_as_before(self):
         assert issubclass(SeqNotInFlightError, KeyError)

@@ -317,10 +317,10 @@ class TestFateFunction:
             for _ in range(300):
                 sim.submit_broadcast(1, Ping("x"))
         assert len(sim._lossy.held) == 3 * 300 * 4 and not sim._in_flight
-        for release_at, seq in sim._lossy.held:
-            # A held seq stays out of the pool and keeps its table slots.
-            hold = 2 if sim._dest_at[seq] == 2 else 7
-            offset = release_at - sim._flight_at[seq].sent_step
+        for release_at, _, flight, dest in sim._lossy.held:
+            # A held copy stays out of the pool, its flight and dest with it.
+            hold = 2 if dest == 2 else 7
+            offset = release_at - flight.sent_step
             assert 1 <= offset <= hold
             offsets.setdefault(hold, set()).add(offset)
         # The whole window is used, not just its first slot.
