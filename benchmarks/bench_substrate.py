@@ -9,21 +9,13 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.core.params import ProtocolParams
 from repro.core.shared_coin import shared_coin
-from repro.crypto.rsa import generate_keypair, rsa_sign, rsa_verify
 from repro.crypto.shamir import reconstruct_secret, split_secret
 from repro.crypto.signatures import SchnorrSignatureScheme
 from repro.crypto.threshold import ThresholdCoinDealer
-from repro.crypto.vrf import ECVRF, RSAFDHVRF, SimulatedVRF
+from repro.crypto.vrf import ECVRF, SimulatedVRF
 from repro.sim.runner import run_protocol
-
-
-@pytest.fixture(scope="module")
-def rsa_key():
-    return generate_keypair(bits=512, rng=random.Random(1))
 
 
 def test_simulated_vrf_prove(benchmark):
@@ -37,12 +29,6 @@ def test_simulated_vrf_verify(benchmark):
     sk, pk = scheme.keygen(random.Random(3))
     output = scheme.prove(sk, b"round-7")
     benchmark(lambda: scheme.verify(pk, b"round-7", output))
-
-
-def test_rsa_fdh_vrf_prove(benchmark):
-    scheme = RSAFDHVRF(modulus_bits=512)
-    sk, _ = scheme.keygen(random.Random(4))
-    benchmark(lambda: scheme.prove(sk, b"round-7"))
 
 
 def test_ecvrf_prove(benchmark):
@@ -69,15 +55,6 @@ def test_schnorr_verify(benchmark):
     sk, pk = scheme.keygen(random.Random(10))
     signature = scheme.sign(sk, b"message")
     assert benchmark(lambda: scheme.verify(pk, b"message", signature))
-
-
-def test_rsa_sign(benchmark, rsa_key):
-    benchmark(lambda: rsa_sign(rsa_key, b"message"))
-
-
-def test_rsa_verify(benchmark, rsa_key):
-    signature = rsa_sign(rsa_key, b"message")
-    benchmark(lambda: rsa_verify(rsa_key.public_key(), b"message", signature))
 
 
 def test_shamir_split_reconstruct(benchmark):

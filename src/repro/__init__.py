@@ -34,7 +34,6 @@ from repro.core import (
     approve,
     byzantine_agreement,
     hybrid_agreement,
-    multivalued_agreement,
     sample_committee,
     shared_coin,
     whp_coin,
@@ -59,7 +58,6 @@ __all__ = [
     "approve",
     "byzantine_agreement",
     "hybrid_agreement",
-    "multivalued_agreement",
     "run_protocol",
     "sample_committee",
     "shared_coin",

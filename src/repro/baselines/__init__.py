@@ -23,7 +23,7 @@ mentioned at the end of the paper's Section 4 (experiment E7).
 from repro.baselines.benor import benor_agreement
 from repro.baselines.bracha import bracha_agreement, reliable_broadcast_all
 from repro.baselines.cachin import cachin_agreement, make_threshold_coin
-from repro.baselines.mmr import local_coin, make_shared_coin, make_whp_coin, mmr_agreement
+from repro.baselines.mmr import local_coin, make_shared_coin, mmr_agreement
 from repro.baselines.rabin import make_lottery_coin, rabin_agreement
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "make_lottery_coin",
     "make_shared_coin",
     "make_threshold_coin",
-    "make_whp_coin",
     "mmr_agreement",
     "rabin_agreement",
     "reliable_broadcast_all",

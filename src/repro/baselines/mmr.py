@@ -40,7 +40,6 @@ __all__ = [
     "CoinProtocol",
     "local_coin",
     "make_shared_coin",
-    "make_whp_coin",
     "mmr_agreement",
 ]
 
@@ -83,24 +82,6 @@ def make_shared_coin(params: ProtocolParams | None = None) -> CoinProtocol:
 
     def coin(ctx: ProcessContext, round_id: Hashable) -> Protocol:
         return (yield from shared_coin(ctx, ("mmr", round_id), params))
-
-    return coin
-
-
-def make_whp_coin(params: ProtocolParams | None = None) -> CoinProtocol:
-    """The committee-based WHP coin (Algorithm 2) as an MMR plug-in.
-
-    A hybrid the paper does not evaluate but that its components make
-    possible: quadratic all-to-all votes with an Õ(n)-word coin.  The
-    votes dominate the word count, so this mainly demonstrates that the
-    coin abstraction really is black-box; the harness uses it as an
-    ablation of where Algorithm 4's savings come from (committees in the
-    *vote* phases, not just the coin).
-    """
-    from repro.core.whp_coin import whp_coin
-
-    def coin(ctx: ProcessContext, round_id: Hashable) -> Protocol:
-        return (yield from whp_coin(ctx, ("mmr", round_id), params))
 
     return coin
 

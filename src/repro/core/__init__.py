@@ -16,7 +16,6 @@
 
 from repro.core.agreement import BOT, agreement_round, byzantine_agreement
 from repro.core.hybrid import hybrid_agreement
-from repro.core.multivalued import NO_DECISION, multivalued_agreement
 from repro.core.approver import approve
 from repro.core.committees import (
     committee_seed,
@@ -53,8 +52,6 @@ __all__ = [
     "approve",
     "byzantine_agreement",
     "hybrid_agreement",
-    "multivalued_agreement",
-    "NO_DECISION",
     "coin_value_alpha",
     "committee_seed",
     "committee_val",

@@ -15,7 +15,7 @@ independent committees, exactly as Figure 1 of the paper illustrates.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Hashable, Iterable
+from typing import Hashable, Iterable
 
 from repro.crypto.hashing import encode
 from repro.crypto.pki import PKI
@@ -24,7 +24,6 @@ from repro.core.params import ProtocolParams
 from repro.sim.process import ProcessContext
 
 __all__ = [
-    "ArrayCensus",
     "committee_census",
     "committee_seed",
     "committee_val",
@@ -33,11 +32,6 @@ __all__ = [
     "sample_committee",
     "sampling_threshold",
 ]
-
-try:  # optional array backend for the census (pure-Python fallback below)
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment without numpy
-    _np = None
 
 # Flush bound for PKI-attached validation memos; mirrors the PKI's own
 # verify-cache bound (far above any single run's key count).
@@ -214,115 +208,3 @@ def committee_census(
         "byzantine": len(members & bad),
     }
 
-
-# The numpy fast path compares the top 64 bits of each 256-bit VRF value
-# (uint64 vectors); only values whose top bits *equal* the threshold's top
-# bits need the exact big-int comparison, so the result is bit-exact.
-_TOP_SHIFT = VRF_OUTPUT_BITS - 64
-_UINT64_MAX = (1 << 64) - 1
-
-
-class ArrayCensus:
-    """Array-backed trusted-setup committee censuses over one PKI.
-
-    :func:`sample_committee`/:func:`committee_census` re-prove all ``n``
-    VRF values on every query; monitors and scaling experiments census
-    the *same* committees repeatedly (and many committees per run), so
-    this view computes each committee's per-pid value vector once and
-    answers membership/census queries with a vectorized threshold compare
-    -- numpy when available, bit-exact against the scalar path (see
-    ``_TOP_SHIFT``), with a pure-Python fallback otherwise.
-
-    Same trust model as :func:`sample_committee`: VRF *proofs*, never
-    verifications, so queries cannot perturb a run's verification-cache
-    counters.  Protocol code must not use it -- processes only learn
-    memberships through proofs on messages.
-    """
-
-    def __init__(self, pki: PKI) -> None:
-        self.pki = pki
-        self._values: dict[tuple, list[int]] = {}
-        self._top: dict[tuple, Any] = {}
-        self._masks: dict[tuple, Any] = {}
-
-    @property
-    def uses_numpy(self) -> bool:
-        return _np is not None
-
-    def _value_vector(self, instance: Hashable, role: Hashable) -> list[int]:
-        key = (instance, role)
-        values = self._values.get(key)
-        if values is None:
-            pki = self.pki
-            seed = committee_seed(instance, role)
-            prove = pki.vrf_scheme.prove
-            values = [
-                prove(pki.vrf_private(pid), seed).value for pid in range(pki.n)
-            ]
-            self._values[key] = values
-            if _np is not None:
-                self._top[key] = _np.array(
-                    [value >> _TOP_SHIFT for value in values], dtype=_np.uint64
-                )
-        return values
-
-    def member_mask(self, instance: Hashable, role: Hashable, params: ProtocolParams):
-        """Per-pid membership booleans (numpy bool array or list)."""
-        key = (instance, role, params)
-        mask = self._masks.get(key)
-        if mask is None:
-            values = self._value_vector(instance, role)
-            threshold = sampling_threshold(params)
-            if _np is not None:
-                top = self._top[(instance, role)]
-                threshold_top = threshold >> _TOP_SHIFT
-                if threshold_top > _UINT64_MAX:
-                    mask = _np.ones(self.pki.n, dtype=bool)
-                elif threshold <= 0:
-                    mask = _np.zeros(self.pki.n, dtype=bool)
-                else:
-                    mask = top < _np.uint64(threshold_top)
-                    # Boundary pids (top bits tie): exact big-int compare.
-                    for index in _np.flatnonzero(top == _np.uint64(threshold_top)):
-                        mask[index] = values[index] < threshold
-            else:
-                mask = [value < threshold for value in values]
-            self._masks[key] = mask
-        return mask
-
-    def is_member(
-        self, instance: Hashable, role: Hashable, params: ProtocolParams, pid: int
-    ) -> bool:
-        return bool(self.member_mask(instance, role, params)[pid])
-
-    def members(
-        self, instance: Hashable, role: Hashable, params: ProtocolParams
-    ) -> set[int]:
-        """Drop-in for :func:`sample_committee` (identical output)."""
-        mask = self.member_mask(instance, role, params)
-        if _np is not None and isinstance(mask, _np.ndarray):
-            return {int(pid) for pid in _np.flatnonzero(mask)}
-        return {pid for pid, member in enumerate(mask) if member}
-
-    def census(
-        self,
-        instance: Hashable,
-        role: Hashable,
-        params: ProtocolParams,
-        corrupted: Iterable[int] = (),
-    ) -> dict[str, int]:
-        """Drop-in for :func:`committee_census` (identical output)."""
-        mask = self.member_mask(instance, role, params)
-        bad = set(corrupted)
-        n = self.pki.n
-        if _np is not None and isinstance(mask, _np.ndarray):
-            size = int(mask.sum())
-            byzantine = sum(1 for pid in bad if 0 <= pid < n and mask[pid])
-        else:
-            size = sum(mask)
-            byzantine = sum(1 for pid in bad if 0 <= pid < n and mask[pid])
-        return {
-            "size": size,
-            "correct": size - byzantine,
-            "byzantine": int(byzantine),
-        }

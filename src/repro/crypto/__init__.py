@@ -5,14 +5,15 @@ This package provides:
 
 - :mod:`repro.crypto.hashing` -- canonical encoding and domain-separated
   hashing used by every other module.
-- :mod:`repro.crypto.numtheory` -- Miller-Rabin primality, modular
-  arithmetic and prime generation.
-- :mod:`repro.crypto.rsa` -- textbook RSA key generation and raw
-  sign/verify, the basis of the real VRF and signature scheme.
+- :mod:`repro.crypto.numtheory` -- Miller-Rabin primality and modular
+  inverses.
+- :mod:`repro.crypto.ec` -- secp256k1 group arithmetic, the basis of the
+  real VRF and signature scheme.
 - :mod:`repro.crypto.vrf` -- the VRF abstraction with two backends: a
-  genuine RSA-FDH VRF and a fast registry-checked simulated VRF.
+  genuine secp256k1 ECVRF and a fast registry-checked simulated VRF.
 - :mod:`repro.crypto.signatures` -- digital signatures with matching
-  real/simulated backends (the approver's ``ok`` messages carry them).
+  real (Schnorr) / simulated backends (the approver's ``ok`` messages
+  carry them).
 - :mod:`repro.crypto.shamir` -- Shamir secret sharing over a prime field.
 - :mod:`repro.crypto.threshold` -- a dealer-based threshold common coin
   (substrate for the Rabin and Cachin-style baselines).
@@ -24,7 +25,6 @@ from repro.crypto.hashing import encode, hash_to_int, sha256, tagged_hash
 from repro.crypto.pki import PKI
 from repro.crypto.shamir import reconstruct_secret, split_secret
 from repro.crypto.signatures import (
-    RSASignatureScheme,
     SchnorrSignatureScheme,
     SignatureScheme,
     SimulatedSignatureScheme,
@@ -32,7 +32,6 @@ from repro.crypto.signatures import (
 from repro.crypto.threshold import ThresholdCoinDealer
 from repro.crypto.vrf import (
     ECVRF,
-    RSAFDHVRF,
     VRF_OUTPUT_BITS,
     SimulatedVRF,
     VRFOutput,
@@ -42,8 +41,6 @@ from repro.crypto.vrf import (
 __all__ = [
     "ECVRF",
     "PKI",
-    "RSAFDHVRF",
-    "RSASignatureScheme",
     "SchnorrSignatureScheme",
     "SignatureScheme",
     "SimulatedSignatureScheme",

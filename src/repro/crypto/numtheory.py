@@ -1,7 +1,9 @@
-"""Number-theoretic primitives: primality testing and prime generation.
+"""Number-theoretic primitives: primality testing and modular inverses.
 
-Implemented from scratch (no external crypto dependencies) to support the
-RSA-FDH VRF/signatures and the discrete-log group of the threshold coin.
+Implemented from scratch (no external crypto dependencies).  ``modinv``
+serves the secp256k1 arithmetic, Shamir reconstruction and the threshold
+coin; ``egcd`` and ``is_probable_prime`` let the tests check it and the
+hard-coded field primes.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ __all__ = [
     "egcd",
     "is_probable_prime",
     "modinv",
-    "next_prime",
-    "random_prime",
 ]
 
 # Small primes for fast trial division before Miller-Rabin.
@@ -106,30 +106,3 @@ def is_probable_prime(n: int, rounds: int = 30, rng: random.Random | None = None
         rng = rng or random.Random(n & 0xFFFFFFFF)
         bases = (rng.randrange(2, n - 1) for _ in range(rounds))
     return not any(_miller_rabin_witness(n, a, d, s) for a in bases)
-
-
-def next_prime(n: int) -> int:
-    """Smallest prime strictly greater than ``n``."""
-    candidate = n + 1
-    if candidate <= 2:
-        return 2
-    if candidate % 2 == 0:
-        candidate += 1
-    while not is_probable_prime(candidate):
-        candidate += 2
-    return candidate
-
-
-def random_prime(bits: int, rng: random.Random) -> int:
-    """Uniform-ish random prime with exactly ``bits`` bits.
-
-    The top two bits are pinned to 1 so that the product of two such primes
-    has exactly ``2 * bits`` bits, as RSA key generation requires.
-    """
-    if bits < 4:
-        raise ValueError("need at least 4 bits for a prime")
-    while True:
-        candidate = rng.getrandbits(bits)
-        candidate |= (1 << (bits - 1)) | (1 << (bits - 2)) | 1
-        if is_probable_prime(candidate):
-            return candidate

@@ -27,12 +27,11 @@ from time import perf_counter
 from typing import Any
 
 from repro.crypto.signatures import (
-    RSASignatureScheme,
     SchnorrSignatureScheme,
     SignatureScheme,
     SimulatedSignatureScheme,
 )
-from repro.crypto.vrf import ECVRF, RSAFDHVRF, SimulatedVRF, VRFOutput, VRFScheme
+from repro.crypto.vrf import ECVRF, SimulatedVRF, VRFOutput, VRFScheme
 
 __all__ = ["PKI"]
 
@@ -101,28 +100,26 @@ class PKI:
         n: int,
         backend: str = "simulated",
         rng: random.Random | None = None,
-        modulus_bits: int = 512,
         verify_cache: bool = True,
     ) -> "PKI":
         """Build a PKI with matched VRF/signature backends.
 
         ``backend`` is ``"simulated"`` (fast keyed-hash, default for
-        simulation sweeps), ``"rsa"`` (real RSA-FDH VRF + signatures), or
-        ``"ec"`` (real secp256k1 ECVRF + Schnorr signatures -- the VRF
-        family the paper's citations and deployed systems use).
-        ``verify_cache=False`` disables verification memoization.
+        simulation sweeps) or ``"ec"`` (real secp256k1 ECVRF + Schnorr
+        signatures -- the VRF family the paper's citations and deployed
+        systems use).  ``verify_cache=False`` disables verification
+        memoization.
         """
         rng = rng or random.Random()
         if backend == "simulated":
             return cls(n, SimulatedVRF(), SimulatedSignatureScheme(), rng,
                        verify_cache=verify_cache)
-        if backend == "rsa":
-            return cls(n, RSAFDHVRF(modulus_bits), RSASignatureScheme(modulus_bits),
-                       rng, verify_cache=verify_cache)
         if backend == "ec":
             return cls(n, ECVRF(), SchnorrSignatureScheme(), rng,
                        verify_cache=verify_cache)
-        raise ValueError(f"unknown PKI backend {backend!r}")
+        raise ValueError(
+            f"unknown PKI backend {backend!r} (expected 'simulated' or 'ec')"
+        )
 
     # -- verification cache administration -----------------------------------
 

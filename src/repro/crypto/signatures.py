@@ -1,9 +1,9 @@
-"""Digital signatures with real (RSA-FDH) and simulated (HMAC) backends.
+"""Digital signatures: real (secp256k1 Schnorr) and simulated (HMAC) backends.
 
 The approver's ``ok`` messages carry W signed ``echo`` messages as a
 validity proof (paper Section 6.1); every authenticated channel in the
 simulator also rides on these.  The two backends mirror the VRF backends:
-identical API, one number-theoretic and one registry-checked.
+identical API, one over the curve and one registry-checked.
 """
 
 from __future__ import annotations
@@ -14,17 +14,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.crypto.hashing import hmac_sha256
-from repro.crypto.rsa import (
-    DEFAULT_MODULUS_BITS,
-    RSAPrivateKey,
-    RSAPublicKey,
-    generate_keypair,
-    rsa_sign,
-    rsa_verify,
-)
 
 __all__ = [
-    "RSASignatureScheme",
     "SchnorrSignatureScheme",
     "SignatureScheme",
     "SimulatedSignatureScheme",
@@ -45,23 +36,6 @@ class SignatureScheme(ABC):
     @abstractmethod
     def verify(self, public_key: Any, message: bytes, signature: Any) -> bool:
         """Verify a signature on ``message``."""
-
-
-class RSASignatureScheme(SignatureScheme):
-    """RSA-FDH signatures (deterministic, existentially unforgeable in ROM)."""
-
-    def __init__(self, modulus_bits: int = DEFAULT_MODULUS_BITS) -> None:
-        self.modulus_bits = modulus_bits
-
-    def keygen(self, rng: random.Random) -> tuple[RSAPrivateKey, RSAPublicKey]:
-        private = generate_keypair(self.modulus_bits, rng)
-        return private, private.public_key()
-
-    def sign(self, private_key: RSAPrivateKey, message: bytes) -> int:
-        return rsa_sign(private_key, message)
-
-    def verify(self, public_key: RSAPublicKey, message: bytes, signature: Any) -> bool:
-        return isinstance(signature, int) and rsa_verify(public_key, message, signature)
 
 
 class SchnorrSignatureScheme(SignatureScheme):

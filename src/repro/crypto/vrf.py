@@ -3,16 +3,16 @@
 The paper (Section 2) assumes a VRF with pseudorandomness, verifiability
 and uniqueness.  Two interchangeable backends are provided:
 
-* :class:`RSAFDHVRF` -- the classic RSA-FDH unique-signature VRF
-  (Micali-Rabin-Vadhan lineage, RFC 9381's RSA-FDH-VRF shape): the proof is
-  the deterministic FDH signature on the input, and the output is a hash of
-  that signature.  Uniqueness follows from RSA being a permutation.
+* :class:`ECVRF` -- the secp256k1 elliptic-curve VRF (RFC 9381's ECVRF
+  shape, the family the paper cites): the output is a hash of ``sk·H(alpha)``
+  and the proof is a Chaum-Pedersen DLEQ transcript pinning it to the
+  registered public key.  Uniqueness is structural.
 * :class:`SimulatedVRF` -- a keyed-hash VRF whose verification goes through
   a registry held by the trusted setup.  It produces the *exact same output
-  distribution* and exposes the same API, at a small fraction of the bignum
-  cost, so large-n Monte-Carlo sweeps exercise identical protocol paths.
-  Unforgeability is enforced by capability discipline: only the key owner
-  (and the trusted verifier) can compute the HMAC.
+  distribution* and exposes the same API, at a small fraction of the curve
+  arithmetic's cost, so large-n Monte-Carlo sweeps exercise identical
+  protocol paths.  Unforgeability is enforced by capability discipline:
+  only the key owner (and the trusted verifier) can compute the HMAC.
 
 Both satisfy the three properties the protocols consume; DESIGN.md records
 the substitution.
@@ -26,18 +26,9 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.crypto.hashing import hash_to_int, hmac_sha256
-from repro.crypto.rsa import (
-    DEFAULT_MODULUS_BITS,
-    RSAPrivateKey,
-    RSAPublicKey,
-    generate_keypair,
-    rsa_sign,
-    rsa_verify,
-)
 
 __all__ = [
     "ECVRF",
-    "RSAFDHVRF",
     "SimulatedVRF",
     "VRFOutput",
     "VRFScheme",
@@ -57,7 +48,7 @@ class VRFOutput:
     """A VRF evaluation: the pseudorandom value and its correctness proof.
 
     ``proof`` is hashable in every provided scheme (bytes for the simulated
-    VRF, an int for RSA-FDH, a tuple of ints for ECVRF); the PKI's
+    VRF, a tuple of ints for ECVRF); the PKI's
     verification cache keys on ``(process_id, alpha, value, proof)`` and
     relies on this.  Custom schemes with unhashable proofs still work --
     their verifications just bypass the cache.
@@ -102,38 +93,6 @@ class VRFScheme(ABC):
     @abstractmethod
     def verify(self, public_key: Any, alpha: bytes, output: VRFOutput) -> bool:
         """Check that ``output`` is the unique VRF evaluation for ``alpha``."""
-
-
-class RSAFDHVRF(VRFScheme):
-    """RSA-FDH VRF: proof = FDH signature, value = hash(proof).
-
-    Pseudorandomness reduces to RSA inversion, verifiability is signature
-    verification, and uniqueness holds because RSA with a fixed public key
-    is a permutation of ``Z_n`` -- there is exactly one valid signature per
-    message, hence exactly one value.
-    """
-
-    def __init__(self, modulus_bits: int = DEFAULT_MODULUS_BITS) -> None:
-        if modulus_bits < 128:
-            raise ValueError("modulus too small even for simulation use")
-        self.modulus_bits = modulus_bits
-
-    def keygen(self, rng: random.Random) -> tuple[RSAPrivateKey, RSAPublicKey]:
-        private = generate_keypair(self.modulus_bits, rng)
-        return private, private.public_key()
-
-    def prove(self, private_key: RSAPrivateKey, alpha: bytes) -> VRFOutput:
-        signature = rsa_sign(private_key, alpha)
-        value = hash_to_int("rsa-fdh-vrf", signature, alpha, bits=VRF_OUTPUT_BITS)
-        return VRFOutput(value=value, proof=signature)
-
-    def verify(self, public_key: RSAPublicKey, alpha: bytes, output: VRFOutput) -> bool:
-        if not isinstance(output.proof, int):
-            return False
-        if not rsa_verify(public_key, alpha, output.proof):
-            return False
-        expected = hash_to_int("rsa-fdh-vrf", output.proof, alpha, bits=VRF_OUTPUT_BITS)
-        return expected == output.value
 
 
 class ECVRF(VRFScheme):

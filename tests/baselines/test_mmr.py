@@ -67,26 +67,6 @@ class TestWithSharedCoin:
         assert result.words <= 8 * 8 * N * N
 
 
-class TestWithWhpCoin:
-    """The hybrid instantiation: all-to-all votes, committee-based coin."""
-
-    def test_agreement_with_committee_coin(self):
-        from repro.baselines.mmr import make_whp_coin
-        from repro.core.params import ProtocolParams
-
-        n, f = 60, 4
-        params = ProtocolParams.simulation_scale(n=n, f=f, lam=45)
-        result = run_protocol(
-            n, f,
-            lambda ctx: mmr_agreement(ctx, ctx.pid % 2, make_whp_coin(params), params),
-            corrupt={0, 1, 2, 3}, params=params,
-            stop_condition=stop_when_all_decided, seed=11,
-        )
-        assert result.live
-        assert result.all_correct_decided
-        assert result.agreement
-
-
 class TestByzantineBVBroadcast:
     def test_bval_spam_of_both_values_is_safe(self):
         """Byzantine processes BVAL both values; bin_values may grow but

@@ -19,9 +19,9 @@ def small_pki() -> PKI:
 
 
 @pytest.fixture(scope="session")
-def rsa_pki() -> PKI:
-    """A 4-process real-RSA PKI (small keys) for the genuine-crypto paths."""
-    return PKI.create(4, backend="rsa", rng=random.Random(99), modulus_bits=256)
+def ec_pki() -> PKI:
+    """A 4-process real secp256k1 PKI for the genuine-crypto paths."""
+    return PKI.create(4, backend="ec", rng=random.Random(99))
 
 
 @pytest.fixture

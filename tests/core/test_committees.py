@@ -141,66 +141,6 @@ class TestProcessSideSampling:
                 assert committee_val(pki, "proc", "init", pid, proof, params)
 
 
-class TestArrayCensus:
-    """The array-backed census is a bit-exact drop-in for the scalar view."""
-
-    def _fresh(self, n=40, seed=61):
-        from repro.core.committees import ArrayCensus
-
-        pki = PKI.create(n, rng=random.Random(seed))
-        return pki, ArrayCensus(pki)
-
-    def test_members_match_sample_committee(self):
-        pki, census = self._fresh()
-        params = ProtocolParams(n=40, f=3, lam=12.0, d=0.05)
-        for instance in ("x", ("ba", 2)):
-            for role in ("init", "ok", ("echo", 1)):
-                assert census.members(instance, role, params) == sample_committee(
-                    pki, instance, role, params
-                )
-
-    def test_census_matches_committee_census(self):
-        from repro.core.committees import committee_census
-
-        pki, census = self._fresh()
-        params = ProtocolParams(n=40, f=3, lam=12.0, d=0.05)
-        corrupted = {0, 1, 2}
-        for role in ("init", "ok"):
-            assert census.census("x", role, params, corrupted) == committee_census(
-                pki, "x", role, params, corrupted
-            )
-
-    def test_is_member_per_pid(self):
-        pki, census = self._fresh()
-        params = ProtocolParams(n=40, f=3, lam=12.0, d=0.05)
-        members = sample_committee(pki, "m", "init", params)
-        for pid in range(40):
-            assert census.is_member("m", "init", params, pid) == (pid in members)
-
-    def test_full_participation_threshold_overflow_branch(self):
-        """lam = n makes the threshold exceed the top-64-bit compare range;
-        the ones-mask branch must fire and report everyone a member."""
-        pki, census = self._fresh()
-        params = ProtocolParams(n=40, f=3, lam=40.0, d=0.05)
-        assert census.members("x", "init", params) == set(range(40))
-
-    def test_queries_do_not_perturb_verification_counters(self):
-        """Census views use VRF *proofs*, never verifications: attaching
-        one to a live run's PKI must not shift the gated counters."""
-        pki, census = self._fresh()
-        params = ProtocolParams(n=40, f=3, lam=12.0, d=0.05)
-        before = pki.verification_counters()
-        census.members("x", "init", params)
-        census.census("x", "ok", params, {0})
-        assert pki.verification_counters() == before
-
-    def test_mask_cached_across_queries(self):
-        pki, census = self._fresh()
-        params = ProtocolParams(n=40, f=3, lam=12.0, d=0.05)
-        first = census.member_mask("x", "init", params)
-        assert census.member_mask("x", "init", params) is first
-
-
 class TestMembershipCheckerCounterIdentity:
     """The identity memo replays verdicts with *exactly* the counters the
     direct path (all answered from the verify cache) would produce."""

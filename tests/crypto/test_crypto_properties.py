@@ -9,35 +9,11 @@ from hypothesis import strategies as st
 
 from repro.crypto.hashing import derive_seed, encode, hash_to_int
 from repro.crypto.numtheory import is_probable_prime, modinv
-from repro.crypto.rsa import full_domain_hash, generate_keypair, rsa_sign, rsa_verify
 from repro.crypto.shamir import FIELD_PRIME, split_secret, reconstruct_secret
 from repro.crypto.vrf import SimulatedVRF
 
-# One small RSA key for the whole module (keygen dominates otherwise).
-_KEY = generate_keypair(bits=256, rng=random.Random(404))
 _VRF = SimulatedVRF()
 _VRF_SK, _VRF_PK = _VRF.keygen(random.Random(405))
-
-
-class TestRSAProperties:
-    @given(st.binary(max_size=64))
-    @settings(max_examples=25)
-    def test_sign_verify_roundtrip(self, message):
-        signature = rsa_sign(_KEY, message)
-        assert rsa_verify(_KEY.public_key(), message, signature)
-
-    @given(st.binary(max_size=64), st.binary(max_size=64))
-    @settings(max_examples=25)
-    def test_signature_does_not_transfer(self, m1, m2):
-        if m1 == m2:
-            return
-        signature = rsa_sign(_KEY, m1)
-        assert not rsa_verify(_KEY.public_key(), m2, signature)
-
-    @given(st.binary(max_size=64))
-    @settings(max_examples=25)
-    def test_fdh_stays_in_range(self, message):
-        assert 0 <= full_domain_hash(message, _KEY.n) < _KEY.n
 
 
 class TestSimulatedVRFProperties:

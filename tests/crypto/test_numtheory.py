@@ -1,8 +1,6 @@
-"""Number theory: primality, modular inverses, prime generation."""
+"""Number theory: primality and modular inverses."""
 
 from __future__ import annotations
-
-import random
 
 import pytest
 from hypothesis import given
@@ -12,8 +10,6 @@ from repro.crypto.numtheory import (
     egcd,
     is_probable_prime,
     modinv,
-    next_prime,
-    random_prime,
 )
 
 # Known primes spanning the deterministic-witness regimes.
@@ -126,32 +122,3 @@ class TestMillerRabin:
                     sieve[j] = False
         for value in range(limit):
             assert is_probable_prime(value) == sieve[value], value
-
-
-class TestPrimeGeneration:
-    def test_next_prime(self):
-        assert next_prime(1) == 2
-        assert next_prime(2) == 3
-        assert next_prime(10) == 11
-        assert next_prime(7919) == 7927
-
-    @pytest.mark.parametrize("bits", [8, 16, 32, 128, 256])
-    def test_random_prime_bit_length(self, bits):
-        rng = random.Random(7)
-        for _ in range(3):
-            p = random_prime(bits, rng)
-            assert p.bit_length() == bits
-            assert is_probable_prime(p)
-
-    def test_random_prime_top_two_bits_set(self):
-        # Required so RSA moduli p*q have exactly 2*bits bits.
-        rng = random.Random(11)
-        p = random_prime(64, rng)
-        assert p >> 62 == 0b11
-
-    def test_random_prime_rejects_tiny(self):
-        with pytest.raises(ValueError):
-            random_prime(2, random.Random(0))
-
-    def test_random_prime_deterministic_per_rng(self):
-        assert random_prime(32, random.Random(5)) == random_prime(32, random.Random(5))

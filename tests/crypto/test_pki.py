@@ -15,13 +15,17 @@ class TestCreation:
         pki = PKI.create(5, backend="simulated", rng=random.Random(0))
         assert pki.n == 5
 
-    def test_rsa_backend(self):
-        pki = PKI.create(2, backend="rsa", rng=random.Random(0), modulus_bits=256)
+    def test_ec_backend(self):
+        pki = PKI.create(2, backend="ec", rng=random.Random(0))
         assert pki.n == 2
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            PKI.create(3, backend="quantum")
+        for backend in ("rsa", "quantum"):
+            with pytest.raises(ValueError) as info:
+                PKI.create(3, backend=backend)
+            assert str(info.value) == (
+                f"unknown PKI backend {backend!r} (expected 'simulated' or 'ec')"
+            )
 
     def test_rejects_empty_system(self):
         with pytest.raises(ValueError):
@@ -68,9 +72,9 @@ class TestKeyRouting:
         assert out_a.value == out_b.value
 
 
-class TestRSAEndToEnd:
-    def test_rsa_vrf_through_pki(self, rsa_pki):
-        output = rsa_pki.vrf_scheme.prove(rsa_pki.vrf_private(1), b"round-0")
+class TestECEndToEnd:
+    def test_ec_vrf_through_pki(self, ec_pki):
+        output = ec_pki.vrf_scheme.prove(ec_pki.vrf_private(1), b"round-0")
         assert isinstance(output, VRFOutput)
-        assert rsa_pki.vrf_verify(1, b"round-0", output)
-        assert not rsa_pki.vrf_verify(0, b"round-0", output)
+        assert ec_pki.vrf_verify(1, b"round-0", output)
+        assert not ec_pki.vrf_verify(0, b"round-0", output)

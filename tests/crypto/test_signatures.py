@@ -6,13 +6,13 @@ import random
 
 import pytest
 
-from repro.crypto.signatures import RSASignatureScheme, SimulatedSignatureScheme
+from repro.crypto.signatures import SchnorrSignatureScheme, SimulatedSignatureScheme
 
 
-@pytest.fixture(scope="module", params=["simulated", "rsa"])
+@pytest.fixture(scope="module", params=["simulated", "ec"])
 def scheme(request):
-    if request.param == "rsa":
-        return RSASignatureScheme(modulus_bits=256)
+    if request.param == "ec":
+        return SchnorrSignatureScheme()
     return SimulatedSignatureScheme()
 
 

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.crypto.vrf import (
-    RSAFDHVRF,
+    ECVRF,
     VRF_OUTPUT_BITS,
     SimulatedVRF,
     VRFOutput,
@@ -20,12 +20,12 @@ from repro.crypto.vrf import (
 
 
 def make_scheme(name: str) -> VRFScheme:
-    if name == "rsa":
-        return RSAFDHVRF(modulus_bits=256)
+    if name == "ec":
+        return ECVRF()
     return SimulatedVRF()
 
 
-@pytest.fixture(scope="module", params=["simulated", "rsa"])
+@pytest.fixture(scope="module", params=["simulated", "ec"])
 def scheme(request):
     return make_scheme(request.param)
 
@@ -123,14 +123,3 @@ class TestSimulatedVRFSpecifics:
         # A proof of the right shape but wrong bytes must fail.
         forged = VRFOutput(value=output.value, proof=bytes(32))
         assert not scheme.verify(pk, b"a", forged)
-
-
-class TestRSAFDHVRFSpecifics:
-    def test_rejects_non_integer_proof(self):
-        scheme = RSAFDHVRF(modulus_bits=256)
-        _, pk = scheme.keygen(random.Random(2))
-        assert not scheme.verify(pk, b"a", VRFOutput(value=0, proof=b"junk"))
-
-    def test_rejects_tiny_modulus(self):
-        with pytest.raises(ValueError):
-            RSAFDHVRF(modulus_bits=64)

@@ -1,8 +1,8 @@
-"""End-to-end runs over the *real* crypto backends (small keys, small n).
+"""End-to-end runs over the *real* crypto backend (small n).
 
 Everything else in the suite uses the fast simulated backend; these tests
-pin that the genuine number-theoretic paths -- RSA-FDH, and secp256k1
-ECVRF + Schnorr -- drive the same protocol logic.
+pin that the genuine secp256k1 ECVRF + Schnorr paths drive the same
+protocol logic.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from tests.integration.test_cached_kernel_equivalence import observable
 
 @pytest.fixture(scope="module")
 def pki_8():
-    return PKI.create(8, backend="rsa", rng=random.Random(500), modulus_bits=256)
+    return PKI.create(8, backend="ec", rng=random.Random(500))
 
 
 class TestRealCryptoPaths:
-    def test_shared_coin_over_rsa(self, pki_8):
+    def test_shared_coin_over_ec(self, pki_8):
         params = ProtocolParams(n=8, f=1)
         result = run_protocol(
             8, 1, lambda ctx: shared_coin(ctx, 0), corrupt={0},
@@ -38,17 +38,17 @@ class TestRealCryptoPaths:
         assert len(result.returned_values) == 1
         assert result.returned_values <= {0, 1}
 
-    def test_approver_over_rsa(self, pki_8):
+    def test_approver_over_ec(self, pki_8):
         # Fat committees (lam = n) so tiny n stays live.
         params = ProtocolParams(n=8, f=0, lam=8.0, d=0.05)
         result = run_protocol(
-            8, 0, lambda ctx: approve(ctx, ("rsa-approve",), 1, params),
+            8, 0, lambda ctx: approve(ctx, ("ec-approve",), 1, params),
             pki=pki_8, params=params, seed=2,
         )
         assert result.live
         assert result.returned_values == {frozenset({1})}
 
-    def test_agreement_over_rsa(self, pki_8):
+    def test_agreement_over_ec(self, pki_8):
         params = ProtocolParams(n=8, f=0, lam=8.0, d=0.05)
         result = run_protocol(
             8, 0, lambda ctx: byzantine_agreement(ctx, ctx.pid % 2, params),
