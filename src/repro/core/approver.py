@@ -16,6 +16,7 @@ Termination (Definition 6.1).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Hashable
 
 from repro.core.committees import membership_checker, sample
@@ -85,21 +86,29 @@ def approve(
 
     # Reactive state.  Value-keyed dicts; Assumption 1 bounds the values
     # correct processes introduce, Byzantine extras just waste their
-    # committee luck.
-    init_senders: dict[object, set[int]] = {}
+    # committee luck.  The kernel authenticates senders, so each is a pid
+    # in [0, n) and a tally of distinct senders is a seen-bitmap (one byte
+    # per process) plus a count -- a set costs ~50 B per member, so the
+    # bitmap is the smaller while n stays below ~40 λ (DESIGN.md §10).
+    n = ctx.n
+    # value -> [seen, count] over validated init members; init_seen is the
+    # union across values, the init committee's observed size.
+    init_tallies: dict[object, list] = {}
+    init_seen = bytearray(n)
+    init_count = 0
     echoed: set[object] = set()
-    # value -> echo_sender -> (membership, signature), validated entries only.
-    echo_records: dict[object, dict[int, tuple]] = {}
+    # value -> (seen, entries): the delivered (sender, EchoMsg) stream
+    # entries of validated echoes -- the tuple every receiver of the
+    # broadcast shares, so a record costs one reference.
+    echo_records: dict[object, tuple[bytearray, list]] = {}
     ok_values: list[object] = []
-    ok_senders: set[int] = set()
+    ok_seen = bytearray(n)
     state = {"sent_ok": False}
     cursor = 0
 
-    def maybe_echo(candidate: object) -> None:
+    def maybe_echo(candidate: object, count: int) -> None:
         """'Upon receiving init,v from B+1 distinct processes' (line 3)."""
-        if candidate in echoed:
-            return
-        if len(init_senders.get(candidate, ())) <= byzantine_bound:
+        if candidate in echoed or count <= byzantine_bound:
             return
         echoed.add(candidate)
         in_echo, echo_proof = sample(ctx, instance, _echo_role(candidate), params)
@@ -114,18 +123,15 @@ def approve(
                 )
             )
 
-    def maybe_ok(candidate: object) -> None:
+    def maybe_ok(candidate: object, entries: list) -> None:
         """'Upon receiving echo,v from W distinct processes' (line 6)."""
-        if state["sent_ok"] or not in_ok:
-            return
-        records = echo_records.get(candidate, {})
-        if len(records) < committee_quorum:
+        if state["sent_ok"] or not in_ok or len(entries) < committee_quorum:
             return
         state["sent_ok"] = True
         if justify:
             justification = tuple(
-                (echo_sender, membership, signature)
-                for echo_sender, (membership, signature) in sorted(records.items())[
+                (echo_sender, echo.membership, echo.signature)
+                for echo_sender, echo in sorted(entries, key=itemgetter(0))[
                     :committee_quorum
                 ]
             )
@@ -212,7 +218,7 @@ def approve(
     stream: list | None = None
 
     def step(mailbox: Mailbox):
-        nonlocal cursor, stream
+        nonlocal cursor, stream, init_count
         s = stream
         if s is None:
             # The instance's buffer list is identity-stable once created
@@ -221,33 +227,56 @@ def approve(
             if type(s) is list:
                 stream = s
         while cursor < len(s):
-            sender, msg = s[cursor]
+            entry = s[cursor]
+            sender, msg = entry
             cursor += 1
             if isinstance(msg, InitMsg):
                 if not valid_init_member(sender, msg.membership):
                     continue
-                init_senders.setdefault(msg.value, set()).add(sender)
-                maybe_echo(msg.value)
-            elif isinstance(msg, EchoMsg):
-                records = echo_records.setdefault(msg.value, {})
-                if sender in records:
+                candidate = msg.value
+                try:
+                    tally = init_tallies.get(candidate)
+                except TypeError:  # unhashable Byzantine value: discard
                     continue
-                if not echo_member_checker(msg.value)(sender, msg.membership):
+                if tally is None:
+                    tally = init_tallies[candidate] = [bytearray(n), 0]
+                seen = tally[0]
+                if seen[sender]:
+                    continue
+                seen[sender] = 1
+                tally[1] += 1
+                if not init_seen[sender]:
+                    init_seen[sender] = 1
+                    init_count += 1
+                maybe_echo(candidate, tally[1])
+            elif isinstance(msg, EchoMsg):
+                candidate = msg.value
+                try:
+                    record = echo_records.get(candidate)
+                except TypeError:  # unhashable Byzantine value: discard
+                    continue
+                if record is None:
+                    record = echo_records[candidate] = (bytearray(n), [])
+                seen, entries = record
+                if seen[sender]:
+                    continue
+                if not echo_member_checker(candidate)(sender, msg.membership):
                     continue
                 if not pki.signature_verify(
-                    sender, echo_signing_bytes(instance, msg.value), msg.signature
+                    sender, echo_signing_bytes(instance, candidate), msg.signature
                 ):
                     continue
-                records[sender] = (msg.membership, msg.signature)
-                maybe_ok(msg.value)
+                seen[sender] = 1
+                entries.append(entry)
+                maybe_ok(candidate, entries)
             elif isinstance(msg, OkMsg):
-                if sender in ok_senders:
+                if ok_seen[sender]:
                     continue
                 if not valid_ok(sender, msg):
                     continue
-                ok_senders.add(sender)
+                ok_seen[sender] = 1
                 ok_values.append(msg.value)
-                if len(ok_senders) >= committee_quorum:
+                if len(ok_values) >= committee_quorum:
                     return frozenset(ok_values)
         return None
 
@@ -261,21 +290,16 @@ def approve(
             instances={instance},
             min_count=byzantine_bound + 1,
         )
-    observed_init: set[int] = set()
-    for senders in init_senders.values():
-        observed_init |= senders
-    ctx.annotate(
-        "committee", instance=instance, role=_INIT_ROLE, size=len(observed_init)
-    )
-    for candidate, records in echo_records.items():
+    ctx.annotate("committee", instance=instance, role=_INIT_ROLE, size=init_count)
+    for candidate, (_, entries) in echo_records.items():
         ctx.annotate(
             "committee",
             instance=instance,
             role=_echo_role(candidate),
-            size=len(records),
+            size=len(entries),
         )
     ctx.annotate(
-        "committee", instance=instance, role=_OK_ROLE, size=len(ok_senders)
+        "committee", instance=instance, role=_OK_ROLE, size=len(ok_values)
     )
     ctx.annotate(
         "approve",

@@ -82,6 +82,8 @@ def validate_coin_value(
     """Check a coin value: genuine VRF output, and (if committee-based)
     produced by a member of the FIRST committee.
     """
+    if type(coin_value) is not CoinValue:
+        return False
     if not isinstance(coin_value.vrf, VRFOutput):
         return False
     if coin_value.value != coin_value.vrf.value:
@@ -134,6 +136,8 @@ def coin_value_checker(
     memo = pki.shared_validation_memo
 
     def check(coin_value: CoinValue) -> bool:
+        if type(coin_value) is not CoinValue:  # malformed Byzantine field
+            return False
         origin = coin_value.origin
         if pki.verify_cache_enabled:
             # origin is a pid (int): the pid-range check in vrf_verify
@@ -201,7 +205,8 @@ class SecondMsg(Message):
 
     def words(self) -> int:
         words = 2 + (2 if self.membership is not None else 0)
-        if self.coin_value.origin_membership is not None:
+        coin_value = self.coin_value
+        if type(coin_value) is CoinValue and coin_value.origin_membership is not None:
             words += 2
         return words
 

@@ -55,14 +55,17 @@ def shared_coin(
     # stay active for the whole instance (a late FIRST may still lower the
     # local minimum, exactly as in the pseudocode).
     state = {"min": my_value, "sent_second": False}
-    first_senders: set[int] = set()
-    second_senders: set[int] = set()
+    # Distinct validated senders per phase: a seen-bitmap over the
+    # kernel-authenticated pids plus a count (as in the approver).
+    first_seen = bytearray(ctx.n)
+    second_seen = bytearray(ctx.n)
+    first_count = second_count = 0
     cursor = 0
 
     stream: list | None = None
 
     def step(mailbox: Mailbox):
-        nonlocal cursor, stream
+        nonlocal cursor, stream, first_count, second_count
         s = stream
         if s is None:
             # Identity-stable once created (append-only): cache the list.
@@ -73,28 +76,31 @@ def shared_coin(
             sender, msg = s[cursor]
             cursor += 1
             if isinstance(msg, FirstMsg):
-                if sender in first_senders:
+                if first_seen[sender]:
                     continue
                 # In Algorithm 1 the FIRST value must be the sender's own.
-                if msg.coin_value.origin != sender:
+                coin_value = msg.coin_value
+                if type(coin_value) is not CoinValue or coin_value.origin != sender:
                     continue
-                if not valid_value(msg.coin_value):
+                if not valid_value(coin_value):
                     continue
-                first_senders.add(sender)
-                if msg.coin_value.value < state["min"].value:
-                    state["min"] = msg.coin_value
+                first_seen[sender] = 1
+                first_count += 1
+                if coin_value.value < state["min"].value:
+                    state["min"] = coin_value
             elif isinstance(msg, SecondMsg):
-                if sender in second_senders:
+                if second_seen[sender]:
                     continue
                 if not valid_value(msg.coin_value):
                     continue
-                second_senders.add(sender)
+                second_seen[sender] = 1
+                second_count += 1
                 if msg.coin_value.value < state["min"].value:
                     state["min"] = msg.coin_value
-        if not state["sent_second"] and len(first_senders) >= quorum:
+        if not state["sent_second"] and first_count >= quorum:
             state["sent_second"] = True
             ctx.broadcast(SecondMsg(instance, coin_value=state["min"]))
-        if state["sent_second"] and len(second_senders) >= quorum:
+        if state["sent_second"] and second_count >= quorum:
             return state["min"].value & 1
         return None
 
@@ -113,7 +119,7 @@ def shared_coin(
         variant="alg1",
         instance=instance,
         outcome=result,
-        first_seen=len(first_senders),
-        second_seen=len(second_senders),
+        first_seen=first_count,
+        second_seen=second_count,
     )
     return result

@@ -75,8 +75,12 @@ def whp_coin(
     # members consume -- strictly *more* homogeneous across processes, so
     # every agreement bound is preserved.)
     state: dict = {"min": None, "sent_second": False}
-    first_senders: set[int] = set()
-    second_senders: set[int] = set()
+    # Distinct validated senders per phase: a seen-bitmap over the
+    # kernel-authenticated pids plus a count (as in the approver).  Only
+    # SECOND members tally FIRSTs, so only they pay for that bitmap.
+    first_seen = bytearray(ctx.n if in_second else 0)
+    second_seen = bytearray(ctx.n)
+    first_count = second_count = 0
     cursor = 0
 
     def consider(coin_value: CoinValue) -> None:
@@ -86,7 +90,7 @@ def whp_coin(
     stream: list | None = None
 
     def step(mailbox: Mailbox):
-        nonlocal cursor, stream
+        nonlocal cursor, stream, first_count, second_count
         s = stream
         if s is None:
             # Identity-stable once created (append-only): cache the list.
@@ -98,35 +102,38 @@ def whp_coin(
             cursor += 1
             if isinstance(msg, FirstMsg):
                 # Only SECOND-committee members act on FIRST messages.
-                if not in_second or sender in first_senders:
+                if not in_second or first_seen[sender]:
                     continue
-                if msg.coin_value.origin != sender:
+                coin_value = msg.coin_value
+                if type(coin_value) is not CoinValue or coin_value.origin != sender:
                     continue
                 if not valid_first_member(sender, msg.membership):
                     continue
-                if not valid_value(msg.coin_value):
+                if not valid_value(coin_value):
                     continue
-                first_senders.add(sender)
-                consider(msg.coin_value)
+                first_seen[sender] = 1
+                first_count += 1
+                consider(coin_value)
             elif isinstance(msg, SecondMsg):
-                if sender in second_senders:
+                if second_seen[sender]:
                     continue
                 if not valid_second_member(sender, msg.membership):
                     continue
                 if not valid_value(msg.coin_value):
                     continue
-                second_senders.add(sender)
+                second_seen[sender] = 1
+                second_count += 1
                 consider(msg.coin_value)
         if (
             in_second
             and not state["sent_second"]
-            and len(first_senders) >= committee_quorum
+            and first_count >= committee_quorum
         ):
             state["sent_second"] = True
             ctx.broadcast(
                 SecondMsg(instance, coin_value=state["min"], membership=second_proof)
             )
-        if len(second_senders) >= committee_quorum:
+        if second_count >= committee_quorum:
             return state["min"].value & 1
         return None
 
@@ -141,10 +148,10 @@ def whp_coin(
             min_count=committee_quorum,
         )
     ctx.annotate(
-        "committee", instance=instance, role=_FIRST_ROLE, size=len(first_senders)
+        "committee", instance=instance, role=_FIRST_ROLE, size=first_count
     )
     ctx.annotate(
-        "committee", instance=instance, role=_SECOND_ROLE, size=len(second_senders)
+        "committee", instance=instance, role=_SECOND_ROLE, size=second_count
     )
     ctx.annotate(
         "coin",

@@ -32,7 +32,7 @@ from repro.sim.messages import Envelope, Flight
 __all__ = ["MetricsRecorder", "ProtocolRecord", "histogram"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProtocolRecord:
     """One structured fact a protocol recorded about its own progress.
 

@@ -96,8 +96,7 @@ class ProcessContext:
         self.pid = pid
         self._simulation = simulation
         self.mailbox = Mailbox()
-        # Deterministic per-process randomness, independent across pids.
-        self.rng = random.Random(derive_seed(simulation.seed, "process", pid))
+        self._rng: random.Random | None = None
         self.depth = 0
         self.decision: Any = None
         self.decided = False
@@ -119,6 +118,21 @@ class ProcessContext:
     @property
     def pki(self) -> PKI:
         return self._simulation.pki
+
+    @property
+    def rng(self) -> random.Random:
+        """Deterministic per-process randomness, independent across pids.
+
+        Seeded on first use from the run seed and the pid: only the
+        randomised baselines draw from it, so the other protocols never
+        pay for n Mersenne Twisters.
+        """
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(
+                derive_seed(self._simulation.seed, "process", self.pid)
+            )
+        return rng
 
     @property
     def params(self) -> Any:

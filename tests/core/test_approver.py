@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.approver import approve
 from repro.core.committees import sample, sample_committee
-from repro.core.messages import InitMsg, OkMsg, echo_signing_bytes
+from repro.core.messages import EchoMsg, InitMsg, OkMsg, echo_signing_bytes
 from repro.core.params import ProtocolParams
 from repro.crypto.pki import PKI
 from repro.sim.adversary import (
@@ -164,6 +164,22 @@ class TestByzantineResistance:
 
         result = self._run(
             lambda pid: ScriptedBehavior(on_start=spam), pki, params, seed=14
+        )
+        assert result.live
+        assert result.returned_values == {frozenset({1})}
+
+    def test_unhashable_values_discarded(self, params):
+        """An init (from an init member) or echo (from anyone) whose value
+        cannot be hashed is dropped; the run is the clean run's."""
+        pki = PKI.create(N, rng=random.Random(4500))
+
+        def unhashable(ctx):
+            _, proof = sample(ctx, INSTANCE, "init", params)
+            ctx.broadcast(InitMsg(INSTANCE, value=[0], membership=proof))
+            ctx.broadcast(EchoMsg(INSTANCE, value=[0], membership=proof))
+
+        result = self._run(
+            lambda pid: ScriptedBehavior(on_start=unhashable), pki, params, seed=1
         )
         assert result.live
         assert result.returned_values == {frozenset({1})}

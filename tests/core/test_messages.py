@@ -15,6 +15,7 @@ from repro.core.messages import (
     OkMsg,
     SecondMsg,
     coin_value_alpha,
+    coin_value_checker,
     validate_coin_value,
 )
 from repro.core.params import ProtocolParams
@@ -66,6 +67,12 @@ class TestWordSizes:
         msg = OkMsg("i", value=0, membership=proof, justification=justification)
         assert msg.words() == 1 + 2 + 3 * 10
 
+    def test_malformed_coin_value_field_does_not_raise(self):
+        proof = VRFOutput(value=1, proof=b"p")
+        assert FirstMsg("i", coin_value=None).words() == 2
+        assert SecondMsg("i", coin_value=None).words() == 2
+        assert SecondMsg("i", coin_value="junk", membership=proof).words() == 4
+
     def test_value_property_exposed_for_scheduler(self, pki):
         cv = make_value(pki, 3, "i")
         assert FirstMsg("i", coin_value=cv).value == cv.value
@@ -94,6 +101,12 @@ class TestValidateCoinValue:
     def test_junk_vrf_rejected(self, pki, params):
         cv = CoinValue(value=0, origin=1, vrf="garbage")
         assert not validate_coin_value(pki, cv, "inst", params, None)
+
+    @pytest.mark.parametrize("malformed", [None, "junk", (0, 1, None)])
+    @pytest.mark.parametrize("role", [None, "first"])
+    def test_non_coin_value_rejected(self, pki, params, malformed, role):
+        assert not validate_coin_value(pki, malformed, "inst", params, role)
+        assert not coin_value_checker(pki, "inst", params, role)(malformed)
 
     def test_committee_mode_requires_membership(self, pki, params):
         cv = make_value(pki, 1, "inst")  # no origin_membership

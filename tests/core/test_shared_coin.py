@@ -191,6 +191,21 @@ class TestByzantineResistance:
         assert result.live
         assert len(result.returned_values) == 1
 
+    def test_malformed_coin_value_field_discarded(self):
+        pki = PKI.create(12, rng=random.Random(56))
+        instance = ("shared_coin", 0)
+
+        def malformed(ctx):
+            ctx.broadcast(FirstMsg(instance, coin_value=None))
+            ctx.broadcast(SecondMsg(instance, coin_value=None))
+            ctx.broadcast(SecondMsg(instance, coin_value="0"))
+
+        result = self._run_with_behavior(
+            lambda pid: ScriptedBehavior(on_start=malformed), pki
+        )
+        assert result.live
+        assert len(result.returns) == 12 - 3
+
 
 class TestAgreementRate:
     def test_agreement_rate_beats_paper_bound(self):

@@ -204,3 +204,30 @@ class TestByzantineResistance:
         )
         assert result.live
         assert result.returned_values == clean.returned_values
+
+    def test_malformed_coin_value_field_discarded(self, params):
+        """A FIRST or SECOND whose ``coin_value`` is not a CoinValue -- from
+        any process, member or not -- is dropped like any invalid value."""
+        instance = ("whp_coin", 0)
+        pki = PKI.create(N, rng=random.Random(3100))
+
+        def malformed(ctx):
+            _, first = sample(ctx, instance, "first", params)
+            _, second = sample(ctx, instance, "second", params)
+            ctx.broadcast(FirstMsg(instance, coin_value=None, membership=first))
+            ctx.broadcast(SecondMsg(instance, coin_value=None, membership=second))
+            ctx.broadcast(SecondMsg(instance, coin_value=(1, 2), membership=second))
+
+        adversary = Adversary(
+            scheduler=RandomScheduler(random.Random(11)),
+            corruption=StaticCorruption(CORRUPT),
+            behavior_factory=lambda pid: ScriptedBehavior(on_start=malformed),
+        )
+        result = run_protocol(
+            N, F, coin_protocol(), adversary=adversary, pki=pki, params=params, seed=11
+        )
+        clean = run_protocol(
+            N, F, coin_protocol(), corrupt=CORRUPT, pki=pki, params=params, seed=11
+        )
+        assert result.live
+        assert result.returns == clean.returns

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 from dataclasses import dataclass
+
+import pytest
 
 from repro.sim.messages import Envelope, Message
 from repro.sim.metrics import MetricsRecorder, ProtocolRecord
@@ -124,3 +128,23 @@ class TestPerProcessWords:
     def test_rollup_reaches_protocol_summary(self):
         summary = self._loaded().protocol_summary()
         assert summary["per_process_words"]["max_words"] == 12
+
+
+class TestProtocolRecord:
+    RECORD = ProtocolRecord(
+        step=7, pid=3, kind="committee",
+        data=(("instance", ("ba", 0)), ("role", ("echo", 1)), ("size", 5)),
+    )
+
+    def test_slotted_and_frozen(self):
+        assert not hasattr(self.RECORD, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.RECORD.step = 8  # type: ignore[misc]
+
+    def test_pickle_and_equality_round_trip(self):
+        copy = pickle.loads(pickle.dumps(self.RECORD))
+        assert copy == self.RECORD
+        assert hash(copy) == hash(self.RECORD)
+        assert copy.get("size") == 5
+        assert copy.get("missing", "default") == "default"
+        assert copy != dataclasses.replace(self.RECORD, step=8)
