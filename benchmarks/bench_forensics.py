@@ -91,7 +91,7 @@ def run_forensics(n: int) -> tuple[str, dict]:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "byz.jsonl"
         record_run(path, "byz_split", n=4, seed=11,
-                   telemetry=False, profile=False)
+                   profile=False)
         payload = explain_recording(path)
     explain_s = time.perf_counter() - started
     assert payload["replay_identical"] is True

@@ -44,9 +44,8 @@ def save_report():
 @pytest.fixture(scope="session")
 def save_json():
     """Persist one experiment's raw rows as JSON (machine-readable twin of
-    ``save_report``); later runs can be drift-checked against it with
-    :func:`repro.experiments.store.compare_results` or
-    ``python -m repro trends``."""
+    ``save_report``); the same payload joins the trend store, where
+    ``python -m repro trends`` drift-checks later runs against it."""
     from repro.experiments.store import save_results
     from repro.experiments.trends import record_bench
 

@@ -53,7 +53,7 @@ the schedule fuzzer (see DESIGN.md section 13)::
 
 the degradation observatory (see DESIGN.md section 14)::
 
-    python -m repro degrade --scenario lossy_uniform \
+    python -m repro degrade --scenario lossy_uniform \\
         --rates 0,0.02,0.05,0.1 --seeds 8   # decide-rate curves + knee;
                                             # failing cells export
                                             # recordings for `explain`
@@ -63,6 +63,11 @@ and the telemetry pane (see DESIGN.md section 9)::
 
     python -m repro dashboard flight.jsonl --out dashboard.html
     python -m repro trends --gate --tolerance 25   # exit 1 on drift
+
+Every command is one :class:`Command` in :data:`COMMANDS`: the flags it
+reads, with its own defaults, and its handler.  A flag or positional a
+command does not read exits 2 with one line; so does any other bad
+input, so exit 1 keeps one meaning -- a check found something.
 """
 
 from __future__ import annotations
@@ -70,25 +75,29 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
+from repro.experiments.degradation import DEFAULT_RATES
 from repro.experiments.registry import EXPERIMENTS
 
-__all__ = ["main"]
+__all__ = ["ARGUMENTS", "COMMANDS", "Command", "main"]
 
 
 def _run_experiments(
     keys: list[str], quick: bool, overrides: dict, workers: int | None
 ) -> int:
-    """Run experiments at (registry budget | quick) + overrides: one key
-    rejects an override its budget has no entry for (exit 2), several
-    (``all``) apply it wherever there is one."""
-    for key in keys:
-        experiment = EXPERIMENTS[key]
+    """Run experiments at (registry budget | quick) + the overrides each
+    budget has a key for.  A size no protocol runs at is bad input
+    (exit 2), found for every key before any of them runs."""
+    budgets = {key: EXPERIMENTS[key].resolve(quick, overrides) for key in keys}
+    for key, budget in budgets.items():
         try:
-            budget = experiment.resolve(quick, overrides, strict=len(keys) == 1)
+            list(EXPERIMENTS[key].params(**budget))
         except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+            raise SystemExit(f"repro {key}: {exc}")
+    for key, budget in budgets.items():
+        experiment = EXPERIMENTS[key]
         print(f"== {key}: {experiment.description} ==")
         start = time.time()
         print(experiment.report(experiment.run(**budget, workers=workers), budget))
@@ -96,25 +105,37 @@ def _run_experiments(
     return 0
 
 
+def _run_keys(keys: list[str]) -> Callable[[argparse.Namespace], tuple[None, int]]:
+    """The handler of experiment keys: ``--n`` / ``--seeds`` override the
+    budget where given (``None``: the budget's own).  It prints each
+    table as it finishes, so it returns no text."""
+
+    def run(args: argparse.Namespace) -> tuple[None, int]:
+        overrides: dict[str, Any] = {}
+        if getattr(args, "n", None) is not None:  # e2, e4, e5 have no n
+            overrides["n"] = args.n
+        if args.seeds is not None:
+            overrides["seeds"] = range(args.seeds)
+        return None, _run_experiments(keys, args.quick, overrides, args.workers)
+
+    return run
+
+
 # Flight-recorder commands; separate from the experiments because they
 # take a file path, not sweep parameters, and are excluded from `all`.
 
 
-def _run_record(args) -> str:
+def _run_record(args) -> tuple[str, int]:
     from repro.experiments import report
 
-    from repro.sim.telemetry import telemetry_path_for
-
-    protocol = args.protocol or "whp_ba"
-    out = args.out or f"flight_{protocol}_n{args.n or 40}_s{args.seed}.jsonl"
+    out = args.out or f"flight_{args.protocol}_n{args.n}_s{args.seed}.jsonl"
     try:
         path, result = report.record_run(
             out,
-            name=protocol,
-            n=args.n or 40,
+            name=args.protocol,
+            n=args.n,
             seed=args.seed,
             profile=not args.no_profile,
-            telemetry=not args.no_telemetry,
         )
     except ValueError as exc:
         # Most commonly an unknown --protocol; the message is the
@@ -125,25 +146,23 @@ def _run_record(args) -> str:
         f"(duration {result.duration}, {result.words} words, "
         f"decided={result.all_correct_decided}) -> {path}"
     )
-    if not args.no_telemetry:
-        text += f"\ntelemetry sidecar -> {telemetry_path_for(path)}"
-    return text
+    return text, 0
 
 
-def _run_report(args) -> str:
+def _run_report(args) -> tuple[str, int]:
     from repro.experiments import report
 
     if not args.path:
         raise SystemExit("usage: python -m repro report <recording.jsonl>")
     try:
-        return report.render_report_file(args.path)
+        return report.render_report_file(args.path), 0
     except FileNotFoundError:
         raise SystemExit(f"repro report: no such recording: {args.path}")
     except (OSError, ValueError) as exc:
         raise SystemExit(f"repro report: {exc}")
 
 
-def _run_export(args) -> str:
+def _run_export(args) -> tuple[str, int]:
     from repro.sim.flightrecorder import load_recording
     from repro.sim.traceexport import save_chrome_trace
 
@@ -160,7 +179,7 @@ def _run_export(args) -> str:
     return (
         f"exported {len(recording.events)} kernel events -> {path}\n"
         "open in https://ui.perfetto.dev or chrome://tracing"
-    )
+    ), 0
 
 
 def _load_recording_or_exit(path, command: str):
@@ -193,7 +212,7 @@ def _run_diff(args) -> tuple[str, int]:
         )
     a = _load_recording_or_exit(args.path, "diff")
     b = _load_recording_or_exit(args.path2, "diff")
-    report = diff_recordings(a, b, max_slice=args.slice or 20)
+    report = diff_recordings(a, b, max_slice=args.slice)
     text = format_divergence(report, a_path=args.path, b_path=args.path2)
     if report.identical:
         return text, 0
@@ -223,7 +242,7 @@ def _run_explain(args) -> tuple[str, int]:
     _load_recording_or_exit(args.path, "explain")
     try:
         payload = explain_recording(
-            args.path, protocol=args.protocol, max_slice=args.slice or 20
+            args.path, protocol=args.protocol, max_slice=args.slice
         )
     except ValueError as exc:
         raise SystemExit(f"repro explain: {exc}")
@@ -243,9 +262,9 @@ def _run_fuzz(args) -> tuple[str, int]:
         payload = fuzz_recording(
             args.path,
             protocol=args.protocol,
-            budget=args.budget or 200,
+            budget=args.budget,
             seed=args.seed,
-            atlas_root=args.atlas or ".",
+            atlas_root=args.atlas,
             out=args.out,
         )
     except ValueError as exc:
@@ -256,17 +275,23 @@ def _run_fuzz(args) -> tuple[str, int]:
 def _run_check(args) -> tuple[str, int]:
     from repro.experiments import conformance
     from repro.experiments.coverage_atlas import CoverageAtlas
+    from repro.experiments.scenarios import resolve_run
 
     protocols = tuple(args.protocols.split(",")) if args.protocols else None
+    protocols = protocols or conformance.DEFAULT_PROTOCOLS
     try:
+        # Fail loudly before the sweep, not after it: an unknown name, a
+        # size no protocol runs at, a damaged atlas.
+        for name in protocols:
+            resolve_run(name, args.n)
         atlas = CoverageAtlas(".")
-        atlas.load()  # fail loudly before the sweep, not after it
+        atlas.load()
     except (OSError, ValueError) as exc:
         raise SystemExit(f"repro check: {exc}")
     payload = conformance.run_check(
-        protocols=protocols or conformance.DEFAULT_PROTOCOLS,
-        n=args.n or 24,
-        seeds=range(args.seeds or 6),
+        protocols=protocols,
+        n=args.n,
+        seeds=range(args.seeds),
         atlas=atlas,
     )
     path = conformance.write_conformance(payload)
@@ -316,7 +341,7 @@ def _run_coverage(args) -> tuple[str, int]:
         except (OSError, ValueError) as exc:
             raise SystemExit(f"repro coverage: {exc}")
     try:
-        return format_atlas(atlas, rarest=args.rarest or 10), 0
+        return format_atlas(atlas, rarest=args.rarest), 0
     except (OSError, ValueError) as exc:
         raise SystemExit(f"repro coverage: {exc}")
 
@@ -334,30 +359,18 @@ def _run_degrade(args) -> tuple[str, int]:
         snapshot, _ = record_bench("degradation", payload)
         text = degradation.format_degradation(payload)
         return text + f"\n[degradation trends -> {snapshot}]", 0
-    scenario = args.scenario or "lossy_uniform"
-    try:
-        rates = (
-            [float(token) for token in args.rates.split(",") if token.strip()]
-            if args.rates
-            else list(degradation.DEFAULT_RATES)
-        )
-    except ValueError:
-        raise SystemExit(
-            f"repro degrade: --rates must be comma-separated numbers, "
-            f"got {args.rates!r}"
-        )
     from pathlib import Path
 
     from repro.experiments.scenarios import parse_scenario_name
 
     try:
-        base, _ = parse_scenario_name(scenario)
+        base, _ = parse_scenario_name(args.scenario)
         out = args.out or f"degradation_{base}.json"
         payload = degradation.sweep_degradation(
-            scenario=scenario,
-            n=args.n or 8,
-            rates=rates,
-            seeds=args.seeds or 8,
+            scenario=args.scenario,
+            n=args.n,
+            rates=list(args.rates),
+            seeds=args.seeds,
             export_dir=str(Path(out).with_suffix("")) + "_cells",
         )
     except ValueError as exc:
@@ -371,185 +384,259 @@ def _run_trends(args) -> tuple[str, int]:
     from repro.experiments import trends
 
     store = trends.TrendStore(".")
-    tolerance = (args.tolerance if args.tolerance is not None else 25.0) / 100.0
-    last = args.last or 2
+    tolerance = args.tolerance / 100.0
     try:
         if args.gate:
-            verdict = trends.gate_trends(store, rel_tol=tolerance, last=last)
+            verdict = trends.gate_trends(store, rel_tol=tolerance, last=args.last)
             return trends.format_gate(verdict), 0 if verdict["ok"] else 1
-        return trends.render_trends(store, rel_tol=tolerance, last=last), 0
+        return trends.render_trends(store, rel_tol=tolerance, last=args.last), 0
     except (OSError, ValueError) as exc:
         raise SystemExit(f"repro trends: {exc}")
 
 
-def _run_dashboard(args) -> str:
+def _run_dashboard(args) -> tuple[str, int]:
     from repro.experiments.dashboard import render_dashboard
 
-    out = args.out or "dashboard.html"
-    tolerance = (args.tolerance if args.tolerance is not None else 25.0) / 100.0
     path, diagnostics = render_dashboard(
-        out, recording_path=args.path, root=".", rel_tol=tolerance
+        args.out, recording_path=args.path, root=".",
+        rel_tol=args.tolerance / 100.0,
     )
     lines = [f"dashboard -> {path} (self-contained HTML, open in any browser)"]
     lines += [f"  note: {message}" for message in diagnostics]
-    return "\n".join(lines)
+    return "\n".join(lines), 0
 
-def main(argv: list[str] | None = None) -> int:
+
+def _run_list(args) -> tuple[str, int]:
+    from repro.experiments.scenarios import describe_runs
+
+    lines = [f"  {c.line}" for c in COMMANDS.values() if c.line is not None]
+    return "\n".join([
+        *lines,
+        "\nwhat --protocol accepts (record; explain/fuzz to override a header):",
+        describe_runs(),
+    ]), 0
+
+
+# -- the command table -------------------------------------------------
+
+
+def _checked(kind: type, ok: Callable[[Any], bool], rule: str):
+    """A flag value parser: ``kind(text)``, which must satisfy ``ok``."""
+
+    def parse(text: str) -> Any:
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise ValueError(f"must be {rule}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _rates(text: str) -> list[float]:
+    try:
+        rates = [float(token) for token in text.split(",") if token.strip()]
+    except ValueError:
+        rates = []
+    if not rates or not all(0.0 <= rate <= 1.0 for rate in rates):
+        raise ValueError(
+            f"must be comma-separated rates in [0, 1], got {text!r}"
+        )
+    return rates
+
+
+_COUNT = _checked(int, lambda value: value >= 1, "an integer >= 1")
+_INT = _checked(int, lambda value: True, "an integer")
+
+# Every flag and positional any command reads: its value parser (None:
+# a switch) and its help line.
+ARGUMENTS: dict[str, tuple[Callable[[str], Any] | None, str]] = {
+    "path": (str, "recording file"),
+    "path2": (str, "second recording (diff)"),
+    "n": (_COUNT, "system size"),
+    "seeds": (_COUNT, "seed count"),
+    "seed": (_INT, "single-run seed"),
+    "out": (str, "output path"),
+    "protocol": (
+        str,
+        "record: protocol or zoo scenario to run (see `list`); "
+        "explain/fuzz: overrides the recording header's name",
+    ),
+    "protocols": (str, "check: comma-separated protocol list"),
+    "no_profile": (None, "record: no wall-clock phase timers"),
+    "gate": (None, "trends/coverage: exit 1 on drift / stagnation"),
+    "tolerance": (
+        _checked(float, lambda value: value >= 0, "a number >= 0"),
+        "trends/dashboard: drift tolerance in percent",
+    ),
+    "last": (_COUNT, "trends: window size for sparklines and drift"),
+    "rarest": (_COUNT, "coverage: how many rarest-hit signatures to list"),
+    "budget": (_COUNT, "fuzz: mutated-candidate budget"),
+    "atlas": (str, "fuzz: directory holding the coverage atlas"),
+    "slice": (_COUNT, "diff/explain: max causal-slice length"),
+    "scenario": (
+        str, "degrade: zoo scenario to sweep (a @rate suffix pins the rate)"
+    ),
+    "rates": (_rates, "degrade: comma-separated hostility rates"),
+    "smoke": (None, "degrade: tiny fixed sweep feeding the trend store"),
+    "quick": (None, "smoke-scale parameters"),
+    "workers": (
+        _INT, "parallel sweep workers (default: serial, or REPRO_WORKERS; "
+        "0 = one per CPU)",
+    ),
+}
+_POSITIONALS = ("path", "path2")
+
+
+def _spelled(name: str) -> str:
+    return f"<{name}>" if name in _POSITIONALS else "--" + name.replace("_", "-")
+
+
+@dataclass(frozen=True)
+class Command:
+    """One ``python -m repro`` command."""
+
+    name: str
+    line: str | None  # its `repro list` line, padding as listed; None: unlisted
+    run: Callable[[argparse.Namespace], tuple[str | None, int]]  # -> (text, exit)
+    takes: dict[str, Any]  # each flag or positional it reads -> its default
+    quick: dict[str, Any] = field(default_factory=dict)  # defaults under --quick
+
+    def rejection(self, name: str) -> str:
+        """The one line for a flag or positional this command does not
+        read; an experiment key's missing override names its budget."""
+        experiment = EXPERIMENTS.get(self.name)
+        if experiment is not None and name in ("n", "seeds"):
+            hint = "budget keys: " + ", ".join(experiment.budget)
+        else:
+            hint = "takes: " + (", ".join(map(_spelled, self.takes)) or "nothing")
+        return f"repro {self.name}: no {_spelled(name)} here ({hint})"
+
+
+def _experiment_command(key: str) -> Command:
+    experiment = EXPERIMENTS[key]
+    overrides = [name for name in ("n", "seeds") if name in experiment.budget]
+    return Command(
+        key, f"{key:4s} {experiment.description}", _run_keys([key]),
+        {**dict.fromkeys(overrides), "quick": False, "workers": None},
+    )
+
+
+COMMANDS: dict[str, Command] = {
+    command.name: command
+    for command in (
+        *map(_experiment_command, EXPERIMENTS),
+        Command(
+            "record", "record  run one protocol with the flight recorder attached",
+            _run_record,
+            dict(protocol="whp_ba", n=40, seed=0, out=None, no_profile=False),
+        ),
+        Command(
+            "report", "report  render a recorded run (round timeline, words, coin, ...)",
+            _run_report, dict(path=None),
+        ),
+        Command(
+            "export", "export  convert a recording to Chrome/Perfetto trace JSON",
+            _run_export, dict(path=None, out=None),
+        ),
+        Command(
+            "diff", "diff    localize the first divergent event between two recordings",
+            _run_diff, dict(path=None, path2=None, slice=20, out=None),
+        ),
+        Command(
+            "explain", "explain replay a recording, minimize and explain its failure",
+            _run_explain, dict(path=None, protocol=None, slice=20, out=None),
+        ),
+        Command(
+            "fuzz", "fuzz    coverage-guided schedule fuzzing over a recording",
+            _run_fuzz,
+            dict(path=None, protocol=None, budget=200, seed=0, atlas=".", out=None),
+        ),
+        Command(
+            "check", "check   monitored conformance sweep (paper-property checks)",
+            _run_check, dict(protocols=None, n=24, seeds=6, quick=False),
+            quick=dict(n=16, seeds=2),
+        ),
+        Command(
+            "trends", "trends  cross-run drift tables (--gate exits 1 on drift)",
+            _run_trends, dict(gate=False, tolerance=25.0, last=2),
+        ),
+        Command(
+            "coverage", "coverage  schedule-coverage atlas views (--gate: stagnation)",
+            _run_coverage, dict(path=None, gate=False, rarest=10),
+        ),
+        Command(
+            "dashboard",
+            "dashboard  single-pane HTML report (telemetry+trends+conformance)",
+            _run_dashboard, dict(path=None, out="dashboard.html", tolerance=25.0),
+        ),
+        Command(
+            "degrade", "degrade  lossy-rate sweep over a zoo scenario (curves + knee)",
+            _run_degrade,
+            dict(
+                scenario="lossy_uniform", rates=DEFAULT_RATES, n=8, seeds=8,
+                out=None, smoke=False,
+            ),
+        ),
+        Command(
+            "all", None, _run_keys(list(EXPERIMENTS)),
+            dict(n=None, seeds=None, quick=False, workers=None),
+        ),
+        Command("list", None, _run_list, {}),
+    )
+}
+
+
+def _parser() -> argparse.ArgumentParser:
+    """Every command and argument from the tables.  Nothing has a default
+    here, so what was given is exactly what the namespace holds."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate artefacts from 'Not a COINcidence' (PODC 2020).",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument(
-        "command",
-        choices=[
-            *EXPERIMENTS, "record", "report", "export", "diff", "explain",
-            "fuzz", "check", "trends", "coverage", "dashboard", "degrade",
-            "all", "list",
-        ],
-    )
-    parser.add_argument(
-        "path", nargs="?", default=None,
-        help="recording file (report/export/diff/explain commands)",
-    )
-    parser.add_argument(
-        "path2", nargs="?", default=None,
-        help="second recording (diff command)",
-    )
-    parser.add_argument("--n", type=int, default=None, help="system size override")
-    parser.add_argument("--seeds", type=int, default=None, help="seed count override")
-    parser.add_argument("--seed", type=int, default=0, help="single-run seed (record)")
-    parser.add_argument(
-        "--out", default=None, help="recording output path (record command)"
-    )
-    parser.add_argument(
-        "--protocol", default=None,
-        help="record: protocol or zoo scenario to run (default whp_ba; see "
-        "`list`); explain/fuzz: overrides the recording header's name",
-    )
-    parser.add_argument(
-        "--protocols", default=None,
-        help="comma-separated protocol list (check command; default "
-        "whp_ba,mmr+alg1)",
-    )
-    parser.add_argument(
-        "--no-profile", action="store_true",
-        help="record without wall-clock phase timers",
-    )
-    parser.add_argument(
-        "--no-telemetry", action="store_true",
-        help="record without the telemetry probe / sidecar",
-    )
-    parser.add_argument(
-        "--gate", action="store_true",
-        help="trends: exit 1 on out-of-tolerance numeric drift",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=None,
-        help="trends/dashboard: drift tolerance in percent (default 25)",
-    )
-    parser.add_argument(
-        "--last", type=int, default=None,
-        help="trends: window size for sparklines and drift (default 2)",
-    )
-    parser.add_argument(
-        "--rarest", type=int, default=None,
-        help="coverage: how many rarest-hit signatures to list (default 10)",
-    )
-    parser.add_argument(
-        "--budget", type=int, default=None,
-        help="fuzz: mutated-candidate budget (default 200)",
-    )
-    parser.add_argument(
-        "--atlas", default=None,
-        help="fuzz: directory holding the coverage atlas (default .)",
-    )
-    parser.add_argument(
-        "--slice", type=int, default=None,
-        help="diff/explain: max causal-slice length (default 20)",
-    )
-    parser.add_argument(
-        "--scenario", default=None,
-        help="degrade: zoo scenario to sweep (default lossy_uniform; "
-        "accepts a @rate suffix to pin the rate)",
-    )
-    parser.add_argument(
-        "--rates", default=None,
-        help="degrade: comma-separated hostility rates (default 0,0.02,0.05,0.1)",
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="degrade: tiny fixed sweep feeding the trend store (CI shape)",
-    )
-    parser.add_argument("--quick", action="store_true", help="smoke-scale parameters")
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="parallel sweep workers (default: serial, or REPRO_WORKERS; "
-        "0 = one per CPU)",
-    )
-    args = parser.parse_args(argv)
+    parser.add_argument("command", choices=list(COMMANDS))
+    for name, (parse, help_text) in ARGUMENTS.items():
+        if name in _POSITIONALS:
+            parser.add_argument(name, nargs="?", help=help_text)
+        elif parse is None:
+            parser.add_argument(_spelled(name), action="store_true", help=help_text)
+        else:
+            parser.add_argument(_spelled(name), help=help_text)
+    return parser
 
-    if args.command == "list":
-        for key, experiment in EXPERIMENTS.items():
-            print(f"  {key:4s} {experiment.description}")
-        print("  record  run one protocol with the flight recorder attached")
-        print("  report  render a recorded run (round timeline, words, coin, ...)")
-        print("  export  convert a recording to Chrome/Perfetto trace JSON")
-        print("  diff    localize the first divergent event between two recordings")
-        print("  explain replay a recording, minimize and explain its failure")
-        print("  fuzz    coverage-guided schedule fuzzing over a recording")
-        print("  check   monitored conformance sweep (paper-property checks)")
-        print("  trends  cross-run drift tables (--gate exits 1 on drift)")
-        print("  coverage  schedule-coverage atlas views (--gate: stagnation)")
-        print("  dashboard  single-pane HTML report (telemetry+trends+conformance)")
-        print("  degrade  lossy-rate sweep over a zoo scenario (curves + knee)")
-        from repro.experiments.scenarios import describe_runs
 
-        print("\nwhat --protocol accepts (record; explain/fuzz to override a header):")
-        print(describe_runs())
-        return 0
-
-    if args.command in ("record", "report", "export", "dashboard"):
-        handler = {
-            "record": _run_record, "report": _run_report, "export": _run_export,
-            "dashboard": _run_dashboard,
-        }[args.command]
-        print(handler(args))
-        return 0
-
-    if args.command in ("diff", "explain", "fuzz", "degrade"):
-        handler = {
-            "diff": _run_diff, "explain": _run_explain, "fuzz": _run_fuzz,
-            "degrade": _run_degrade,
-        }[args.command]
-        text, code = handler(args)
+def main(argv: list[str] | None = None) -> int:
+    given = vars(_parser().parse_args(argv))
+    command = COMMANDS[given.pop("command")]
+    for name in given:
+        if name not in command.takes:
+            print(command.rejection(name), file=sys.stderr)
+            return 2
+    values = dict(command.takes)
+    if given.get("quick"):
+        values.update(command.quick)
+    try:
+        for name, value in given.items():
+            parse = ARGUMENTS[name][0]
+            try:
+                values[name] = parse(value) if parse else value
+            except ValueError as exc:
+                raise SystemExit(f"repro {command.name}: {_spelled(name)} {exc}")
+        text, code = command.run(argparse.Namespace(**values))
+    except SystemExit as exc:
+        if isinstance(exc.code, str):
+            # A one-line diagnosis of the input: exit 2, not the 1 that
+            # `raise SystemExit(message)` would give -- exit 1 is a check
+            # finding something.
+            print(exc.code, file=sys.stderr)
+            exc.code = 2
+        raise
+    if text is not None:
         print(text)
-        return code
-
-    if args.command == "check":
-        if args.quick:
-            args.n = args.n or 16
-            args.seeds = args.seeds or 2
-        text, code = _run_check(args)
-        print(text)
-        return code
-
-    if args.command == "trends":
-        text, code = _run_trends(args)
-        print(text)
-        return code
-
-    if args.command == "coverage":
-        text, code = _run_coverage(args)
-        print(text)
-        return code
-
-    overrides = {}
-    if args.n:
-        overrides["n"] = args.n
-    if args.seeds:
-        overrides["seeds"] = range(args.seeds)
-    keys = list(EXPERIMENTS) if args.command == "all" else [args.command]
-    return _run_experiments(keys, args.quick, overrides, args.workers)
+    return code
 
 
 if __name__ == "__main__":

@@ -10,9 +10,8 @@ around:
   virtual-time series a :class:`~repro.sim.telemetry.TelemetryProbe`
   sampled (in-flight messages, mailbox backlog, blocked processes,
   cumulative words by protocol layer), its latency quantiles and the
-  per-causal-depth profile.  The ``.telemetry.json`` sidecar is used
-  when present; otherwise the recording's event log is replayed through
-  a fresh probe.
+  per-causal-depth profile, replayed from the recording's event log
+  through a fresh probe.
 * **trend-store series** with SVG sparklines and out-of-tolerance drift
   highlighted (same numeric-leaves rules as ``repro trends --gate``).
 * **conformance verdicts** from the newest ``conformance`` trend record
@@ -210,8 +209,10 @@ def _run_section(recording, recording_path, diagnostics: list[str]) -> str:
 
 
 def _telemetry_section(telemetry, diagnostics: list[str]) -> str:
+    # Snapshot dicts render in sorted key order, so the page depends on
+    # what a snapshot holds, not on the order a probe filled it in.
     if telemetry is None:
-        message = "no telemetry (record a run first; the probe rides along)"
+        message = "no telemetry (pass a recording; its events are replayed)"
         diagnostics.append(message)
         return (
             "<section id='telemetry'><h2>Telemetry</h2>"
@@ -237,14 +238,14 @@ def _telemetry_section(telemetry, diagnostics: list[str]) -> str:
         charts.append(
             "<div>"
             + _line_chart(
-                {layer: _series_xy(entry) for layer, entry in layers.items()},
+                {layer: _series_xy(layers[layer]) for layer in sorted(layers)},
                 title="cumulative words by layer / step",
             )
             + "</div>"
         )
     quantiles = telemetry.get("quantiles", {})
     q_rows = []
-    for name, stats in quantiles.items():
+    for name, stats in sorted(quantiles.items()):
         if not stats.get("count"):
             continue
         q_rows.append(
@@ -861,16 +862,12 @@ def render_dashboard(
     """Load whatever inputs exist and write the dashboard to ``out``.
 
     Returns ``(path, diagnostics)``.  Damaged inputs (truncated
-    recording, foreign-schema sidecar) degrade to diagnostics exactly
-    like missing ones -- the dashboard never refuses to render.
+    recording, unreadable divergence report) degrade to diagnostics
+    exactly like missing ones -- the dashboard never refuses to render.
     """
     from repro.experiments.coverage_atlas import CoverageAtlas
     from repro.sim.flightrecorder import load_recording
-    from repro.sim.telemetry import (
-        load_telemetry,
-        telemetry_from_events,
-        telemetry_path_for,
-    )
+    from repro.sim.telemetry import telemetry_from_events
 
     diagnostics: list[str] = []
     recording = None
@@ -881,14 +878,7 @@ def render_dashboard(
         except (OSError, ValueError) as exc:
             diagnostics.append(f"recording unusable: {exc}")
         if recording is not None:
-            sidecar = telemetry_path_for(recording_path)
-            if sidecar.exists():
-                try:
-                    telemetry = load_telemetry(sidecar)
-                except ValueError as exc:
-                    diagnostics.append(f"telemetry sidecar unusable: {exc}")
-            if telemetry is None:
-                telemetry = telemetry_from_events(recording.events)
+            telemetry = telemetry_from_events(recording.events)
     divergence = None
     divergence_path = None
     reports = sorted(

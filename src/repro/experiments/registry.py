@@ -48,17 +48,10 @@ class Experiment:
     budget: dict[str, Any]
     quick: dict[str, Any]  # overrides on top of ``budget``
 
-    def resolve(
-        self, quick: bool, overrides: dict[str, Any], strict: bool
-    ) -> dict[str, Any]:
+    def resolve(self, quick: bool, overrides: dict[str, Any]) -> dict[str, Any]:
         """The budget a run uses: ``budget``, then ``quick``, then the
-        overrides it has a key for; ``strict`` rejects the others."""
-        unknown = sorted(set(overrides) - set(self.budget))
-        if unknown and strict:
-            raise ValueError(
-                f"repro {self.key}: no --{unknown[0]} here "
-                f"(budget keys: {', '.join(self.budget)})"
-            )
+        overrides it has a key for (``repro all --n`` reaches keys
+        without an ``n``, too)."""
         known = {name: overrides[name] for name in overrides if name in self.budget}
         return {**self.budget, **(self.quick if quick else {}), **known}
 

@@ -31,13 +31,7 @@ from repro.sim.flightrecorder import (
     save_recording,
 )
 from repro.sim.runner import RunResult
-from repro.sim.telemetry import (
-    LAYER_OF_KIND as _LAYER_OF_KIND,
-    TelemetryProbe,
-    load_telemetry,
-    save_telemetry,
-    telemetry_path_for,
-)
+from repro.sim.telemetry import LAYER_OF_KIND as _LAYER_OF_KIND
 
 __all__ = [
     "format_report",
@@ -54,15 +48,13 @@ def record_run(
     f: int | None = None,
     seed: int = 0,
     profile: bool = True,
-    telemetry: bool = True,
 ) -> tuple[Path, RunResult]:
     """Run one ``name`` protocol instance, recording its flight data.
 
     Returns ``(recording_path, result)``.  The run stops when every
-    correct process has decided (the BA harness convention).  Unless
-    ``telemetry=False``, a :class:`~repro.sim.telemetry.TelemetryProbe`
-    rides along and its snapshot lands in the ``.telemetry.json``
-    sidecar next to the recording (the dashboard's preferred source).
+    correct process has decided (the BA harness convention).  The
+    recording is the one file a run leaves: telemetry, coverage and the
+    report are all computed from its events.
 
     ``name`` is anything :func:`~repro.experiments.scenarios.resolve_run`
     accepts: a Table 1 protocol (its benign run) or a zoo scenario (e.g.
@@ -73,23 +65,9 @@ def record_run(
     """
     spec = resolve_run(name, n, f=f, seed=seed)
     recorder = FlightRecorder()
-    probe = TelemetryProbe() if telemetry else None
-    result = spec.run(
-        observers=[recorder, probe] if telemetry else [recorder], profile=profile
-    )
+    result = spec.run(observers=[recorder], profile=profile)
     # spec.name is canonical (rate-suffixed when non-default).
     path = save_recording(out, recorder, result, protocol=spec.name)
-    if probe is not None:
-        save_telemetry(
-            telemetry_path_for(path),
-            probe,
-            header={
-                "protocol": spec.name,
-                "n": result.n,
-                "f": result.f,
-                "seed": result.seed,
-            },
-        )
     return path, result
 
 
@@ -317,18 +295,5 @@ def format_report(recording: Recording) -> str:
 
 
 def render_report_file(path: str | Path) -> str:
-    """Load a recording file and render the full report.
-
-    A telemetry sidecar that exists but cannot be read -- most often a
-    snapshot written by a *newer* build than this one -- degrades to a
-    one-line note at the end of the report instead of failing the
-    render: the report itself needs only the recording.
-    """
-    report = format_report(load_recording(path))
-    sidecar = telemetry_path_for(path)
-    if sidecar.exists():
-        try:
-            load_telemetry(sidecar)
-        except (OSError, ValueError) as exc:
-            report += f"\n\nnote: telemetry sidecar unusable: {exc}"
-    return report
+    """Load a recording file and render the full report."""
+    return format_report(load_recording(path))

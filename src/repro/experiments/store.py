@@ -2,10 +2,8 @@
 
 The text tables in ``benchmarks/results`` are for humans; this module
 gives the same data a machine-readable life: experiment dataclasses
-serialise to JSON (NaN-safe), reload as plain dicts, and
-:func:`compare_results` reports numeric drift beyond a tolerance --
-enough to use any stored run as a golden baseline for regression
-tracking.
+serialise to JSON (NaN-safe) and reload as plain dicts.  Drift between
+stored runs is judged by one rule, :func:`repro.experiments.trends.numeric_drifts`.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from typing import Any, Iterable, Iterator
 
 __all__ = [
     "append_jsonl",
-    "compare_results",
     "iter_jsonl",
     "load_journal",
     "load_jsonl",
@@ -158,51 +155,3 @@ def load_journal(path: str | Path, schema: str, version: int) -> list[dict[str, 
                 f"{record.get('version')!r}, this build reads {version}"
             )
     return records
-
-
-def compare_results(
-    baseline: Any, current: Any, rel_tol: float = 0.1, path: str = "$"
-) -> list[str]:
-    """Structural diff with numeric tolerance; returns human-readable
-    drift descriptions (empty list = within tolerance everywhere).
-
-    Numbers compare with relative tolerance ``rel_tol`` (absolute 1e-9
-    floor); structure mismatches (missing keys, length changes, type
-    changes) always report.
-    """
-    drifts: list[str] = []
-    if isinstance(baseline, dict) and isinstance(current, dict):
-        for key in sorted(set(baseline) | set(current)):
-            if key not in baseline:
-                drifts.append(f"{path}.{key}: only in current")
-            elif key not in current:
-                drifts.append(f"{path}.{key}: only in baseline")
-            else:
-                drifts.extend(
-                    compare_results(
-                        baseline[key], current[key], rel_tol, f"{path}.{key}"
-                    )
-                )
-        return drifts
-    if isinstance(baseline, list) and isinstance(current, list):
-        if len(baseline) != len(current):
-            return [f"{path}: length {len(baseline)} -> {len(current)}"]
-        for index, (old, new) in enumerate(zip(baseline, current)):
-            drifts.extend(compare_results(old, new, rel_tol, f"{path}[{index}]"))
-        return drifts
-    if isinstance(baseline, bool) or isinstance(current, bool):
-        # bool is an int subclass; compare exactly (and flag bool<->int
-        # type changes, which == would hide: True == 1).
-        if baseline != current or (
-            isinstance(baseline, bool) != isinstance(current, bool)
-        ):
-            drifts.append(f"{path}: {baseline!r} -> {current!r}")
-        return drifts
-    if isinstance(baseline, (int, float)) and isinstance(current, (int, float)):
-        tolerance = max(abs(baseline) * rel_tol, 1e-9)
-        if abs(baseline - current) > tolerance:
-            drifts.append(f"{path}: {baseline} -> {current} (beyond {rel_tol:.0%})")
-        return drifts
-    if baseline != current:
-        drifts.append(f"{path}: {baseline!r} -> {current!r}")
-    return drifts

@@ -11,18 +11,19 @@ need to scan the journal.
 
 Records are ``{schema, version, ts, name, payload}``; foreign or
 future-versioned records fail loudly on load (same policy as flight
-recordings).  :meth:`TrendStore.regressions` diffs the two newest
-payloads of a series with :func:`repro.experiments.store.compare_results`,
-which is what ``python -m repro trends`` renders as the drift column.
+recordings).
 
-The store also *enforces*: :func:`gate_trends` walks the numeric leaves
-of each series' newest-vs-baseline payloads and fails on any drift
-beyond a relative tolerance -- ``python -m repro trends --gate
---tolerance <pct>`` exits non-zero, which is what the CI conformance
-job runs.  Volatile fields (wall-clock timings, timestamps, rendered
-report text) are excluded by path substring so the gate only judges the
-deterministic quantities the paper's claims are about: words, rounds,
-coin-success rates, deliveries (see :data:`GATE_EXCLUDED_SUBSTRINGS`).
+Drift has one rule, :func:`numeric_drifts`: it walks the numeric leaves
+of a series' newest-vs-baseline payloads and flags any beyond a relative
+tolerance.  ``python -m repro trends`` renders it as the drift column,
+the dashboard highlights it, and the store *enforces* it:
+:func:`gate_trends` fails on any such drift -- ``python -m repro trends
+--gate --tolerance <pct>`` exits non-zero, which is what the CI
+conformance job runs.  Volatile fields (wall-clock timings, timestamps,
+rendered report text) are excluded by path substring so the gate only
+judges the deterministic quantities the paper's claims are about: words,
+rounds, coin-success rates, deliveries (see
+:data:`GATE_EXCLUDED_SUBSTRINGS`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from typing import Any
 
 from repro.experiments.store import (
     append_jsonl,
-    compare_results,
     load_journal,
     to_jsonable,
 )
@@ -145,7 +145,7 @@ class TrendStore:
 
         Re-running a benchmark in an unchanged working tree used to
         append a second, numerically identical record -- which widened
-        sparkline windows with noise and made ``regressions`` diff a
+        sparkline windows with noise and made the drift column compare a
         record against its own clone.  Records therefore carry a
         ``fingerprint`` (:func:`payload_fingerprint`: config + results,
         volatile fields stripped) and the checkout's ``commit``; when
@@ -194,16 +194,6 @@ class TrendStore:
     def latest(self, name: str) -> dict | None:
         history = self.history(name)
         return history[-1] if history else None
-
-    def regressions(self, name: str, rel_tol: float = 0.1) -> list[str]:
-        """Numeric drift between the two newest records of ``name``
-        (empty when within tolerance, or with fewer than two records)."""
-        history = self.history(name)
-        if len(history) < 2:
-            return []
-        return compare_results(
-            history[-2]["payload"], history[-1]["payload"], rel_tol=rel_tol
-        )
 
     def window(self, name: str, last: int = 2) -> list[dict]:
         """The newest ``last`` records of a series, oldest first."""
@@ -284,10 +274,9 @@ def numeric_drifts(
 ) -> list[str]:
     """Out-of-tolerance numeric drift between two payloads, gate rules.
 
-    Unlike :func:`repro.experiments.store.compare_results` this only
-    judges numeric leaves present in *both* payloads and skips the
-    excluded (volatile) paths -- structure growth (a new field, a longer
-    table) is evolution, not regression.  A leaf flipping between NaN
+    Only numeric leaves present in *both* payloads are judged, and the
+    excluded (volatile) paths are skipped -- structure growth (a new
+    field, a longer table) is evolution, not regression.  A leaf flipping between NaN
     and a number is a drift (a statistic appearing or vanishing is a
     real change); a leaf that is NaN on *both* sides is skipped -- NaN
     compares unequal to itself, so the naive tolerance check would

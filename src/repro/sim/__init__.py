@@ -70,12 +70,7 @@ from repro.sim.monitors import (
 )
 from repro.sim.network import Simulation
 from repro.sim.process import ProcessContext, Wait
-from repro.sim.telemetry import (
-    TelemetryProbe,
-    load_telemetry,
-    save_telemetry,
-    telemetry_from_events,
-)
+from repro.sim.telemetry import TelemetryProbe, telemetry_from_events
 from repro.sim.traceexport import (
     chrome_trace_events,
     export_chrome_trace,
@@ -141,11 +136,9 @@ __all__ = [
     "export_chrome_trace",
     "histogram",
     "load_recording",
-    "load_telemetry",
     "run_protocol",
     "save_chrome_trace",
     "save_recording",
-    "save_telemetry",
     "telemetry_from_events",
     "stop_when_all_decided",
     "stop_when_all_returned",

@@ -46,17 +46,14 @@ across the chunk -- bounded alongside the monitors' dispatch cost at
 < 3% of the bare run's wall-clock by
 ``benchmarks/bench_observability_overhead.py``.
 
-Attach with ``run_protocol(..., observers=[probe])``; persist with
-:func:`save_telemetry` (``python -m repro record`` writes the sidecar
-``<recording>.telemetry.json`` automatically); rebuild from any loaded
-recording with :func:`telemetry_from_events`.  ``python -m repro
-dashboard`` renders the snapshot as SVG timelines.
+Attach with ``run_protocol(..., observers=[probe])``; rebuild the same
+snapshot from any loaded recording with :func:`telemetry_from_events`,
+which is how ``python -m repro dashboard`` gets the snapshot it renders
+as SVG timelines.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Any, Iterable
 
 from repro.sim.events import (
@@ -78,10 +75,7 @@ __all__ = [
     "SeriesBank",
     "StreamingQuantiles",
     "TelemetryProbe",
-    "load_telemetry",
-    "save_telemetry",
     "telemetry_from_events",
-    "telemetry_path_for",
 ]
 
 TELEMETRY_SCHEMA = "repro.telemetry"
@@ -476,73 +470,10 @@ def telemetry_from_events(
     quantile_budget: int = 1024,
 ) -> dict[str, Any]:
     """Replay a recorded event log through a fresh probe; returns the
-    snapshot.  This is how ``repro dashboard`` synthesises telemetry for
-    recordings made without a probe attached."""
+    snapshot -- the one a probe attached to the recorded run took.  This
+    is how ``repro dashboard`` gets a recording's telemetry."""
     probe = TelemetryProbe(sample_budget, quantile_budget)
     on_event = probe.on_event
     for event in events:
         on_event(event)
     return probe.snapshot()
-
-
-def telemetry_path_for(recording_path: str | Path) -> Path:
-    """The sidecar path convention: ``run.jsonl`` -> ``run.telemetry.json``."""
-    path = Path(recording_path)
-    return path.with_name(path.name.removesuffix(".jsonl") + ".telemetry.json")
-
-
-def save_telemetry(
-    path: str | Path,
-    probe: "TelemetryProbe | dict[str, Any]",
-    header: dict[str, Any] | None = None,
-) -> Path:
-    """Persist a probe snapshot (or a prebuilt snapshot dict) as JSON.
-
-    ``header`` merges run-identity fields (n, f, seed, ...) into the
-    document so the sidecar is self-describing.
-    """
-    snapshot = probe.snapshot() if isinstance(probe, TelemetryProbe) else dict(probe)
-    if header:
-        snapshot["run"] = dict(header)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_telemetry(path: str | Path) -> dict[str, Any]:
-    """Load a :func:`save_telemetry` document, failing loudly on damage.
-
-    Raises ``ValueError`` with a one-line diagnosis on empty files,
-    non-JSON content, foreign schemas, or future versions -- the same
-    policy as flight recordings and the trend store.
-    """
-    path = Path(path)
-    text = path.read_text()
-    if not text.strip():
-        raise ValueError(f"{path}: empty file (not a telemetry snapshot)")
-    try:
-        snapshot = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"{path}: not valid JSON ({exc.msg}); truncated or corrupt file?"
-        ) from exc
-    if not isinstance(snapshot, dict) or snapshot.get("schema") != TELEMETRY_SCHEMA:
-        raise ValueError(
-            f"{path}: unknown schema "
-            f"{snapshot.get('schema') if isinstance(snapshot, dict) else None!r} "
-            f"(expected {TELEMETRY_SCHEMA!r})"
-        )
-    version = snapshot.get("version")
-    if version != TELEMETRY_SCHEMA_VERSION:
-        newer = isinstance(version, int) and version > TELEMETRY_SCHEMA_VERSION
-        hint = (
-            "written by a newer build; upgrade this checkout to read it"
-            if newer
-            else "re-record the run or load it with a matching build"
-        )
-        raise ValueError(
-            f"{path}: telemetry schema version {version!r}, this build "
-            f"reads {TELEMETRY_SCHEMA_VERSION} ({hint})"
-        )
-    return snapshot

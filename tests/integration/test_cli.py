@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.cli import _run_experiments, main
+from repro.cli import ARGUMENTS, COMMANDS, _run_experiments, main
 from repro.experiments.protocols import PROTOCOLS
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.scenarios import SCENARIOS
@@ -96,6 +96,106 @@ class TestCLI:
             main(["report"])
 
 
+def _spelled(name):
+    return f"<{name}>" if name in ("path", "path2") else "--" + name.replace("_", "-")
+
+
+def _unread_pairs():
+    """Every (command, flag or positional) the command table does not list
+    (a second positional only where the first is taken: it needs one)."""
+    for command in COMMANDS.values():
+        for name in ARGUMENTS:
+            if name not in command.takes and (
+                name != "path2" or "path" in command.takes
+            ):
+                yield command.name, name
+
+
+def _argv(command, name):
+    if name in ("path", "path2"):
+        return [command, "a.jsonl", "b.jsonl"][: 2 + (name == "path2")]
+    switch = ARGUMENTS[name][0] is None
+    return [command, _spelled(name)] + ([] if switch else ["1"])
+
+
+class TestCommandTable:
+    """The table is the parser: a command accepts what it reads, nothing
+    else, and says so in one line."""
+
+    @pytest.mark.parametrize("command,name", list(_unread_pairs()))
+    def test_unread_argument_exits_2_with_one_line(self, command, name, capsys):
+        entry = COMMANDS[command]
+        if command in EXPERIMENTS and name in ("n", "seeds"):
+            hint = "budget keys: " + ", ".join(EXPERIMENTS[command].budget)
+        else:
+            hint = "takes: " + (", ".join(map(_spelled, entry.takes)) or "nothing")
+        assert main(_argv(command, name)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro {command}: no {_spelled(name)} here ({hint})\n"
+        assert captured.out == ""
+
+    def test_list_names_every_entry(self, capsys):
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for command in COMMANDS.values():
+            if command.line is not None:
+                assert command.line.split()[0] == command.name
+                assert f"  {command.line}" in lines
+        assert [c.name for c in COMMANDS.values() if c.line is None] == ["all", "list"]
+
+    @pytest.mark.parametrize("argv", [
+        ["record", "--n", "0"],
+        ["record", "--n", "forty"],
+        ["degrade", "--seeds", "0"],
+        ["degrade", "--n", "0"],
+        ["degrade", "--rates", "0.1,nan"],
+        ["degrade", "--rates", "0.5,1.5"],
+        ["e6", "--seeds", "0"],
+        ["t1", "--n", "0"],
+        ["all", "--seeds", "0"],
+        ["check", "--n", "0"],
+        ["fuzz", "a.jsonl", "--budget", "-1"],
+        ["diff", "a.jsonl", "b.jsonl", "--slice", "-4"],
+        ["trends", "--tolerance", "-50"],
+        ["trends", "--tolerance", "nan"],
+        ["trends", "--last", "-3"],
+        ["coverage", "--rarest", "-2"],
+    ])
+    def test_out_of_range_value_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        flag = next(token for token in argv if token.startswith("--"))
+        assert captured.err.startswith(f"repro {argv[0]}: {flag} must be ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []  # nothing ran
+
+    @pytest.mark.parametrize("argv", [["check", "--n", "3"], ["t1", "--n", "3"]])
+    def test_a_size_no_protocol_runs_at_exits_2(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        # Exit 1 from `check` means "a safety violation was found".
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro {argv[0]}: no feasible d for n=3")
+        assert captured.err.count("\n") == 1
+        assert "==" not in captured.out  # no experiment started
+
+    def test_bad_input_exits_2_not_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "missing.jsonl"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err == "repro report: no such recording: missing.jsonl\n"
+
+
 def _without_protocol_header(src, dst):
     """Copy a recording, dropping ``protocol`` from its header line."""
     head, _, rest = src.read_text().partition("\n")
@@ -114,7 +214,7 @@ class TestProtocolFlag:
         path = tmp_path_factory.mktemp("flag") / "whp.jsonl"
         assert main([
             "record", "--n", "8", "--seed", "3",
-            "--no-telemetry", "--no-profile", "--out", str(path),
+            "--no-profile", "--out", str(path),
         ]) == 0
         return path
 
@@ -128,10 +228,11 @@ class TestProtocolFlag:
     ):
         bare = _without_protocol_header(whp_recording, tmp_path / "bare.jsonl")
         monkeypatch.chdir(tmp_path)
+        budget = ["--budget", "4"] if command == "fuzz" else []  # explain has none
         with pytest.raises(SystemExit, match="pass --protocol"):
-            main([command, str(bare), "--budget", "4"])
+            main([command, str(bare), *budget])
         capsys.readouterr()
-        assert main([command, str(bare), "--protocol", "whp_ba", "--budget", "4"]) == 0
+        assert main([command, str(bare), "--protocol", "whp_ba", *budget]) == 0
         assert "protocol=whp_ba" in capsys.readouterr().out
 
     def test_explicit_protocol_wins_over_the_header(

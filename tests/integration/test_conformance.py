@@ -12,6 +12,7 @@ from repro.experiments import conformance
 from repro.experiments.trends import (
     TrendStore,
     bench_json_path,
+    gate_trends,
     record_bench,
     render_trends,
 )
@@ -38,9 +39,11 @@ class TestTrendStore:
         store = TrendStore(tmp_path)
         store.append("bench", {"words": 100}, ts=1.0)
         store.append("bench", {"words": 200}, ts=2.0)
-        drifts = store.regressions("bench", rel_tol=0.1)
+        verdict = gate_trends(store, rel_tol=0.1)
+        drifts = verdict["series"]["bench"]["drifts"]
+        assert not verdict["ok"]
         assert len(drifts) == 1 and "words" in drifts[0]
-        assert store.regressions("bench", rel_tol=2.0) == []
+        assert gate_trends(store, rel_tol=2.0)["ok"]
 
     def test_foreign_schema_rejected(self, tmp_path):
         store = TrendStore(tmp_path)

@@ -1,6 +1,6 @@
 """The coverage atlas pipeline: cross-run accumulation, the conformance
 sweep's novelty accounting, the stagnation gate, the `repro coverage`
-CLI, trend-store dedupe, and the sidecar version diagnostics."""
+CLI and trend-store dedupe."""
 
 from __future__ import annotations
 
@@ -18,11 +18,6 @@ from repro.experiments.coverage_atlas import (
 )
 from repro.experiments.dashboard import build_dashboard
 from repro.experiments.trends import TrendStore, payload_fingerprint
-from repro.sim.telemetry import (
-    TELEMETRY_SCHEMA,
-    TELEMETRY_SCHEMA_VERSION,
-    load_telemetry,
-)
 
 
 def seeded_atlas(tmp_path, runs):
@@ -281,36 +276,6 @@ class TestTrendDedupe:
         second = {"coverage": {"unique_signatures": 9, "runs_with_new": 0,
                                "baseline_signatures": 9, "new_rate": 0.0}}
         assert payload_fingerprint(first) == payload_fingerprint(second)
-
-
-class TestSidecarVersionDiagnostics:
-    def sidecar(self, tmp_path, version):
-        path = tmp_path / "flight.telemetry.json"
-        path.write_text(json.dumps({
-            "schema": TELEMETRY_SCHEMA, "version": version, "series": {},
-        }))
-        return path
-
-    def test_newer_sidecar_names_the_upgrade(self, tmp_path):
-        path = self.sidecar(tmp_path, TELEMETRY_SCHEMA_VERSION + 1)
-        with pytest.raises(ValueError, match="newer build; upgrade"):
-            load_telemetry(path)
-
-    def test_older_sidecar_suggests_rerecording(self, tmp_path):
-        path = self.sidecar(tmp_path, 0)
-        with pytest.raises(ValueError, match="re-record"):
-            load_telemetry(path)
-
-    def test_report_appends_one_line_note(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["record", "--n", "16", "--seed", "1",
-                     "--out", "flight.jsonl"]) == 0
-        self.sidecar(tmp_path, TELEMETRY_SCHEMA_VERSION + 1)
-        capsys.readouterr()
-        assert main(["report", "flight.jsonl"]) == 0
-        out = capsys.readouterr().out
-        assert "note: telemetry sidecar unusable" in out
-        assert "newer build" in out
 
 
 class TestDashboardCoverage:

@@ -23,7 +23,7 @@ SECTION_IDS = ("run", "telemetry", "trends", "conformance", "scaling")
 
 @pytest.fixture(scope="module")
 def recorded(tmp_path_factory):
-    """One small recorded run (with telemetry sidecar) shared across tests."""
+    """One small recorded run shared across tests."""
     root = tmp_path_factory.mktemp("dashboard")
     recording = root / "flight.jsonl"
     assert main(["record", "--n", "16", "--seed", "2", "--out", str(recording)]) == 0
@@ -46,7 +46,7 @@ class TestDashboardStructure:
         assert document.rstrip().endswith("</html>")
         for section in SECTION_IDS:
             assert f"<section id='{section}'>" in document
-        # Telemetry charts are inline SVG, rendered from the sidecar.
+        # Telemetry charts are inline SVG, replayed from the recording.
         assert "<svg" in document and "polyline" in document
         assert "cumulative words by layer" in document
         assert "link_latency_steps" in document
@@ -298,29 +298,20 @@ class TestTrendsWindow:
 
 
 class TestRecordSidecar:
-    def test_record_writes_and_reports_sidecar(self, recorded):
-        root, recording = recorded
-        sidecar = root / "flight.telemetry.json"
-        assert sidecar.exists()
-        snapshot = json.loads(sidecar.read_text())
-        assert snapshot["schema"] == "repro.telemetry"
-        assert snapshot["run"]["n"] == 16
-        assert snapshot["counters"]["delivers"] > 0
+    """`repro record` writes the recording alone; the dashboard replays
+    its events for the telemetry it once read from a sidecar file."""
 
-    def test_no_telemetry_flag_skips_sidecar(self, tmp_path, capsys):
-        recording = tmp_path / "bare.jsonl"
-        assert main(
-            ["record", "--n", "16", "--seed", "2", "--out", str(recording),
-             "--no-telemetry"]
-        ) == 0
-        assert "sidecar" not in capsys.readouterr().out
-        assert not (tmp_path / "bare.telemetry.json").exists()
+    def test_record_leaves_one_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["record", "--n", "16", "--seed", "2"]) == 0
+        assert [path.name for path in tmp_path.iterdir()] == [
+            "flight_whp_ba_n16_s2.jsonl"
+        ]
 
     def test_dashboard_falls_back_to_replay_without_sidecar(self, tmp_path):
         recording = tmp_path / "bare.jsonl"
         assert main(
-            ["record", "--n", "16", "--seed", "2", "--out", str(recording),
-             "--no-telemetry"]
+            ["record", "--n", "16", "--seed", "2", "--out", str(recording)]
         ) == 0
         out, diagnostics = render_dashboard(
             tmp_path / "d.html", recording_path=recording, root=tmp_path
@@ -328,3 +319,25 @@ class TestRecordSidecar:
         document = out.read_text()
         assert "cumulative words by layer" in document  # replayed telemetry
         assert not any("telemetry" in d for d in diagnostics)
+
+    def test_replayed_page_equals_the_sidecar_page(self, recorded, tmp_path):
+        # The sidecar was the probe snapshot plus a `run` key, written
+        # with sort_keys; the page rendered from it is the reference.
+        from repro.experiments.coverage_atlas import CoverageAtlas
+        from repro.sim.flightrecorder import load_recording
+        from repro.sim.telemetry import telemetry_from_events
+
+        _, recording = recorded
+        loaded = load_recording(recording)
+        sidecar = json.loads(json.dumps(
+            {**telemetry_from_events(loaded.events), "run": {"n": 16}},
+            sort_keys=True,
+        ))
+        expected, _ = build_dashboard(
+            recording=loaded, recording_path=recording, telemetry=sidecar,
+            store=TrendStore(tmp_path), atlas=CoverageAtlas(tmp_path), notes=[],
+        )
+        out, _ = render_dashboard(
+            tmp_path / "d.html", recording_path=recording, root=tmp_path
+        )
+        assert out.read_text() == expected

@@ -44,7 +44,7 @@ def lossy_recording(tmp_path_factory):
     out = tmp_path_factory.mktemp("zoo") / "flight_lossy.jsonl"
     path, result = record_run(
         out, name="lossy_uniform@0.1", n=N, seed=0,
-        profile=False, telemetry=False,
+        profile=False,
     )
     return path, result
 
@@ -88,7 +88,7 @@ class TestScenarioZoo:
         for name in SCENARIOS:
             path, result = record_run(
                 tmp_path / f"flight_{name}.jsonl", name=name, n=N, seed=0,
-                profile=False, telemetry=False,
+                profile=False,
             )
             assert path.exists()
             assert result.deliveries > 0

@@ -26,7 +26,7 @@ def byz_recording(tmp_path_factory):
     path = tmp_path_factory.mktemp("byz") / "byz.jsonl"
     code = main([
         "record", "--protocol", "byz_split", "--n", "4", "--seed", "11",
-        "--no-telemetry", "--no-profile", "--out", str(path),
+        "--no-profile", "--out", str(path),
     ])
     assert code == 0
     return path
@@ -38,7 +38,7 @@ def whp_recording(tmp_path_factory):
     path = tmp_path_factory.mktemp("whp") / "whp.jsonl"
     code = main([
         "record", "--n", "8", "--seed", "3",
-        "--no-telemetry", "--no-profile", "--out", str(path),
+        "--no-profile", "--out", str(path),
     ])
     assert code == 0
     return path

@@ -27,7 +27,7 @@ def byz_recording(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "byz.jsonl"
     code = main([
         "record", "--protocol", "byz_split", "--n", "6", "--seed", "0",
-        "--no-telemetry", "--no-profile", "--out", str(path),
+        "--no-profile", "--out", str(path),
     ])
     assert code == 0
     return path
@@ -168,7 +168,7 @@ class TestFuzzCLI:
         path = tmp_path / "whp.jsonl"
         assert main([
             "record", "--n", "8", "--seed", "3",
-            "--no-telemetry", "--no-profile", "--out", str(path),
+            "--no-profile", "--out", str(path),
         ]) == 0
         capsys.readouterr()
         monkeypatch.chdir(tmp_path)

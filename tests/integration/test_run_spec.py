@@ -32,7 +32,7 @@ class TestRoundTrip:
     def test_recorded_run_replays_event_for_event(self, name, tmp_path):
         path, result = record_run(
             tmp_path / "flight.jsonl", name=name, n=N, seed=0,
-            profile=False, telemetry=False,
+            profile=False,
         )
         recording = load_recording(path)
         assert recording.header["protocol"] == name

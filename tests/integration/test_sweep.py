@@ -44,7 +44,7 @@ class TestWorkerCountInvariance:
 def test_budgets_bind_to_the_run_they_feed(experiment):
     signature = inspect.signature(experiment.run)
     signature.bind(**experiment.budget)
-    signature.bind(**experiment.resolve(True, {}, strict=True), workers=2)
+    signature.bind(**experiment.resolve(True, {}), workers=2)
     # The registry is the only place a sweep is sized.
     for name in SIZING & set(experiment.budget):
         assert signature.parameters[name].default is inspect.Parameter.empty, name

@@ -1,24 +1,17 @@
-"""The telemetry probe: bounded sampling, determinism, sidecar round-trip."""
+"""The telemetry probe: bounded sampling, determinism, replay from a recording."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.experiments.protocols import make_runner
-from repro.sim.flightrecorder import FlightRecorder
+from repro.sim.flightrecorder import FlightRecorder, load_recording, save_recording
 from repro.sim.runner import run_protocol, stop_when_all_decided
 from repro.sim.telemetry import (
-    TELEMETRY_SCHEMA,
-    TELEMETRY_SCHEMA_VERSION,
     SeriesBank,
     StreamingQuantiles,
     TelemetryProbe,
-    load_telemetry,
-    save_telemetry,
     telemetry_from_events,
-    telemetry_path_for,
 )
 
 
@@ -132,6 +125,14 @@ class TestTelemetryProbe:
         replayed = telemetry_from_events(recorder.events, sample_budget=64)
         assert replayed == probe.snapshot()
 
+    def test_saved_recording_replays_the_live_snapshot(self, probed_run, tmp_path):
+        # What lets `repro record` write the recording alone: the file
+        # holds everything the attached probe saw.
+        probe, recorder, result = probed_run
+        path = save_recording(tmp_path / "run.jsonl", recorder, result)
+        replayed = telemetry_from_events(load_recording(path).events, sample_budget=64)
+        assert replayed == probe.snapshot()
+
     def test_snapshot_idempotent(self, probed_run):
         probe, _, _ = probed_run
         assert probe.snapshot() == probe.snapshot()
@@ -186,50 +187,3 @@ class TestTelemetryProbe:
         assert sum(row["messages"] for row in profile) == result.deliveries
         decisions = sum(row["decisions"] for row in profile)
         assert decisions >= result.n - result.f
-
-
-class TestSidecar:
-    def test_save_load_round_trip_with_header(self, probed_run, tmp_path):
-        probe, _, _ = probed_run
-        path = save_telemetry(
-            tmp_path / "run.telemetry.json", probe, header={"n": 16, "seed": 7}
-        )
-        loaded = load_telemetry(path)
-        assert loaded["run"] == {"n": 16, "seed": 7}
-        assert loaded["schema"] == TELEMETRY_SCHEMA
-        assert loaded["version"] == TELEMETRY_SCHEMA_VERSION
-        expected = probe.snapshot()
-        assert loaded["counters"] == expected["counters"]
-        assert loaded["series"] == json.loads(json.dumps(expected["series"]))
-
-    def test_sidecar_path_convention(self):
-        assert (
-            telemetry_path_for("runs/flight.jsonl").name
-            == "flight.telemetry.json"
-        )
-
-    def test_empty_file_diagnosed(self, tmp_path):
-        path = tmp_path / "t.json"
-        path.write_text("")
-        with pytest.raises(ValueError, match="empty file"):
-            load_telemetry(path)
-
-    def test_damaged_json_diagnosed(self, tmp_path):
-        path = tmp_path / "t.json"
-        path.write_text('{"schema": "repro.telemetry", ')
-        with pytest.raises(ValueError, match="not valid JSON"):
-            load_telemetry(path)
-
-    def test_foreign_schema_diagnosed(self, tmp_path):
-        path = tmp_path / "t.json"
-        path.write_text('{"schema": "other.thing", "version": 1}')
-        with pytest.raises(ValueError, match="unknown schema"):
-            load_telemetry(path)
-
-    def test_future_version_diagnosed(self, tmp_path):
-        path = tmp_path / "t.json"
-        path.write_text(
-            json.dumps({"schema": TELEMETRY_SCHEMA, "version": 99})
-        )
-        with pytest.raises(ValueError, match="version"):
-            load_telemetry(path)
