@@ -1,7 +1,7 @@
 """Experiment E4: word-complexity scaling (Section 6.2's Õ(n) vs O(n²)).
 
-Configuration notes (see `scaling.run`'s docstring): the sweep fixes
-f = 2 and 3σ committee margins so the feasibility-inflated λ plateaus
+Configuration notes (see the margin comment in `registry.py`): the sweep
+fixes f = 2 and 3σ committee margins so the feasibility-inflated λ plateaus
 inside the measured range -- growing f with n would hold the measurement
 in the pre-asymptotic regime where λ itself grows and the ok-messages' λ²
 term swamps the n-scaling (that regime is itself reported in

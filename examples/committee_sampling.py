@@ -51,9 +51,7 @@ def demonstrate_primitive() -> None:
 
 def figure_1_statistics() -> None:
     print("\n--- Figure 1: the approver's four committees, measured ---\n")
-    params = ProtocolParams(n=400, f=20, lam=60.0, d=0.06)
-    run_params, stats = fig1.run(n=400, seeds=range(25), params=params)
-    print(fig1.format_fig1(run_params, stats))
+    print(fig1.format_fig1(*fig1.run(n=400, seeds=range(25), safety_sigmas=3.0)))
 
 
 if __name__ == "__main__":

@@ -166,7 +166,7 @@ class ProtocolParams:
                         n, f, lam=candidate, d=d, safety_sigmas=safety_sigmas
                     )
                 except ValueError:
-                    if candidate >= n:
+                    if not 0 < candidate < n:
                         raise
                     candidate = min(candidate * 1.3, float(n))
         lam = min(float(lam), float(n))
@@ -177,11 +177,11 @@ class ProtocolParams:
             mu_byz = f * p
             sigma_byz = math.sqrt(max(f * p * (1 - p), 0.0))
             # Liveness: W = ceil((2/3 + 3d)λ) <= mu_correct - k sigma.
-            d_live = (mu_correct - safety_sigmas * sigma_correct - 1 - (2 / 3) * lam) / (
-                3 * lam
-            )
+            live = mu_correct - safety_sigmas * sigma_correct - 1 - (2 / 3) * lam
             # Safety: B = floor((1/3 - d)λ) >= mu_byz + k sigma.
-            d_safe = (lam / 3 - mu_byz - safety_sigmas * sigma_byz - 1) / lam
+            safe = lam / 3 - mu_byz - safety_sigmas * sigma_byz - 1
+            # At λ = 8 ln 1 = 0 both bounds are their limit, -inf.
+            d_live, d_safe = (live / (3 * lam), safe / lam) if lam else (-math.inf,) * 2
             d = min(d_live, d_safe)
             if d <= 0:
                 raise ValueError(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.analysis.bounds import committee_property_bounds
 from repro.core.committees import sample_committee
-from repro.core.params import ProtocolParams
+from repro.core.params import ProtocolParams, paper_d_window
 from repro.crypto.hashing import derive_seed
 from repro.crypto.pki import PKI
 from repro.experiments.sweep import sweep
@@ -60,29 +60,29 @@ def _point(params: ProtocolParams, draws: list[tuple[int, int]]) -> BoundsPoint:
 
 
 def sweep_params(
-    n_values, f_fraction: float, paper_lambda: bool = True
+    n_values, f_fraction: float, safety_sigmas: float | None
 ) -> list[ProtocolParams]:
-    """One bundle per n: with ``paper_lambda`` λ = 8 ln n and mid-window
-    d, otherwise the feasibility-inflated simulation defaults."""
+    """One bundle per n: with no ``safety_sigmas`` the paper's λ = 8 ln n
+    and mid-window d, otherwise the simulation-scale bundle at that margin."""
     bundles = []
     for n in n_values:
         f = max(1, int(f_fraction * n))
-        if paper_lambda:
+        if safety_sigmas is None:
             lam = 8 * math.log(n)
-            eps = 1 / 3 - f / n
-            d_high = eps / 3 - 1 / (3 * lam)
-            d = max(min(0.05, d_high), 0.02)
+            d = max(min(0.05, paper_d_window(1 / 3 - f / n, lam)[1]), 0.02)
             bundles.append(ProtocolParams(n=n, f=f, lam=lam, d=d))
         else:
-            bundles.append(ProtocolParams.simulation_scale(n=n, f=f))
+            bundles.append(
+                ProtocolParams.simulation_scale(n=n, f=f, safety_sigmas=safety_sigmas)
+            )
     return bundles
 
 
 def run(
-    n_values, f_fraction: float, seeds, paper_lambda: bool = True,
+    n_values, f_fraction: float, seeds, safety_sigmas: float | None,
     workers: int | None = None,
 ) -> list[BoundsPoint]:
-    cells = [(params,) for params in sweep_params(n_values, f_fraction, paper_lambda)]
+    cells = [(params,) for params in sweep_params(n_values, f_fraction, safety_sigmas)]
     return [
         _point(params, draws) for (params,), draws in sweep(_trial, cells, seeds, workers)
     ]

@@ -43,9 +43,11 @@ class CommitteeStats:
     trials: int
 
 
-def default_params(n: int) -> ProtocolParams:
+def default_params(n: int, safety_sigmas: float) -> ProtocolParams:
     """Simulation-scale committee parameters at f = n/20."""
-    return ProtocolParams.simulation_scale(n=n, f=max(1, n // 20))
+    return ProtocolParams.simulation_scale(
+        n=n, f=max(1, n // 20), safety_sigmas=safety_sigmas
+    )
 
 
 def _trial(params: ProtocolParams, seed: int) -> list[tuple[int, int]]:
@@ -61,15 +63,10 @@ def _trial(params: ProtocolParams, seed: int) -> list[tuple[int, int]]:
 
 
 def run(
-    n: int,
-    seeds,
-    params: ProtocolParams | None = None,
-    workers: int | None = None,
+    n: int, seeds, safety_sigmas: float, workers: int | None = None
 ) -> tuple[ProtocolParams, list[CommitteeStats]]:
-    """Sample the approver's committees over fresh keysets (``params``,
-    when given, replaces the simulation-scale ones derived from n)."""
-    if params is None:
-        params = default_params(n)
+    """Sample the approver's committees over fresh keysets."""
+    params = default_params(n, safety_sigmas)
     W = params.committee_quorum
     B = params.committee_byzantine_bound
     high = (1 + params.d) * params.lam

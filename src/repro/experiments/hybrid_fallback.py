@@ -81,9 +81,10 @@ def _point(committee_rounds: int, params: ProtocolParams, trials: list) -> Hybri
 
 
 def run(
-    n: int, f: int, committee_round_values, seeds, workers: int | None = None
+    n: int, f: int, committee_round_values, seeds, safety_sigmas: float,
+    workers: int | None = None,
 ) -> list[HybridPoint]:
-    params = ProtocolParams.simulation_scale(n=n, f=f, safety_sigmas=4.0)
+    params = ProtocolParams.simulation_scale(n=n, f=f, safety_sigmas=safety_sigmas)
     cells = [(rounds, params) for rounds in committee_round_values]
     return [
         _point(*cell, trials) for cell, trials in sweep(_trial, cells, seeds, workers)

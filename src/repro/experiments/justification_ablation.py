@@ -101,8 +101,10 @@ def _point(
     )
 
 
-def run(n: int, f: int, seeds, workers: int | None = None) -> list[JustificationPoint]:
-    params = ProtocolParams.simulation_scale(n=n, f=f, safety_sigmas=4.0)
+def run(
+    n: int, f: int, seeds, safety_sigmas: float, workers: int | None = None
+) -> list[JustificationPoint]:
+    params = ProtocolParams.simulation_scale(n=n, f=f, safety_sigmas=safety_sigmas)
     cells = [
         (justify, attack, params)
         for justify in (True, False)

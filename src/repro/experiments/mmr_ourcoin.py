@@ -36,6 +36,7 @@ class MMRVariantRow:
 def run(
     n: int, seeds, variants=VARIANTS, workers: int | None = None
 ) -> list[MMRVariantRow]:
+    cells = [(name, n, None) for name in variants]  # no committees, no margin
     return [
         MMRVariantRow(
             variant=name,
@@ -47,7 +48,7 @@ def run(
             max_rounds=max(cell.deciding_rounds, default=0),
             mean_words=cell.mean("words"),
         )
-        for (name, _), cell in ba_sweep([(name, n) for name in variants], seeds, workers)
+        for (name, *_), cell in ba_sweep(cells, seeds, workers)
     ]
 
 

@@ -53,12 +53,13 @@ def make_runner(
     seed: int = 0,
     value_fn: Callable[[ProcessContext], int] | None = None,
     max_rounds: int | None = None,
-    whp_sigmas: float = 4.0,
+    safety_sigmas: float = 4.0,
 ) -> tuple[ProtocolFactory, ProtocolParams, int]:
     """Build ``(protocol_factory, params, f)`` for one named protocol.
 
     ``value_fn`` maps a context to the binary proposal (default: split
     inputs, ``pid % 2`` -- the adversarial input pattern).
+    ``safety_sigmas``: whp_ba's committee margin where no budget states one.
     """
     if f is None:
         f = default_f(name, n)
@@ -66,12 +67,7 @@ def make_runner(
     setup_rng = random.Random(derive_seed(seed, "dealer", name, n, f))
 
     if name == "whp_ba":
-        # 4-sigma committee margins: at harness scales a BA run samples
-        # ~10 committees per round, so 3-sigma tails (~0.07% each) still
-        # deadlock a few percent of runs; 4 sigma cuts that ~6x while
-        # barely moving lambda.  Residual shortfalls are the protocol's
-        # honest 'whp' and the benches tolerate/report them.
-        params = ProtocolParams.simulation_scale(n=n, f=f, safety_sigmas=whp_sigmas)
+        params = ProtocolParams.simulation_scale(n=n, f=f, safety_sigmas=safety_sigmas)
 
         def factory(ctx: ProcessContext) -> Protocol:
             return byzantine_agreement(ctx, value_fn(ctx), max_rounds=max_rounds)

@@ -77,17 +77,22 @@ class Experiment:
         return self.results, self.report(result, self.budget), header
 
 
-def _ba(protocols, n_values, f=None, whp_sigmas=4.0) -> list[ProtocolParams]:
+def _ba(protocols, n_values, safety_sigmas, f=None) -> list[ProtocolParams]:
     return [
-        make_runner(name, n, f=f, whp_sigmas=whp_sigmas)[1]
-        for name in protocols
-        for n in n_values
+        make_runner(name, n, f=f, safety_sigmas=safety_sigmas)[1]
+        for name in protocols for n in n_values
     ]
 
 
-def _committee(n, f) -> list[ProtocolParams]:
-    return [ProtocolParams.simulation_scale(n=n, f=f, safety_sigmas=4.0)]
-
+# ``safety_sigmas``, the committee margin, is a budget key like n:
+# ``simulation_scale`` climbs λ from 8 ln n until W and B leave that many
+# binomial sigmas, so it moves whp_ba's words as much as n does.  The BA
+# tables (T1, E5, E8, X1, X2) run at 4: a run samples ~10 committees a
+# round, and 3-sigma tails (~0.07% each) still deadlock a few percent of
+# runs.  E4 runs at 3 with a small fixed f, as its sub-quadratic shape
+# shows only once λ plateaus (λ absorbs ~(sigmas/epsilon)^2 whatever n is).
+# F1, E2b and E3 sample committees at the library's 3; E2a's None is the
+# paper's λ = 8 ln n.  E7 runs no committees.
 
 EXPERIMENTS: dict[str, Experiment] = {
     experiment.key: experiment
@@ -96,16 +101,16 @@ EXPERIMENTS: dict[str, Experiment] = {
             "t1", "Table 1: all protocols compared",
             "T1: Table 1 at n={n}, seeds={seeds}", "T1_table1",
             table1.run, table1.format_table1,
-            lambda n, seeds: _ba(PROTOCOLS, [n]),
-            budget=dict(n=40, seeds=range(3)),
+            lambda n, seeds, safety_sigmas: _ba(PROTOCOLS, [n], safety_sigmas),
+            budget=dict(n=40, seeds=range(3), safety_sigmas=4.0),
             quick=dict(n=24, seeds=range(2)),
         ),
         Experiment(
             "f1", "Figure 1: approver committee structure",
             "F1: approver committees over {seeds} keysets", "F1_committees",
             fig1.run, lambda result: fig1.format_fig1(*result),
-            lambda n, seeds: [fig1.default_params(n)],
-            budget=dict(n=400, seeds=range(40)),
+            lambda n, seeds, safety_sigmas: [fig1.default_params(n, safety_sigmas)],
+            budget=dict(n=400, seeds=range(40), safety_sigmas=3.0),
             quick=dict(n=100, seeds=range(8)),
         ),
         Experiment(
@@ -134,7 +139,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             lambda seeds, **sizes: committee_bounds.sweep_params(**sizes),
             budget=dict(
                 n_values=(100, 400, 1600, 6400), f_fraction=0.1,
-                seeds=range(100), paper_lambda=True,
+                seeds=range(100), safety_sigmas=None,
             ),
             quick=dict(n_values=(100, 400), seeds=range(20)),
         ),
@@ -146,7 +151,8 @@ EXPERIMENTS: dict[str, Experiment] = {
             whp_coin_sweep.run, whp_coin_sweep.format_whp_coin,
             lambda seeds, **sizes: whp_coin_sweep.sweep_params(**sizes),
             budget=dict(
-                n=120, f=4, d_values=(0.005, 0.01, 0.02, 0.04), seeds=range(30)
+                n=120, f=4, d_values=(0.005, 0.01, 0.02, 0.04), seeds=range(30),
+                safety_sigmas=3.0,
             ),
             quick=dict(n=60, f=2, seeds=range(6)),
         ),
@@ -155,10 +161,10 @@ EXPERIMENTS: dict[str, Experiment] = {
             "E4: words/messages vs n, split inputs, f={f} fixed, {seeds} seeds/point",
             "E4_scaling",
             scaling.run, scaling.format_scaling,
-            lambda n_values, seeds, protocols, f: _ba(protocols, n_values, f, 3.0),
+            lambda seeds, **sizes: _ba(**sizes),
             budget=dict(
                 n_values=(50, 100, 200, 400), seeds=range(2),
-                protocols=("cachin", "mmr+alg1", "whp_ba"), f=2,
+                protocols=("cachin", "mmr+alg1", "whp_ba"), f=2, safety_sigmas=3.0,
             ),
             quick=dict(n_values=(30, 60), seeds=range(1)),
         ),
@@ -167,8 +173,8 @@ EXPERIMENTS: dict[str, Experiment] = {
             "E5: deciding round of Algorithm 4 vs n ({seeds} seeds/point)",
             "E5_rounds",
             rounds.run, rounds.format_rounds,
-            lambda n_values, seeds: _ba(["whp_ba"], n_values),
-            budget=dict(n_values=(40, 80, 140), seeds=range(6)),
+            lambda seeds, **sizes: _ba(["whp_ba"], **sizes),
+            budget=dict(n_values=(40, 80, 140), seeds=range(6), safety_sigmas=4.0),
             quick=dict(n_values=(24, 48), seeds=range(2)),
         ),
         Experiment(
@@ -184,7 +190,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "e7", "MMR with the Algorithm 1 coin (Sec 4)",
             "E7: MMR coin instantiations at n={n} ({seeds} seeds)", "E7_mmr_ourcoin",
             mmr_ourcoin.run, mmr_ourcoin.format_mmr_ourcoin,
-            lambda n, seeds: _ba(mmr_ourcoin.VARIANTS, [n]),
+            lambda n, seeds: _ba(mmr_ourcoin.VARIANTS, [n], None),
             budget=dict(n=25, seeds=range(12)),
             quick=dict(n=16, seeds=range(4)),
         ),
@@ -194,8 +200,8 @@ EXPERIMENTS: dict[str, Experiment] = {
             "strategy) appears twice: split then unanimous inputs)",
             "E8_safety",
             safety.run, safety.format_safety,
-            lambda n, seeds: _ba(safety.PROTOCOLS, [n]),
-            budget=dict(n=40, seeds=range(4)),
+            lambda n, seeds, safety_sigmas: _ba(safety.PROTOCOLS, [n], safety_sigmas),
+            budget=dict(n=40, seeds=range(4), safety_sigmas=4.0),
             quick=dict(n=25, seeds=range(2)),
         ),
         Experiment(
@@ -204,9 +210,12 @@ EXPERIMENTS: dict[str, Experiment] = {
             "{seeds} seeds/point)",
             "X1_hybrid",
             hybrid_fallback.run, hybrid_fallback.format_hybrid,
-            lambda n, f, committee_round_values, seeds: _committee(n, f),
+            lambda seeds, committee_round_values, **sizes: [
+                ProtocolParams.simulation_scale(**sizes)
+            ],
             budget=dict(
-                n=60, f=4, committee_round_values=(0, 1, 2, 4), seeds=range(8)
+                n=60, f=4, committee_round_values=(0, 1, 2, 4), seeds=range(8),
+                safety_sigmas=4.0,
             ),
             quick=dict(n=40, f=2, seeds=range(2)),
         ),
@@ -215,8 +224,8 @@ EXPERIMENTS: dict[str, Experiment] = {
             "X2: ok-justification ablation (n={n}, f={f}, {seeds} seeds/cell)",
             "X2_justification",
             justification_ablation.run, justification_ablation.format_justification,
-            lambda n, f, seeds: _committee(n, f),
-            budget=dict(n=60, f=4, seeds=range(10)),
+            lambda seeds, **sizes: [ProtocolParams.simulation_scale(**sizes)],
+            budget=dict(n=60, f=4, seeds=range(10), safety_sigmas=4.0),
             quick=dict(n=40, f=2, seeds=range(2)),
         ),
     )
@@ -231,6 +240,6 @@ E2_SIMULATION_SCALE = replace(
     results="E2_committee_bounds_simscale",
     budget={
         **_E2.budget,
-        "n_values": (100, 400, 1600), "f_fraction": 0.05, "paper_lambda": False,
+        "n_values": (100, 400, 1600), "f_fraction": 0.05, "safety_sigmas": 3.0,
     },
 )

@@ -27,8 +27,9 @@ class RoundsPoint:
 
 
 def run(
-    n_values, seeds, protocol: str = "whp_ba", workers: int | None = None
+    n_values, seeds, safety_sigmas: float, workers: int | None = None
 ) -> list[RoundsPoint]:
+    cells = [("whp_ba", n, safety_sigmas) for n in n_values]
     return [
         RoundsPoint(
             n=n,
@@ -39,7 +40,7 @@ def run(
             max_rounds=max(cell.deciding_rounds, default=0),
             histogram=cell.histogram,
         )
-        for (_, n), cell in ba_sweep([(protocol, n) for n in n_values], seeds, workers)
+        for (_, n, _), cell in ba_sweep(cells, seeds, workers)
     ]
 
 

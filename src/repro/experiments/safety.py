@@ -62,11 +62,12 @@ class SafetyCell:
 
 
 def _trial(
-    protocol: str, strategy: str, n: int, unanimous_value: int | None, seed: int
+    protocol: str, strategy: str, n: int, unanimous_value: int | None,
+    safety_sigmas: float, seed: int,
 ) -> BARun:
     """One seeded run; top-level so sweep workers can pickle it."""
     return ba_trial(
-        protocol, n, seed, unanimous_value=unanimous_value,
+        protocol, n, safety_sigmas, seed, unanimous_value=unanimous_value,
         adversary=partial(_make_adversary, strategy),
     )
 
@@ -74,6 +75,7 @@ def _trial(
 def run(
     n: int,
     seeds,
+    safety_sigmas: float,
     protocols=PROTOCOLS,
     strategies=STRATEGIES,
     workers: int | None = None,
@@ -81,7 +83,7 @@ def run(
     """Every (protocol, strategy) cell twice: split inputs, then
     unanimous inputs (which arms the validity check)."""
     cells = [
-        (protocol, strategy, n, unanimous_value)
+        (protocol, strategy, n, unanimous_value, safety_sigmas)
         for protocol in protocols
         for strategy in strategies
         for unanimous_value in (None, 1)
@@ -101,7 +103,7 @@ def run(
                 for run in cell.done
             ),
         )
-        for (protocol, strategy, _, unanimous_value), cell in ba_sweep(
+        for (protocol, strategy, _, unanimous_value, _), cell in ba_sweep(
             cells, seeds, workers, _trial
         )
     ]

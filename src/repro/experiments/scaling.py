@@ -72,11 +72,9 @@ def _delivery_cap(n: int) -> int:
     return max(8_000_000, 40 * n * n)
 
 
-def _trial(name: str, n: int, f: int | None, whp_sigmas: float, seed: int) -> BARun:
+def _trial(name: str, n: int, f: int | None, safety_sigmas: float, seed: int) -> BARun:
     """One seeded run; top-level so sweep workers can pickle it."""
-    return ba_trial(
-        name, n, seed, f=f, whp_sigmas=whp_sigmas, max_deliveries=_delivery_cap(n)
-    )
+    return ba_trial(name, n, safety_sigmas, seed, f=f, max_deliveries=_delivery_cap(n))
 
 
 @dataclass(frozen=True)
@@ -152,22 +150,17 @@ def run(
     n_values,
     seeds,
     protocols,
+    safety_sigmas: float,
     f: int | None = None,
-    whp_sigmas: float = 3.0,
     workers: int | None = None,
 ) -> list[ScalingCurve]:
-    """Sweep n for each protocol.
+    """Sweep n for each protocol, whp_ba's committees at ``safety_sigmas``.
 
     ``f`` fixes the corruption budget across the sweep (None: each
-    protocol's resilience fraction).  The tracked table fixes a small f
-    and scaling runs default to 3-sigma committee margins: the
-    sub-quadratic shape only emerges once the feasibility-inflated lambda
-    *plateaus* (lambda must absorb ~(sigmas/epsilon)^2 regardless of n),
-    so growing f with n would keep the measurement pinned in the
-    pre-asymptotic lambda-growth regime -- the resilience-stressed
-    configurations live in T1/E8 instead.
+    protocol's resilience fraction); the registry says why the tracked
+    table fixes a small one.
     """
-    cells = [(name, n, f, whp_sigmas) for name in protocols for n in n_values]
+    cells = [(name, n, f, safety_sigmas) for name in protocols for n in n_values]
     points: dict[str, list] = {name: [] for name in protocols}
     for (name, n, *_), cell in ba_sweep(cells, seeds, workers, _trial):
         points[name].append((n, cell))

@@ -76,16 +76,17 @@ class BARun:
 def ba_trial(
     protocol: str,
     n: int,
+    safety_sigmas: float | None,
     seed: int,
     *,
     f: int | None = None,
-    whp_sigmas: float = 4.0,
     max_deliveries: int = DEFAULT_MAX_DELIVERIES,
     unanimous_value: int | None = None,
     adversary: Callable[[int, int], Adversary] | None = None,
 ) -> BARun:
     """One seeded run of a Table 1 protocol until every correct process decides.
 
+    ``safety_sigmas`` is whp_ba's committee margin (None: no whp_ba);
     ``f`` defaults to the protocol's resilience operating point.  Inputs
     are split (``pid % 2``) unless ``unanimous_value`` is given.
     ``adversary(f_used, seed)`` builds the run's adversary; without one
@@ -94,7 +95,7 @@ def ba_trial(
     """
     value_fn = None if unanimous_value is None else (lambda ctx: unanimous_value)
     factory, params, f_run = make_runner(
-        protocol, n, f=f, seed=seed, value_fn=value_fn, whp_sigmas=whp_sigmas
+        protocol, n, f=f, seed=seed, value_fn=value_fn, safety_sigmas=safety_sigmas
     )
     result = run_protocol(
         n, f_run, factory,

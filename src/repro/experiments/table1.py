@@ -42,10 +42,11 @@ class Table1Row:
 
 
 def run(
-    n: int, seeds, protocols=PROTOCOLS, workers: int | None = None
+    n: int, seeds, safety_sigmas: float, protocols=PROTOCOLS, workers: int | None = None
 ) -> list[Table1Row]:
     """Regenerate Table 1 at system size ``n`` over ``seeds``: every
     protocol at its resilience operating point."""
+    cells = [(name, n, safety_sigmas) for name in protocols]
     return [
         Table1Row(
             protocol=name,
@@ -58,7 +59,7 @@ def run(
             mean_duration=cell.mean("duration"),
             mean_rounds=mean_or_nan(cell.deciding_rounds),
         )
-        for (name, _), cell in ba_sweep([(name, n) for name in protocols], seeds, workers)
+        for (name, *_), cell in ba_sweep(cells, seeds, workers)
     ]
 
 

@@ -58,23 +58,17 @@ def _point(params: ProtocolParams, outcomes: list[tuple[bool, bool]]) -> WhpCoin
 
 
 def sweep_params(
-    n: int, f: int, d_values, lam: float | None = None
+    n: int, f: int, d_values, safety_sigmas: float
 ) -> list[ProtocolParams]:
-    """One bundle per d at fixed n, f, λ (default: feasibility-inflated 8 ln n)."""
-    if lam is None:
-        lam = ProtocolParams.simulation_scale(n=n, f=f).lam
+    """One bundle per d at fixed n, f and the simulation-scale λ."""
+    lam = ProtocolParams.simulation_scale(n=n, f=f, safety_sigmas=safety_sigmas).lam
     return [ProtocolParams(n=n, f=f, lam=lam, d=d) for d in d_values]
 
 
 def run(
-    n: int,
-    f: int,
-    d_values,
-    seeds,
-    lam: float | None = None,
-    workers: int | None = None,
+    n: int, f: int, d_values, seeds, safety_sigmas: float, workers: int | None = None
 ) -> list[WhpCoinPoint]:
-    cells = [(params,) for params in sweep_params(n, f, d_values, lam)]
+    cells = [(params,) for params in sweep_params(n, f, d_values, safety_sigmas)]
     return [
         _point(params, outcomes)
         for (params,), outcomes in sweep(_trial, cells, seeds, workers)

@@ -137,6 +137,11 @@ class TestSimulationScale:
         with pytest.raises(ValueError):
             ProtocolParams.simulation_scale(n=30, f=9, lam=10)
 
+    def test_n_1_raises_instead_of_dividing_by_zero(self):
+        # 8 ln 1 = 0: there is no lambda to climb from.
+        with pytest.raises(ValueError, match="no feasible d for n=1"):
+            ProtocolParams.simulation_scale(n=1, f=0)
+
     def test_explicit_d_passes_through(self):
         params = ProtocolParams.simulation_scale(n=100, f=2, lam=60, d=0.04)
         assert params.d == 0.04

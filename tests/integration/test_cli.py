@@ -173,7 +173,12 @@ class TestCommandTable:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []  # nothing ran
 
-    @pytest.mark.parametrize("argv", [["check", "--n", "3"], ["t1", "--n", "3"]])
+    @pytest.mark.parametrize("argv", [
+        ["check", "--n", "3"], ["t1", "--n", "3"],
+        # n = 1: lambda = 8 ln 1 = 0 leaves no committee at all.
+        ["t1", "--n", "1"], ["record", "--n", "1"], ["check", "--n", "1"],
+        ["degrade", "--n", "1", "--seeds", "1"],
+    ])
     def test_a_size_no_protocol_runs_at_exits_2(
         self, argv, tmp_path, monkeypatch, capsys
     ):
@@ -183,7 +188,8 @@ class TestCommandTable:
             main(argv)
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"repro {argv[0]}: no feasible d for n=3")
+        n = argv[argv.index("--n") + 1]
+        assert captured.err.startswith(f"repro {argv[0]}: no feasible d for n={n},")
         assert captured.err.count("\n") == 1
         assert "==" not in captured.out  # no experiment started
 

@@ -59,7 +59,9 @@ class TestProtocolRegistry:
 
 class TestT1:
     def test_smoke(self):
-        rows = table1.run(n=16, seeds=range(2), protocols=("mmr", "cachin"))
+        rows = table1.run(
+            n=16, seeds=range(2), safety_sigmas=None, protocols=("mmr", "cachin")
+        )
         assert len(rows) == 2
         for row in rows:
             assert row.terminated == row.trials
@@ -71,7 +73,7 @@ class TestT1:
 
 class TestF1:
     def test_smoke(self):
-        params, stats = fig1.run(n=80, seeds=range(4))
+        params, stats = fig1.run(n=80, seeds=range(4), safety_sigmas=3.0)
         assert len(stats) == 4
         for stat in stats:
             assert stat.trials == 4
@@ -112,7 +114,9 @@ class TestE1b:
 
 class TestE2:
     def test_smoke(self):
-        points = e2.run(n_values=(60,), f_fraction=0.1, seeds=range(15))
+        points = e2.run(
+            n_values=(60,), f_fraction=0.1, seeds=range(15), safety_sigmas=None
+        )
         (point,) = points
         assert point.trials == 15
         assert set(point.violations) == {"S1", "S2", "S3", "S4"}
@@ -120,17 +124,17 @@ class TestE2:
 
     def test_simulation_params_have_low_s3(self):
         points = e2.run(
-            n_values=(80,), f_fraction=0.05, seeds=range(20), paper_lambda=False
+            n_values=(80,), f_fraction=0.05, seeds=range(20), safety_sigmas=3.0
         )
         (point,) = points
-        # simulation_scale picks 3-sigma margins: S3/S4 violations rare.
+        # 3-sigma margins: S3/S4 violations rare.
         assert point.violations["S3"] <= 2
         assert point.violations["S4"] <= 2
 
 
 class TestE3:
     def test_smoke(self):
-        points = e3.run(n=60, f=2, d_values=(0.02,), lam=45, seeds=range(5))
+        points = e3.run(n=60, f=2, d_values=(0.02,), seeds=range(5), safety_sigmas=3.0)
         (point,) = points
         assert point.live >= 4
         assert point.agreement.mean >= 0.6
@@ -139,7 +143,9 @@ class TestE3:
 
 class TestE4:
     def test_smoke_slopes(self):
-        curves = e4.run(n_values=(16, 32), seeds=range(2), protocols=("cachin",))
+        curves = e4.run(
+            n_values=(16, 32), seeds=range(2), protocols=("cachin",), safety_sigmas=None
+        )
         (curve,) = curves
         assert curve.mean_words[1] > curve.mean_words[0]
         assert 1.0 < curve.slope_words < 3.0
@@ -158,7 +164,7 @@ class TestE4:
 
 class TestE5:
     def test_rounds_constant_ish(self):
-        points = e5.run(n_values=(24, 48), seeds=range(3))
+        points = e5.run(n_values=(24, 48), seeds=range(3), safety_sigmas=4.0)
         for point in points:
             assert point.completed == point.trials
             assert point.mean_rounds <= 5
@@ -191,7 +197,7 @@ class TestX1:
         from repro.experiments import hybrid_fallback
 
         points = hybrid_fallback.run(
-            n=40, f=2, committee_round_values=(0, 2), seeds=range(2)
+            n=40, f=2, committee_round_values=(0, 2), seeds=range(2), safety_sigmas=4.0
         )
         by_rounds = {point.committee_rounds: point for point in points}
         assert by_rounds[0].committee_deciders == 0
@@ -204,7 +210,7 @@ class TestX2:
     def test_justification_is_load_bearing(self):
         from repro.experiments import justification_ablation as x2
 
-        points = x2.run(n=40, f=2, seeds=range(2))
+        points = x2.run(n=40, f=2, seeds=range(2), safety_sigmas=4.0)
         by_key = {(p.justify, p.attack): p for p in points}
         assert by_key[(True, True)].validity_violations == 0
         assert (
@@ -220,7 +226,10 @@ class TestX2:
 
 class TestE8:
     def test_no_safety_violations(self):
-        cells = e8.run(protocols=("mmr",), strategies=("silent-static",), n=13, seeds=range(2))
+        cells = e8.run(
+            protocols=("mmr",), strategies=("silent-static",), n=13, seeds=range(2),
+            safety_sigmas=None,
+        )
         for cell in cells:
             assert cell.agreement_violations == 0
             assert cell.validity_violations == 0

@@ -31,9 +31,9 @@ class TestValueFnPlumbing:
 
 
 class TestSigmaOverride:
-    def test_whp_sigmas_changes_thresholds(self):
-        _, loose, _ = make_runner("whp_ba", 200, f=2, whp_sigmas=3.0)
-        _, tight, _ = make_runner("whp_ba", 200, f=2, whp_sigmas=4.0)
+    def test_safety_sigmas_changes_thresholds(self):
+        _, loose, _ = make_runner("whp_ba", 200, f=2, safety_sigmas=3.0)
+        _, tight, _ = make_runner("whp_ba", 200, f=2, safety_sigmas=4.0)
         # More sigmas -> smaller d -> W closer to the committee mean, and
         # (often) a larger lambda; either way the margin must widen.
         loose_margin = (200 - 2) * loose.sample_probability - loose.committee_quorum
@@ -41,8 +41,8 @@ class TestSigmaOverride:
         assert tight_margin >= loose_margin
 
     def test_sigma_ignored_for_baselines(self):
-        _, a, _ = make_runner("mmr", 20, whp_sigmas=3.0)
-        _, b, _ = make_runner("mmr", 20, whp_sigmas=4.0)
+        _, a, _ = make_runner("mmr", 20, safety_sigmas=3.0)
+        _, b, _ = make_runner("mmr", 20, safety_sigmas=4.0)
         assert a == b
 
 

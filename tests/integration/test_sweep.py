@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from repro.analysis.complexity import word_complexity_model
 from repro.experiments import coin_success
 from repro.experiments.registry import E2_SIMULATION_SCALE, EXPERIMENTS
 from repro.experiments.sweep import BACell, ba_trial, ratio_cell, sweep
@@ -15,6 +16,8 @@ from repro.experiments.sweep import BACell, ba_trial, ratio_cell, sweep
 
 E1_CELLS = [(params,) for params in coin_success.sweep_params(8, (0, 2))]
 SIZING = {"n", "n_values", "seeds", "f_values", "d_values", "committee_round_values"}
+E5_QUICK = EXPERIMENTS["e5"].resolve(True, {})
+E5_CELLS = [("whp_ba", n, E5_QUICK["safety_sigmas"]) for n in E5_QUICK["n_values"]]
 
 
 class TestWorkerCountInvariance:
@@ -22,8 +25,7 @@ class TestWorkerCountInvariance:
         "trial, cells, seeds",
         [
             (coin_success._trial, E1_CELLS, range(4)),
-            (ba_trial, [("whp_ba", n) for n in EXPERIMENTS["e5"].quick["n_values"]],
-             EXPERIMENTS["e5"].quick["seeds"]),
+            (ba_trial, E5_CELLS, E5_QUICK["seeds"]),
         ],
         ids=["e1", "e5-quick"],
     )
@@ -45,13 +47,36 @@ def test_budgets_bind_to_the_run_they_feed(experiment):
     signature = inspect.signature(experiment.run)
     signature.bind(**experiment.budget)
     signature.bind(**experiment.resolve(True, {}), workers=2)
-    # The registry is the only place a sweep is sized.
-    for name in SIZING & set(experiment.budget):
+    # The registry is the only place a sweep is sized, and the only place
+    # a committee margin is chosen.
+    for name in (SIZING | {"safety_sigmas"}) & set(experiment.budget):
         assert signature.parameters[name].default is inspect.Parameter.empty, name
+    # A table names a margin exactly when its bundles carry committees,
+    # and the margin the header prints is the one they are built at.
+    bundles = list(experiment.params(**experiment.budget))
+    committees = any(params.lam is not None for params in bundles)
+    assert ("safety_sigmas" in experiment.budget) == committees
+    if committees:
+        looser = {**experiment.budget, "safety_sigmas": 2.0}
+        assert list(experiment.params(**looser)) != bundles
+
+
+def test_e4_runs_at_the_margin_its_bundles_name():
+    e4 = EXPERIMENTS["e4"]
+    budget = dict(
+        n_values=(30,), seeds=range(1), protocols=("whp_ba",), f=2, safety_sigmas=4.5
+    )
+    (curve,) = e4.run(**budget)
+    (params,) = e4.params(**budget)
+    model = word_complexity_model("whp_ba")
+    assert curve.model_words == (model(params.n, params.lam),)
+    # 4.5 sigma is not the table's 3: the key moved lambda.
+    (tracked,) = e4.params(**{**budget, "safety_sigmas": e4.budget["safety_sigmas"]})
+    assert tracked.lam != params.lam
 
 
 def test_run_cut_short_folds_to_nan_and_zero_of_k():
-    runs = tuple(ba_trial("mmr", 13, seed, max_deliveries=1) for seed in range(3))
+    runs = tuple(ba_trial("mmr", 13, None, seed, max_deliveries=1) for seed in range(3))
     assert [run.completed for run in runs] == [False] * 3
     cell = BACell(runs)
     assert (len(cell.runs), len(cell.done), cell.agreed) == (3, 0, 0)
