@@ -22,7 +22,7 @@ from repro.experiments.registry import EXPERIMENTS
 E4 = EXPERIMENTS["e4"]
 
 
-def test_e4_scaling_curves(benchmark, save_report, save_json):
+def test_e4_scaling_curves(benchmark, save_report):
     curves = once(benchmark, lambda: E4.run(**E4.budget))
     by_name = {curve.protocol: curve for curve in curves}
     assert by_name["cachin"].slope_words_per_round > 1.8
@@ -34,5 +34,4 @@ def test_e4_scaling_curves(benchmark, save_report, save_json):
     )
     # Message-count crossover by the top of the sweep.
     assert by_name["whp_ba"].mean_messages[-1] < by_name["mmr+alg1"].mean_messages[-1]
-    save_report(*E4.artefact(curves))
-    save_json(E4.results, curves)
+    save_report(*E4.artefact(curves), rows=curves)

@@ -120,12 +120,11 @@ def format_point(payload: dict) -> str:
     )
 
 
-def test_e4_n1000_single_digit_seconds(benchmark, save_report, save_json):
+def test_e4_n1000_single_digit_seconds(benchmark, save_report):
     from conftest import once
 
     payload, _ = once(benchmark, run_point)
-    save_report("E4_scaling_n1000", format_point(payload))
-    save_json("E4_scaling_n1000", payload)
+    save_report("E4_scaling_n1000", format_point(payload), rows=payload)
     assert payload["wallclock_seconds"] < SINGLE_DIGIT_BUDGET, (
         f"n=1000 point took {payload['wallclock_seconds']:.2f}s, "
         f"budget {SINGLE_DIGIT_BUDGET:.0f}s\n" + format_point(payload)

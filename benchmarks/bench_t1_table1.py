@@ -17,12 +17,11 @@ from repro.experiments.registry import EXPERIMENTS
 T1 = EXPERIMENTS["t1"]
 
 
-def test_t1_regenerate_table1(benchmark, save_report, save_json):
+def test_t1_regenerate_table1(benchmark, save_report):
     rows = once(benchmark, lambda: T1.run(**T1.budget))
     for row in rows:
         # The committee-based row terminates whp, not surely: tolerate one
         # committee-shortfall seed (the table reports the exact fraction).
         assert row.terminated >= row.trials - 1, row.protocol
         assert row.agreed == row.terminated, row.protocol
-    save_report(*T1.artefact(rows))
-    save_json(T1.results, rows)
+    save_report(*T1.artefact(rows), rows=rows)

@@ -5,7 +5,7 @@ pytest-benchmark usage) and *regenerates* its paper artefact, printing
 the table and saving it under ``benchmarks/results/`` so EXPERIMENTS.md
 can be refreshed from the files.
 
-Both save fixtures also feed the cross-run trend store
+The save fixture also feeds the cross-run trend store
 (:mod:`repro.experiments.trends`): each benchmark leaves a
 ``BENCH_<name>.json`` snapshot at the repository root and appends to the
 ``BENCH_trends.jsonl`` journal, so ``python -m repro trends`` can show
@@ -25,33 +25,27 @@ REPO_ROOT = Path(__file__).parent.parent
 
 @pytest.fixture(scope="session")
 def save_report():
-    """Persist one experiment's rendered table; returns the file path."""
+    """Persist one experiment's rendered table, and its raw rows as JSON
+    when given (``results/<name>.json``); returns the table's path.
+
+    Each call journals one trend record: the rows when given, since the
+    gate diffs their numbers run over run, else the rendered text.
+    """
+    from repro.experiments.store import save_results
     from repro.experiments.trends import record_bench
 
     RESULTS_DIR.mkdir(exist_ok=True)
 
-    def _save(name: str, text: str, provenance: str = "") -> Path:
+    def _save(name: str, text: str, provenance: str = "", rows=None) -> Path:
         # provenance: an Experiment.artefact()'s `# ` header; not trended.
         path = RESULTS_DIR / f"{name}.txt"
         path.write_text(provenance + text + "\n")
-        record_bench(name, {"report": text}, root=REPO_ROOT)
+        if rows is not None:
+            save_results(name, rows, RESULTS_DIR)
+        record_bench(
+            name, {"report": text} if rows is None else rows, root=REPO_ROOT
+        )
         print(f"\n{text}\n[saved to {path}]")
-        return path
-
-    return _save
-
-
-@pytest.fixture(scope="session")
-def save_json():
-    """Persist one experiment's raw rows as JSON (machine-readable twin of
-    ``save_report``); the same payload joins the trend store, where
-    ``python -m repro trends`` drift-checks later runs against it."""
-    from repro.experiments.store import save_results
-    from repro.experiments.trends import record_bench
-
-    def _save(name: str, payload):
-        path = save_results(name, payload, RESULTS_DIR)
-        record_bench(name, payload, root=REPO_ROOT)
         return path
 
     return _save

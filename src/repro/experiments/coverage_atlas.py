@@ -34,6 +34,7 @@ from typing import Any, Iterable
 
 from repro.experiments.store import append_jsonl, load_journal
 from repro.experiments.trends import sparkline
+from repro.sim.coverage import signature_families
 
 __all__ = [
     "ATLAS_FILENAME",
@@ -140,14 +141,6 @@ class CoverageAtlas:
 # -- rendering ----------------------------------------------------------------
 
 
-def _family_counts(signatures: Iterable[str]) -> dict[str, int]:
-    families: dict[str, int] = {}
-    for signature in signatures:
-        family = signature.split(":", 1)[0]
-        families[family] = families.get(family, 0) + 1
-    return families
-
-
 def format_coverage_run(
     snapshot: dict[str, Any],
     atlas: "CoverageAtlas | None" = None,
@@ -217,7 +210,7 @@ def format_atlas(atlas: CoverageAtlas, rarest: int = 10) -> str:
         "",
         "signatures by family:",
     ]
-    for family, count in sorted(_family_counts(known).items()):
+    for family, count in signature_families(known).items():
         lines.append(f"  {family:<9} {count:>5}")
     ranked = atlas.rarest(rarest, records)
     if ranked:

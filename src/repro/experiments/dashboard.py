@@ -4,53 +4,46 @@ Stitches every observability artifact this repository produces into a
 single offline file -- no network fetches, no external scripts or
 stylesheets, every chart inline SVG -- so "what has this repo been
 doing" is answerable from one artifact attached to a CI run or mailed
-around:
+around.
 
-* **run summary + telemetry timelines** of a flight recording: the
-  virtual-time series a :class:`~repro.sim.telemetry.TelemetryProbe`
-  sampled (in-flight messages, mailbox backlog, blocked processes,
-  cumulative words by protocol layer), its latency quantiles and the
-  per-causal-depth profile, replayed from the recording's event log
-  through a fresh probe.
-* **trend-store series** with SVG sparklines and out-of-tolerance drift
-  highlighted (same numeric-leaves rules as ``repro trends --gate``).
-* **conformance verdicts** from the newest ``conformance`` trend record
-  (per-protocol safety violations and whp flags).
-* **divergence forensics** from the newest ``*.divergence.json`` report
-  (written by ``repro diff`` / ``repro explain``): the verdict, the
-  minimized schedule and the causal slice behind the divergence.
-* **fuzzing campaign** from the newest ``fuzzing`` trend record
-  (written by ``repro fuzz``): candidate yield, corpus growth, new
-  signature families and any counterexample bundles.
-* **degradation curves** from the newest ``degradation_*.json`` sweep
-  artifact (written by ``repro degrade``), falling back to the trend
-  store's ``degradation`` smoke series: outcome fractions and word
-  counts vs hostility rate, with the estimated knee marked.
-* **schedule coverage** from ``BENCH_coverage_atlas.jsonl``
-  (:mod:`repro.experiments.coverage_atlas`): atlas growth, new
-  signatures per run, rarest-hit signatures.
-* **E4 scaling curves** from the newest ``E4_scaling`` trend record
-  (mean words vs n per protocol, log-log).
+The page is :data:`PANELS`, one row per section in page order: the run
+summary and telemetry of a flight recording (replayed from its events),
+the trend-store series with drift highlighted (same numeric-leaves
+rules as ``repro trends --gate``), the newest conformance verdict,
+divergence report, fuzzing campaign and degradation sweep, the
+schedule-coverage atlas, and the E4 scaling curves.  Each row names its
+``source``, the function that renders it, and the one line shown when
+its input is absent, which names the command that creates it.
 
-Every missing input degrades to a one-line diagnostic *inside the
-dashboard* (and on stdout), never an exception: a dashboard of an empty
-repository is a valid dashboard that says what to run next.
+Inputs are read once each, from one root: the recording, the trend
+journal (parsed once, then filtered per series), the coverage atlas,
+and the newest ``*.divergence.json`` and ``degradation_*.json``.  No
+input ever stops the page: an absent one shows its panel's ``missing``
+line, a damaged one a line that names the file and the error, so a
+dashboard of an empty repository is a valid dashboard that says what
+to run next.
 """
 
 from __future__ import annotations
 
 import html
+import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
+from repro.experiments.coverage_atlas import CoverageAtlas
 from repro.experiments.trends import (
     TrendStore,
     canonical_scalar,
     numeric_drifts,
 )
+from repro.sim.coverage import signature_families
+from repro.sim.flightrecorder import Recording, load_recording
+from repro.sim.telemetry import telemetry_from_events
 
-__all__ = ["build_dashboard", "render_dashboard"]
+__all__ = ["PANELS", "Panel", "build_dashboard", "render_dashboard"]
 
 _CSS = """
 body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
@@ -86,20 +79,28 @@ def _fmt(value: Any) -> str:
     return _esc(value)
 
 
+
 # -- SVG primitives ----------------------------------------------------------
 
 
 def _polyline_points(
-    xs: list[float], ys: list[float], width: int, height: int, pad: int = 6
+    xs: list[float],
+    ys: list[float],
+    width: int,
+    height: int,
+    pad: int = 6,
+    y_range: tuple[float, float] | None = None,
 ) -> str:
     if not xs:
         return ""
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    y_lo, y_hi = y_range or (min(ys), max(ys))
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
     points = []
     for x, y in zip(xs, ys):
+        if y_range:
+            y = min(max(y, y_lo), y_hi)
         px = pad + (x - x_lo) / x_span * (width - 2 * pad)
         py = height - pad - (y - y_lo) / y_span * (height - 2 * pad)
         points.append(f"{px:.1f},{py:.1f}")
@@ -111,8 +112,17 @@ def _line_chart(
     width: int = 340,
     height: int = 120,
     title: str = "",
+    y_range: tuple[float, float] | None = None,
+    knee: float | None = None,
+    x_name: str = "x",
 ) -> str:
-    """Multi-series SVG line chart with min/max labels and a legend."""
+    """Multi-series SVG line chart with min/max labels and a legend.
+
+    Each polyline spans its own range -- fine for magnitudes, misleading
+    for rates, so a ``y_range`` puts every series on one clamped scale
+    (``(0, 1)`` for fractions).  A ``knee`` inside the x range renders
+    as a dashed vertical marker at that x.
+    """
     drawn = {
         name: (xs, ys) for name, (xs, ys) in series.items() if xs and ys
     }
@@ -120,6 +130,7 @@ def _line_chart(
         return "<p class='diag'>(no data points)</p>"
     all_ys = [y for _, ys in drawn.values() for y in ys]
     all_xs = [x for xs, _ in drawn.values() for x in xs]
+    y_lo, y_hi = y_range or (min(all_ys), max(all_ys))
     parts = [
         f"<div class='chart-title'>{_esc(title)}</div>" if title else "",
         f"<svg width='{width}' height='{height}' viewBox='0 0 {width} {height}'"
@@ -129,14 +140,25 @@ def _line_chart(
         color = _PALETTE[index % len(_PALETTE)]
         parts.append(
             f"<polyline fill='none' stroke='{color}' stroke-width='1.5' "
-            f"points='{_polyline_points(xs, ys, width, height)}'/>"
+            f"points='{_polyline_points(xs, ys, width, height, y_range=y_range)}'/>"
+        )
+    x_lo, x_hi = min(all_xs), max(all_xs)
+    if knee is not None and x_lo <= knee <= x_hi:
+        pad = 6
+        marker = pad + (knee - x_lo) / ((x_hi - x_lo) or 1.0) * (width - 2 * pad)
+        parts.append(
+            f"<line x1='{marker:.1f}' y1='{pad}' x2='{marker:.1f}' "
+            f"y2='{height - pad}' stroke='#c92a2a' stroke-width='1' "
+            "stroke-dasharray='4 3'/>"
+            f"<text x='{marker + 3:.1f}' y='{pad + 9}' font-size='9' "
+            f"fill='#c92a2a'>knee {knee:g}</text>"
         )
     parts.append(
-        f"<text x='4' y='12' font-size='9' fill='#888'>{_fmt(max(all_ys))}</text>"
+        f"<text x='4' y='12' font-size='9' fill='#888'>{_fmt(y_hi)}</text>"
         f"<text x='4' y='{height - 2}' font-size='9' fill='#888'>"
-        f"{_fmt(min(all_ys))}</text>"
+        f"{_fmt(y_lo)}</text>"
         f"<text x='{width - 4}' y='{height - 2}' font-size='9' fill='#888' "
-        f"text-anchor='end'>x={_fmt(max(all_xs))}</text>"
+        f"text-anchor='end'>{x_name}={_fmt(x_hi)}</text>"
     )
     parts.append("</svg>")
     legend = " &middot; ".join(
@@ -167,7 +189,95 @@ def _diag(message: str) -> str:
     return f"<p class='diag'>{_esc(message)}</p>"
 
 
-# -- sections ----------------------------------------------------------------
+# -- the inputs --------------------------------------------------------------
+
+
+class _Inputs:
+    """Everything the page reads, from one root, each input read once.
+
+    A reader returns None for an absent input and raises ``ValueError``
+    naming the file for a damaged one; the outcome is kept either way,
+    so the panels that share an input share one read and one verdict.
+    """
+
+    def __init__(
+        self, root: str | Path, recording_path: str | Path | None, rel_tol: float
+    ) -> None:
+        self.root = Path(root)
+        self.recording_path = recording_path
+        self.rel_tol = rel_tol
+        self.store = TrendStore(self.root)
+        self._read: dict[Any, Any] = {}
+
+    def _once(self, path: str | Path, read: Callable[[], Any]) -> Any:
+        if path not in self._read:
+            try:
+                self._read[path] = read()
+            except (OSError, ValueError) as exc:
+                detail = str(exc)  # the loaders' errors mostly name the file
+                if not detail.startswith(f"{path}: "):
+                    detail = f"{path}: {detail}"
+                self._read[path] = ValueError(f"cannot read {detail}")
+        value = self._read[path]
+        if isinstance(value, ValueError):
+            raise value
+        return value
+
+    def recording(self) -> tuple[str | Path, Recording] | None:
+        path = self.recording_path
+        if path is None:
+            return None
+        return path, self._once(path, lambda: load_recording(path))
+
+    def telemetry(self) -> dict[str, Any] | None:
+        recording = self.recording()
+        return None if recording is None else telemetry_from_events(
+            recording[1].events
+        )
+
+    def series(self) -> dict[str, list[dict]]:
+        """The trend journal's records by series name, names sorted."""
+
+        def by_series() -> dict[str, list[dict]]:
+            records = self.store.load()
+            return {
+                name: [record for record in records if record["name"] == name]
+                for name in sorted({record["name"] for record in records})
+            }
+
+        return self._once(self.store.path, by_series)
+
+    def latest(self, name: str) -> Any:
+        """The newest payload of one trend series, or None."""
+        history = self.series().get(name)
+        return history[-1]["payload"] if history else None
+
+    def atlas(self) -> tuple[CoverageAtlas, list[dict]] | None:
+        atlas = CoverageAtlas(self.root)
+        records = self._once(atlas.path, atlas.load)
+        return (atlas, records) if records else None
+
+    def newest(self, pattern: str) -> tuple[Path, dict[str, Any]] | None:
+        """The newest JSON report matching ``pattern`` (mtime ties broken
+        by name), or None when there is none."""
+        path = max(
+            self.root.glob(pattern),
+            key=lambda candidate: (candidate.stat().st_mtime, candidate.name),
+            default=None,
+        )
+        if path is None:
+            return None
+        return path, self._once(path, lambda: _json_object(path))
+
+
+def _json_object(path: Path) -> dict[str, Any]:
+    document = json.loads(path.read_text())
+    if not isinstance(document, dict):
+        raise ValueError("not a JSON object")
+    return document
+
+
+# -- the panels --------------------------------------------------------------
 
 
 def _series_xy(series: dict[str, Any]) -> tuple[list[float], list[float]]:
@@ -177,16 +287,8 @@ def _series_xy(series: dict[str, Any]) -> tuple[list[float], list[float]]:
     )
 
 
-def _run_section(recording, recording_path, diagnostics: list[str]) -> str:
-    if recording is None:
-        message = (
-            f"no recording: {recording_path}"
-            if recording_path
-            else "no recording supplied; run `python -m repro record "
-            "--n 40 --out flight.jsonl` and pass the file"
-        )
-        diagnostics.append(message)
-        return f"<section id='run'><h2>Run</h2>{_diag(message)}</section>"
+def _run(source) -> str:
+    path, recording = source
     header = recording.header
     summary = recording.summary
     cells = {
@@ -202,22 +304,14 @@ def _run_section(recording, recording_path, diagnostics: list[str]) -> str:
     row = "".join(f"<td>{_fmt(value)}</td>" for value in cells.values())
     head = "".join(f"<th>{_esc(key)}</th>" for key in cells)
     return (
-        "<section id='run'><h2>Run</h2>"
-        f"<p>{_esc(recording_path)}</p>"
-        f"<table><tr>{head}</tr><tr>{row}</tr></table></section>"
+        f"<p>{_esc(path)}</p>"
+        f"<table><tr>{head}</tr><tr>{row}</tr></table>"
     )
 
 
-def _telemetry_section(telemetry, diagnostics: list[str]) -> str:
+def _telemetry(telemetry: dict[str, Any]) -> str:
     # Snapshot dicts render in sorted key order, so the page depends on
     # what a snapshot holds, not on the order a probe filled it in.
-    if telemetry is None:
-        message = "no telemetry (pass a recording; its events are replayed)"
-        diagnostics.append(message)
-        return (
-            "<section id='telemetry'><h2>Telemetry</h2>"
-            f"{_diag(message)}</section>"
-        )
     series = telemetry.get("series", {})
     charts = []
     gauges = {
@@ -278,32 +372,21 @@ def _telemetry_section(telemetry, diagnostics: list[str]) -> str:
             title="messages and decisions / causal depth",
         )
     return (
-        "<section id='telemetry'><h2>Telemetry</h2>"
         f"<div class='charts'>{''.join(charts)}"
         f"<div>{depth_chart}</div></div>"
         f"<h3>latency quantiles (virtual time)</h3>{q_table}"
-        "</section>"
     )
 
 
-def _trends_section(store: TrendStore, rel_tol: float,
-                    diagnostics: list[str]) -> str:
-    try:
-        names = store.names()
-    except ValueError as exc:
-        message = f"trend store unreadable: {exc}"
-        diagnostics.append(message)
-        return f"<section id='trends'><h2>Trends</h2>{_diag(message)}</section>"
-    if not names:
-        message = (
-            f"trend store empty at {store.path} "
-            "(benchmarks and `repro check` append here as they run)"
-        )
-        diagnostics.append(message)
-        return f"<section id='trends'><h2>Trends</h2>{_diag(message)}</section>"
+def _trend_series(inputs: _Inputs):
+    series = inputs.series()
+    return (inputs.store.path, series, inputs.rel_tol) if series else None
+
+
+def _trends(source) -> str:
+    path, series, rel_tol = source
     rows = []
-    for name in names:
-        history = store.history(name)
+    for name, history in series.items():
         window = history[-8:]
         scalar = canonical_scalar(window) if len(window) > 1 else None
         spark = _spark_svg(scalar[1]) if scalar else ""
@@ -326,28 +409,15 @@ def _trends_section(store: TrendStore, rel_tol: float,
             f"<td>{spark}</td><td>{tracking}</td><td>{drift_cell}</td></tr>"
         )
     return (
-        "<section id='trends'><h2>Trends</h2>"
-        f"<p>{_esc(store.path)}</p>"
+        f"<p>{_esc(path)}</p>"
         "<table><tr><th>series</th><th>records</th><th>trend</th>"
         "<th>tracking</th><th>drift vs previous</th></tr>"
         + "".join(rows)
-        + "</table></section>"
+        + "</table>"
     )
 
 
-def _conformance_section(store: TrendStore, diagnostics: list[str]) -> str:
-    try:
-        latest = store.latest("conformance")
-    except ValueError:
-        latest = None
-    if latest is None:
-        message = "no conformance record (run `python -m repro check`)"
-        diagnostics.append(message)
-        return (
-            "<section id='conformance'><h2>Conformance</h2>"
-            f"{_diag(message)}</section>"
-        )
-    payload = latest["payload"]
+def _conformance(payload: dict[str, Any]) -> str:
     verdict = (
         "<span class='ok'>OK</span>"
         if payload.get("ok")
@@ -365,146 +435,17 @@ def _conformance_section(store: TrendStore, diagnostics: list[str]) -> str:
             f"<td>{conformance.get('whp_flags')}</td></tr>"
         )
     return (
-        "<section id='conformance'><h2>Conformance</h2>"
         f"<p>n={payload.get('n')}, seeds={_esc(payload.get('seeds'))} "
         f"&mdash; {verdict}</p>"
         "<table><tr><th>protocol</th><th>f</th><th>decided</th>"
         "<th>safety violations</th><th>whp flags</th></tr>"
         + "".join(rows)
-        + "</table></section>"
+        + "</table>"
     )
 
 
-def _coverage_section(atlas, diagnostics: list[str]) -> str:
-    try:
-        records = atlas.load() if atlas is not None else []
-    except (OSError, ValueError) as exc:
-        message = f"coverage atlas unreadable: {exc}"
-        diagnostics.append(message)
-        return (
-            "<section id='coverage'><h2>Schedule coverage</h2>"
-            f"{_diag(message)}</section>"
-        )
-    if not records:
-        message = (
-            "no coverage atlas (run `python -m repro check`; every "
-            "monitored run appends its signature set)"
-        )
-        diagnostics.append(message)
-        return (
-            "<section id='coverage'><h2>Schedule coverage</h2>"
-            f"{_diag(message)}</section>"
-        )
-    growth = atlas.growth(records)
-    known = atlas.known_signatures(records)
-    contributing = sum(1 for point in growth if point["new"])
-    growth_spark = _spark_svg(
-        [float(point["known_after"]) for point in growth], width=220
-    )
-    new_spark = _spark_svg([float(point["new"]) for point in growth], width=220)
-    families: dict[str, int] = {}
-    for signature in known:
-        family = signature.split(":", 1)[0]
-        families[family] = families.get(family, 0) + 1
-    family_row = ", ".join(
-        f"{name} {count}" for name, count in sorted(families.items())
-    )
-    rare_rows = "".join(
-        f"<tr><td><code>{_esc(signature)}</code></td><td>{runs_with}</td></tr>"
-        for signature, runs_with in atlas.rarest(8, records)
-    )
-    return (
-        "<section id='coverage'><h2>Schedule coverage</h2>"
-        f"<p>{_esc(atlas.path)} &mdash; {len(records)} runs, "
-        f"{len(known)} distinct signatures, {contributing}/{len(growth)} "
-        "runs contributed new coverage "
-        f"(latest new-rate {growth[-1]['new_rate']:.0%})</p>"
-        "<div class='charts'>"
-        f"<div><div class='chart-title'>atlas size / run</div>{growth_spark}"
-        "</div>"
-        f"<div><div class='chart-title'>new signatures / run</div>{new_spark}"
-        "</div></div>"
-        f"<p class='legend'>signatures by family: {_esc(family_row)}</p>"
-        "<table><tr><th>rarest signatures</th><th>runs</th></tr>"
-        + rare_rows
-        + "</table></section>"
-    )
-
-
-def _fuzzing_section(store: TrendStore, diagnostics: list[str]) -> str:
-    try:
-        latest = store.latest("fuzzing")
-    except ValueError:
-        latest = None
-    if latest is None:
-        message = (
-            "no fuzzing record (run `python -m repro fuzz "
-            "<recording.jsonl>`)"
-        )
-        diagnostics.append(message)
-        return (
-            "<section id='fuzzing'><h2>Fuzzing</h2>"
-            f"{_diag(message)}</section>"
-        )
-    payload = latest["payload"]
-    novelty = payload.get("novelty") or {}
-    verdict = (
-        "<span class='ok'>OK</span>"
-        if payload.get("ok")
-        else "<span class='drift'>NEW SAFETY VIOLATIONS</span>"
-    )
-    cells = {
-        "budget": payload.get("budget"),
-        "realizable": novelty.get("realizable"),
-        "unrealizable": novelty.get("unrealizable"),
-        "corpus": novelty.get("corpus_size"),
-        "new signatures": novelty.get("new_signatures"),
-        "counterexamples": novelty.get("counterexamples"),
-    }
-    head = "".join(f"<th>{_esc(key)}</th>" for key in cells)
-    row = "".join(f"<td>{_fmt(value)}</td>" for value in cells.values())
-    families = novelty.get("new_families") or []
-    family_line = (
-        f"<p class='legend'>new signature families: "
-        f"{_esc(', '.join(families))}</p>"
-        if families
-        else ""
-    )
-    new = payload.get("new_violations") or []
-    new_line = (
-        "<p class='drift'>new safety violations: "
-        + _esc(", ".join(new))
-        + "</p>"
-        if new
-        else ""
-    )
-    return (
-        "<section id='fuzzing'><h2>Fuzzing</h2>"
-        f"<p>{_esc(payload.get('recording'))} &mdash; "
-        f"protocol={_esc(payload.get('protocol'))} "
-        f"seed={_fmt(payload.get('seed'))} &mdash; {verdict}</p>"
-        f"<table><tr>{head}</tr><tr>{row}</tr></table>"
-        + family_line
-        + new_line
-        + "</section>"
-    )
-
-
-def _divergence_section(
-    divergence: dict[str, Any] | None,
-    divergence_path: str | Path | None,
-    diagnostics: list[str],
-) -> str:
-    if divergence is None:
-        message = (
-            "no divergence reports (`python -m repro diff` and `repro "
-            "explain` write *.divergence.json when a check goes red)"
-        )
-        diagnostics.append(message)
-        return (
-            "<section id='divergence'><h2>Divergence forensics</h2>"
-            f"{_diag(message)}</section>"
-        )
+def _divergence(source) -> str:
+    path, divergence = source
     headline = divergence.get("describe")
     if headline is None:
         failure = divergence.get("failure")
@@ -519,16 +460,12 @@ def _divergence_section(
         or (divergence.get("kind") == "explain" and not divergence.get("failure"))
         else f"<span class='drift'>{_esc(headline)}</span>"
     )
-    parts = [
-        "<section id='divergence'><h2>Divergence forensics</h2>",
-        f"<p>{_esc(divergence_path)} &mdash; {verdict}</p>",
-    ]
+    parts = [f"<p>{_esc(path)} &mdash; {verdict}</p>"]
     minimized = divergence.get("minimized")
     if isinstance(minimized, dict) and minimized.get("describe"):
         parts.append(f"<p>{_esc(minimized['describe'])}</p>")
-    slice_entries = divergence.get("slice") or []
     rows = []
-    for entry in slice_entries:
+    for entry in divergence.get("slice") or []:
         route = (
             f"{entry.get('sender')} &rarr; {entry.get('dest')}"
             if entry.get("sender") is not None
@@ -563,182 +500,93 @@ def _divergence_section(
             + "; ".join(_esc(delta) for delta in changed)
             + "</p>"
         )
-    parts.append("</section>")
     return "".join(parts)
 
 
-def _scaling_section(store: TrendStore, diagnostics: list[str]) -> str:
-    try:
-        latest = store.latest("E4_scaling")
-    except ValueError:
-        latest = None
-    if latest is None:
-        message = (
-            "no scaling record (run `pytest benchmarks/bench_e4_scaling.py "
-            "--benchmark-only`)"
-        )
-        diagnostics.append(message)
-        return (
-            "<section id='scaling'><h2>Scaling (E4)</h2>"
-            f"{_diag(message)}</section>"
-        )
-    curves = latest["payload"]
-    series: dict[str, tuple[list[float], list[float]]] = {}
-    slopes = []
-    for curve in curves if isinstance(curves, list) else []:
-        points = [
-            (math.log10(n), math.log10(w))
-            for n, w in zip(curve.get("n_values", []), curve.get("mean_words", []))
-            if isinstance(w, (int, float)) and w == w and w > 0
-        ]
-        if points:
-            series[curve.get("protocol", "?")] = (
-                [x for x, _ in points],
-                [y for _, y in points],
-            )
-        slope = curve.get("slope_words_per_round")
-        if isinstance(slope, (int, float)):
-            slopes.append(f"{curve.get('protocol')}: {slope:.2f}")
-    chart = _line_chart(
-        series, width=420, height=180,
-        title="mean words vs n (log10/log10)",
+def _fuzzing(payload: dict[str, Any]) -> str:
+    novelty = payload.get("novelty") or {}
+    verdict = (
+        "<span class='ok'>OK</span>"
+        if payload.get("ok")
+        else "<span class='drift'>NEW SAFETY VIOLATIONS</span>"
     )
-    slope_line = (
-        f"<p>fitted per-round log-log slopes: {_esc(', '.join(slopes))}</p>"
-        if slopes
+    cells = {
+        "budget": payload.get("budget"),
+        "realizable": novelty.get("realizable"),
+        "unrealizable": novelty.get("unrealizable"),
+        "corpus": novelty.get("corpus_size"),
+        "new signatures": novelty.get("new_signatures"),
+        "counterexamples": novelty.get("counterexamples"),
+    }
+    head = "".join(f"<th>{_esc(key)}</th>" for key in cells)
+    row = "".join(f"<td>{_fmt(value)}</td>" for value in cells.values())
+    families = novelty.get("new_families") or []
+    family_line = (
+        f"<p class='legend'>new signature families: "
+        f"{_esc(', '.join(families))}</p>"
+        if families
+        else ""
+    )
+    new = payload.get("new_violations") or []
+    new_line = (
+        "<p class='drift'>new safety violations: "
+        + _esc(", ".join(new))
+        + "</p>"
+        if new
         else ""
     )
     return (
-        "<section id='scaling'><h2>Scaling (E4)</h2>"
-        f"{chart}{slope_line}</section>"
+        f"<p>{_esc(payload.get('recording'))} &mdash; "
+        f"protocol={_esc(payload.get('protocol'))} "
+        f"seed={_fmt(payload.get('seed'))} &mdash; {verdict}</p>"
+        f"<table><tr>{head}</tr><tr>{row}</tr></table>"
+        + family_line
+        + new_line
     )
 
 
-def _rate_chart(
-    series: dict[str, tuple[list[float], list[float]]],
-    knee_rate: float | None,
-    width: int = 420,
-    height: int = 160,
-    title: str = "",
-) -> str:
-    """Fraction-vs-rate curves on a shared [0, 1] y-scale + knee marker.
-
-    Unlike :func:`_line_chart` (which normalizes each polyline to its own
-    range -- fine for magnitudes, misleading for rates), every series
-    here shares the fixed [0, 1] domain, so "decide rate crosses
-    deadlock fraction" reads directly off the pane.  The knee, when
-    estimated, renders as a dashed vertical marker at its rate.
-    """
-    drawn = {name: (xs, ys) for name, (xs, ys) in series.items() if xs and ys}
-    if not drawn:
-        return "<p class='diag'>(no data points)</p>"
-    pad = 6
-    all_xs = [x for xs, _ in drawn.values() for x in xs]
-    x_lo, x_hi = min(all_xs), max(all_xs)
-    x_span = (x_hi - x_lo) or 1.0
-
-    def px(x: float) -> float:
-        return pad + (x - x_lo) / x_span * (width - 2 * pad)
-
-    def py(y: float) -> float:
-        return height - pad - max(0.0, min(1.0, y)) * (height - 2 * pad)
-
-    parts = [
-        f"<div class='chart-title'>{_esc(title)}</div>" if title else "",
-        f"<svg width='{width}' height='{height}' viewBox='0 0 {width} {height}'"
-        " role='img'>",
-    ]
-    for index, (name, (xs, ys)) in enumerate(drawn.items()):
-        color = _PALETTE[index % len(_PALETTE)]
-        points = " ".join(
-            f"{px(x):.1f},{py(y):.1f}" for x, y in zip(xs, ys)
-        )
-        parts.append(
-            f"<polyline fill='none' stroke='{color}' stroke-width='1.5' "
-            f"points='{points}'/>"
-        )
-    if knee_rate is not None and x_lo <= knee_rate <= x_hi:
-        marker = px(knee_rate)
-        parts.append(
-            f"<line x1='{marker:.1f}' y1='{pad}' x2='{marker:.1f}' "
-            f"y2='{height - pad}' stroke='#c92a2a' stroke-width='1' "
-            "stroke-dasharray='4 3'/>"
-            f"<text x='{marker + 3:.1f}' y='{pad + 9}' font-size='9' "
-            f"fill='#c92a2a'>knee {knee_rate:g}</text>"
-        )
-    parts.append(
-        "<text x='4' y='12' font-size='9' fill='#888'>1</text>"
-        f"<text x='4' y='{height - 2}' font-size='9' fill='#888'>0</text>"
-        f"<text x='{width - 4}' y='{height - 2}' font-size='9' fill='#888' "
-        f"text-anchor='end'>rate={_fmt(x_hi)}</text>"
+def _degradation_sweep(inputs: _Inputs):
+    """The newest sweep artifact, else the trend journal's
+    ``degradation`` series (the CI smoke sweep)."""
+    sweep = inputs.newest("degradation_*.json")
+    if sweep is not None:
+        return sweep
+    smoke = inputs.latest("degradation")
+    return None if smoke is None else (
+        "trend store: degradation (smoke sweep)", smoke
     )
-    parts.append("</svg>")
-    legend = " &middot; ".join(
-        f"<span style='color:{_PALETTE[i % len(_PALETTE)]}'>&#9632;</span> "
-        f"{_esc(name)}"
-        for i, name in enumerate(drawn)
-    )
-    parts.append(f"<div class='legend'>{legend}</div>")
-    return "".join(part for part in parts if part)
 
 
-def _degradation_section(
-    degradation: dict[str, Any] | None,
-    degradation_path: str | Path | None,
-    store: TrendStore,
-    diagnostics: list[str],
-) -> str:
-    source = degradation_path
-    if degradation is None:
-        # No standalone sweep artifact: fall back to the trend store's
-        # `degradation` series (the CI smoke sweep).
-        try:
-            latest = store.latest("degradation")
-        except ValueError:
-            latest = None
-        if latest is not None:
-            degradation = latest["payload"]
-            source = "trend store: degradation (smoke sweep)"
-    if degradation is None:
-        message = (
-            "no degradation sweep (run `python -m repro degrade "
-            "--scenario lossy_uniform`)"
-        )
-        diagnostics.append(message)
-        return (
-            "<section id='degradation'><h2>Degradation curves</h2>"
-            f"{_diag(message)}</section>"
-        )
+def _degradation(source) -> str:
+    where, degradation = source
     points = degradation.get("points") or []
     xs = [float(p.get("rate", 0.0)) for p in points]
 
-    def fraction(key: str) -> list[float]:
+    def column(key: str) -> list[float]:
         return [float(p.get(key) or 0.0) for p in points]
 
     knee = degradation.get("knee")
-    knee_rate = knee.get("rate") if isinstance(knee, dict) else None
-    fraction_chart = _rate_chart(
+    fraction_chart = _line_chart(
         {
-            "decide rate": (xs, fraction("decide_rate")),
-            "deadlock": (xs, fraction("deadlock_fraction")),
-            "exhausted": (xs, fraction("exhausted_fraction")),
-            "whp anomaly": (xs, fraction("whp_anomaly_rate")),
+            "decide rate": (xs, column("decide_rate")),
+            "deadlock": (xs, column("deadlock_fraction")),
+            "exhausted": (xs, column("exhausted_fraction")),
+            "whp anomaly": (xs, column("whp_anomaly_rate")),
         },
-        knee_rate,
+        width=420,
+        height=160,
         title=(
             f"{degradation.get('scenario')}: outcome fractions vs "
             "hostility rate"
         ),
+        y_range=(0, 1),
+        knee=knee.get("rate") if isinstance(knee, dict) else None,
+        x_name="rate",
     )
     words_chart = _line_chart(
         {
-            "words sent": (
-                xs, [float(p.get("words_sent_mean") or 0.0) for p in points]
-            ),
-            "words delivered": (
-                xs,
-                [float(p.get("words_delivered_mean") or 0.0) for p in points],
-            ),
+            "words sent": (xs, column("words_sent_mean")),
+            "words delivered": (xs, column("words_delivered_mean")),
         },
         width=420,
         height=160,
@@ -784,8 +632,7 @@ def _degradation_section(
         else ""
     )
     return (
-        "<section id='degradation'><h2>Degradation curves</h2>"
-        f"<p>{_esc(source)} &mdash; scenario="
+        f"<p>{_esc(where)} &mdash; scenario="
         f"{_esc(degradation.get('scenario'))} "
         f"n={_fmt(degradation.get('n'))} f={_fmt(degradation.get('f'))} "
         f"seeds={_fmt(degradation.get('seeds'))}/rate</p>"
@@ -793,60 +640,179 @@ def _degradation_section(
         f"<div>{words_chart}</div></div>"
         + knee_line
         + table
-        + "</section>"
     )
+
+
+def _coverage(source) -> str:
+    atlas, records = source
+    growth = atlas.growth(records)
+    known = atlas.known_signatures(records)
+    contributing = sum(1 for point in growth if point["new"])
+    growth_spark = _spark_svg(
+        [float(point["known_after"]) for point in growth], width=220
+    )
+    new_spark = _spark_svg([float(point["new"]) for point in growth], width=220)
+    family_row = ", ".join(
+        f"{name} {count}" for name, count in signature_families(known).items()
+    )
+    rare_rows = "".join(
+        f"<tr><td><code>{_esc(signature)}</code></td><td>{runs_with}</td></tr>"
+        for signature, runs_with in atlas.rarest(8, records)
+    )
+    return (
+        f"<p>{_esc(atlas.path)} &mdash; {len(records)} runs, "
+        f"{len(known)} distinct signatures, {contributing}/{len(growth)} "
+        "runs contributed new coverage "
+        f"(latest new-rate {growth[-1]['new_rate']:.0%})</p>"
+        "<div class='charts'>"
+        f"<div><div class='chart-title'>atlas size / run</div>{growth_spark}"
+        "</div>"
+        f"<div><div class='chart-title'>new signatures / run</div>{new_spark}"
+        "</div></div>"
+        f"<p class='legend'>signatures by family: {_esc(family_row)}</p>"
+        "<table><tr><th>rarest signatures</th><th>runs</th></tr>"
+        + rare_rows
+        + "</table>"
+    )
+
+
+def _scaling(curves: Any) -> str:
+    series: dict[str, tuple[list[float], list[float]]] = {}
+    slopes = []
+    for curve in curves if isinstance(curves, list) else []:
+        points = [
+            (math.log10(n), math.log10(w))
+            for n, w in zip(curve.get("n_values", []), curve.get("mean_words", []))
+            if isinstance(w, (int, float)) and w == w and w > 0
+        ]
+        if points:
+            series[curve.get("protocol", "?")] = (
+                [x for x, _ in points],
+                [y for _, y in points],
+            )
+        slope = curve.get("slope_words_per_round")
+        if isinstance(slope, (int, float)):
+            slopes.append(f"{curve.get('protocol')}: {slope:.2f}")
+    chart = _line_chart(
+        series, width=420, height=180,
+        title="mean words vs n (log10/log10)",
+    )
+    slope_line = (
+        f"<p>fitted per-round log-log slopes: {_esc(', '.join(slopes))}</p>"
+        if slopes
+        else ""
+    )
+    return chart + slope_line
+
+
+@dataclass(frozen=True)
+class Panel:
+    """One section of the page.
+
+    ``source`` reads the panel's input and returns what ``render``
+    draws: None when the input is absent (the panel shows ``missing``,
+    which names the command that creates it; ``{journal}`` stands for
+    the trend journal's path), and it raises ``OSError``/``ValueError``
+    when the input is damaged (the panel names the file and the error).
+    """
+
+    id: str
+    title: str
+    source: Callable[[_Inputs], Any]
+    render: Callable[[Any], str]
+    missing: str
+
+
+PANELS: tuple[Panel, ...] = (
+    Panel(
+        "run", "Run", _Inputs.recording, _run,
+        "no recording supplied; run `python -m repro record "
+        "--n 40 --out flight.jsonl` and pass the file",
+    ),
+    Panel(
+        "telemetry", "Telemetry", _Inputs.telemetry, _telemetry,
+        "no telemetry (pass a recording; its events are replayed)",
+    ),
+    Panel(
+        "trends", "Trends", _trend_series, _trends,
+        "trend store empty at {journal} "
+        "(benchmarks and `repro check` append here as they run)",
+    ),
+    Panel(
+        "conformance", "Conformance",
+        lambda inputs: inputs.latest("conformance"), _conformance,
+        "no conformance record (run `python -m repro check`)",
+    ),
+    Panel(
+        "divergence", "Divergence forensics",
+        lambda inputs: inputs.newest("*.divergence.json"), _divergence,
+        "no divergence reports (`python -m repro diff` and `repro "
+        "explain` write *.divergence.json when a check goes red)",
+    ),
+    Panel(
+        "fuzzing", "Fuzzing",
+        lambda inputs: inputs.latest("fuzzing"), _fuzzing,
+        "no fuzzing record (run `python -m repro fuzz <recording.jsonl>`)",
+    ),
+    Panel(
+        "degradation", "Degradation curves", _degradation_sweep, _degradation,
+        "no degradation sweep (run `python -m repro degrade "
+        "--scenario lossy_uniform`)",
+    ),
+    Panel(
+        "coverage", "Schedule coverage", _Inputs.atlas, _coverage,
+        "no coverage atlas (run `python -m repro check`; every "
+        "monitored run appends its signature set)",
+    ),
+    Panel(
+        "scaling", "Scaling (E4)",
+        lambda inputs: inputs.latest("E4_scaling"), _scaling,
+        "no scaling record (run `pytest benchmarks/bench_e4_scaling.py "
+        "--benchmark-only`)",
+    ),
+)
 
 
 # -- assembly ----------------------------------------------------------------
 
 
-def build_dashboard(
-    recording=None,
-    recording_path: str | Path | None = None,
-    telemetry: dict[str, Any] | None = None,
-    store: TrendStore | None = None,
-    atlas: Any = None,
-    divergence: dict[str, Any] | None = None,
-    divergence_path: str | Path | None = None,
-    degradation: dict[str, Any] | None = None,
-    degradation_path: str | Path | None = None,
-    rel_tol: float = 0.25,
-    title: str = "repro dashboard",
-    notes: list[str] | None = None,
-) -> tuple[str, list[str]]:
-    """Assemble the dashboard HTML; returns ``(html, diagnostics)``.
+def _section(panel: Panel, inputs: _Inputs, diagnostics: list[str]) -> str:
+    """The one rule every panel follows: render the source's data, or
+    show one line saying why there is none."""
+    try:
+        data = panel.source(inputs)
+    except (OSError, ValueError) as exc:
+        data, message = None, str(exc)
+    else:
+        message = panel.missing.format(journal=inputs.store.path)
+    if data is not None:
+        body = panel.render(data)
+    else:
+        diagnostics.append(message)
+        body = _diag(message)
+    return f"<section id='{panel.id}'><h2>{panel.title}</h2>{body}</section>"
 
-    Every argument is optional; missing inputs become one-line
-    diagnostics rendered in place of their section.  ``notes`` are
-    caller-supplied diagnostics (e.g. a recording that failed to load)
-    rendered under the header so they appear inside the pane too.
-    """
+
+def build_dashboard(
+    root: str | Path = ".",
+    recording_path: str | Path | None = None,
+    rel_tol: float = 0.25,
+) -> tuple[str, list[str]]:
+    """Assemble the dashboard of everything under ``root`` (plus the
+    recording, if given); returns ``(html, diagnostics)``, one
+    diagnostic per panel that had nothing to render."""
+    inputs = _Inputs(root, recording_path, rel_tol)
     diagnostics: list[str] = []
-    store = store if store is not None else TrendStore(".")
-    banner = "".join(_diag(note) for note in notes or ())
-    sections = [
-        _run_section(recording, recording_path, diagnostics),
-        _telemetry_section(telemetry, diagnostics),
-        _trends_section(store, rel_tol, diagnostics),
-        _conformance_section(store, diagnostics),
-        _divergence_section(divergence, divergence_path, diagnostics),
-        _fuzzing_section(store, diagnostics),
-        _degradation_section(
-            degradation, degradation_path, store, diagnostics
-        ),
-        _coverage_section(atlas, diagnostics),
-        _scaling_section(store, diagnostics),
-    ]
+    sections = [_section(panel, inputs, diagnostics) for panel in PANELS]
     document = (
         "<!doctype html>\n"
         "<html lang='en'><head><meta charset='utf-8'>"
-        f"<title>{_esc(title)}</title>"
+        "<title>repro dashboard</title>"
         f"<style>{_CSS}</style></head><body>"
-        f"<h1>{_esc(title)}</h1>"
+        "<h1>repro dashboard</h1>"
         "<p class='legend'>self-contained report: virtual-time telemetry, "
         "cross-run trends, paper-property conformance, scaling &mdash; "
         "generated by <code>python -m repro dashboard</code></p>"
-        + banner
         + "".join(sections)
         + "</body></html>\n"
     )
@@ -859,70 +825,10 @@ def render_dashboard(
     root: str | Path = ".",
     rel_tol: float = 0.25,
 ) -> tuple[Path, list[str]]:
-    """Load whatever inputs exist and write the dashboard to ``out``.
-
-    Returns ``(path, diagnostics)``.  Damaged inputs (truncated
-    recording, unreadable divergence report) degrade to diagnostics
-    exactly like missing ones -- the dashboard never refuses to render.
-    """
-    from repro.experiments.coverage_atlas import CoverageAtlas
-    from repro.sim.flightrecorder import load_recording
-    from repro.sim.telemetry import telemetry_from_events
-
-    diagnostics: list[str] = []
-    recording = None
-    telemetry = None
-    if recording_path is not None:
-        try:
-            recording = load_recording(recording_path)
-        except (OSError, ValueError) as exc:
-            diagnostics.append(f"recording unusable: {exc}")
-        if recording is not None:
-            telemetry = telemetry_from_events(recording.events)
-    divergence = None
-    divergence_path = None
-    reports = sorted(
-        Path(root).glob("*.divergence.json"),
-        key=lambda p: p.stat().st_mtime,
-    )
-    if reports:
-        import json
-
-        divergence_path = reports[-1]
-        try:
-            divergence = json.loads(divergence_path.read_text())
-        except (OSError, ValueError) as exc:
-            diagnostics.append(f"divergence report unusable: {exc}")
-            divergence_path = None
-    degradation = None
-    degradation_path = None
-    sweeps = sorted(
-        Path(root).glob("degradation_*.json"),
-        key=lambda p: p.stat().st_mtime,
-    )
-    if sweeps:
-        import json
-
-        degradation_path = sweeps[-1]
-        try:
-            degradation = json.loads(degradation_path.read_text())
-        except (OSError, ValueError) as exc:
-            diagnostics.append(f"degradation sweep unusable: {exc}")
-            degradation_path = None
-    document, build_diags = build_dashboard(
-        recording=recording,
-        recording_path=recording_path,
-        telemetry=telemetry,
-        store=TrendStore(root),
-        atlas=CoverageAtlas(root),
-        divergence=divergence,
-        divergence_path=divergence_path,
-        degradation=degradation,
-        degradation_path=degradation_path,
-        rel_tol=rel_tol,
-        notes=diagnostics,
-    )
+    """Write the dashboard of ``root`` to ``out``; returns
+    ``(path, diagnostics)``."""
+    document, diagnostics = build_dashboard(root, recording_path, rel_tol)
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(document)
-    return out, diagnostics + build_diags
+    return out, diagnostics

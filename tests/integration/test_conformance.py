@@ -244,6 +244,6 @@ class TestEventSchemaVersion:
         assert main(["dashboard", str(old), "--out", str(tmp_path / "d.html")]) == 0
         out = capsys.readouterr().out
         assert (
-            f"note: recording unusable: {old}: unknown repro.flight schema "
+            f"note: cannot read {old}: unknown repro.flight schema "
             "version 2: this build reads version 3; re-record the run"
         ) in out

@@ -283,16 +283,16 @@ class TestDashboardCoverage:
         atlas = seeded_atlas(tmp_path, [
             ("a", ["race:x:A^B"]), ("b", ["race:x:A^B", "perm:x:A>B"]),
         ])
-        html, diagnostics = build_dashboard(atlas=atlas)
-        assert "Schedule coverage" in html or "coverage" in html
-        assert not any("coverage" in d for d in diagnostics)
+        html, diagnostics = build_dashboard(tmp_path, None, 0.25)
+        assert "Schedule coverage" in html and "2 distinct signatures" in html
+        assert not any("coverage atlas" in d for d in diagnostics)
 
     def test_empty_atlas_becomes_diagnostic(self, tmp_path):
-        html, diagnostics = build_dashboard(atlas=CoverageAtlas(tmp_path))
-        assert any("coverage" in d for d in diagnostics)
+        html, diagnostics = build_dashboard(tmp_path, None, 0.25)
+        assert any("no coverage atlas" in d for d in diagnostics)
 
     def test_unreadable_atlas_becomes_diagnostic(self, tmp_path):
         atlas = CoverageAtlas(tmp_path)
         atlas.path.write_text("not json\n")
-        html, diagnostics = build_dashboard(atlas=atlas)
-        assert any("coverage atlas unreadable" in d for d in diagnostics)
+        html, diagnostics = build_dashboard(tmp_path, None, 0.25)
+        assert any(f"cannot read {atlas.path}" in d for d in diagnostics)

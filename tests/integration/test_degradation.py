@@ -188,23 +188,20 @@ class TestCLI:
 
 
 class TestDashboard:
-    def test_renders_degradation_panel(self, smoke_payload):
+    def test_renders_degradation_panel(self, smoke_payload, tmp_path):
         from repro.experiments.dashboard import build_dashboard
 
-        html, _ = build_dashboard(
-            degradation=smoke_payload,
-            degradation_path="degradation_lossy_uniform.json",
-        )
+        sweep = tmp_path / "degradation_lossy_uniform.json"
+        sweep.write_text(json.dumps(smoke_payload))
+        html, _ = build_dashboard(tmp_path, None, 0.25)
         assert "Degradation curves" in html
+        assert f"{sweep} &mdash;" in html
         assert "knee 0.3" in html
 
     def test_degrades_to_diagnostic_without_a_sweep(self, tmp_path):
         from repro.experiments.dashboard import build_dashboard
-        from repro.experiments.trends import TrendStore
 
-        html, diagnostics = build_dashboard(
-            store=TrendStore(tmp_path / "BENCH_trends.jsonl")
-        )
+        html, diagnostics = build_dashboard(tmp_path, None, 0.25)
         assert "no degradation sweep" in html
         assert any("degrad" in note for note in diagnostics)
 
