@@ -98,7 +98,7 @@ def run_forensics(n: int) -> tuple[str, dict]:
     assert payload["failure"]["type"] == "violation"
     minimized = payload["minimized"]
     assert minimized["deliveries"] == 2, minimized["describe"]
-    assert {dest % 2 for _, dest in minimized["order"]} == {0, 1}
+    assert {dest % 2 for _, _, dest in minimized["schedule"]} == {0, 1}
     lines.append(
         f"explain: byz_split violation -> {minimized['describe']} "
         f"in {explain_s * 1e3:.1f} ms"

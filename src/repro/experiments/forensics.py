@@ -3,9 +3,9 @@
 The forensics driver glues the recording layer to the schedule
 machinery:
 
-* :func:`replay_recording` re-executes a flight recording under a
-  seq-exact :class:`~repro.sim.adversary.ReplayScheduler`, rebuilding
-  the run from its header alone (the ``protocol`` header is a name
+* :func:`replay_recording` re-executes a flight recording's schedule
+  under :class:`~repro.sim.adversary.ReplayScheduler`, rebuilding the
+  run from its header alone (the ``protocol`` header is a name
   :func:`repro.experiments.scenarios.resolve_run` resolves).
 * :func:`explain_recording` then turns a red check into an explanation:
   it re-runs the conformance monitors on the replay, identifies the
@@ -88,36 +88,25 @@ def spec_of(recording: Recording, protocol: str | RunSpec | None = None) -> RunS
 
 def _replay(
     spec: RunSpec,
-    order: Sequence[tuple[int, int]],
-    seqs: Sequence[int],
+    schedule: Sequence[tuple[int, int, int]],
     observers: Sequence[Any] = (),
 ) -> RunResult:
     return spec.run(
-        ReplayScheduler(list(order), seqs=list(seqs)),
-        observers,
-        max_deliveries=len(order),
+        ReplayScheduler(schedule), observers, max_deliveries=len(schedule)
     )
 
 
 def replay_recording(
     recording: Recording,
     protocol: str | RunSpec | None = None,
-    order: Sequence[tuple[int, int]] | None = None,
-    seqs: Sequence[int] | None = None,
     observers: Sequence[Any] = (),
 ) -> RunResult:
-    """Re-execute a recording seq-exactly (or under a modified schedule).
+    """Re-execute a recording's schedule seq-exactly.
 
-    By default replays the recorded delivery schedule; pass
-    ``order``/``seqs`` to replay a shrunk or perturbed schedule instead
-    (the minimizer does).  Raises ``RuntimeError`` from the replay
-    scheduler if the run diverges from the requested schedule.
+    Raises ``RuntimeError`` from the replay scheduler if the run diverges
+    from the recorded schedule.
     """
-    if order is None:
-        order = recording.delivery_order()
-    if seqs is None:
-        seqs = recording.delivery_seqs()
-    return _replay(spec_of(recording, protocol), order, seqs, observers)
+    return _replay(spec_of(recording, protocol), recording.schedule(), observers)
 
 
 def _decisions_of(result: RunResult) -> dict[str, Any]:
@@ -173,14 +162,14 @@ def _find_failure(
 
 def _reproducer(
     spec: RunSpec, failure: dict[str, Any]
-) -> Callable[[Sequence[tuple[int, int]], Sequence[int]], bool]:
-    """``reproduce(order, seqs)`` deciding if the failure recurs."""
+) -> Callable[[Sequence[tuple[int, int, int]]], bool]:
+    """``reproduce(schedule)`` deciding if the failure recurs."""
     target = (failure.get("monitor"), failure.get("prop"))
 
-    def reproduce(order: Sequence[tuple[int, int]], seqs: Sequence[int]) -> bool:
+    def reproduce(schedule: Sequence[tuple[int, int, int]]) -> bool:
         suite = MonitorSuite()
         try:
-            result = _replay(spec, order, seqs, [suite])
+            result = _replay(spec, schedule, [suite])
         except RuntimeError:
             return False  # schedule not realizable -> failure not reproduced
         if failure["type"] == "violation":
@@ -216,15 +205,14 @@ def explain_recording(
     else:
         path, recording = Path(source), load_recording(source)
     spec = spec_of(recording, protocol)
-    order = recording.delivery_order()
-    seqs = recording.delivery_seqs()
+    schedule = recording.schedule()
 
     suite = MonitorSuite()
     recorder = FlightRecorder()
     replay_error: str | None = None
     result = None
     try:
-        result = _replay(spec, order, seqs, [suite, recorder])
+        result = _replay(spec, schedule, [suite, recorder])
     except RuntimeError as exc:
         replay_error = str(exc)
 
@@ -235,7 +223,7 @@ def explain_recording(
         "n": spec.n,
         "f": spec.f,
         "seed": spec.seed,
-        "deliveries": len(order),
+        "deliveries": len(schedule),
     }
     if replay_error is not None:
         payload["replay_error"] = replay_error
@@ -268,8 +256,7 @@ def explain_recording(
         try:
             minimized = minimize_schedule(
                 _reproducer(spec, failure),
-                order,
-                seqs,
+                schedule,
                 max_tests=minimize_budget,
             )
             payload["minimized"] = minimized.to_dict()
@@ -307,10 +294,8 @@ def format_explain(payload: dict[str, Any]) -> str:
     if minimized:
         lines.append(f"minimized: {minimized['describe']}")
         lines.append("minimal schedule (the deliveries that matter):")
-        for link, seq in zip(minimized["order"], minimized["seqs"]):
-            lines.append(
-                f"  deliver seq {seq} on link {link[0]} -> {link[1]}"
-            )
+        for seq, sender, dest in minimized["schedule"]:
+            lines.append(f"  deliver seq {seq} on link {sender} -> {dest}")
         if minimized["dropped_seqs"]:
             lines.append(
                 "delayed past the end (droppable): seqs "

@@ -58,7 +58,9 @@ from repro.sim.runner import RunResult
 __all__ = ["FUZZ_SCHEMA", "FUZZ_SCHEMA_VERSION", "format_fuzz", "fuzz_recording"]
 
 FUZZ_SCHEMA = "repro.fuzz"
-FUZZ_SCHEMA_VERSION = 1
+# v2: a candidate's schedule is one ``schedule`` list of ``[seq, sender,
+# dest]`` deliveries, where v1 wrote parallel ``order`` and ``seqs`` lists.
+FUZZ_SCHEMA_VERSION = 2
 
 DEFAULT_BUDGET = 200
 DEFAULT_MINIMIZE_BUDGET = 48
@@ -86,10 +88,8 @@ def _execute_candidate(
         scheduler = RandomScheduler(random.Random(candidate.explore_seed))
         max_deliveries = explore_cap
     else:
-        scheduler = ReplayScheduler(
-            list(candidate.order), seqs=list(candidate.seqs)
-        )
-        max_deliveries = len(candidate.order)
+        scheduler = ReplayScheduler(candidate.schedule)
+        max_deliveries = len(candidate.schedule)
     return _candidate_spec(spec, candidate).run(
         scheduler, observers, max_deliveries=max_deliveries
     )
@@ -173,12 +173,11 @@ def fuzz_recording(
     spec = spec_of(recording, protocol)
     name = spec.name
     run = {"protocol": name, "n": spec.n, "f": spec.f, "seed": spec.seed}
-    base_order = tuple(tuple(link) for link in recording.delivery_order())
-    base_seqs = tuple(recording.delivery_seqs())
-    explore_cap = max(4 * len(base_order), 64)
+    schedule = recording.schedule()
+    explore_cap = max(4 * len(schedule), 64)
     ctx = MutationContext(
         corrupted=tuple(sorted(recording.header.get("corrupted", ()))),
-        deliveries=len(base_order),
+        deliveries=len(schedule),
     )
 
     payload: dict[str, Any] = {
@@ -187,7 +186,7 @@ def fuzz_recording(
         "kind": "fuzz",
         "recording": str(path) if path is not None else None,
         **run,
-        "deliveries": len(base_order),
+        "deliveries": len(schedule),
         "budget": budget,
     }
 
@@ -195,9 +194,7 @@ def fuzz_recording(
     # Zoo scenarios carry a lossy config; the seed candidate must inherit
     # it or the recorded schedule is unrealizable (the fates that shaped
     # the recording never fire on replay).
-    seed_candidate = FuzzCandidate(
-        order=base_order, seqs=base_seqs, lossy=spec.lossy
-    )
+    seed_candidate = FuzzCandidate(schedule=schedule, lossy=spec.lossy)
     seed_suite = MonitorSuite()
     seed_probe = CoverageProbe()
     try:
@@ -374,7 +371,7 @@ def fuzz_recording(
             "recording": payload["recording"],
             **run,
             "budget": budget,
-            "deliveries": len(base_order),
+            "deliveries": len(schedule),
             "baseline_violations": payload["baseline_violations"],
             "new_violations": new_safety,
             "ok": payload["ok"],

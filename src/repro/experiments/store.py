@@ -13,7 +13,7 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 __all__ = [
     "append_jsonl",
@@ -66,7 +66,11 @@ def load_results(name: str, directory: str | Path) -> Any:
     return json.loads(path.read_text())
 
 
-def save_jsonl(path: str | Path, records: Iterable[dict[str, Any]]) -> Path:
+def save_jsonl(
+    path: str | Path,
+    records: Iterable[dict[str, Any]],
+    finish: Callable[[Path], None] | None = None,
+) -> Path:
     """Write an iterable of records to ``path``, one JSON object per line.
 
     The streaming sibling of :func:`save_results`: flight recordings are
@@ -80,7 +84,8 @@ def save_jsonl(path: str | Path, records: Iterable[dict[str, Any]]) -> Path:
     lines go to a sibling ``.partial`` file that replaces ``path`` only
     once ``records`` is exhausted, so a generator may validate as it goes
     and raise: nothing is left behind and an older file at ``path``
-    survives.
+    survives.  ``finish``, if given, gets the complete ``.partial`` file
+    just before it replaces ``path`` (a recording seals its digest there).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -89,6 +94,8 @@ def save_jsonl(path: str | Path, records: Iterable[dict[str, Any]]) -> Path:
     try:
         with partial.open("w") as handle:
             handle.writelines(encode(record) + "\n" for record in records)
+        if finish is not None:
+            finish(partial)
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)

@@ -40,8 +40,8 @@ __all__ = [
     "PartitionScheduler",
     "RandomScheduler",
     "ReplayScheduler",
+    "Schedule",
     "Scheduler",
-    "ScriptedScheduleError",
     "ScriptedScheduler",
     "StaticCorruption",
     "TargetedDelayScheduler",
@@ -333,85 +333,25 @@ class TargetedDelayScheduler(Scheduler):
         return bucket.choose(self.rng)
 
 
-class ScriptedScheduleError(RuntimeError):
-    """A scripted schedule named a seq that cannot be delivered.
-
-    Raised with the offending seq and its script position, instead of the
-    bare ``KeyError``/``IndexError`` the kernel pool would produce --
-    hand-written schedules get a diagnosable failure naming the exact
-    script step that went wrong.
-    """
-
-
 class ScriptedScheduler(Scheduler):
     """Delivery order driven by an explicit choice sequence.
 
-    In the default *index* mode, ``choices[i] mod |pool|`` indexes the
-    in-flight set at step i; when the script runs out, a deterministic
-    fallback (index 0) applies.  Content-oblivious and therefore a legal
-    delayed-adaptive adversary.
+    ``choices[i] mod |pool|`` indexes the in-flight set at step i; when
+    the script runs out, a deterministic fallback (index 0) applies.
+    Content-oblivious and therefore a legal delayed-adaptive adversary.
 
     Built for property-based testing: hypothesis supplies the choice list
     and *shrinks it* on failure, turning "some schedule breaks the
-    protocol" into a minimal counterexample schedule.
-
-    Pass ``seqs=[...]`` instead for *seq* mode: each script step names
-    the exact message seq to deliver.  A step naming a seq that was never
-    submitted, or one that was already delivered, raises
-    :class:`ScriptedScheduleError` describing the seq and the script
-    position (previously these surfaced as a bare ``KeyError`` out of the
-    kernel's in-flight map); after the script runs out, the index-0
-    fallback applies.
+    protocol" into a minimal counterexample schedule.  To re-execute a
+    recorded run, use :class:`ReplayScheduler`.
     """
 
-    wants_view = False
-
-    def __init__(
-        self,
-        choices: Iterable[int] | None = None,
-        *,
-        seqs: Iterable[int] | None = None,
-    ) -> None:
-        if choices is not None and seqs is not None:
-            raise ValueError("pass either index choices or exact seqs, not both")
-        self._choices = list(choices) if choices is not None else None
-        self._seqs = list(seqs) if seqs is not None else None
+    def __init__(self, choices: Iterable[int] = ()) -> None:
+        self._choices = list(choices)
         self._position = 0
-        self._submitted: set[int] = set()
-        self._delivered: set[int] = set()
-
-    def on_submit(self, seq: int, view: EnvelopeView | None) -> None:
-        self._submitted.add(seq)
-
-    def on_submit_range(self, start: int, stop: int) -> None:
-        self._submitted.update(range(start, stop))
-
-    def on_delivered(self, seq: int) -> None:
-        self._delivered.add(seq)
-
-    def _choose_seq(self, pool: "SchedulerPool") -> int:
-        if self._position >= len(self._seqs):
-            return pool.seq_at(0)
-        position = self._position
-        seq = self._seqs[position]
-        self._position += 1
-        if seq in self._delivered:
-            raise ScriptedScheduleError(
-                f"script step {position} names seq {seq}, which was already "
-                "delivered"
-            )
-        if seq not in self._submitted:
-            raise ScriptedScheduleError(
-                f"script step {position} names seq {seq}, which was never "
-                f"submitted (highest submitted seq so far: "
-                f"{max(self._submitted) if self._submitted else 'none'})"
-            )
-        return seq
 
     def choose(self, pool: "SchedulerPool") -> int:
-        if self._seqs is not None:
-            return self._choose_seq(pool)
-        if self._choices is not None and self._position < len(self._choices):
+        if self._position < len(self._choices):
             index = self._choices[self._position] % len(pool)
             self._position += 1
         else:
@@ -419,67 +359,54 @@ class ScriptedScheduler(Scheduler):
         return pool.seq_at(index)
 
 
+# A recorded run's deliveries in order, as ``(seq, sender, dest)`` triples.
+Schedule = tuple[tuple[int, int, int], ...]
+
+
 class ReplayScheduler(Scheduler):
     """Re-executes a recorded schedule exactly.
 
-    Takes the ``(sender, dest)`` delivery order of a previous run (from
-    :meth:`repro.sim.flightrecorder.FlightRecorder.delivery_order` or a
-    loaded recording) and delivers the in-flight message matching each pair in
-    turn.  Valid only when the replayed run is byte-identical up to
-    scheduling (same protocol code, keys and seed); raises loudly when
-    the schedule diverges.
+    ``schedule`` is a previous run's deliveries as ``(seq, sender, dest)``
+    triples, in order (:meth:`repro.sim.flightrecorder.FlightRecorder.schedule`,
+    or a loaded recording's), and step i delivers the i-th seq.  Valid
+    only when the replayed run is identical up to scheduling (same
+    protocol code, keys and seed), and then the replay reproduces the
+    original event log bit for bit.  Anything else raises
+    ``RuntimeError`` naming the step, the seq and the cause: the seq is
+    not in flight (never submitted, already delivered, or held by a lossy
+    link), it is in flight on another link, or the schedule ran out.
 
-    Link-level replay delivers each link's messages in submission order.
-    That reproduces any FIFO-per-link schedule, but the random scheduler
-    may deliver a link's *second* in-flight message first -- pass the
-    recorded ``seqs`` (message sequence numbers, e.g.
-    :meth:`repro.sim.flightrecorder.FlightRecorder.delivery_seqs`) for a
-    seq-exact replay that reproduces the original event log bit for bit.
+    The scheduler keeps a cursor and nothing else; it asks the pool about
+    the one seq it is about to deliver, so it needs no submission hook
+    and replayed broadcasts take the kernel's bulk path.
     """
 
-    def __init__(
-        self,
-        order: Iterable[tuple[int, int]],
-        seqs: Iterable[int] | None = None,
-    ) -> None:
-        self._order = list(order)
-        self._seqs = None if seqs is None else list(seqs)
-        if self._seqs is not None and len(self._seqs) != len(self._order):
-            raise ValueError("seqs and order must describe the same deliveries")
+    def __init__(self, schedule: Iterable[tuple[int, int, int]]) -> None:
+        self._schedule = list(schedule)
         self._position = 0
-        # (sender, dest) -> FIFO of in-flight seqs on that link.  Per-link
-        # FIFO matches the kernel's per-link submission order.
-        self._links: dict[tuple[int, int], list[int]] = {}
-
-    def on_submit(self, seq: int, view: EnvelopeView) -> None:
-        self._links.setdefault((view.sender, view.dest), []).append(seq)
 
     def choose(self, pool: "SchedulerPool") -> int:
-        if self._position >= len(self._order):
+        step = self._position
+        if step >= len(self._schedule):
             raise RuntimeError(
                 "replay schedule exhausted but messages remain in flight; "
                 "the run being replayed diverged from the recording"
             )
-        link = self._order[self._position]
-        queue = self._links.get(link)
-        if not queue:
+        seq, sender, dest = self._schedule[step]
+        expected = f"replay step {step} expects seq {seq} on link {(sender, dest)}"
+        try:
+            view = pool.view(seq)
+        except KeyError as exc:
             raise RuntimeError(
-                f"replay schedule expects a message on link {link} but none "
-                "is in flight; the run diverged from the recording"
+                f"{expected}, but it is not in flight ({exc.cause}); the run "
+                "diverged from the recording"
+            ) from None
+        if view.sender != sender or view.dest != dest:
+            raise RuntimeError(
+                f"{expected}, but it is in flight on link "
+                f"{(view.sender, view.dest)}; the run diverged from the recording"
             )
-        if self._seqs is None:
-            seq = queue.pop(0)
-        else:
-            seq = self._seqs[self._position]
-            try:
-                queue.remove(seq)
-            except ValueError:
-                raise RuntimeError(
-                    f"replay schedule expects message #{seq} on link {link} "
-                    "but it is not in flight; the run diverged from the "
-                    "recording"
-                ) from None
-        self._position += 1
+        self._position = step + 1
         return seq
 
 

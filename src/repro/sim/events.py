@@ -68,7 +68,11 @@ EVENT_SCHEMA = "repro.flight"
 # line with a ``count``.  Both expand on load.  There is no v2 reader:
 # no recording is tracked, all are regenerated artefacts, so an old file
 # gets the re-record diagnostic below.
-EVENT_SCHEMA_VERSION = 3
+# v4: the header carries a ``digest``, the SHA-256 of every other byte of
+# the file, so an edited or damaged recording that still parses (a
+# changed seq, a flipped ``n``) fails to load instead of replaying into a
+# misleading diagnosis.  As with v2, there is no v3 reader.
+EVENT_SCHEMA_VERSION = 4
 
 
 def require_schema_version(version: Any, source: Any = None) -> None:

@@ -12,13 +12,15 @@ recorded event log back from the deepest decision along the causal
 depth chain, recovering the message sequence whose length *is* the run's
 running time (paper Section 2's longest causally-related chain).
 
-The recorder is also the replay bridge: :meth:`FlightRecorder.delivery_order`
-feeds :class:`repro.sim.adversary.ReplayScheduler`, so any recording can
-be re-executed delivery-for-delivery.
+The recorder is also the replay bridge: :meth:`FlightRecorder.schedule`
+is the run's ``(seq, sender, dest)`` deliveries, which
+:class:`repro.sim.adversary.ReplayScheduler` re-executes
+delivery-for-delivery.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -40,6 +42,7 @@ from repro.sim.events import (
 )
 
 if TYPE_CHECKING:
+    from repro.sim.adversary import Schedule
     from repro.sim.runner import RunResult
 
 __all__ = [
@@ -93,17 +96,10 @@ class FlightRecorder:
             and (message_kind is None or event.message_kind == message_kind)
         ]
 
-    def delivery_order(self) -> list[tuple[int, int]]:
-        """The run's ``(sender, dest)`` delivery schedule, replay-ready."""
-        return _delivery_order(self.events)
-
-    def delivery_seqs(self) -> list[int]:
-        """The run's delivered message sequence numbers, in order."""
-        return _delivery_seqs(self.events)
-
-    def replay_scheduler(self):
-        """A seq-exact :class:`~repro.sim.adversary.ReplayScheduler`."""
-        return _replay_scheduler(self.events)
+    def schedule(self) -> Schedule:
+        """The run's ``(seq, sender, dest)`` deliveries, in order: what
+        :class:`~repro.sim.adversary.ReplayScheduler` replays."""
+        return _schedule(self.events)
 
 
 @dataclass(frozen=True)
@@ -114,33 +110,17 @@ class Recording:
     events: tuple[KernelEvent, ...]
     summary: dict[str, Any]
 
-    def delivery_order(self) -> list[tuple[int, int]]:
-        return _delivery_order(self.events)
-
-    def delivery_seqs(self) -> list[int]:
-        return _delivery_seqs(self.events)
-
-    def replay_scheduler(self):
-        """A seq-exact :class:`~repro.sim.adversary.ReplayScheduler`."""
-        return _replay_scheduler(self.events)
+    def schedule(self) -> Schedule:
+        """The recorded run's ``(seq, sender, dest)`` deliveries, in order."""
+        return _schedule(self.events)
 
 
-def _delivery_order(events) -> list[tuple[int, int]]:
-    return [
-        (event.sender, event.dest)
+def _schedule(events) -> Schedule:
+    return tuple(
+        (event.seq, event.sender, event.dest)
         for event in events
         if type(event) is DeliverEvent
-    ]
-
-
-def _delivery_seqs(events) -> list[int]:
-    return [event.seq for event in events if type(event) is DeliverEvent]
-
-
-def _replay_scheduler(events):
-    from repro.sim.adversary import ReplayScheduler
-
-    return ReplayScheduler(_delivery_order(events), seqs=_delivery_seqs(events))
+    )
 
 
 # What the sends of one broadcast share: every field but the two that
@@ -306,7 +286,8 @@ def save_recording(
 ) -> Path:
     """Write a run's flight recording to ``path`` as schema-versioned JSONL.
 
-    Line 1 is the header (schema name/version and run identity), then the
+    Line 1 is the header (schema name/version, run identity and the
+    SHA-256 ``digest`` that seals the whole file), then the
     :func:`encode_events` lines, then a ``summary`` footer carrying the
     persisted metrics (timings included -- a recording documents one
     concrete run) and the protocol rollups, so reports render without
@@ -328,6 +309,7 @@ def save_recording(
         "k": "header",
         "schema": EVENT_SCHEMA,
         "version": EVENT_SCHEMA_VERSION,
+        "digest": _UNSEALED.decode(),
         "n": result.n,
         "f": result.f,
         "seed": result.seed,
@@ -360,7 +342,43 @@ def save_recording(
             )
         yield to_jsonable(summary)
 
-    return save_jsonl(path, lines())
+    return save_jsonl(path, lines(), finish=_seal)
+
+
+# The header's ``digest`` is the SHA-256 of every other byte of the file:
+# the header's own fields, the event lines and the footer, with the 64
+# hex digits of the digest itself read as zeros.  The writer puts zeros
+# there and overwrites them in place once the file is complete.
+_DIGEST_KEY = b'"digest":"'
+_UNSEALED = b"0" * 64
+
+
+def _digest(path: str | Path) -> tuple[int, bytes, str]:
+    """Where ``path``'s header keeps its digest, what it says there
+    (nothing if the header was rewritten without it), and what the file's
+    bytes hash to."""
+    hasher = hashlib.sha256()
+    with open(path, "rb") as handle:
+        head = handle.readline()
+        offset = head.find(_DIGEST_KEY)
+        sealed = b""
+        if offset >= 0:
+            offset += len(_DIGEST_KEY)
+            end = offset + len(_UNSEALED)
+            sealed = head[offset:end]
+            head = head[:offset] + _UNSEALED + head[end:]
+        hasher.update(head)
+        while chunk := handle.read(1 << 16):
+            hasher.update(chunk)
+    return offset, sealed, hasher.hexdigest()
+
+
+def _seal(path: str | Path) -> None:
+    """Write the digest of ``path`` into its header, in place."""
+    offset, _, digest = _digest(path)
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        handle.write(digest.encode())
 
 
 def load_recording(path: str | Path) -> Recording:
@@ -370,10 +388,12 @@ def load_recording(path: str | Path) -> Recording:
     recording of this build's schema -- empty file, missing header,
     unknown schema or version, a truncated line (diagnosed with its line
     number by the store), an event line :func:`decode_events` rejects,
-    anything after the summary footer (a second footer included), or a
+    anything after the summary footer (a second footer included), a
     missing footer (the writer always ends with one, so its absence means
-    the recording was cut short) -- so stale or damaged recordings fail
-    loudly rather than misrender.
+    the recording was cut short), or, last, bytes that no longer hash to
+    the header's digest (a changed seq or ``n`` that still parses) -- so
+    stale, damaged or edited recordings fail loudly rather than misrender
+    or replay into a misleading diagnosis.
     """
     from repro.experiments.store import iter_jsonl
 
@@ -406,6 +426,12 @@ def load_recording(path: str | Path) -> Recording:
         raise ValueError(
             f"{path}: no summary footer after {len(events)} events; "
             "the recording is truncated"
+        )
+    _, sealed, digest = _digest(path)
+    if sealed != digest.encode():
+        raise ValueError(
+            f"{path}: digest mismatch: the file is not the one that was "
+            "recorded (edited or damaged); re-record the run"
         )
     return Recording(header=header, events=events, summary=summary)
 

@@ -1,9 +1,9 @@
 """Schedule-fuzzing mechanism: candidates, typed mutations, corruption moves.
 
-A recorded run fixes everything about a schedule -- the ``(sender, dest)``
-delivery order, the exact envelope seqs, the corruption sites, the link
-behaviour.  The fuzzer explores the neighbourhood of that recording by
-applying *typed* mutations to a :class:`FuzzCandidate`:
+A recorded run fixes everything about a schedule -- the ``(seq, sender,
+dest)`` deliveries in order, the corruption sites, the link behaviour.
+The fuzzer explores the neighbourhood of that recording by applying
+*typed* mutations to a :class:`FuzzCandidate`:
 
 ========================  ====================================================
 mutation                  effect
@@ -39,7 +39,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.sim.adversary import CorruptionStrategy
+from repro.sim.adversary import CorruptionStrategy, Schedule
 from repro.sim.messages import EnvelopeView
 from repro.sim.lossy import LossyLinkConfig
 
@@ -61,15 +61,14 @@ _MAX_DUPLICATE = 0.9
 class FuzzCandidate:
     """One point in the fuzzer's search space.
 
-    ``order``/``seqs`` describe a seq-exact replay schedule;
+    ``schedule`` is the ``(seq, sender, dest)`` deliveries to replay;
     ``lossy``/``corrupt_after`` layer link faults and corruption re-siting
     on top of it.  ``explore_seed`` switches execution from seq-exact
     replay to a seeded random scheduler (set by ``lossy_explore``); the
     schedule fields then only carry the lineage's delivery budget.
     """
 
-    order: tuple[tuple[int, int], ...]
-    seqs: tuple[int, ...]
+    schedule: Schedule
     lossy: LossyLinkConfig | None = None
     corrupt_after: tuple[tuple[int, int], ...] | None = None
     explore_seed: int | None = None
@@ -80,8 +79,7 @@ class FuzzCandidate:
         return {
             "mutation": self.mutation,
             "parent": self.parent,
-            "order": [list(link) for link in self.order],
-            "seqs": list(self.seqs),
+            "schedule": [list(delivery) for delivery in self.schedule],
             "lossy": self.lossy.to_dict() if self.lossy is not None else None,
             "corrupt_after": (
                 [list(entry) for entry in self.corrupt_after]
@@ -94,8 +92,9 @@ class FuzzCandidate:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "FuzzCandidate":
         return cls(
-            order=tuple((s, d) for s, d in data["order"]),
-            seqs=tuple(data["seqs"]),
+            schedule=tuple(
+                (seq, sender, dest) for seq, sender, dest in data["schedule"]
+            ),
             lossy=(
                 LossyLinkConfig.from_dict(data["lossy"])
                 if data.get("lossy")
@@ -154,55 +153,49 @@ class ScheduledCorruption(CorruptionStrategy):
 
 
 def _swap(candidate: FuzzCandidate, i: int, j: int) -> FuzzCandidate:
-    order = list(candidate.order)
-    seqs = list(candidate.seqs)
-    order[i], order[j] = order[j], order[i]
-    seqs[i], seqs[j] = seqs[j], seqs[i]
-    return replace(candidate, order=tuple(order), seqs=tuple(seqs))
+    schedule = list(candidate.schedule)
+    schedule[i], schedule[j] = schedule[j], schedule[i]
+    return replace(candidate, schedule=tuple(schedule))
 
 
 def _swap_adjacent(
     candidate: FuzzCandidate, rng: random.Random, ctx: MutationContext
 ) -> FuzzCandidate | None:
-    if len(candidate.order) < 2:
+    if len(candidate.schedule) < 2:
         return None
-    i = rng.randrange(len(candidate.order) - 1)
+    i = rng.randrange(len(candidate.schedule) - 1)
     return _swap(candidate, i, i + 1)
 
 
 def _swap_random(
     candidate: FuzzCandidate, rng: random.Random, ctx: MutationContext
 ) -> FuzzCandidate | None:
-    if len(candidate.order) < 2:
+    if len(candidate.schedule) < 2:
         return None
-    i, j = rng.sample(range(len(candidate.order)), 2)
+    i, j = rng.sample(range(len(candidate.schedule)), 2)
     return _swap(candidate, i, j)
 
 
 def _delay_delivery(
     candidate: FuzzCandidate, rng: random.Random, ctx: MutationContext
 ) -> FuzzCandidate | None:
-    if len(candidate.order) < 2:
+    if len(candidate.schedule) < 2:
         return None
-    i = rng.randrange(len(candidate.order) - 1)
-    j = rng.randrange(i + 1, len(candidate.order))
-    order = list(candidate.order)
-    seqs = list(candidate.seqs)
-    order.insert(j, order.pop(i))
-    seqs.insert(j, seqs.pop(i))
-    return replace(candidate, order=tuple(order), seqs=tuple(seqs))
+    i = rng.randrange(len(candidate.schedule) - 1)
+    j = rng.randrange(i + 1, len(candidate.schedule))
+    schedule = list(candidate.schedule)
+    schedule.insert(j, schedule.pop(i))
+    return replace(candidate, schedule=tuple(schedule))
 
 
 def _drop_delivery(
     candidate: FuzzCandidate, rng: random.Random, ctx: MutationContext
 ) -> FuzzCandidate | None:
-    if not candidate.order:
+    if not candidate.schedule:
         return None
-    i = rng.randrange(len(candidate.order))
-    order = list(candidate.order)
-    seqs = list(candidate.seqs)
-    del order[i], seqs[i]
-    return replace(candidate, order=tuple(order), seqs=tuple(seqs))
+    i = rng.randrange(len(candidate.schedule))
+    schedule = candidate.schedule
+    return replace(candidate, schedule=schedule[:i] + schedule[i + 1:])
 
 
 def _move_corruption(
@@ -212,7 +205,7 @@ def _move_corruption(
         return None
     sites = dict(candidate.corrupt_after or ((pid, 0) for pid in ctx.corrupted))
     pid = ctx.corrupted[rng.randrange(len(ctx.corrupted))]
-    sites[pid] = rng.randrange(len(candidate.order) + 1)
+    sites[pid] = rng.randrange(len(candidate.schedule) + 1)
     return replace(candidate, corrupt_after=tuple(sorted(sites.items())))
 
 

@@ -2,14 +2,14 @@
 
 A flight recording plus :class:`~repro.sim.adversary.ReplayScheduler`
 makes any failure that is a function of the schedule *reproducible*:
-re-running the same ``(sender, dest)`` order with the same envelope
-seqs reproduces the event log bit for bit.  That turns counterexample
-minimization into a search over schedules:
+re-running the same ``(seq, sender, dest)`` deliveries reproduces the
+event log bit for bit.  That turns counterexample minimization into a
+search over schedules:
 
 * :func:`minimal_prefix` binary-searches the shortest delivery prefix
-  that still reproduces the failure (sound because a seq-exact prefix
-  replay is *identical* to the original run up to its last delivery, so
-  "the failure has happened by delivery k" is monotone in k).
+  that still reproduces the failure (sound because a prefix replay is
+  *identical* to the original run up to its last delivery, so "the
+  failure has happened by delivery k" is monotone in k).
 * :func:`ddmin_deliveries` then delta-debugs *within* the prefix: it
   greedily drops delivery chunks whose absence still reproduces the
   failure.  A dropped delivery is a message the adversary delays past
@@ -20,9 +20,9 @@ minimization into a search over schedules:
 * :func:`minimize_schedule` composes both into a
   :class:`MinimizationResult`.
 
-The caller supplies ``reproduce(order, seqs) -> bool``: re-run the
-scenario under ``ReplayScheduler(order, seqs=seqs)`` with
-``max_deliveries=len(order)`` (the kernel checks the cap *before*
+The caller supplies ``reproduce(schedule) -> bool``: re-run the
+scenario under ``ReplayScheduler(schedule)`` with
+``max_deliveries=len(schedule)`` (the kernel checks the cap *before*
 asking the scheduler, so a prefix run ends cleanly) and report whether
 the failure -- a monitor violation, a decision mismatch, an equivalence
 break -- recurred.  :mod:`repro.experiments.forensics` builds that
@@ -33,7 +33,10 @@ from the kernel hot path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
+
+if TYPE_CHECKING:
+    from repro.sim.adversary import Schedule
 
 __all__ = [
     "MinimizationResult",
@@ -42,24 +45,23 @@ __all__ = [
     "minimize_schedule",
 ]
 
-# reproduce(order, seqs) -> did the failure recur under this schedule?
-ReproduceFn = Callable[[Sequence[tuple[int, int]], Sequence[int]], bool]
+# reproduce(schedule) -> did the failure recur under this schedule?
+ReproduceFn = Callable[[Sequence[tuple[int, int, int]]], bool]
 
 
 @dataclass(frozen=True)
 class MinimizationResult:
     """A shrunk schedule that still reproduces the original failure."""
 
-    original: int                       # deliveries in the recorded schedule
-    prefix: int                         # minimal reproducing prefix length
-    order: tuple[tuple[int, int], ...]  # the minimal schedule (links)
-    seqs: tuple[int, ...]               # its envelope seqs (replay-exact)
-    dropped: tuple[int, ...]            # prefix seqs delayed past the end
-    tests: int                          # reproduce() calls spent
+    original: int               # deliveries in the recorded schedule
+    prefix: int                 # minimal reproducing prefix length
+    schedule: Schedule          # the minimal (seq, sender, dest) deliveries
+    dropped: tuple[int, ...]    # prefix seqs delayed past the end
+    tests: int                  # reproduce() calls spent
 
     @property
     def deliveries(self) -> int:
-        return len(self.order)
+        return len(self.schedule)
 
     def describe(self) -> str:
         return (
@@ -73,8 +75,7 @@ class MinimizationResult:
             "original_deliveries": self.original,
             "minimal_prefix": self.prefix,
             "deliveries": self.deliveries,
-            "order": [list(link) for link in self.order],
-            "seqs": list(self.seqs),
+            "schedule": [list(delivery) for delivery in self.schedule],
             "dropped_seqs": list(self.dropped),
             "tests": self.tests,
             "describe": self.describe(),
@@ -88,37 +89,31 @@ class _Counted:
         self._reproduce = reproduce
         self.tests = 0
 
-    def __call__(
-        self, order: Sequence[tuple[int, int]], seqs: Sequence[int]
-    ) -> bool:
+    def __call__(self, schedule: Sequence[tuple[int, int, int]]) -> bool:
         self.tests += 1
-        return bool(self._reproduce(order, seqs))
+        return bool(self._reproduce(schedule))
 
 
 def minimal_prefix(
-    reproduce: ReproduceFn,
-    order: Sequence[tuple[int, int]],
-    seqs: Sequence[int],
+    reproduce: ReproduceFn, schedule: Sequence[tuple[int, int, int]]
 ) -> int:
-    """The shortest k such that ``reproduce(order[:k], seqs[:k])``.
+    """The shortest k such that ``reproduce(schedule[:k])``.
 
     Requires the full schedule to reproduce (raises ``ValueError``
-    otherwise -- a failure that does not recur under seq-exact replay of
-    its own recording is not schedule-determined and cannot be shrunk).
-    Binary search is sound because prefix replays are identical to the
-    original run up to their cap, so reproduction is monotone in k.
+    otherwise -- a failure that does not recur under replay of its own
+    recording is not schedule-determined and cannot be shrunk).  Binary
+    search is sound because prefix replays are identical to the original
+    run up to their cap, so reproduction is monotone in k.
     """
-    if len(order) != len(seqs):
-        raise ValueError("order and seqs must describe the same deliveries")
-    if not reproduce(order, seqs):
+    if not reproduce(schedule):
         raise ValueError(
             "failure does not reproduce under seq-exact replay of the full "
             "schedule; nothing to minimize"
         )
-    low, high = 0, len(order)
+    low, high = 0, len(schedule)
     while low < high:
         mid = (low + high) // 2
-        if reproduce(order[:mid], seqs[:mid]):
+        if reproduce(schedule[:mid]):
             high = mid
         else:
             low = mid + 1
@@ -127,31 +122,28 @@ def minimal_prefix(
 
 def ddmin_deliveries(
     reproduce: ReproduceFn,
-    order: Sequence[tuple[int, int]],
-    seqs: Sequence[int],
+    schedule: Sequence[tuple[int, int, int]],
     max_tests: int | None = None,
 ) -> list[int]:
     """Greedy delta debugging over the delivery set (Zeller's ddmin).
 
-    Returns the (sorted) indices into ``order``/``seqs`` of the
-    deliveries that survive complement reduction: every attempt to drop
-    any single remaining delivery stops reproducing the failure.
-    Assumes the full index set reproduces (callers establish that).
+    Returns the (sorted) indices into ``schedule`` of the deliveries that
+    survive complement reduction: every attempt to drop any single
+    remaining delivery stops reproducing the failure.  Assumes the full
+    index set reproduces (callers establish that).
 
     ``max_tests`` caps the number of ``reproduce`` calls spent in this
     phase; on exhaustion the current (reproducing, possibly non-minimal)
     index set is returned.  Batch minimizers -- the fuzzer shrinks every
     counterexample it finds -- use it to bound per-candidate work.
     """
-    current = list(range(len(order)))
+    current = list(range(len(schedule)))
     spent = 0
 
     def test(indices: list[int]) -> bool:
         nonlocal spent
         spent += 1
-        return reproduce(
-            [order[i] for i in indices], [seqs[i] for i in indices]
-        )
+        return reproduce([schedule[i] for i in indices])
 
     chunks = 2
     while len(current) >= 2:
@@ -177,8 +169,7 @@ def ddmin_deliveries(
 
 def minimize_schedule(
     reproduce: ReproduceFn,
-    order: Sequence[tuple[int, int]],
-    seqs: Sequence[int],
+    schedule: Sequence[tuple[int, int, int]],
     prefix_only: bool = False,
     max_tests: int | None = None,
 ) -> MinimizationResult:
@@ -192,17 +183,17 @@ def minimize_schedule(
     runs); the result is then reproducing but possibly non-minimal.
     """
     counted = _Counted(reproduce)
-    prefix = minimal_prefix(counted, order, seqs)
+    prefix = minimal_prefix(counted, schedule)
     kept = list(range(prefix))
     if not prefix_only and prefix:
-        kept = ddmin_deliveries(
-            counted, order[:prefix], seqs[:prefix], max_tests=max_tests
-        )
+        kept = ddmin_deliveries(counted, schedule[:prefix], max_tests=max_tests)
+    survivors = set(kept)
     return MinimizationResult(
-        original=len(order),
+        original=len(schedule),
         prefix=prefix,
-        order=tuple(order[i] for i in kept),
-        seqs=tuple(seqs[i] for i in kept),
-        dropped=tuple(seqs[i] for i in range(prefix) if i not in set(kept)),
+        schedule=tuple(schedule[i] for i in kept),
+        dropped=tuple(
+            schedule[i][0] for i in range(prefix) if i not in survivors
+        ),
         tests=counted.tests,
     )

@@ -115,8 +115,14 @@ class SeqNotInFlightError(KeyError):
 
     The seq index is an array: a negative or stale seq would address some
     other message's slot instead of failing, so both loops check every
-    chosen and drained seq and name the scheduler and the cause.
+    chosen and drained seq and name the scheduler and the cause; so does
+    :meth:`SchedulerPool.view`.  ``cause`` is the parenthesised reason on
+    its own (``"never submitted"``, ``"already delivered"``, ...).
     """
+
+    def __init__(self, message: str, cause: str) -> None:
+        super().__init__(message)
+        self.cause = cause
 
     def __str__(self) -> str:
         return str(self.args[0])  # KeyError would print the repr
@@ -156,7 +162,7 @@ class SchedulerPool:
         simulation = self._simulation
         position = simulation._position(seq)
         if position < 0:
-            raise KeyError(seq)
+            raise simulation._not_in_flight(seq)
         return _envelope(
             seq, simulation._flights[position], simulation._dests[position]
         )
@@ -851,7 +857,9 @@ class Simulation:
             cause = "already delivered or dropped by a lossy link"
         scheduler = type(self.adversary.scheduler).__name__
         return SeqNotInFlightError(
-            f"scheduler {scheduler} chose seq {seq}, which is not in flight ({cause})"
+            f"scheduler {scheduler} chose seq {seq}, which is not in flight "
+            f"({cause})",
+            cause,
         )
 
     # -- main loop -----------------------------------------------------------------

@@ -37,6 +37,7 @@ from repro.sim.adversary import (
     DelayBoundedScheduler,
     FIFOScheduler,
     RandomScheduler,
+    ReplayScheduler,
     Scheduler,
     StaticCorruption,
     TargetedDelayScheduler,
@@ -281,7 +282,7 @@ class TestRandomSchedulerFastLoop:
     def test_fast_loop_recording_replays_seq_exactly(self, lossy, replay_mode):
         original = self._run("batched", lossy)
         replayed = self._run(
-            replay_mode, lossy, scheduler=original[1].replay_scheduler()
+            replay_mode, lossy, scheduler=ReplayScheduler(original[1].schedule())
         )
         assert_same_run(original, replayed, "replay of a fast-loop recording diverged")
 
@@ -354,12 +355,12 @@ class TestBatchedReplay:
 
     def test_batched_recording_replays_seq_exactly(self):
         original = self._record_batched()
-        replayed = self._simulate("classic", original[1].replay_scheduler())
+        replayed = self._simulate("classic", ReplayScheduler(original[1].schedule()))
         assert_same_run(original, replayed, "replay of a batched recording diverged")
 
     def test_replay_under_batched_mode_declines_and_matches(self):
         original = self._record_batched()
-        replayed = self._simulate("batched", original[1].replay_scheduler())
+        replayed = self._simulate("batched", ReplayScheduler(original[1].schedule()))
         # ReplayScheduler declines every drain, so the fast loop asked
         # ``choose`` for the whole run...
         assert replayed[0].batched_deliveries == 0

@@ -10,6 +10,7 @@ from repro.cli import ARGUMENTS, COMMANDS, _run_experiments, main
 from repro.experiments.protocols import PROTOCOLS
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.scenarios import SCENARIOS
+from repro.sim.flightrecorder import _seal
 
 
 class TestCLI:
@@ -203,11 +204,13 @@ class TestCommandTable:
 
 
 def _without_protocol_header(src, dst):
-    """Copy a recording, dropping ``protocol`` from its header line."""
+    """Copy a recording, dropping ``protocol`` from its header line, and
+    reseal it so that it loads."""
     head, _, rest = src.read_text().partition("\n")
     header = json.loads(head)
     del header["protocol"]
-    dst.write_text(json.dumps(header) + "\n" + rest)
+    dst.write_text(json.dumps(header, separators=(",", ":")) + "\n" + rest)
+    _seal(dst)
     return dst
 
 

@@ -4,6 +4,7 @@ CLI, and the one-line diagnostics for damaged recordings."""
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -188,6 +189,36 @@ class TestReportDiagnostics:
             main(["export", "nope.jsonl"])
         assert "no such recording" in str(excinfo.value)
 
+    def test_every_truncation_and_bit_flip_exits_two(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """30 truncations and 30 single-bit flips of one recording: each
+        fails ``report`` and ``explain`` with exit 2 and one stderr line,
+        never a traceback, and never a report or a replay of the damage."""
+        monkeypatch.chdir(tmp_path)
+        recording = tmp_path / "flight.jsonl"
+        assert main(
+            ["record", "--n", "8", "--seed", "0", "--no-profile", "--out",
+             str(recording)]
+        ) == 0
+        data = recording.read_bytes()
+        rng = random.Random(0)
+        mutants = [data[: rng.randrange(len(data))] for _ in range(30)]
+        for _ in range(30):
+            flipped = bytearray(data)
+            flipped[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+            mutants.append(bytes(flipped))
+        mutant = tmp_path / "mutant.jsonl"
+        for index, body in enumerate(mutants):
+            mutant.write_bytes(body)
+            for command in ("report", "explain"):
+                capsys.readouterr()
+                with pytest.raises(SystemExit) as excinfo:
+                    main([command, str(mutant)])
+                err = capsys.readouterr().err
+                assert excinfo.value.code == 2, (index, command, err)
+                assert err.count("\n") == 1 and err.startswith(f"repro {command}: ")
+
 
 class TestEventSchemaVersion:
     def test_unknown_version_descriptive(self):
@@ -230,7 +261,7 @@ class TestEventSchemaVersion:
         message = str(excinfo.value)
         assert message == (
             f"repro {command}: {old}: unknown repro.flight schema version 2: "
-            "this build reads version 3; re-record the run or load it with a "
+            "this build reads version 4; re-record the run or load it with a "
             "matching build"
         )
 
@@ -245,5 +276,5 @@ class TestEventSchemaVersion:
         out = capsys.readouterr().out
         assert (
             f"note: cannot read {old}: unknown repro.flight schema "
-            "version 2: this build reads version 3; re-record the run"
+            "version 2: this build reads version 4; re-record the run"
         ) in out

@@ -17,7 +17,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.forensics import explain_recording, resolve_protocol
-from repro.sim.flightrecorder import Recording, load_recording
+from repro.sim.flightrecorder import Recording, _seal, load_recording
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,8 @@ def whp_recording(tmp_path_factory):
 
 
 def mutate_first_deliver(src, dst) -> int:
-    """Copy ``src`` changing the first deliver's words; return its seq."""
+    """Copy ``src`` changing the first deliver's words, resealed so that
+    it loads; return its seq."""
     lines = src.read_text().splitlines()
     for position, line in enumerate(lines):
         record = json.loads(line)
@@ -54,6 +55,7 @@ def mutate_first_deliver(src, dst) -> int:
             record["words"] += 7
             lines[position] = json.dumps(record)
             dst.write_text("\n".join(lines) + "\n")
+            _seal(dst)
             return seq
     raise AssertionError("recording has no deliver events")
 
@@ -93,7 +95,7 @@ class TestExplain:
         # (the split needs deciders of both parities).
         minimized = payload["minimized"]
         assert minimized["deliveries"] == 2
-        dests = {dest for _, dest in minimized["order"]}
+        dests = {dest for _, _, dest in minimized["schedule"]}
         assert {dest % 2 for dest in dests} == {0, 1}
         # Slice stays within the acceptance bound.
         assert payload["slice"] is None or len(payload["slice"]) <= 20

@@ -8,6 +8,7 @@ read off a recorder's event log.  (Observer-effect freedom is
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -24,6 +25,7 @@ from repro.sim.adversary import (
     Adversary,
     CommitteeTargetingCorruption,
     RandomScheduler,
+    ReplayScheduler,
     StaticCorruption,
 )
 from repro.sim.events import (
@@ -35,6 +37,7 @@ from repro.sim.events import (
 )
 from repro.sim.flightrecorder import (
     FlightRecorder,
+    _seal,
     critical_path,
     decode_events,
     encode_events,
@@ -140,7 +143,7 @@ class TestReplayFidelity:
         pki = PKI.create(N, rng=random.Random(7))
         original, recorded = self.run_recorded(7, pki, StaticCorruption({0, 1}))
         replayed, replay_log = self.run_recorded(
-            recorded.replay_scheduler(), pki, StaticCorruption({0, 1}),
+            ReplayScheduler(recorded.schedule()), pki, StaticCorruption({0, 1}),
         )
         assert replay_log.events == recorded.events
         assert replayed.metrics.rounds() == original.metrics.rounds()
@@ -163,7 +166,7 @@ class TestReplayFidelity:
         # Corruptions happen mid-run (after deliveries started), not at setup.
         assert any(e.step > 0 for e in corrupt_events)
         replayed, replay_log = self.run_recorded(
-            recorded.replay_scheduler(), pki,
+            ReplayScheduler(recorded.schedule()), pki,
             CommitteeTargetingCorruption(message_kinds=("FirstMsg",)),
         )
         assert replayed.corrupted == original.corrupted
@@ -249,7 +252,7 @@ class TestOneRunPerRecorder:
         # ... and the recorder now holds exactly the second run.
         assert len(recorder.of_kind("deliver")) == second.deliveries
         path = save_recording(tmp_path / "run.jsonl", recorder, second)
-        assert len(load_recording(path).delivery_seqs()) == second.deliveries
+        assert len(load_recording(path).schedule()) == second.deliveries
 
     def test_save_rejects_a_log_that_is_not_this_run(self, tmp_path):
         """Raw ``subscribe`` bypasses ``begin_run``, so a recorder left
@@ -469,7 +472,7 @@ class TestCodecOnRealRuns:
             save_recording(tmp_path / "run.jsonl", recorder, result, protocol=name)
         )
         assert recording.events == tuple(recorder.events)
-        assert recording.delivery_seqs() == recorder.delivery_seqs()
+        assert recording.schedule() == recorder.schedule()
 
     def test_same_seed_recorded_twice_is_byte_identical(self, tmp_path):
         paths = []
@@ -538,6 +541,46 @@ def edited(lines, index, **changes):
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+class TestDigest:
+    """The header's digest seals every other byte of the file, so an edit
+    that still parses is refused by name instead of loading."""
+
+    def test_it_is_the_sha256_of_the_file_with_its_own_digits_zeroed(
+        self, good_lines
+    ):
+        digest = json.loads(good_lines[0])["digest"]
+        data = ("\n".join(good_lines) + "\n").encode()
+        assert data.count(digest.encode()) == 1
+        unsealed = data.replace(digest.encode(), b"0" * 64)
+        assert hashlib.sha256(unsealed).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "index, change",
+        [(0, {"n": 9}), (0, {"seed": 2}), (0, {"corrupted": []}),
+         (0, {"digest": "f" * 64}), ("deliver", {"seq": 10**6}),
+         ("summary", {"words": 0})],
+    )
+    def test_an_edit_that_still_parses_is_refused(
+        self, tmp_path, good_lines, index, change
+    ):
+        if isinstance(index, str):
+            index = first_line(good_lines, index)
+        path = write_lines(tmp_path / "edited.jsonl", edited(good_lines, index, **change))
+        with pytest.raises(ValueError) as excinfo:
+            load_recording(path)
+        assert str(excinfo.value) == (
+            f"{path}: digest mismatch: the file is not the one that was "
+            "recorded (edited or damaged); re-record the run"
+        )
+
+    def test_a_header_without_a_digest_is_refused(self, tmp_path, good_lines):
+        header = json.loads(good_lines[0])
+        del header["digest"]
+        path = write_lines(tmp_path / "bare.jsonl", [json.dumps(header)] + good_lines[1:])
+        with pytest.raises(ValueError, match="digest mismatch"):
+            load_recording(path)
 
 
 class TestMalformedRecordings:
@@ -609,8 +652,10 @@ class TestMalformedRecordings:
         index = first_line(good_lines, "payload")
         spare = json.dumps({**json.loads(good_lines[index]), "id": "spare"})
         with_spare = good_lines[:index] + [spare] + good_lines[index:]
+        spare_file = write_lines(tmp_path / "spare.jsonl", with_spare)
+        _seal(spare_file)  # the decoder is under test here, not the digest
         assert (
-            load_recording(write_lines(tmp_path / "spare.jsonl", with_spare)).events
+            load_recording(spare_file).events
             == load_recording(write_lines(tmp_path / "good.jsonl", good_lines)).events
         )
 

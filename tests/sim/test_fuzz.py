@@ -22,16 +22,15 @@ from repro.sim.fuzz import (
 )
 from repro.sim.network import LossyLinkConfig
 
-ORDER = ((0, 1), (1, 2), (2, 0), (0, 2), (1, 0), (2, 1))
-SEQS = (0, 1, 2, 3, 4, 5)
+SCHEDULE = ((0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 0, 2), (4, 1, 0), (5, 2, 1))
 
 
 def seed_candidate(**overrides) -> FuzzCandidate:
-    return FuzzCandidate(order=ORDER, seqs=SEQS, **overrides)
+    return FuzzCandidate(schedule=SCHEDULE, **overrides)
 
 
 def ctx(corrupted=(2,)) -> MutationContext:
-    return MutationContext(corrupted=tuple(corrupted), deliveries=len(ORDER))
+    return MutationContext(corrupted=tuple(corrupted), deliveries=len(SCHEDULE))
 
 
 class TestCandidate:
@@ -58,21 +57,16 @@ class TestScheduleMutations:
         for name in ("swap_adjacent", "swap_random", "delay_delivery"):
             mutated = MUTATIONS[name](seed_candidate(), random.Random(1), ctx())
             assert mutated is not None, name
-            assert sorted(zip(mutated.order, mutated.seqs)) == sorted(
-                zip(ORDER, SEQS)
-            ), name
-            # seqs travel with their links: the pairing is preserved.
-            assert dict(zip(mutated.seqs, mutated.order)) == dict(
-                zip(SEQS, ORDER)
-            ), name
+            # Whole deliveries move: each seq keeps its link.
+            assert sorted(mutated.schedule) == sorted(SCHEDULE), name
+            assert mutated.schedule != SCHEDULE, name
 
     def test_drop_removes_exactly_one(self):
         mutated = MUTATIONS["drop_delivery"](
             seed_candidate(), random.Random(1), ctx()
         )
-        assert len(mutated.order) == len(ORDER) - 1
-        assert len(mutated.seqs) == len(SEQS) - 1
-        assert set(zip(mutated.order, mutated.seqs)) < set(zip(ORDER, SEQS))
+        assert len(mutated.schedule) == len(SCHEDULE) - 1
+        assert set(mutated.schedule) < set(SCHEDULE)
 
     def test_move_corruption_needs_a_corrupted_pid(self):
         assert (

@@ -421,9 +421,7 @@ class TestDeterminismAndReplay:
         replay = FlightRecorder()
         sim = run_gossip(
             n=5, seed=7, lossy=self.LOSSY,
-            scheduler=ReplayScheduler(
-                recorder.delivery_order(), seqs=recorder.delivery_seqs()
-            ),
+            scheduler=ReplayScheduler(recorder.schedule()),
             recorder=replay,
         )
         assert [event_to_record(e) for e in replay.events] == original

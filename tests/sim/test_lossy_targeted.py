@@ -166,9 +166,7 @@ class TestTargetedDeterminismAndReplay:
     def test_seq_exact_replay_reproduces_targeted_fates(self):
         original, _, recorder = self._events()
         replayed, _, _ = self._events(
-            scheduler=ReplayScheduler(
-                recorder.delivery_order(), seqs=recorder.delivery_seqs()
-            )
+            scheduler=ReplayScheduler(recorder.schedule())
         )
         assert replayed == original
 

@@ -9,6 +9,8 @@ prefix binary search, complement ddmin, the test counter -- is pinned.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.sim.minimize import (
@@ -18,64 +20,58 @@ from repro.sim.minimize import (
     minimize_schedule,
 )
 
-ORDER = [(s, (s + 1) % 4) for s in range(10)]
-SEQS = list(range(10))
+SCHEDULE = [(s, s, (s + 1) % 4) for s in range(10)]
 
 
 def needs(*essential):
     """A failure that recurs iff every essential seq was delivered."""
     wanted = set(essential)
-    return lambda order, seqs: wanted <= set(seqs)
+    return lambda schedule: wanted <= {seq for seq, _, _ in schedule}
 
 
 class TestMinimalPrefix:
     def test_prefix_is_exactly_past_the_last_essential_seq(self):
-        assert minimal_prefix(needs(3, 7), ORDER, SEQS) == 8
+        assert minimal_prefix(needs(3, 7), SCHEDULE) == 8
 
     def test_raises_when_full_schedule_does_not_reproduce(self):
         with pytest.raises(ValueError, match="does not reproduce"):
-            minimal_prefix(needs(99), ORDER, SEQS)
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError, match="same deliveries"):
-            minimal_prefix(needs(0), ORDER, SEQS[:-1])
+            minimal_prefix(needs(99), SCHEDULE)
 
 
 class TestDdmin:
     def test_keeps_exactly_the_essential_deliveries(self):
-        kept = ddmin_deliveries(needs(3, 7), ORDER, SEQS)
-        assert [SEQS[i] for i in kept] == [3, 7]
+        kept = ddmin_deliveries(needs(3, 7), SCHEDULE)
+        assert [SCHEDULE[i][0] for i in kept] == [3, 7]
 
     def test_empty_failure_shrinks_to_nothing(self):
-        assert ddmin_deliveries(needs(), ORDER, SEQS) == []
+        assert ddmin_deliveries(needs(), SCHEDULE) == []
 
 
 class TestMinimizeSchedule:
     def test_composes_prefix_and_ddmin(self):
-        result = minimize_schedule(needs(3, 7), ORDER, SEQS)
+        result = minimize_schedule(needs(3, 7), SCHEDULE)
         assert isinstance(result, MinimizationResult)
         assert result.original == 10
         assert result.prefix == 8
-        assert result.seqs == (3, 7)
-        assert result.order == (ORDER[3], ORDER[7])
+        assert result.schedule == (SCHEDULE[3], SCHEDULE[7])
         assert result.dropped == (0, 1, 2, 4, 5, 6)
         assert result.deliveries == 2
 
     def test_prefix_only_skips_ddmin(self):
-        result = minimize_schedule(needs(3, 7), ORDER, SEQS, prefix_only=True)
+        result = minimize_schedule(needs(3, 7), SCHEDULE, prefix_only=True)
         assert result.prefix == 8
-        assert result.seqs == tuple(range(8))
+        assert result.schedule == tuple(SCHEDULE[:8])
         assert result.dropped == ()
 
     def test_counts_every_reproduce_call(self):
         calls = []
         oracle = needs(3, 7)
 
-        def counted(order, seqs):
-            calls.append(tuple(seqs))
-            return oracle(order, seqs)
+        def counted(schedule):
+            calls.append(tuple(schedule))
+            return oracle(schedule)
 
-        result = minimize_schedule(counted, ORDER, SEQS)
+        result = minimize_schedule(counted, SCHEDULE)
         assert result.tests == len(calls)
         assert result.tests > 0
 
@@ -86,19 +82,32 @@ class TestMinimizeSchedule:
         models that directly)."""
         essential = needs(3, 7)
 
-        def oracle(order, seqs):
-            if len(seqs) == 5:  # pretend these candidates diverge
+        def oracle(schedule):
+            if len(schedule) == 5:  # pretend these candidates diverge
                 return False
-            return essential(order, seqs)
+            return essential(schedule)
 
-        result = minimize_schedule(oracle, ORDER, SEQS)
-        assert {3, 7} <= set(result.seqs)
+        result = minimize_schedule(oracle, SCHEDULE)
+        assert {3, 7} <= {seq for seq, _, _ in result.schedule}
 
     def test_describe_and_to_dict_agree(self):
-        result = minimize_schedule(needs(3, 7), ORDER, SEQS)
+        result = minimize_schedule(needs(3, 7), SCHEDULE)
         payload = result.to_dict()
         assert payload["describe"] == result.describe()
         assert payload["minimal_prefix"] == 8
         assert payload["deliveries"] == 2
+        assert payload["schedule"] == [[3, 3, 0], [7, 7, 0]]
         assert payload["dropped_seqs"] == [0, 1, 2, 4, 5, 6]
         assert "8" in result.describe() and "2 essential" in result.describe()
+
+    def test_dropped_is_linear_in_the_prefix(self):
+        """A long prefix that ddmin, out of budget, keeps almost whole: the
+        dropped seqs are one pass over the prefix, not a set rebuilt per
+        index (which took ~13 s on a 2-core x86 host)."""
+        schedule = [(seq, 0, 1) for seq in range(20_000)]
+        start = time.perf_counter()
+        result = minimize_schedule(needs(0, 19_999), schedule, max_tests=2)
+        elapsed = time.perf_counter() - start
+        assert result.prefix == 20_000
+        assert result.deliveries == 20_000 and result.dropped == ()
+        assert elapsed < 3.0, f"minimize_schedule took {elapsed:.1f} s"

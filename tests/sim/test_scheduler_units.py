@@ -10,7 +10,7 @@ from repro.sim.adversary import (
     Adversary,
     PartitionScheduler,
     ReplayScheduler,
-    ScriptedScheduleError,
+    Scheduler,
     ScriptedScheduler,
 )
 from repro.sim.byzantine import SilentBehavior
@@ -24,16 +24,21 @@ def view(seq, sender, dest, kind="Msg"):
 
 
 class FakePool:
-    """Only seq_at/len are exercised by the schedulers under test."""
+    """seq_at/len for the index schedulers; view, over ``links`` (seq ->
+    (sender, dest)), for the replay scheduler."""
 
-    def __init__(self, seqs):
+    def __init__(self, seqs, links=None):
         self.seqs = list(seqs)
+        self.links = links or {}
 
     def __len__(self):
         return len(self.seqs)
 
     def seq_at(self, index):
         return self.seqs[index]
+
+    def view(self, seq):
+        return view(seq, *self.links[seq])
 
 
 class TestPartitionMerge:
@@ -75,83 +80,37 @@ class TestScriptedScheduler:
         scheduler = ScriptedScheduler([])
         assert scheduler.choose(FakePool([42, 43])) == 42
 
-    def test_choices_and_seqs_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            ScriptedScheduler([0, 1], seqs=[10, 11])
-
-
-class TestScriptedSchedulerSeqMode:
-    def test_seq_mode_delivers_the_named_seqs(self):
-        scheduler = ScriptedScheduler(seqs=[11, 10])
-        scheduler.on_submit(10, None)
-        scheduler.on_submit(11, None)
-        assert scheduler.choose(FakePool([10, 11])) == 11
-        scheduler.on_delivered(11)
-        assert scheduler.choose(FakePool([10])) == 10
-
-    def test_exhausted_seqs_fall_back_to_first(self):
-        scheduler = ScriptedScheduler(seqs=[10])
-        scheduler.on_submit(10, None)
-        scheduler.on_submit(11, None)
-        assert scheduler.choose(FakePool([10, 11])) == 10
-        scheduler.on_delivered(10)
-        assert scheduler.choose(FakePool([11])) == 11
-
-    def test_already_delivered_seq_names_the_script_step(self):
-        scheduler = ScriptedScheduler(seqs=[10, 10])
-        scheduler.on_submit(10, None)
-        assert scheduler.choose(FakePool([10])) == 10
-        scheduler.on_delivered(10)
-        with pytest.raises(
-            ScriptedScheduleError,
-            match=r"script step 1 names seq 10, which was already delivered",
-        ):
-            scheduler.choose(FakePool([11]))
-
-    def test_never_submitted_seq_names_the_step_and_hints(self):
-        scheduler = ScriptedScheduler(seqs=[99])
-        scheduler.on_submit(10, None)
-        scheduler.on_submit(11, None)
-        with pytest.raises(
-            ScriptedScheduleError,
-            match=r"script step 0 names seq 99, which was never submitted "
-                  r"\(highest submitted seq so far: 11\)",
-        ):
-            scheduler.choose(FakePool([10, 11]))
-
-    def test_never_submitted_with_empty_pool_history(self):
-        scheduler = ScriptedScheduler(seqs=[7])
-        with pytest.raises(
-            ScriptedScheduleError,
-            match=r"highest submitted seq so far: none",
-        ):
-            scheduler.choose(FakePool([]))
-
-    def test_submit_range_counts_as_submitted(self):
-        scheduler = ScriptedScheduler(seqs=[12])
-        scheduler.on_submit_range(10, 15)
-        assert scheduler.choose(FakePool([10, 11, 12, 13, 14])) == 12
-
 
 class TestReplaySchedulerUnits:
-    def test_per_link_fifo(self):
-        scheduler = ReplayScheduler([(0, 1), (0, 1)])
-        scheduler.on_submit(10, view(10, 0, 1))
-        scheduler.on_submit(11, view(11, 0, 1))
-        assert scheduler.choose(FakePool([10, 11])) == 10
-        assert scheduler.choose(FakePool([11])) == 11
+    def test_delivers_the_recorded_seqs_in_order(self):
+        """Two copies on one link go in the recorded order, FIFO or not."""
+        scheduler = ReplayScheduler([(11, 0, 1), (10, 0, 1)])
+        pool = FakePool([10, 11], links={10: (0, 1), 11: (0, 1)})
+        assert scheduler.choose(pool) == 11
+        assert scheduler.choose(pool) == 10
 
     def test_missing_link_raises(self):
-        scheduler = ReplayScheduler([(3, 4)])
-        scheduler.on_submit(10, view(10, 0, 1))
-        with pytest.raises(RuntimeError, match="diverged"):
-            scheduler.choose(FakePool([10]))
+        """A seq in flight on another link names both links."""
+        scheduler = ReplayScheduler([(10, 3, 4)])
+        with pytest.raises(
+            RuntimeError,
+            match=r"replay step 0 expects seq 10 on link \(3, 4\), but it is in "
+                  r"flight on link \(0, 1\); the run diverged",
+        ):
+            scheduler.choose(FakePool([10], links={10: (0, 1)}))
 
     def test_exhausted_schedule_raises(self):
         scheduler = ReplayScheduler([])
-        scheduler.on_submit(10, view(10, 0, 1))
         with pytest.raises(RuntimeError, match="exhausted"):
-            scheduler.choose(FakePool([10]))
+            scheduler.choose(FakePool([10], links={10: (0, 1)}))
+
+    def test_keeps_a_cursor_and_nothing_else(self):
+        """No submission hook, so the kernel submits a replayed broadcast
+        as one range instead of building an EnvelopeView per copy."""
+        scheduler = ReplayScheduler([(10, 0, 1)])
+        assert set(vars(scheduler)) == {"_schedule", "_position"}
+        for hook in ("on_submit", "on_submit_range", "on_delivered", "drain"):
+            assert getattr(ReplayScheduler, hook) is getattr(Scheduler, hook), hook
 
 
 class TestAdversaryDefaults:
