@@ -82,15 +82,13 @@ class _IndexedSet:
 class Scheduler:
     """Chooses the next message to deliver.
 
-    ``content_aware`` declares whether the scheduler may read payloads; the
-    pool refuses payload access to schedulers that do not set it, so a
-    scheduler cannot *accidentally* break the delayed-adaptive model.
-
-    ``wants_view`` declares whether :meth:`on_submit` reads its ``view``
-    argument.  Schedulers whose submission bookkeeping is seq-only (FIFO,
-    delay-bounded) set it False and the kernel skips building the
-    per-submission :class:`EnvelopeView` -- measurable at n>=1000 where
-    submissions outnumber deliveries' other overheads.
+    Six members may be overridden: ``content_aware``, :meth:`on_submit`,
+    :meth:`on_delivered`, :meth:`choose`, ``choose_index`` and
+    :meth:`drain`.  A scheduler learns about a message only from the
+    ``pool`` it is handed: :meth:`SchedulerPool.view` gives its metadata,
+    and :meth:`SchedulerPool.payload` its contents -- refused unless the
+    scheduler declared ``content_aware``, so a scheduler cannot
+    *accidentally* break the delayed-adaptive model.
 
     A scheduler whose ``choose`` only ever picks a pool *position* may
     also define ``choose_index(size) -> int`` next to it, promising
@@ -102,28 +100,20 @@ class Scheduler:
     """
 
     content_aware = False
-    wants_view = True
 
-    def on_submit(self, seq: int, view: EnvelopeView | None) -> None:
-        """Hook: a new message entered the network.
+    def on_submit(self, start: int, stop: int, pool: "SchedulerPool") -> None:
+        """Hook: seqs ``start..stop-1`` entered the pool, in order.
 
-        ``view`` is ``None`` when the scheduler declared
-        ``wants_view = False``.
+        Called once per send (a unicast's one copy, a broadcast's ``n``),
+        or, while a lossy link is active, once per copy that enters the
+        pool, whenever it does (a held copy on release, a duplicate's
+        twin).  Every seq of the range is in ``pool`` for the call.  A
+        hook must leave the scheduler as the calls for ``start..mid`` and
+        ``mid..stop`` would, for any ``mid`` (RNG draws in seq order
+        included), so that it does not matter how many calls announce a
+        run of seqs.  The base hook does nothing, and the kernel then
+        makes no call at all.
         """
-
-    def on_submit_range(self, start: int, stop: int) -> None:
-        """Hook: seqs ``start..stop-1`` entered the network, in order.
-
-        Equivalent to ``on_submit(seq, None)`` per seq; the kernel uses it
-        for broadcasts (one call per message instead of one per copy) and
-        only when ``wants_view`` is False.  Schedulers may override it with
-        a bulk insert; the override must leave the scheduler in exactly
-        the state the per-seq calls would (including RNG draws, in seq
-        order).
-        """
-        on_submit = self.on_submit
-        for seq in range(start, stop):
-            on_submit(seq, None)
 
     def on_delivered(self, seq: int) -> None:
         """Hook: a message left the network."""
@@ -184,8 +174,6 @@ class FIFOScheduler(Scheduler):
     return exactly the drained prefix.
     """
 
-    wants_view = False
-
     def __init__(self) -> None:
         # The kernel assigns seqs monotonically, so submission order IS
         # ascending seq order: a deque of non-empty seq ranges, one per
@@ -193,12 +181,18 @@ class FIFOScheduler(Scheduler):
         self._queue: deque[range] = deque()
         self._delivered: set[int] = set()
 
-    def on_submit(self, seq: int, view: EnvelopeView | None) -> None:
-        self._queue.append(range(seq, seq + 1))
-
-    def on_submit_range(self, start: int, stop: int) -> None:
+    def on_submit(self, start: int, stop: int, pool: "SchedulerPool") -> None:
         if start < stop:
             self._queue.append(range(start, stop))
+
+    # Pre-``on_submit(start, stop, pool)`` names, kept only because
+    # benchmarks/perf/test_perf_smoke.py still reads them and that
+    # directory changes only with the benchmark.  The kernel reads
+    # neither; delete both when that test is ported.
+    wants_view = False
+
+    def on_submit_range(self, start: int, stop: int) -> None:
+        FIFOScheduler.on_submit(self, start, stop, None)
 
     def on_delivered(self, seq: int) -> None:
         self._delivered.add(seq)
@@ -253,8 +247,6 @@ class DelayBoundedScheduler(Scheduler):
     kernel can exploit at n>=1000.
     """
 
-    wants_view = False
-
     def __init__(self, max_delay: int = 64, rng: random.Random | None = None) -> None:
         if max_delay < 0:
             raise ValueError("max_delay must be non-negative")
@@ -264,13 +256,8 @@ class DelayBoundedScheduler(Scheduler):
         self._delivered: set[int] = set()
         self._next_seq_bound = 0
 
-    def on_submit(self, seq: int, view: EnvelopeView | None) -> None:
-        if seq >= self._next_seq_bound:
-            self._next_seq_bound = seq + 1
-        heapq.heappush(self._heap, (seq + self.rng.randint(0, self.max_delay), seq))
-
-    def on_submit_range(self, start: int, stop: int) -> None:
-        # Same state and RNG draws as per-seq on_submit, in seq order.
+    def on_submit(self, start: int, stop: int, pool: "SchedulerPool") -> None:
+        # One jitter draw per seq, in seq order.
         if stop > self._next_seq_bound:
             self._next_seq_bound = stop
         heap = self._heap
@@ -318,11 +305,14 @@ class TargetedDelayScheduler(Scheduler):
         self._normal = _IndexedSet()
         self._delayed = _IndexedSet()
 
-    def on_submit(self, seq: int, view: EnvelopeView) -> None:
-        if view.sender in self.targets or view.dest in self.targets:
-            self._delayed.add(seq)
-        else:
-            self._normal.add(seq)
+    def on_submit(self, start: int, stop: int, pool: "SchedulerPool") -> None:
+        targets = self.targets
+        for seq in range(start, stop):
+            view = pool.view(seq)
+            if view.sender in targets or view.dest in targets:
+                self._delayed.add(seq)
+            else:
+                self._normal.add(seq)
 
     def on_delivered(self, seq: int) -> None:
         self._normal.discard(seq)
@@ -439,12 +429,15 @@ class PartitionScheduler(Scheduler):
     def healed(self) -> bool:
         return self._delivered >= self.heal_after
 
-    def on_submit(self, seq: int, view: EnvelopeView) -> None:
-        crosses = (view.sender in self.group_a) != (view.dest in self.group_a)
-        if crosses and not self.healed:
-            self._cross.add(seq)
-        else:
-            self._intra.add(seq)
+    def on_submit(self, start: int, stop: int, pool: "SchedulerPool") -> None:
+        group_a = self.group_a
+        for seq in range(start, stop):
+            view = pool.view(seq)
+            crosses = (view.sender in group_a) != (view.dest in group_a)
+            if crosses and not self.healed:
+                self._cross.add(seq)
+            else:
+                self._intra.add(seq)
 
     def on_delivered(self, seq: int) -> None:
         self._delivered += 1
@@ -517,26 +510,25 @@ class ContentAwareMinWithholdScheduler(Scheduler):
             self._withheld.discard(seq)
             self._normal.add(seq)
 
-    def on_submit(self, seq: int, view: EnvelopeView) -> None:
-        # Payload inspection happens in inspect_payload (called by the pool
-        # because we declared content_aware); until then treat as normal.
-        self._normal.add(seq)
-
-    def inspect_payload(self, seq: int, payload: object, sender: int) -> None:
-        value = getattr(payload, "value", None)
-        # Ignore tiny values: protocol-control fields (estimates, aux bits)
-        # also surface a .value; the coin's 256-bit outputs never collide
-        # with them.
-        if not isinstance(value, int) or value <= 1:
-            return
-        self._values[seq] = value
-        if self._min_value is None or value < self._min_value:
-            self._min_value = value
-            # Reclassify everything currently believed normal.
-            for known_seq in list(self._values):
-                self._classify(known_seq)
-        else:
-            self._classify(seq)
+    def on_submit(self, start: int, stop: int, pool: "SchedulerPool") -> None:
+        for seq in range(start, stop):
+            self._normal.add(seq)
+            # The pool hands over the payload because we declared
+            # content_aware.
+            value = getattr(pool.payload(seq), "value", None)
+            # Ignore tiny values: protocol-control fields (estimates, aux
+            # bits) also surface a .value; the coin's 256-bit outputs never
+            # collide with them.
+            if not isinstance(value, int) or value <= 1:
+                continue
+            self._values[seq] = value
+            if self._min_value is None or value < self._min_value:
+                self._min_value = value
+                # Reclassify everything currently believed normal.
+                for known_seq in list(self._values):
+                    self._classify(known_seq)
+            else:
+                self._classify(seq)
 
     def on_delivered(self, seq: int) -> None:
         self._values.pop(seq, None)

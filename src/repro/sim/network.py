@@ -26,7 +26,7 @@ import random
 import sys
 import time
 from array import array
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.crypto.pki import PKI
 from repro.sim.adversary import Adversary, CorruptionStrategy, Scheduler
@@ -188,8 +188,9 @@ def _picks_by_position(scheduler: Scheduler) -> bool:
     pick by position and keep no seq index at all.  The promise says
     nothing about a ``choose`` overridden further down the MRO (or on the
     instance), so then the override decides every delivery; and a
-    scheduler that drains or listens to ``on_delivered`` deals in seqs,
-    so it keeps the seq-addressed path too.
+    scheduler that drains or listens to ``on_submit`` or ``on_delivered``
+    deals in seqs, so it keeps the seq-addressed path too (a ``pool.view``
+    in its ``on_submit`` would otherwise scan the pool once per seq).
     """
     cls = type(scheduler)
     owner = next((c for c in cls.__mro__ if "choose_index" in vars(c)), None)
@@ -198,6 +199,7 @@ def _picks_by_position(scheduler: Scheduler) -> bool:
         and vars(owner).get("choose") is cls.choose
         and "choose" not in getattr(scheduler, "__dict__", ())
         and cls.drain is Scheduler.drain
+        and cls.on_submit is Scheduler.on_submit
         and cls.on_delivered is Scheduler.on_delivered
     )
 
@@ -359,14 +361,11 @@ class Simulation:
         # Set again by run(); initialised here so a never-run simulation
         # answers `exhausted`/`deadlocked` instead of raising.
         self.exhausted = False
-        # Submission fast path: skip the per-copy EnvelopeView (and
-        # the call itself) when the scheduler's on_submit is the base
-        # no-op or declares it ignores the view.
+        # A scheduler that keeps the base no-op on_submit hears of no send.
         if type(scheduler).on_submit is Scheduler.on_submit:
             self._submit_hook = None
         else:
             self._submit_hook = scheduler.on_submit
-        self._submit_wants_view = bool(getattr(scheduler, "wants_view", True))
         # Corruption fast path: a strategy that keeps the base no-op
         # on_delivery never reacts, so the per-delivery view/frozenset
         # construction can be skipped entirely.
@@ -420,48 +419,138 @@ class Simulation:
         """
         if not 0 <= dest < self.n:
             raise ValueError(f"invalid destination {dest}")
+        self._send(sender, message, (dest,))
+
+    def submit_broadcast(self, sender: int, message: Message) -> None:
+        """Submit ``message`` from ``sender`` to every process (self included).
+
+        Observably identical to ``n`` consecutive :meth:`submit` calls in
+        destination order -- same seqs, events, metrics, link fates and
+        scheduler state.  Broadcast is the protocols' only send primitive,
+        so this is the kernel's hottest submission path.
+        """
+        self._send(sender, message, self._all_dests)
+
+    def _send(self, sender: int, message: Message, dests: Sequence[int]) -> None:
+        """Put one message on the links from ``sender`` to each of ``dests``.
+
+        The one way into the network.  The copies take consecutive seqs
+        in destination order and share one flight record, and the sender
+        pays for all of them here, whatever the links make of them.  On
+        reliable links they join the pool as one extend of each column
+        and the scheduler hears of them in one ``on_submit(start, stop,
+        pool)`` call; under an active lossy config each copy meets its
+        fate in turn, and the scheduler hears of each copy that joins the
+        pool as it joins.
+        """
         if not 0 <= sender < self.n:
             # A negative sender would silently index contexts[-1] and stamp
             # the wrong depth/sender_correct; fail like an invalid dest.
             raise ValueError(f"invalid sender {sender}")
-        flight = Flight(
-            sender,
-            message,
-            self.contexts[sender].depth + 1,
-            sender not in self.corrupted,
-            self.deliveries,
-        )
-        seq = self._allocate()
-        self.metrics.record_send(flight)
-        self._emit_send(seq, dest, flight)
-        if self._lossy is None:
-            self._insert_in_flight(seq, flight, dest)
-        else:
-            self._route_lossy(seq, dest, flight, *self._lossy.fate(seq, sender, dest))
+        sender_correct = sender not in self.corrupted
+        sent_step = self.deliveries
+        depth = self.contexts[sender].depth + 1
+        flight = Flight(sender, message, depth, sender_correct, sent_step)
+        count = len(dests)
+        words = flight.words
+        kind = type(message).__name__
+        metrics = self.metrics
+        metrics.words_total += words * count
+        metrics.messages_sent_total += count
+        if sender_correct:
+            metrics.words_correct += words * count
+            metrics.messages_sent_correct += count
+            metrics.words_by_kind[kind] += words * count
+            metrics.messages_by_kind[kind] += count
+            metrics.words_by_sender[sender] += words * count
+            metrics.messages_by_sender[sender] += count
+        emit = self.events.emit if self._subscribers else None
+        in_flight = self._in_flight
+        flights = self._flights
+        dest_column = self._dests
+        pos_at = self._pos_at
+        on_submit = self._submit_hook
+        lossy = self._lossy
+        seq = first_seq = self._next_seq
+        if lossy is None:
+            # The copies differ only in their seq and dest: one extend of
+            # each pool column, a broadcast's seqs and positions as bytes
+            # (its n copies; a unicast's one copy is appended).
+            if count == 1:
+                if pos_at is not None:
+                    pos_at.append(len(in_flight))
+                in_flight.append(seq)
+            else:
+                if pos_at is not None:
+                    pos_at.frombytes(self._pos_run(len(in_flight)))
+                in_flight.frombytes(self._seq_run(seq))
+            flights.extend([flight] * count)
+            dest_column.extend(dests)
+            self._next_seq = seq + count
+            if emit is not None:
+                instance = flight.instance
+                for dest in dests:
+                    emit(
+                        SendEvent(
+                            step=sent_step,
+                            seq=seq,
+                            sender=sender,
+                            dest=dest,
+                            instance=instance,
+                            message_kind=kind,
+                            words=words,
+                            depth=depth,
+                            sender_correct=sender_correct,
+                        )
+                    )
+                    seq += 1
+            if on_submit is not None:
+                on_submit(first_seq, first_seq + count, self._pool)
+            return
+        pool = self._pool
+        for dest in dests:
+            if emit is not None:
+                self._emit_send(seq, dest, flight)
+            fate, aux, hold = lossy.fate(seq, sender, dest)
+            if fate != "deliver":
+                if pos_at is not None:
+                    pos_at.append(-1)
+                self._next_seq = seq + 1
+                self._route_lossy(seq, dest, flight, fate, aux, hold)
+                seq = self._next_seq  # past a duplicate's twin too
+                continue
+            if pos_at is not None:
+                pos_at.append(len(in_flight))
+            in_flight.append(seq)
+            flights.append(flight)
+            dest_column.append(dest)
+            if on_submit is not None:
+                on_submit(seq, seq + 1, pool)
+            seq += 1
+        self._next_seq = seq
 
     def _emit_send(self, seq: int, dest: int, flight: Flight) -> None:
-        if self._subscribers:
-            self.events.emit(
-                SendEvent(
-                    step=flight.sent_step,
-                    seq=seq,
-                    sender=flight.sender,
-                    dest=dest,
-                    instance=flight.instance,
-                    message_kind=type(flight.payload).__name__,
-                    words=flight.words,
-                    depth=flight.depth,
-                    sender_correct=flight.sender_correct,
-                )
+        self.events.emit(
+            SendEvent(
+                step=flight.sent_step,
+                seq=seq,
+                sender=flight.sender,
+                dest=dest,
+                instance=flight.instance,
+                message_kind=type(flight.payload).__name__,
+                words=flight.words,
+                depth=flight.depth,
+                sender_correct=flight.sender_correct,
             )
+        )
 
     def _route_lossy(
         self, seq: int, dest: int, flight: Flight, fate: str, aux: float, hold: int
     ) -> None:
-        """Enter into the pool what a lossy link makes of a just-sent copy.
+        """Enter into the pool what a lossy link makes of a just-sent copy
+        whose fate is not plain delivery.
 
-        Shared by :meth:`submit` and :meth:`submit_broadcast`.  A
-        duplicate's twin takes the next seq and shares the flight; it is
+        A duplicate's twin takes the next seq and shares the flight; it is
         the network's copy: it emits a ``SendEvent`` but is no protocol
         send.  A bit-flipped payload gets a flight of its own in the copy's
         pool slot, so the broadcast's other receivers still see the object
@@ -482,120 +571,16 @@ class Simulation:
             )
             if copies == 2:
                 twin = self._allocate()
-                self._emit_send(twin, dest, flight)
+                if self._subscribers:
+                    self._emit_send(twin, dest, flight)
                 self._insert_in_flight(twin, flight, dest)
 
-    def submit_broadcast(self, sender: int, message: Message) -> None:
-        """Submit ``message`` from ``sender`` to every process (self included).
-
-        Observably identical to ``n`` consecutive :meth:`submit` calls in
-        destination order -- same seqs, events, metrics, link fates and
-        scheduler callbacks -- with the per-message work (word count,
-        kind, depth, the metrics increments, the flight record) hoisted
-        out of the destination loop.  Broadcast is the protocols' only
-        send primitive, so this is the kernel's hottest submission path.
-        """
-        n = self.n
-        if not 0 <= sender < n:
-            raise ValueError(f"invalid sender {sender}")
-        sender_correct = sender not in self.corrupted
-        sent_step = self.deliveries
-        depth = self.contexts[sender].depth + 1
-        flight = Flight(sender, message, depth, sender_correct, sent_step)
-        metrics = self.metrics
-        words = flight.words
-        kind = type(message).__name__
-        # record_send x n, batched: identical final counter values.
-        metrics.words_total += words * n
-        metrics.messages_sent_total += n
-        if sender_correct:
-            metrics.words_correct += words * n
-            metrics.messages_sent_correct += n
-            metrics.words_by_kind[kind] += words * n
-            metrics.messages_by_kind[kind] += n
-            metrics.words_by_sender[sender] += words * n
-            metrics.messages_by_sender[sender] += n
-        emit = self.events.emit if self._subscribers else None
-        in_flight = self._in_flight
-        flights = self._flights
-        dests = self._dests
-        pos_at = self._pos_at
-        lossy = self._lossy
-        on_submit = self._submit_hook
-        wants_view = self._submit_wants_view
-        # Seq-only bookkeeping takes one bulk call per broadcast -- unless
-        # a lossy link may keep seqs of the range out of the pool.
-        per_seq = on_submit is not None and (wants_view or lossy is not None)
-        scheduler = self.adversary.scheduler
-        inspect = (
-            getattr(scheduler, "inspect_payload", None)
-            if scheduler.content_aware
-            else None
-        )
-        seq = first_seq = self._next_seq
-        if emit is None and lossy is None and not per_seq and inspect is None:
-            # Nobody looks at a single copy: the n copies are bulk extends
-            # of the pool columns, and differ only in their seq and dest.
-            seq += n
-            if pos_at is not None:
-                pos_at.frombytes(self._pos_run(len(in_flight)))
-            in_flight.frombytes(self._seq_run(first_seq))
-            flights.extend([flight] * n)
-            dests.extend(self._all_dests)
-        else:
-            instance = flight.instance
-            for dest in self._all_dests:
-                if emit is not None:
-                    emit(
-                        SendEvent(
-                            step=sent_step,
-                            seq=seq,
-                            sender=sender,
-                            dest=dest,
-                            instance=instance,
-                            message_kind=kind,
-                            words=words,
-                            depth=depth,
-                            sender_correct=sender_correct,
-                        )
-                    )
-                if lossy is not None:
-                    fate, aux, hold = lossy.fate(seq, sender, dest)
-                    if fate != "deliver":
-                        if pos_at is not None:
-                            pos_at.append(-1)
-                        self._next_seq = seq + 1
-                        self._route_lossy(seq, dest, flight, fate, aux, hold)
-                        seq = self._next_seq  # past a duplicate's twin too
-                        continue
-                if pos_at is not None:
-                    pos_at.append(len(in_flight))
-                in_flight.append(seq)
-                flights.append(flight)
-                dests.append(dest)
-                if per_seq:
-                    on_submit(
-                        seq,
-                        EnvelopeView.of(_envelope(seq, flight, dest))
-                        if wants_view
-                        else None,
-                    )
-                if inspect is not None:
-                    inspect(seq, message, sender)
-                seq += 1
-        self._next_seq = seq
-        if on_submit is not None and not per_seq:
-            # Deferring the bulk call past the destination loop is
-            # invisible -- the kernel only consults the scheduler between
-            # deliveries, never mid-submit.
-            scheduler.on_submit_range(first_seq, seq)
-
     def _insert_in_flight(self, seq: int, flight: Flight, dest: int) -> None:
-        """Enter the copy of ``flight`` sent to ``dest`` as ``seq`` into the pool.
+        """Enter a copy a lossy link let through late or changed into the pool.
 
-        The pool bookkeeping + scheduler callbacks of one unicast
-        (:meth:`submit_broadcast` inlines the same); a reordered copy
-        joins the pool through here at release time, not submit time.
+        A held copy on release, a duplicate's twin, a bit-flipped copy:
+        ``seq`` was allocated when it was sent, and the scheduler hears of
+        it now.
         """
         in_flight = self._in_flight
         if self._pos_at is not None:
@@ -603,19 +588,8 @@ class Simulation:
         in_flight.append(seq)
         self._flights.append(flight)
         self._dests.append(dest)
-        on_submit = self._submit_hook
-        if on_submit is not None:
-            on_submit(
-                seq,
-                EnvelopeView.of(_envelope(seq, flight, dest))
-                if self._submit_wants_view
-                else None,
-            )
-        scheduler = self.adversary.scheduler
-        if scheduler.content_aware:
-            inspect = getattr(scheduler, "inspect_payload", None)
-            if inspect is not None:
-                inspect(seq, flight.payload, flight.sender)
+        if self._submit_hook is not None:
+            self._submit_hook(seq, seq + 1, self._pool)
 
     def note_decision(self, pid: int) -> None:
         self.decided.add(pid)

@@ -194,7 +194,6 @@ def run_protocol(
     params: Any = None,
     stop_condition: Callable[[Simulation], bool] | None = stop_when_all_returned,
     max_deliveries: int = DEFAULT_MAX_DELIVERIES,
-    protocols_by_pid: dict[int, ProtocolFactory] | None = None,
     profile: bool = False,
     lossy: Any = None,
     observers: Sequence[Any] | None = None,
@@ -239,9 +238,6 @@ def run_protocol(
                 f"observers[{index}] ({type(observer).__name__}) has no "
                 "callable on_event"
             )
-    for pid in protocols_by_pid or ():
-        if not 0 <= pid < n:
-            raise ValueError(f"invalid process id {pid} in protocols_by_pid")
     if pki is None:
         rng = random.Random(derive_seed(seed, "setup"))
         pki = PKI.create(n, backend=backend, rng=rng)
@@ -265,9 +261,6 @@ def run_protocol(
     for observer in observers or ():
         simulation.events.attach(observer)
     simulation.set_protocol_all(protocol)
-    if protocols_by_pid:
-        for pid, factory in protocols_by_pid.items():
-            simulation.set_protocol(pid, factory)
     simulation.run()
     result = RunResult.of(simulation)
     for observer in observers or ():

@@ -234,17 +234,16 @@ LOSSY = LossyLinkConfig(duplicate_rate=0.2, reorder_rate=0.3, reorder_hold=8)
 
 
 def _logging(scheduler_cls: type[Scheduler]) -> type[Scheduler]:
-    """``scheduler_cls`` that also keeps the ``on_submit`` sequence it saw."""
+    """``scheduler_cls`` that also keeps the seqs ``on_submit`` announced,
+    with their views, one entry per seq: a broadcast's one call and its n
+    unicasts' n calls log the same list."""
 
     class Logging(scheduler_cls):
-        def on_submit(self, seq, view):
-            self.__dict__.setdefault("submitted", []).append((seq, view))
-            super().on_submit(seq, view)
-
-        def on_submit_range(self, start, stop):
-            # The documented per-seq equivalent of the bulk call.
-            for seq in range(start, stop):
-                self.on_submit(seq, None)
+        def on_submit(self, start, stop, pool):
+            self.__dict__.setdefault("submitted", []).extend(
+                (seq, pool.view(seq)) for seq in range(start, stop)
+            )
+            super().on_submit(start, stop, pool)
 
     return Logging
 

@@ -1,6 +1,6 @@
 """Unit tests for the batched-delivery kernel machinery.
 
-Covers the scheduler ``drain``/``on_submit_range`` contracts, the
+Covers the scheduler ``drain``/``on_submit`` contracts, the
 mailbox's per-instance delivery counters, the ``Wait.min_count``
 incremental-quorum gate, and the broadcast submission fast path --
 each against its documented contract (see DESIGN.md section 10).
@@ -22,7 +22,6 @@ from repro.sim.adversary import (
     DelayBoundedScheduler,
     FIFOScheduler,
     RandomScheduler,
-    Scheduler,
     StaticCorruption,
 )
 from repro.sim.mailbox import Mailbox
@@ -50,7 +49,7 @@ def make_sim(n=4, seed=0, scheduler=None, **kwargs):
     )
 
 
-# -- scheduler drain / on_submit_range ---------------------------------------
+# -- scheduler drain / on_submit ---------------------------------------------
 
 
 class DequeFIFO(FIFOScheduler):
@@ -60,10 +59,7 @@ class DequeFIFO(FIFOScheduler):
         self._queue = deque()
         self._delivered = set()
 
-    def on_submit(self, seq, view):
-        self._queue.append(seq)
-
-    def on_submit_range(self, start, stop):
+    def on_submit(self, start, stop, pool):
         self._queue.extend(range(start, stop))
 
     def choose(self, pool):
@@ -103,10 +99,10 @@ class TestFIFODrain:
         reference = FIFOScheduler()
         draining = FIFOScheduler()
         for seq in range(10):
-            reference.on_submit(seq, None)
-            draining.on_submit(seq, None)
-        draining.on_submit_range(10, 14)
-        reference.on_submit_range(10, 14)
+            reference.on_submit(seq, seq + 1, None)
+            draining.on_submit(seq, seq + 1, None)
+        draining.on_submit(10, 14, None)
+        reference.on_submit(10, 14, None)
         expected = []
         for _ in range(12):
             seq = reference.choose(None)
@@ -116,8 +112,8 @@ class TestFIFODrain:
 
     def test_drain_respects_limit_and_continues(self):
         scheduler = FIFOScheduler()
-        scheduler.on_submit_range(0, 8)
-        scheduler.on_submit_range(8, 10)
+        scheduler.on_submit(0, 8, None)
+        scheduler.on_submit(8, 10, None)
         assert scheduler.drain(None, 3) == [0, 1, 2]
         assert scheduler.drain(None, 3) == [3, 4, 5]
         assert scheduler.drain(None, 99) == [6, 7]  # one broadcast per batch
@@ -126,23 +122,24 @@ class TestFIFODrain:
 
     def test_drain_skips_already_delivered(self):
         scheduler = FIFOScheduler()
-        scheduler.on_submit_range(0, 4)
-        scheduler.on_submit(4, None)
+        scheduler.on_submit(0, 4, None)
+        scheduler.on_submit(4, 5, None)
         seq = scheduler.choose(None)
         scheduler.on_delivered(seq)
         scheduler.on_delivered(2)
         scheduler.on_delivered(4)
         assert drained(scheduler, 10) == [1, 3]
 
-    def test_on_submit_range_equals_per_seq(self):
-        bulk = FIFOScheduler()
-        single = FIFOScheduler()
-        bulk.on_submit_range(5, 9)
-        bulk.on_submit_range(9, 9)  # an empty range queues nothing
-        for seq in range(5, 9):
-            single.on_submit(seq, None)
-        assert len(bulk._queue) == 1  # one entry per broadcast, not per copy
-        assert drained(bulk, 99) == drained(single, 99) == [5, 6, 7, 8]
+    def test_joined_range_equals_split_ranges(self):
+        for mid in range(5, 10):
+            joined = FIFOScheduler()
+            split = FIFOScheduler()
+            joined.on_submit(5, 9, None)
+            joined.on_submit(9, 9, None)  # an empty range queues nothing
+            split.on_submit(5, mid, None)
+            split.on_submit(mid, 9, None)
+            assert len(joined._queue) == 1  # one entry per broadcast, not per copy
+            assert drained(joined, 99) == drained(split, 99) == [5, 6, 7, 8]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -158,7 +155,8 @@ class TestFIFODrain:
         )
     )
     def test_range_queue_yields_the_deque_sequence(self, ops):
-        """Over random interleavings of the five hooks, every ``choose``
+        """Over random interleavings of one-seq and multi-seq submits,
+        ``choose``, out-of-order deliveries and drains, every ``choose``
         equals the deque model's and every drained batch is exactly the
         model's next ``len(batch)`` seqs."""
         queue, model = FIFOScheduler(), DequeFIFO()
@@ -166,13 +164,13 @@ class TestFIFODrain:
         pending = []  # submitted, not yet delivered, in seq order
         for op, arg in ops:
             if op == "submit":
-                queue.on_submit(next_seq, None)
-                model.on_submit(next_seq, None)
+                queue.on_submit(next_seq, next_seq + 1, None)
+                model.on_submit(next_seq, next_seq + 1, None)
                 pending.append(next_seq)
                 next_seq += 1
             elif op == "submit_range":
-                queue.on_submit_range(next_seq, next_seq + arg)
-                model.on_submit_range(next_seq, next_seq + arg)
+                queue.on_submit(next_seq, next_seq + arg, None)
+                model.on_submit(next_seq, next_seq + arg, None)
                 pending.extend(range(next_seq, next_seq + arg))
                 next_seq += arg
             elif op == "choose" and pending:
@@ -199,23 +197,26 @@ class TestFIFODrain:
 
 
 class TestDelayBoundedDrain:
-    def test_on_submit_range_matches_per_seq_including_rng(self):
-        """The bulk hook must leave the scheduler -- and its RNG -- in
-        exactly the state the per-seq calls would."""
-        bulk = DelayBoundedScheduler(max_delay=7, rng=random.Random(42))
-        single = DelayBoundedScheduler(max_delay=7, rng=random.Random(42))
-        bulk.on_submit_range(0, 20)
-        for seq in range(20):
-            single.on_submit(seq, None)
-        assert sorted(bulk._heap) == sorted(single._heap)
-        assert bulk.rng.getstate() == single.rng.getstate()
+    def test_joined_range_matches_split_ranges_including_rng(self):
+        """``on_submit(a, c)`` must leave the scheduler -- and its RNG -- in
+        exactly the state ``on_submit(a, b)`` then ``on_submit(b, c)``
+        would."""
+        for mid in (0, 1, 7, 19, 20):
+            joined = DelayBoundedScheduler(max_delay=7, rng=random.Random(42))
+            split = DelayBoundedScheduler(max_delay=7, rng=random.Random(42))
+            joined.on_submit(0, 20, None)
+            split.on_submit(0, mid, None)
+            split.on_submit(mid, 20, None)
+            assert sorted(joined._heap) == sorted(split._heap)
+            assert joined._next_seq_bound == split._next_seq_bound == 20
+            assert joined.rng.getstate() == split.rng.getstate()
 
     def test_drain_matches_choose_sequence(self):
         reference = DelayBoundedScheduler(max_delay=5, rng=random.Random(9))
         draining = DelayBoundedScheduler(max_delay=5, rng=random.Random(9))
         for seq in range(30):
-            reference.on_submit(seq, None)
-            draining.on_submit(seq, None)
+            reference.on_submit(seq, seq + 1, None)
+            draining.on_submit(seq, seq + 1, None)
         expected = []
         for _ in range(12):
             seq = reference.choose(None)
@@ -227,7 +228,7 @@ class TestDelayBoundedDrain:
         """Entries ranked at/above the next-unseen-seq bound stay in the
         heap: a future submission could still overtake them."""
         scheduler = DelayBoundedScheduler(max_delay=1000, rng=random.Random(0))
-        scheduler.on_submit_range(0, 5)
+        scheduler.on_submit(0, 5, None)
         batch = scheduler.drain(None, 100) or []
         bound = scheduler._next_seq_bound
         drained_ranks = {seq for seq in batch}
@@ -237,29 +238,34 @@ class TestDelayBoundedDrain:
 
     def test_max_delay_zero_is_fifo(self):
         scheduler = DelayBoundedScheduler(max_delay=0, rng=random.Random(3))
-        scheduler.on_submit_range(0, 6)
+        scheduler.on_submit(0, 6, None)
         assert scheduler.drain(None, 10) == [0, 1, 2, 3, 4, 5]
 
 
 class TestSchedulerBase:
-    def test_default_on_submit_range_delegates(self):
+    def test_on_submit_is_called_once_per_send(self):
+        """A unicast's one seq or a broadcast's n, in one call each, with
+        every seq already in the pool; the base hook is never called."""
         calls = []
 
-        class Recorder(Scheduler):
-            def on_submit(self, seq, view):
-                calls.append(seq)
+        class Recorder(FIFOScheduler):
+            def on_submit(self, start, stop, pool):
+                dests = [pool.view(seq).dest for seq in range(start, stop)]
+                calls.append((start, stop, dests))
+                super().on_submit(start, stop, pool)
 
-            def choose(self, pool):  # pragma: no cover - unused
-                raise NotImplementedError
-
-        Recorder().on_submit_range(3, 7)
-        assert calls == [3, 4, 5, 6]
+        sim = make_sim(scheduler=Recorder())
+        sim.submit_broadcast(1, Note("x"))
+        sim.submit(2, 3, Note("x"))
+        sim.submit_broadcast(0, Note("x"))
+        assert calls == [(0, 4, [0, 1, 2, 3]), (4, 5, [3]), (5, 9, [0, 1, 2, 3])]
+        assert make_sim(scheduler=RandomScheduler())._submit_hook is None
 
     def test_random_scheduler_declines_drain(self):
         """A uniformly random scheduler cannot commit a batch (each
         submission reweights every later draw), so it must decline."""
         scheduler = RandomScheduler(random.Random(0))
-        scheduler.on_submit(0, None)
+        scheduler.on_submit(0, 1, None)
         assert scheduler.drain(None, 4) is None
 
 

@@ -114,6 +114,19 @@ class Listening(RandomScheduler):
         self.heard.append(seq)
 
 
+class Viewing(RandomScheduler):
+    """A positional scheduler that reads each new copy's view on submit."""
+
+    def __init__(self, rng):
+        super().__init__(rng)
+        self.links = []
+
+    def on_submit(self, start, stop, pool):
+        for seq in range(start, stop):
+            view = pool.view(seq)
+            self.links.append((view.sender, view.dest))
+
+
 class Halving(RandomScheduler):
     """Redefines the positional pick *and* the matching ``choose``."""
 
@@ -179,6 +192,17 @@ class TestBypassGuard:
         scheduler = Listening(random.Random(3))
         sim, delivered = run_chatter(scheduler, seed=3)
         assert scheduler.heard == delivered
+        _, plain = run_chatter(RandomScheduler(random.Random(3)), seed=3)
+        assert delivered == plain
+
+    def test_on_submit_override_keeps_the_seq_index(self):
+        """A ``pool.view`` in ``on_submit`` looks a seq up: without the
+        seq index that would scan the pool once per seq."""
+        scheduler = Viewing(random.Random(3))
+        sim, delivered = run_chatter(scheduler, seed=3)
+        assert sim._pos_at is not None
+        assert len(scheduler.links) == sim.deliveries
+        assert scheduler.links[:sim.n] == [(0, dest) for dest in range(sim.n)]
         _, plain = run_chatter(RandomScheduler(random.Random(3)), seed=3)
         assert delivered == plain
 

@@ -15,7 +15,6 @@ from repro.sim.lossy import LossyLinkConfig
 from repro.sim.messages import Message
 from repro.sim.network import SeqNotInFlightError, Simulation
 from repro.sim.process import Wait
-from repro.sim.runner import run_protocol
 
 
 @dataclass
@@ -136,14 +135,10 @@ class TestSubmitValidation:
             sim.submit(3, 0, Tick("t"))
 
     @pytest.mark.parametrize("pid", [-1, 3, 99])
-    def test_protocol_for_a_process_outside_the_system_rejected(self, pid, monkeypatch):
+    def test_protocol_for_a_process_outside_the_system_rejected(self, pid):
         """Such a factory used to be stored and silently never run."""
         with pytest.raises(ValueError, match=f"invalid process id {pid}"):
             make_sim().set_protocol(pid, lambda ctx: iter(()))
-        # ...and run_protocol says so before paying for key generation.
-        monkeypatch.setattr(PKI, "create", None)
-        with pytest.raises(ValueError, match=f"invalid process id {pid}"):
-            run_protocol(3, 0, lambda ctx: iter(()), protocols_by_pid={pid: None})
 
 
 class Naming(Scheduler):

@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+import random
 from dataclasses import dataclass
 
 import pytest
 
+from repro.crypto.pki import PKI
+from repro.sim.adversary import Adversary, RandomScheduler
+from repro.sim.events import SendEvent
+from repro.sim.flightrecorder import FlightRecorder
+from repro.sim.lossy import LossyLinkConfig
 from repro.sim.messages import Envelope, Message
 from repro.sim.metrics import MetricsRecorder, ProtocolRecord
+from repro.sim.network import Simulation
 
 
 @dataclass
@@ -30,40 +37,77 @@ def envelope(sender=0, correct=True, message=None, seq=0):
     )
 
 
+def kernel(n=4, corrupted=(), lossy=None):
+    """A simulation that is never run: sends go through the kernel's one
+    send path (``ctx.send`` / ``ctx.broadcast``), which does the counting."""
+    simulation = Simulation(
+        n=n, f=len(corrupted), pki=PKI.create(n, rng=random.Random(0)),
+        adversary=Adversary(RandomScheduler(random.Random(0))), lossy=lossy,
+    )
+    for pid in corrupted:
+        simulation.corrupt(pid)
+    return simulation
+
+
 class TestWordAccounting:
+    """The kernel counts every copy a process sends, at send time."""
+
     def test_correct_senders_counted(self):
-        metrics = MetricsRecorder()
-        metrics.record_send(envelope(correct=True))
-        assert metrics.words_correct == 3
-        assert metrics.words_total == 3
-        assert metrics.messages_sent_correct == 1
+        sim = kernel()
+        sim.contexts[0].send(1, ThreeWord("i"))
+        metrics = sim.metrics
+        assert metrics.words_correct == metrics.words_total == 3
+        assert metrics.messages_sent_correct == metrics.messages_sent_total == 1
+        sim.contexts[0].broadcast(ThreeWord("i"))  # one copy per process
+        assert metrics.words_correct == metrics.words_total == 3 + 4 * 3
+        assert metrics.messages_sent_correct == metrics.messages_sent_total == 1 + 4
+        assert dict(metrics.words_by_sender) == {0: 15}
+        assert dict(metrics.messages_by_sender) == {0: 5}
 
     def test_byzantine_senders_excluded_from_word_complexity(self):
         # The paper counts words sent by *correct* processes only.
-        metrics = MetricsRecorder()
-        metrics.record_send(envelope(correct=False))
+        sim = kernel(corrupted={2})
+        sim.contexts[2].send(1, ThreeWord("i"))
+        sim.contexts[2].broadcast(ThreeWord("i"))
+        metrics = sim.metrics
         assert metrics.words_correct == 0
-        assert metrics.words_total == 3
-        assert metrics.messages_sent_total == 1
+        assert metrics.words_total == 5 * 3
+        assert metrics.messages_sent_total == 5
         assert metrics.messages_sent_correct == 0
+        assert not metrics.words_by_sender and not metrics.messages_by_sender
 
     def test_per_kind_breakdown(self):
-        metrics = MetricsRecorder()
-        metrics.record_send(envelope(message=ThreeWord("i")))
-        metrics.record_send(envelope(message=Message("i")))
-        assert metrics.words_by_kind["ThreeWord"] == 3
-        assert metrics.words_by_kind["Message"] == 1
-        assert metrics.messages_by_kind["ThreeWord"] == 1
+        sim = kernel()
+        sim.contexts[0].send(1, ThreeWord("i"))
+        sim.contexts[1].broadcast(Message("i"))
+        metrics = sim.metrics
+        assert metrics.words_by_kind == {"ThreeWord": 3, "Message": 4}
+        assert metrics.messages_by_kind == {"ThreeWord": 1, "Message": 4}
 
     def test_byzantine_sends_not_in_kind_breakdown(self):
-        metrics = MetricsRecorder()
-        metrics.record_send(envelope(correct=False))
-        assert "ThreeWord" not in metrics.words_by_kind
+        sim = kernel(corrupted={2})
+        sim.contexts[2].send(0, ThreeWord("i"))
+        sim.contexts[2].broadcast(ThreeWord("i"))
+        assert "ThreeWord" not in sim.metrics.words_by_kind
+        assert "ThreeWord" not in sim.metrics.messages_by_kind
+
+    def test_lossy_duplicate_twin_is_no_protocol_send(self):
+        """The twin takes a seq and a SendEvent of its own, but the network
+        made it: the counters hold the copies the sender sent."""
+        sim = kernel(lossy=LossyLinkConfig(duplicate_rate=1.0))
+        recorder = sim.events.attach(FlightRecorder())
+        sim.contexts[0].send(1, ThreeWord("i"))
+        sim.contexts[0].broadcast(ThreeWord("i"))
+        metrics = sim.metrics
+        sends = [event for event in recorder.events if type(event) is SendEvent]
+        assert len(sends) == len(sim._in_flight) == 2 * 5
+        assert metrics.messages_sent_total == metrics.messages_sent_correct == 5
+        assert metrics.words_total == metrics.words_correct == 5 * 3
+        assert dict(metrics.messages_by_sender) == {0: 5}
 
     def test_delivery_counter(self):
         metrics = MetricsRecorder()
         env = envelope()
-        metrics.record_send(env)
         metrics.record_delivery(env)
         metrics.record_delivery(env)
         assert metrics.messages_delivered == 2
@@ -73,12 +117,12 @@ class TestPerProcessWords:
     """The 'no hot node' accounting behind the repro report table."""
 
     def _loaded(self):
-        metrics = MetricsRecorder()
+        sim = kernel(n=10, corrupted={9})
         for sender, sends in ((0, 1), (1, 2), (2, 4)):
-            for seq in range(sends):
-                metrics.record_send(envelope(sender=sender, seq=seq))
-        metrics.record_send(envelope(sender=9, correct=False))
-        return metrics
+            for _ in range(sends):
+                sim.contexts[sender].send(1, ThreeWord("i"))
+        sim.contexts[9].send(1, ThreeWord("i"))
+        return sim.metrics
 
     def test_per_sender_counters_track_correct_sends_only(self):
         metrics = self._loaded()

@@ -3,15 +3,22 @@
 from __future__ import annotations
 
 import inspect
+import random
 from dataclasses import dataclass
 
 import pytest
 
 from repro.crypto.pki import PKI
+from repro.sim.adversary import Adversary, RandomScheduler
 from repro.sim.messages import Message
 from repro.sim.network import Simulation
 from repro.sim.process import Wait
-from repro.sim.runner import run_protocol, stop_when_all_decided
+from repro.sim.runner import (
+    RunResult,
+    run_protocol,
+    stop_when_all_decided,
+    stop_when_all_returned,
+)
 
 
 @dataclass
@@ -77,7 +84,7 @@ class TestRunProtocol:
         assert list(inspect.signature(run_protocol).parameters) == [
             "n", "f", "protocol",
             "adversary", "corrupt", "seed", "pki", "backend", "params",
-            "stop_condition", "max_deliveries", "protocols_by_pid",
+            "stop_condition", "max_deliveries",
             "profile", "lossy", "observers",
         ]
 
@@ -92,14 +99,10 @@ class TestRunProtocol:
         ]
 
     def test_adversary_and_corrupt_conflict(self):
-        from repro.sim.adversary import Adversary
-
         with pytest.raises(ValueError):
             run_protocol(3, 1, heartbeat, adversary=Adversary(), corrupt={0})
 
     def test_bad_arguments_rejected_before_key_generation(self, monkeypatch):
-        from repro.sim.adversary import Adversary
-
         def no_keygen(*args, **kwargs):
             raise AssertionError("generated keys for a run that cannot start")
 
@@ -125,9 +128,14 @@ class TestRunProtocol:
             return ("special", 0)
             yield
 
-        result = run_protocol(
-            4, 0, heartbeat, protocols_by_pid={0: zero_decider}, seed=2
+        sim = Simulation(
+            4, 0, PKI.create(4, rng=random.Random(2)),
+            Adversary(RandomScheduler(random.Random(2))), seed=2,
+            stop_condition=stop_when_all_returned,
         )
+        sim.set_protocol_all(heartbeat)
+        sim.set_protocol(0, zero_decider)
+        result = RunResult.of(sim.run())
         assert result.decisions[0] == "special"
         assert result.decisions[1] == "beat"
         assert not result.agreement  # two distinct decided values

@@ -42,10 +42,11 @@ class FakePool:
 
 
 class TestPartitionMerge:
+    LINKS = {10: (0, 1), 11: (1, 2)}  # seq 10 crosses the cut, 11 does not
+
     def test_cross_bucket_merges_at_heal(self):
         scheduler = PartitionScheduler({0}, heal_after=2, rng=random.Random(1))
-        scheduler.on_submit(10, view(10, 0, 1))  # cross
-        scheduler.on_submit(11, view(11, 1, 2))  # intra
+        scheduler.on_submit(10, 12, FakePool([10, 11], links=self.LINKS))
         assert len(scheduler._cross) == 1
         scheduler.on_delivered(11)
         scheduler.on_delivered(99)
@@ -58,13 +59,12 @@ class TestPartitionMerge:
 
     def test_pre_heal_prefers_intra(self):
         scheduler = PartitionScheduler({0}, heal_after=10**9, rng=random.Random(2))
-        scheduler.on_submit(10, view(10, 0, 1))  # cross
-        scheduler.on_submit(11, view(11, 1, 2))  # intra
+        scheduler.on_submit(10, 12, FakePool([10, 11], links=self.LINKS))
         assert scheduler.choose(FakePool([10, 11])) == 11
 
     def test_drained_side_releases_cross(self):
         scheduler = PartitionScheduler({0}, heal_after=10**9, rng=random.Random(3))
-        scheduler.on_submit(10, view(10, 0, 1))  # cross only
+        scheduler.on_submit(10, 11, FakePool([10], links=self.LINKS))  # cross only
         assert scheduler.choose(FakePool([10])) == 10
 
 
@@ -105,11 +105,11 @@ class TestReplaySchedulerUnits:
             scheduler.choose(FakePool([10], links={10: (0, 1)}))
 
     def test_keeps_a_cursor_and_nothing_else(self):
-        """No submission hook, so the kernel submits a replayed broadcast
-        as one range instead of building an EnvelopeView per copy."""
+        """No submission hook, so the kernel calls no scheduler code when
+        a replayed run sends, and asks the pool only about the seq due."""
         scheduler = ReplayScheduler([(10, 0, 1)])
         assert set(vars(scheduler)) == {"_schedule", "_position"}
-        for hook in ("on_submit", "on_submit_range", "on_delivered", "drain"):
+        for hook in ("on_submit", "on_delivered", "drain"):
             assert getattr(ReplayScheduler, hook) is getattr(Scheduler, hook), hook
 
 
