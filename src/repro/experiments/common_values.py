@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from statistics import mean
 
 from repro.analysis.bounds import common_values_fraction_bound
-from repro.core.messages import FirstMsg, SecondMsg, coin_value_alpha
+from repro.core.messages import coin_value_alpha
 from repro.core.params import ProtocolParams
 from repro.core.shared_coin import shared_coin
 from repro.crypto.hashing import derive_seed
@@ -26,8 +26,7 @@ from repro.experiments.coin_success import sweep_params
 from repro.experiments.sweep import sweep
 from repro.experiments.tables import format_table
 from repro.sim.adversary import Adversary, RandomScheduler, StaticCorruption
-from repro.sim.events import DeliverEvent
-from repro.sim.flightrecorder import FlightRecorder
+from repro.sim.events import DeliverEvent, SendEvent
 from repro.sim.network import Simulation
 
 __all__ = ["CommonValuesPoint", "format_common_values", "run"]
@@ -64,32 +63,26 @@ def run_once(n: int, f: int, seed: int) -> CommonValuesRun:
         ),
         seed=seed, params=params,
     )
-    trace = sim.events.attach(FlightRecorder())
 
-    # Trusted-measurement subscriber: FIRST-value origins are read from the
-    # live payload *during* the delivery callback (the recorder only keeps
-    # an immutable summary).  Both are observers' tools, not part of the
-    # adversary interface, so this does not weaken the model.
+    # One subscriber measures phase 1.  A FIRST value's origin is its
+    # sender: shared_coin discards any FIRST whose origin is not the
+    # sender's, and the corrupted processes here are silent.  A process's
+    # first SECOND send is the end of its phase 1.
     first_deliveries: list[tuple[int, int, int]] = []  # (step, dest, origin)
+    second_step: dict[int, int] = {}
 
-    def collect_first(event) -> None:
-        if isinstance(event, DeliverEvent) and isinstance(event.payload, FirstMsg):
-            first_deliveries.append(
-                (event.step, event.dest, event.payload.coin_value.origin)
-            )
+    def measure(event) -> None:
+        if type(event) is DeliverEvent:
+            if event.message_kind == "FirstMsg":
+                first_deliveries.append((event.step, event.dest, event.sender))
+        elif type(event) is SendEvent and event.message_kind == "SecondMsg":
+            second_step.setdefault(event.sender, event.step)
 
-    sim.events.subscribe(collect_first)
+    sim.events.subscribe(measure)
     sim.set_protocol_all(lambda ctx: shared_coin(ctx, 0))
     sim.run()
 
     correct = set(sim.correct_pids)
-    # Step at which each correct process broadcast its SECOND (the end of
-    # its phase 1).
-    second_step = {
-        pid: trace.sends_by(pid, "SecondMsg")[0].step
-        for pid in correct
-        if trace.sends_by(pid, "SecondMsg")
-    }
     # Which origins' FIRST values each correct process received in phase 1.
     receivers_per_origin: dict[int, set[int]] = {}
     for step, dest, origin in first_deliveries:

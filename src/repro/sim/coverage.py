@@ -491,8 +491,8 @@ def coverage_from_events(
     events: Iterable[KernelEvent], signature_budget: int = 8192
 ) -> dict[str, Any]:
     """Replay a recorded event log through a fresh probe; returns the
-    snapshot.  Because the fold reads only serialised event fields
-    (never the live payload), recomputing from a flight recording is
+    snapshot.  A kernel event holds only what a recording keeps (no
+    live message), so recomputing from a flight recording is
     byte-identical to the probe that watched the run live -- asserted
     by ``tests/sim/test_coverage.py``."""
     probe = CoverageProbe(signature_budget=signature_budget)

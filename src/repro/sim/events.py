@@ -9,12 +9,12 @@ every emission site with a truthiness check on the subscriber list, so a
 run with nothing attached pays one attribute read and one branch per
 site (measured by ``benchmarks/bench_observability_overhead.py``).
 
-Events reference live kernel objects only through immutable snapshots:
-a :class:`DeliverEvent` carries the payload *reference* for subscribers
-that want to inspect it at delivery time (the trusted-measurement use
-case, e.g. experiment E1b), plus a :class:`PayloadSummary` that stays
-valid even if the protocol later mutates or reuses the payload object.
-Anything persisted must persist the summary, never the reference.
+Events are plain immutable values that hold no live kernel object: a
+:class:`DeliverEvent` carries a :class:`PayloadSummary` of its message,
+never the message, so any observer may keep the kernel's own event
+object for as long as it likes.  The kernel takes one summary per
+flight (every copy of one send shares it), at the flight's first
+observed delivery.
 
 ``step`` on every event is the kernel's global delivery counter at
 emission time, so events are totally ordered by (step, index-in-log).
@@ -52,7 +52,6 @@ __all__ = [
     "instance_from_json",
     "require_schema_version",
     "summarize_payload",
-    "without_payload",
 ]
 
 EVENT_SCHEMA = "repro.flight"
@@ -92,9 +91,9 @@ class PayloadSummary:
     """Immutable snapshot of a protocol message, safe to persist.
 
     Captures the complexity-relevant facts (kind, instance, size in
-    paper-words) plus the payload's ``repr`` at snapshot time.  Recording
-    the summary instead of the live object keeps recordings valid even if
-    a protocol mutates or reuses payload objects after delivery.
+    paper-words) plus the payload's ``repr`` at snapshot time.  Events
+    carry this instead of the live object, so an event stays valid, and
+    pins nothing, after the run.
     """
 
     kind: str
@@ -137,9 +136,8 @@ class DeliverEvent:
     ``sent_step`` is the delivery counter when the message entered the
     network (the matching :class:`SendEvent`'s ``step``), so
     ``step - sent_step`` is the link latency without a send/deliver
-    join.  ``payload`` is the live message object -- valid to inspect
-    *during* the subscriber callback, never to store (store
-    ``summary``).
+    join.  ``summary`` is the message's snapshot, shared by every copy
+    of one send; the event holds no reference to the message itself.
     """
 
     kind = "deliver"
@@ -154,28 +152,6 @@ class DeliverEvent:
     depth: int
     sent_step: int
     summary: PayloadSummary
-    payload: Any = None
-
-
-def without_payload(event: DeliverEvent) -> DeliverEvent:
-    """``event`` minus its live payload reference: what an observer may keep.
-
-    Positional, and not ``dataclasses.replace``: observers call this once
-    per delivery, and ``replace`` re-reads every field through
-    ``fields()`` before it calls the same constructor.
-    """
-    return DeliverEvent(
-        event.step,
-        event.seq,
-        event.sender,
-        event.dest,
-        event.instance,
-        event.message_kind,
-        event.words,
-        event.depth,
-        event.sent_step,
-        event.summary,
-    )
 
 
 @dataclass(frozen=True)
@@ -282,9 +258,7 @@ _EVENT_TYPES: dict[str, type] = {
 # Per class, the fields a record copies as they are -- computed once, so
 # no per-event ``fields()`` introspection.
 _RECORD_FIELDS: dict[type, tuple[str, ...]] = {
-    cls: tuple(
-        spec.name for spec in fields(cls) if spec.name not in ("summary", "payload")
-    )
+    cls: tuple(spec.name for spec in fields(cls) if spec.name != "summary")
     for cls in _EVENT_TYPES.values()
 }
 
@@ -296,7 +270,7 @@ class EventBus:
     truthiness before *constructing* an event, so the no-subscriber cost
     per emission site is one attribute read plus one branch.  Subscribers
     are invoked synchronously in subscription order and must not mutate
-    the kernel or the payloads they are shown.
+    the kernel.
 
     An *observer* is any object with ``on_event(event)`` and, optionally,
     ``begin_run()`` and ``finalize(result, simulation)`` -- the flight
@@ -306,33 +280,10 @@ class EventBus:
     callables keep the raw :meth:`subscribe`.
     """
 
-    __slots__ = ("subscribers", "_summaries")
+    __slots__ = ("subscribers",)
 
     def __init__(self) -> None:
         self.subscribers: list[Callable[[KernelEvent], None]] = []
-
-    def summary_of(self, message: "Message") -> PayloadSummary:
-        """This run's one :class:`PayloadSummary` of the ``message`` object.
-
-        A broadcast hands one message object to n destinations, so its
-        ``repr`` and word count are taken at the first delivery and shared
-        by the rest.  Sound because a message is immutable once submitted
-        (``tests/sim/test_payload_memo.py`` recomputes both at every
-        delivery).  Keyed on identity, not cached on the message: the
-        lossy link's bit-corruption ``copy.copy``s a message, and the
-        clone must get a text of its own.  Each entry holds its message,
-        so an ``id`` cannot be reused while the entry lives.  The memo is
-        created on first use and goes with the run's ``Simulation``, which
-        owns this bus; no event or recording refers to it.
-        """
-        try:
-            memo = self._summaries
-        except AttributeError:
-            memo = self._summaries = {}
-        entry = memo.get(id(message))
-        if entry is None:
-            entry = memo[id(message)] = (summarize_payload(message), message)
-        return entry[0]
 
     def subscribe(self, callback: Callable[[KernelEvent], None]) -> Callable:
         """Register ``callback``; returns it (handy for unsubscribe)."""
@@ -413,9 +364,9 @@ class ChunkedObserver:
 def event_to_record(event: KernelEvent) -> dict[str, Any]:
     """Flatten ``event`` into a JSON-friendly dict (``k`` = event kind).
 
-    Deliver events drop the live payload reference and inline the
-    summary's fields; everything else serialises field-for-field.  The
-    inverse is :func:`event_from_record`.  This is the one flat
+    Deliver events inline the summary's fields; everything else
+    serialises field-for-field.  The inverse is
+    :func:`event_from_record`.  This is the one flat
     definition of an event's fields: diff and violation reports show it,
     and a recording's line is this record with the summary's text
     swapped for a payload id (:func:`repro.sim.flightrecorder.encode_events`).

@@ -1,8 +1,8 @@
 """The flight recorder: persistable kernel-event logs and their analyses.
 
 A :class:`FlightRecorder` is an event-bus subscriber that keeps every
-kernel event of a run (with live payload references stripped, so the log
-stays valid after the run).  :func:`save_recording` /
+kernel event of a run (events hold no live message, so the log stays
+valid after the run).  :func:`save_recording` /
 :func:`load_recording` move a recording through the schema-versioned
 JSONL format -- one header line, the event lines of
 :func:`encode_events` (a payload table and broadcast send-runs instead
@@ -38,7 +38,6 @@ from repro.sim.events import (
     event_to_record,
     instance_from_json,
     require_schema_version,
-    without_payload,
 )
 
 if TYPE_CHECKING:
@@ -61,10 +60,10 @@ class FlightRecorder:
     """Collects every kernel event of a run, ready to persist or analyse.
 
     Attach via ``run_protocol(..., observers=[recorder])`` (or
-    ``simulation.events.attach(recorder)``).  Deliver events are stored
-    with the live payload reference dropped -- only the immutable
-    :class:`~repro.sim.events.PayloadSummary` survives -- so holding a
-    recording never pins or aliases protocol message objects.
+    ``simulation.events.attach(recorder)``).  It keeps the kernel's own
+    event objects; a deliver event carries only the immutable
+    :class:`~repro.sim.events.PayloadSummary` of its message, so holding
+    a recording never pins or aliases protocol message objects.
 
     One recorder holds one run: attaching it again starts a fresh
     :attr:`events` list (the previous run's list is left intact for
@@ -78,8 +77,6 @@ class FlightRecorder:
         self.events = []
 
     def on_event(self, event: KernelEvent) -> None:
-        if type(event) is DeliverEvent and event.payload is not None:
-            event = without_payload(event)
         self.events.append(event)
 
     def of_kind(self, kind: str) -> list[KernelEvent]:

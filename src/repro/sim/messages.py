@@ -69,10 +69,14 @@ class Flight:
     ``words`` and ``instance`` are the payload's, read once per send
     instead of once per delivery; ``entry`` is the one
     ``(sender, payload)`` tuple every receiver's mailbox stream appends.
+    ``summary`` is the payload's
+    :class:`~repro.sim.events.PayloadSummary`, which the kernel takes at
+    the flight's first observed delivery and every later copy's
+    ``DeliverEvent`` shares; it stays ``None`` in a run nobody observes.
     """
 
     __slots__ = ("sender", "payload", "depth", "sender_correct", "sent_step",
-                 "words", "instance", "entry")
+                 "words", "instance", "entry", "summary")
 
     def __init__(self, sender: int, payload: Message, depth: int,
                  sender_correct: bool, sent_step: int) -> None:
@@ -84,6 +88,7 @@ class Flight:
         self.words = payload.words()
         self.instance = payload.instance
         self.entry = (sender, payload)
+        self.summary = None
 
 
 @dataclass(frozen=True)

@@ -42,10 +42,8 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
 from repro.sim.events import (
     CorruptEvent,
     DecideEvent,
-    DeliverEvent,
     KernelEvent,
     event_to_record,
-    without_payload,
 )
 from repro.sim.flightrecorder import critical_path
 
@@ -757,8 +755,6 @@ class MonitorSuite:
             monitor.begin_run()
 
     def on_event(self, event: KernelEvent) -> None:
-        if type(event) is DeliverEvent and event.payload is not None:
-            event = without_payload(event)
         events = self.events
         events.append(event)
         for monitor in self._dispatch.get(type(event), ()):

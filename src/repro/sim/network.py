@@ -37,6 +37,7 @@ from repro.sim.events import (
     SendEvent,
     WaitBlockEvent,
     WaitWakeEvent,
+    summarize_payload,
 )
 from repro.sim.lossy import LossyLinkConfig, _LossyState, zero_counters
 from repro.sim.messages import Envelope, EnvelopeView, Flight, Message
@@ -693,21 +694,21 @@ class Simulation:
     def _deliver(self, envelope: Envelope) -> None:
         self.metrics.record_delivery(envelope)
         if self._subscribers:
-            payload = envelope.payload
-            summary = self.events.summary_of(payload)
+            # An envelope carries no flight: summarise per delivery (equal
+            # to the fast loop's shared per-flight summary).
+            summary = summarize_payload(envelope.payload)
             self.events.emit(
                 DeliverEvent(
                     step=self.deliveries,
                     seq=envelope.seq,
                     sender=envelope.sender,
                     dest=envelope.dest,
-                    instance=payload.instance,
+                    instance=summary.instance,
                     message_kind=summary.kind,
                     words=summary.words,
                     depth=envelope.depth,
                     sent_step=envelope.sent_step,
                     summary=summary,
-                    payload=payload,
                 )
             )
         # The delivery counter advances before the delivery's effects, so
@@ -1112,12 +1113,15 @@ class Simulation:
                 if chosen >= 0:
                     on_delivered(chosen)
                 # -- _deliver, inlined --
-                payload = flight.payload
                 metrics.messages_delivered += 1
                 metrics.words_delivered += flight.words
                 payload_instance = flight.instance
                 if subscribers:
-                    summary = self.events.summary_of(payload)
+                    summary = flight.summary
+                    if summary is None:
+                        summary = flight.summary = summarize_payload(
+                            flight.payload
+                        )
                     emit(
                         DeliverEvent(
                             step=self.deliveries,
@@ -1130,7 +1134,6 @@ class Simulation:
                             depth=flight.depth,
                             sent_step=flight.sent_step,
                             summary=summary,
-                            payload=payload,
                         )
                     )
                 self.deliveries += 1

@@ -2,7 +2,7 @@
 rejects), replay fidelity, critical path, one-run-per-recorder,
 observability under mid-run corruption, and the ordering facts a test can
 read off a recorder's event log.  (Observer-effect freedom is
-``test_observers.py``'s; the one-summary-per-message memo is
+``test_observers.py``'s; the one summary per flight is
 ``test_payload_memo.py``'s.)"""
 
 from __future__ import annotations
@@ -332,7 +332,7 @@ class TestAttachedTrace:
         """The log keeps a snapshot of the payload, never the live object."""
         _, trace = run_traced_coin()
         deliver = trace.of_kind("deliver")[0]
-        assert deliver.payload is None
+        assert not hasattr(deliver, "payload")
         summary = deliver.summary
         assert isinstance(summary, PayloadSummary)
         assert summary.kind == deliver.message_kind

@@ -439,8 +439,10 @@ class TestFlightSharing:
         assert list(sim._in_flight) == [0, 1, 2, 3] and list(sim._dests) == [0, 1, 2, 3]
         assert [flight is shared for flight in flights] == [True, True, False, True]
         assert own.payload is not sent and (own.sender, own.depth) == (0, shared.depth)
-        delivered = {event.dest: event.payload for event in run_idle(sim)}
-        assert sorted(delivered) == [0, 1, 2, 3]
+        assert sorted(event.dest for event in run_idle(sim)) == [0, 1, 2, 3]
+        delivered = {
+            dest: sim.contexts[dest].mailbox.stream("x")[0][1] for dest in range(4)
+        }
         for dest in (0, 1, 3):
             assert delivered[dest] is sent
         flipped = delivered[2]
@@ -464,7 +466,9 @@ class TestFlightSharing:
         assert [(event.seq, event.dest) for event in delivered] == [
             (0, 0), (1, 1), (2, 1), (3, 2), (4, 3),
         ]
-        assert all(event.payload is sent for event in delivered)
+        received = [sim.contexts[pid].mailbox.stream("x") for pid in range(4)]
+        assert [len(stream) for stream in received] == [1, 2, 1, 1]
+        assert all(entry[1] is sent for stream in received for entry in stream)
         assert sim.lossy_counters == ONE_TWIN
 
     @pytest.mark.parametrize("mode", ["batched", "classic"])

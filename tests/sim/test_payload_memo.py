@@ -1,13 +1,14 @@
-"""One ``PayloadSummary`` per message *object* (``EventBus.summary_of``).
+"""One ``PayloadSummary`` per flight, and events that hold no message.
 
-The kernel summarises a message the first time it is delivered and hands
-the same summary to every later delivery of that object.  That is sound
-only under the contract "a message is immutable once submitted", so the
-first test *is* that contract: a subscriber recomputes ``repr`` and
-``words()`` at every delivery of every protocol and hostile scenario and
-compares them with what the memo answered.  The rest pins the memo's
-scope: identity (a bit-corrupted clone is another message), one run, and
-no ``id`` reuse while an entry lives.
+The fast loop summarises a send's message at its flight's first observed
+delivery and hands the same summary to every later copy of that send.
+That is sound only under the contract "a message is immutable once
+submitted", so the first tests *are* that contract: after the run, every
+deliver event's summary is held against a fresh summary of the object its
+destination's mailbox holds, for every protocol and hostile scenario.  The
+rest pins the summary's scope (a bit-flipped copy is another flight, an
+unobserved run takes none) and the invariant it buys: no event is, or
+holds, a protocol message, so a kept event log pins none.
 """
 
 from __future__ import annotations
@@ -15,18 +16,20 @@ from __future__ import annotations
 import gc
 import json
 import weakref
-from dataclasses import replace
+from collections import Counter
+from dataclasses import is_dataclass, replace
 
 import pytest
 
-import repro.sim.events as events_module
+import repro.sim.network as network_module
 from repro.experiments.protocols import PROTOCOLS
 from repro.experiments.scenarios import SCENARIOS, Nudge, resolve_run, split_decider
 from repro.sim.adversary import Adversary, StaticCorruption
 from repro.sim.byzantine import ScriptedBehavior
-from repro.sim.events import DeliverEvent
+from repro.sim.events import DeliverEvent, summarize_payload
 from repro.sim.flightrecorder import FlightRecorder, save_recording
 from repro.sim.lossy import LossyLinkConfig
+from repro.sim.messages import Message
 from repro.sim.runner import run_protocol
 
 from tests.sim.test_lossy_link import make_sim, tagged_gossip_protocol
@@ -35,30 +38,58 @@ MAX_DELIVERIES = 60_000
 
 
 class SummaryAudit:
-    """Recompute every delivered payload's summary and hold it against
-    the one the event carries."""
+    """After the run, hold every deliver event's summary against a fresh
+    summary of the object its destination received.
+
+    A correct destination's ``mailbox.stream(instance)`` holds the
+    delivered objects in delivery order, so the k-th deliver event of an
+    instance to a process is that stream's k-th entry.  Auditing at run
+    end checks "immutable once submitted" up to the end of the run, not
+    only up to the delivery.
+    """
 
     def __init__(self) -> None:
-        self.deliveries = 0
-        self.by_object: dict[int, list] = {}  # id -> [payload, summary], pinned
+        self.delivers: list[DeliverEvent] = []
+        self.audited = 0
+        self.by_object: dict[int, list] = {}  # id -> [message, summary], pinned
+        self.summaries: dict[int, object] = {}  # id -> summary, pinned
         self.stale: list[str] = []
 
     def on_event(self, event) -> None:
-        if type(event) is not DeliverEvent:
-            return
-        self.deliveries += 1
-        payload, summary = event.payload, event.summary
-        fresh = (type(payload).__name__, payload.instance, payload.words(), repr(payload))
-        held = (summary.kind, summary.instance, summary.words, summary.text)
-        if fresh != held or event.words != fresh[2] or event.message_kind != fresh[0]:
-            self.stale.append(f"seq {event.seq}: {held} is now {fresh}")
-        known = self.by_object.setdefault(id(payload), [payload, summary])
-        assert known[0] is payload and known[1] is summary
+        if type(event) is DeliverEvent:
+            self.delivers.append(event)
+
+    def finalize(self, result, simulation) -> None:
+        correct = set(simulation.correct_pids)
+        taken: Counter = Counter()
+        for event in self.delivers:
+            if event.dest not in correct:
+                continue
+            key = (event.dest, event.instance)
+            mailbox = simulation.contexts[event.dest].mailbox
+            sender, message = mailbox.stream(event.instance)[taken[key]]
+            taken[key] += 1
+            assert sender == event.sender
+            self.audited += 1
+            summary, fresh = event.summary, summarize_payload(message)
+            if (
+                fresh != summary
+                or event.words != fresh.words
+                or event.message_kind != fresh.kind
+            ):
+                self.stale.append(f"seq {event.seq}: {summary} is now {fresh}")
+            known = self.by_object.setdefault(id(message), [message, summary])
+            assert known[0] is message and known[1] == summary
+            self.summaries[id(summary)] = summary
+        # Every delivery to a correct process was audited, none twice.
+        assert self.audited == sum(
+            simulation.contexts[pid].mailbox.total_delivered for pid in correct
+        )
 
     @property
     def shared(self) -> int:
         """Deliveries that reused a summary taken at an earlier one."""
-        return self.deliveries - len(self.by_object)
+        return self.audited - len(self.summaries)
 
 
 def run_named(name: str, n: int, seed: int, observers, lossy=None):
@@ -69,14 +100,27 @@ def run_named(name: str, n: int, seed: int, observers, lossy=None):
     return spec.run(observers=observers, max_deliveries=MAX_DELIVERIES)
 
 
+def holds_message(value) -> bool:
+    """Is ``value`` a :class:`Message`, or does any part of it hold one?"""
+    if isinstance(value, Message):
+        return True
+    if isinstance(value, (tuple, list, set, frozenset)):
+        return any(holds_message(item) for item in value)
+    if isinstance(value, dict):
+        return any(holds_message(item) for pair in value.items() for item in pair)
+    if is_dataclass(value):
+        return any(holds_message(item) for item in vars(value).values())
+    return False
+
+
 class TestMessagesAreImmutableOnceSubmitted:
     @pytest.mark.parametrize("name", [*PROTOCOLS, *SCENARIOS])
     def test_memoised_summary_equals_a_fresh_one_at_every_delivery(self, name):
         audit = SummaryAudit()
         run_named(name, 10, 5, [audit])
-        assert audit.deliveries > 0
+        assert audit.audited > 0
         assert audit.stale == []
-        # The memo did something: broadcasts share one summary.
+        # The flight's summary did something: broadcasts share one.
         assert audit.shared > 0
 
     def test_under_bit_corruption_and_duplication(self):
@@ -89,7 +133,7 @@ class TestMessagesAreImmutableOnceSubmitted:
 
     def test_under_byzantine_per_destination_sends(self):
         """A Byzantine sender hands each destination its own object (and
-        one destination the same object twice)."""
+        one destination the same object twice, in two sends)."""
         n = 6
 
         def equivocate(ctx):
@@ -108,17 +152,18 @@ class TestMessagesAreImmutableOnceSubmitted:
             ),
             stop_condition=None, observers=[audit],
         )
-        assert audit.deliveries == n + 1
+        assert audit.audited == n + 1
         assert audit.stale == []
         assert len(audit.by_object) == n  # n - 1 unicasts + the one sent twice
+        assert len(audit.summaries) == n + 1  # one per send
         texts = {summary.text for _, summary in audit.by_object.values()}
         assert len(texts) == n
 
 
 class TestMemoScope:
     def test_a_bit_corrupted_clone_gets_its_own_summary(self):
-        """``copy.copy`` keeps every attribute, so a summary cached *on*
-        the message would follow the clone; the identity memo cannot."""
+        """The lossy link ``copy.copy``s a bit-flipped message into a
+        flight of its own, so the clone gets a text of its own."""
         lossy = LossyLinkConfig(per_link={(0, 1): LossyLinkConfig(corrupt_rate=1.0)})
         sim = make_sim(n=3, seed=4, lossy=lossy)
         from_zero = {}
@@ -130,56 +175,35 @@ class TestMemoScope:
         sim.set_protocol_all(tagged_gossip_protocol)
         sim.run()
         assert sim.lossy_counters["corruptions"] == 1
+        received = {
+            dest: next(
+                message
+                for sender, message in sim.contexts[dest].mailbox.stream("gossip")
+                if sender == 0
+            )
+            for dest in range(3)
+        }
         original, clone = from_zero[0], from_zero[1]
-        # The intact link delivers the broadcast object, summarised once ...
-        assert from_zero[2].payload is original.payload
+        # The intact links deliver the broadcast object, summarised once ...
+        assert received[2] is received[0]
         assert from_zero[2].summary is original.summary
         # ... and the corrupting link a clone of it, with a text of its own.
-        assert clone.payload is not original.payload
-        assert clone.summary.text == repr(clone.payload)
+        assert received[1] is not received[0]
+        assert clone.summary.text == repr(received[1])
         assert clone.summary.text != original.summary.text
 
-    def test_two_runs_share_no_memo(self):
-        first, second = make_sim(seed=1), make_sim(seed=1)
-        for sim in (first, second):
-            sim.events.subscribe(lambda event: None)
-            sim.set_protocol_all(tagged_gossip_protocol)
-            sim.run()
-        assert first.events._summaries is not second.events._summaries
-        assert first.events._summaries and second.events._summaries
-        # ... and a run nobody observed never built one.
-        bare = make_sim(seed=1)
-        bare.set_protocol_all(tagged_gossip_protocol)
-        bare.run()
-        assert not hasattr(bare.events, "_summaries")
-
-    def test_an_entry_keeps_its_message_alive(self):
-        """Were the memo to hold only ``id(message)``, a freed message's
-        id could come back on a new object and inherit a stale text."""
-        sim = make_sim()
-        message = Nudge("nudge", payload=1)
-        summary = sim.events.summary_of(message)
-        probe = weakref.ref(message)
-        key = id(message)
-        del message
-        gc.collect()
-        assert probe() is not None
-        assert sim.events._summaries[key] == (summary, probe())
-        # A different object is a different entry, whatever it says.
-        twin = Nudge("nudge", payload=1)
-        assert sim.events.summary_of(twin) is not summary
-        assert sim.events.summary_of(twin) == summary
-
-    def test_a_held_recording_pins_no_protocol_object(self):
+    def test_a_held_recording_pins_no_protocol_object(self, monkeypatch):
         recorder = FlightRecorder()
         probes = []
+        real = network_module.summarize_payload
 
-        class Watcher:
-            def on_event(self, event):
-                if type(event) is DeliverEvent and len(probes) < 50:
-                    probes.append(weakref.ref(event.payload))
+        def watching(message):
+            if len(probes) < 50:
+                probes.append(weakref.ref(message))
+            return real(message)
 
-        run_named("whp_ba", 8, 1, [recorder, Watcher()])
+        monkeypatch.setattr(network_module, "summarize_payload", watching)
+        run_named("whp_ba", 8, 1, [recorder])
         gc.collect()
         assert probes and all(probe() is None for probe in probes)
         assert recorder.of_kind("deliver")[0].summary.text  # the log is intact
@@ -187,14 +211,15 @@ class TestMemoScope:
 
 class TestOneSummaryPerMessageObject:
     def test_calls_equal_distinct_objects_equal_payload_ids(self, tmp_path, monkeypatch):
+        """One summary per flight; here every flight sends its own object."""
         calls = []
-        real = events_module.summarize_payload
+        real = network_module.summarize_payload
 
         def counting(message):
             calls.append(type(message).__name__)
             return real(message)
 
-        monkeypatch.setattr(events_module, "summarize_payload", counting)
+        monkeypatch.setattr(network_module, "summarize_payload", counting)
         recorder, audit = FlightRecorder(), SummaryAudit()
         result = run_named("whp_ba", 16, 3, [recorder, audit])
         path = save_recording(tmp_path / "run.jsonl", recorder, result)
@@ -205,3 +230,37 @@ class TestOneSummaryPerMessageObject:
         assert payload_ids == list(range(len(payload_ids))) and cited == set(payload_ids)
         # An order of magnitude fewer summaries than deliveries.
         assert result.deliveries > 10 * len(calls)
+
+
+class TestEventsHoldNoMessage:
+    @pytest.mark.parametrize("name", [*PROTOCOLS, *SCENARIOS])
+    def test_no_event_field_is_or_holds_a_message(self, name):
+        emitted = []
+
+        class Emitted:
+            on_event = staticmethod(emitted.append)
+
+        run_named(name, 10, 5, [Emitted()])
+        assert any(type(event) is DeliverEvent for event in emitted)
+        assert [event for event in emitted if holds_message(event)] == []
+
+    @pytest.mark.parametrize("mode", ["batched", "classic"])
+    def test_an_unobserved_run_summarises_nothing(self, mode, monkeypatch):
+        calls = []
+        real = network_module.summarize_payload
+
+        def counting(message):
+            calls.append(message)
+            return real(message)
+
+        monkeypatch.setattr(network_module, "summarize_payload", counting)
+        bare = make_sim(seed=1, delivery_mode=mode)
+        bare.set_protocol_all(tagged_gossip_protocol)
+        bare.run()
+        assert bare.deliveries > 0 and calls == []
+        # The same run observed does summarise: the patch is on the kernel's path.
+        observed = make_sim(seed=1, delivery_mode=mode)
+        observed.events.subscribe(lambda event: None)
+        observed.set_protocol_all(tagged_gossip_protocol)
+        observed.run()
+        assert calls
