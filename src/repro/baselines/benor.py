@@ -93,6 +93,7 @@ def benor_round_structure(
         _collect_votes(report_instance, quorum, ReportMsg, (0, 1)),
         description=f"reports{report_instance}",
     )
+    ctx.retire(report_instance)  # the vote collector was its only reader
 
     proposal: object = UNDECIDED
     for candidate in (0, 1):
@@ -104,6 +105,7 @@ def benor_round_structure(
         _collect_votes(proposal_instance, quorum, ProposalMsg, (0, 1, UNDECIDED)),
         description=f"proposals{proposal_instance}",
     )
+    ctx.retire(proposal_instance)
 
     decided = None
     boosted = None

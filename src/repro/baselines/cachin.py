@@ -70,7 +70,9 @@ def make_threshold_coin(dealer: ThresholdCoinDealer) -> CoinProtocol:
                 return dealer.combine(shares, round_id)
             return None
 
-        return (yield Wait(collect, description=f"threshold_coin{instance}"))
+        bit = yield Wait(collect, description=f"threshold_coin{instance}")
+        ctx.retire(instance)  # `collect` was the instance's only reader
+        return bit
 
     return coin
 

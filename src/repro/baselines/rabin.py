@@ -65,7 +65,9 @@ def make_lottery_coin(dealer: RabinLotteryDealer) -> CoinProtocol:
                 return dealer.combine(shares, round_id)
             return None
 
-        return (yield Wait(collect, description=f"lottery{instance}"))
+        bit = yield Wait(collect, description=f"lottery{instance}")
+        ctx.retire(instance)  # `collect` was the instance's only reader
+        return bit
 
     return coin
 

@@ -290,6 +290,7 @@ def approve(
             instances={instance},
             min_count=byzantine_bound + 1,
         )
+    ctx.retire(instance)  # `step` was the instance's only reader
     ctx.annotate("committee", instance=instance, role=_INIT_ROLE, size=init_count)
     for candidate, (_, entries) in echo_records.items():
         ctx.annotate(

@@ -114,6 +114,7 @@ def shared_coin(
             instances={instance},
             min_count=quorum,
         )
+    ctx.retire(instance)  # `step` was the instance's only reader
     ctx.annotate(
         "coin",
         variant="alg1",

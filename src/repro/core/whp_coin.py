@@ -147,6 +147,7 @@ def whp_coin(
             instances={instance},
             min_count=committee_quorum,
         )
+    ctx.retire(instance)  # `step` was the instance's only reader
     ctx.annotate(
         "committee", instance=instance, role=_FIRST_ROLE, size=first_count
     )

@@ -1,22 +1,28 @@
-"""Per-process mailbox: append-only, indexed by protocol instance.
+"""Per-process mailbox, indexed by protocol instance.
 
 Asynchrony means messages for a future round (or a sub-protocol the
 process has not entered yet) can arrive arbitrarily early; the mailbox
-buffers everything and lets each wait-condition consume its instance's
-stream incrementally via a cursor, so re-evaluation after every delivery
-stays O(new messages).
+buffers every instance's stream until the instance is retired, and lets
+each wait-condition consume its stream incrementally via a cursor, so
+re-evaluation after every delivery stays O(new messages).
 
 Reading never allocates: probing an instance that has no messages yet
 returns a cheap live *view* instead of materialising (and permanently
 storing) an empty buffer.  Long BA runs probe thousands of future-round
 instances that may never receive a message; inserting a list per probe --
 the old ``setdefault`` behaviour -- grew the mailbox without bound.  The
-view honours the append-only cursor contract: it reflects messages that
-arrive after it was handed out, exactly like the underlying list.
+view honours the cursor contract: it reflects messages that arrive after
+it was handed out, exactly like the underlying list.
+
+An instance whose last reader has returned is *retired*
+(:meth:`Mailbox.retire`): its buffer is swapped for one shared discarding
+sink, so a late delivery is still counted but no longer buffered, and
+peak memory follows the live instances rather than the run's history.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Hashable, Iterator
 
 from repro.sim.messages import Message
@@ -25,6 +31,12 @@ __all__ = ["Mailbox"]
 
 # Shared immutable target for views of instances with no messages yet.
 _EMPTY: list = []
+
+# The one buffer every retired instance of every mailbox points at: both
+# delivery paths call ``.append`` on an instance's buffer, and a
+# ``maxlen=0`` deque drops the entry in C, so a late delivery costs no
+# branch on the hot path and is never held.
+_RETIRED: deque = deque(maxlen=0)
 
 
 class _InstanceStream:
@@ -73,6 +85,7 @@ class Mailbox:
     :meth:`add`: the kernel's incremental-quorum gate (``Wait.min_count``)
     reads message totals off it in O(subscribed instances) when a wait
     blocks, instead of rescanning buffered streams on every delivery.
+    It keeps counting a retired instance's deliveries.
     """
 
     def __init__(self) -> None:
@@ -95,15 +108,28 @@ class Mailbox:
     def stream(self, instance: Hashable) -> list[tuple[int, Message]]:
         """The (growing) list of ``(sender, message)`` for ``instance``.
 
-        Callers must treat the result as append-only and read it with
-        their own cursor; they must never mutate it.  Probing an instance
-        with no messages yet returns a live view (see module docstring)
-        rather than allocating a buffer.
+        The kernel only appends to it until the instance is retired;
+        callers read it with their own cursor and never mutate it.
+        Probing an instance with no messages yet returns a live view (see
+        module docstring) rather than allocating a buffer.  Reading a
+        retired instance raises: its messages are gone, and a reader
+        that waited on the empty sink would block forever.
         """
         existing = self._by_instance.get(instance)
         if existing is not None:
+            if existing is _RETIRED:
+                raise RuntimeError(f"mailbox instance {instance!r} was retired")
             return existing
         return _InstanceStream(self._by_instance, instance)  # type: ignore[return-value]
+
+    def retire(self, instance: Hashable) -> None:
+        """Drop ``instance``'s stream: later deliveries are counted only.
+
+        Call it once the instance's last reader has returned (DESIGN.md
+        §6, "Instance lifetime").  Idempotent, and harmless for an
+        instance that never received a message.
+        """
+        self._by_instance[instance] = _RETIRED
 
     def instances(self) -> Iterator[Hashable]:
         return iter(self._by_instance)

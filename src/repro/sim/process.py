@@ -165,6 +165,11 @@ class ProcessContext:
         self.background_handlers.append(handler)
         handler(self.mailbox)
 
+    def retire(self, instance: Hashable) -> None:
+        """Declare ``instance`` finished: its late messages are counted, not
+        buffered.  Only when no wait or handler will read it again."""
+        self.mailbox.retire(instance)
+
     # -- observability -----------------------------------------------------------
 
     def annotate(self, kind: str, **facts: Any) -> None:

@@ -1,0 +1,189 @@
+"""Instance lifetime: a finished approver or coin drops its mailbox stream.
+
+Once the closure that reads an instance has returned, the protocol calls
+``ctx.retire(instance)`` and the mailbox swaps the stream for a shared
+discarding sink (DESIGN.md §6, "Instance lifetime").  Two properties make
+that safe and worth it:
+
+* it is observationally pure -- every ``repro list`` name and every perf
+  ledger cell, on both kernel loops, produces the same events, records,
+  metrics, decisions and lossy counters with retirement on as with
+  ``Mailbox.retire`` patched to a no-op;
+* it is effective -- after a run, no correct process buffers an entry
+  for an approver or coin instance it returned from.  MMR's BV rounds are
+  the documented exception: their background relays read them forever.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import random
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+import repro.sim.runner as runner_module
+from repro.crypto.pki import PKI
+from repro.experiments.protocols import PROTOCOLS
+from repro.experiments.scenarios import SCENARIOS, resolve_run
+from repro.sim.adversary import Adversary
+from repro.sim.mailbox import Mailbox
+from repro.sim.messages import Message
+from repro.sim.network import Simulation
+from repro.sim.process import Wait
+
+PERF_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "perf"
+MAX_DELIVERIES = 60_000
+
+
+def _load(name: str):
+    """A ``benchmarks/perf`` module, imported by path under a private name."""
+    key = f"_perf_{name}"
+    module = sys.modules.get(key)
+    if module is None:
+        spec = importlib.util.spec_from_file_location(key, PERF_DIR / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module  # dataclasses resolve their module by name
+        spec.loader.exec_module(module)
+    return module
+
+
+adapter = _load("adapter")
+workloads = _load("workloads")
+
+
+class Kernel:
+    """Routes ``run_protocol`` through one kernel loop, keeping every
+    event and the ``Simulation`` it built."""
+
+    def __init__(self, monkeypatch, mode: str) -> None:
+        self.events: list = []
+        self.simulation: Simulation | None = None
+
+        def build(*args, **kwargs) -> Simulation:
+            simulation = Simulation(*args, delivery_mode=mode, **kwargs)
+            simulation.events.subscribe(self.events.append)
+            self.simulation = simulation
+            return simulation
+
+        monkeypatch.setattr(runner_module, "Simulation", build)
+
+
+def observed(kernel: Kernel, result) -> tuple:
+    metrics = result.metrics
+    return (
+        kernel.events,
+        metrics.protocol_records,
+        metrics.to_dict(include_timings=False),
+        result.decisions,
+        result.lossy_counters,
+        result.deliveries,
+        [ctx.depth for ctx in kernel.simulation.contexts],
+    )
+
+
+def both_arms(monkeypatch, mode: str, run) -> tuple[tuple, tuple]:
+    """``run()`` with retirement on, then with ``Mailbox.retire`` a no-op."""
+    arms = []
+    for retiring in (True, False):
+        with monkeypatch.context() as patch:
+            if not retiring:
+                patch.setattr(Mailbox, "retire", lambda self, instance: None)
+            kernel = Kernel(patch, mode)
+            arms.append(observed(kernel, run()))
+    return arms[0], arms[1]
+
+
+LOOPS = ["batched", "classic"]
+
+
+class TestRetirementIsObservationallyPure:
+    """The oracle for any change to what the mailbox or kernel retains."""
+
+    @pytest.mark.parametrize("mode", LOOPS)
+    @pytest.mark.parametrize("name", [*PROTOCOLS, *SCENARIOS])
+    def test_every_named_run(self, monkeypatch, name, mode):
+        def run():
+            return resolve_run(name, 10, seed=5).run(max_deliveries=MAX_DELIVERIES)
+
+        retiring, keeping = both_arms(monkeypatch, mode, run)
+        assert retiring[0], "the run emitted no events"
+        assert retiring == keeping
+
+    @pytest.mark.parametrize("mode", LOOPS)
+    @pytest.mark.parametrize(
+        "cell", [cell.name for cell in workloads.WORKLOADS]
+    )
+    def test_every_ledger_cell_at_smoke_n(self, monkeypatch, cell, mode):
+        workload = workloads.smoke_variant(workloads.by_name(cell))
+
+        def run():
+            op = adapter.build_op(workload, 2020)
+            return adapter.run_op(op)
+
+        retiring, keeping = both_arms(monkeypatch, mode, run)
+        assert retiring == keeping
+
+
+def _buffered(simulation: Simulation, kinds: tuple[str, ...]) -> dict:
+    """Per returned-from instance of ``kinds``: entries its process still
+    buffers, and deliveries it counted."""
+    held = {}
+    correct = set(simulation.correct_pids)
+    for record in simulation.metrics.protocol_records:
+        if record.pid not in correct or record.kind not in kinds:
+            continue
+        instance = dict(record.data)["instance"]
+        mailbox = simulation.contexts[record.pid].mailbox
+        held[record.pid, instance] = (
+            len(mailbox._by_instance.get(instance, ())),
+            mailbox.count(instance),
+        )
+    return held
+
+
+def _ledger_run(cell: str, n: int):
+    op = adapter.build_op(replace(workloads.by_name(cell), n=n), 2020)
+    adapter.run_op(op)
+    return op.simulation
+
+
+class TestNothingBufferedAfterReturn:
+    @pytest.mark.parametrize("cell", ["ba_fifo_n1000", "ba_random_n400"])
+    def test_whp_ba(self, cell):
+        """FIFO stops after one round, the random cell after two."""
+        simulation = _ledger_run(cell, 64)
+        held = _buffered(simulation, ("approve", "coin"))
+        assert len(held) >= 3 * len(simulation.correct_pids)
+        assert {buffered for buffered, _ in held.values()} == {0}
+        assert all(counted > 0 for _, counted in held.values())
+
+    def test_mmr_with_the_shared_coin(self):
+        simulation = _ledger_run("mmr_coin_n200", 32)
+        held = _buffered(simulation, ("coin",))
+        assert held and {buffered for buffered, _ in held.values()} == {0}
+        # The live exception: background BV relays keep reading every round.
+        mailbox = simulation.contexts[simulation.correct_pids[0]].mailbox
+        assert len(mailbox.stream(("mmr", 0))) > 0
+
+
+class TestReadingARetiredInstanceFailsLoudly:
+    @pytest.mark.parametrize("mode", LOOPS)
+    def test_the_run_raises_instead_of_blocking(self, mode):
+        n = 4
+
+        def rereads(ctx):
+            ctx.broadcast(Message("x"))
+            yield Wait(lambda box: box.count("x") or None, instances={"x"})
+            ctx.retire("x")
+            yield Wait(lambda box: box.stream("x") or None, instances={"x"})
+
+        simulation = Simulation(
+            n=n, f=0, pki=PKI.create(n, rng=random.Random(0)),
+            adversary=Adversary(), delivery_mode=mode,
+        )
+        simulation.set_protocol_all(rereads)
+        with pytest.raises(RuntimeError, match="mailbox instance 'x' was retired"):
+            simulation.run()

@@ -1,9 +1,18 @@
-"""Mailbox semantics: append-only, per-instance streams."""
+"""Mailbox semantics: per-instance streams, appended to until retired."""
 
 from __future__ import annotations
 
+import random
+
+import pytest
+
+from repro.crypto.pki import PKI
+from repro.sim import mailbox as mailbox_module
+from repro.sim.adversary import Adversary, RandomScheduler
 from repro.sim.mailbox import Mailbox
 from repro.sim.messages import Message
+from repro.sim.network import Simulation
+from repro.sim.process import Wait
 
 
 def msg(instance):
@@ -50,3 +59,77 @@ class TestMailbox:
         box.add(0, msg("x"))
         box.add(0, msg("y"))
         assert set(box.instances()) == {"x", "y"}
+
+
+class TestRetire:
+    def test_the_stream_is_gone_and_late_deliveries_are_counted(self):
+        box = Mailbox()
+        box.add(1, msg("a"))
+        box.add(2, msg("b"))
+        box.retire("a")
+        box.add(3, msg("a"))
+        box.add(4, msg("a"))
+        assert box.count("a") == 3
+        assert box.total_for({"a", "b"}) == 4
+        assert box.total_delivered == 4
+        assert len(mailbox_module._RETIRED) == 0
+        assert [sender for sender, _ in box.stream("b")] == [2]
+
+    def test_reading_a_retired_instance_raises_naming_it(self):
+        box = Mailbox()
+        box.add(1, msg(("ba", 0, "est")))
+        box.retire(("ba", 0, "est"))
+        with pytest.raises(RuntimeError, match=r"\('ba', 0, 'est'\) was retired"):
+            box.stream(("ba", 0, "est"))
+
+    def test_every_mailbox_shares_one_sink(self):
+        first, second = Mailbox(), Mailbox()
+        first.add(0, msg("x"))
+        first.retire("x")
+        second.retire("y")
+        assert first._by_instance["x"] is second._by_instance["y"]
+        assert first._by_instance["x"] is mailbox_module._RETIRED
+
+    def test_retiring_a_silent_instance_or_twice_is_harmless(self):
+        box = Mailbox()
+        box.retire("never")
+        box.retire("never")
+        box.add(1, msg("never"))
+        box.retire("never")
+        assert box.count("never") == 1
+        assert box.total_delivered == 1
+        assert len(mailbox_module._RETIRED) == 0
+        with pytest.raises(RuntimeError):
+            box.stream("never")
+
+    @pytest.mark.parametrize("mode", ["batched", "classic"])
+    def test_kernel_counts_late_deliveries_on_both_loops(self, mode):
+        """The fast loop's inlined add and ``Mailbox.add`` (the reference
+        loop) both count a retired instance's deliveries and buffer none."""
+        n = 5
+
+        def late_reader(ctx):
+            ctx.broadcast(msg("x"))
+            yield Wait(lambda box: box.count("x") or None, instances={"x"})
+            ctx.notes["at_retire"] = ctx.mailbox.count("x")
+            ctx.retire("x")
+            # Counts are still readable: wait for every late copy.
+            yield Wait(
+                lambda box: True if box.count("x") == n else None, instances={"x"}
+            )
+            return ctx.mailbox.total_for({"x"})
+
+        sim = Simulation(
+            n=n, f=0, pki=PKI.create(n, rng=random.Random(0)),
+            adversary=Adversary(scheduler=RandomScheduler(random.Random(4))),
+            delivery_mode=mode,
+        )
+        sim.set_protocol_all(late_reader)
+        sim.run()
+        assert sim.returns == {pid: n for pid in range(n)}
+        assert any(sim.contexts[pid].notes["at_retire"] < n for pid in range(n))
+        for pid in range(n):
+            box = sim.contexts[pid].mailbox
+            assert box.total_delivered == n
+            assert box._by_instance["x"] is mailbox_module._RETIRED
+        assert len(mailbox_module._RETIRED) == 0

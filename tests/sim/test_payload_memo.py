@@ -29,6 +29,7 @@ from repro.sim.byzantine import ScriptedBehavior
 from repro.sim.events import DeliverEvent, summarize_payload
 from repro.sim.flightrecorder import FlightRecorder, save_recording
 from repro.sim.lossy import LossyLinkConfig
+from repro.sim.mailbox import Mailbox
 from repro.sim.messages import Message
 from repro.sim.runner import run_protocol
 
@@ -45,7 +46,9 @@ class SummaryAudit:
     delivered objects in delivery order, so the k-th deliver event of an
     instance to a process is that stream's k-th entry.  Auditing at run
     end checks "immutable once submitted" up to the end of the run, not
-    only up to the delivery.
+    only up to the delivery.  A finished instance drops its stream, so
+    the audited runs keep every stream (``keep_every_stream``); that
+    changes no delivery (``tests/sim/test_instance_lifetime.py``).
     """
 
     def __init__(self) -> None:
@@ -92,6 +95,12 @@ class SummaryAudit:
         return self.audited - len(self.summaries)
 
 
+@pytest.fixture
+def keep_every_stream(monkeypatch):
+    """Retiring an instance keeps its stream: every delivery stays auditable."""
+    monkeypatch.setattr(Mailbox, "retire", lambda self, instance: None)
+
+
 def run_named(name: str, n: int, seed: int, observers, lossy=None):
     """One registry protocol or scenario run, as ``repro record`` builds it."""
     spec = resolve_run(name, n, seed=seed)
@@ -113,6 +122,7 @@ def holds_message(value) -> bool:
     return False
 
 
+@pytest.mark.usefixtures("keep_every_stream")
 class TestMessagesAreImmutableOnceSubmitted:
     @pytest.mark.parametrize("name", [*PROTOCOLS, *SCENARIOS])
     def test_memoised_summary_equals_a_fresh_one_at_every_delivery(self, name):
@@ -209,6 +219,7 @@ class TestMemoScope:
         assert recorder.of_kind("deliver")[0].summary.text  # the log is intact
 
 
+@pytest.mark.usefixtures("keep_every_stream")
 class TestOneSummaryPerMessageObject:
     def test_calls_equal_distinct_objects_equal_payload_ids(self, tmp_path, monkeypatch):
         """One summary per flight; here every flight sends its own object."""
