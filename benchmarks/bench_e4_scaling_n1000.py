@@ -85,8 +85,8 @@ def run_point() -> tuple[dict, RunResult]:
         "f": f,
         "seed": SEED,
         "delivery_mode_batched": 1,
-        # Deterministic counters: identical on every machine, and
-        # identical to the classic kernel's -- the gate freezes them.
+        # Deterministic counters: identical on every machine -- the gate
+        # freezes them.
         "deliveries": result.deliveries,
         "words": result.words,
         "messages_sent_correct": metrics.messages_sent_correct,

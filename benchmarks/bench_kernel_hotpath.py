@@ -3,10 +3,11 @@
 
 Times the same seed sweep (WHP coin at n=120 and full BA at n=100) twice:
 once on the optimised kernel (verification cache + instance-keyed
-wakeups), once with both disabled (a ``PKI`` built with ``verify_cache=False`` +
-``Simulation(eager_wakeups=True)`` -- the pre-optimisation kernel; the
-switch is not on ``run_protocol``, so trials build their ``Simulation``).
-Asserts
+wakeups), once with both disabled -- the pre-optimisation kernel: a
+``PKI`` built with ``verify_cache=False``, and the protocol wrapped in
+``tests/kernel_reference.py``'s ``unsubscribed``, which re-yields every
+wait without its subscription, so each is re-evaluated after every
+delivery.  Asserts
 
 * every observable RunResult field is identical between the two paths
   (the optimisations are pure); and
@@ -28,6 +29,7 @@ import os
 import random
 import sys
 import time
+from pathlib import Path
 
 from repro.core.params import ProtocolParams
 from repro.core.whp_coin import whp_coin
@@ -35,9 +37,16 @@ from repro.crypto.hashing import derive_seed
 from repro.crypto.pki import PKI
 from repro.experiments.parallel import derive_sweep_seeds, parallel_map
 from repro.experiments.protocols import make_runner
-from repro.sim.adversary import Adversary, RandomScheduler, StaticCorruption
-from repro.sim.network import Simulation
-from repro.sim.runner import RunResult, stop_when_all_decided, stop_when_all_returned
+from repro.sim.runner import (
+    RunResult,
+    run_protocol,
+    stop_when_all_decided,
+    stop_when_all_returned,
+)
+
+# The reference shims live with the tests, at the repository root.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.kernel_reference import unsubscribed  # noqa: E402
 
 COIN_N, COIN_F = 120, 4
 BA_N = 100
@@ -73,16 +82,10 @@ def _run(n: int, f: int, factory, params, seed: int, fast: bool, stop_condition)
     pki = PKI.create(
         n, rng=random.Random(derive_seed(seed, "setup")), verify_cache=fast
     )
-    adversary = Adversary(
-        scheduler=RandomScheduler(random.Random(derive_seed(seed, "sched"))),
-        corruption=StaticCorruption(set(range(f))),
+    return run_protocol(
+        n, f, factory if fast else unsubscribed(factory), corrupt=set(range(f)),
+        pki=pki, seed=seed, params=params, stop_condition=stop_condition,
     )
-    simulation = Simulation(
-        n, f, pki, adversary, seed=seed, params=params,
-        stop_condition=stop_condition, eager_wakeups=not fast,
-    )
-    simulation.set_protocol_all(factory)
-    return RunResult.of(simulation.run())
 
 
 def _coin_trial(seed: int, fast: bool) -> RunResult:

@@ -1,7 +1,7 @@
 """Divergence forensics: localize where two flight recordings part ways.
 
 Every correctness check in this repository ends in "these two runs must
-be identical" -- batched vs classic kernel, cached vs uncached
+be identical" -- drained vs one-choose dispatch, cached vs uncached
 verification, replay fidelity, trend gates.  When one trips, the raw
 verdict is a boolean.  This module turns it into an explanation:
 

@@ -32,10 +32,10 @@ __all__ = ["Mailbox"]
 # Shared immutable target for views of instances with no messages yet.
 _EMPTY: list = []
 
-# The one buffer every retired instance of every mailbox points at: both
-# delivery paths call ``.append`` on an instance's buffer, and a
-# ``maxlen=0`` deque drops the entry in C, so a late delivery costs no
-# branch on the hot path and is never held.
+# The one buffer every retired instance of every mailbox points at: the
+# kernel's delivery and ``Mailbox.add`` call ``.append`` on an instance's
+# buffer, and a ``maxlen=0`` deque drops the entry in C, so a late
+# delivery costs no branch on the hot path and is never held.
 _RETIRED: deque = deque(maxlen=0)
 
 
@@ -94,7 +94,8 @@ class Mailbox:
         self.total_delivered = 0
 
     def add(self, sender: int, message: Message) -> None:
-        """Record a delivered message (called by the kernel only)."""
+        """Record a delivered message: the body the kernel's delivery loop
+        inlines, and how a test fills a mailbox without a run."""
         instance = message.instance
         self._by_instance.setdefault(instance, []).append((sender, message))
         self.counts[instance] = self.counts.get(instance, 0) + 1

@@ -38,8 +38,8 @@ class Envelope:
     """One message on one link: payload plus routing and causality metadata.
 
     A value the kernel materialises on demand -- for a Byzantine
-    behaviour's ``on_deliver``, a scheduler's pool view, the reference
-    loop -- and never stores: what is in flight is a :class:`Flight` per
+    behaviour's ``on_deliver``, a scheduler's pool view, a reacting
+    corruption strategy -- and never stores: what is in flight is a :class:`Flight` per
     send call plus the per-copy ``seq`` and ``dest``.
 
     ``sent_step`` is the kernel's delivery counter when the message was

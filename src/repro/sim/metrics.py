@@ -27,8 +27,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
-from repro.sim.messages import Envelope
-
 __all__ = ["MetricsRecorder", "ProtocolRecord", "histogram"]
 
 
@@ -121,10 +119,6 @@ class MetricsRecorder:
         self.vrf_cache_hits = after[1] - before[1]
         self.sig_verifications = after[2] - before[2]
         self.sig_cache_hits = after[3] - before[3]
-
-    def record_delivery(self, envelope: Envelope) -> None:
-        self.messages_delivered += 1
-        self.words_delivered += envelope.payload.words()
 
     def add_timing(self, section: str, seconds: float) -> None:
         self.phase_timings[section] = self.phase_timings.get(section, 0.0) + seconds

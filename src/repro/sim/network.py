@@ -58,7 +58,7 @@ DEFAULT_MAX_DELIVERIES = 2_000_000
 # delivery, its seq already picked (drained batches hold seqs).
 _BATCH_OF_ONE = (None,)
 
-# The seq index keeps slots for a window of seqs, and the loops trim its
+# The seq index keeps slots for a window of seqs, and the loop trims its
 # dead leading chunks of this many slots once per this many deliveries.
 _SEQ_CHUNK = 65_536
 _DEAD_CHUNK = array("i", [-1]) * _SEQ_CHUNK
@@ -115,8 +115,8 @@ class SeqNotInFlightError(KeyError):
     """A scheduler chose a seq the kernel cannot deliver.
 
     The seq index is an array: a negative or stale seq would address some
-    other message's slot instead of failing, so both loops check every
-    chosen and drained seq and name the scheduler and the cause; so does
+    other message's slot instead of failing, so the loop checks every
+    chosen and drained seq and names the scheduler and the cause; so does
     :meth:`SchedulerPool.view`.  ``cause`` is the parenthesised reason on
     its own (``"never submitted"``, ``"already delivered"``, ...).
     """
@@ -251,18 +251,10 @@ class Simulation:
         Optional :class:`~repro.sim.lossy.LossyLinkConfig` enabling the
         lossy-link model extension.  ``None`` (default) or an all-zero
         config keeps the kernel byte-identical to the reliable model.
-        While a config is active both loops release held (reordered)
-        envelopes before each choice, and the fast loop commits no
-        drained batch (a hold breaks the drain contract's commitment), so
-        every delivery is a batch of one.
-    eager_wakeups, delivery_mode:
-        Reference switches for the equivalence tests only (absent from
-        :func:`~repro.sim.runner.run_protocol`).  ``eager_wakeups=True``
-        ignores ``Wait.instances`` subscriptions and re-evaluates every
-        pending condition after every delivery; ``delivery_mode="classic"``
-        runs :meth:`_run_reference` instead of the default ``"batched"``
-        :meth:`_run_fast`.  Either way the run is observably identical
-        (delivery order, RNG stream, events, metrics): the tests' claim.
+        While a config is active the loop releases held (reordered)
+        envelopes before each choice and commits no drained batch (a hold
+        breaks the drain contract's commitment), so every delivery is a
+        batch of one.
     """
 
     def __init__(
@@ -275,20 +267,13 @@ class Simulation:
         params: Any = None,
         max_deliveries: int = DEFAULT_MAX_DELIVERIES,
         stop_condition: Callable[["Simulation"], bool] | None = None,
-        eager_wakeups: bool = False,
         profile: bool = False,
-        delivery_mode: str = "batched",
         lossy: LossyLinkConfig | None = None,
     ) -> None:
         if pki.n != n:
             raise ValueError("PKI size does not match n")
         if not 0 <= f < n:
             raise ValueError("need 0 <= f < n")
-        if delivery_mode not in ("classic", "batched"):
-            raise ValueError(
-                f"unknown delivery_mode {delivery_mode!r}; "
-                "expected 'classic' or 'batched'"
-            )
         self.n = n
         self.f = f
         self.pki = pki
@@ -297,9 +282,7 @@ class Simulation:
         self.params = params
         self.max_deliveries = max_deliveries
         self.stop_condition = stop_condition
-        self.eager_wakeups = eager_wakeups
         self.profile = profile
-        self.delivery_mode = delivery_mode
         # Inactive configs compile to the exact reliable-model code paths:
         # `self._lossy is None` is the only check the hot paths make.
         self._lossy = _LossyState.for_run(lossy, seed, n)
@@ -309,9 +292,10 @@ class Simulation:
         self.events = EventBus()
         self._subscribers = self.events.subscribers
         self.deliveries = 0
-        # Batch accounting (kernel-side, deliberately *not* in metrics so
-        # classic and batched runs stay byte-identical): deliveries that
-        # arrived via a drained batch, and the number of batches.
+        # Batch accounting, kept out of metrics because it says how the
+        # scheduler was asked, not what was delivered (a drained run's
+        # metrics equal its one-choose twin's): deliveries that arrived
+        # via a drained batch, and the number of batches.
         self.batched_deliveries = 0
         self.drain_batches = 0
 
@@ -337,17 +321,18 @@ class Simulation:
         # copy leaves nothing behind; a held (reordered) one waits in
         # `_LossyState.held` with its flight and destination.  Schedulers
         # name messages by seq, so `_pos_at[seq - _pos_base]` holds each
-        # seq's position, -1 while it is not in the pool; the loops trim
-        # its dead leading chunks (`_compact_seq_index`).  On the fast
-        # loop under a scheduler that picks by position nothing looks a
-        # seq up, and `_pos_at` is None: no per-seq state at all.
+        # seq's position, -1 while it is not in the pool; the loop trims
+        # its dead leading chunks (`_compact_seq_index`).  Under a
+        # scheduler that picks by position nothing looks a seq up, and
+        # `_pos_at` is None: no per-seq state at all.
         scheduler = adversary.scheduler
         self._in_flight = array("q")
         self._flights: list[Flight] = []
         self._dests: list[int] = []
         self._next_seq = 0
-        positional = delivery_mode == "batched" and _picks_by_position(scheduler)
-        self._pos_at: array | None = None if positional else array("i")
+        self._pos_at: array | None = (
+            None if _picks_by_position(scheduler) else array("i")
+        )
         self._pos_base = 0
         # What a broadcast appends to the columns: its runs of seqs and of
         # positions (as bytes) and its destinations, n int objects that
@@ -669,11 +654,7 @@ class Simulation:
             if result is None:
                 self._pending[pid] = wait
                 min_count = wait.min_count
-                if (
-                    min_count > 0
-                    and wait.instances is not None
-                    and not self.eager_wakeups
-                ):
+                if min_count > 0 and wait.instances is not None:
                     need = min_count - mailbox.total_for(wait.instances)
                     self._pending_remaining[pid] = need if need > 0 else 0
                 else:
@@ -690,109 +671,6 @@ class Simulation:
                     )
                 return
             value = result
-
-    def _deliver(self, envelope: Envelope) -> None:
-        self.metrics.record_delivery(envelope)
-        if self._subscribers:
-            # An envelope carries no flight: summarise per delivery (equal
-            # to the fast loop's shared per-flight summary).
-            summary = summarize_payload(envelope.payload)
-            self.events.emit(
-                DeliverEvent(
-                    step=self.deliveries,
-                    seq=envelope.seq,
-                    sender=envelope.sender,
-                    dest=envelope.dest,
-                    instance=summary.instance,
-                    message_kind=summary.kind,
-                    words=summary.words,
-                    depth=envelope.depth,
-                    sent_step=envelope.sent_step,
-                    summary=summary,
-                )
-            )
-        # The delivery counter advances before the delivery's effects, so
-        # sends and decisions triggered by this delivery are stamped with
-        # the post-delivery step (events above carry the pre-delivery one).
-        self.deliveries += 1
-        pid = envelope.dest
-        ctx = self.contexts[pid]
-        ctx.depth = max(ctx.depth, envelope.depth)
-        if pid in self.corrupted:
-            self._behaviors[pid].on_deliver(ctx, envelope)
-            return
-        ctx.mailbox.add(envelope.sender, envelope.payload)
-        if ctx.background_handlers:
-            for handler in list(ctx.background_handlers):
-                handler(ctx.mailbox)
-        if pid in self._generators:
-            wait = self._pending.get(pid)
-            if wait is not None:
-                # Instance-keyed wakeup: a condition subscribed to a set of
-                # instances provably cannot change its answer on a delivery
-                # for any other instance, so skip the re-evaluation.  Below
-                # the wait's min_count floor the condition provably cannot
-                # fire either (see Wait.min_count); count down instead of
-                # evaluating.
-                if self.eager_wakeups or wait.instances is None:
-                    evaluate = True
-                elif envelope.payload.instance in wait.instances:
-                    remaining = self._pending_remaining.get(pid, 0)
-                    if remaining > 1:
-                        self._pending_remaining[pid] = remaining - 1
-                        evaluate = False
-                    else:
-                        if remaining:
-                            self._pending_remaining[pid] = 0
-                        evaluate = True
-                else:
-                    evaluate = False
-                if evaluate:
-                    self.metrics.wait_evaluations += 1
-                    result = wait.condition(ctx.mailbox)
-                    if result is not None:
-                        self._pending[pid] = None
-                        if self._subscribers:
-                            self.events.emit(
-                                WaitWakeEvent(
-                                    step=self.deliveries,
-                                    pid=pid,
-                                    description=wait.description,
-                                    depth=ctx.depth,
-                                )
-                            )
-                        self._advance(pid, result, first=False)
-                else:
-                    self.metrics.wait_skips += 1
-
-    def _remove_in_flight(self, seq: int) -> Envelope:
-        """Take ``seq`` out of the pool and materialise its envelope."""
-        position = self._position(seq)
-        if position < 0:
-            raise self._not_in_flight(seq)
-        return _envelope(*self._take(position))
-
-    def _take(self, position: int) -> tuple[int, Flight, int]:
-        """Swap-remove the copy at ``position``: the last copy fills the hole.
-
-        Returns its seq, flight and destination; :meth:`_run_fast`
-        inlines the same.
-        """
-        in_flight, flights, dests = self._in_flight, self._flights, self._dests
-        seq, flight, dest = in_flight[position], flights[position], dests[position]
-        last = in_flight.pop()
-        last_flight = flights.pop()
-        last_dest = dests.pop()
-        pos_at = self._pos_at
-        if last != seq:
-            in_flight[position] = last
-            flights[position] = last_flight
-            dests[position] = last_dest
-            if pos_at is not None:
-                pos_at[last - self._pos_base] = position
-        if pos_at is not None:
-            pos_at[seq - self._pos_base] = -1
-        return seq, flight, dest
 
     def _compact_seq_index(self) -> None:
         """Drop the seq index's chunks below the low-water mark.
@@ -871,21 +749,19 @@ class Simulation:
             if pid not in self.corrupted:
                 self._advance(pid, None, first=True)
 
-        classic = self.delivery_mode == "classic"
-        loop = self._run_reference if classic else self._run_fast
         if self.profile:
             # Scheduling and verification both accrue inside the loop, so
             # step = loop - schedule, and verify stays nested in step.
             add_timing = self.metrics.add_timing
             verify_before = self.pki.verify_seconds
             start = time.perf_counter()
-            loop()
+            self._run_fast()
             elapsed = time.perf_counter() - start
             scheduling = self.metrics.phase_timings.get("kernel.schedule", 0.0)
             add_timing("kernel.step", elapsed - scheduling)
             add_timing("kernel.verify", self.pki.verify_seconds - verify_before)
         else:
-            loop()
+            self._run_fast()
 
         # A run that hits its stop condition on exactly the last permitted
         # delivery terminated normally; only report exhaustion when the
@@ -902,62 +778,25 @@ class Simulation:
             self.metrics.lossy_by_kind = self._lossy.kinds_hit()
         return self
 
-    def _run_reference(self) -> None:
-        """The reference loop: one readable ``choose`` + step per delivery.
-
-        ``delivery_mode="classic"`` selects it, and only the equivalence
-        tests do, to hold :meth:`_run_fast` against it.  Every scheduler
-        is asked through ``choose``, so the kernel keeps ``_pos_at``
-        here, and every delivery materialises its :class:`Envelope`.  It
-        carries no timers: under ``profile=True`` its whole duration is
-        ``kernel.step``.
-        """
-        scheduler = self.adversary.scheduler
-        corruption = self.adversary.corruption
-        corruption_reacts = self._corruption_reacts
-        held = self._lossy.held if self._lossy is not None else ()
-        compact_at = _SEQ_CHUNK
-        while (self._in_flight or held) and self.deliveries < self.max_deliveries:
-            if self.deliveries >= compact_at:
-                self._compact_seq_index()
-                compact_at = self.deliveries + _SEQ_CHUNK
-            if self._should_stop():
-                self._stopped = True
-                return
-            if held:
-                for _, seq, flight, dest in self._lossy.due(
-                    self.deliveries, not self._in_flight
-                ):
-                    self._insert_in_flight(seq, flight, dest)
-            seq = scheduler.choose(self._pool)
-            envelope = self._remove_in_flight(seq)
-            scheduler.on_delivered(seq)
-            self._deliver(envelope)
-            if corruption_reacts and len(self.corrupted) < self.f:
-                view = EnvelopeView.of(envelope)
-                for pid in corruption.on_delivery(view, frozenset(self.corrupted)):
-                    self.corrupt(pid)
-        self._stopped = self._should_stop()
-
     def _run_fast(self) -> None:
-        """The loop every run takes (``delivery_mode="batched"``, the default).
+        """The delivery loop: every run takes it, one delivery per turn.
 
-        Per-delivery semantics are identical to :meth:`_run_reference`:
-        the stop condition is checked before every delivery, the
-        corruption strategy observes every delivery, held (reordered)
-        seqs are released before every choice, and the pending-wait
-        gates (instance subscription, min_count countdown) fire per
-        delivery -- so event streams, metrics and results are
-        byte-identical.  What changes is dispatch.  The next delivery is
-        the next seq of a batch the scheduler committed through
+        Before each delivery the stop condition is checked and held
+        (reordered) seqs are released.  After it the corruption strategy
+        observes the delivery, and the receiver's pending wait is
+        re-evaluated unless its gates (instance subscription, min_count
+        countdown) prove the evaluation a no-op.  The next delivery is the
+        next seq of a batch the scheduler committed through
         :meth:`~repro.sim.adversary.Scheduler.drain`, or else a batch of
         one: the seq at ``choose_index(len(pool))`` when the scheduler
         picks by position (no ``_pos_at`` exists then), otherwise
-        ``choose(pool)``.  ``_take``/``_deliver``/``Mailbox.add`` are
-        inlined, the kernel's per-delivery attribute traffic is hoisted
-        into locals (``_pos_base`` too, refreshed after each compaction
-        of the seq index), and an :class:`Envelope` is built only for a
-        corrupted receiver or a reacting corruption strategy.
+        ``choose(pool)``.  The drain and ``choose_index`` contracts make
+        all three deliver what one ``choose`` per delivery would.  The
+        pool's swap-remove, the delivery and ``Mailbox.add`` are inlined,
+        the per-delivery attribute traffic is hoisted into locals
+        (``_pos_base`` too, refreshed after each compaction of the seq
+        index), and an :class:`Envelope` is built only for a corrupted
+        receiver or a reacting corruption strategy.
         """
         scheduler = self.adversary.scheduler
         corruption = self.adversary.corruption
@@ -977,7 +816,6 @@ class Simulation:
         metrics = self.metrics
         subscribers = self._subscribers
         emit = self.events.emit
-        eager = self.eager_wakeups
         advance = self._advance
         corruption_reacts = self._corruption_reacts
         max_deliveries = self.max_deliveries
@@ -1095,7 +933,8 @@ class Simulation:
                     if position < 0:
                         self.batched_deliveries -= batch_end - self.deliveries
                         raise self._not_in_flight(seq)
-                # -- _take, inlined (positional picks keep no `pos_at`) --
+                # -- swap-remove: the last copy fills the hole
+                # (positional picks keep no `pos_at`) --
                 last = in_flight.pop()
                 if last != seq:
                     in_flight[position] = last
@@ -1112,7 +951,7 @@ class Simulation:
                     pos_at[index] = -1
                 if chosen >= 0:
                     on_delivered(chosen)
-                # -- _deliver, inlined --
+                # -- the delivery --
                 metrics.messages_delivered += 1
                 metrics.words_delivered += flight.words
                 payload_instance = flight.instance
@@ -1164,7 +1003,7 @@ class Simulation:
                         wait = pending.get(pid)
                         if wait is not None:
                             instances = wait.instances
-                            if eager or instances is None:
+                            if instances is None:
                                 evaluate = True
                             elif payload_instance in instances:
                                 remaining = remaining_map.get(pid, 0)

@@ -70,8 +70,10 @@ class Wait:
     processes") declare the smallest message count that can trigger their
     *earliest* side effect.  ``0`` (the default) disables the floor;
     ``min_count`` is only honoured when ``instances`` is given (the floor
-    is defined over the subscribed streams) and is ignored under
-    ``Simulation(eager_wakeups=True)``, the equivalence tests' reference.
+    is defined over the subscribed streams).  The equivalence tests'
+    reference re-yields every ``Wait`` without either
+    (``tests/kernel_reference.py``), so each pending condition is
+    re-evaluated after every delivery to its process.
     """
 
     condition: Callable[[Mailbox], Any]

@@ -203,11 +203,11 @@ def run_protocol(
     By default every process runs ``protocol``, the ``corrupt`` pid set is
     statically Byzantine-silent, scheduling is uniformly random (seeded
     from ``seed``), the ``pki`` is created here, and the run stops when
-    every correct process's generator returns.  Every run takes the
-    kernel's one production loop; the reference switches the equivalence
-    tests compare it against are ``Simulation`` keywords, not offered
-    here (a ``pki`` built with ``verify_cache=False`` is the third such
-    reference).  ``profile=True`` adds the wall-clock kernel/span timers
+    every correct process's generator returns.  The kernel has one
+    delivery loop and no reference switch: the equivalence tests build
+    their references from a wrapped scheduler or protocol and a ``pki``
+    made with ``verify_cache=False``, and pass them in here.
+    ``profile=True`` adds the wall-clock kernel/span timers
     (``metrics.phase_timings``) to that same loop.
 
     ``observers`` is the one attachment seam.  An observer is any object

@@ -8,8 +8,6 @@ import pytest
 
 from repro.core.params import ProtocolParams
 from repro.crypto.pki import PKI
-from repro.sim.network import Simulation
-from repro.sim.runner import RunResult
 
 
 @pytest.fixture(scope="session")
@@ -39,16 +37,3 @@ def seeds(count: int, base: int = 0) -> range:
     """Deterministic seed range for Monte-Carlo tests."""
     return range(base, base + count)
 
-
-def run_on_kernel(n, f, protocol, *, pki, adversary, observers=(), **switches) -> RunResult:
-    """``run_protocol``'s steps around a ``Simulation`` built with the
-    reference switches ``run_protocol`` does not offer (``delivery_mode``,
-    ``eager_wakeups``); the one way the equivalence suites reach them."""
-    simulation = Simulation(n, f, pki, adversary, **switches)
-    for observer in observers:
-        simulation.events.attach(observer)
-    simulation.set_protocol_all(protocol)
-    result = RunResult.of(simulation.run())
-    for observer in observers:
-        getattr(observer, "finalize", lambda *_: None)(result, simulation)
-    return result

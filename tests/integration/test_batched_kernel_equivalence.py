@@ -1,23 +1,23 @@
-"""The fast loop is pure: delivery_mode='batched' == 'classic'.
+"""The kernel's dispatch is pure: drained and positional == one choose.
 
-(``delivery_mode`` is a ``Simulation`` keyword that ``run_protocol`` does
-not offer; this suite reaches it through ``tests.conftest.run_on_kernel``
-or a ``Simulation`` of its own.)
+The kernel's one loop delivers scheduler-committed batches and picks by
+pool position under a positional scheduler -- but every committed batch
+is exactly the seq sequence one ``choose`` per delivery would have
+produced (the ``Scheduler.drain`` contract), and every positional pick
+is the draw ``choose`` would have made (the ``choose_index`` contract).
+Each twin runs a cell twice: ``batched``, as any run does, and
+``classic``, with the scheduler wrapped in
+``tests.kernel_reference.OneChoose``, which hides ``drain`` and
+``choose_index``.  The two arms must agree on *every* observable --
+RunResult fields, the full deterministic metrics dict (wait gating is
+the same in both, so its counters are too), and the kernel event stream
+-- under draining, positional and seq-choosing schedulers alike, over
+lossy links, and with the observability stack attached.  A scheduler
+with neither ``drain`` nor ``choose_index`` is asked the same way by
+both arms; its cells check that the wrapper changes nothing else.
 
-The kernel's fast loop (``delivery_mode="batched"``, the default)
-delivers scheduler-committed batches, picks by pool position under a
-positional scheduler, and skips gated wait re-evaluations -- but every
-committed batch is exactly the seq sequence the reference
-one-choose-per-delivery loop (``delivery_mode="classic"``) would have
-produced (the ``Scheduler.drain`` contract), every positional pick is
-the draw ``choose`` would have made (the ``choose_index`` contract), and
-every skipped evaluation is a provable no-op (the ``Wait``/``min_count``
-contracts).  This matrix is the empirical certificate: for each
-(protocol, scheduler, seed) cell the two loops must agree on *every*
-observable -- RunResult fields, the full deterministic metrics dict, and
-the kernel event stream -- under draining, positional and seq-choosing
-schedulers alike, over lossy links, and with the observability stack
-attached.
+Nothing here can catch a bug in the delivery step itself, which both
+arms share; DESIGN.md section 10 says what does.
 """
 
 from __future__ import annotations
@@ -48,13 +48,14 @@ from repro.sim.monitors import MonitorSuite, default_monitors
 from repro.sim.network import LossyLinkConfig, Simulation
 from repro.sim.runner import (
     RunResult,
+    run_protocol,
     stop_when_all_decided,
     stop_when_all_returned,
 )
 from repro.sim.telemetry import TelemetryProbe
 
-from tests.conftest import run_on_kernel
 from tests.integration.test_determinism_matrix import SCHEDULER_FACTORIES
+from tests.kernel_reference import dispatched
 
 N, F = 10, 2
 
@@ -91,13 +92,13 @@ def observable(result: RunResult) -> tuple:
 def run_shared_coin(scheduler_name: str, seed: int, mode: str) -> RunResult:
     pki = PKI.create(N, rng=random.Random(99))
     adversary = Adversary(
-        scheduler=ALL_SCHEDULERS[scheduler_name](seed),
+        scheduler=dispatched(ALL_SCHEDULERS[scheduler_name](seed), mode),
         corruption=StaticCorruption({0, 1}),
     )
-    return run_on_kernel(
+    return run_protocol(
         N, F, lambda ctx: shared_coin(ctx, 0),
         adversary=adversary, pki=pki, params=ProtocolParams(n=N, f=F),
-        stop_condition=stop_when_all_returned, seed=seed, delivery_mode=mode,
+        stop_condition=stop_when_all_returned, seed=seed,
     )
 
 
@@ -116,14 +117,13 @@ def run_ba(protocol: str, scheduler_name: str, seed: int, mode: str,
            n: int = 40, observers=()):
     factory, params, f = make_runner(protocol, n, seed=seed)
     adversary = Adversary(
-        scheduler=ALL_SCHEDULERS[scheduler_name](seed),
+        scheduler=dispatched(ALL_SCHEDULERS[scheduler_name](seed), mode),
         corruption=StaticCorruption(set(range(f))),
     )
     pki = PKI.create(n, rng=random.Random(derive_seed(seed, "setup")))
-    return run_on_kernel(
+    return run_protocol(
         n, f, factory, adversary=adversary, pki=pki, params=params,
-        stop_condition=stop_when_all_decided, seed=seed,
-        delivery_mode=mode, observers=observers,
+        stop_condition=stop_when_all_decided, seed=seed, observers=observers,
     )
 
 
@@ -147,7 +147,7 @@ class TestEventStreamIdentity:
     def test_full_event_stream_identical(self, scheduler):
         """Not just the aggregates: the *entire* event sequence (sends,
         deliveries, wait blocks/wakes, decides) matches event for event,
-        so flight recordings and traces are mode-independent."""
+        so flight recordings and traces do not depend on dispatch."""
         classic, batched = FlightRecorder(), FlightRecorder()
         run_ba("whp_ba", scheduler, seed=3, mode="classic", observers=[classic])
         run_ba("whp_ba", scheduler, seed=3, mode="batched", observers=[batched])
@@ -193,20 +193,20 @@ class TestObservabilityStack:
 def simulate_ba(n, seed, mode, scheduler, lossy=None, unicast=False):
     """One whp_ba run with direct Simulation access (for the batch
     counters and the pool layout), set up exactly as ``run_protocol``
-    would.  ``unicast=True`` turns every ``ctx.broadcast`` into n
-    ``ctx.send`` calls in destination order."""
+    would, with ``scheduler`` as the ``mode`` arm asks it.
+    ``unicast=True`` turns every ``ctx.broadcast`` into n ``ctx.send``
+    calls in destination order."""
     factory, params, f = make_runner("whp_ba", n, seed=seed)
     rng = random.Random(derive_seed(seed, "setup"))
     pki = PKI.create(n, backend="simulated", rng=rng)
     sim = Simulation(
         n=n, f=f, pki=pki,
         adversary=Adversary(
-            scheduler=scheduler,
+            scheduler=dispatched(scheduler, mode),
             corruption=StaticCorruption(set(range(f))),
         ),
         seed=seed, params=params,
-        stop_condition=stop_when_all_decided,
-        delivery_mode=mode, lossy=lossy,
+        stop_condition=stop_when_all_decided, lossy=lossy,
     )
     recorder = sim.events.attach(FlightRecorder())
     if unicast:
@@ -251,8 +251,8 @@ def _logging(scheduler_cls: type[Scheduler]) -> type[Scheduler]:
 @pytest.mark.parametrize("lossy", [None, LOSSY], ids=["reliable", "lossy"])
 class TestRandomSchedulerFastLoop:
     """The default adversary is a *non-trivial* row: under
-    ``RandomScheduler`` the fast loop picks by pool position and keeps no
-    seq index, while the reference loop asks ``choose`` and looks the seq
+    ``RandomScheduler`` the kernel picks by pool position and keeps no seq
+    index, while under ``OneChoose`` it asks ``choose`` and looks the seq
     up -- different code, same run, over reliable and lossy links."""
 
     N_BA, SEED = 40, 13
@@ -274,18 +274,16 @@ class TestRandomSchedulerFastLoop:
         # Same picks from the same stream: the scheduler RNGs end equal.
         assert (
             fast[0].adversary.scheduler.rng.getstate()
-            == reference[0].adversary.scheduler.rng.getstate()
+            == reference[0].adversary.scheduler.inner.rng.getstate()
         )
 
-    @pytest.mark.parametrize("replay_mode", ["classic", "batched"])
-    def test_fast_loop_recording_replays_seq_exactly(self, lossy, replay_mode):
+    def test_fast_loop_recording_replays_seq_exactly(self, lossy):
         original = self._run("batched", lossy)
         replayed = self._run(
-            replay_mode, lossy, scheduler=ReplayScheduler(original[1].schedule())
+            "batched", lossy, scheduler=ReplayScheduler(original[1].schedule())
         )
         assert_same_run(original, replayed, "replay of a fast-loop recording diverged")
 
-    @pytest.mark.parametrize("mode", ["classic", "batched"])
     @pytest.mark.parametrize(
         "make_scheduler",
         [
@@ -297,16 +295,19 @@ class TestRandomSchedulerFastLoop:
         ids=["random-no-hook", "fifo-seq-only", "targeted-view", "content-aware"],
     )
     def test_broadcast_equals_unicasts_in_destination_order(
-        self, lossy, mode, make_scheduler
+        self, lossy, make_scheduler
     ):
         """One ``submit_broadcast`` is n ``submit`` calls: same seqs
         (injected duplicates included), ``SendEvent`` records, metrics,
         link-fault counters and scheduler ``on_submit`` sequence -- so the
-        whole run is the same run, on either loop."""
+        whole run is the same run.  Submission does not depend on how
+        the scheduler is then asked, so one dispatch arm suffices."""
         n = 24  # the smallest n at which this seed still decides over lossy links
-        broadcast = simulate_ba(n, self.SEED, mode, make_scheduler(self.SEED), lossy=lossy)
+        broadcast = simulate_ba(
+            n, self.SEED, "batched", make_scheduler(self.SEED), lossy=lossy
+        )
         unicast = simulate_ba(
-            n, self.SEED, mode, make_scheduler(self.SEED), lossy=lossy, unicast=True
+            n, self.SEED, "batched", make_scheduler(self.SEED), lossy=lossy, unicast=True
         )
         assert_same_run(unicast, broadcast, "submit_broadcast != n unicast submits")
         sends = broadcast[1].of_kind("send")
@@ -327,40 +328,41 @@ class TestRandomSchedulerFastLoop:
 
 
 class TestBatchedReplay:
-    """Flight recordings made under the batched kernel replay seq-exactly.
+    """Flight recordings made from drained batches replay seq-exactly.
 
-    The batched run's event stream is classic-identical (above), so its
+    A drained run's event stream is the one-choose stream (above), so its
     recording must feed a seq-exact :class:`ReplayScheduler` that
     reproduces the stream bit for bit -- and because a replay schedule's
     choices cannot be promised insensitive to mid-batch submissions, the
-    scheduler must *decline* to drain: a batched-mode replay delivers
-    batches of one through ``choose`` rather than diverging.
+    scheduler must *decline* to drain: the replay delivers batches of one
+    through ``choose`` rather than diverging.  One recording and one
+    replay serve both tests.
     """
 
     N_BA, SEED = 40, 9
 
-    def _simulate(self, mode, scheduler):
-        return simulate_ba(self.N_BA, self.SEED, mode, scheduler)
-
-    def _record_batched(self):
-        original = self._simulate(
-            "batched", DelayBoundedScheduler(rng=random.Random(self.SEED))
+    @pytest.fixture(scope="class")
+    def runs(self):
+        original = simulate_ba(
+            self.N_BA, self.SEED, "batched",
+            DelayBoundedScheduler(rng=random.Random(self.SEED)),
         )
+        replayed = simulate_ba(
+            self.N_BA, self.SEED, "batched", ReplayScheduler(original[1].schedule())
+        )
+        return original, replayed
+
+    def test_batched_recording_replays_seq_exactly(self, runs):
+        original, replayed = runs
         # The premise: this recording really was produced by committed
         # scheduler batches, not by batches of one.
         assert original[0].drain_batches > 0
         assert original[0].batched_deliveries > 0
-        return original
-
-    def test_batched_recording_replays_seq_exactly(self):
-        original = self._record_batched()
-        replayed = self._simulate("classic", ReplayScheduler(original[1].schedule()))
         assert_same_run(original, replayed, "replay of a batched recording diverged")
 
-    def test_replay_under_batched_mode_declines_and_matches(self):
-        original = self._record_batched()
-        replayed = self._simulate("batched", ReplayScheduler(original[1].schedule()))
-        # ReplayScheduler declines every drain, so the fast loop asked
+    def test_replay_under_batched_mode_declines_and_matches(self, runs):
+        original, replayed = runs
+        # ReplayScheduler declines every drain, so the kernel asked
         # ``choose`` for the whole run...
         assert replayed[0].batched_deliveries == 0
         # ...and the replay still reproduces the recording exactly.

@@ -2,11 +2,13 @@
 
 Runs the same (protocol, scheduler, seed) cell through the optimised
 kernel (verification cache on, instance-keyed wakeups honoured) and the
-reference kernel (cache off, ``Simulation(eager_wakeups=True)`` through
-``tests.conftest.run_on_kernel``) and asserts every observable
-RunResult field matches -- across the scheduler zoo for the shared coin,
-and under random scheduling for WHP coin and full Byzantine Agreement.
-This is the soundness certificate for DESIGN.md's cache/wakeup argument.
+reference kernel (a ``PKI`` built with ``verify_cache=False``, and the
+protocol wrapped in ``tests.kernel_reference.unsubscribed``, so every
+pending condition is re-evaluated after every delivery) and asserts
+every observable RunResult field matches -- across the scheduler zoo
+for the shared coin, and under random scheduling for WHP coin and full
+Byzantine Agreement.  This is the soundness certificate for DESIGN.md's
+cache/wakeup argument.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ from repro.sim.adversary import Adversary, RandomScheduler, StaticCorruption
 from repro.sim.diffing import divergence_hint
 from repro.sim.runner import (
     RunResult,
+    run_protocol,
     stop_when_all_decided,
     stop_when_all_returned,
 )
 
-from tests.conftest import run_on_kernel
 from tests.integration.test_determinism_matrix import SCHEDULER_FACTORIES
+from tests.kernel_reference import unsubscribed
 
 N, F = 10, 2
 
@@ -61,16 +64,21 @@ def observable(result: RunResult) -> tuple:
     )
 
 
+def gated(factory, fast: bool):
+    """``factory`` as the optimised kernel runs it, or as the reference does."""
+    return factory if fast else unsubscribed(factory)
+
+
 def run_shared_coin(scheduler_name: str, seed: int, fast: bool) -> RunResult:
     pki = PKI.create(N, rng=random.Random(99), verify_cache=fast)
     adversary = Adversary(
         scheduler=SCHEDULER_FACTORIES[scheduler_name](seed),
         corruption=StaticCorruption({0, 1}),
     )
-    return run_on_kernel(
-        N, F, lambda ctx: shared_coin(ctx, 0),
+    return run_protocol(
+        N, F, gated(lambda ctx: shared_coin(ctx, 0), fast),
         adversary=adversary, pki=pki, params=ProtocolParams(n=N, f=F), seed=seed,
-        stop_condition=stop_when_all_returned, eager_wakeups=not fast,
+        stop_condition=stop_when_all_returned,
     )
 
 
@@ -101,11 +109,11 @@ def test_whp_coin_equivalence(seed):
     params = ProtocolParams.simulation_scale(n=n, f=f)
 
     def run(fast: bool) -> RunResult:
-        return run_on_kernel(
-            n, f, lambda ctx: whp_coin(ctx, 0),
+        return run_protocol(
+            n, f, gated(lambda ctx: whp_coin(ctx, 0), fast),
             adversary=default_adversary(seed, f), params=params, seed=seed,
             pki=PKI.create(n, rng=random.Random(seed), verify_cache=fast),
-            stop_condition=stop_when_all_returned, eager_wakeups=not fast,
+            stop_condition=stop_when_all_returned,
         )
 
     fast, slow = run(True), run(False)
@@ -122,11 +130,10 @@ def test_byzantine_agreement_equivalence(seed):
     factory, params, f = make_runner("whp_ba", n, seed=seed)
 
     def run(fast: bool) -> RunResult:
-        return run_on_kernel(
-            n, f, factory, adversary=default_adversary(seed, f), params=params,
-            stop_condition=stop_when_all_decided, seed=seed,
+        return run_protocol(
+            n, f, gated(factory, fast), adversary=default_adversary(seed, f),
+            params=params, stop_condition=stop_when_all_decided, seed=seed,
             pki=PKI.create(n, rng=random.Random(seed), verify_cache=fast),
-            eager_wakeups=not fast,
         )
 
     fast, slow = run(True), run(False)

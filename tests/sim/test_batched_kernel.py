@@ -29,6 +29,8 @@ from repro.sim.messages import Message
 from repro.sim.network import Simulation
 from repro.sim.process import Wait
 
+from tests.kernel_reference import dispatched, unsubscribed
+
 
 @dataclass
 class Note(Message):
@@ -316,8 +318,8 @@ class TestMinCountGate:
             return None
             yield
 
-        sim = make_sim(scheduler=FIFOScheduler(), eager_wakeups=eager)
-        sim.set_protocol(0, waiter)
+        sim = make_sim(scheduler=FIFOScheduler())
+        sim.set_protocol(0, unsubscribed(waiter) if eager else waiter)
         for pid in (1, 2, 3):
             sim.set_protocol(pid, sender)
         sim.run()
@@ -339,8 +341,8 @@ class TestMinCountGate:
         assert {1, 2} <= set(observed)  # woken below the quorum
 
     def test_eager_wakeups_ignore_floor(self):
-        """The eager reference path bypasses gating entirely -- and the
-        protocol still returns the same result."""
+        """The eager reference (the wait re-yielded unsubscribed) bypasses
+        gating entirely -- and the protocol still returns the same result."""
         observed = self._run(min_count=3, eager=True)
         assert {1, 2} <= set(observed)
 
@@ -359,7 +361,7 @@ class TestMinCountGate:
             return None
             yield
 
-        sim = make_sim(scheduler=FIFOScheduler(), delivery_mode="batched")
+        sim = make_sim(scheduler=FIFOScheduler())
         sim.set_protocol(0, waiter)
         for pid in (1, 2, 3):
             sim.set_protocol(pid, sender)
@@ -440,14 +442,14 @@ class TestSubmitBroadcast:
             sim.submit_broadcast(4, Note("x"))
 
 
-# -- delivery modes -----------------------------------------------------------
+# -- dispatch -----------------------------------------------------------------
 
 
 class TestDeliveryModes:
     def test_random_scheduler_fast_loop_matches_reference(self):
-        """Under a drain-declining scheduler the fast loop delivers batches
-        of one (by pool position here) and must agree byte-for-byte with
-        the reference loop."""
+        """Under a drain-declining scheduler the kernel delivers batches of
+        one (by pool position here) and must agree byte-for-byte with one
+        ``choose`` per delivery."""
 
         def chatter(ctx):
             ctx.broadcast(Note("x"))
@@ -458,8 +460,9 @@ class TestDeliveryModes:
             return (yield Wait(condition, instances={"x"}))
 
         def run_mode(mode):
-            sim = make_sim(scheduler=RandomScheduler(random.Random(5)), seed=5,
-                           delivery_mode=mode)
+            sim = make_sim(
+                scheduler=dispatched(RandomScheduler(random.Random(5)), mode), seed=5
+            )
             sim.set_protocol_all(chatter)
             sim.run()
             assert sim.batched_deliveries == 0
@@ -485,10 +488,3 @@ class TestDeliveryModes:
         # One batch per broadcast: all of pid 0's, then two of pid 1's.
         assert sim.drain_batches == 2
         assert sim.batched_deliveries == 6
-
-    def test_fast_loop_is_the_default(self):
-        assert make_sim().delivery_mode == "batched"
-
-    def test_invalid_delivery_mode_rejected(self):
-        with pytest.raises(ValueError, match="delivery_mode"):
-            make_sim(delivery_mode="turbo")

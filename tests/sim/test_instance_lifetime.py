@@ -6,7 +6,8 @@ discarding sink (DESIGN.md §6, "Instance lifetime").  Two properties make
 that safe and worth it:
 
 * it is observationally pure -- every ``repro list`` name and every perf
-  ledger cell, on both kernel loops, produces the same events, records,
+  ledger cell, with the scheduler drained or picking by position as usual
+  and asked through ``OneChoose``, produces the same events, records,
   metrics, decisions and lossy counters with retirement on as with
   ``Mailbox.retire`` patched to a no-op;
 * it is effective -- after a run, no correct process buffers an entry
@@ -28,11 +29,13 @@ import repro.sim.runner as runner_module
 from repro.crypto.pki import PKI
 from repro.experiments.protocols import PROTOCOLS
 from repro.experiments.scenarios import SCENARIOS, resolve_run
-from repro.sim.adversary import Adversary
+from repro.sim.adversary import Adversary, RandomScheduler
 from repro.sim.mailbox import Mailbox
 from repro.sim.messages import Message
 from repro.sim.network import Simulation
 from repro.sim.process import Wait
+
+from tests.kernel_reference import dispatched
 
 PERF_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "perf"
 MAX_DELIVERIES = 60_000
@@ -55,15 +58,17 @@ workloads = _load("workloads")
 
 
 class Kernel:
-    """Routes ``run_protocol`` through one kernel loop, keeping every
+    """Routes ``run_protocol`` through one dispatch arm, keeping every
     event and the ``Simulation`` it built."""
 
     def __init__(self, monkeypatch, mode: str) -> None:
         self.events: list = []
         self.simulation: Simulation | None = None
 
-        def build(*args, **kwargs) -> Simulation:
-            simulation = Simulation(*args, delivery_mode=mode, **kwargs)
+        def build(**kwargs) -> Simulation:
+            adversary = kwargs["adversary"]
+            adversary.scheduler = dispatched(adversary.scheduler, mode)
+            simulation = Simulation(**kwargs)
             simulation.events.subscribe(self.events.append)
             self.simulation = simulation
             return simulation
@@ -96,13 +101,13 @@ def both_arms(monkeypatch, mode: str, run) -> tuple[tuple, tuple]:
     return arms[0], arms[1]
 
 
-LOOPS = ["batched", "classic"]
+ARMS = ["batched", "classic"]
 
 
 class TestRetirementIsObservationallyPure:
     """The oracle for any change to what the mailbox or kernel retains."""
 
-    @pytest.mark.parametrize("mode", LOOPS)
+    @pytest.mark.parametrize("mode", ARMS)
     @pytest.mark.parametrize("name", [*PROTOCOLS, *SCENARIOS])
     def test_every_named_run(self, monkeypatch, name, mode):
         def run():
@@ -112,7 +117,7 @@ class TestRetirementIsObservationallyPure:
         assert retiring[0], "the run emitted no events"
         assert retiring == keeping
 
-    @pytest.mark.parametrize("mode", LOOPS)
+    @pytest.mark.parametrize("mode", ARMS)
     @pytest.mark.parametrize(
         "cell", [cell.name for cell in workloads.WORKLOADS]
     )
@@ -170,7 +175,7 @@ class TestNothingBufferedAfterReturn:
 
 
 class TestReadingARetiredInstanceFailsLoudly:
-    @pytest.mark.parametrize("mode", LOOPS)
+    @pytest.mark.parametrize("mode", ARMS)
     def test_the_run_raises_instead_of_blocking(self, mode):
         n = 4
 
@@ -182,7 +187,7 @@ class TestReadingARetiredInstanceFailsLoudly:
 
         simulation = Simulation(
             n=n, f=0, pki=PKI.create(n, rng=random.Random(0)),
-            adversary=Adversary(), delivery_mode=mode,
+            adversary=Adversary(dispatched(RandomScheduler(), mode)),
         )
         simulation.set_protocol_all(rereads)
         with pytest.raises(RuntimeError, match="mailbox instance 'x' was retired"):

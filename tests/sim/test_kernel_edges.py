@@ -16,6 +16,8 @@ from repro.sim.messages import Message
 from repro.sim.network import SeqNotInFlightError, Simulation
 from repro.sim.process import Wait
 
+from tests.kernel_reference import dispatched
+
 
 @dataclass
 class Tick(Message):
@@ -179,23 +181,28 @@ class TestSchedulerNamesASeqNotInFlight:
     bare ``KeyError: -1`` out of the seq dict).  The kernel keeps no
     history of delivered or dropped seqs: "never submitted" and "held"
     are exact, and so is "already delivered" on reliable links; under an
-    active lossy config a seq that is neither is named with both causes."""
+    active lossy config a seq that is neither is named with both causes.
+    The ``classic`` arms hand the kernel the scheduler wrapped in
+    ``OneChoose``, which has no ``drain`` for the kernel to ask first."""
 
     def _run(self, seqs, mode, drains=False, lossy=None):
-        sim = make_sim(
-            scheduler=Naming(seqs, drains), delivery_mode=mode, lossy=lossy
-        )
+        """The refusal's message, after the scheduler it names."""
+        scheduler = dispatched(Naming(seqs, drains), mode)
+        sim = make_sim(scheduler=scheduler, lossy=lossy)
         sim.set_protocol_all(one_broadcast)
         with pytest.raises(SeqNotInFlightError) as raised:
             sim.run()
-        return sim, str(raised.value)
+        named = f"scheduler {type(scheduler).__name__} "
+        message = str(raised.value)
+        assert message.startswith(named)
+        return sim, message[len(named):]
 
     @pytest.mark.parametrize("mode", ["batched", "classic"])
     @pytest.mark.parametrize("seq", [-1, -3, 3, 10**9])
     def test_never_submitted(self, mode, seq):
         sim, message = self._run([0, seq], mode)
         assert message == (
-            f"scheduler Naming chose seq {seq}, which is not in flight "
+            f"chose seq {seq}, which is not in flight "
             "(never submitted)"
         )
         assert sim.deliveries == 1  # seq 0 went; nothing else was touched
@@ -204,7 +211,7 @@ class TestSchedulerNamesASeqNotInFlight:
     def test_already_delivered(self, mode):
         sim, message = self._run([1, 1], mode)
         assert message == (
-            "scheduler Naming chose seq 1, which is not in flight "
+            "chose seq 1, which is not in flight "
             "(already delivered)"
         )
         assert sim.deliveries == 1
@@ -218,7 +225,7 @@ class TestSchedulerNamesASeqNotInFlight:
             "held": "held by a lossy link",
         }[cause]
         assert message == (
-            f"scheduler Naming chose seq 1, which is not in flight ({named})"
+            f"chose seq 1, which is not in flight ({named})"
         )
         assert sim.deliveries == 1 and sim.lossy_counters[
             "drops" if cause == "dropped" else "reorders"
@@ -229,7 +236,7 @@ class TestSchedulerNamesASeqNotInFlight:
     def test_delivered_under_a_lossy_link_names_both_causes(self, mode, cause):
         sim, message = self._run([2, 2], mode, lossy=LINK_0_TO_1[cause])
         assert message == (
-            "scheduler Naming chose seq 2, which is not in flight "
+            "chose seq 2, which is not in flight "
             "(already delivered or dropped by a lossy link)"
         )
         assert sim.deliveries == 1
@@ -242,7 +249,7 @@ class TestSchedulerNamesASeqNotInFlight:
     def test_drained_batches_are_checked_too(self, batch, cause):
         sim, message = self._run(batch, "batched", drains=True)
         assert message == (
-            f"scheduler Naming chose seq {batch[-1]}, which is not in flight "
+            f"chose seq {batch[-1]}, which is not in flight "
             f"({cause})"
         )
         assert sim.deliveries == sim.batched_deliveries == len(batch) - 1

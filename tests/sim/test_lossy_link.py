@@ -40,6 +40,8 @@ from repro.sim.lossy import LossyLinkConfig, _fate_thresholds, _LossyState
 from repro.sim.network import Simulation
 from repro.sim.process import Wait
 
+from tests.kernel_reference import dispatched
+
 
 @dataclass
 class Ping(Message):
@@ -429,18 +431,18 @@ class TestDeterminismAndReplay:
 
 class TestFastLoopUnderLossyLinks:
     def test_fast_loop_commits_no_batch_and_matches_reference(self):
-        """While a lossy config is active the fast loop never consults
+        """While a lossy config is active the kernel never consults
         ``drain`` (a hold breaks the drain contract's commitment), so a
-        draining scheduler delivers batches of one -- and agrees with the
-        reference loop event for event."""
+        draining scheduler delivers batches of one -- and agrees event for
+        event with the same scheduler asked through ``OneChoose``, which
+        has no ``drain`` at all."""
         lossy = LossyLinkConfig(duplicate_rate=0.3, reorder_rate=0.3, reorder_hold=4)
         results = {}
         for mode in ("classic", "batched"):
             recorder = FlightRecorder()
             sim = run_gossip(
                 n=4, seed=9, lossy=lossy,
-                scheduler=FIFOScheduler(),
-                delivery_mode=mode,
+                scheduler=dispatched(FIFOScheduler(), mode),
                 recorder=recorder,
             )
             results[mode] = (

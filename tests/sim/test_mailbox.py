@@ -14,6 +14,8 @@ from repro.sim.messages import Message
 from repro.sim.network import Simulation
 from repro.sim.process import Wait
 
+from tests.kernel_reference import dispatched
+
 
 def msg(instance):
     return Message(instance=instance)
@@ -104,8 +106,9 @@ class TestRetire:
 
     @pytest.mark.parametrize("mode", ["batched", "classic"])
     def test_kernel_counts_late_deliveries_on_both_loops(self, mode):
-        """The fast loop's inlined add and ``Mailbox.add`` (the reference
-        loop) both count a retired instance's deliveries and buffer none."""
+        """The kernel's inlined add counts a retired instance's deliveries
+        and buffers none, under either dispatch (``classic``: one
+        ``choose`` per delivery, through ``OneChoose``)."""
         n = 5
 
         def late_reader(ctx):
@@ -121,8 +124,9 @@ class TestRetire:
 
         sim = Simulation(
             n=n, f=0, pki=PKI.create(n, rng=random.Random(0)),
-            adversary=Adversary(scheduler=RandomScheduler(random.Random(4))),
-            delivery_mode=mode,
+            adversary=Adversary(
+                scheduler=dispatched(RandomScheduler(random.Random(4)), mode)
+            ),
         )
         sim.set_protocol_all(late_reader)
         sim.run()

@@ -14,9 +14,10 @@ from repro.sim.adversary import Adversary, RandomScheduler
 from repro.sim.events import SendEvent
 from repro.sim.flightrecorder import FlightRecorder
 from repro.sim.lossy import LossyLinkConfig
-from repro.sim.messages import Envelope, Message
+from repro.sim.messages import Message
 from repro.sim.metrics import MetricsRecorder, ProtocolRecord
 from repro.sim.network import Simulation
+from repro.sim.process import Wait
 
 
 @dataclass
@@ -25,21 +26,10 @@ class ThreeWord(Message):
         return 3
 
 
-def envelope(sender=0, correct=True, message=None, seq=0):
-    return Envelope(
-        seq=seq,
-        sender=sender,
-        dest=1,
-        payload=message or ThreeWord("i"),
-        depth=1,
-        sender_correct=correct,
-        sent_step=0,
-    )
-
-
 def kernel(n=4, corrupted=(), lossy=None):
-    """A simulation that is never run: sends go through the kernel's one
-    send path (``ctx.send`` / ``ctx.broadcast``), which does the counting."""
+    """A simulation to send from before any run: sends go through the
+    kernel's one send path (``ctx.send`` / ``ctx.broadcast``), which does
+    the counting."""
     simulation = Simulation(
         n=n, f=len(corrupted), pki=PKI.create(n, rng=random.Random(0)),
         adversary=Adversary(RandomScheduler(random.Random(0))), lossy=lossy,
@@ -106,11 +96,27 @@ class TestWordAccounting:
         assert dict(metrics.messages_by_sender) == {0: 5}
 
     def test_delivery_counter(self):
-        metrics = MetricsRecorder()
-        env = envelope()
-        metrics.record_delivery(env)
-        metrics.record_delivery(env)
-        assert metrics.messages_delivered == 2
+        """A run counts every delivery, and its payload's words."""
+        sim = kernel()
+        sim.contexts[0].broadcast(ThreeWord("i"))
+        sim.contexts[1].send(2, Message("i"))
+        sim.contexts[3].broadcast(ThreeWord("j"))
+
+        def idle(ctx):
+            yield Wait(lambda mailbox: None, instances={"never"})
+
+        sim.set_protocol_all(idle)
+        sim.run()
+        delivered = [
+            message
+            for ctx in sim.contexts
+            for instance in ctx.mailbox.instances()
+            for _, message in ctx.mailbox.stream(instance)
+        ]
+        metrics = sim.metrics
+        assert metrics.messages_delivered == sim.deliveries == len(delivered) == 9
+        assert metrics.words_delivered == sum(message.words() for message in delivered)
+        assert metrics.words_delivered == 4 * 3 + 1 + 4 * 3
 
 
 class TestPerProcessWords:

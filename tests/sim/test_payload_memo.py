@@ -255,8 +255,7 @@ class TestEventsHoldNoMessage:
         assert any(type(event) is DeliverEvent for event in emitted)
         assert [event for event in emitted if holds_message(event)] == []
 
-    @pytest.mark.parametrize("mode", ["batched", "classic"])
-    def test_an_unobserved_run_summarises_nothing(self, mode, monkeypatch):
+    def test_an_unobserved_run_summarises_nothing(self, monkeypatch):
         calls = []
         real = network_module.summarize_payload
 
@@ -265,12 +264,12 @@ class TestEventsHoldNoMessage:
             return real(message)
 
         monkeypatch.setattr(network_module, "summarize_payload", counting)
-        bare = make_sim(seed=1, delivery_mode=mode)
+        bare = make_sim(seed=1)
         bare.set_protocol_all(tagged_gossip_protocol)
         bare.run()
         assert bare.deliveries > 0 and calls == []
         # The same run observed does summarise: the patch is on the kernel's path.
-        observed = make_sim(seed=1, delivery_mode=mode)
+        observed = make_sim(seed=1)
         observed.events.subscribe(lambda event: None)
         observed.set_protocol_all(tagged_gossip_protocol)
         observed.run()

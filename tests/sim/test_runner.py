@@ -89,13 +89,12 @@ class TestRunProtocol:
         ]
 
     def test_simulation_surface_is_pinned(self):
-        """``eager_wakeups`` and ``delivery_mode`` are the two reference
-        switches, for the equivalence tests; a third is a deliberate diff
-        here."""
+        """No reference switches: the equivalence tests build their
+        references outside the kernel (``tests/kernel_reference.py``), so
+        the next keyword here is a deliberate diff."""
         assert list(inspect.signature(Simulation.__init__).parameters) == [
             "self", "n", "f", "pki", "adversary", "seed", "params",
-            "max_deliveries", "stop_condition",
-            "eager_wakeups", "profile", "delivery_mode", "lossy",
+            "max_deliveries", "stop_condition", "profile", "lossy",
         ]
 
     def test_adversary_and_corrupt_conflict(self):
