@@ -70,22 +70,45 @@ class RBCReadyMsg(Message):
         return 1
 
 
+def _same(value: object, allowed: object) -> bool:
+    """``value == allowed`` with the types equal too, element by element.
+
+    An equality test alone (``value in (0, 1)``) would admit ``True`` and
+    ``1.0`` -- or ``("d", True)`` -- from a Byzantine originator, and every
+    correct process would then deliver that foreign object.
+    """
+    if type(value) is not type(allowed):
+        return False
+    if type(value) is tuple:
+        return len(value) == len(allowed) and all(map(_same, value, allowed))
+    return value == allowed
+
+
+_NONE = object()
+
+
 class _RBCAllState:
-    """Reliable-broadcast bookkeeping for all n originators of one step."""
+    """Reliable-broadcast bookkeeping for all n originators of one step.
+
+    The kernel authenticates senders, so a sender is a pid in ``[0, n)``
+    and each tally of distinct senders for an ``(origin, value)`` is a
+    ``[bytearray(n), count]`` pair.  Only a valid pid can be an origin
+    a correct process echoes or readies for.
+    """
 
     def __init__(
         self, ctx: ProcessContext, instance: Hashable, params: ProtocolParams, allowed
     ) -> None:
         self.ctx = ctx
         self.instance = instance
-        self.allowed = allowed
+        self._allowed = {value: value for value in allowed}
         self.n, self.f = params.n, params.f
         self.echo_threshold = (self.n + self.f) // 2 + 1  # > (n+f)/2
         self.ready_threshold = 2 * self.f + 1
-        self.echoed: set[int] = set()  # origins we already echoed
-        self.readied: set[int] = set()  # origins we already sent READY for
-        self.echo_senders: dict[tuple, set[int]] = {}
-        self.ready_senders: dict[tuple, set[int]] = {}
+        self.echoed = bytearray(self.n)  # origins we already echoed
+        self.readied = bytearray(self.n)  # origins we already sent READY for
+        self.echoes: dict[tuple, list] = {}
+        self.readies: dict[tuple, list] = {}
         self.delivered: dict[int, object] = {}
         self._cursor = 0
 
@@ -93,46 +116,69 @@ class _RBCAllState:
         self.ctx.broadcast(RBCSendMsg(self.instance, value=value))
         self.ctx.add_background_handler(self.pump)
 
+    def _admits(self, value: object) -> bool:
+        """``value`` is one of the allowed values in type as well as in
+        value (the allowed values are hashable and pairwise unequal, so an
+        unhashable value is none of them)."""
+        try:
+            match = self._allowed.get(value, _NONE)  # the allowed value it equals
+        except TypeError:  # unhashable, so equal to no allowed value
+            return False
+        return match is not _NONE and _same(value, match)
+
     def _maybe_ready(self, origin: int, value: object) -> None:
-        if origin in self.readied:
+        if self.readied[origin]:
             return
-        self.readied.add(origin)
+        self.readied[origin] = 1
         self.ctx.broadcast(RBCReadyMsg(self.instance, origin=origin, value=value))
 
-    def pump(self, mailbox: Mailbox) -> None:
+    def pump(self, mailbox: Mailbox) -> Hashable:
+        """Consume the new stream entries; returns the instance, the key
+        this handler is registered under."""
         stream = mailbox.stream(self.instance)
+        n, admits, echoes = self.n, self._admits, self.echoes
         while self._cursor < len(stream):
             sender, msg = stream[self._cursor]
             self._cursor += 1
             if isinstance(msg, RBCSendMsg):
                 # Echo the first SEND from this originator (equivocation by
                 # a Byzantine originator is thereby resolved one way).
-                if sender in self.echoed or msg.value not in self.allowed:
+                if self.echoed[sender] or not admits(msg.value):
                     continue
-                self.echoed.add(sender)
+                self.echoed[sender] = 1
                 self.ctx.broadcast(
                     RBCEchoMsg(self.instance, origin=sender, value=msg.value)
                 )
-            elif isinstance(msg, RBCEchoMsg):
-                if msg.value not in self.allowed:
-                    continue
-                key = (msg.origin, msg.value)
-                senders = self.echo_senders.setdefault(key, set())
-                senders.add(sender)
-                if len(senders) >= self.echo_threshold:
-                    self._maybe_ready(msg.origin, msg.value)
+                continue
+            if isinstance(msg, RBCEchoMsg):
+                tallies = echoes
             elif isinstance(msg, RBCReadyMsg):
-                if msg.value not in self.allowed:
-                    continue
-                key = (msg.origin, msg.value)
-                senders = self.ready_senders.setdefault(key, set())
-                senders.add(sender)
-                # Ready amplification: f+1 readys prove a correct process
-                # committed, so join in.
-                if len(senders) >= self.f + 1:
-                    self._maybe_ready(msg.origin, msg.value)
-                if len(senders) >= self.ready_threshold:
-                    self.delivered.setdefault(msg.origin, msg.value)
+                tallies = self.readies
+            else:
+                continue
+            origin, value = msg.origin, msg.value
+            if type(origin) is not int or not 0 <= origin < n or not admits(value):
+                continue  # no correct process sends this
+            # Count the sender once per (origin, value).
+            tally = tallies.get((origin, value))
+            if tally is None:
+                tally = tallies[origin, value] = [bytearray(n), 0]
+            seen = tally[0]
+            if not seen[sender]:
+                seen[sender] = 1
+                tally[1] += 1
+            count = tally[1]
+            if tallies is echoes:
+                if count >= self.echo_threshold:
+                    self._maybe_ready(origin, value)
+                continue
+            # Ready amplification: f+1 readys prove a correct process
+            # committed, so join in.
+            if count >= self.f + 1:
+                self._maybe_ready(origin, value)
+            if count >= self.ready_threshold:
+                self.delivered.setdefault(origin, value)
+        return self.instance
 
 
 def reliable_broadcast_all(
@@ -159,7 +205,9 @@ def reliable_broadcast_all(
             return dict(state.delivered)
         return None
 
-    return (yield Wait(delivered_quorum, description=f"rbc{instance}"))
+    return (yield Wait(
+        delivered_quorum, description=f"rbc{instance}", instances={instance}
+    ))
 
 
 def bracha_agreement(

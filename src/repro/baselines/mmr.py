@@ -99,21 +99,26 @@ def _is_bit(value: object) -> bool:
 class _BVState:
     """One round's BV-broadcast bookkeeping, pumped by a background handler.
 
-    ``aux_counts[v]`` is the number of senders whose *first* AUX carried
-    ``v``, kept as AUX messages arrive, so the AUX-quorum wait (which the
-    kernel re-evaluates on every delivery) reads O(1) state instead of
-    rescanning ``aux_senders``.
+    The kernel authenticates senders, so a sender is a pid in ``[0, n)``
+    and each tally of distinct senders is a seen-bitmap plus a count:
+    ``bval_seen[v]`` / ``bval_counts[v]`` for BVAL(v), and ``aux_first``,
+    which holds ``1 + v`` for a sender whose *first* AUX carried ``v``
+    (0: none yet), with ``aux_counts[v]`` counting those senders.  The
+    handler runs only on deliveries of this round's instance, and the
+    round's waits subscribe to that instance alone, so the AUX-quorum
+    wait reads O(1) state and is evaluated only when it may have changed.
     """
 
-    def __init__(self, ctx: ProcessContext, instance: Hashable, f: int) -> None:
+    def __init__(self, ctx: ProcessContext, instance: Hashable, n: int, f: int) -> None:
         self.ctx = ctx
         self.instance = instance
         self.f = f
-        self.bval_senders: dict[int, set[int]] = {0: set(), 1: set()}
+        self.bval_seen = (bytearray(n), bytearray(n))
+        self.bval_counts = [0, 0]
         self.relayed: set[int] = set()
         self.bin_values: set[int] = set()
-        self.aux_senders: dict[int, int] = {}
-        self.aux_counts: dict[int, int] = {0: 0, 1: 0}
+        self.aux_first = bytearray(n)
+        self.aux_counts = [0, 0]
         self._cursor = 0
         self._stream: list | None = None
 
@@ -123,7 +128,9 @@ class _BVState:
         self.ctx.broadcast(BValMsg(self.instance, value=estimate))
         self.ctx.add_background_handler(self.pump)
 
-    def pump(self, mailbox: Mailbox) -> None:
+    def pump(self, mailbox: Mailbox) -> Hashable:
+        """Consume the new stream entries; returns the instance, the key
+        this handler is registered under."""
         stream = self._stream
         if stream is None:
             # Identity-stable once created (append-only): cache the list.
@@ -134,17 +141,22 @@ class _BVState:
             sender, msg = stream[self._cursor]
             self._cursor += 1
             if isinstance(msg, BValMsg) and _is_bit(msg.value):
-                senders = self.bval_senders[msg.value]
-                senders.add(sender)
-                if len(senders) > self.f and msg.value not in self.relayed:
-                    self.relayed.add(msg.value)
-                    self.ctx.broadcast(BValMsg(self.instance, value=msg.value))
-                if len(senders) > 2 * self.f:
-                    self.bin_values.add(msg.value)
+                value = msg.value
+                seen = self.bval_seen[value]
+                if not seen[sender]:
+                    seen[sender] = 1
+                    self.bval_counts[value] += 1
+                count = self.bval_counts[value]
+                if count > self.f and value not in self.relayed:
+                    self.relayed.add(value)
+                    self.ctx.broadcast(BValMsg(self.instance, value=value))
+                if count > 2 * self.f:
+                    self.bin_values.add(value)
             elif (isinstance(msg, AuxMsg) and _is_bit(msg.value)
-                  and sender not in self.aux_senders):
-                self.aux_senders[sender] = msg.value
+                  and not self.aux_first[sender]):
+                self.aux_first[sender] = 1 + msg.value
                 self.aux_counts[msg.value] += 1
+        return self.instance
 
     def valid_aux_count(self) -> int:
         return sum(self.aux_counts[value] for value in self.bin_values)
@@ -175,7 +187,7 @@ def mmr_agreement(
     round_id = 0
     while max_rounds is None or round_id < max_rounds:
         instance = ("mmr", round_id)
-        bv = _BVState(ctx, instance, f)
+        bv = _BVState(ctx, instance, params.n, f)
         bv.start(est)
 
         # Wait until bin_values is non-empty, then send AUX for the first
@@ -185,7 +197,9 @@ def mmr_agreement(
                 return sorted(bv.bin_values)[0]
             return None
 
-        aux_value = yield Wait(bin_values_nonempty, description=f"mmr-bv{instance}")
+        aux_value = yield Wait(
+            bin_values_nonempty, description=f"mmr-bv{instance}", instances={instance}
+        )
         ctx.broadcast(AuxMsg(instance, value=aux_value))
 
         # Wait for n-f AUX messages whose values are all in bin_values.
@@ -194,7 +208,9 @@ def mmr_agreement(
                 return frozenset(bv.aux_values())
             return None
 
-        vals = yield Wait(aux_quorum, description=f"mmr-aux{instance}")
+        vals = yield Wait(
+            aux_quorum, description=f"mmr-aux{instance}", instances={instance}
+        )
 
         flip = yield from coin(ctx, round_id)
 

@@ -997,7 +997,8 @@ class Simulation:
                     )
                     mailbox.total_delivered += 1
                     if ctx.background_handlers:
-                        for handler in list(ctx.background_handlers):
+                        handler = ctx.background_handlers.get(payload_instance)
+                        if handler is not None:
                             handler(mailbox)
                     if pid in generators:
                         wait = pending.get(pid)

@@ -53,10 +53,12 @@ class Wait:
     delivery for any other instance provably cannot change the condition's
     result, so skipping the evaluation is observationally identical (the
     hot-path contract: a subscribed condition must be a pure function of
-    its subscribed streams plus its own closure state).  ``None`` keeps the
+    its subscribed streams plus its own closure state).  It may also read
+    state that only the background handlers of its subscribed instances
+    mutate: the kernel calls those only on deliveries of their instance,
+    before it evaluates the condition.  ``None`` keeps the
     pre-subscription behaviour: re-evaluate after every delivery.  Leave it
-    ``None`` whenever the condition reads state mutated elsewhere (e.g. by
-    a background handler).
+    ``None`` whenever the condition reads state mutated elsewhere.
 
     ``min_count`` is the incremental-quorum floor: the declaring protocol
     promises that until the subscribed instances hold at least
@@ -105,8 +107,10 @@ class ProcessContext:
         self.decision_depth: int | None = None
         # Forever-active "upon receiving ..." handlers (e.g. MMR's
         # BV-broadcast relay rule, which must keep relaying even after the
-        # process moved on to later rounds).  Called on every delivery.
-        self.background_handlers: list[Callable[[Mailbox], None]] = []
+        # process moved on to later rounds), keyed by the one instance
+        # whose stream each reads.  The kernel calls a handler only on
+        # deliveries of its own instance.
+        self.background_handlers: dict[Hashable, Callable[[Mailbox], Hashable]] = {}
         # Free-form per-process facts recorded by protocols (e.g. the round
         # a decision happened in); snapshotted into RunResult.notes.
         self.notes: dict[str, Any] = {}
@@ -156,16 +160,23 @@ class ProcessContext:
         """
         self._simulation.submit_broadcast(self.pid, message)
 
-    def add_background_handler(self, handler: Callable[[Mailbox], None]) -> None:
-        """Register a side-effect-only handler run on every future delivery.
+    def add_background_handler(self, handler: Callable[[Mailbox], Hashable]) -> None:
+        """Register a side-effect-only handler for one instance's deliveries.
 
         The handler is invoked once immediately so it can catch up on
-        already-buffered messages, then after each delivery, *before* the
-        pending wait-condition is evaluated.  Handlers keep their own
-        cursors, so each call costs O(new messages).
+        already-buffered messages, and returns the instance whose stream
+        it reads; from then on the kernel calls it after each delivery of
+        that instance, and of no other, *before* the pending
+        wait-condition is evaluated.  Handlers keep their own cursors, so
+        each call costs O(new messages).  One handler per instance.  The
+        key comes back from the handler rather than as a second argument,
+        so a wrapper that forwards the one handler (a tracing span, say)
+        is keyed like the handler it wraps.
         """
-        self.background_handlers.append(handler)
-        handler(self.mailbox)
+        instance = handler(self.mailbox)
+        if instance in self.background_handlers:
+            raise ValueError(f"instance {instance!r} already has a background handler")
+        self.background_handlers[instance] = handler
 
     def retire(self, instance: Hashable) -> None:
         """Declare ``instance`` finished: its late messages are counted, not

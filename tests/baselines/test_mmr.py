@@ -143,23 +143,56 @@ class TestAuxQuorumCounters:
     @given(st.lists(_VOTE, max_size=60))
     def test_counters_match_rescan(self, votes):
         instance = ("mmr", 0)
-        bv = _BVState(_StubContext(), instance, f=1)
+        bv = _BVState(_StubContext(), instance, n=7, f=1)
         mailbox = Mailbox()
         first_aux: dict[int, int] = {}
+        bval_senders: dict[int, set[int]] = {0: set(), 1: set()}
         for sender, kind, value, pump in votes:
             mailbox.add(sender, kind(instance, value=value))
-            if kind is AuxMsg and type(value) is int and value in (0, 1):
-                first_aux.setdefault(sender, value)
+            if type(value) is int and value in (0, 1):
+                if kind is AuxMsg:
+                    first_aux.setdefault(sender, value)
+                else:
+                    bval_senders[value].add(sender)
             if not pump:
                 continue
-            bv.pump(mailbox)
-            assert bv.aux_senders == first_aux
-            # The scan over aux_senders that valid_aux_count/aux_values did
-            # before the counters existed.
-            scan = [v for v in bv.aux_senders.values() if v in bv.bin_values]
+            assert bv.pump(mailbox) == instance
+            assert bv.bval_counts == [len(bval_senders[0]), len(bval_senders[1])]
+            assert bv.bin_values == {v for v in (0, 1) if len(bval_senders[v]) > 2}
+            # The first-AUX map, read off the bitmap (1 + value; 0 = none).
+            aux_senders = {
+                pid: mark - 1 for pid, mark in enumerate(bv.aux_first) if mark
+            }
+            assert aux_senders == first_aux
+            # The scan over the first-AUX map that valid_aux_count/aux_values
+            # did before the counters existed.
+            scan = [v for v in aux_senders.values() if v in bv.bin_values]
             assert bv.valid_aux_count() == len(scan)
             assert bv.aux_values() == set(scan)
             assert all(type(v) is int for v in bv.bin_values | bv.aux_values())
+
+
+class TestRelayDispatchCost:
+    def test_at_most_one_pump_per_delivery(self, monkeypatch):
+        """Each round's relay handler runs only on its own round's
+        deliveries: one pump call per delivery (plus one catch-up call per
+        round per process), not one per round still armed."""
+        rounds = 8
+        calls = [0]
+        pump = _BVState.pump
+
+        def counted(self, mailbox):
+            calls[0] += 1
+            return pump(self, mailbox)
+
+        monkeypatch.setattr(_BVState, "pump", counted)
+        result = run_protocol(
+            N, F,
+            lambda ctx: mmr_agreement(ctx, ctx.pid % 2, local_coin, max_rounds=rounds),
+            corrupt=CORRUPT, params=PARAMS, seed=11,
+        )
+        assert len(result.returns) == N - F
+        assert calls[0] <= result.metrics.messages_delivered + rounds * (N - F)
 
 
 class TestRoundStructure:

@@ -1,12 +1,16 @@
-"""Delivery order of every stateful scheduler, pinned by hash.
+"""Delivery order of every stateful scheduler and of the quadratic
+baselines, pinned by hash.
 
 Each case runs one small protocol run under one scheduler, on reliable
 links and on links that drop, duplicate and reorder, and hashes the
 run's ``FlightRecorder.schedule()`` -- its ``(seq, sender, dest)``
-deliveries in order.  The constants were computed before the kernel's
-submission path and the schedulers' ``on_submit`` hooks were merged
-into one; any change that moves a single delivery under one of these
-schedulers changes its hash.
+deliveries in order.  The scheduler constants were computed before the
+kernel's submission path and the schedulers' ``on_submit`` hooks were
+merged into one; the baseline constants (``mmr``, ``mmr+alg1``,
+``cachin`` and ``bracha`` under their default random scheduler) before
+background handlers were keyed by instance and the MMR and Bracha
+tallies became bitmaps.  Any change that moves a single delivery of one
+of these runs changes its hash.
 """
 
 from __future__ import annotations
@@ -48,6 +52,10 @@ BA_SCHEDULERS = {
 # The shared coin at n=16 under the content-aware one (the E6 ablation's).
 COIN_N, COIN_F = 16, 3
 
+# The baselines with background relay handlers, as `resolve_run` builds them.
+BASELINES = ("mmr", "mmr+alg1", "cachin", "bracha")
+BASELINE_N = 16
+
 PINNED = {
     ("fifo", "reliable"):
         "a636f49faf9c7448251b2297dc427f700b667f779811e4598198787320576126",
@@ -69,6 +77,22 @@ PINNED = {
         "ef49eb6b4fc41c38f665da73366e187d6a849cbbe0a71f739e4a7a704bb22ff5",
     ("content_aware", "lossy"):
         "50703c5c8027f91a6ab4d6290e0441b703e026ae5b882298790251f297b2dff8",
+    ("mmr", "reliable"):
+        "f37baf86976329e44f2534b6e213772e800279b59c1d90a4c56f2791870202ed",
+    ("mmr", "lossy"):
+        "d10cf6ea48c1d3baa7ed9d849e01af129f4f2da795a1a5a238772a7188ad36dc",
+    ("mmr+alg1", "reliable"):
+        "e56d9370b8528815f8b98f634009179894549604a776d09c94b3c9ceaf98652a",
+    ("mmr+alg1", "lossy"):
+        "4238b0b485bd290ba79ca21f8c029b5b4eba4343be4a6c595d4c0c363d307f92",
+    ("cachin", "reliable"):
+        "53d260306f8aaa10f54bbe8ed44c746d7f98ad2171a5a3ef400cffbc6149babe",
+    ("cachin", "lossy"):
+        "b781b8cfbc5ee48d57207e23f694ac831a0d38457df31fb906023fa196b7152a",
+    ("bracha", "reliable"):
+        "600bf8684712f7b1b83477c0121f398d7bd69f8582d18136fe062e53a0a4f0fa",
+    ("bracha", "lossy"):
+        "7daccf105bbd6a8ac035da696a08a5eefaee4bdd0e68158dc56beff70754b0e1",
 }
 
 
@@ -82,6 +106,9 @@ def schedule_digest(name: str, links: str) -> str:
             params=ProtocolParams(n=COIN_N, f=COIN_F), seed=5,
             lossy=lossy, observers=[recorder],
         )
+    elif name in BASELINES:
+        spec = replace(resolve_run(name, BASELINE_N, seed=0), lossy=lossy)
+        spec.run(observers=[recorder])
     else:
         spec = replace(resolve_run("whp_ba", BA_N, seed=0), lossy=lossy)
         spec.run(scheduler=BA_SCHEDULERS[name](random.Random(3)), observers=[recorder])

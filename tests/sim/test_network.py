@@ -316,6 +316,7 @@ class TestBackgroundHandlers:
                     sender, _ = stream[cursor]
                     cursor += 1
                     log.append(sender)
+                return "bg"
 
             ctx.add_background_handler(handler)
             yield Wait(lambda mailbox: True if mailbox.count("bg") >= 3 else None)
@@ -325,6 +326,72 @@ class TestBackgroundHandlers:
         sim.run()
         for pid in range(3):
             assert sim.returns[pid] == [0, 1, 2]
+
+    def test_handler_runs_only_on_its_own_instance(self):
+        sim = make_sim(n=3, seed=6)
+        calls: dict[int, list[tuple[str, int]]] = {}
+
+        def protocol(ctx):
+            log = calls.setdefault(ctx.pid, [])
+
+            def handler(mailbox):
+                log.append(("bg", mailbox.count("bg")))
+                return "bg"
+
+            ctx.add_background_handler(handler)
+            ctx.broadcast(Ping("bg", payload=ctx.pid))
+            ctx.broadcast(Ping("other", payload=ctx.pid))
+            yield Wait(
+                lambda mailbox: True
+                if mailbox.count("bg") + mailbox.count("other") >= 6 else None
+            )
+            return ctx.mailbox.total_delivered
+
+        sim.set_protocol_all(protocol)
+        sim.run()
+        for pid in range(3):
+            assert sim.returns[pid] == 6
+            # The catch-up call, then one call per "bg" delivery and none
+            # for the three "other" deliveries.
+            assert calls[pid] == [("bg", 0), ("bg", 1), ("bg", 2), ("bg", 3)]
+            assert sim.contexts[pid].background_handlers.keys() == {"bg"}
+
+    def test_catch_up_call_on_registration(self):
+        sim = make_sim(n=2, seed=7)
+        seen: dict[int, list[int]] = {}
+
+        def protocol(ctx):
+            ctx.broadcast(Ping("bg", payload=ctx.pid))
+            yield Wait(lambda mailbox: True if mailbox.count("bg") >= 2 else None)
+            log = seen.setdefault(ctx.pid, [])
+
+            def handler(mailbox):
+                log.append(mailbox.count("bg"))
+                return "bg"
+
+            # Both "bg" messages are already buffered and no more come:
+            # only the registration's catch-up call can see them.
+            ctx.add_background_handler(handler)
+            return list(log)
+
+        sim.set_protocol_all(protocol)
+        sim.run()
+        for pid in range(2):
+            assert sim.returns[pid] == seen[pid] == [2]
+
+    def test_one_handler_per_instance(self):
+        sim = make_sim(n=1)
+
+        def protocol(ctx):
+            ctx.add_background_handler(lambda mailbox: "bg")
+            with pytest.raises(ValueError, match="already has a background handler"):
+                ctx.add_background_handler(lambda mailbox: "bg")
+            return "ok"
+            yield
+
+        sim.set_protocol_all(protocol)
+        sim.run()
+        assert sim.returns[0] == "ok"
 
 
 class TestDecisions:
