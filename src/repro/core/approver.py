@@ -22,6 +22,7 @@ from typing import Hashable
 from repro.core.committees import membership_checker, sample
 from repro.core.messages import EchoMsg, InitMsg, OkMsg, echo_signing_bytes
 from repro.core.params import ProtocolParams
+from repro.crypto.pki import VALIDATION_MEMO_MAX_ENTRIES
 from repro.sim.mailbox import Mailbox
 from repro.sim.process import ProcessContext, Protocol, Wait
 
@@ -29,10 +30,6 @@ __all__ = ["approve"]
 
 _INIT_ROLE = "init"
 _OK_ROLE = "ok"
-
-# Flush bound for the PKI-attached ok-justification memo; mirrors the
-# PKI's own verify-cache bound (far above a single run's key count).
-_MEMO_MAX_ENTRIES = 1 << 20
 
 
 def _echo_role(value: object) -> tuple:
@@ -68,6 +65,8 @@ def approve(
     valid_init_member = membership_checker(pki, instance, _INIT_ROLE, params)
     valid_ok_member = membership_checker(pki, instance, _OK_ROLE, params)
     echo_checkers: dict = {}
+    # The ok-justification verdicts' shelf of the PKI's validation memo.
+    memo = pki.validation_memo(instance) if pki.verify_cache_enabled else None
 
     def echo_member_checker(candidate: object):
         try:
@@ -164,7 +163,7 @@ def approve(
             if not isinstance(entry, tuple) or len(entry) != 3:
                 return False
             echo_sender, membership, signature = entry
-            if echo_sender in seen:
+            if type(echo_sender) is not int or echo_sender in seen:
                 return False
             if not check_member(echo_sender, membership):
                 return False
@@ -180,19 +179,19 @@ def approve(
         if not justify:
             # Ablation mode: membership alone admits the ok (unsound!).
             return True
-        if not pki.verify_cache_enabled:
+        if memo is None or not pki.verify_cache_enabled:
             return justification_valid(msg)
         # Broadcast delivers the *same* message object to every receiver,
         # so the justification tuple is keyed by identity -- no O(W)
         # structural hash per lookup.  The entry pins the tuple (keeping
-        # its id live for as long as the memo holds it); instance and
-        # value scope the verdict, and the identity pin already ties the
-        # entry to this run's objects, so params stays out of the key
-        # (its Python-level __hash__ would run on every lookup).
-        memo = pki.shared_validation_memo
+        # its id live for as long as the memo holds it); the instance's
+        # shelf and the value scope the verdict, and the identity pin
+        # already ties the entry to this run's objects, so params stays
+        # out of the key (its Python-level __hash__ would run on every
+        # lookup).
         justification = msg.justification
         try:
-            key = ("approver-ok-just", instance, msg.value, id(justification))
+            key = ("ok-justification", msg.value, id(justification))
             cached = memo.get(key)
         except TypeError:  # unhashable Byzantine content: validate directly
             return justification_valid(msg)
@@ -205,7 +204,7 @@ def approve(
         vrf_before = pki.vrf_verifications
         sig_before = pki.sig_verifications
         verdict = justification_valid(msg)
-        if len(memo) >= _MEMO_MAX_ENTRIES:
+        if len(memo) >= VALIDATION_MEMO_MAX_ENTRIES:
             memo.clear()
         memo[key] = (
             verdict,

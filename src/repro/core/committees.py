@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Hashable, Iterable
 
 from repro.crypto.hashing import encode
-from repro.crypto.pki import PKI
+from repro.crypto.pki import PKI, VALIDATION_MEMO_MAX_ENTRIES
 from repro.crypto.vrf import VRF_OUTPUT_BITS, VRFOutput
 from repro.core.params import ProtocolParams
 from repro.sim.process import ProcessContext
@@ -32,10 +32,6 @@ __all__ = [
     "sample_committee",
     "sampling_threshold",
 ]
-
-# Flush bound for PKI-attached validation memos; mirrors the PKI's own
-# verify-cache bound (far above any single run's key count).
-_MEMO_MAX_ENTRIES = 1 << 20
 
 
 @lru_cache(maxsize=1 << 16)
@@ -133,15 +129,16 @@ def membership_checker(
     guaranteed cache hit would have (verification + cache hit) -- same
     counters, no VRF-cache key hashing.  A different proof object for the
     same process (Byzantine re-proof) takes the full path.  The memo is
-    PKI-wide (cross-receiver), keyed on the committee seed, and cleared
-    with the verify caches.
+    cross-receiver, keyed on the committee seed, and filed under
+    ``instance`` (:meth:`PKI.validation_memo`), so it leaves with the
+    instance.
     """
     seed = committee_seed(instance, role)
     threshold = sampling_threshold(params)
-    memo = pki.shared_validation_memo
+    memo = pki.validation_memo(instance) if pki.verify_cache_enabled else None
 
     def check(process_id: int, proof: VRFOutput) -> bool:
-        if pki.verify_cache_enabled:
+        if memo is not None and pki.verify_cache_enabled:
             key = ("committee-member", seed, process_id)
             prev = memo.get(key)
             if prev is not None and prev[0] is proof:
@@ -157,7 +154,7 @@ def membership_checker(
         else:
             verdict = proof.value < threshold
         if key is not None:
-            if len(memo) >= _MEMO_MAX_ENTRIES:
+            if len(memo) >= VALIDATION_MEMO_MAX_ENTRIES:
                 memo.clear()
             memo[key] = (proof, verdict)
         return verdict

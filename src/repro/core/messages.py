@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Hashable
 
 from repro.crypto.hashing import encode
-from repro.crypto.pki import PKI
+from repro.crypto.pki import PKI, VALIDATION_MEMO_MAX_ENTRIES
 from repro.crypto.vrf import VRFOutput
 from repro.core.committees import committee_val, membership_checker
 from repro.core.params import ProtocolParams
@@ -119,13 +119,15 @@ def coin_value_checker(
     per-message loop.
 
     When the PKI's verify cache is on, verdicts are additionally memoized
-    in ``pki.shared_validation_memo`` against the identity of the
-    :class:`CoinValue` object (broadcasts deliver one shared object to
-    every receiver, and SECOND messages re-carry FIRST values): a repeat
-    check -- by any receiver -- replays the recorded verdict and credits
-    the PKI counters exactly as the guaranteed cache hits would have.  A
-    structurally different object (Byzantine per-receiver variant) takes
-    the full path.
+    in ``instance``'s validation-memo shelf (:meth:`PKI.validation_memo`)
+    against the identity of the :class:`CoinValue` object (broadcasts
+    deliver one shared object to every receiver, and SECOND messages
+    re-carry FIRST values): a repeat check -- by any receiver -- replays
+    the recorded verdict and credits the PKI counters exactly as the
+    guaranteed cache hits would have.  A structurally different object
+    (Byzantine per-receiver variant) takes the full path.  An ``origin``
+    that is not exactly an ``int`` is rejected before any lookup, as
+    ``PKI.vrf_verify`` would reject it uncounted.
     """
     alpha = coin_value_alpha(instance)
     check_origin_membership = (
@@ -133,16 +135,16 @@ def coin_value_checker(
         if first_committee_role is not None
         else None
     )
-    memo = pki.shared_validation_memo
+    memo = pki.validation_memo(instance) if pki.verify_cache_enabled else None
 
     def check(coin_value: CoinValue) -> bool:
         if type(coin_value) is not CoinValue:  # malformed Byzantine field
             return False
         origin = coin_value.origin
-        if pki.verify_cache_enabled:
-            # origin is a pid (int): the pid-range check in vrf_verify
-            # rejects anything else, so the key is always hashable.
-            key = ("coin-value", alpha, origin)
+        if type(origin) is not int:  # ditto; keeps the memo key hashable
+            return False
+        if memo is not None and pki.verify_cache_enabled:
+            key = ("coin-value", origin)
             prev = memo.get(key)
             if prev is not None and prev[0] is coin_value:
                 pki.replay_cached(prev[2], 0)
@@ -166,6 +168,8 @@ def coin_value_checker(
         else:
             verdict = True
         if key is not None:
+            if len(memo) >= VALIDATION_MEMO_MAX_ENTRIES:
+                memo.clear()
             memo[key] = (coin_value, verdict, pki.vrf_verifications - vrf_before)
         return verdict
 

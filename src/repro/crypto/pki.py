@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from time import perf_counter
-from typing import Any
+from typing import Any, Hashable
 
 from repro.crypto.signatures import (
     SchnorrSignatureScheme,
@@ -33,13 +33,18 @@ from repro.crypto.signatures import (
 )
 from repro.crypto.vrf import ECVRF, SimulatedVRF, VRFOutput, VRFScheme
 
-__all__ = ["PKI"]
+__all__ = ["PKI", "VALIDATION_MEMO_MAX_ENTRIES"]
 
 
 # Flush-on-overflow bound for the verification caches.  Far above what a
 # single BA run produces at simulation scale; the flush keeps a PKI shared
 # across thousands of runs from growing without bound, deterministically.
 _VERIFY_CACHE_MAX_ENTRIES = 1 << 20
+
+# Flush-on-overflow bound for one instance's validation-memo shelf.  A
+# shelf leaves with its instance, but Byzantine justifications for a live
+# instance are unbounded; the flush keeps them so, deterministically.
+VALIDATION_MEMO_MAX_ENTRIES = 1 << 20
 
 # Sentinel distinguishing "not cached" from a cached ``False`` verdict.
 _MISS = object()
@@ -68,15 +73,19 @@ class PKI:
         self.verify_cache_enabled = verify_cache
         self._vrf_cache: dict[tuple, bool] = {}
         self._sig_cache: dict[tuple, bool] = {}
-        # Cross-receiver validation memo for *compound* checks (e.g. the
-        # approver's ok-justification: W membership proofs + W signatures
-        # validated identically by every receiver).  Protocol code stores
-        # ``key -> (verdict, vrf_calls, sig_calls)`` and replays the
-        # counter deltas through :meth:`replay_cached` on a hit.  Gated on
-        # ``verify_cache_enabled`` by the protocols, cleared with the
-        # verify caches; soundness rests on the same purity argument as
-        # the per-call caches (fixed keys, deterministic schemes).
-        self.shared_validation_memo: dict = {}
+        # Cross-receiver validation memo for *compound* checks (committee
+        # membership, coin values, the approver's ok-justification: W
+        # membership proofs + W signatures validated identically by every
+        # receiver), one shelf per protocol instance.  Protocol code
+        # stores ``key -> (object, verdict, ...)`` in the shelf of
+        # :meth:`validation_memo` and replays the counter deltas through
+        # :meth:`replay_cached` on a hit.  A shelf lives as long as its
+        # instance: the kernel drops it once every correct process has
+        # retired the instance, and drops them all at run end (see
+        # :meth:`drop_validation_memo`).  Gated on ``verify_cache_enabled``
+        # by the protocols; soundness rests on the same purity argument
+        # as the per-call caches (fixed keys, deterministic schemes).
+        self.shared_validation_memo: dict[Hashable, dict] = {}
         # Monotone counters; the kernel reports per-run deltas of these
         # through MetricsRecorder (see Simulation.run).
         self.vrf_verifications = 0
@@ -131,7 +140,34 @@ class PKI:
     def clear_verify_cache(self) -> None:
         self._vrf_cache.clear()
         self._sig_cache.clear()
-        self.shared_validation_memo.clear()
+        self.clear_validation_memo()
+
+    def validation_memo(self, instance: Hashable) -> dict:
+        """The validation-memo shelf of ``instance`` (created on first use).
+
+        A validator fetches it once, when the cache is on, and files every
+        verdict about ``instance``'s messages there."""
+        return self.shared_validation_memo.setdefault(instance, {})
+
+    def drop_validation_memo(self, instance: Hashable) -> None:
+        """Empty ``instance``'s shelf.
+
+        Counter-neutral: a re-validation after a drop takes the direct
+        path, whose verify calls the per-call caches answer, crediting
+        exactly what :meth:`replay_cached` would have.  The shelf stays
+        filed (empty), so a validator that outlives the drop keeps
+        filing where the PKI sees it, until :meth:`clear_validation_memo`.
+        """
+        memo = self.shared_validation_memo.get(instance)
+        if memo is not None:
+            memo.clear()
+
+    def clear_validation_memo(self) -> None:
+        """Empty and forget every shelf (a run's end, or a cache switch)."""
+        memos = self.shared_validation_memo
+        for memo in memos.values():
+            memo.clear()
+        memos.clear()
 
     def replay_cached(self, vrf_calls: int, sig_calls: int) -> None:
         """Account for a memoized compound validation's verify calls.
@@ -176,9 +212,11 @@ class PKI:
 
         Memoized on ``(process_id, alpha, value, proof)`` when the cache is
         enabled; soundness rests on verification being a pure function of
-        that key (fixed public keys, deterministic schemes).
+        that key (fixed public keys, deterministic schemes).  A
+        ``process_id`` that is not exactly an ``int`` in ``[0, n)`` (a
+        Byzantine field) is rejected uncounted.
         """
-        if not 0 <= process_id < self.n:
+        if type(process_id) is not int or not 0 <= process_id < self.n:
             return False
         self.vrf_verifications += 1
         key = None
@@ -207,9 +245,10 @@ class PKI:
         """Verify process ``process_id``'s signature on ``message``.
 
         Memoized on ``(process_id, message, signature)`` -- same purity
-        argument as :meth:`vrf_verify`.
+        argument as :meth:`vrf_verify`; a non-``int`` or out-of-range
+        ``process_id`` is rejected uncounted.
         """
-        if not 0 <= process_id < self.n:
+        if type(process_id) is not int or not 0 <= process_id < self.n:
             return False
         self.sig_verifications += 1
         key = None

@@ -86,7 +86,7 @@ def require_schema_version(version: Any, source: Any = None) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PayloadSummary:
     """Immutable snapshot of a protocol message, safe to persist.
 
@@ -112,7 +112,7 @@ def summarize_payload(message: "Message") -> PayloadSummary:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SendEvent:
     """A message entered the network (``Simulation.submit``)."""
 
@@ -129,7 +129,7 @@ class SendEvent:
     sender_correct: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliverEvent:
     """A message left the network and reached its destination.
 
@@ -154,7 +154,7 @@ class DeliverEvent:
     summary: PayloadSummary
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorruptEvent:
     """A process fell to the adversary (budget-permitting corruption)."""
 
@@ -164,7 +164,7 @@ class CorruptEvent:
     pid: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecideEvent:
     """A correct process recorded its irrevocable decision."""
 
@@ -176,7 +176,7 @@ class DecideEvent:
     depth: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WaitBlockEvent:
     """A protocol coroutine parked on an unsatisfied wait-condition.
 
@@ -196,7 +196,7 @@ class WaitBlockEvent:
     depth: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WaitWakeEvent:
     """A parked wait-condition fired and its coroutine resumed.
 
@@ -212,7 +212,7 @@ class WaitWakeEvent:
     depth: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseEvent:
     """A protocol span opened (``enter``) or closed (``exit``).
 

@@ -21,7 +21,7 @@ delivery-for-delivery.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
@@ -243,9 +243,8 @@ def _decode_line(
         if type(count) is not int or count < 1:
             raise ValueError(f"send count {count!r} is not a positive integer")
         first = event_from_record(record)
-        shared = vars(first)
         return (first,) + tuple(
-            SendEvent(**{**shared, "seq": first.seq + step, "dest": first.dest + step})
+            replace(first, seq=first.seq + step, dest=first.dest + step)
             for step in range(1, count)
         )
     return (event_from_record(record),)

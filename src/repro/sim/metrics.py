@@ -35,21 +35,24 @@ class ProtocolRecord:
     """One structured fact a protocol recorded about its own progress.
 
     ``kind`` names the fact category (``"round"``, ``"coin"``,
-    ``"approve"``, ``"committee"``, ``"sampled"``); ``data`` holds the
-    category's JSON-friendly fields.  ``step`` is the kernel's delivery
-    counter at annotation time, so records are round-indexed *and*
-    schedule-ordered.
+    ``"approve"``, ``"committee"``, ``"sampled"``); ``keys`` names the
+    category's fields and ``values`` holds their JSON-friendly values, in
+    the same order.  Every record of one key shape shares one ``keys``
+    tuple (:meth:`MetricsRecorder.record` interns it), so a record costs its
+    values only.  ``step`` is the kernel's delivery counter at annotation
+    time, so records are round-indexed *and* schedule-ordered.
     """
 
     step: int
     pid: int
     kind: str
-    data: tuple[tuple[str, Any], ...]
+    keys: tuple[str, ...]
+    values: tuple[Any, ...]
 
     def get(self, name: str, default: Any = None) -> Any:
-        for key, value in self.data:
-            if key == name:
-                return value
+        keys = self.keys
+        if name in keys:
+            return self.values[keys.index(name)]
         return default
 
 
@@ -96,6 +99,22 @@ class MetricsRecorder:
     # split by message kind.  Empty in reliable-model runs.
     lossy_link: dict[str, int] = field(default_factory=dict)
     lossy_by_kind: dict[str, dict[str, int]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # One interned keys tuple per distinct annotation key shape (not
+        # a field: it is derived from the records, never persisted).
+        self._key_shapes: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+    def record(self, step: int, pid: int, kind: str, facts: dict[str, Any]) -> None:
+        """Append one :class:`ProtocolRecord` of ``facts``; every record of
+        one key shape shares one ``keys`` tuple."""
+        keys = tuple(facts)
+        self.protocol_records.append(
+            ProtocolRecord(
+                step, pid, kind, self._key_shapes.setdefault(keys, keys),
+                tuple(facts.values()),
+            )
+        )
 
     @property
     def verifications(self) -> int:

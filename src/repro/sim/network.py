@@ -26,7 +26,7 @@ import random
 import sys
 import time
 from array import array
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Hashable, Sequence
 
 from repro.crypto.pki import PKI
 from repro.sim.adversary import Adversary, CorruptionStrategy, Scheduler
@@ -301,6 +301,12 @@ class Simulation:
 
         self.contexts = [ProcessContext(pid, self) for pid in range(n)]
         self.corrupted: set[int] = set()
+        # Per instance some correct process retired: [seen-bitmap, count]
+        # of its distinct correct retirers.  When the count reaches the
+        # still-correct processes, the instance's validation-memo shelf
+        # goes (`note_retired`); the PKI may outlive the run, so the
+        # count lives here.
+        self._retirers: dict[Hashable, list] = {}
         self.decided: set[int] = set()
         self.finished: set[int] = set()
         self.returns: dict[int, Any] = {}
@@ -580,6 +586,24 @@ class Simulation:
     def note_decision(self, pid: int) -> None:
         self.decided.add(pid)
 
+    def note_retired(self, pid: int, instance: Hashable) -> None:
+        """``pid`` retired ``instance``: once every still-correct process
+        has, no correct process validates its messages again, so its
+        validation-memo shelf is dropped."""
+        if pid in self.corrupted:
+            return
+        tally = self._retirers.get(instance)
+        if tally is None:
+            tally = self._retirers[instance] = [bytearray(self.n), 0]
+        seen = tally[0]
+        if seen[pid]:
+            return
+        seen[pid] = 1
+        tally[1] += 1
+        if tally[1] == self.n - len(self.corrupted):
+            del self._retirers[instance]
+            self.pki.drop_validation_memo(instance)
+
     # -- corruption ---------------------------------------------------------------
 
     def corrupt(self, pid: int) -> bool:
@@ -591,6 +615,16 @@ class Simulation:
         if pid in self.corrupted or len(self.corrupted) >= self.f:
             return False
         self.corrupted.add(pid)
+        # A corrupted retirer no longer counts, and one fewer correct
+        # process may complete an instance's retirement.
+        correct = self.n - len(self.corrupted)
+        for instance, tally in list(self._retirers.items()):
+            if tally[0][pid]:
+                tally[0][pid] = 0
+                tally[1] -= 1
+            if tally[1] == correct:
+                del self._retirers[instance]
+                self.pki.drop_validation_memo(instance)
         if self._subscribers:
             self.events.emit(CorruptEvent(step=self.deliveries, pid=pid))
         self._generators.pop(pid, None)
@@ -727,6 +761,15 @@ class Simulation:
         if self._started:
             raise RuntimeError("a Simulation object runs at most once")
         self._started = True
+        try:
+            self._execute()
+        finally:
+            # The PKI may serve another run (a ledger reuses one): it keeps
+            # no validation-memo shelf of this one.
+            self.pki.clear_validation_memo()
+        return self
+
+    def _execute(self) -> None:
         verify_base = self.pki.verification_counters()
 
         for pid in self.adversary.corruption.initial_corruptions(self.n, self.f):
@@ -776,7 +819,6 @@ class Simulation:
             # into the simulation object.
             self.metrics.lossy_link = self.lossy_counters
             self.metrics.lossy_by_kind = self._lossy.kinds_hit()
-        return self
 
     def _run_fast(self) -> None:
         """The delivery loop: every run takes it, one delivery per turn.

@@ -28,7 +28,6 @@ from repro.crypto.vrf import VRFOutput
 from repro.sim.events import DecideEvent, PhaseEvent
 from repro.sim.mailbox import Mailbox
 from repro.sim.messages import Message
-from repro.sim.metrics import ProtocolRecord
 
 if TYPE_CHECKING:
     from repro.sim.network import Simulation
@@ -180,8 +179,11 @@ class ProcessContext:
 
     def retire(self, instance: Hashable) -> None:
         """Declare ``instance`` finished: its late messages are counted, not
-        buffered.  Only when no wait or handler will read it again."""
+        buffered.  Only when no wait or handler will read it again.  Once
+        every correct process has retired it, the PKI drops the
+        instance's validation memo."""
         self.mailbox.retire(instance)
+        self._simulation.note_retired(self.pid, instance)
 
     # -- observability -----------------------------------------------------------
 
@@ -196,14 +198,7 @@ class ProcessContext:
         event bus.  Keep ``facts`` values JSON-friendly.
         """
         simulation = self._simulation
-        simulation.metrics.protocol_records.append(
-            ProtocolRecord(
-                step=simulation.deliveries,
-                pid=self.pid,
-                kind=kind,
-                data=tuple(facts.items()),
-            )
-        )
+        simulation.metrics.record(simulation.deliveries, self.pid, kind, facts)
 
     @contextmanager
     def span(self, phase: str, instance: Hashable = None):

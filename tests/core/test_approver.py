@@ -149,6 +149,33 @@ class TestByzantineResistance:
         assert result.live
         assert result.returned_values == {frozenset({1})}
 
+    @pytest.mark.parametrize(
+        "echo_sender", [[0], "x", None, 1.0], ids=["list", "str", "none", "float"]
+    )
+    def test_ok_naming_a_non_int_echo_sender_rejected(self, params, echo_sender):
+        """A justification's echo senders are Byzantine-chosen fields: one
+        that is not exactly an ``int`` rejects the ok instead of raising
+        (unhashable, out of the PKI's pid range, or a float index)."""
+        pki = PKI.create(N, rng=random.Random(4200))
+
+        def odd_sender_ok(ctx):
+            sampled, proof = sample(ctx, INSTANCE, "ok", params)
+            if not sampled:
+                return
+            junk = tuple(
+                (echo_sender, proof, b"\0" * 32)
+                for _ in range(params.committee_quorum)
+            )
+            ctx.broadcast(
+                OkMsg(INSTANCE, value=0, membership=proof, justification=junk)
+            )
+
+        result = self._run(
+            lambda pid: ScriptedBehavior(on_start=odd_sender_ok), pki, params, seed=13
+        )
+        assert result.live
+        assert result.returned_values == {frozenset({1})}
+
     def test_double_ok_counted_once(self, params):
         """A Byzantine ok member that sends several (valid-looking but
         unjustified) oks is counted at most once per sender anyway."""

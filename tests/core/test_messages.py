@@ -200,6 +200,48 @@ class TestCoinValueCheckerCounterIdentity:
         assert check(forged) is False  # value != vrf.value
         assert check(genuine)  # and the genuine verdict still replays
 
+    @pytest.mark.parametrize(
+        "origin", [[0], "x", None, 1.0], ids=["list", "str", "none", "float"]
+    )
+    def test_non_int_origin_rejected_like_validate_coin_value(self, origin):
+        """A SECOND message's coin value names its origin freely: anything
+        but an exact ``int`` is rejected, by both paths, uncounted."""
+        from repro.core.messages import coin_value_checker
+
+        direct_pki, memo_pki = self._pair()
+        params = ProtocolParams(n=20, f=2, lam=14.0, d=0.05)
+
+        def odd(pki):
+            genuine = make_value(pki, 1, "c")
+            return CoinValue(value=genuine.value, origin=origin, vrf=genuine.vrf)
+
+        check = coin_value_checker(memo_pki, "c", params, "first")
+        assert check(odd(memo_pki)) is False
+        assert validate_coin_value(direct_pki, odd(direct_pki), "c", params, "first") is False
+        assert memo_pki.verification_counters() == direct_pki.verification_counters()
+        assert memo_pki.verification_counters() == (0, 0, 0, 0)
+
+    def test_a_dropped_shelf_credits_what_its_replay_would(self):
+        """Dropping an instance's memo shelf is counter-neutral: the next
+        check re-validates through the per-call caches, which credit what
+        the memo's replay would have."""
+        from repro.core.messages import coin_value_checker
+
+        kept_pki, dropped_pki = self._pair()
+        params = ProtocolParams(n=20, f=2, lam=14.0, d=0.05)
+        kept_value = make_value(kept_pki, 4, "c")
+        dropped_value = make_value(dropped_pki, 4, "c")
+        kept = coin_value_checker(kept_pki, "c", params, None)
+        dropped = coin_value_checker(dropped_pki, "c", params, None)
+        for _ in range(3):
+            assert kept(kept_value) and dropped(dropped_value)
+            assert dropped_pki.shared_validation_memo["c"]
+            dropped_pki.drop_validation_memo("c")
+            assert dropped_pki.shared_validation_memo["c"] == {}
+            assert dropped_pki.verification_counters() == (
+                kept_pki.verification_counters()
+            )
+
     def test_uncached_mode_identical_verdicts_no_memo(self):
         from repro.core.messages import coin_value_checker
 

@@ -57,6 +57,19 @@ class TestKeyRouting:
         sig = small_pki.signature_scheme.sign(small_pki.signature_private(0), b"a")
         assert not small_pki.signature_verify(small_pki.n, b"a", sig)
 
+    @pytest.mark.parametrize(
+        "pid", [[0], "x", None, 1.0, True], ids=["list", "str", "none", "float", "bool"]
+    )
+    def test_non_int_pid_rejected_uncounted(self, small_pki, pid):
+        """A Byzantine field naming a process is checked before any key
+        lookup: anything but an exact ``int`` is invalid, and not a call."""
+        output = small_pki.vrf_scheme.prove(small_pki.vrf_private(1), b"a")
+        sig = small_pki.signature_scheme.sign(small_pki.signature_private(1), b"a")
+        before = small_pki.verification_counters()
+        assert small_pki.vrf_verify(pid, b"a", output) is False
+        assert small_pki.signature_verify(pid, b"a", sig) is False
+        assert small_pki.verification_counters() == before
+
     def test_keys_are_distinct_across_processes(self, small_pki):
         values = {
             small_pki.vrf_scheme.prove(small_pki.vrf_private(pid), b"x").value

@@ -29,11 +29,11 @@ import repro.sim.runner as runner_module
 from repro.crypto.pki import PKI
 from repro.experiments.protocols import PROTOCOLS
 from repro.experiments.scenarios import SCENARIOS, resolve_run
-from repro.sim.adversary import Adversary, RandomScheduler
+from repro.sim.adversary import Adversary, CorruptionStrategy, RandomScheduler
 from repro.sim.mailbox import Mailbox
 from repro.sim.messages import Message
 from repro.sim.network import Simulation
-from repro.sim.process import Wait
+from repro.sim.process import ProcessContext, Wait
 
 from tests.kernel_reference import dispatched
 
@@ -140,7 +140,7 @@ def _buffered(simulation: Simulation, kinds: tuple[str, ...]) -> dict:
     for record in simulation.metrics.protocol_records:
         if record.pid not in correct or record.kind not in kinds:
             continue
-        instance = dict(record.data)["instance"]
+        instance = record.get("instance")
         mailbox = simulation.contexts[record.pid].mailbox
         held[record.pid, instance] = (
             len(mailbox._by_instance.get(instance, ())),
@@ -192,3 +192,107 @@ class TestReadingARetiredInstanceFailsLoudly:
         simulation.set_protocol_all(rereads)
         with pytest.raises(RuntimeError, match="mailbox instance 'x' was retired"):
             simulation.run()
+
+
+class TestValidationMemoLeavesWithItsInstance:
+    """The PKI's validation memo files each verdict under its instance and
+    drops the instance's shelf once every still-correct process retired
+    it; the run's end drops the rest."""
+
+    def test_whp_ba_drops_a_shelf_when_every_correct_process_retired(
+        self, monkeypatch
+    ):
+        """The random cell runs two rounds: each retired approver and coin
+        instance had verdicts filed, and has none once its last correct
+        process retires it."""
+        retire = ProcessContext.retire
+        retirers: dict = {}
+        shelves = []  # (instance, entries before its last retire, after)
+
+        def watched(ctx, instance):
+            simulation = ctx._simulation
+            memo = simulation.pki.shared_validation_memo
+            who = retirers.setdefault(instance, set())
+            who.add(ctx.pid)
+            last = who >= set(simulation.correct_pids)
+            before = len(memo.get(instance) or ())
+            retire(ctx, instance)
+            if last:
+                shelves.append((instance, before, len(memo.get(instance) or ())))
+
+        monkeypatch.setattr(ProcessContext, "retire", watched)
+        _ledger_run("ba_random_n400", 64)
+        assert len(shelves) >= 3
+        assert all(before > 0 for _, before, _ in shelves)
+        assert [after for _, _, after in shelves] == [0] * len(shelves)
+
+    def test_a_reused_pki_keeps_nothing_of_a_finished_run(self):
+        spec = resolve_run("whp_ba", 16, seed=3)
+        pki = PKI.create(spec.n, rng=random.Random(3))
+        for _ in range(2):
+            result = runner_module.run_protocol(
+                spec.n, spec.f, spec.factory, corrupt=set(range(spec.f)),
+                seed=spec.seed, pki=pki, params=spec.params,
+                stop_condition=runner_module.stop_when_all_decided,
+            )
+            assert result.metrics.verification_cache_hits > 0
+            assert pki.shared_validation_memo == {}
+
+    def test_a_retirer_corrupted_afterwards_does_not_count(self, monkeypatch):
+        """The first process to retire anything is corrupted on the next
+        delivery.  A shelf goes only once every *still-correct* process
+        retired its instance, and the run is the one that drops nothing."""
+        retire = ProcessContext.retire
+        retired: list = []  # (pid, instance) in retirement order
+        drops: list = []  # (instance, still-correct pids, their retirers)
+        live: list = []
+
+        def logged(ctx, instance):
+            live[:] = [ctx._simulation]
+            retired.append((ctx.pid, instance))
+            retire(ctx, instance)
+
+        class CorruptFirstRetirer(CorruptionStrategy):
+            def on_delivery(self, view, corrupted):
+                return {retired[0][0]} if retired and not corrupted else set()
+
+        def run():
+            spec = replace(
+                resolve_run("whp_ba", 16, seed=4), corruption=CorruptFirstRetirer()
+            )
+            return spec.run(max_deliveries=MAX_DELIVERIES)
+
+        drop = PKI.drop_validation_memo
+
+        def watched_drop(pki, instance):
+            simulation = live[0]
+            correct = set(simulation.correct_pids)
+            by = {pid for pid, name in retired if name == instance}
+            drops.append((instance, correct, by & correct))
+            drop(pki, instance)
+
+        arms = []
+        for dropping in (True, False):
+            retired.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(ProcessContext, "retire", logged)
+                patch.setattr(
+                    PKI, "drop_validation_memo",
+                    watched_drop if dropping else (lambda pki, instance: None),
+                )
+                result = run()
+            first = retired[0][0]
+            assert result.corrupted == frozenset({first})
+            arms.append((
+                result.metrics.protocol_records,
+                result.metrics.to_dict(include_timings=False),
+                result.decisions,
+            ))
+        assert arms[0] == arms[1]
+        assert drops, "no shelf was dropped"
+        assert all(correct == by for _, correct, by in drops)
+        assert any(
+            pid == first and name == instance
+            for pid, name in retired
+            for instance, _, _ in drops
+        ), "the corrupted retirer's instance was never dropped"

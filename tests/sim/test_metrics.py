@@ -155,13 +155,13 @@ class TestPerProcessWords:
         metrics.protocol_records.append(
             ProtocolRecord(
                 step=0, pid=2, kind="sampled",
-                data=(("instance", "i"), ("role", "approve"), ("member", True)),
+                keys=("instance", "role", "member"), values=("i", "approve", True),
             )
         )
         metrics.protocol_records.append(
             ProtocolRecord(
                 step=0, pid=0, kind="sampled",
-                data=(("instance", "i"), ("role", "approve"), ("member", False)),
+                keys=("instance", "role", "member"), values=("i", "approve", False),
             )
         )
         rollup = metrics.per_process_words()
@@ -183,7 +183,7 @@ class TestPerProcessWords:
 class TestProtocolRecord:
     RECORD = ProtocolRecord(
         step=7, pid=3, kind="committee",
-        data=(("instance", ("ba", 0)), ("role", ("echo", 1)), ("size", 5)),
+        keys=("instance", "role", "size"), values=(("ba", 0), ("echo", 1), 5),
     )
 
     def test_slotted_and_frozen(self):
@@ -198,3 +198,17 @@ class TestProtocolRecord:
         assert copy.get("size") == 5
         assert copy.get("missing", "default") == "default"
         assert copy != dataclasses.replace(self.RECORD, step=8)
+
+    def test_records_of_one_shape_share_their_keys(self):
+        """``annotate`` interns each key shape: every ``sampled`` record of
+        a run holds the same ``keys`` tuple, and pickling keeps it shared."""
+        from repro.experiments.scenarios import resolve_run
+
+        metrics = resolve_run("whp_ba", 10, seed=1).run().metrics
+        sampled = metrics.records_of("sampled")
+        assert len(sampled) >= 2
+        assert sampled[0].keys == ("instance", "role", "member")
+        assert all(record.keys is sampled[0].keys for record in sampled)
+        copies = pickle.loads(pickle.dumps(sampled))
+        assert copies == sampled
+        assert all(copy.keys is copies[0].keys for copy in copies)

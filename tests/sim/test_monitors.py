@@ -190,7 +190,7 @@ class TestValidityMonitor:
 
 def record(kind, pid, step=0, **data):
     return ProtocolRecord(
-        step=step, pid=pid, kind=kind, data=tuple(data.items())
+        step=step, pid=pid, kind=kind, keys=tuple(data), values=tuple(data.values())
     )
 
 

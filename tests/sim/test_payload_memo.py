@@ -17,7 +17,7 @@ import gc
 import json
 import weakref
 from collections import Counter
-from dataclasses import is_dataclass, replace
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
@@ -118,7 +118,9 @@ def holds_message(value) -> bool:
     if isinstance(value, dict):
         return any(holds_message(item) for pair in value.items() for item in pair)
     if is_dataclass(value):
-        return any(holds_message(item) for item in vars(value).values())
+        return any(
+            holds_message(getattr(value, spec.name)) for spec in fields(value)
+        )
     return False
 
 
