@@ -22,7 +22,6 @@ from typing import Hashable
 from repro.core.committees import membership_checker, sample
 from repro.core.messages import EchoMsg, InitMsg, OkMsg, echo_signing_bytes
 from repro.core.params import ProtocolParams
-from repro.crypto.pki import VALIDATION_MEMO_MAX_ENTRIES
 from repro.sim.mailbox import Mailbox
 from repro.sim.process import ProcessContext, Protocol, Wait
 
@@ -30,11 +29,6 @@ __all__ = ["approve"]
 
 _INIT_ROLE = "init"
 _OK_ROLE = "ok"
-
-
-def _echo_role(value: object) -> tuple:
-    """The value-specific echo committee's role label."""
-    return ("echo", value)
 
 
 def approve(
@@ -61,22 +55,29 @@ def approve(
     byzantine_bound = params.committee_byzantine_bound
     pki = ctx.pki
     # Hoisted validators (same checks/counters as committee_val); the echo
-    # committees are per-value, so their checkers are cached on demand.
+    # committees are per-value, so their role labels and checkers are
+    # cached on demand -- one role tuple per value, shared by every
+    # record that names it.
     valid_init_member = membership_checker(pki, instance, _INIT_ROLE, params)
     valid_ok_member = membership_checker(pki, instance, _OK_ROLE, params)
-    echo_checkers: dict = {}
-    # The ok-justification verdicts' shelf of the PKI's validation memo.
+    echo_committees: dict = {}  # value -> (role, membership checker)
+    # The instance's shelf of the PKI's validation memo: one verdict per
+    # send, replayed by every later receiver (PKI.send_verdict).
     memo = pki.validation_memo(instance) if pki.verify_cache_enabled else None
 
-    def echo_member_checker(candidate: object):
+    def echo_committee(candidate: object) -> tuple:
         try:
-            checker = echo_checkers.get(candidate)
-        except TypeError:  # unhashable Byzantine value: uncached checker
-            return membership_checker(pki, instance, _echo_role(candidate), params)
-        if checker is None:
-            checker = membership_checker(pki, instance, _echo_role(candidate), params)
-            echo_checkers[candidate] = checker
-        return checker
+            committee = echo_committees.get(candidate)
+        except TypeError:  # unhashable Byzantine value: uncached
+            role = ("echo", candidate)
+            return role, membership_checker(pki, instance, role, params)
+        if committee is None:
+            role = ("echo", candidate)
+            committee = echo_committees[candidate] = (
+                role,
+                membership_checker(pki, instance, role, params),
+            )
+        return committee
 
     in_init, init_proof = sample(ctx, instance, _INIT_ROLE, params)
     if in_init:
@@ -102,15 +103,17 @@ def approve(
     echo_records: dict[object, tuple[bytearray, list]] = {}
     ok_values: list[object] = []
     ok_seen = bytearray(n)
-    state = {"sent_ok": False}
+    # True while this process may still send its ok: in the ok committee
+    # and not sent yet.
+    ok_pending = in_ok
     cursor = 0
 
-    def maybe_echo(candidate: object, count: int) -> None:
+    def send_echo(candidate: object) -> None:
         """'Upon receiving init,v from B+1 distinct processes' (line 3)."""
-        if candidate in echoed or count <= byzantine_bound:
-            return
         echoed.add(candidate)
-        in_echo, echo_proof = sample(ctx, instance, _echo_role(candidate), params)
+        in_echo, echo_proof = sample(
+            ctx, instance, echo_committee(candidate)[0], params
+        )
         if in_echo:
             signature = ctx.sign(echo_signing_bytes(instance, candidate))
             ctx.broadcast(
@@ -122,11 +125,8 @@ def approve(
                 )
             )
 
-    def maybe_ok(candidate: object, entries: list) -> None:
+    def send_ok(candidate: object, entries: list) -> None:
         """'Upon receiving echo,v from W distinct processes' (line 6)."""
-        if state["sent_ok"] or not in_ok or len(entries) < committee_quorum:
-            return
-        state["sent_ok"] = True
         if justify:
             justification = tuple(
                 (echo_sender, echo.membership, echo.signature)
@@ -145,19 +145,29 @@ def approve(
             )
         )
 
-    def justification_valid(msg: OkMsg) -> bool:
-        """The pure part of ok validation: W distinct, signed, member echoes.
+    def valid_init(sender: int, msg: InitMsg) -> bool:
+        return valid_init_member(sender, msg.membership)
 
-        Depends only on ``(instance, msg.value, msg.justification, params)``
-        -- never on the receiver -- so its verdict (and the exact number of
-        VRF/signature verifications it performs, all cache hits after the
-        first receiver) can be shared across receivers via the PKI memo.
-        """
+    def valid_echo(sender: int, msg: EchoMsg) -> bool:
+        candidate = msg.value
+        if not echo_committee(candidate)[1](sender, msg.membership):
+            return False
+        return pki.signature_verify(
+            sender, echo_signing_bytes(instance, candidate), msg.signature
+        )
+
+    def valid_ok(sender: int, msg: OkMsg) -> bool:
+        """Validate an ok message: committee membership + W signed echoes."""
+        if not valid_ok_member(sender, msg.membership):
+            return False
+        if not justify:
+            # Ablation mode: membership alone admits the ok (unsound!).
+            return True
         if len(msg.justification) < committee_quorum:
             return False
         seen: set[int] = set()
         signing_bytes = echo_signing_bytes(instance, msg.value)
-        check_member = echo_member_checker(msg.value)
+        check_member = echo_committee(msg.value)[1]
         signature_verify = pki.signature_verify
         for entry in msg.justification:
             if not isinstance(entry, tuple) or len(entry) != 3:
@@ -172,52 +182,10 @@ def approve(
             seen.add(echo_sender)
         return len(seen) >= committee_quorum
 
-    def valid_ok(sender: int, msg: OkMsg) -> bool:
-        """Validate an ok message: committee membership + W signed echoes."""
-        if not valid_ok_member(sender, msg.membership):
-            return False
-        if not justify:
-            # Ablation mode: membership alone admits the ok (unsound!).
-            return True
-        if memo is None or not pki.verify_cache_enabled:
-            return justification_valid(msg)
-        # Broadcast delivers the *same* message object to every receiver,
-        # so the justification tuple is keyed by identity -- no O(W)
-        # structural hash per lookup.  The entry pins the tuple (keeping
-        # its id live for as long as the memo holds it); the instance's
-        # shelf and the value scope the verdict, and the identity pin
-        # already ties the entry to this run's objects, so params stays
-        # out of the key (its Python-level __hash__ would run on every
-        # lookup).
-        justification = msg.justification
-        try:
-            key = ("ok-justification", msg.value, id(justification))
-            cached = memo.get(key)
-        except TypeError:  # unhashable Byzantine content: validate directly
-            return justification_valid(msg)
-        if cached is not None and cached[3] is justification:
-            verdict, vrf_calls, sig_calls, _ = cached
-            # A re-execution would hit the per-call verify caches on every
-            # call, so crediting them all as hits reproduces its counters.
-            pki.replay_cached(vrf_calls, sig_calls)
-            return verdict
-        vrf_before = pki.vrf_verifications
-        sig_before = pki.sig_verifications
-        verdict = justification_valid(msg)
-        if len(memo) >= VALIDATION_MEMO_MAX_ENTRIES:
-            memo.clear()
-        memo[key] = (
-            verdict,
-            pki.vrf_verifications - vrf_before,
-            pki.sig_verifications - sig_before,
-            justification,
-        )
-        return verdict
-
     stream: list | None = None
 
     def step(mailbox: Mailbox):
-        nonlocal cursor, stream, init_count
+        nonlocal cursor, stream, init_count, ok_pending
         s = stream
         if s is None:
             # The instance's buffer list is identity-stable once created
@@ -229,8 +197,10 @@ def approve(
             entry = s[cursor]
             sender, msg = entry
             cursor += 1
+            # Each branch passes its receiver-local gates, then asks for
+            # the send's verdict.
             if isinstance(msg, InitMsg):
-                if not valid_init_member(sender, msg.membership):
+                if not pki.send_verdict(memo, entry, valid_init):
                     continue
                 candidate = msg.value
                 try:
@@ -243,11 +213,12 @@ def approve(
                 if seen[sender]:
                     continue
                 seen[sender] = 1
-                tally[1] += 1
+                count = tally[1] = tally[1] + 1
                 if not init_seen[sender]:
                     init_seen[sender] = 1
                     init_count += 1
-                maybe_echo(candidate, tally[1])
+                if count > byzantine_bound and candidate not in echoed:
+                    send_echo(candidate)
             elif isinstance(msg, EchoMsg):
                 candidate = msg.value
                 try:
@@ -259,19 +230,17 @@ def approve(
                 seen, entries = record
                 if seen[sender]:
                     continue
-                if not echo_member_checker(candidate)(sender, msg.membership):
-                    continue
-                if not pki.signature_verify(
-                    sender, echo_signing_bytes(instance, candidate), msg.signature
-                ):
+                if not pki.send_verdict(memo, entry, valid_echo):
                     continue
                 seen[sender] = 1
                 entries.append(entry)
-                maybe_ok(candidate, entries)
+                if ok_pending and len(entries) >= committee_quorum:
+                    ok_pending = False
+                    send_ok(candidate, entries)
             elif isinstance(msg, OkMsg):
                 if ok_seen[sender]:
                     continue
-                if not valid_ok(sender, msg):
+                if not pki.send_verdict(memo, entry, valid_ok):
                     continue
                 ok_seen[sender] = 1
                 ok_values.append(msg.value)
@@ -295,7 +264,7 @@ def approve(
         ctx.annotate(
             "committee",
             instance=instance,
-            role=_echo_role(candidate),
+            role=echo_committee(candidate)[0],
             size=len(entries),
         )
     ctx.annotate(

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Hashable, Iterable
 
 from repro.crypto.hashing import encode
-from repro.crypto.pki import PKI, VALIDATION_MEMO_MAX_ENTRIES
+from repro.crypto.pki import PKI
 from repro.crypto.vrf import VRF_OUTPUT_BITS, VRFOutput
 from repro.core.params import ProtocolParams
 from repro.sim.process import ProcessContext
@@ -115,49 +115,21 @@ def membership_checker(
     Returns ``check(process_id, proof) -> bool`` with the seed and
     threshold hoisted out of the per-message loop.  Performs *exactly*
     the checks of :func:`committee_val`, in the same order, against the
-    same PKI counters -- validation hot paths (one check per message per
-    receiver) use this so the per-call lru-cache traffic of the free
-    function disappears from profiles.  ``pki.vrf_verify`` is resolved
-    per call, not captured, so a caller that shadows it on the instance
-    (the perf ledger's call counter) keeps seeing every verification.
-
-    When the PKI's verify cache is on, the checker additionally memoizes
-    each verdict in ``pki.shared_validation_memo`` against the *identity*
-    of the proof object: a broadcast delivers the same proof object to
-    every receiver, so after any one receiver validates it the other n-1
-    replay the verdict and credit the PKI counters exactly as the
-    guaranteed cache hit would have (verification + cache hit) -- same
-    counters, no VRF-cache key hashing.  A different proof object for the
-    same process (Byzantine re-proof) takes the full path.  The memo is
-    cross-receiver, keyed on the committee seed, and filed under
-    ``instance`` (:meth:`PKI.validation_memo`), so it leaves with the
-    instance.
+    same PKI counters.  ``pki.vrf_verify`` is resolved per call, not
+    captured, so a caller that shadows it on the instance (the perf
+    ledger's call counter) keeps seeing every verification.  Sharing a
+    verdict across the receivers of one send is the caller's business
+    (:meth:`PKI.send_verdict`).
     """
     seed = committee_seed(instance, role)
     threshold = sampling_threshold(params)
-    memo = pki.validation_memo(instance) if pki.verify_cache_enabled else None
 
     def check(process_id: int, proof: VRFOutput) -> bool:
-        if memo is not None and pki.verify_cache_enabled:
-            key = ("committee-member", seed, process_id)
-            prev = memo.get(key)
-            if prev is not None and prev[0] is proof:
-                pki.vrf_verifications += 1
-                pki.vrf_cache_hits += 1
-                return prev[1]
-        else:
-            key = None
         if not isinstance(proof, VRFOutput):
             return False
         if not pki.vrf_verify(process_id, seed, proof):
-            verdict = False
-        else:
-            verdict = proof.value < threshold
-        if key is not None:
-            if len(memo) >= VALIDATION_MEMO_MAX_ENTRIES:
-                memo.clear()
-            memo[key] = (proof, verdict)
-        return verdict
+            return False
+        return proof.value < threshold
 
     return check
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Hashable
 
 from repro.crypto.hashing import encode
-from repro.crypto.pki import PKI, VALIDATION_MEMO_MAX_ENTRIES
+from repro.crypto.pki import PKI
 from repro.crypto.vrf import VRFOutput
 from repro.core.committees import committee_val, membership_checker
 from repro.core.params import ProtocolParams
@@ -116,18 +116,8 @@ def coin_value_checker(
     checks in the same order (so the PKI's verification counters advance
     identically), with the alpha bytes and -- in the committee-based
     variant -- the FIRST-committee seed/threshold hoisted out of the
-    per-message loop.
-
-    When the PKI's verify cache is on, verdicts are additionally memoized
-    in ``instance``'s validation-memo shelf (:meth:`PKI.validation_memo`)
-    against the identity of the :class:`CoinValue` object (broadcasts
-    deliver one shared object to every receiver, and SECOND messages
-    re-carry FIRST values): a repeat check -- by any receiver -- replays
-    the recorded verdict and credits the PKI counters exactly as the
-    guaranteed cache hits would have.  A structurally different object
-    (Byzantine per-receiver variant) takes the full path.  An ``origin``
-    that is not exactly an ``int`` is rejected before any lookup, as
-    ``PKI.vrf_verify`` would reject it uncounted.
+    per-message loop.  Sharing a verdict across the receivers of one
+    send is the caller's business (:meth:`PKI.send_verdict`).
     """
     alpha = coin_value_alpha(instance)
     check_origin_membership = (
@@ -135,43 +125,23 @@ def coin_value_checker(
         if first_committee_role is not None
         else None
     )
-    memo = pki.validation_memo(instance) if pki.verify_cache_enabled else None
 
     def check(coin_value: CoinValue) -> bool:
         if type(coin_value) is not CoinValue:  # malformed Byzantine field
             return False
-        origin = coin_value.origin
-        if type(origin) is not int:  # ditto; keeps the memo key hashable
-            return False
-        if memo is not None and pki.verify_cache_enabled:
-            key = ("coin-value", origin)
-            prev = memo.get(key)
-            if prev is not None and prev[0] is coin_value:
-                pki.replay_cached(prev[2], 0)
-                return prev[1]
-        else:
-            key = None
         if not isinstance(coin_value.vrf, VRFOutput):
             return False
         if coin_value.value != coin_value.vrf.value:
             return False
-        vrf_before = pki.vrf_verifications
-        if not pki.vrf_verify(origin, alpha, coin_value.vrf):
-            verdict = False
-        elif check_origin_membership is not None:
-            if coin_value.origin_membership is None:
-                verdict = False
-            else:
-                verdict = check_origin_membership(
-                    coin_value.origin, coin_value.origin_membership
-                )
-        else:
-            verdict = True
-        if key is not None:
-            if len(memo) >= VALIDATION_MEMO_MAX_ENTRIES:
-                memo.clear()
-            memo[key] = (coin_value, verdict, pki.vrf_verifications - vrf_before)
-        return verdict
+        if not pki.vrf_verify(coin_value.origin, alpha, coin_value.vrf):
+            return False
+        if check_origin_membership is None:
+            return True
+        if coin_value.origin_membership is None:
+            return False
+        return check_origin_membership(
+            coin_value.origin, coin_value.origin_membership
+        )
 
     return check
 

@@ -46,6 +46,12 @@ def shared_coin(
     quorum = params.quorum
     pki = ctx.pki
     valid_value = coin_value_checker(pki, instance, params, None)
+    # The instance's validation-memo shelf: one verdict per send,
+    # replayed by every later receiver (PKI.send_verdict).
+    memo = pki.validation_memo(instance) if pki.verify_cache_enabled else None
+
+    def valid_coin_value(sender: int, msg: FirstMsg | SecondMsg) -> bool:
+        return valid_value(msg.coin_value)
 
     my_output = ctx.vrf(coin_value_alpha(instance))
     my_value = CoinValue(value=my_output.value, origin=ctx.pid, vrf=my_output)
@@ -73,8 +79,10 @@ def shared_coin(
             if type(s) is list:
                 stream = s
         while cursor < len(s):
-            sender, msg = s[cursor]
+            entry = s[cursor]
+            sender, msg = entry
             cursor += 1
+            # Receiver-local gates first, then the send's verdict.
             if isinstance(msg, FirstMsg):
                 if first_seen[sender]:
                     continue
@@ -82,7 +90,7 @@ def shared_coin(
                 coin_value = msg.coin_value
                 if type(coin_value) is not CoinValue or coin_value.origin != sender:
                     continue
-                if not valid_value(coin_value):
+                if not pki.send_verdict(memo, entry, valid_coin_value):
                     continue
                 first_seen[sender] = 1
                 first_count += 1
@@ -91,7 +99,7 @@ def shared_coin(
             elif isinstance(msg, SecondMsg):
                 if second_seen[sender]:
                     continue
-                if not valid_value(msg.coin_value):
+                if not pki.send_verdict(memo, entry, valid_coin_value):
                     continue
                 second_seen[sender] = 1
                 second_count += 1

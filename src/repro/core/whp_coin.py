@@ -54,6 +54,19 @@ def whp_coin(
     valid_first_member = membership_checker(pki, instance, _FIRST_ROLE, params)
     valid_second_member = membership_checker(pki, instance, _SECOND_ROLE, params)
     valid_value = coin_value_checker(pki, instance, params, _FIRST_ROLE)
+    # The instance's validation-memo shelf: one verdict per send,
+    # replayed by every later receiver (PKI.send_verdict).
+    memo = pki.validation_memo(instance) if pki.verify_cache_enabled else None
+
+    def valid_first(sender: int, msg: FirstMsg) -> bool:
+        return valid_first_member(sender, msg.membership) and valid_value(
+            msg.coin_value
+        )
+
+    def valid_second(sender: int, msg: SecondMsg) -> bool:
+        return valid_second_member(sender, msg.membership) and valid_value(
+            msg.coin_value
+        )
 
     in_first, first_proof = sample(ctx, instance, _FIRST_ROLE, params)
     if in_first:
@@ -98,8 +111,10 @@ def whp_coin(
             if type(s) is list:
                 stream = s
         while cursor < len(s):
-            sender, msg = s[cursor]
+            entry = s[cursor]
+            sender, msg = entry
             cursor += 1
+            # Receiver-local gates first, then the send's verdict.
             if isinstance(msg, FirstMsg):
                 # Only SECOND-committee members act on FIRST messages.
                 if not in_second or first_seen[sender]:
@@ -107,9 +122,7 @@ def whp_coin(
                 coin_value = msg.coin_value
                 if type(coin_value) is not CoinValue or coin_value.origin != sender:
                     continue
-                if not valid_first_member(sender, msg.membership):
-                    continue
-                if not valid_value(coin_value):
+                if not pki.send_verdict(memo, entry, valid_first):
                     continue
                 first_seen[sender] = 1
                 first_count += 1
@@ -117,9 +130,7 @@ def whp_coin(
             elif isinstance(msg, SecondMsg):
                 if second_seen[sender]:
                     continue
-                if not valid_second_member(sender, msg.membership):
-                    continue
-                if not valid_value(msg.coin_value):
+                if not pki.send_verdict(memo, entry, valid_second):
                     continue
                 second_seen[sender] = 1
                 second_count += 1

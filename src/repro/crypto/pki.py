@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from time import perf_counter
-from typing import Any, Hashable
+from typing import Any, Callable, Hashable
 
 from repro.crypto.signatures import (
     SchnorrSignatureScheme,
@@ -48,6 +48,11 @@ VALIDATION_MEMO_MAX_ENTRIES = 1 << 20
 
 # Sentinel distinguishing "not cached" from a cached ``False`` verdict.
 _MISS = object()
+
+# What a shelf lookup returns for a send with no filed verdict: its first
+# element, the pinned entry, is no entry, so one identity check tells a
+# hit from a miss.
+_NO_VERDICT = (None, False, 0, 0)
 
 
 class PKI:
@@ -73,19 +78,25 @@ class PKI:
         self.verify_cache_enabled = verify_cache
         self._vrf_cache: dict[tuple, bool] = {}
         self._sig_cache: dict[tuple, bool] = {}
-        # Cross-receiver validation memo for *compound* checks (committee
-        # membership, coin values, the approver's ok-justification: W
-        # membership proofs + W signatures validated identically by every
-        # receiver), one shelf per protocol instance.  Protocol code
-        # stores ``key -> (object, verdict, ...)`` in the shelf of
-        # :meth:`validation_memo` and replays the counter deltas through
-        # :meth:`replay_cached` on a hit.  A shelf lives as long as its
-        # instance: the kernel drops it once every correct process has
-        # retired the instance, and drops them all at run end (see
-        # :meth:`drop_validation_memo`).  Gated on ``verify_cache_enabled``
-        # by the protocols; soundness rests on the same purity argument
-        # as the per-call caches (fixed keys, deterministic schemes).
+        # Cross-receiver validation memo: one verdict per send, one shelf
+        # per protocol instance.  A send reaches its n receivers as one
+        # shared ``(sender, message)`` entry, and every receive-side
+        # predicate (committee membership, coin value, the approver's W
+        # signed echoes) is a pure function of that pair, so the first
+        # receiver files ``id(entry) -> (entry, verdict, vrf_calls,
+        # sig_calls)`` and the others replay it, both through
+        # :meth:`send_verdict`.  A shelf lives as long as its instance:
+        # the kernel drops it once every correct process has retired the
+        # instance, and drops them all at run end (see
+        # :meth:`drop_validation_memo`).  Gated on
+        # ``verify_cache_enabled``; soundness rests on the same purity
+        # argument as the per-call caches (fixed keys, deterministic
+        # schemes).
         self.shared_validation_memo: dict[Hashable, dict] = {}
+        # Cache-on verify calls the per-call caches could not key (an
+        # unhashable or malformed Byzantine field).  Re-running such a
+        # call misses again, so a check that made one is not filed.
+        self._unkeyed_calls = 0
         # Monotone counters; the kernel reports per-run deltas of these
         # through MetricsRecorder (see Simulation.run).
         self.vrf_verifications = 0
@@ -154,7 +165,7 @@ class PKI:
 
         Counter-neutral: a re-validation after a drop takes the direct
         path, whose verify calls the per-call caches answer, crediting
-        exactly what :meth:`replay_cached` would have.  The shelf stays
+        exactly what a replay would have.  The shelf stays
         filed (empty), so a validator that outlives the drop keeps
         filing where the PKI sees it, until :meth:`clear_validation_memo`.
         """
@@ -169,18 +180,52 @@ class PKI:
             memo.clear()
         memos.clear()
 
-    def replay_cached(self, vrf_calls: int, sig_calls: int) -> None:
-        """Account for a memoized compound validation's verify calls.
+    def send_verdict(
+        self, memo: dict | None, entry: tuple, validate: Callable[..., bool]
+    ) -> bool:
+        """One receiver's verdict on a delivered ``(sender, message)`` entry.
 
-        Replaying the direct path would have made ``vrf_calls`` VRF and
-        ``sig_calls`` signature verifications, all answered from the
-        per-call caches (the first execution populated them); bump the
-        monotone counters exactly as those calls would have.
+        ``validate(sender, message)`` is a pure function of the send, and
+        a send reaches its n receivers as one shared entry.  So the first
+        receiver runs it and, when ``memo`` is the instance's shelf and
+        the cache is on, files ``id(entry) -> (entry, verdict, vrf_calls,
+        sig_calls)``; the entry pins itself, so the id stays its own while
+        the shelf holds it.  Every later receiver replays the verdict and
+        credits the verify calls a re-run would make, each one a per-call
+        cache hit, so the counters read as if every receiver had checked.
+        A check that made a call the per-call caches could not key is not
+        filed: every receiver re-runs it.  The key is the send, not the
+        message: a Byzantine process may re-broadcast another's message
+        object under its own pid, and that send is judged on its own.
         """
-        self.vrf_verifications += vrf_calls
-        self.vrf_cache_hits += vrf_calls
-        self.sig_verifications += sig_calls
-        self.sig_cache_hits += sig_calls
+        if memo is not None and self.verify_cache_enabled:
+            cached = memo.get(id(entry), _NO_VERDICT)
+            if cached[0] is entry:
+                calls = cached[2]
+                self.vrf_verifications += calls
+                self.vrf_cache_hits += calls
+                calls = cached[3]
+                self.sig_verifications += calls
+                self.sig_cache_hits += calls
+                return cached[1]
+        vrf_before = self.vrf_verifications
+        sig_before = self.sig_verifications
+        unkeyed_before = self._unkeyed_calls
+        verdict = validate(*entry)
+        if (
+            memo is not None
+            and self.verify_cache_enabled
+            and self._unkeyed_calls == unkeyed_before
+        ):
+            if len(memo) >= VALIDATION_MEMO_MAX_ENTRIES:
+                memo.clear()
+            memo[id(entry)] = (
+                entry,
+                verdict,
+                self.vrf_verifications - vrf_before,
+                self.sig_verifications - sig_before,
+            )
+        return verdict
 
     def verification_counters(self) -> tuple[int, int, int, int]:
         """``(vrf_calls, vrf_hits, sig_calls, sig_hits)`` since construction."""
@@ -229,6 +274,7 @@ class PKI:
                 # verify directly, never cache.
                 key = None
                 cached = _MISS
+                self._unkeyed_calls += 1
             if cached is not _MISS:
                 self.vrf_cache_hits += 1
                 return cached
@@ -259,6 +305,7 @@ class PKI:
             except TypeError:
                 key = None
                 cached = _MISS
+                self._unkeyed_calls += 1
             if cached is not _MISS:
                 self.sig_cache_hits += 1
                 return cached

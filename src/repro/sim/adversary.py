@@ -156,12 +156,46 @@ class RandomScheduler(Scheduler):
     def __init__(self, rng: random.Random | None = None) -> None:
         self.rng = rng or random.Random()
 
+    @property
+    def rng(self) -> random.Random:
+        return self._rng
+
+    @rng.setter
+    def rng(self, rng: random.Random) -> None:
+        self._rng = rng
+        # randrange(size) is rng._randbelow(size); while that is the stock
+        # getrandbits rejection loop, choose_index runs the loop itself.
+        stock = (
+            getattr(type(rng), "_randbelow", None) is random.Random._randbelow
+            and type(rng).randrange is random.Random.randrange
+        )
+        self._getrandbits = rng.getrandbits if stock else None
+
+    def __getstate__(self) -> dict:
+        # A copy binds its draws to its own rng, not to the original's.
+        state = self.__dict__.copy()
+        del state["_getrandbits"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.rng = self._rng
+
     def choose(self, pool: "SchedulerPool") -> int:
         return pool.random_seq(self.rng)
 
     def choose_index(self, size: int) -> int:
-        # The draw pool.random_seq makes: same pick, same RNG stream.
-        return self.rng.randrange(size)
+        # The draw pool.random_seq makes: same pick, same RNG stream --
+        # randrange's own loop (Random._randbelow_with_getrandbits),
+        # without its argument checks and two calls per draw.
+        getrandbits = self._getrandbits
+        if getrandbits is None or size <= 0:
+            return self._rng.randrange(size)
+        bits = size.bit_length()
+        index = getrandbits(bits)
+        while index >= size:
+            index = getrandbits(bits)
+        return index
 
 
 class FIFOScheduler(Scheduler):

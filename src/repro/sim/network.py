@@ -30,6 +30,7 @@ from typing import Any, Callable, Hashable, Sequence
 
 from repro.crypto.pki import PKI
 from repro.sim.adversary import Adversary, CorruptionStrategy, Scheduler
+from repro.sim.byzantine import ByzantineBehavior
 from repro.sim.events import (
     CorruptEvent,
     DeliverEvent,
@@ -312,6 +313,10 @@ class Simulation:
         self.returns: dict[int, Any] = {}
 
         self._behaviors: dict[int, Any] = {}
+        # Corrupted pid -> its behaviour's on_deliver, for the behaviours
+        # that override the base no-op: a silent or crashed receiver gets
+        # no envelope built and no call made.
+        self._listeners: dict[int, Callable[[ProcessContext, Envelope], None]] = {}
         self._generators: dict[int, Any] = {}
         self._pending: dict[int, Wait | None] = {}
         # Incremental-quorum countdown per blocked pid: subscribed
@@ -632,6 +637,9 @@ class Simulation:
         self._pending_remaining.pop(pid, None)
         behavior = self.adversary.behavior_factory(pid)
         self._behaviors[pid] = behavior
+        on_deliver = behavior.on_deliver
+        if getattr(on_deliver, "__func__", None) is not ByzantineBehavior.on_deliver:
+            self._listeners[pid] = on_deliver
         ctx = self.contexts[pid]
         if self._started:
             behavior.on_corrupt(ctx)
@@ -838,7 +846,8 @@ class Simulation:
         the per-delivery attribute traffic is hoisted into locals
         (``_pos_base`` too, refreshed after each compaction of the seq
         index), and an :class:`Envelope` is built only for a corrupted
-        receiver or a reacting corruption strategy.
+        receiver whose behaviour overrides ``on_deliver`` or for a
+        reacting corruption strategy.
         """
         scheduler = self.adversary.scheduler
         corruption = self.adversary.corruption
@@ -851,7 +860,7 @@ class Simulation:
         pos_base = self._pos_base
         contexts = self.contexts
         corrupted = self.corrupted
-        behaviors = self._behaviors
+        listeners = self._listeners
         generators = self._generators
         pending = self._pending
         remaining_map = self._pending_remaining
@@ -1023,7 +1032,9 @@ class Simulation:
                 if ctx.depth < depth:
                     ctx.depth = depth
                 if pid in corrupted:
-                    behaviors[pid].on_deliver(ctx, _envelope(seq, flight, pid))
+                    on_deliver = listeners.get(pid)
+                    if on_deliver is not None:
+                        on_deliver(ctx, _envelope(seq, flight, pid))
                 else:
                     mailbox = ctx.mailbox
                     # -- Mailbox.add, inlined (kernel-owned hot path); every

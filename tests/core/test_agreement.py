@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.core.agreement import byzantine_agreement
 from repro.core.params import ProtocolParams
+from repro.crypto.pki import PKI
+from repro.experiments.scenarios import resolve_run
 from repro.sim.adversary import (
     AdaptiveFirstSpeakersCorruption,
     Adversary,
@@ -123,3 +126,48 @@ class TestDecisionConsistencyAcrossRounds:
             if len(depths) > 1:
                 saw_spread = True
         assert saw_spread  # asynchrony should actually spread decisions
+
+
+class TestOneDirectValidationPerSend:
+    """Every receive-side check is a function of the ``(sender, message)``
+    send, so a run validates each send directly at most once: its first
+    receiver does, the others replay the verdict without a verify call.
+    The calls that reach the PKI are therefore bounded by one
+    validation's calls per send (a direct check per receiver would make
+    up to n times as many)."""
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_whp_ba_verify_calls_stay_within_one_validation_per_send(
+        self, monkeypatch, seed
+    ):
+        calls: Counter = Counter()
+        vrf_verify, signature_verify = PKI.vrf_verify, PKI.signature_verify
+
+        def counted_vrf(pki, *args):
+            calls["vrf"] += 1
+            return vrf_verify(pki, *args)
+
+        def counted_signature(pki, *args):
+            calls["sig"] += 1
+            return signature_verify(pki, *args)
+
+        monkeypatch.setattr(PKI, "vrf_verify", counted_vrf)
+        monkeypatch.setattr(PKI, "signature_verify", counted_signature)
+        spec = resolve_run("whp_ba", 16, seed=seed)
+        result = spec.run()
+        assert result.live and result.all_correct_decided
+        # Every send is a broadcast by a correct process (the corrupted
+        # ones are silent): n copies each.
+        by_kind = result.metrics.messages_by_kind
+        assert all(count % spec.n == 0 for count in by_kind.values())
+        sends = Counter({kind: count // spec.n for kind, count in by_kind.items()})
+        w = spec.params.committee_quorum
+        # init: a membership proof.  echo: a proof and a signature.  ok: a
+        # proof and W signed member echoes.  FIRST and SECOND: a proof and
+        # a coin value (its VRF and its origin's FIRST membership).
+        assert calls["sig"] <= sends["EchoMsg"] + w * sends["OkMsg"]
+        assert calls["vrf"] <= (
+            sends["InitMsg"] + sends["EchoMsg"] + (1 + w) * sends["OkMsg"]
+            + 3 * (sends["FirstMsg"] + sends["SecondMsg"])
+        )
+        assert result.metrics.verification_cache_hits > 0

@@ -18,8 +18,10 @@ from repro.sim.adversary import (
     StaticCorruption,
     TargetedDelayScheduler,
 )
-from repro.sim.byzantine import ScriptedBehavior
+from repro.sim.byzantine import ScriptedBehavior, SilentBehavior
 from repro.sim.runner import run_protocol
+
+from tests.core.per_send import ReplaysFirst, replaying, same_run, unstepped
 
 N, F = 60, 4
 CORRUPT = {0, 1, 2, 3}
@@ -210,6 +212,39 @@ class TestByzantineResistance:
         )
         assert result.live
         assert result.returned_values == {frozenset({1})}
+
+
+class TestReplayedMessagesAreRejected:
+    """Validity is a property of the ``(sender, message)`` pair: a
+    correct process's init, echo or ok re-broadcast by a Byzantine process
+    carries the original sender's membership proof, so every correct
+    receiver rejects it.  A verdict shared across receivers by message
+    identity alone would accept the replay."""
+
+    def _run(self, params, behavior_factory):
+        adversary = Adversary(
+            scheduler=ReplaysFirst(CORRUPT),
+            corruption=StaticCorruption(CORRUPT),
+            behavior_factory=behavior_factory,
+        )
+        return run_protocol(
+            N, F, approver(lambda ctx: ctx.pid % 2), adversary=adversary,
+            pki=PKI.create(N, rng=random.Random(4600)), params=params, seed=21,
+        )
+
+    @pytest.mark.parametrize("kind", [InitMsg, EchoMsg, OkMsg], ids=lambda k: k.__name__)
+    def test_replayed_object_counts_for_nobody(self, params, kind):
+        silent = self._run(params, lambda pid: SilentBehavior())
+        replayed = self._run(params, replaying(kind, CORRUPT))
+        copied = self._run(params, replaying(kind, CORRUPT, same_object=False))
+        assert replayed.live and replayed.deliveries > silent.deliveries
+        # The correct copies arrive in FIFO order either way, and a
+        # rejected replay changes no correct process's state: the same
+        # returns and committee tallies as silence.
+        assert replayed.returns == silent.returns
+        assert unstepped(replayed) == unstepped(silent)
+        # And the very object is treated exactly as an equal copy.
+        assert same_run(replayed, copied)
 
 
 class TestEchoCommitteesArePerValue:

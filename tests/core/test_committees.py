@@ -9,6 +9,7 @@ import pytest
 from repro.core.committees import (
     committee_seed,
     committee_val,
+    membership_checker,
     sample_committee,
     sampling_threshold,
 )
@@ -142,8 +143,9 @@ class TestProcessSideSampling:
 
 
 class TestMembershipCheckerCounterIdentity:
-    """The identity memo replays verdicts with *exactly* the counters the
-    direct path (all answered from the verify cache) would produce."""
+    """One send's membership verdict, filed by its first receiver and
+    replayed by the rest, credits *exactly* the counters the direct path
+    (all answered from the verify cache) would produce."""
 
     def _pair(self, n=40, seed=62):
         return (
@@ -152,71 +154,107 @@ class TestMembershipCheckerCounterIdentity:
         )
 
     def test_repeat_checks_match_committee_val_counters(self):
-        from repro.core.committees import membership_checker
-
         direct_pki, memo_pki = self._pair()
         params = ProtocolParams(n=40, f=3, lam=12.0, d=0.05)
         member = next(iter(sample_committee(direct_pki, "x", "init", params)))
-        proof = member_proof(memo_pki, member, "x", "init")
+        entry = (member, member_proof(memo_pki, member, "x", "init"))
         direct_proof = member_proof(direct_pki, member, "x", "init")
-        check = membership_checker(memo_pki, "x", "init", params)
-        # Simulate n receivers each validating the same broadcast proof.
+        memo = memo_pki.validation_memo("x")
+        validate = membership_checker(memo_pki, "x", "init", params)
+        # Simulate n receivers each validating the same broadcast.
         for _ in range(5):
             direct_verdict = committee_val(
                 direct_pki, "x", "init", member, direct_proof, params
             )
-            memo_verdict = check(member, proof)
+            memo_verdict = memo_pki.send_verdict(memo, entry, validate)
             assert memo_verdict is direct_verdict is True
             assert memo_pki.verification_counters() == (
                 direct_pki.verification_counters()
             )
+        assert list(memo) == [id(entry)]
 
     def test_negative_verdict_replayed_with_identical_counters(self):
-        from repro.core.committees import membership_checker
-
         direct_pki, memo_pki = self._pair()
         params = ProtocolParams(n=40, f=3, lam=12.0, d=0.05)
         non_member = next(
             pid for pid in range(40)
             if pid not in sample_committee(direct_pki, "x", "init", params)
         )
-        proof = member_proof(memo_pki, non_member, "x", "init")
+        entry = (non_member, member_proof(memo_pki, non_member, "x", "init"))
         direct_proof = member_proof(direct_pki, non_member, "x", "init")
-        check = membership_checker(memo_pki, "x", "init", params)
+        memo = memo_pki.validation_memo("x")
+        validate = membership_checker(memo_pki, "x", "init", params)
         for _ in range(3):
             assert not committee_val(
                 direct_pki, "x", "init", non_member, direct_proof, params
             )
-            assert not check(non_member, proof)
+            assert not memo_pki.send_verdict(memo, entry, validate)
             assert memo_pki.verification_counters() == (
                 direct_pki.verification_counters()
             )
 
     def test_different_proof_object_takes_full_path(self):
-        """A Byzantine re-proof (structurally equal, different object) must
-        not replay the memoized verdict blindly."""
-        from repro.core.committees import membership_checker
-
+        """A Byzantine re-proof (structurally equal, different object) is
+        another send: validated on its own, not replayed blindly."""
         _, pki = self._pair()
         params = ProtocolParams(n=40, f=3, lam=12.0, d=0.05)
         member = next(iter(sample_committee(pki, "x", "init", params)))
         proof = member_proof(pki, member, "x", "init")
         clone = VRFOutput(value=proof.value, proof=proof.proof)
-        check = membership_checker(pki, "x", "init", params)
-        assert check(member, proof)
-        assert check(member, clone)  # same bits, new object: re-verified
-        assert check(member, VRFOutput(value=proof.value, proof=b"forged")) is False
+        memo = pki.validation_memo("x")
+        validate = membership_checker(pki, "x", "init", params)
+        assert pki.send_verdict(memo, (member, proof), validate)
+        assert pki.send_verdict(memo, (member, clone), validate)  # re-verified
+        forged = VRFOutput(value=proof.value, proof=b"forged")
+        assert pki.send_verdict(memo, (member, forged), validate) is False
+        assert len(memo) == 3
+
+    def test_replayed_object_under_another_pid_takes_full_path(self):
+        """The key is the send, not the message: a Byzantine process that
+        re-sends a member's very proof object as its own is judged as
+        its own send, after and before the member's."""
+        _, pki = self._pair()
+        params = ProtocolParams(n=40, f=3, lam=12.0, d=0.05)
+        members = sample_committee(pki, "x", "init", params)
+        member = next(iter(members))
+        replayer = next(pid for pid in range(40) if pid not in members)
+        proof = member_proof(pki, member, "x", "init")
+        memo = pki.validation_memo("x")
+        validate = membership_checker(pki, "x", "init", params)
+        for _ in range(2):
+            assert pki.send_verdict(memo, (member, proof), validate)
+        assert pki.send_verdict(memo, (replayer, proof), validate) is False
+        replay = (replayer, proof)
+        assert pki.send_verdict(memo, replay, validate) is False
+        assert pki.send_verdict(memo, replay, validate) is False
+        assert pki.send_verdict(memo, (member, proof), validate)
+
+    def test_a_proof_the_verify_cache_cannot_key_is_never_filed(self):
+        """A Byzantine proof with an unhashable field is verified uncached
+        by every direct check; a replay would credit hits, so every
+        receiver checks it directly and the counters match that."""
+        direct_pki, memo_pki = self._pair()
+        params = ProtocolParams(n=40, f=3, lam=12.0, d=0.05)
+        proof = VRFOutput(value=1, proof=[b"unhashable"])
+        entry = (3, proof)
+        memo = memo_pki.validation_memo("x")
+        validate = membership_checker(memo_pki, "x", "init", params)
+        for _ in range(3):
+            assert not committee_val(direct_pki, "x", "init", 3, proof, params)
+            assert not memo_pki.send_verdict(memo, entry, validate)
+        assert memo == {}
+        assert memo_pki.verification_counters() == (
+            direct_pki.verification_counters()
+        ) == (3, 0, 0, 0)
 
     def test_uncached_mode_never_memoizes(self):
-        from repro.core.committees import membership_checker
-
         pki = PKI.create(40, rng=random.Random(63), verify_cache=False)
         params = ProtocolParams(n=40, f=3, lam=12.0, d=0.05)
         member = next(iter(sample_committee(pki, "x", "init", params)))
-        proof = member_proof(pki, member, "x", "init")
-        check = membership_checker(pki, "x", "init", params)
-        assert check(member, proof)
-        assert check(member, proof)
+        entry = (member, member_proof(pki, member, "x", "init"))
+        validate = membership_checker(pki, "x", "init", params)
+        assert pki.send_verdict(None, entry, validate)
+        assert pki.send_verdict(None, entry, validate)
         assert pki.shared_validation_memo == {}
         # Two full verifications, zero cache hits.
         assert pki.verification_counters()[:2] == (2, 0)

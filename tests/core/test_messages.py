@@ -132,8 +132,9 @@ class TestValidateCoinValue:
 
 
 class TestCoinValueCheckerCounterIdentity:
-    """coin_value_checker's identity memo replays verdicts with exactly the
-    counters the direct path (answered from the verify cache) would."""
+    """One send's coin-value verdict, filed by its first receiver and
+    replayed by the rest, credits exactly the counters the direct path
+    (answered from the verify cache) would."""
 
     def _pair(self, seed=71):
         return (
@@ -141,28 +142,29 @@ class TestCoinValueCheckerCounterIdentity:
             PKI.create(20, rng=random.Random(seed)),
         )
 
-    def test_repeat_checks_match_validate_coin_value(self):
-        from repro.core.messages import coin_value_checker
+    @staticmethod
+    def _validator(pki, params, role):
+        check = coin_value_checker(pki, "c", params, role)
+        return lambda sender, coin_value: check(coin_value)
 
+    def test_repeat_checks_match_validate_coin_value(self):
         direct_pki, memo_pki = self._pair()
         params = ProtocolParams(n=20, f=2, lam=14.0, d=0.05)
         direct_value = make_value(direct_pki, 4, "c")
-        memo_value = make_value(memo_pki, 4, "c")
-        check = coin_value_checker(memo_pki, "c", params, None)
+        entry = (4, make_value(memo_pki, 4, "c"))
+        memo = memo_pki.validation_memo("c")
+        validate = self._validator(memo_pki, params, None)
         for _ in range(5):
             direct_verdict = validate_coin_value(
                 direct_pki, direct_value, "c", params, None
             )
-            memo_verdict = check(memo_value)
+            memo_verdict = memo_pki.send_verdict(memo, entry, validate)
             assert memo_verdict is direct_verdict is True
             assert memo_pki.verification_counters() == (
                 direct_pki.verification_counters()
             )
 
     def test_committee_variant_counts_membership_verification(self):
-        from repro.core.committees import membership_checker, sample_committee
-        from repro.core.messages import coin_value_checker
-
         direct_pki, memo_pki = self._pair()
         params = ProtocolParams(n=20, f=2, lam=14.0, d=0.05)
         member = next(iter(sample_committee(direct_pki, "c", "first", params)))
@@ -173,32 +175,32 @@ class TestCoinValueCheckerCounterIdentity:
             )
 
         direct_value = make_value(direct_pki, member, "c", proof_for(direct_pki))
-        memo_value = make_value(memo_pki, member, "c", proof_for(memo_pki))
-        check = coin_value_checker(memo_pki, "c", params, "first")
+        entry = (member, make_value(memo_pki, member, "c", proof_for(memo_pki)))
+        memo = memo_pki.validation_memo("c")
+        validate = self._validator(memo_pki, params, "first")
         for _ in range(4):
             assert validate_coin_value(
                 direct_pki, direct_value, "c", params, "first"
             )
-            assert check(memo_value)
+            assert memo_pki.send_verdict(memo, entry, validate)
             assert memo_pki.verification_counters() == (
                 direct_pki.verification_counters()
             )
 
     def test_different_object_same_origin_takes_full_path(self):
         """A Byzantine per-receiver variant (same origin, different object)
-        is re-validated, not replayed."""
-        from repro.core.messages import coin_value_checker
-
+        is another send: re-validated, not replayed."""
         _, pki = self._pair()
         params = ProtocolParams(n=20, f=2, lam=14.0, d=0.05)
-        genuine = make_value(pki, 4, "c")
-        check = coin_value_checker(pki, "c", params, None)
-        assert check(genuine)
+        genuine = (4, make_value(pki, 4, "c"))
+        memo = pki.validation_memo("c")
+        validate = self._validator(pki, params, None)
+        assert pki.send_verdict(memo, genuine, validate)
         forged = CoinValue(
-            value=genuine.value + 1, origin=4, vrf=genuine.vrf
+            value=genuine[1].value + 1, origin=4, vrf=genuine[1].vrf
         )
-        assert check(forged) is False  # value != vrf.value
-        assert check(genuine)  # and the genuine verdict still replays
+        assert pki.send_verdict(memo, (4, forged), validate) is False  # value != vrf.value
+        assert pki.send_verdict(memo, genuine, validate)  # the genuine verdict replays
 
     @pytest.mark.parametrize(
         "origin", [[0], "x", None, 1.0], ids=["list", "str", "none", "float"]
@@ -206,8 +208,6 @@ class TestCoinValueCheckerCounterIdentity:
     def test_non_int_origin_rejected_like_validate_coin_value(self, origin):
         """A SECOND message's coin value names its origin freely: anything
         but an exact ``int`` is rejected, by both paths, uncounted."""
-        from repro.core.messages import coin_value_checker
-
         direct_pki, memo_pki = self._pair()
         params = ProtocolParams(n=20, f=2, lam=14.0, d=0.05)
 
@@ -215,26 +215,28 @@ class TestCoinValueCheckerCounterIdentity:
             genuine = make_value(pki, 1, "c")
             return CoinValue(value=genuine.value, origin=origin, vrf=genuine.vrf)
 
-        check = coin_value_checker(memo_pki, "c", params, "first")
-        assert check(odd(memo_pki)) is False
+        memo = memo_pki.validation_memo("c")
+        validate = self._validator(memo_pki, params, "first")
+        assert memo_pki.send_verdict(memo, (1, odd(memo_pki)), validate) is False
         assert validate_coin_value(direct_pki, odd(direct_pki), "c", params, "first") is False
         assert memo_pki.verification_counters() == direct_pki.verification_counters()
         assert memo_pki.verification_counters() == (0, 0, 0, 0)
 
     def test_a_dropped_shelf_credits_what_its_replay_would(self):
         """Dropping an instance's memo shelf is counter-neutral: the next
-        check re-validates through the per-call caches, which credit what
-        the memo's replay would have."""
-        from repro.core.messages import coin_value_checker
-
+        receiver re-validates through the per-call caches, which credit
+        what the shelf's replay would have."""
         kept_pki, dropped_pki = self._pair()
         params = ProtocolParams(n=20, f=2, lam=14.0, d=0.05)
-        kept_value = make_value(kept_pki, 4, "c")
-        dropped_value = make_value(dropped_pki, 4, "c")
-        kept = coin_value_checker(kept_pki, "c", params, None)
-        dropped = coin_value_checker(dropped_pki, "c", params, None)
+        kept_entry = (4, make_value(kept_pki, 4, "c"))
+        dropped_entry = (4, make_value(dropped_pki, 4, "c"))
+        kept_memo = kept_pki.validation_memo("c")
+        dropped_memo = dropped_pki.validation_memo("c")
+        kept = self._validator(kept_pki, params, None)
+        dropped = self._validator(dropped_pki, params, None)
         for _ in range(3):
-            assert kept(kept_value) and dropped(dropped_value)
+            assert kept_pki.send_verdict(kept_memo, kept_entry, kept)
+            assert dropped_pki.send_verdict(dropped_memo, dropped_entry, dropped)
             assert dropped_pki.shared_validation_memo["c"]
             dropped_pki.drop_validation_memo("c")
             assert dropped_pki.shared_validation_memo["c"] == {}
@@ -243,11 +245,10 @@ class TestCoinValueCheckerCounterIdentity:
             )
 
     def test_uncached_mode_identical_verdicts_no_memo(self):
-        from repro.core.messages import coin_value_checker
-
         pki = PKI.create(20, rng=random.Random(72), verify_cache=False)
         params = ProtocolParams(n=20, f=2, lam=14.0, d=0.05)
-        value = make_value(pki, 3, "c")
-        check = coin_value_checker(pki, "c", params, None)
-        assert check(value) and check(value)
+        entry = (3, make_value(pki, 3, "c"))
+        validate = self._validator(pki, params, None)
+        assert pki.send_verdict(None, entry, validate)
+        assert pki.send_verdict(None, entry, validate)
         assert pki.shared_validation_memo == {}

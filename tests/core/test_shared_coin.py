@@ -24,8 +24,10 @@ from repro.sim.adversary import (
     StaticCorruption,
     TargetedDelayScheduler,
 )
-from repro.sim.byzantine import ScriptedBehavior
+from repro.sim.byzantine import ScriptedBehavior, SilentBehavior
 from repro.sim.runner import run_protocol
+
+from tests.core.per_send import ReplaysFirst, replaying, same_run, unstepped
 
 
 def coin_protocol(round_id=0):
@@ -205,6 +207,44 @@ class TestByzantineResistance:
         )
         assert result.live
         assert len(result.returns) == 12 - 3
+
+
+class TestReplayedMessages:
+    """A correct FIRST re-broadcast by a Byzantine process as its own
+    names another origin, so every correct receiver rejects it.  A
+    replayed SECOND is a different matter: Algorithm 1 lets anyone relay
+    a valid minimum, so it counts as the replayer's own SECOND.  Either
+    way the very object counts exactly as an equal copy does."""
+
+    CORRUPT = frozenset({0, 1, 2})
+
+    def _run(self, behavior_factory):
+        n, f = 12, 3
+        adversary = Adversary(
+            scheduler=ReplaysFirst(self.CORRUPT),
+            corruption=StaticCorruption(self.CORRUPT),
+            behavior_factory=behavior_factory,
+        )
+        return run_protocol(
+            n, f, coin_protocol(), adversary=adversary,
+            pki=PKI.create(n, rng=random.Random(4800)),
+            params=ProtocolParams(n=n, f=f), seed=23,
+        )
+
+    def test_replayed_first_counts_for_nobody(self):
+        silent = self._run(lambda pid: SilentBehavior())
+        replayed = self._run(replaying(FirstMsg, self.CORRUPT))
+        copied = self._run(replaying(FirstMsg, self.CORRUPT, same_object=False))
+        assert replayed.live and replayed.deliveries > silent.deliveries
+        assert replayed.returns == silent.returns
+        assert unstepped(replayed) == unstepped(silent)
+        assert same_run(replayed, copied)
+
+    def test_replayed_second_counts_as_the_replayers_own(self):
+        replayed = self._run(replaying(SecondMsg, self.CORRUPT))
+        copied = self._run(replaying(SecondMsg, self.CORRUPT, same_object=False))
+        assert replayed.live
+        assert same_run(replayed, copied)
 
 
 class TestAgreementRate:

@@ -23,8 +23,10 @@ from repro.sim.adversary import (
     StaticCorruption,
     TargetedDelayScheduler,
 )
-from repro.sim.byzantine import ScriptedBehavior
+from repro.sim.byzantine import ScriptedBehavior, SilentBehavior
 from repro.sim.runner import run_protocol
+
+from tests.core.per_send import ReplaysFirst, replaying, same_run, unstepped
 
 
 N, F = 60, 4
@@ -231,3 +233,31 @@ class TestByzantineResistance:
         )
         assert result.live
         assert result.returns == clean.returns
+
+
+class TestReplayedMessagesAreRejected:
+    """A correct FIRST or SECOND re-broadcast by a Byzantine process as its
+    own is rejected by every correct receiver: a FIRST's value is not the
+    replayer's, a SECOND's membership proof is not.  Judged per send, the
+    very object counts exactly as an equal copy does -- for nobody."""
+
+    def _run(self, params, behavior_factory):
+        adversary = Adversary(
+            scheduler=ReplaysFirst(CORRUPT),
+            corruption=StaticCorruption(CORRUPT),
+            behavior_factory=behavior_factory,
+        )
+        return run_protocol(
+            N, F, coin_protocol(), adversary=adversary,
+            pki=PKI.create(N, rng=random.Random(4700)), params=params, seed=22,
+        )
+
+    @pytest.mark.parametrize("kind", [FirstMsg, SecondMsg], ids=lambda k: k.__name__)
+    def test_replayed_object_counts_for_nobody(self, params, kind):
+        silent = self._run(params, lambda pid: SilentBehavior())
+        replayed = self._run(params, replaying(kind, CORRUPT))
+        copied = self._run(params, replaying(kind, CORRUPT, same_object=False))
+        assert replayed.live and replayed.deliveries > silent.deliveries
+        assert replayed.returns == silent.returns
+        assert unstepped(replayed) == unstepped(silent)
+        assert same_run(replayed, copied)

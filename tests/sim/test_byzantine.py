@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.crypto.pki import PKI
@@ -14,6 +15,7 @@ from repro.sim.adversary import (
     StaticCorruption,
 )
 from repro.sim.byzantine import CrashBehavior, ScriptedBehavior, SilentBehavior
+from repro.sim import network
 from repro.sim.messages import Message
 from repro.sim.network import Simulation
 from repro.sim.process import Wait
@@ -67,6 +69,83 @@ class TestSilentAndCrash:
     def test_crash_is_silent(self):
         sim = build(5, 1, {0}, behavior_factory=lambda pid: CrashBehavior()).run()
         assert sim.metrics.messages_sent_total == 4 * 5
+
+
+class TestSilentReceivers:
+    """The kernel builds an envelope for a corrupted receiver only when
+    its behaviour overrides the base no-op ``on_deliver``."""
+
+    def test_silent_and_crashed_receivers_build_no_envelope(self, monkeypatch):
+        built: Counter = Counter()
+        envelope = network._envelope
+
+        def counted(seq, flight, dest):
+            built[dest] += 1
+            return envelope(seq, flight, dest)
+
+        monkeypatch.setattr(network, "_envelope", counted)
+        sim = build(
+            6, 2, {0, 1},
+            behavior_factory=lambda pid: SilentBehavior() if pid else CrashBehavior(),
+        ).run()
+        assert sim.deliveries >= 2 * 4  # each corrupted pid got copies
+        assert not built
+
+    def test_a_listening_behaviour_sees_every_delivery(self):
+        seen = []
+        sim = build(
+            6, 2, {0, 1},
+            behavior_factory=lambda pid: ScriptedBehavior(
+                on_deliver=lambda ctx, env: seen.append((ctx.pid, env.seq))
+            ),
+        )
+        delivered = []
+        sim.events.subscribe(
+            lambda event: delivered.append((event.dest, event.seq))
+            if event.kind == "deliver" else None
+        )
+        sim.run()
+        assert seen
+        assert sorted(seen) == sorted(d for d in delivered if d[0] in {0, 1})
+
+    def test_an_adaptively_corrupted_pid_switches_at_its_corruption(self):
+        """Even pids listen once corrupted, odd ones stay silent: a
+        listener hears exactly the deliveries addressed to it from its
+        corruption on, and nothing before."""
+        seen = []
+
+        def factory(pid):
+            if pid % 2:
+                return SilentBehavior()
+            return ScriptedBehavior(
+                on_deliver=lambda ctx, env: seen.append((ctx.pid, env.seq))
+            )
+
+        heard = 0
+        for seed in range(6):
+            seen.clear()
+            sim = build(
+                7, 2, set(), behavior_factory=factory,
+                corruption=AdaptiveFirstSpeakersCorruption(), seed=seed,
+            )
+            events = []
+            sim.events.subscribe(events.append)
+            sim.run()
+            corrupted_at = {
+                event.pid: event.step for event in events if event.kind == "corrupt"
+            }
+            assert set(corrupted_at) == sim.corrupted and len(sim.corrupted) == 2
+            expected = [
+                (event.dest, event.seq)
+                for event in events
+                if event.kind == "deliver"
+                and event.dest in corrupted_at
+                and event.dest % 2 == 0
+                and event.step >= corrupted_at[event.dest]
+            ]
+            assert seen == expected
+            heard += len(seen)
+        assert heard, "no even pid was corrupted"
 
 
 class TestScriptedHooks:

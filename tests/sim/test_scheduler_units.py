@@ -5,10 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.adversary import (
     Adversary,
     PartitionScheduler,
+    RandomScheduler,
     ReplayScheduler,
     Scheduler,
     ScriptedScheduler,
@@ -121,3 +123,57 @@ class TestAdversaryDefaults:
     def test_default_corruption_is_none(self):
         adversary = Adversary()
         assert adversary.corruption.initial_corruptions(10, 3) == set()
+
+
+# Pool sizes around the getrandbits loop's edges: 1, powers of two and
+# their neighbours (one bit more or one fewer), and sizes above 2**32.
+_SIZES = st.one_of(
+    st.integers(1, 5000),
+    st.integers(0, 70).map(lambda k: 2**k),
+    st.integers(1, 70).map(lambda k: 2**k - 1),
+    st.integers(0, 70).map(lambda k: 2**k + 1),
+    st.integers(2**32, 2**80),
+)
+
+
+class TestRandomSchedulerDraws:
+    """``choose_index`` runs randrange's own rejection loop
+    (``Random._randbelow_with_getrandbits``): the same picks, and the
+    same generator state afterwards."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64), sizes=st.lists(_SIZES, min_size=1, max_size=40))
+    def test_draws_and_final_state_equal_randrange(self, seed, sizes):
+        scheduler = RandomScheduler(random.Random(seed))
+        reference = random.Random(seed)
+        picks = [scheduler.choose_index(size) for size in sizes]
+        assert picks == [reference.randrange(size) for size in sizes]
+        assert scheduler.rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_an_empty_range_raises_like_randrange(self, size):
+        with pytest.raises(ValueError):
+            RandomScheduler(random.Random(1)).choose_index(size)
+
+    def test_a_generator_with_its_own_randbelow_is_asked_through_randrange(self):
+        """Overriding ``random()`` alone switches ``Random`` to its float
+        based ``_randbelow``; the scheduler then draws through
+        ``randrange`` as before."""
+
+        class FloatOnly(random.Random):
+            def random(self):
+                return super().random()
+
+        assert FloatOnly._randbelow is not random.Random._randbelow
+        scheduler = RandomScheduler(FloatOnly(5))
+        reference = FloatOnly(5)
+        sizes = [1, 2, 3, 7, 8, 9, 1000, 2**33 + 1]
+        assert [scheduler.choose_index(size) for size in sizes] == [
+            reference.randrange(size) for size in sizes
+        ]
+        assert scheduler.rng.getstate() == reference.getstate()
+
+    def test_a_replaced_generator_is_the_one_drawn_from(self):
+        scheduler = RandomScheduler(random.Random(1))
+        scheduler.rng = random.Random(2)
+        assert scheduler.choose_index(10**6) == random.Random(2).randrange(10**6)
