@@ -171,11 +171,11 @@ def _run_export(args) -> tuple[str, int]:
     out = args.out or str(args.path).removesuffix(".jsonl") + ".trace.json"
     try:
         recording = load_recording(args.path)
+        path = save_chrome_trace(out, recording)
     except FileNotFoundError:
         raise SystemExit(f"repro export: no such recording: {args.path}")
     except (OSError, ValueError) as exc:
         raise SystemExit(f"repro export: {exc}")
-    path = save_chrome_trace(out, recording)
     return (
         f"exported {len(recording.events)} kernel events -> {path}\n"
         "open in https://ui.perfetto.dev or chrome://tracing"
@@ -212,7 +212,10 @@ def _run_diff(args) -> tuple[str, int]:
         )
     a = _load_recording_or_exit(args.path, "diff")
     b = _load_recording_or_exit(args.path2, "diff")
-    report = diff_recordings(a, b, max_slice=args.slice)
+    try:
+        report = diff_recordings(a, b, max_slice=args.slice)
+    except ValueError as exc:  # a recording whose events do not replay
+        raise SystemExit(f"repro diff: {exc}")
     text = format_divergence(report, a_path=args.path, b_path=args.path2)
     if report.identical:
         return text, 0
@@ -328,12 +331,11 @@ def _run_coverage(args) -> tuple[str, int]:
         from repro.sim.flightrecorder import load_recording
 
         try:
-            recording = load_recording(args.path)
+            snapshot = coverage_from_events(load_recording(args.path).events)
         except FileNotFoundError:
             raise SystemExit(f"repro coverage: no such recording: {args.path}")
         except (OSError, ValueError) as exc:
             raise SystemExit(f"repro coverage: {exc}")
-        snapshot = coverage_from_events(recording.events)
         try:
             return format_coverage_run(
                 snapshot, atlas=atlas, source=str(args.path)

@@ -227,7 +227,13 @@ class _Inputs:
         path = self.recording_path
         if path is None:
             return None
-        return path, self._once(path, lambda: load_recording(path))
+
+        def replayed() -> Recording:
+            recording = load_recording(path)
+            recording.events  # a schedule that does not replay is a read error
+            return recording
+
+        return path, self._once(path, replayed)
 
     def telemetry(self) -> dict[str, Any] | None:
         recording = self.recording()

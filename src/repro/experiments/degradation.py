@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from repro.analysis.stats import wilson_interval
+from repro.experiments.forensics import run_header
 from repro.experiments.scenarios import RunSpec, parse_scenario_name, resolve_run
 from repro.sim.flightrecorder import FlightRecorder, save_recording
 from repro.sim.monitors import SEVERITY_WHP, MonitorSuite
@@ -266,7 +267,7 @@ def _export_cell(
     directory.mkdir(parents=True, exist_ok=True)
     # repr(rate), like the spec's name: two swept rates never share a file.
     out = directory / f"cell_{scenario}_r{rate!r}_s{seed}.jsonl"
-    save_recording(out, recorder, result, protocol=spec.name)
+    save_recording(out, recorder, result, protocol=run_header(spec, recorder.events))
     return out.name
 
 

@@ -28,12 +28,17 @@ from typing import Any, Callable, Sequence
 
 from repro.experiments.scenarios import RunSpec, describe_runs, resolve_run
 from repro.sim.adversary import ReplayScheduler, StaticCorruption
-from repro.sim.diffing import (
-    DEFAULT_MAX_SLICE,
-    diff_events,
-    format_slice,
+from repro.sim.diffing import DEFAULT_MAX_SLICE, format_slice
+from repro.sim.events import CorruptEvent, KernelEvent
+from repro.sim.flightrecorder import (
+    FlightRecorder,
+    Recording,
+    code_digest,
+    load_recording,
+    stream_digest,
 )
-from repro.sim.flightrecorder import FlightRecorder, Recording, load_recording
+from repro.sim.fuzz import ScheduledCorruption
+from repro.sim.lossy import LossyLinkConfig
 from repro.sim.minimize import minimize_schedule
 from repro.sim.monitors import MonitorSuite
 from repro.sim.runner import RunResult
@@ -43,6 +48,7 @@ __all__ = [
     "format_explain",
     "replay_recording",
     "resolve_protocol",
+    "run_header",
     "spec_of",
 ]
 
@@ -64,16 +70,34 @@ def resolve_protocol(recording: Recording, protocol: str | None = None) -> str:
     return name
 
 
-def spec_of(recording: Recording, protocol: str | RunSpec | None = None) -> RunSpec:
+def run_header(spec: RunSpec, events: Sequence[KernelEvent]) -> dict[str, Any]:
+    """The header fields that name ``spec``'s run, for ``save_recording``.
+
+    The spec's name and ``lossy`` config (a fuzz candidate's or a swept
+    cell's perturbed links), and -- when any corruption fired mid-run --
+    every corruption in ``events`` as ``corrupt_after`` ``[pid, step]``
+    pairs, so adaptive and moved corruptions replay.  :func:`spec_of`
+    reads them back.
+    """
+    header: dict[str, Any] = {
+        "protocol": spec.name,
+        "lossy": None if spec.lossy is None else spec.lossy.to_dict(),
+    }
+    corruptions = [[event.pid, event.step] for event in events if type(event) is CorruptEvent]
+    if any(step for _, step in corruptions):
+        header["corrupt_after"] = corruptions
+    return header
+
+
+def spec_of(recording: Recording, protocol: str | None = None) -> RunSpec:
     """The run behind a recording, rebuilt from its header alone.
 
-    ``protocol`` overrides the header's name, or is the spec itself (the
-    fuzzer hands over a candidate's perturbed one).  The header's
-    ``corrupted`` set is the replay's corruption, so recordings of runs
-    that did not corrupt ``range(f)`` replay as they ran.
+    ``protocol`` overrides the header's name.  The header's ``lossy``
+    config, when it has one (:func:`run_header`), replaces the resolved
+    spec's, and its corruptions replace the spec's: ``corrupt_after``
+    re-fires mid-run corruptions at the step they fired, else the
+    ``corrupted`` set is corrupted from the start.
     """
-    if isinstance(protocol, RunSpec):
-        return protocol
     header = recording.header
     spec = resolve_run(
         resolve_protocol(recording, protocol),
@@ -81,7 +105,12 @@ def spec_of(recording: Recording, protocol: str | RunSpec | None = None) -> RunS
         f=header["f"],
         seed=header["seed"],
     )
-    if "corrupted" in header:
+    if "lossy" in header:
+        lossy = header["lossy"]
+        spec = replace(spec, lossy=lossy and LossyLinkConfig.from_dict(lossy))
+    if "corrupt_after" in header:
+        spec = replace(spec, corruption=ScheduledCorruption(header["corrupt_after"]))
+    elif "corrupted" in header:
         spec = replace(spec, corruption=StaticCorruption(header["corrupted"]))
     return spec
 
@@ -98,7 +127,7 @@ def _replay(
 
 def replay_recording(
     recording: Recording,
-    protocol: str | RunSpec | None = None,
+    protocol: str | None = None,
     observers: Sequence[Any] = (),
 ) -> RunResult:
     """Re-execute a recording's schedule seq-exactly.
@@ -184,7 +213,7 @@ def _reproducer(
 
 def explain_recording(
     source: str | Path | Recording,
-    protocol: str | RunSpec | None = None,
+    protocol: str | None = None,
     max_slice: int = DEFAULT_MAX_SLICE,
     minimize: bool = True,
     minimize_budget: int | None = None,
@@ -192,11 +221,12 @@ def explain_recording(
     """The full `repro explain` pipeline over one recording.
 
     Replays the recording seq-exactly with a fresh monitor suite and
-    flight recorder, checks replay fidelity (recorded vs replayed event
-    logs), identifies the failure, and -- when one reproduces -- shrinks
-    its schedule to the deliveries that matter.  Returns the JSON-ready
+    flight recorder, checks replay fidelity (the replayed events' stream
+    digest against the recorded one), identifies the failure, and --
+    when one reproduces -- shrinks its schedule to the deliveries that
+    matter.  Returns the JSON-ready
     payload (``kind: "explain"``); ``failure is None`` means the
-    recording is clean.  ``protocol`` is as for :func:`spec_of`.
+    recording is clean.  ``protocol`` overrides the header's name.
     ``minimize_budget`` caps the ddmin phase's replay count (the fuzzer
     bounds per-counterexample work this way).
     """
@@ -225,6 +255,8 @@ def explain_recording(
         "seed": spec.seed,
         "deliveries": len(schedule),
     }
+    if recording.header.get("code") != code_digest():
+        payload["recorded_code"] = recording.header.get("code")
     if replay_error is not None:
         payload["replay_error"] = replay_error
         payload["failure"] = {
@@ -237,10 +269,15 @@ def explain_recording(
         }
         return payload
 
-    fidelity = diff_events(recording.events, recorder.events, max_slice=max_slice)
-    payload["replay_identical"] = fidelity.identical
-    if not fidelity.identical:
-        payload["replay_divergence"] = fidelity.to_dict()
+    recorded = recording.header.get("stream")
+    replayed = stream_digest(recorder.events)
+    payload["replay_identical"] = recorded == replayed
+    if recorded != replayed:
+        payload["replay_divergence"] = {
+            "recorded": recorded,
+            "replayed": replayed,
+            "describe": f"stream digest {replayed}, the recording's {recorded}",
+        }
 
     failure = _find_failure(recording, suite, result)
     payload["failure"] = failure
@@ -275,6 +312,11 @@ def format_explain(payload: dict[str, Any]) -> str:
         f"f={payload.get('f')} seed={payload.get('seed')} "
         f"deliveries={payload.get('deliveries')}"
     )
+    if payload.get("recorded_code"):
+        lines.append(
+            f"note: recorded by other repro sources ({payload['recorded_code']}); "
+            "replaying under these"
+        )
     if "replay_identical" in payload:
         lines.append(
             "replay: event log identical to the recording"

@@ -39,7 +39,7 @@ from typing import Any, Sequence
 
 from repro.crypto.hashing import derive_seed
 from repro.experiments.coverage_atlas import CoverageAtlas
-from repro.experiments.forensics import explain_recording, spec_of
+from repro.experiments.forensics import explain_recording, run_header, spec_of
 from repro.experiments.scenarios import RunSpec
 from repro.experiments.trends import record_bench
 from repro.sim.adversary import RandomScheduler, ReplayScheduler
@@ -106,24 +106,24 @@ def _bundle_counterexample(
 ) -> dict[str, Any]:
     """Persist one violating candidate: recording + minimized bundle.
 
-    The candidate is re-executed under a flight recorder and the
-    recording goes through :func:`explain_recording` with the
-    candidate's spec, so a lossy or corruption-moved candidate is
-    replayed, checked for fidelity and minimized exactly like a plain
-    one (lossy fates are functions of the seq, so a lossy run replays
-    seq-exactly under its own config); the candidate recipe rides along
-    because the recording's header names only the unperturbed run.
+    The candidate is re-executed under a flight recorder and saved with
+    its own spec, whose lossy links and corruption steps the header
+    keeps, so :func:`explain_recording` replays, checks and minimizes it
+    from the file alone, exactly like a plain recording (lossy fates are
+    functions of the seq, so a lossy run replays seq-exactly under its
+    own config).
     """
     recorder = FlightRecorder()
     result = _execute_candidate(spec, candidate, explore_cap, [recorder])
     recording_path = Path(f"{out_prefix}_ce{index}.jsonl")
-    save_recording(recording_path, recorder, result, protocol=spec.name)
-    divergence_path = Path(f"{out_prefix}_ce{index}.divergence.json")
-    payload = explain_recording(
+    save_recording(
         recording_path,
-        protocol=_candidate_spec(spec, candidate),
-        minimize_budget=minimize_budget,
+        recorder,
+        result,
+        protocol=run_header(_candidate_spec(spec, candidate), recorder.events),
     )
+    divergence_path = Path(f"{out_prefix}_ce{index}.divergence.json")
+    payload = explain_recording(recording_path, minimize_budget=minimize_budget)
     payload["source"] = "fuzz"
     payload["candidate"] = candidate.to_dict()
     save_divergence(divergence_path, payload)

@@ -12,8 +12,9 @@ Two halves, mirroring the CLI subcommands:
   timings and cache counters, and the causal critical path to the
   deepest decision.
 
-Everything renders from the recording alone -- no re-execution -- so a
-report is reproducible from the artifact file forever.
+The summary footer's numbers render from the file; the per-event
+sections read the recording's events, which its schedule replays under
+the same build (a recording from other sources is refused at load).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any
 
+from repro.experiments.forensics import run_header
 from repro.experiments.scenarios import resolve_run
 from repro.sim.events import DeliverEvent, SendEvent
 from repro.sim.flightrecorder import (
@@ -54,7 +56,7 @@ def record_run(
     Returns ``(recording_path, result)``.  The run stops when every
     correct process has decided (the BA harness convention).  The
     recording is the one file a run leaves: telemetry, coverage and the
-    report are all computed from its events.
+    report are all computed from its (replayed) events.
 
     ``name`` is anything :func:`~repro.experiments.scenarios.resolve_run`
     accepts: a Table 1 protocol (its benign run) or a zoo scenario (e.g.
@@ -66,8 +68,7 @@ def record_run(
     spec = resolve_run(name, n, f=f, seed=seed)
     recorder = FlightRecorder()
     result = spec.run(observers=[recorder], profile=profile)
-    # spec.name is canonical (rate-suffixed when non-default).
-    path = save_recording(out, recorder, result, protocol=spec.name)
+    path = save_recording(out, recorder, result, protocol=run_header(spec, recorder.events))
     return path, result
 
 

@@ -74,7 +74,7 @@ def save_jsonl(
     """Write an iterable of records to ``path``, one JSON object per line.
 
     The streaming sibling of :func:`save_results`: flight recordings are
-    schedule-sized (one line per kernel event), so they are written
+    schedule-sized (one line per 1,024 deliveries), so they are written
     line-by-line instead of as one indented document, in canonical form
     (sorted keys, no padding) so equal records give equal bytes.
 

@@ -63,7 +63,10 @@ DEFAULT_MAX_SLICE = 20
 
 # Header keys that define run identity; a mismatch means the two
 # recordings are not even attempts at the same run.
-_IDENTITY_KEYS = ("schema", "version", "n", "f", "seed", "corrupted", "protocol")
+_IDENTITY_KEYS = (
+    "schema", "version", "n", "f", "seed", "corrupted", "corrupt_after",
+    "protocol", "lossy",
+)
 
 # Summary keys worth diffing one by one (the rest live under metrics).
 _SUMMARY_KEYS = (
@@ -310,12 +313,13 @@ def diff_recordings(
         for key in _IDENTITY_KEYS
         if a.header.get(key) != b.header.get(key)
     )
+    summary_drifts = _summary_drifts(a.summary, b.summary)
     return diff_events(
         a.events,
         b.events,
         max_slice=max_slice,
         header_mismatches=header_mismatches,
-        summary_drifts=_summary_drifts(a.summary, b.summary),
+        summary_drifts=summary_drifts,
     )
 
 

@@ -71,7 +71,11 @@ EVENT_SCHEMA = "repro.flight"
 # the file, so an edited or damaged recording that still parses (a
 # changed seq, a flipped ``n``) fails to load instead of replaying into a
 # misleading diagnosis.  As with v2, there is no v3 reader.
-EVENT_SCHEMA_VERSION = 4
+# v5: no events in the file.  The header (plus a ``code`` digest of the
+# sources, a ``stream`` digest of the events, a perturbed spec's ``lossy``
+# config), the packed schedule and the footer; events come back by
+# replay under the same code.  There is no v4 reader.
+EVENT_SCHEMA_VERSION = 5
 
 
 def require_schema_version(version: Any, source: Any = None) -> None:
@@ -367,9 +371,7 @@ def event_to_record(event: KernelEvent) -> dict[str, Any]:
     Deliver events inline the summary's fields; everything else
     serialises field-for-field.  The inverse is
     :func:`event_from_record`.  This is the one flat
-    definition of an event's fields: diff and violation reports show it,
-    and a recording's line is this record with the summary's text
-    swapped for a payload id (:func:`repro.sim.flightrecorder.encode_events`).
+    definition of an event's fields: diff and violation reports show it.
     """
     record: dict[str, Any] = {"k": event.kind}
     for name in _RECORD_FIELDS[type(event)]:
@@ -388,18 +390,14 @@ def instance_from_json(value: Any) -> Hashable:
 
 
 def event_from_record(
-    record: dict[str, Any],
-    version: int = EVENT_SCHEMA_VERSION,
-    summary: PayloadSummary | None = None,
+    record: dict[str, Any], version: int = EVENT_SCHEMA_VERSION
 ) -> KernelEvent:
     """Rebuild a typed event from :func:`event_to_record` output.
 
     Tolerates JSON round-trips: instance tuples come back from lists.
-    A deliver record either carries its summary inline (``payload_words``
-    / ``payload_text``, the flat form) or the caller passes the shared
-    ``summary`` it resolved from a recording's payload table.  Raises
-    ``ValueError`` on unknown kinds, and on a ``version`` other than this
-    build's for callers that hand over records of another provenance.
+    Raises ``ValueError`` on unknown kinds, and on a ``version`` other
+    than this build's for callers that hand over records of another
+    provenance.
     """
     require_schema_version(version)
     data = dict(record)
@@ -412,12 +410,10 @@ def event_from_record(
     if "value" in data:
         data["value"] = instance_from_json(data["value"])
     if cls is DeliverEvent:
-        if summary is None:
-            summary = PayloadSummary(
-                kind=data["message_kind"],
-                instance=data["instance"],
-                words=data.pop("payload_words"),
-                text=data.pop("payload_text"),
-            )
-        data["summary"] = summary
+        data["summary"] = PayloadSummary(
+            kind=data["message_kind"],
+            instance=data["instance"],
+            words=data.pop("payload_words"),
+            text=data.pop("payload_text"),
+        )
     return cls(**data)

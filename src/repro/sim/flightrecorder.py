@@ -1,30 +1,38 @@
-"""The flight recorder: persistable kernel-event logs and their analyses.
+"""The flight recorder: kernel-event logs, their recordings and analyses.
 
 A :class:`FlightRecorder` is an event-bus subscriber that keeps every
 kernel event of a run (events hold no live message, so the log stays
-valid after the run).  :func:`save_recording` /
-:func:`load_recording` move a recording through the schema-versioned
-JSONL format -- one header line, the event lines of
-:func:`encode_events` (a payload table and broadcast send-runs instead
-of one full line per event), one summary footer -- via
-:mod:`repro.experiments.store`.  :func:`critical_path` walks a
-recorded event log back from the deepest decision along the causal
-depth chain, recovering the message sequence whose length *is* the run's
-running time (paper Section 2's longest causally-related chain).
+valid after the run).  :func:`critical_path` walks an event log back
+along the causal depth chain from the deepest decision, recovering the
+message sequence whose length *is* the run's running time (paper
+Section 2's longest causally-related chain).
 
-The recorder is also the replay bridge: :meth:`FlightRecorder.schedule`
-is the run's ``(seq, sender, dest)`` deliveries, which
-:class:`repro.sim.adversary.ReplayScheduler` re-executes
-delivery-for-delivery.
+A run replays seq-exactly from its spec and its schedule, so a recording
+(:func:`save_recording`, schema-versioned JSONL) keeps those, not the
+events: a header naming the run (``n``, ``f``, ``seed``, the corrupted
+set, and the fields :mod:`repro.experiments.forensics` writes and reads
+to rebuild its spec) with the ``code`` digest of the sources that ran
+it, the ``stream`` digest of its events (:func:`stream_digest`) and a
+``digest`` sealing every other byte; ``schedule`` lines of
+base64-packed ``(seq, sender, dest)`` triples; and the summary footer.
+:func:`load_recording` checks the file; the :class:`Recording`'s events
+are replayed under :class:`~repro.sim.adversary.ReplayScheduler` on
+first read, only under the sources that made it, and checked against
+the stream digest.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
-from dataclasses import dataclass, fields, replace
+import marshal
+import sys
+from array import array
+from dataclasses import fields
+from functools import cache, cached_property
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 from repro.sim.events import (
     EVENT_SCHEMA,
@@ -32,11 +40,7 @@ from repro.sim.events import (
     DecideEvent,
     DeliverEvent,
     KernelEvent,
-    PayloadSummary,
     SendEvent,
-    event_from_record,
-    event_to_record,
-    instance_from_json,
     require_schema_version,
 )
 
@@ -45,14 +49,15 @@ if TYPE_CHECKING:
     from repro.sim.runner import RunResult
 
 __all__ = [
+    "SCHEDULE_LINE",
     "FlightRecorder",
     "Recording",
     "causal_chain",
+    "code_digest",
     "critical_path",
-    "decode_events",
-    "encode_events",
     "load_recording",
     "save_recording",
+    "stream_digest",
 ]
 
 
@@ -99,17 +104,58 @@ class FlightRecorder:
         return _schedule(self.events)
 
 
-@dataclass(frozen=True)
 class Recording:
-    """A loaded flight recording: run header, typed events, summary."""
+    """A flight recording: header, schedule, summary and, on first read,
+    the events, replayed under the run the header names
+    (:func:`repro.experiments.forensics.spec_of`).
+    """
 
-    header: dict[str, Any]
-    events: tuple[KernelEvent, ...]
-    summary: dict[str, Any]
+    def __init__(
+        self,
+        header: dict[str, Any],
+        summary: dict[str, Any],
+        schedule: Schedule,
+        source: Any = "<recording>",
+    ) -> None:
+        self.header = header
+        self.summary = summary
+        self.source = source
+        self._schedule = schedule
 
     def schedule(self) -> Schedule:
         """The recorded run's ``(seq, sender, dest)`` deliveries, in order."""
-        return _schedule(self.events)
+        return self._schedule
+
+    @cached_property
+    def events(self) -> tuple[KernelEvent, ...]:
+        """The run's kernel events, replayed from the schedule once.
+
+        Raises a one-line ``ValueError`` when other sources than these
+        recorded the run, the header names no run, the replay leaves the
+        schedule, or its events do not hash to the recorded stream digest.
+        """
+        from repro.experiments.forensics import replay_recording
+
+        if self.header.get("code") != code_digest():
+            raise ValueError(
+                f"{self.source}: code digest mismatch: recorded by other repro "
+                f"sources ({self.header.get('code')}, these are {code_digest()}), "
+                "which alone replay its events; re-record the run"
+            )
+        if not self.header.get("protocol"):
+            raise ValueError(f"{self.source}: the header names no run to replay")
+        recorder = FlightRecorder()
+        try:
+            replay_recording(self, observers=[recorder])
+        except RuntimeError as exc:
+            raise ValueError(f"{self.source}: replay failed: {exc}") from None
+        replayed, recorded = stream_digest(recorder.events), self.header.get("stream")
+        if replayed != recorded:
+            raise ValueError(
+                f"{self.source}: stream digest mismatch: the replay hashes to "
+                f"{replayed}, the recording to {recorded}; re-record the run"
+            )
+        return tuple(recorder.events)
 
 
 def _schedule(events) -> Schedule:
@@ -120,199 +166,130 @@ def _schedule(events) -> Schedule:
     )
 
 
-# What the sends of one broadcast share: every field but the two that
-# step by one.
-_SEND_RUN_KEY = attrgetter(
-    *(spec.name for spec in fields(SendEvent) if spec.name not in ("seq", "dest"))
-)
+# -- the stream digest ---------------------------------------------------------------
+
+# Per event class, its ``kind`` tag and fields as one tuple (a deliver's
+# summary left out: it goes in as its own digest, once per object).
+_ROW = {
+    cls: attrgetter("kind", *(f.name for f in fields(cls) if f.name != "summary"))
+    for cls in KernelEvent.__args__
+}
+_DIGEST_CHUNK = 64  # events per marshalled block (larger blocks raise peak RSS)
 
 
-def encode_events(events: Iterable[KernelEvent]) -> Iterator[dict[str, Any]]:
-    """The JSON-native event lines of a recording, from an event stream.
+def stream_digest(events: Sequence[KernelEvent]) -> str:
+    """The SHA-256 of an event stream, read once, in blocks.
 
-    Each line is the event's :func:`~repro.sim.events.event_to_record`
-    with two savings, both a pure function of the stream (the kernel is
-    not involved) and both undone by :func:`decode_events`:
-
-    * **Payload table.**  A deliver line cites its summary as
-      ``payload_id``; the summary itself (kind, instance, words, text) is
-      one ``{"k": "payload", "id": ...}`` line written immediately before
-      the first deliver that cites it.  Equal summaries share an id, so
-      the n deliveries of a broadcast write its text once.
-    * **Send-runs.**  Consecutive send events that differ only
-      by ``seq`` and ``dest`` both stepping by one are a single send line
-      with a ``count`` (omitted when 1).  A broadcast is one line;
-      unicasts, Byzantine per-destination sends and a lossy link's
-      duplicate twins simply do not group.
-
-    Lazy, so a recorder that streams can feed it as events arrive.
+    Each event is the tuple of its ``kind`` and its fields; a deliver's
+    :class:`~repro.sim.events.PayloadSummary` is the SHA-256 of its own
+    fields, computed once per summary object.  Blocks of
+    ``_DIGEST_CHUNK`` tuples are ``marshal``-ed (format 2, no object
+    references), which is type-exact: ``1``, ``True`` and ``1.0`` differ,
+    as do a tuple and a list, so two streams share a digest only if
+    their events are equal field by field with equal types.  A value
+    ``marshal`` cannot write (an object of a class) raises ``ValueError``.
     """
-    from repro.experiments.store import to_jsonable
-
-    instances: dict[Any, Any] = {}
-
-    def jsonable(instance: Any) -> Any:
-        # One to_jsonable walk per distinct instance label, not per event.
-        try:
-            return instances[instance]
-        except KeyError:
-            value = instances[instance] = to_jsonable(instance)
-            return value
-
-    def send_line(head: SendEvent, count: int) -> dict[str, Any]:
-        record = event_to_record(head)
-        record["instance"] = jsonable(head.instance)
-        if count > 1:
-            record["count"] = count
-        return record
-
-    payload_ids: dict[PayloadSummary, int] = {}
-    head: SendEvent | None = None
-    head_key: tuple = ()
-    count = 0
+    hasher, sha256 = hashlib.sha256(), hashlib.sha256
+    rows: list = []
+    append = rows.append
+    summaries: dict[int, bytes] = {}  # by id: the events keep them alive
+    deliver, row_of = DeliverEvent, _ROW
     for event in events:
         cls = type(event)
-        if cls is SendEvent:
-            if head is not None:
-                if (
-                    event.seq == head.seq + count
-                    and event.dest == head.dest + count
-                    and _SEND_RUN_KEY(event) == head_key
-                ):
-                    count += 1
-                    continue
-                yield send_line(head, count)
-            head, head_key, count = event, _SEND_RUN_KEY(event), 1
-            continue
-        if head is not None:
-            yield send_line(head, count)
-            head = None
-        record = event_to_record(event)
-        if cls is DeliverEvent:
+        row = row_of[cls](event)
+        if cls is deliver:
             summary = event.summary
-            payload_id = payload_ids.get(summary)
-            if payload_id is None:
-                payload_id = payload_ids[summary] = len(payload_ids)
-                yield {
-                    "k": "payload",
-                    "id": payload_id,
-                    "kind": summary.kind,
-                    "instance": jsonable(summary.instance),
-                    "words": summary.words,
-                    "text": summary.text,
-                }
-            del record["payload_words"], record["payload_text"]
-            record["payload_id"] = payload_id
-        if "instance" in record:
-            record["instance"] = jsonable(record["instance"])
-        if "value" in record:
-            record["value"] = to_jsonable(record["value"])
-        yield record
-    if head is not None:
-        yield send_line(head, count)
+            known = summaries.get(id(summary))
+            if known is None:
+                parts = [summary.kind, summary.instance, summary.words, summary.text]
+                known = summaries[id(summary)] = sha256(marshal.dumps(parts, 2)).digest()
+            row += (known,)
+        append(row)
+        if len(rows) == _DIGEST_CHUNK:
+            hasher.update(marshal.dumps(rows, 2))
+            rows.clear()
+    hasher.update(marshal.dumps(rows, 2))
+    return hasher.hexdigest()
 
 
-def _decode_line(
-    record: dict[str, Any], payloads: dict[Any, PayloadSummary]
-) -> tuple[KernelEvent, ...]:
-    """The events one :func:`encode_events` line stands for (none for a
-    payload line, which extends ``payloads`` instead)."""
-    kind = record["k"]
-    if kind == "payload":
-        payload_id = record["id"]
-        if payload_id in payloads:
-            raise ValueError(f"duplicate payload id {payload_id!r}")
-        payloads[payload_id] = PayloadSummary(
-            kind=record["kind"],
-            instance=instance_from_json(record["instance"]),
-            words=record["words"],
-            text=record["text"],
-        )
-        return ()
-    record = dict(record)
-    if kind == "deliver":
-        payload_id = record.pop("payload_id")
-        if payload_id not in payloads:
-            raise ValueError(
-                f"deliver seq {record.get('seq')!r} cites payload id "
-                f"{payload_id!r}, which no earlier payload line defines"
-            )
-        return (event_from_record(record, summary=payloads[payload_id]),)
-    if kind == "send":
-        count = record.pop("count", 1)
-        if type(count) is not int or count < 1:
-            raise ValueError(f"send count {count!r} is not a positive integer")
-        first = event_from_record(record)
-        return (first,) + tuple(
-            replace(first, seq=first.seq + step, dest=first.dest + step)
-            for step in range(1, count)
-        )
-    return (event_from_record(record),)
+@cache
+def code_digest() -> str:
+    """The SHA-256 of every ``.py`` file of the ``repro`` package (path
+    and bytes, in path order), computed once per process."""
+    root = Path(__file__).resolve().parent.parent
+    hasher = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        data = path.read_bytes()
+        hasher.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        hasher.update(data)
+    return hasher.hexdigest()
 
 
-def decode_events(
-    numbered: Iterable[tuple[int, dict[str, Any]]], source: Any = "<records>"
-) -> Iterator[KernelEvent]:
-    """The event stream behind ``(line number, record)`` pairs of
-    :func:`encode_events` lines: its exact inverse.
+# -- the file --------------------------------------------------------------------
 
-    Send-runs expand to one :class:`SendEvent` per destination and every
-    deliver gets the (shared) summary its ``payload_id`` names; a payload
-    line nothing cites is fine.  A malformed line -- a deliver citing an
-    id no earlier payload line defines, a duplicate payload id, a send
-    ``count`` below one, an unknown kind, a missing or surplus field --
-    raises a one-line ``ValueError`` naming ``source`` and the line.
-    """
-    payloads: dict[Any, PayloadSummary] = {}
-    for lineno, record in numbered:
-        try:
-            decoded = _decode_line(record, payloads)
-        except KeyError as exc:
-            raise ValueError(f"{source}: line {lineno}: missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{source}: line {lineno}: {exc}") from None
-        yield from decoded
+SCHEDULE_LINE = 1024  # deliveries per ``schedule`` line
+_TRIPLE_BYTES = 12  # three little-endian uint32
+
+
+def _packed(ints: array) -> str:
+    if sys.byteorder != "little":
+        ints.byteswap()
+    return base64.b64encode(ints.tobytes()).decode("ascii")
+
+
+def _unpacked(text: str) -> Schedule:
+    data = base64.b64decode(text, validate=True)
+    if len(data) % _TRIPLE_BYTES:
+        raise ValueError(f"{len(data)} bytes are not a whole number of deliveries")
+    ints = array("I")
+    ints.frombytes(data)
+    if sys.byteorder != "little":
+        ints.byteswap()
+    triples = iter(ints)
+    return tuple(zip(triples, triples, triples))
 
 
 def save_recording(
     path: str | Path,
     recorder: FlightRecorder,
     result: "RunResult",
-    protocol: str | None = None,
+    protocol: str | Mapping[str, Any] | None = None,
 ) -> Path:
     """Write a run's flight recording to ``path`` as schema-versioned JSONL.
 
-    Line 1 is the header (schema name/version, run identity and the
-    SHA-256 ``digest`` that seals the whole file), then the
-    :func:`encode_events` lines, then a ``summary`` footer carrying the
-    persisted metrics (timings included -- a recording documents one
-    concrete run) and the protocol rollups, so reports render without
-    re-execution.
-
-    ``protocol`` names the run (a ``repro.experiments.scenarios.resolve_run``
-    name: Table 1 protocol or zoo scenario); recordings that carry it
-    can be re-executed by ``python -m repro explain`` without the caller
-    remembering how the run was built.
+    The header, the ``schedule`` lines, then a ``summary`` footer with
+    the persisted metrics (timings included -- a recording documents one
+    concrete run) and the protocol rollups.  ``protocol`` names the run:
+    a ``repro.experiments.scenarios.resolve_run`` name, or the header
+    fields :func:`repro.experiments.forensics.run_header` makes of a
+    ``RunSpec`` (a perturbed spec's lossy links and mid-run corruptions
+    too), which go into the header as they are.  Only a named recording
+    replays its events.
 
     Raises ``ValueError`` when the log's delivery count is not the
     result's: the recorder watched a different run, or more than one.
-    The count is taken while writing, and the store only moves a
-    completed file to ``path``, so nothing is left there.
+    The store only moves a completed file to ``path``, so nothing is left.
     """
     from repro.experiments.store import save_jsonl, to_jsonable
 
-    header = {
+    events = recorder.events
+    header: dict[str, Any] = {
         "k": "header",
         "schema": EVENT_SCHEMA,
         "version": EVENT_SCHEMA_VERSION,
         "digest": _UNSEALED.decode(),
+        "code": code_digest(),
+        "stream": stream_digest(events),
+        "events": len(events),
         "n": result.n,
         "f": result.f,
         "seed": result.seed,
         "corrupted": sorted(result.corrupted),
     }
-    if protocol is not None:
+    if isinstance(protocol, str):
         header["protocol"] = protocol
+    elif protocol is not None:
+        header.update(protocol)
     summary = {
         "k": "summary",
         "deliveries": result.deliveries,
@@ -327,10 +304,16 @@ def save_recording(
 
     def lines() -> Iterator[dict[str, Any]]:
         yield to_jsonable(header)
-        delivered = 0
-        for record in encode_events(recorder.events):
-            delivered += record["k"] == "deliver"
-            yield record
+        ints, delivered = array("I"), 0
+        for event in events:
+            if type(event) is DeliverEvent:
+                ints.extend((event.seq, event.sender, event.dest))
+                delivered += 1
+                if len(ints) == 3 * SCHEDULE_LINE:
+                    yield {"k": "schedule", "packed": _packed(ints)}
+                    ints = array("I")
+        if ints:
+            yield {"k": "schedule", "packed": _packed(ints)}
         if delivered != result.deliveries:
             raise ValueError(
                 f"{path}: recorder holds {delivered} deliveries but the result "
@@ -342,7 +325,7 @@ def save_recording(
 
 
 # The header's ``digest`` is the SHA-256 of every other byte of the file:
-# the header's own fields, the event lines and the footer, with the 64
+# the header's own fields, the schedule lines and the footer, with the 64
 # hex digits of the digest itself read as zeros.  The writer puts zeros
 # there and overwrites them in place once the file is complete.
 _DIGEST_KEY = b'"digest":"'
@@ -378,18 +361,18 @@ def _seal(path: str | Path) -> None:
 
 
 def load_recording(path: str | Path) -> Recording:
-    """Load a :func:`save_recording` file back into typed events.
+    """Load a :func:`save_recording` file: header, schedule and summary.
 
     Raises a one-line ``ValueError`` on anything that is not a complete
-    recording of this build's schema -- empty file, missing header,
-    unknown schema or version, a truncated line (diagnosed with its line
-    number by the store), an event line :func:`decode_events` rejects,
-    anything after the summary footer (a second footer included), a
-    missing footer (the writer always ends with one, so its absence means
-    the recording was cut short), or, last, bytes that no longer hash to
-    the header's digest (a changed seq or ``n`` that still parses) -- so
-    stale, damaged or edited recordings fail loudly rather than misrender
-    or replay into a misleading diagnosis.
+    recording of this build -- empty file, missing header, unknown schema
+    or version, a truncated line (diagnosed with its line number by the
+    store), a schedule line that does not unpack, a line of another kind
+    or after the summary footer, a missing footer (the recording was cut
+    short), bytes that no longer hash to the header's digest (an edit
+    that still parses), or a schedule that is not the footer's delivery
+    count.  The events are replayed later, by :attr:`Recording.events`,
+    which alone needs this build's sources: ``explain`` and ``fuzz``
+    replay the schedule under any build and report where it diverges.
     """
     from repro.experiments.store import iter_jsonl
 
@@ -402,25 +385,30 @@ def load_recording(path: str | Path) -> Recording:
     if header.get("schema") != EVENT_SCHEMA:
         raise ValueError(f"{path}: unknown schema {header.get('schema')!r}")
     require_schema_version(header.get("version"), path)
+    schedule: list[tuple[int, int, int]] = []
     summary: dict[str, Any] | None = None
-
-    def event_lines() -> Iterator[tuple[int, dict[str, Any]]]:
-        nonlocal summary
-        for lineno, record in numbered:
-            if summary is not None:
-                raise ValueError(
-                    f"{path}: line {lineno}: a {record.get('k')!r} line follows "
-                    "the summary footer, which ends a recording"
-                )
-            if record.get("k") == "summary":
-                summary = record
-            else:
-                yield lineno, record
-
-    events = tuple(decode_events(event_lines(), path))
+    for lineno, record in numbered:
+        kind = record.get("k") if isinstance(record, dict) else None
+        if summary is not None:
+            raise ValueError(
+                f"{path}: line {lineno}: a {kind!r} line follows "
+                "the summary footer, which ends a recording"
+            )
+        if kind == "summary":
+            summary = record
+        elif kind == "schedule" and set(record) == {"k", "packed"}:
+            try:
+                schedule += _unpacked(record["packed"])
+            except (TypeError, ValueError) as exc:  # binascii.Error is one
+                raise ValueError(f"{path}: line {lineno}: schedule: {exc}") from None
+        else:
+            raise ValueError(
+                f"{path}: line {lineno}: neither a schedule line nor the "
+                f"summary footer: {str(record)[:80]}"
+            )
     if summary is None:
         raise ValueError(
-            f"{path}: no summary footer after {len(events)} events; "
+            f"{path}: no summary footer after {len(schedule)} deliveries; "
             "the recording is truncated"
         )
     _, sealed, digest = _digest(path)
@@ -429,7 +417,12 @@ def load_recording(path: str | Path) -> Recording:
             f"{path}: digest mismatch: the file is not the one that was "
             "recorded (edited or damaged); re-record the run"
         )
-    return Recording(header=header, events=events, summary=summary)
+    if len(schedule) != summary.get("deliveries"):
+        raise ValueError(
+            f"{path}: the schedule holds {len(schedule)} deliveries but the "
+            f"footer reports {summary.get('deliveries')!r}"
+        )
+    return Recording(header, summary, tuple(schedule), source=path)
 
 
 def critical_path(events, target: DecideEvent | None = None) -> list[dict[str, Any]]:

@@ -1,5 +1,6 @@
 """The conformance pipeline: trend store, `repro check`/`trends`/`export`
-CLI, and the one-line diagnostics for damaged recordings."""
+CLI, the one-line diagnostics for damaged recordings, and every named
+run's recording replaying into the recorder's own events."""
 
 from __future__ import annotations
 
@@ -10,6 +11,15 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import conformance
+from repro.experiments.protocols import PROTOCOLS
+from repro.experiments.scenarios import SCENARIOS, resolve_run
+from repro.sim.events import EVENT_SCHEMA_VERSION
+from repro.sim.flightrecorder import (
+    FlightRecorder,
+    load_recording,
+    save_recording,
+    stream_digest,
+)
 from repro.experiments.trends import (
     TrendStore,
     bench_json_path,
@@ -261,8 +271,8 @@ class TestEventSchemaVersion:
         message = str(excinfo.value)
         assert message == (
             f"repro {command}: {old}: unknown repro.flight schema version 2: "
-            "this build reads version 4; re-record the run or load it with a "
-            "matching build"
+            f"this build reads version {EVENT_SCHEMA_VERSION}; re-record the run "
+            "or load it with a matching build"
         )
 
     def test_dashboard_degrades_to_the_same_diagnostic(
@@ -276,5 +286,28 @@ class TestEventSchemaVersion:
         out = capsys.readouterr().out
         assert (
             f"note: cannot read {old}: unknown repro.flight schema "
-            "version 2: this build reads version 4; re-record the run"
+            f"version 2: this build reads version {EVENT_SCHEMA_VERSION}; "
+            "re-record the run"
         ) in out
+
+
+class TestEveryNamedRunReplays:
+    """A v5 recording holds no events: loading one replays its schedule.
+    For every name ``repro list`` prints, that replay must give the
+    recorder's own events, and both must hash to the recorded digest."""
+
+    @pytest.mark.parametrize("name", [*PROTOCOLS, *SCENARIOS])
+    def test_loaded_events_are_the_recorders(self, name, tmp_path):
+        for seed in range(3):
+            recorder = FlightRecorder()
+            result = resolve_run(name, 16, seed=seed).run(observers=[recorder])
+            path = save_recording(
+                tmp_path / f"{seed}.jsonl", recorder, result, protocol=name
+            )
+            recording = load_recording(path)
+            assert recording.events == tuple(recorder.events), (name, seed)
+            assert (
+                stream_digest(recording.events)
+                == stream_digest(recorder.events)
+                == recording.header["stream"]
+            )

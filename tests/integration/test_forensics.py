@@ -2,7 +2,7 @@
 
 This is the acceptance test for the forensics layer: a recorded
 Byzantine-split agreement violation must shrink to its minimal schedule
-under seq-exact replay, and a single-event mutation between two
+under seq-exact replay, and one swapped delivery between two
 recordings must be localized to the exact first divergent seq with a
 bounded causal slice -- all through the same ``python -m repro``
 surface a user would drive.
@@ -16,8 +16,15 @@ import shutil
 import pytest
 
 from repro.cli import main
-from repro.experiments.forensics import explain_recording, resolve_protocol
-from repro.sim.flightrecorder import Recording, _seal, load_recording
+from repro.experiments.forensics import explain_recording, resolve_protocol, spec_of
+from repro.sim.adversary import ReplayScheduler
+from repro.sim.events import DeliverEvent, SendEvent
+from repro.sim.flightrecorder import (
+    FlightRecorder,
+    Recording,
+    load_recording,
+    save_recording,
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,19 +52,27 @@ def whp_recording(tmp_path_factory):
 
 
 def mutate_first_deliver(src, dst) -> int:
-    """Copy ``src`` changing the first deliver's words, resealed so that
-    it loads; return its seq."""
-    lines = src.read_text().splitlines()
-    for position, line in enumerate(lines):
-        record = json.loads(line)
-        if record.get("k") == "deliver":
-            seq = record["seq"]
-            record["words"] += 7
-            lines[position] = json.dumps(record)
-            dst.write_text("\n".join(lines) + "\n")
-            _seal(dst)
-            return seq
-    raise AssertionError("recording has no deliver events")
+    """Record into ``dst`` the run of ``src`` with one pair of adjacent
+    deliveries swapped; return the seq ``src`` delivers where they part.
+
+    The pair goes to two processes and neither delivery sends anything,
+    so the swapped schedule replays; ``dst`` is a real recording of it
+    (sealed, its stream digest that of its own events).
+    """
+    recording = load_recording(src)
+    events, schedule = recording.events, list(recording.schedule())
+    delivers = [i for i, event in enumerate(events) if type(event) is DeliverEvent]
+    for at, (first, after) in enumerate(zip(delivers, delivers[2:])):
+        quiet = not any(type(event) is SendEvent for event in events[first:after])
+        if quiet and schedule[at][2] != schedule[at + 1][2]:
+            break
+    schedule[at], schedule[at + 1] = schedule[at + 1], schedule[at]
+    recorder = FlightRecorder()
+    result = spec_of(recording).run(
+        ReplayScheduler(schedule), [recorder], max_deliveries=len(schedule)
+    )
+    save_recording(dst, recorder, result, protocol=recording.header["protocol"])
+    return schedule[at + 1][0]
 
 
 class TestExplain:
@@ -111,7 +126,7 @@ class TestExplain:
     def test_headerless_recording_needs_explicit_protocol(self, tmp_path):
         src = load_recording.__module__  # silence unused-import linters
         assert src
-        recording = Recording(header={"n": 4}, events=(), summary={})
+        recording = Recording(header={"n": 4}, summary={}, schedule=())
         with pytest.raises(ValueError, match="--protocol"):
             resolve_protocol(recording)
 
@@ -137,10 +152,10 @@ class TestDiffCLI:
         assert code == 1
         out = capsys.readouterr().out
         assert f"seq {seq}" in out
-        assert "words" in out
+        assert f"seq: {seq} -> " in out
         assert "<-- DIVERGES" in out
-        # Content divergence, not a schedule divergence.
-        assert "schedules agree" in out
+        # A schedule divergence, found at the delivery that moved.
+        assert "delivery schedules part ways at delivery #" in out
         payload = json.loads(out_json.read_text())
         assert payload["kind"] == "diff"
         assert payload["seq"] == seq

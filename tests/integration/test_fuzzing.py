@@ -16,7 +16,11 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments.fuzzing import format_fuzz, fuzz_recording
+from repro.experiments.fuzzing import _bundle_counterexample, format_fuzz, fuzz_recording
+from repro.experiments.scenarios import resolve_run
+from repro.sim.flightrecorder import load_recording
+from repro.sim.fuzz import FuzzCandidate
+from repro.sim.lossy import LossyLinkConfig
 
 BUDGET = 60  # enough for the race family at this seed, small enough for CI
 
@@ -96,20 +100,30 @@ class TestFuzzRecording:
         monkeypatch.chdir(byz_recording.parent)
         assert main(["explain", bundle["recording"]]) == 1
         out = capsys.readouterr().out
-        # repro explain classifies the bundled failure.  A plain-schedule
-        # candidate replays event-identically; a lossy/corruption-moved
-        # one needs its embedded candidate recipe for that, so a bare
-        # explain reports the (expected) divergence instead.
+        # repro explain classifies the bundled failure, and the bundle's
+        # header names its candidate's links and corruptions, so any
+        # candidate replays event-identically from the file alone.
         assert "failure [violation]" in out
-        plain = (
-            fuzz_payload["counterexamples"][0]["mutation"]
-            in ("swap_adjacent", "swap_random", "delay_delivery",
-                "drop_delivery")
+        assert "replay: event log identical" in out
+
+    def test_a_perturbed_candidate_explains_from_its_file_alone(self, tmp_path):
+        spec = resolve_run("whp_ba", 8, seed=0)
+        candidate = FuzzCandidate(
+            schedule=(),
+            lossy=LossyLinkConfig(duplicate_rate=0.5, reorder_rate=0.3),
+            corrupt_after=tuple((pid, 40) for pid in range(spec.f)),
+            explore_seed=3,
+            mutation="lossy_explore",
         )
-        if plain:
-            assert "replay: event log identical" in out
-        else:
-            assert "replay:" in out
+        bundle = _bundle_counterexample(
+            str(tmp_path / "whp.fuzz"), 0, spec, candidate,
+            ("safety", "Agreement"), explore_cap=5_000, minimize_budget=4,
+        )
+        header = load_recording(bundle["recording"]).header
+        assert header["lossy"] == candidate.lossy.to_dict()
+        assert header["corrupt_after"] == [[pid, 40] for pid in range(spec.f)]
+        payload = json.loads(open(bundle["divergence"]).read())
+        assert payload["replay_identical"] is True
 
     def test_corpus_file_round_trips(self, byz_recording, fuzz_payload):
         corpus = json.loads(

@@ -61,7 +61,7 @@ class TestDeterminism:
         perturb a single signature or count."""
         recorder, live, result = recorded
         path = tmp_path / "flight.jsonl"
-        save_recording(path, recorder, result)
+        save_recording(path, recorder, result, protocol="whp_ba")
         replayed = coverage_from_events(load_recording(path).events)
         assert canonical(replayed) == canonical(live)
 

@@ -29,7 +29,7 @@ from repro.sim.events import (
     PayloadSummary,
     SendEvent,
 )
-from repro.sim.flightrecorder import Recording
+from repro.sim.flightrecorder import Recording, stream_digest
 
 
 def send(step, seq, sender, dest, depth, words=3):
@@ -127,10 +127,17 @@ class TestDiffRecordings:
         base = {"schema": "repro.flight", "version": 2, "n": 3, "f": 0,
                 "seed": 7, "corrupted": [], "protocol": "whp_ba"}
         base.update(header or {})
-        return Recording(
-            header=base, events=tuple(events),
+        events = tuple(events)
+        base["stream"] = stream_digest(events)
+        recording = Recording(
+            header=base,
             summary={"deliveries": 2, "decisions": {"2": 1}, **(summary or {})},
+            schedule=tuple(
+                (e.seq, e.sender, e.dest) for e in events if type(e) is DeliverEvent
+            ),
         )
+        recording.events = events  # a hand-made log: nothing to replay
+        return recording
 
     def test_identical_recordings(self):
         report = diff_recordings(

@@ -1,5 +1,5 @@
-"""Flight recordings: persistence (the v3 codec and what the loader
-rejects), replay fidelity, critical path, one-run-per-recorder,
+"""Flight recordings: persistence (the v5 file, its lazy replay and
+what the loader rejects), replay fidelity, critical path, one-run-per-recorder,
 observability under mid-run corruption, and the ordering facts a test can
 read off a recorder's event log.  (Observer-effect freedom is
 ``test_observers.py``'s; the one summary per flight is
@@ -7,19 +7,21 @@ read off a recorder's event log.  (Observer-effect freedom is
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.agreement import byzantine_agreement
 from repro.core.params import ProtocolParams
 from repro.core.shared_coin import shared_coin
 from repro.crypto.pki import PKI
+from repro.experiments.forensics import explain_recording, format_explain, run_header
+from repro.experiments.scenarios import resolve_run
 from repro.experiments.store import to_jsonable
 from repro.sim.adversary import (
     Adversary,
@@ -28,22 +30,19 @@ from repro.sim.adversary import (
     ReplayScheduler,
     StaticCorruption,
 )
-from repro.sim.events import (
-    CorruptEvent,
-    DecideEvent,
-    DeliverEvent,
-    PayloadSummary,
-    SendEvent,
-)
+from repro.sim.diffing import diff_recordings
+from repro.sim.events import CorruptEvent, DecideEvent, DeliverEvent, PayloadSummary
 from repro.sim.flightrecorder import (
+    SCHEDULE_LINE,
     FlightRecorder,
     _seal,
+    code_digest,
     critical_path,
-    decode_events,
-    encode_events,
     load_recording,
     save_recording,
+    stream_digest,
 )
+from repro.sim.lossy import LossyLinkConfig
 from repro.sim.network import Simulation
 from repro.sim.runner import RunResult, run_protocol, stop_when_all_decided
 
@@ -95,12 +94,10 @@ class TestSurface:
 class TestRoundTrip:
     def test_save_load_preserves_events_and_summary(self, tmp_path):
         recorder = FlightRecorder()
-        result = run_protocol(
-            N, F, ba_factory, seed=3,
-            observers=[recorder], **ba_args(),
-        )
-        path = save_recording(tmp_path / "run.jsonl", recorder, result)
+        result = resolve_run("whp_ba", N, f=F, seed=3).run(observers=[recorder])
+        path = save_recording(tmp_path / "run.jsonl", recorder, result, protocol="whp_ba")
         recording = load_recording(path)
+        assert recording.schedule() == recorder.schedule()
         assert list(recording.events) == recorder.events
         assert recording.header["n"] == N
         assert recording.header["f"] == F
@@ -219,11 +216,8 @@ class TestCriticalPath:
 
     def test_survives_json_round_trip(self, tmp_path):
         recorder = FlightRecorder()
-        result = run_protocol(
-            N, F, ba_factory, seed=3,
-            observers=[recorder], **ba_args(),
-        )
-        path = save_recording(tmp_path / "run.jsonl", recorder, result)
+        result = resolve_run("whp_ba", N, f=F, seed=3).run(observers=[recorder])
+        path = save_recording(tmp_path / "run.jsonl", recorder, result, protocol="whp_ba")
         recording = load_recording(path)
         assert critical_path(recording.events) == critical_path(recorder.events)
 
@@ -343,120 +337,7 @@ class TestAttachedTrace:
             summary.words = 0
 
 
-# -- the v3 codec ------------------------------------------------------------------
-
-
-def roundtrip(events):
-    return list(decode_events(enumerate(encode_events(events), start=1)))
-
-
-BASE_SEND = SendEvent(step=4, seq=100, sender=2, dest=0, instance=("ba", 0, "est"),
-                      message_kind="InitMsg", words=3, depth=1, sender_correct=True)
-
-# How a send may follow the one before it.  "next" continues a send-run;
-# every other move must break it: one field changed while seq and dest
-# still step by one, a seq gap, a destination that wraps, stays (a lossy
-# link's duplicate twin) or skips.
-SEND_MOVES = {
-    "next": lambda e: {},
-    "step": lambda e: {"step": e.step + 1},
-    "sender": lambda e: {"sender": e.sender + 1},
-    "instance": lambda e: {"instance": ("ba", e.seq, "aux")},
-    "message_kind": lambda e: {"message_kind": e.message_kind + "2"},
-    "words": lambda e: {"words": e.words + 1},
-    "depth": lambda e: {"depth": e.depth + 1},
-    "sender_correct": lambda e: {"sender_correct": not e.sender_correct},
-    "seq_gap": lambda e: {"seq": e.seq + 2},
-    "dest_wrap": lambda e: {"dest": 0},
-    "dest_same": lambda e: {"dest": e.dest},
-    "dest_skip": lambda e: {"dest": e.dest + 2},
-}
-
-
-def sends_from(moves):
-    events = [BASE_SEND]
-    for move in moves:
-        last = events[-1]
-        stepped = dataclasses.replace(last, seq=last.seq + 1, dest=last.dest + 1)
-        events.append(dataclasses.replace(stepped, **SEND_MOVES[move](last)))
-    return events
-
-
-class TestSendRuns:
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.sampled_from(sorted(SEND_MOVES)), max_size=40))
-    def test_any_send_sequence_survives_group_then_expand(self, moves):
-        events = sends_from(moves)
-        lines = list(encode_events(events))
-        assert roundtrip(events) == events
-        assert sum(line.get("count", 1) for line in lines) == len(events)
-        # Exactly the non-"next" moves start a new line.
-        assert len(lines) == 1 + sum(move != "next" for move in moves)
-
-    @pytest.mark.parametrize("move", sorted(set(SEND_MOVES) - {"next"}))
-    def test_a_run_breaks_at(self, move):
-        events = sends_from(["next", "next", move, "next"])
-        lines = list(encode_events(events))
-        assert [line.get("count", 1) for line in lines] == [3, 2]
-        assert roundtrip(events) == events
-
-    def test_a_broadcast_is_one_line_and_a_unicast_has_no_count(self):
-        broadcast = sends_from(["next"] * 7)
-        (line,) = encode_events(broadcast)
-        assert line["count"] == 8 and line["seq"] == 100 and line["dest"] == 0
-        (single,) = encode_events([BASE_SEND])
-        assert "count" not in single
-        assert roundtrip([BASE_SEND]) == [BASE_SEND]
-
-    def test_another_event_kind_ends_the_run(self):
-        first, second = sends_from(["next"])
-        events = [first, CorruptEvent(step=4, pid=1), second]
-        assert [line["k"] for line in encode_events(events)] == ["send", "corrupt", "send"]
-        assert roundtrip(events) == events
-
-
-def deliver(seq, summary, **changes):
-    fields = dict(step=seq, seq=seq, sender=1, dest=2, instance=summary.instance,
-                  message_kind=summary.kind, words=summary.words, depth=1, sent_step=0,
-                  summary=summary)
-    return DeliverEvent(**{**fields, **changes})
-
-
-class TestPayloadTable:
-    ECHO = PayloadSummary("EchoMsg", ("ba", 0), 3, "EchoMsg(value=1)")
-    OK = PayloadSummary("OkMsg", ("ba", 0), 40, "OkMsg(" + "sig, " * 39 + "sig)")
-
-    def test_each_summary_is_written_once_before_its_first_deliver(self):
-        equal_twin = dataclasses.replace(self.ECHO)  # equal value, other object
-        events = [deliver(0, self.ECHO), deliver(1, self.OK), deliver(2, equal_twin),
-                  deliver(3, self.OK)]
-        lines = list(encode_events(events))
-        assert [line["k"] for line in lines] == [
-            "payload", "deliver", "payload", "deliver", "deliver", "deliver",
-        ]
-        assert [line["payload_id"] for line in lines if line["k"] == "deliver"] == [0, 1, 0, 1]
-        assert all("payload_text" not in line and "payload_words" not in line for line in lines)
-        decoded = roundtrip(events)
-        assert decoded == events
-        # Loaded deliveries share the table's one summary object.
-        assert decoded[1].summary is decoded[3].summary
-
-    def test_deliver_lines_keep_their_own_named_fields(self):
-        """``k``, ``seq`` and ``words`` stay keys of the deliver line (the
-        forensics mutators edit them in place); ``words`` there is the
-        event's, independent of the payload line's."""
-        event = deliver(7, self.ECHO, words=10)
-        _, line = encode_events([event])
-        assert (line["k"], line["seq"], line["words"]) == ("deliver", 7, 10)
-        assert roundtrip([event]) == [event]
-        assert roundtrip([event])[0].summary.words == 3
-
-    def test_non_native_instance_and_value_are_guarded(self):
-        odd = PayloadSummary("M", ("ba", frozenset({2, 1})), 1, "M()")
-        lines = list(encode_events([deliver(0, odd), DecideEvent(1, 0, {"v": (1, 2)}, 3)]))
-        json.dumps(lines)  # must not raise
-        assert lines[0]["instance"] == ["ba", [1, 2]]
-        assert lines[2]["value"] == {"v": [1, 2]}
+# -- the v5 file on real runs ---------------------------------------------------
 
 
 class TestCodecOnRealRuns:
@@ -471,36 +352,38 @@ class TestCodecOnRealRuns:
         recording = load_recording(
             save_recording(tmp_path / "run.jsonl", recorder, result, protocol=name)
         )
-        assert recording.events == tuple(recorder.events)
         assert recording.schedule() == recorder.schedule()
+        assert recording.events == tuple(recorder.events)
+        assert recording.header["stream"] == stream_digest(recorder.events)
 
     def test_same_seed_recorded_twice_is_byte_identical(self, tmp_path):
         paths = []
         for attempt in range(2):
             recorder = FlightRecorder()
             result = run_named("whp_ba", 12, 4, [recorder])
-            paths.append(save_recording(tmp_path / f"{attempt}.jsonl", recorder, result))
+            paths.append(save_recording(
+                tmp_path / f"{attempt}.jsonl", recorder, result, protocol="whp_ba"
+            ))
         assert paths[0].read_bytes() == paths[1].read_bytes()
-        # Saving what was loaded gives the same event lines again.
+        # The replayed events hash to the recorded stream digest.
         loaded = load_recording(paths[0])
-        again = [json.dumps(line, sort_keys=True) for line in encode_events(loaded.events)]
-        original = [
-            json.dumps(json.loads(line), sort_keys=True)
-            for line in paths[0].read_text().splitlines()[1:-1]
-        ]
-        assert again == original
+        assert stream_digest(loaded.events) == loaded.header["stream"]
 
     def test_bytes_per_event_budget(self, tmp_path):
         """v2 spent ~1,000 bytes per event at this size (the payload text
-        on every deliver line); v3's budget is 160."""
+        on every deliver line) and v4 under 160; v5 stores 16 base64
+        bytes per delivery, whatever the events, plus the fixed header,
+        footer and line framing."""
         recorder = FlightRecorder()
         result = run_named("whp_ba", 24, 1, [recorder])
         path = save_recording(tmp_path / "run.jsonl", recorder, result)
         assert len(recorder.events) > 5_000
-        assert path.stat().st_size / len(recorder.events) < 160
-        lines = path.read_text().splitlines()
-        sends = [json.loads(line) for line in lines if '"k":"send"' in line]
-        assert len(sends) * 24 == sum(line.get("count", 1) for line in sends)
+        lines = path.read_bytes().splitlines()
+        schedule = lines[1:-1]
+        assert len(schedule) == -(-result.deliveries // SCHEDULE_LINE)
+        framing = len(b'{"k":"schedule","packed":""}')
+        assert sum(len(line) - framing for line in schedule) == 16 * result.deliveries
+        assert path.stat().st_size / len(recorder.events) < 16
 
     def test_nothing_is_left_behind_when_the_count_check_fails(self, tmp_path):
         recorder = FlightRecorder()
@@ -517,6 +400,45 @@ class TestCodecOnRealRuns:
         assert [path.name for path in tmp_path.iterdir()] == ["run.jsonl"]
 
 
+class TestStreamDigest:
+    ECHO = PayloadSummary("EchoMsg", ("ba", 0), 3, "EchoMsg(value=1)")
+
+    def deliver(self, summary, **changes):
+        fields = dict(step=1, seq=1, sender=1, dest=2, instance=summary.instance,
+                      message_kind=summary.kind, words=summary.words, depth=1,
+                      sent_step=0, summary=summary)
+        return DeliverEvent(**{**fields, **changes})
+
+    def test_it_is_type_exact(self):
+        """``1 == True == 1.0`` and ``(1,) == [1]`` as labels would be a
+        collision; each gives its own digest."""
+        values = [1, True, 1.0, (0, 1), [0, 1], "1", None]
+        digests = {stream_digest([DecideEvent(1, 0, value, 3)]) for value in values}
+        assert len(digests) == len(values)
+
+    def test_summaries_digest_by_value_and_every_field_counts(self):
+        twin = dataclasses.replace(self.ECHO)  # equal value, another object
+        shared = [self.deliver(self.ECHO), self.deliver(self.ECHO, seq=2)]
+        assert stream_digest(shared) == stream_digest(
+            [self.deliver(self.ECHO), self.deliver(twin, seq=2)]
+        )
+        changed = [
+            [self.deliver(self.ECHO), self.deliver(self.ECHO, seq=3)],
+            [self.deliver(self.ECHO), self.deliver(self.ECHO, seq=2, words=4)],
+            [self.deliver(self.ECHO),
+             self.deliver(dataclasses.replace(self.ECHO, text="EchoMsg(value=0)"), seq=2)],
+            [self.deliver(self.ECHO),
+             self.deliver(dataclasses.replace(self.ECHO, words=4), seq=2)],
+            shared[::-1],
+        ]
+        digests = {stream_digest(events) for events in changed}
+        assert stream_digest(shared) not in digests and len(digests) == len(changed)
+
+    def test_an_object_it_cannot_encode_is_refused(self):
+        with pytest.raises(ValueError):
+            stream_digest([DecideEvent(1, 0, object(), 3)])
+
+
 # -- what the loader rejects -------------------------------------------------------
 
 
@@ -524,7 +446,9 @@ class TestCodecOnRealRuns:
 def good_lines(tmp_path_factory):
     recorder = FlightRecorder()
     result = run_named("whp_ba", 8, 1, [recorder])
-    path = save_recording(tmp_path_factory.mktemp("rec") / "run.jsonl", recorder, result)
+    path = save_recording(
+        tmp_path_factory.mktemp("rec") / "run.jsonl", recorder, result, protocol="whp_ba"
+    )
     return path.read_text().splitlines()
 
 
@@ -535,11 +459,22 @@ def first_line(lines, kind):
 def edited(lines, index, **changes):
     record = json.loads(lines[index])
     record.update(changes)
-    return lines[:index] + [json.dumps(record)] + lines[index + 1:]
+    line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return lines[:index] + [line] + lines[index + 1:]
 
 
-def write_lines(path, lines):
+def with_first_delivery(lines, seq):
+    """``lines`` with the first scheduled delivery's seq set to ``seq``."""
+    index = first_line(lines, "schedule")
+    packed = bytearray(base64.b64decode(json.loads(lines[index])["packed"]))
+    packed[:4] = seq.to_bytes(4, "little")
+    return edited(lines, index, packed=base64.b64encode(packed).decode())
+
+
+def write_lines(path, lines, seal=False):
     path.write_text("\n".join(lines) + "\n")
+    if seal:
+        _seal(path)
     return path
 
 
@@ -565,9 +500,13 @@ class TestDigest:
     def test_an_edit_that_still_parses_is_refused(
         self, tmp_path, good_lines, index, change
     ):
-        if isinstance(index, str):
-            index = first_line(good_lines, index)
-        path = write_lines(tmp_path / "edited.jsonl", edited(good_lines, index, **change))
+        if index == "deliver":  # the first delivery of the packed schedule
+            lines = with_first_delivery(good_lines, change["seq"])
+        else:
+            if isinstance(index, str):
+                index = first_line(good_lines, index)
+            lines = edited(good_lines, index, **change)
+        path = write_lines(tmp_path / "edited.jsonl", lines)
         with pytest.raises(ValueError) as excinfo:
             load_recording(path)
         assert str(excinfo.value) == (
@@ -583,22 +522,33 @@ class TestDigest:
             load_recording(path)
 
 
+def one_line_error(path, match, events=False):
+    """Loading ``path`` (and, with ``events``, replaying it) fails with
+    one line that names the file; returns that line."""
+    with pytest.raises(ValueError, match=match) as excinfo:
+        recording = load_recording(path)
+        if events:
+            recording.events
+    message = str(excinfo.value)
+    assert "\n" not in message
+    assert message.startswith(f"{path}: ")
+    return message
+
+
 class TestMalformedRecordings:
     def rejected(self, tmp_path, lines, lineno, match):
         """Loading ``lines`` fails with one line naming the file and ``lineno``."""
         path = write_lines(tmp_path / "edited.jsonl", lines)
-        with pytest.raises(ValueError, match=match) as excinfo:
-            load_recording(path)
-        message = str(excinfo.value)
-        assert "\n" not in message
+        message = one_line_error(path, match)
         assert message.startswith(f"{path}: line {lineno}: ")
 
     def test_the_unedited_file_loads(self, tmp_path, good_lines):
         recording = load_recording(write_lines(tmp_path / "good.jsonl", good_lines))
         assert recording.summary["k"] == "summary"
+        assert len(recording.schedule()) == recording.summary["deliveries"]
 
     def test_event_line_after_the_footer(self, tmp_path, good_lines):
-        stray = good_lines[first_line(good_lines, "corrupt")]
+        stray = json.dumps({"k": "corrupt", "step": 0, "pid": 1})
         self.rejected(
             tmp_path, good_lines + [stray], len(good_lines) + 1,
             "'corrupt' line follows the summary footer",
@@ -610,53 +560,15 @@ class TestMalformedRecordings:
             "'summary' line follows the summary footer",
         )
 
-    def test_deliver_citing_an_unknown_payload_id(self, tmp_path, good_lines):
-        index = first_line(good_lines, "deliver")
-        self.rejected(
-            tmp_path, edited(good_lines, index, payload_id=10**6), index + 1,
-            "cites payload id 1000000, which no earlier payload line defines",
-        )
-
-    def test_deliver_before_its_payload_line(self, tmp_path, good_lines):
-        index = first_line(good_lines, "deliver")
-        lines = list(good_lines)
-        lines[index - 1], lines[index] = lines[index], lines[index - 1]
-        assert json.loads(lines[index])["k"] == "payload"
-        self.rejected(tmp_path, lines, index, "no earlier payload line defines")
-
-    def test_duplicate_payload_id(self, tmp_path, good_lines):
-        index = first_line(good_lines, "payload")
-        lines = good_lines[: index + 1] + [good_lines[index]] + good_lines[index + 1:]
-        self.rejected(tmp_path, lines, index + 2, "duplicate payload id 0")
-
-    @pytest.mark.parametrize("count", [0, -3, 1.5, True, "8"])
-    def test_send_count_below_one_or_not_an_integer(self, tmp_path, good_lines, count):
-        index = first_line(good_lines, "send")
-        self.rejected(
-            tmp_path, edited(good_lines, index, count=count), index + 1,
-            "is not a positive integer",
-        )
-
     def test_missing_and_surplus_fields(self, tmp_path, good_lines):
-        index = first_line(good_lines, "deliver")
+        index = first_line(good_lines, "schedule")
         record = json.loads(good_lines[index])
-        del record["seq"]
+        del record["packed"]
         lines = good_lines[:index] + [json.dumps(record)] + good_lines[index + 1:]
-        self.rejected(tmp_path, lines, index + 1, "seq")
+        self.rejected(tmp_path, lines, index + 1, "neither a schedule line")
         self.rejected(
-            tmp_path, edited(good_lines, index, payload_text="v2"), index + 1,
-            "payload_text",
-        )
-
-    def test_a_payload_line_nothing_cites_is_fine(self, tmp_path, good_lines):
-        index = first_line(good_lines, "payload")
-        spare = json.dumps({**json.loads(good_lines[index]), "id": "spare"})
-        with_spare = good_lines[:index] + [spare] + good_lines[index:]
-        spare_file = write_lines(tmp_path / "spare.jsonl", with_spare)
-        _seal(spare_file)  # the decoder is under test here, not the digest
-        assert (
-            load_recording(spare_file).events
-            == load_recording(write_lines(tmp_path / "good.jsonl", good_lines)).events
+            tmp_path, edited(good_lines, index, count=3), index + 1,
+            "neither a schedule line",
         )
 
     def test_a_v2_file_gets_the_re_record_diagnostic(self, tmp_path, good_lines):
@@ -666,3 +578,157 @@ class TestMalformedRecordings:
         message = str(excinfo.value)
         assert message.startswith(f"{path}: unknown repro.flight schema version 2")
         assert "re-record the run" in message and "\n" not in message
+
+    def test_a_v4_file_gets_the_re_record_diagnostic(self, tmp_path, good_lines):
+        header = {"k": "header", "schema": "repro.flight", "version": 4, "n": 8}
+        path = write_lines(tmp_path / "v4.jsonl", [json.dumps(header)] + good_lines[1:])
+        assert one_line_error(path, "schema version 4").endswith(
+            "re-record the run or load it with a matching build"
+        )
+
+
+class TestDamagedRecordings:
+    """Each way a v5 file goes wrong gives one line naming the file; the
+    edits are resealed, so the check under test is not the file digest."""
+
+    def test_a_flipped_schedule_byte(self, tmp_path, good_lines):
+        index = first_line(good_lines, "schedule")
+        packed = json.loads(good_lines[index])["packed"]
+        flipped = ("B" if packed[0] == "A" else "A") + packed[1:]
+        lines = edited(good_lines, index, packed=flipped)
+        # Unsealed, the file digest refuses it at load ...
+        one_line_error(write_lines(tmp_path / "raw.jsonl", lines), "digest mismatch")
+        # ... resealed, the replay does: the first delivery is another seq.
+        sealed = write_lines(tmp_path / "sealed.jsonl", lines, seal=True)
+        load_recording(sealed)
+        one_line_error(sealed, "replay failed: replay step 0 expects seq", events=True)
+
+    def test_a_reordered_schedule_fails_the_stream_digest(self, tmp_path, good_lines):
+        """Two deliveries that were both in flight swap places: the
+        replay runs, but its events are not the recorded ones."""
+        recording = load_recording(write_lines(tmp_path / "good.jsonl", good_lines))
+        schedule, events = list(recording.schedule()), recording.events
+        sent = {event.seq: event.step for event in events if type(event) is not DeliverEvent
+                and hasattr(event, "seq")}
+        swap = next(
+            i for i in range(len(schedule) - 1)
+            if sent[schedule[i + 1][0]] == sent[schedule[i][0]]
+            and schedule[i][2] == schedule[i + 1][2]
+        )
+        schedule[swap], schedule[swap + 1] = schedule[swap + 1], schedule[swap]
+        packed = base64.b64encode(
+            b"".join(v.to_bytes(4, "little") for triple in schedule for v in triple)
+        ).decode()
+        header, footer = good_lines[0], good_lines[-1]
+        lines = [header] + [
+            json.dumps({"k": "schedule", "packed": packed[i:i + 16 * SCHEDULE_LINE]})
+            for i in range(0, len(packed), 16 * SCHEDULE_LINE)
+        ] + [footer]
+        path = write_lines(tmp_path / "swapped.jsonl", lines, seal=True)
+        message = one_line_error(path, "stream digest mismatch", events=True)
+        assert recording.header["stream"] in message
+        # Its header is the original's, stream digest and all, yet it
+        # does not diff as the original: diff replays both.
+        with pytest.raises(ValueError, match="stream digest mismatch"):
+            diff_recordings(recording, load_recording(path))
+
+    def test_a_wrong_code_digest(self, tmp_path, good_lines):
+        """Other sources load and explain the file (its schedule replays
+        under any build), but do not vouch for its events."""
+        lines = edited(good_lines, 0, code="0" * 64)
+        path = write_lines(tmp_path / "other_build.jsonl", lines, seal=True)
+        assert len(load_recording(path).schedule()) == json.loads(lines[-1])["deliveries"]
+        message = one_line_error(path, "code digest mismatch", events=True)
+        assert code_digest() in message and "re-record the run" in message
+        payload = explain_recording(path, minimize=False)
+        assert payload["recorded_code"] == "0" * 64
+        assert payload["replay_identical"] and payload["failure"] is None
+        assert "note: recorded by other repro sources" in format_explain(payload)
+
+    def test_a_truncated_schedule_line(self, tmp_path, good_lines):
+        index = first_line(good_lines, "schedule")
+        packed = json.loads(good_lines[index])["packed"]
+        cut = edited(good_lines, index, packed=packed[:-4])
+        path = write_lines(tmp_path / "cut.jsonl", cut, seal=True)
+        message = one_line_error(path, "not a whole number of deliveries")
+        assert message.startswith(f"{path}: line {index + 1}: schedule: ")
+        # A line cut short on disk is not JSON any more.
+        raw = good_lines[:index] + [good_lines[index][:100]]
+        one_line_error(write_lines(tmp_path / "raw.jsonl", raw), "line 2 is not valid JSON")
+
+    def test_a_missing_footer(self, tmp_path, good_lines):
+        path = write_lines(tmp_path / "no_footer.jsonl", good_lines[:-1], seal=True)
+        one_line_error(path, "no summary footer after .* deliveries; the recording is truncated")
+
+    def test_trailing_lines(self, tmp_path, good_lines):
+        path = write_lines(
+            tmp_path / "trailing.jsonl", good_lines + [good_lines[1]], seal=True
+        )
+        one_line_error(path, "'schedule' line follows the summary footer")
+
+    def test_a_dropped_schedule_line(self, tmp_path, good_lines):
+        index = first_line(good_lines, "schedule")
+        lines = good_lines[:index] + good_lines[index + 1:]
+        path = write_lines(tmp_path / "short.jsonl", lines, seal=True)
+        one_line_error(path, "the schedule holds .* deliveries but the footer reports")
+
+    def test_a_headerless_run_has_no_events(self, tmp_path):
+        recorder = FlightRecorder()
+        result = run_named("whp_ba", 8, 1, [recorder])
+        path = save_recording(tmp_path / "anonymous.jsonl", recorder, result)
+        assert len(load_recording(path).schedule()) == result.deliveries
+        one_line_error(path, "the header names no run to replay", events=True)
+
+
+class TestSaveMemory:
+    def test_saving_an_n64_run_stays_under_a_mebibyte(self, tmp_path):
+        """The digest and the schedule lines stream in blocks; a save
+        that built the whole schedule as one string peaked at ~5 MiB."""
+        recorder = FlightRecorder()
+        result = run_named("whp_ba", 64, 1, [recorder])
+        code_digest()  # once per process; not what this bounds
+        tracemalloc.start()
+        try:
+            save_recording(tmp_path / "run.jsonl", recorder, result, protocol="whp_ba")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(recorder.events) > 100_000
+        assert peak < 1 << 20
+
+
+class TestSelfDescribingHeaders:
+    """A recording names everything its replay needs, perturbations too."""
+
+    def test_a_perturbed_lossy_config_replays_from_the_header(self, tmp_path):
+        spec = resolve_run("whp_ba", 12, seed=5)
+        spec = dataclasses.replace(
+            spec, lossy=LossyLinkConfig(duplicate_rate=0.3, reorder_rate=0.2)
+        )
+        recorder = FlightRecorder()
+        result = spec.run(observers=[recorder])
+        path = save_recording(
+            tmp_path / "lossy.jsonl", recorder, result,
+            protocol=run_header(spec, recorder.events),
+        )
+        recording = load_recording(path)
+        assert recording.header["protocol"] == "whp_ba"
+        assert recording.header["lossy"] == spec.lossy.to_dict()
+        assert recording.events == tuple(recorder.events)
+
+    def test_mid_run_corruptions_replay_at_their_step(self, tmp_path):
+        spec = dataclasses.replace(
+            resolve_run("whp_ba", 12, seed=7),
+            corruption=CommitteeTargetingCorruption(message_kinds=("FirstMsg",)),
+        )
+        recorder = FlightRecorder()
+        result = spec.run(observers=[recorder])
+        corruptions = [[e.pid, e.step] for e in recorder.events if type(e) is CorruptEvent]
+        assert any(step > 0 for _, step in corruptions)
+        path = save_recording(
+            tmp_path / "adaptive.jsonl", recorder, result,
+            protocol=run_header(spec, recorder.events),
+        )
+        recording = load_recording(path)
+        assert recording.header["corrupt_after"] == corruptions
+        assert recording.events == tuple(recorder.events)

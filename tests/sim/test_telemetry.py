@@ -129,7 +129,7 @@ class TestTelemetryProbe:
         # What lets `repro record` write the recording alone: the file
         # holds everything the attached probe saw.
         probe, recorder, result = probed_run
-        path = save_recording(tmp_path / "run.jsonl", recorder, result)
+        path = save_recording(tmp_path / "run.jsonl", recorder, result, protocol="whp_ba")
         replayed = telemetry_from_events(load_recording(path).events, sample_budget=64)
         assert replayed == probe.snapshot()
 

@@ -29,7 +29,8 @@ def recording(tmp_path_factory):
         observers=[recorder],
     )
     path = save_recording(
-        tmp_path_factory.mktemp("trace") / "run.jsonl", recorder, result
+        tmp_path_factory.mktemp("trace") / "run.jsonl", recorder, result,
+        protocol="whp_ba",
     )
     return load_recording(path)
 
