@@ -22,7 +22,7 @@ from typing import Hashable
 
 from repro.core.params import ProtocolParams
 from repro.sim.mailbox import Mailbox
-from repro.sim.messages import Message
+from repro.sim.messages import Message, bit, canonical
 from repro.sim.process import ProcessContext, Protocol, Wait
 
 __all__ = ["ProposalMsg", "ReportMsg", "benor_agreement", "benor_round_structure"]
@@ -36,9 +36,7 @@ class ReportMsg(Message):
     """Phase-1 report of the sender's current estimate."""
 
     value: int = 0
-
-    def words(self) -> int:
-        return 1
+    field_kinds = {"value": bit}
 
 
 @dataclass
@@ -46,9 +44,7 @@ class ProposalMsg(Message):
     """Phase-2 proposal: a boosted value, or '?' if none qualified."""
 
     value: object = UNDECIDED
-
-    def words(self) -> int:
-        return 1
+    field_kinds = {"value": canonical}
 
 
 def _collect_votes(instance: Hashable, quorum: int, kind: type, allowed):
@@ -129,7 +125,7 @@ def benor_agreement(
     Requires n > 5f.  Expected rounds O(2^n) in the worst case -- runs at
     scale therefore bound ``max_rounds`` or start from agreeing inputs.
     """
-    if value not in (0, 1):
+    if not bit(value):
         raise ValueError("Ben-Or agreement is binary; propose 0 or 1")
     params = params or ctx.params
     est = value

@@ -26,7 +26,7 @@ from typing import Hashable
 
 from repro.core.params import ProtocolParams
 from repro.sim.mailbox import Mailbox
-from repro.sim.messages import Message
+from repro.sim.messages import Message, bit, canonical, pid
 from repro.sim.process import ProcessContext, Protocol, Wait
 
 __all__ = [
@@ -43,9 +43,7 @@ class RBCSendMsg(Message):
     """The originator's initial broadcast."""
 
     value: object = None
-
-    def words(self) -> int:
-        return 1
+    field_kinds = {"value": canonical}
 
 
 @dataclass
@@ -54,9 +52,7 @@ class RBCEchoMsg(Message):
 
     origin: int = 0
     value: object = None
-
-    def words(self) -> int:
-        return 1
+    field_kinds = {"origin": pid, "value": canonical}
 
 
 @dataclass
@@ -65,35 +61,17 @@ class RBCReadyMsg(Message):
 
     origin: int = 0
     value: object = None
-
-    def words(self) -> int:
-        return 1
-
-
-def _same(value: object, allowed: object) -> bool:
-    """``value == allowed`` with the types equal too, element by element.
-
-    An equality test alone (``value in (0, 1)``) would admit ``True`` and
-    ``1.0`` -- or ``("d", True)`` -- from a Byzantine originator, and every
-    correct process would then deliver that foreign object.
-    """
-    if type(value) is not type(allowed):
-        return False
-    if type(value) is tuple:
-        return len(value) == len(allowed) and all(map(_same, value, allowed))
-    return value == allowed
-
-
-_NONE = object()
+    field_kinds = {"origin": pid, "value": canonical}
 
 
 class _RBCAllState:
     """Reliable-broadcast bookkeeping for all n originators of one step.
 
-    The kernel authenticates senders, so a sender is a pid in ``[0, n)``
-    and each tally of distinct senders for an ``(origin, value)`` is a
-    ``[bytearray(n), count]`` pair.  Only a valid pid can be an origin
-    a correct process echoes or readies for.
+    The kernel authenticates senders and admits only pid origins and
+    canonical values (``field_kinds``), so a sender and an origin are
+    pids in ``[0, n)``, a value is an allowed one exactly when it is
+    ``in`` the allowed set, and each tally of distinct senders for an
+    ``(origin, value)`` is a ``[bytearray(n), count]`` pair.
     """
 
     def __init__(
@@ -101,7 +79,7 @@ class _RBCAllState:
     ) -> None:
         self.ctx = ctx
         self.instance = instance
-        self._allowed = {value: value for value in allowed}
+        self._allowed = frozenset(allowed)
         self.n, self.f = params.n, params.f
         self.echo_threshold = (self.n + self.f) // 2 + 1  # > (n+f)/2
         self.ready_threshold = 2 * self.f + 1
@@ -116,16 +94,6 @@ class _RBCAllState:
         self.ctx.broadcast(RBCSendMsg(self.instance, value=value))
         self.ctx.add_background_handler(self.pump)
 
-    def _admits(self, value: object) -> bool:
-        """``value`` is one of the allowed values in type as well as in
-        value (the allowed values are hashable and pairwise unequal, so an
-        unhashable value is none of them)."""
-        try:
-            match = self._allowed.get(value, _NONE)  # the allowed value it equals
-        except TypeError:  # unhashable, so equal to no allowed value
-            return False
-        return match is not _NONE and _same(value, match)
-
     def _maybe_ready(self, origin: int, value: object) -> None:
         if self.readied[origin]:
             return
@@ -136,14 +104,14 @@ class _RBCAllState:
         """Consume the new stream entries; returns the instance, the key
         this handler is registered under."""
         stream = mailbox.stream(self.instance)
-        n, admits, echoes = self.n, self._admits, self.echoes
+        n, allowed, echoes = self.n, self._allowed, self.echoes
         while self._cursor < len(stream):
             sender, msg = stream[self._cursor]
             self._cursor += 1
             if isinstance(msg, RBCSendMsg):
                 # Echo the first SEND from this originator (equivocation by
                 # a Byzantine originator is thereby resolved one way).
-                if self.echoed[sender] or not admits(msg.value):
+                if self.echoed[sender] or msg.value not in allowed:
                     continue
                 self.echoed[sender] = 1
                 self.ctx.broadcast(
@@ -157,7 +125,7 @@ class _RBCAllState:
             else:
                 continue
             origin, value = msg.origin, msg.value
-            if type(origin) is not int or not 0 <= origin < n or not admits(value):
+            if value not in allowed:
                 continue  # no correct process sends this
             # Count the sender once per (origin, value).
             tally = tallies.get((origin, value))
@@ -221,7 +189,7 @@ def bracha_agreement(
     Optimal resilience n > 3f; local coin, so exponential expected rounds
     under adversarial scheduling (Table 1).
     """
-    if value not in (0, 1):
+    if not bit(value):
         raise ValueError("Bracha agreement is binary; propose 0 or 1")
     params = params or ctx.params
     f = params.f

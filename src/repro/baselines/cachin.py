@@ -23,7 +23,7 @@ from repro.baselines.mmr import CoinProtocol, mmr_agreement
 from repro.core.params import ProtocolParams
 from repro.crypto.threshold import ThresholdCoinDealer
 from repro.sim.mailbox import Mailbox
-from repro.sim.messages import Message
+from repro.sim.messages import Message, integer
 from repro.sim.process import ProcessContext, Protocol, Wait
 
 __all__ = ["CoinShareMsg", "cachin_agreement", "make_threshold_coin"]
@@ -35,9 +35,7 @@ class CoinShareMsg(Message):
     element, the analogue of a signature share)."""
 
     share: int = 0
-
-    def words(self) -> int:
-        return 1
+    field_kinds = {"share": integer}
 
 
 def make_threshold_coin(dealer: ThresholdCoinDealer) -> CoinProtocol:

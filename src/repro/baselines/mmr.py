@@ -31,7 +31,7 @@ from typing import Callable, Hashable
 from repro.core.params import ProtocolParams
 from repro.core.shared_coin import shared_coin
 from repro.sim.mailbox import Mailbox
-from repro.sim.messages import Message
+from repro.sim.messages import Message, bit
 from repro.sim.process import ProcessContext, Protocol, Wait
 
 __all__ = [
@@ -52,9 +52,7 @@ class BValMsg(Message):
     """BV-broadcast message: an estimate or its relay."""
 
     value: int = 0
-
-    def words(self) -> int:
-        return 1
+    field_kinds = {"value": bit}
 
 
 @dataclass
@@ -62,9 +60,7 @@ class AuxMsg(Message):
     """Second-stage message: one value from the sender's bin_values."""
 
     value: int = 0
-
-    def words(self) -> int:
-        return 1
+    field_kinds = {"value": bit}
 
 
 def local_coin(ctx: ProcessContext, round_id: Hashable) -> Protocol:
@@ -86,24 +82,15 @@ def make_shared_coin(params: ProtocolParams | None = None) -> CoinProtocol:
     return coin
 
 
-def _is_bit(value: object) -> bool:
-    """A vote value a correct process could have sent: the int 0 or 1.
-
-    An equality test alone (``value in (0, 1)``) would admit ``True`` and
-    ``1.0`` from a Byzantine sender, and a correct process would then
-    adopt -- and decide -- that foreign object.
-    """
-    return type(value) is int and value in (0, 1)
-
-
 class _BVState:
     """One round's BV-broadcast bookkeeping, pumped by a background handler.
 
-    The kernel authenticates senders, so a sender is a pid in ``[0, n)``
-    and each tally of distinct senders is a seen-bitmap plus a count:
-    ``bval_seen[v]`` / ``bval_counts[v]`` for BVAL(v), and ``aux_first``,
-    which holds ``1 + v`` for a sender whose *first* AUX carried ``v``
-    (0: none yet), with ``aux_counts[v]`` counting those senders.  The
+    The kernel authenticates senders and admits only bit values, so a
+    sender is a pid in ``[0, n)``, a value is 0 or 1, and each tally of
+    distinct senders is a seen-bitmap plus a count: ``bval_seen[v]`` /
+    ``bval_counts[v]`` for BVAL(v), and ``aux_first``, which holds
+    ``1 + v`` for a sender whose *first* AUX carried ``v`` (0: none yet),
+    with ``aux_counts[v]`` counting those senders.  The
     handler runs only on deliveries of this round's instance, and the
     round's waits subscribe to that instance alone, so the AUX-quorum
     wait reads O(1) state and is evaluated only when it may have changed.
@@ -140,7 +127,7 @@ class _BVState:
         while self._cursor < len(stream):
             sender, msg = stream[self._cursor]
             self._cursor += 1
-            if isinstance(msg, BValMsg) and _is_bit(msg.value):
+            if isinstance(msg, BValMsg):
                 value = msg.value
                 seen = self.bval_seen[value]
                 if not seen[sender]:
@@ -152,8 +139,7 @@ class _BVState:
                     self.ctx.broadcast(BValMsg(self.instance, value=value))
                 if count > 2 * self.f:
                     self.bin_values.add(value)
-            elif (isinstance(msg, AuxMsg) and _is_bit(msg.value)
-                  and not self.aux_first[sender]):
+            elif isinstance(msg, AuxMsg) and not self.aux_first[sender]:
                 self.aux_first[sender] = 1 + msg.value
                 self.aux_counts[msg.value] += 1
         return self.instance
@@ -178,7 +164,7 @@ def mmr_agreement(
     the plugged coin (constant for a shared coin with constant success
     rate, exponential for the local coin).
     """
-    if value not in (0, 1):
+    if not bit(value):
         raise ValueError("MMR agreement is binary; propose 0 or 1")
     params = params or ctx.params
     f = params.f

@@ -23,7 +23,7 @@ from repro.core.params import ProtocolParams
 from repro.crypto.shamir import Share
 from repro.crypto.threshold import RabinLotteryDealer
 from repro.sim.mailbox import Mailbox
-from repro.sim.messages import Message
+from repro.sim.messages import Message, bit, exactly, integer
 from repro.sim.process import ProcessContext, Protocol, Wait
 
 __all__ = ["LotteryShareMsg", "make_lottery_coin", "rabin_agreement"]
@@ -35,9 +35,7 @@ class LotteryShareMsg(Message):
     one field element, the analogue of a signature-sized value)."""
 
     share: Share = None  # type: ignore[assignment]
-
-    def words(self) -> int:
-        return 1
+    field_kinds = {"share": exactly(Share, x=integer, y=integer)}
 
 
 def make_lottery_coin(dealer: RabinLotteryDealer) -> CoinProtocol:
@@ -83,7 +81,7 @@ def rabin_agreement(
 
     Table-1 operating point: n > 10f, O(n²) words, O(1) expected rounds.
     """
-    if value not in (0, 1):
+    if not bit(value):
         raise ValueError("Rabin agreement is binary; propose 0 or 1")
     params = params or ctx.params
     coin = make_lottery_coin(dealer)

@@ -73,6 +73,7 @@ input, so exit 1 keeps one meaning -- a check found something.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -620,6 +621,7 @@ def main(argv: list[str] | None = None) -> int:
     values = dict(command.takes)
     if given.get("quick"):
         values.update(command.quick)
+    code = 0  # the experiment keys print as they run, then return 0
     try:
         for name, value in given.items():
             parse = ARGUMENTS[name][0]
@@ -628,6 +630,8 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 raise SystemExit(f"repro {command.name}: {_spelled(name)} {exc}")
         text, code = command.run(argparse.Namespace(**values))
+        if text is not None:
+            print(text, flush=True)
     except SystemExit as exc:
         if isinstance(exc.code, str):
             # A one-line diagnosis of the input: exit 2, not the 1 that
@@ -636,8 +640,10 @@ def main(argv: list[str] | None = None) -> int:
             print(exc.code, file=sys.stderr)
             exc.code = 2
         raise
-    if text is not None:
-        print(text)
+    except BrokenPipeError:
+        # The reader left early (`repro report r.jsonl | head`): silence
+        # stdout, so the exit flush cannot fail again, and keep the code.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

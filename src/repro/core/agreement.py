@@ -21,6 +21,7 @@ from __future__ import annotations
 from repro.core.approver import approve
 from repro.core.params import ProtocolParams
 from repro.core.whp_coin import whp_coin
+from repro.sim.messages import bit
 from repro.sim.process import ProcessContext, Protocol
 
 __all__ = ["BOT", "agreement_round", "byzantine_agreement"]
@@ -88,7 +89,7 @@ def byzantine_agreement(
     once and reused across instances, as the paper notes; the ledger
     example reuses one PKI over a sequence of slots).
     """
-    if value not in (0, 1):
+    if not bit(value):
         raise ValueError("Byzantine Agreement here is binary; propose 0 or 1")
     params = params or ctx.params
     # The Validity ground truth: what this (correct-at-the-time) process

@@ -66,11 +66,7 @@ def approve(
     memo = pki.validation_memo(instance) if pki.verify_cache_enabled else None
 
     def echo_committee(candidate: object) -> tuple:
-        try:
-            committee = echo_committees.get(candidate)
-        except TypeError:  # unhashable Byzantine value: uncached
-            role = ("echo", candidate)
-            return role, membership_checker(pki, instance, role, params)
+        committee = echo_committees.get(candidate)
         if committee is None:
             role = ("echo", candidate)
             committee = echo_committees[candidate] = (
@@ -86,9 +82,10 @@ def approve(
 
     # Reactive state.  Value-keyed dicts; Assumption 1 bounds the values
     # correct processes introduce, Byzantine extras just waste their
-    # committee luck.  The kernel authenticates senders, so each is a pid
-    # in [0, n) and a tally of distinct senders is a seen-bitmap (one byte
-    # per process) plus a count -- a set costs ~50 B per member, so the
+    # committee luck, and values are canonical, so no `True` meets a `1`.
+    # The kernel authenticates senders, so each is a pid in [0, n) and a
+    # tally of distinct senders is a seen-bitmap (one byte per process)
+    # plus a count -- a set costs ~50 B per member, so the
     # bitmap is the smaller while n stays below ~40 λ (DESIGN.md §10).
     n = ctx.n
     # value -> [seen, count] over validated init members; init_seen is the
@@ -169,11 +166,8 @@ def approve(
         signing_bytes = echo_signing_bytes(instance, msg.value)
         check_member = echo_committee(msg.value)[1]
         signature_verify = pki.signature_verify
-        for entry in msg.justification:
-            if not isinstance(entry, tuple) or len(entry) != 3:
-                return False
-            echo_sender, membership, signature = entry
-            if type(echo_sender) is not int or echo_sender in seen:
+        for echo_sender, membership, signature in msg.justification:
+            if echo_sender in seen:
                 return False
             if not check_member(echo_sender, membership):
                 return False
@@ -203,10 +197,7 @@ def approve(
                 if not pki.send_verdict(memo, entry, valid_init):
                     continue
                 candidate = msg.value
-                try:
-                    tally = init_tallies.get(candidate)
-                except TypeError:  # unhashable Byzantine value: discard
-                    continue
+                tally = init_tallies.get(candidate)
                 if tally is None:
                     tally = init_tallies[candidate] = [bytearray(n), 0]
                 seen = tally[0]
@@ -221,10 +212,7 @@ def approve(
                     send_echo(candidate)
             elif isinstance(msg, EchoMsg):
                 candidate = msg.value
-                try:
-                    record = echo_records.get(candidate)
-                except TypeError:  # unhashable Byzantine value: discard
-                    continue
+                record = echo_records.get(candidate)
                 if record is None:
                     record = echo_records[candidate] = (bytearray(n), [])
                 seen, entries = record

@@ -35,22 +35,15 @@ __all__ = [
 
 
 @lru_cache(maxsize=1 << 16)
-def _committee_seed_cached(instance: Hashable, role: Hashable) -> bytes:
-    return encode("committee", instance, role)
-
-
 def committee_seed(instance: Hashable, role: Hashable) -> bytes:
     """Canonical VRF input for the committee named ``(instance, role)``.
 
     Pure in its arguments, and evaluated once per message per receiver on
-    the validation hot path, so the canonical encoding is memoized.
-    Unhashable names (never produced by the provided protocols) fall back
-    to direct encoding.
+    the validation hot path, so the canonical encoding is memoized.  Both
+    are canonical values (the echo roles name admitted values), on which
+    ``==`` is type-exact, so the memo stands for the encoding.
     """
-    try:
-        return _committee_seed_cached(instance, role)
-    except TypeError:
-        return encode("committee", instance, role)
+    return encode("committee", instance, role)
 
 
 @lru_cache(maxsize=1 << 12)

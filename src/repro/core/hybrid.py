@@ -32,6 +32,7 @@ from __future__ import annotations
 from repro.baselines.mmr import make_shared_coin, mmr_agreement
 from repro.core.agreement import agreement_round
 from repro.core.params import ProtocolParams
+from repro.sim.messages import bit
 from repro.sim.process import ProcessContext, Protocol
 
 __all__ = ["hybrid_agreement"]
@@ -50,7 +51,7 @@ def hybrid_agreement(
     ``committee_rounds`` bounds the Õ(n) phase; with the coin's constant
     success rate the fallback probability decays geometrically in it.
     """
-    if value not in (0, 1):
+    if not bit(value):
         raise ValueError("hybrid agreement is binary; propose 0 or 1")
     params = params or ctx.params
     ctx.annotate("propose", tag="hybrid", value=repr(value))

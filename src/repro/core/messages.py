@@ -19,7 +19,8 @@ from repro.crypto.pki import PKI
 from repro.crypto.vrf import VRFOutput
 from repro.core.committees import committee_val, membership_checker
 from repro.core.params import ProtocolParams
-from repro.sim.messages import Message
+from repro.sim.messages import Message, canonical, exactly, integer, optional, pid
+from repro.sim.messages import row, tuple_of
 
 __all__ = [
     "CoinValue",
@@ -36,22 +37,15 @@ __all__ = [
 
 
 @lru_cache(maxsize=1 << 16)
-def _coin_value_alpha_cached(instance: Hashable) -> bytes:
-    return encode("coin-value", instance)
-
-
 def coin_value_alpha(instance: Hashable) -> bytes:
     """VRF input for a process's random coin value in ``instance``.
 
     This is the ``VRF_i(r)`` of Algorithms 1 and 2, domain-separated from
     committee sampling so the two uses can never alias.  Pure and on the
-    validation hot path, so memoized (with a fallback for unhashable
-    instance names).
+    validation hot path, so memoized; an instance is a canonical value,
+    on which ``==`` is type-exact, so the memo stands for the encoding.
     """
-    try:
-        return _coin_value_alpha_cached(instance)
-    except TypeError:
-        return encode("coin-value", instance)
+    return encode("coin-value", instance)
 
 
 @dataclass(frozen=True)
@@ -72,6 +66,12 @@ class CoinValue:
     origin_membership: VRFOutput | None = None
 
 
+# Field kinds of the messages below (repro.sim.messages.admit).
+VRF_OUTPUT = exactly(VRFOutput, value=integer, proof=canonical)
+COIN_VALUE = exactly(CoinValue, value=integer, origin=pid, vrf=VRF_OUTPUT,
+                     origin_membership=optional(VRF_OUTPUT))
+
+
 def validate_coin_value(
     pki: PKI,
     coin_value: CoinValue,
@@ -82,10 +82,6 @@ def validate_coin_value(
     """Check a coin value: genuine VRF output, and (if committee-based)
     produced by a member of the FIRST committee.
     """
-    if type(coin_value) is not CoinValue:
-        return False
-    if not isinstance(coin_value.vrf, VRFOutput):
-        return False
     if coin_value.value != coin_value.vrf.value:
         return False
     if not pki.vrf_verify(coin_value.origin, coin_value_alpha(instance), coin_value.vrf):
@@ -127,10 +123,6 @@ def coin_value_checker(
     )
 
     def check(coin_value: CoinValue) -> bool:
-        if type(coin_value) is not CoinValue:  # malformed Byzantine field
-            return False
-        if not isinstance(coin_value.vrf, VRFOutput):
-            return False
         if coin_value.value != coin_value.vrf.value:
             return False
         if not pki.vrf_verify(coin_value.origin, alpha, coin_value.vrf):
@@ -156,6 +148,7 @@ class FirstMsg(Message):
 
     coin_value: CoinValue = None  # type: ignore[assignment]
     membership: VRFOutput | None = None
+    field_kinds = {"coin_value": COIN_VALUE, "membership": optional(VRF_OUTPUT)}
 
     @property
     def value(self) -> int:
@@ -172,6 +165,7 @@ class SecondMsg(Message):
 
     coin_value: CoinValue = None  # type: ignore[assignment]
     membership: VRFOutput | None = None
+    field_kinds = FirstMsg.field_kinds
 
     @property
     def value(self) -> int:
@@ -179,8 +173,7 @@ class SecondMsg(Message):
 
     def words(self) -> int:
         words = 2 + (2 if self.membership is not None else 0)
-        coin_value = self.coin_value
-        if type(coin_value) is CoinValue and coin_value.origin_membership is not None:
+        if self.coin_value.origin_membership is not None:
             words += 2
         return words
 
@@ -191,27 +184,21 @@ class InitMsg(Message):
 
     value: object = None
     membership: VRFOutput = None  # type: ignore[assignment]
+    field_kinds = {"value": canonical, "membership": VRF_OUTPUT}
 
     def words(self) -> int:
         return 1 + 2
 
 
 @lru_cache(maxsize=1 << 16)
-def _echo_signing_bytes_cached(instance: Hashable, value: object) -> bytes:
-    return encode("approver-echo", instance, value)
-
-
 def echo_signing_bytes(instance: Hashable, value: object) -> bytes:
     """The bytes an echo-committee member signs; ok-justifications verify them.
 
     Memoized: every ok-justification check re-derives these bytes, and the
-    (instance, value) domain per run is tiny.  Unhashable values fall back
-    to direct encoding.
+    (instance, value) domain per run is tiny.  Both are canonical values,
+    so equal keys have equal encodings.
     """
-    try:
-        return _echo_signing_bytes_cached(instance, value)
-    except TypeError:
-        return encode("approver-echo", instance, value)
+    return encode("approver-echo", instance, value)
 
 
 @dataclass
@@ -225,6 +212,7 @@ class EchoMsg(Message):
     value: object = None
     membership: VRFOutput = None  # type: ignore[assignment]
     signature: object = None
+    field_kinds = {"value": canonical, "membership": VRF_OUTPUT, "signature": canonical}
 
     def words(self) -> int:
         return 1 + 2 + 1
@@ -242,6 +230,8 @@ class OkMsg(Message):
     value: object = None
     membership: VRFOutput = None  # type: ignore[assignment]
     justification: tuple = ()
+    field_kinds = {"value": canonical, "membership": VRF_OUTPUT,
+                   "justification": tuple_of(row(pid, VRF_OUTPUT, canonical))}
 
     def words(self) -> int:
         # value + own membership proof + (membership, signature) per echo.

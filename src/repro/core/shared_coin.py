@@ -88,7 +88,7 @@ def shared_coin(
                     continue
                 # In Algorithm 1 the FIRST value must be the sender's own.
                 coin_value = msg.coin_value
-                if type(coin_value) is not CoinValue or coin_value.origin != sender:
+                if coin_value.origin != sender:
                     continue
                 if not pki.send_verdict(memo, entry, valid_coin_value):
                     continue

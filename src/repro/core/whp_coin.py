@@ -120,7 +120,7 @@ def whp_coin(
                 if not in_second or first_seen[sender]:
                     continue
                 coin_value = msg.coin_value
-                if type(coin_value) is not CoinValue or coin_value.origin != sender:
+                if coin_value.origin != sender:
                     continue
                 if not pki.send_verdict(memo, entry, valid_first):
                     continue

@@ -4,7 +4,8 @@ Every protocol message, VRF input and committee seed in the reproduction is
 hashed through this module so that two semantically different inputs can
 never collide byte-wise.  The encoding is an unambiguous, length-prefixed
 serialisation of nested tuples of ``int`` / ``str`` / ``bytes`` / ``bool`` /
-``None``.
+``None``.  The protocols' value domain is the part of it on which ``==`` is
+type-exact (:func:`is_canonical`).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Any
 __all__ = [
     "encode",
     "hash_to_int",
+    "is_canonical",
     "hmac_sha256",
     "sha256",
     "tagged_hash",
@@ -66,6 +68,19 @@ def encode(*parts: Any) -> bytes:
     safe to use for protocol transcripts.
     """
     return _encode_one(tuple(parts))
+
+
+def is_canonical(value: Any, depth: int = 32) -> bool:
+    """``value`` is in the protocols' value domain: ``None``, an ``int``
+    that is not a ``bool``, a ``str``, ``bytes``, or a tuple of these,
+    nested at most ``depth`` deep (deeper ones exhaust the recursion of
+    ``hash`` and :func:`encode`).  On it ``a == b`` implies ``encode(a) ==
+    encode(b)`` (``True`` and ``1.0`` equal ``1``, so they stay outside),
+    and a memo keyed by a canonical value stands for its encoding."""
+    kind = type(value)
+    if kind is tuple:
+        return depth > 0 and all(is_canonical(item, depth - 1) for item in value)
+    return value is None or kind is int or kind is str or kind is bytes
 
 
 def sha256(data: bytes) -> bytes:

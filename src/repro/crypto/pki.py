@@ -11,12 +11,13 @@ Verification is memoized.  ``vrf_verify``/``signature_verify`` are pure
 functions of ``(process_id, alpha, proof)`` -- the public keys are fixed at
 setup and both schemes are deterministic -- so a proof broadcast to ``n``
 receivers needs to be checked once, not ``n`` times.  The cache stores
-positive *and* negative verdicts (an invalid proof stays invalid), keeps
-hit/miss counters that the simulation kernel snapshots into its
-:class:`~repro.sim.metrics.MetricsRecorder`, and falls back to direct
-verification for exotic unhashable proof objects.  Disable it with
-``verify_cache=False`` (or :meth:`PKI.set_verify_cache`) to run the
-uncached path, e.g. for the equivalence checks in
+positive *and* negative verdicts (an invalid proof stays invalid) and
+keeps hit/miss counters that the simulation kernel snapshots into its
+:class:`~repro.sim.metrics.MetricsRecorder`.  Its keys are hashable:
+proofs and signatures are canonical values, the only kind the kernel
+admits from a corrupted sender (:func:`repro.sim.messages.admit`).
+Disable it with ``verify_cache=False`` (or :meth:`PKI.set_verify_cache`)
+to run the uncached path, e.g. for the equivalence checks in
 ``benchmarks/bench_kernel_hotpath.py``.
 """
 
@@ -93,10 +94,6 @@ class PKI:
         # argument as the per-call caches (fixed keys, deterministic
         # schemes).
         self.shared_validation_memo: dict[Hashable, dict] = {}
-        # Cache-on verify calls the per-call caches could not key (an
-        # unhashable or malformed Byzantine field).  Re-running such a
-        # call misses again, so a check that made one is not filed.
-        self._unkeyed_calls = 0
         # Monotone counters; the kernel reports per-run deltas of these
         # through MetricsRecorder (see Simulation.run).
         self.vrf_verifications = 0
@@ -193,10 +190,9 @@ class PKI:
         the shelf holds it.  Every later receiver replays the verdict and
         credits the verify calls a re-run would make, each one a per-call
         cache hit, so the counters read as if every receiver had checked.
-        A check that made a call the per-call caches could not key is not
-        filed: every receiver re-runs it.  The key is the send, not the
-        message: a Byzantine process may re-broadcast another's message
-        object under its own pid, and that send is judged on its own.
+        The key is the send, not the message: a Byzantine process may
+        re-broadcast another's message object under its own pid, and that
+        send is judged on its own.
         """
         if memo is not None and self.verify_cache_enabled:
             cached = memo.get(id(entry), _NO_VERDICT)
@@ -210,13 +206,8 @@ class PKI:
                 return cached[1]
         vrf_before = self.vrf_verifications
         sig_before = self.sig_verifications
-        unkeyed_before = self._unkeyed_calls
         verdict = validate(*entry)
-        if (
-            memo is not None
-            and self.verify_cache_enabled
-            and self._unkeyed_calls == unkeyed_before
-        ):
+        if memo is not None and self.verify_cache_enabled:
             if len(memo) >= VALIDATION_MEMO_MAX_ENTRIES:
                 memo.clear()
             memo[id(entry)] = (
@@ -258,23 +249,15 @@ class PKI:
         Memoized on ``(process_id, alpha, value, proof)`` when the cache is
         enabled; soundness rests on verification being a pure function of
         that key (fixed public keys, deterministic schemes).  A
-        ``process_id`` that is not exactly an ``int`` in ``[0, n)`` (a
-        Byzantine field) is rejected uncounted.
+        ``process_id`` outside ``[0, n)`` is rejected uncounted.
         """
-        if type(process_id) is not int or not 0 <= process_id < self.n:
+        if not 0 <= process_id < self.n:
             return False
         self.vrf_verifications += 1
         key = None
         if self.verify_cache_enabled:
-            try:
-                key = (process_id, alpha, output.value, output.proof)
-                cached = self._vrf_cache.get(key, _MISS)
-            except (TypeError, AttributeError):
-                # Unhashable or malformed proof object (Byzantine input):
-                # verify directly, never cache.
-                key = None
-                cached = _MISS
-                self._unkeyed_calls += 1
+            key = (process_id, alpha, output.value, output.proof)
+            cached = self._vrf_cache.get(key, _MISS)
             if cached is not _MISS:
                 self.vrf_cache_hits += 1
                 return cached
@@ -291,21 +274,16 @@ class PKI:
         """Verify process ``process_id``'s signature on ``message``.
 
         Memoized on ``(process_id, message, signature)`` -- same purity
-        argument as :meth:`vrf_verify`; a non-``int`` or out-of-range
-        ``process_id`` is rejected uncounted.
+        argument as :meth:`vrf_verify`; an out-of-range ``process_id``
+        is rejected uncounted.
         """
-        if type(process_id) is not int or not 0 <= process_id < self.n:
+        if not 0 <= process_id < self.n:
             return False
         self.sig_verifications += 1
         key = None
         if self.verify_cache_enabled:
-            try:
-                key = (process_id, message, signature)
-                cached = self._sig_cache.get(key, _MISS)
-            except TypeError:
-                key = None
-                cached = _MISS
-                self._unkeyed_calls += 1
+            key = (process_id, message, signature)
+            cached = self._sig_cache.get(key, _MISS)
             if cached is not _MISS:
                 self.sig_cache_hits += 1
                 return cached

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 
-from repro.crypto.hashing import derive_seed, encode, hash_to_int
+from repro.crypto.hashing import derive_seed, hash_to_int
 from repro.crypto.numtheory import modinv
 from repro.crypto.shamir import FIELD_PRIME, Share, reconstruct_secret, split_secret
 
@@ -92,18 +92,17 @@ class ThresholdCoinDealer:
             for coefficient in reversed(polynomial):
                 acc = (acc * i + coefficient) % _SCHNORR_Q
             self._exponent_shares.append(acc)
-        # (process_id, encode(round_id)) -> share.  A share is a pure
-        # function of the key, so each costs one 768-bit modexp per dealer
-        # instead of one per verification.  The round is keyed by its
-        # canonical encoding, not by ``==``: rounds 1 and True hash to
-        # different bases and must not share an entry.
-        self._shares: dict[tuple[int, bytes], int] = {}
+        # (process_id, round_id) -> share.  A share is a pure function of
+        # the key, so each costs one 768-bit modexp per dealer instead of
+        # one per verification.  Round ids are canonical values, on which
+        # ``==`` is type-exact, so equal keys name one base.
+        self._shares: dict[tuple[int, int], int] = {}
 
     def coin_share(self, process_id: int, round_id: int) -> int:
         """Process ``process_id``'s share of the round-``round_id`` coin."""
         if not 0 <= process_id < self.n:
             raise ValueError(f"process id {process_id} outside [0, {self.n})")
-        key = (process_id, encode(round_id))
+        key = (process_id, round_id)
         share = self._shares.get(key)
         if share is None:
             base = _hash_to_group(round_id)

@@ -47,11 +47,11 @@ _EC_CHALLENGE_BITS = 128
 class VRFOutput:
     """A VRF evaluation: the pseudorandom value and its correctness proof.
 
-    ``proof`` is hashable in every provided scheme (bytes for the simulated
-    VRF, a tuple of ints for ECVRF); the PKI's
-    verification cache keys on ``(process_id, alpha, value, proof)`` and
-    relies on this.  Custom schemes with unhashable proofs still work --
-    their verifications just bypass the cache.
+    ``proof`` is a canonical value (:func:`~repro.crypto.hashing.is_canonical`)
+    in every provided scheme -- bytes for the simulated VRF, a tuple of
+    ints for ECVRF.  The PKI's verification cache keys on ``(process_id,
+    alpha, value, proof)`` and relies on this, and the kernel admits no
+    other proof from a corrupted sender.
     """
 
     value: int
@@ -66,7 +66,7 @@ class VRFOutput:
         # keys) and the 256-bit value makes each hash non-trivial, so the
         # hash is computed once and cached on the instance.  Same value as
         # the generated ``hash((value, proof))``, so equal outputs still
-        # hash equal; unhashable custom proofs still raise TypeError here.
+        # hash equal.
         cached = self.__dict__.get("_cached_hash")
         if cached is None:
             cached = hash((self.value, self.proof))

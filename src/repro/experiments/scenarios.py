@@ -65,7 +65,7 @@ from repro.sim.adversary import (
     StaticCorruption,
 )
 from repro.sim.byzantine import ByzantineBehavior, ScriptedBehavior
-from repro.sim.messages import Message
+from repro.sim.messages import Message, integer
 from repro.sim.lossy import LossyLinkConfig
 from repro.sim.process import ProcessContext, Protocol, Wait
 from repro.sim.network import DEFAULT_MAX_DELIVERIES
@@ -87,6 +87,7 @@ class Nudge(Message):
     """The byz_split trigger message (one word, instance ``"nudge"``)."""
 
     payload: int = 0
+    field_kinds = {"payload": integer}
 
 
 def split_decider(ctx: ProcessContext) -> Protocol:

@@ -5,15 +5,70 @@ complexity convention (Section 2): a word holds a signature, a VRF output,
 or a constant-size value.  The envelope adds the routing metadata the
 kernel and the adversary work with -- crucially, schedulers receive the
 envelope's *metadata view* only, never the payload, unless they are
-explicitly content-aware (ablation E6).
+explicitly content-aware (ablation E6).  A message class also declares the
+kind of each field (``field_kinds``), which :func:`admit` checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Callable, ClassVar, Hashable, Mapping
 
-__all__ = ["Envelope", "Flight", "Message"]
+from repro.crypto.hashing import is_canonical
+
+__all__ = [
+    "Envelope", "Flight", "Kind", "Message", "admit", "bit", "canonical",
+    "exactly", "integer", "optional", "pid", "row", "tuple_of",
+]
+
+# A field kind: ``kind(value, n)`` is true when ``value`` is of the kind
+# in a network of ``n`` processes.
+Kind = Callable[[object, int], bool]
+
+
+def pid(value: object, n: int) -> bool:
+    """A process id: an ``int`` in ``[0, n)``."""
+    return type(value) is int and 0 <= value < n
+
+
+def bit(value: object, n: int = 0) -> bool:
+    """The ``int`` 0 or 1 (``True`` and ``1.0`` equal 1 but are no bit)."""
+    return type(value) is int and 0 <= value <= 1
+
+
+def integer(value: object, n: int) -> bool:
+    """An ``int`` that is not a ``bool``."""
+    return type(value) is int
+
+
+def canonical(value: object, n: int) -> bool:
+    """A value of the domain :func:`~repro.crypto.hashing.is_canonical` defines."""
+    return is_canonical(value)
+
+
+def optional(kind: Kind) -> Kind:
+    """``None`` or a ``kind``."""
+    return lambda value, n: value is None or kind(value, n)
+
+
+def tuple_of(kind: Kind) -> Kind:
+    """A tuple, of any length, of ``kind``s."""
+    return lambda value, n: type(value) is tuple and all(kind(v, n) for v in value)
+
+
+def row(*kinds: Kind) -> Kind:
+    """A tuple of exactly ``kinds``, in order."""
+    return lambda value, n: (
+        type(value) is tuple and len(value) == len(kinds)
+        and all(kind(item, n) for kind, item in zip(kinds, value))
+    )
+
+
+def exactly(cls: type, **kinds: Kind) -> Kind:
+    """An object of exactly ``cls`` whose named attributes are of ``kinds``."""
+    return lambda value, n: type(value) is cls and all(
+        kind(getattr(value, name), n) for name, kind in kinds.items()
+    )
 
 
 @dataclass
@@ -27,10 +82,27 @@ class Message:
     """
 
     instance: Hashable
+    # The kind of every other field; ``instance`` is canonical.
+    field_kinds: ClassVar[Mapping[str, Kind]] = {}
 
     def words(self) -> int:
-        """Size in paper-words.  Subclasses override; default is one word."""
+        """Size in paper-words.  Subclasses of more than one word override."""
         return 1
+
+
+def admit(message: object, n: int) -> bool:
+    """May ``message``, which correct code did not make (a corrupted
+    process's send, a copy a lossy link flipped a bit in), enter a network
+    of ``n`` processes?  Only a :class:`Message` whose fields all have
+    their declared kinds may (DESIGN.md §15)."""
+    return (
+        isinstance(message, Message)
+        and is_canonical(message.instance)
+        and all(
+            kind(getattr(message, name), n)
+            for name, kind in type(message).field_kinds.items()
+        )
+    )
 
 
 @dataclass(slots=True)

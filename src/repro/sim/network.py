@@ -41,7 +41,7 @@ from repro.sim.events import (
     summarize_payload,
 )
 from repro.sim.lossy import LossyLinkConfig, _LossyState, zero_counters
-from repro.sim.messages import Envelope, EnvelopeView, Flight, Message
+from repro.sim.messages import Envelope, EnvelopeView, Flight, Message, admit
 from repro.sim.metrics import MetricsRecorder
 from repro.sim.process import ProcessContext, ProtocolFactory, Wait
 
@@ -438,13 +438,16 @@ class Simulation:
         and the scheduler hears of them in one ``on_submit(start, stop,
         pool)`` call; under an active lossy config each copy meets its
         fate in turn, and the scheduler hears of each copy that joins the
-        pool as it joins.
+        pool as it joins.  A corrupted sender's message that ``admit``
+        refuses is dropped before all this; a correct one is not checked.
         """
         if not 0 <= sender < self.n:
             # A negative sender would silently index contexts[-1] and stamp
             # the wrong depth/sender_correct; fail like an invalid dest.
             raise ValueError(f"invalid sender {sender}")
         sender_correct = sender not in self.corrupted
+        if not sender_correct and not admit(message, self.n):
+            return  # outside its kind's declared domain: never sent
         sent_step = self.deliveries
         depth = self.contexts[sender].depth + 1
         flight = Flight(sender, message, depth, sender_correct, sent_step)
@@ -551,12 +554,15 @@ class Simulation:
         the network's copy: it emits a ``SendEvent`` but is no protocol
         send.  A bit-flipped payload gets a flight of its own in the copy's
         pool slot, so the broadcast's other receivers still see the object
-        that was sent.  A dropped copy leaves nothing behind; a held one
-        waits in the link's heap.
+        that was sent; one that ``admit`` refuses is lost like a drop.  A
+        dropped copy leaves nothing behind; a held one waits in the link's
+        heap.
         """
         copies, corrupted = self._lossy.route(
             seq, flight, dest, fate, aux, hold, self.deliveries
         )
+        if corrupted is not None and not admit(corrupted, self.n):
+            return  # the flipped field left its kind: nothing arrives
         if copies:
             self._insert_in_flight(
                 seq,

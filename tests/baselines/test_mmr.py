@@ -20,6 +20,7 @@ from repro.core.params import ProtocolParams
 from repro.sim.adversary import Adversary, RandomScheduler, StaticCorruption
 from repro.sim.byzantine import ScriptedBehavior
 from repro.sim.mailbox import Mailbox
+from repro.sim.messages import admit
 from repro.sim.runner import run_protocol, stop_when_all_decided
 
 N, F = 16, 3
@@ -148,7 +149,9 @@ class TestAuxQuorumCounters:
         first_aux: dict[int, int] = {}
         bval_senders: dict[int, set[int]] = {0: set(), 1: set()}
         for sender, kind, value, pump in votes:
-            mailbox.add(sender, kind(instance, value=value))
+            msg = kind(instance, value=value)
+            if admit(msg, 7):  # the kernel delivers nothing else
+                mailbox.add(sender, msg)
             if type(value) is int and value in (0, 1):
                 if kind is AuxMsg:
                     first_aux.setdefault(sender, value)

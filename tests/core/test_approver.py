@@ -7,11 +7,13 @@ import random
 
 import pytest
 
+from repro.core.agreement import byzantine_agreement
 from repro.core.approver import approve
 from repro.core.committees import sample, sample_committee
 from repro.core.messages import EchoMsg, InitMsg, OkMsg, echo_signing_bytes
 from repro.core.params import ProtocolParams
 from repro.crypto.pki import PKI
+from repro.crypto.vrf import VRFOutput
 from repro.sim.adversary import (
     Adversary,
     RandomScheduler,
@@ -19,7 +21,7 @@ from repro.sim.adversary import (
     TargetedDelayScheduler,
 )
 from repro.sim.byzantine import ScriptedBehavior, SilentBehavior
-from repro.sim.runner import run_protocol
+from repro.sim.runner import run_protocol, stop_when_all_decided
 
 from tests.core.per_send import ReplaysFirst, replaying, same_run, unstepped
 
@@ -212,6 +214,99 @@ class TestByzantineResistance:
         )
         assert result.live
         assert result.returned_values == {frozenset({1})}
+
+
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            InitMsg(["x"], value=1, membership=VRFOutput(value=1, proof=b"p")),
+            OkMsg(INSTANCE, value=1, membership=VRFOutput(value=1, proof=b"p"),
+                  justification=5),
+        ],
+        ids=["unhashable-instance", "int-justification"],
+    )
+    def test_a_malformed_send_is_never_sent(self, params, malformed):
+        """A list instance once killed the run in the kernel's mailbox
+        dict, an int justification in the flight's ``words()``; neither
+        is admitted now, so the run is the silent run, counters and all."""
+        pki = PKI.create(N, rng=random.Random(4700))
+        result = self._run(
+            lambda pid: ScriptedBehavior(on_start=lambda ctx: ctx.broadcast(malformed)),
+            pki, params, 2,
+        )
+        silent = self._run(
+            lambda pid: SilentBehavior(), PKI.create(N, rng=random.Random(4700)),
+            params, 2,
+        )
+        assert result.live
+        assert same_run(result, silent)
+
+
+def relabelling_ok(params):
+    """A behaviour factory: each corrupted ok-committee member
+    re-broadcasts the first correct ``ok(1)`` of an instance it receives
+    as its own ``ok(True)``, citing that ok's W signed echoes.  ``True ==
+    1`` with equal hashes, so a receiver that keys its memos by ``==``
+    accepts the relabel, and returns -- or decides -- the ``bool``."""
+
+    def factory(pid):
+        relabelled = set()
+
+        def on_deliver(ctx, envelope):
+            msg = envelope.payload
+            if (
+                envelope.sender in CORRUPT
+                or not isinstance(msg, OkMsg)
+                or msg.instance in relabelled
+            ):
+                return
+            relabelled.add(msg.instance)
+            sampled, proof = sample(ctx, msg.instance, "ok", params)
+            if sampled:
+                ctx.broadcast(
+                    OkMsg(msg.instance, value=True, membership=proof,
+                          justification=msg.justification)
+                )
+
+        return ScriptedBehavior(on_deliver=on_deliver)
+
+    return factory
+
+
+class TestRelabelledOkIsNotAValue:
+    """Validity: every return and decision is a value a correct process
+    proposed -- the ``int`` 1, never a Byzantine ``True``.  The relabels
+    go first (:class:`ReplaysFirst`), so a receiver meets ``True`` before
+    most correct oks."""
+
+    def _run(self, params, seed, factory, **kwargs):
+        adversary = Adversary(
+            scheduler=ReplaysFirst(CORRUPT),
+            corruption=StaticCorruption(CORRUPT),
+            behavior_factory=relabelling_ok(params),
+        )
+        return run_protocol(
+            N, F, factory, adversary=adversary,
+            pki=PKI.create(N, rng=random.Random(seed)), params=params, seed=seed,
+            **kwargs,
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_the_approver_returns_the_int(self, params, seed):
+        result = self._run(params, seed, approver(lambda ctx: 1))
+        assert result.live
+        for pid in result.correct_pids:
+            assert [(type(v), v) for v in result.returns[pid]] == [(int, 1)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_agreement_decides_the_int(self, params, seed):
+        result = self._run(
+            params, seed, lambda ctx: byzantine_agreement(ctx, 1, params),
+            stop_condition=stop_when_all_decided,
+        )
+        assert result.all_correct_decided
+        for pid in result.correct_pids:
+            assert (type(result.decisions[pid]), result.decisions[pid]) == (int, 1)
 
 
 class TestReplayedMessagesAreRejected:

@@ -21,6 +21,7 @@ from repro.core.messages import EchoMsg, InitMsg, OkMsg, echo_signing_bytes
 from repro.core.params import ProtocolParams
 from repro.crypto.pki import PKI
 from repro.sim.adversary import Adversary, FIFOScheduler
+from repro.sim.messages import admit
 from repro.sim.network import Simulation
 
 N = 12
@@ -79,7 +80,11 @@ class Receiver:
         )
 
     def deliver(self, sender: int, msg) -> None:
+        """Deliver ``msg`` as the kernel would a corrupted sender's: only
+        if it is admissible."""
         assert self.result is None, "the instance already returned"
+        if not admit(msg, N):
+            return
         self.ctx.mailbox.add(sender, msg)
         outcome = self.wait.condition(self.ctx.mailbox)
         if outcome is not None:
@@ -202,7 +207,8 @@ def test_justification_is_the_first_w_echo_senders_ascending():
 
 
 class TestUnhashableValuesAreDiscarded:
-    """A Byzantine value that cannot be hashed is dropped, not a crash."""
+    """A Byzantine value that cannot be hashed is dropped at admission,
+    not a crash."""
 
     def test_echo_and_init_with_unhashable_value(self):
         receiver = Receiver()

@@ -229,24 +229,6 @@ class TestMembershipCheckerCounterIdentity:
         assert pki.send_verdict(memo, replay, validate) is False
         assert pki.send_verdict(memo, (member, proof), validate)
 
-    def test_a_proof_the_verify_cache_cannot_key_is_never_filed(self):
-        """A Byzantine proof with an unhashable field is verified uncached
-        by every direct check; a replay would credit hits, so every
-        receiver checks it directly and the counters match that."""
-        direct_pki, memo_pki = self._pair()
-        params = ProtocolParams(n=40, f=3, lam=12.0, d=0.05)
-        proof = VRFOutput(value=1, proof=[b"unhashable"])
-        entry = (3, proof)
-        memo = memo_pki.validation_memo("x")
-        validate = membership_checker(memo_pki, "x", "init", params)
-        for _ in range(3):
-            assert not committee_val(direct_pki, "x", "init", 3, proof, params)
-            assert not memo_pki.send_verdict(memo, entry, validate)
-        assert memo == {}
-        assert memo_pki.verification_counters() == (
-            direct_pki.verification_counters()
-        ) == (3, 0, 0, 0)
-
     def test_uncached_mode_never_memoizes(self):
         pki = PKI.create(40, rng=random.Random(63), verify_cache=False)
         params = ProtocolParams(n=40, f=3, lam=12.0, d=0.05)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.committees import committee_seed, sample_committee
 from repro.core.messages import (
@@ -16,11 +18,14 @@ from repro.core.messages import (
     SecondMsg,
     coin_value_alpha,
     coin_value_checker,
+    echo_signing_bytes,
     validate_coin_value,
 )
 from repro.core.params import ProtocolParams
+from repro.crypto.hashing import encode
 from repro.crypto.pki import PKI
 from repro.crypto.vrf import VRFOutput
+from repro.sim.messages import admit
 
 
 @pytest.fixture(scope="module")
@@ -68,10 +73,16 @@ class TestWordSizes:
         assert msg.words() == 1 + 2 + 3 * 10
 
     def test_malformed_coin_value_field_does_not_raise(self):
+        """A malformed coin value never reaches ``words()``: the kernel
+        admits a corrupted sender's message before it builds the flight
+        that sizes it."""
         proof = VRFOutput(value=1, proof=b"p")
-        assert FirstMsg("i", coin_value=None).words() == 2
-        assert SecondMsg("i", coin_value=None).words() == 2
-        assert SecondMsg("i", coin_value="junk", membership=proof).words() == 4
+        for msg in (
+            FirstMsg("i", coin_value=None),
+            SecondMsg("i", coin_value=None),
+            SecondMsg("i", coin_value="junk", membership=proof),
+        ):
+            assert not admit(msg, 20)
 
     def test_value_property_exposed_for_scheduler(self, pki):
         cv = make_value(pki, 3, "i")
@@ -99,14 +110,24 @@ class TestValidateCoinValue:
         assert not validate_coin_value(pki, relabelled, "inst", params, None)
 
     def test_junk_vrf_rejected(self, pki, params):
+        """Rejected at admission: no validator sees a coin value whose
+        VRF output is no :class:`VRFOutput`."""
         cv = CoinValue(value=0, origin=1, vrf="garbage")
-        assert not validate_coin_value(pki, cv, "inst", params, None)
+        assert not admit(FirstMsg("inst", coin_value=cv), pki.n)
 
     @pytest.mark.parametrize("malformed", [None, "junk", (0, 1, None)])
     @pytest.mark.parametrize("role", [None, "first"])
     def test_non_coin_value_rejected(self, pki, params, malformed, role):
-        assert not validate_coin_value(pki, malformed, "inst", params, role)
-        assert not coin_value_checker(pki, "inst", params, role)(malformed)
+        """A coin field that is no :class:`CoinValue` is rejected at
+        admission, in the full-participation coin (no membership) and the
+        committee one alike; the genuine value beside it is admitted."""
+        membership = None if role is None else VRFOutput(value=1, proof=b"p")
+        for kind in (FirstMsg, SecondMsg):
+            assert not admit(
+                kind("inst", coin_value=malformed, membership=membership), pki.n
+            )
+            genuine = make_value(pki, 1, "inst", membership=membership)
+            assert admit(kind("inst", coin_value=genuine, membership=membership), pki.n)
 
     def test_committee_mode_requires_membership(self, pki, params):
         cv = make_value(pki, 1, "inst")  # no origin_membership
@@ -207,20 +228,14 @@ class TestCoinValueCheckerCounterIdentity:
     )
     def test_non_int_origin_rejected_like_validate_coin_value(self, origin):
         """A SECOND message's coin value names its origin freely: anything
-        but an exact ``int`` is rejected, by both paths, uncounted."""
-        direct_pki, memo_pki = self._pair()
-        params = ProtocolParams(n=20, f=2, lam=14.0, d=0.05)
-
-        def odd(pki):
-            genuine = make_value(pki, 1, "c")
-            return CoinValue(value=genuine.value, origin=origin, vrf=genuine.vrf)
-
-        memo = memo_pki.validation_memo("c")
-        validate = self._validator(memo_pki, params, "first")
-        assert memo_pki.send_verdict(memo, (1, odd(memo_pki)), validate) is False
-        assert validate_coin_value(direct_pki, odd(direct_pki), "c", params, "first") is False
-        assert memo_pki.verification_counters() == direct_pki.verification_counters()
-        assert memo_pki.verification_counters() == (0, 0, 0, 0)
+        but an exact ``int`` is rejected at admission, before either
+        checker or the PKI sees it -- uncounted."""
+        pki = PKI.create(20, rng=random.Random(71))
+        genuine = make_value(pki, 1, "c")
+        odd = CoinValue(value=genuine.value, origin=origin, vrf=genuine.vrf)
+        assert admit(SecondMsg("c", coin_value=genuine), pki.n)
+        assert not admit(SecondMsg("c", coin_value=odd), pki.n)
+        assert pki.verification_counters() == (0, 0, 0, 0)
 
     def test_a_dropped_shelf_credits_what_its_replay_would(self):
         """Dropping an instance's memo shelf is counter-neutral: the next
@@ -252,3 +267,26 @@ class TestCoinValueCheckerCounterIdentity:
         assert pki.send_verdict(None, entry, validate)
         assert pki.send_verdict(None, entry, validate)
         assert pki.shared_validation_memo == {}
+
+
+class TestMemosStandForTheEncoding:
+    @given(
+        st.lists(
+            st.one_of(
+                st.none(), st.integers(-2, 2), st.sampled_from(("a", b"a", ("d", 1)))
+            ),
+            max_size=8,
+        )
+    )
+    def test_memoized_bytes_equal_the_encoding_in_any_order(self, values):
+        """Every memoized encoding equals a fresh one, whatever equal
+        canonical value it met first."""
+        for value in values:
+            instance = ("memo", value)
+            assert committee_seed(instance, ("echo", value)) == encode(
+                "committee", instance, ("echo", value)
+            )
+            assert echo_signing_bytes(instance, value) == encode(
+                "approver-echo", instance, value
+            )
+            assert coin_value_alpha(instance) == encode("coin-value", instance)

@@ -12,6 +12,7 @@ from repro.crypto.hashing import (
     encode,
     hash_to_int,
     hmac_sha256,
+    is_canonical,
     sha256,
     tagged_hash,
 )
@@ -25,6 +26,23 @@ atoms = st.one_of(
     st.binary(max_size=40),
 )
 values = st.recursive(atoms, lambda inner: st.lists(inner, max_size=4).map(tuple), max_leaves=12)
+
+# The protocols' value domain, drawn from few atoms so that equal pairs
+# are common.
+canonical_values = st.recursive(
+    st.one_of(
+        st.none(), st.integers(-2, 2), st.sampled_from(("", "a")),
+        st.sampled_from((b"", b"a")),
+    ),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=6,
+)
+
+
+def _holds_a_bool(value):
+    if type(value) is tuple:
+        return any(map(_holds_a_bool, value))
+    return type(value) is bool
 
 
 class TestEncode:
@@ -79,6 +97,30 @@ class TestEncode:
     def test_injective_on_argument_lists(self, xs, ys):
         if encode(*xs) == encode(*ys):
             assert tuple(xs) == tuple(ys)
+
+
+class TestCanonicalDomain:
+    @given(canonical_values, canonical_values)
+    def test_equal_canonical_values_encode_alike(self, a, b):
+        """Why a memo keyed by a canonical value (``committee_seed``,
+        ``echo_signing_bytes``, ``coin_value_alpha``) is sound: ``==``
+        on the domain is type-exact."""
+        assert is_canonical(a) and is_canonical(b)
+        if a == b:
+            assert encode(a) == encode(b)
+
+    @given(values)
+    def test_the_domain_is_the_encodable_values_without_bools(self, value):
+        assert is_canonical(value) is not _holds_a_bool(value)
+
+    @pytest.mark.parametrize(
+        "outside, inside",
+        [(True, 1), (False, 0), (1.0, 1), (bytearray(b"a"), b"a"),
+         (("d", True), ("d", 1))],
+    )
+    def test_equal_values_outside_the_domain(self, outside, inside):
+        assert is_canonical(inside) and not is_canonical(outside)
+        assert outside == inside
 
 
 class TestHashing:

@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+from repro.core.messages import OkMsg
 from repro.crypto.pki import PKI
 from repro.crypto.vrf import VRFOutput
+from repro.sim.messages import admit
 
 
 class TestCreation:
@@ -61,13 +63,21 @@ class TestKeyRouting:
         "pid", [[0], "x", None, 1.0, True], ids=["list", "str", "none", "float", "bool"]
     )
     def test_non_int_pid_rejected_uncounted(self, small_pki, pid):
-        """A Byzantine field naming a process is checked before any key
-        lookup: anything but an exact ``int`` is invalid, and not a call."""
+        """A Byzantine field naming a process never reaches a key lookup:
+        anything but an exact ``int`` in ``[0, n)`` makes its message
+        inadmissible, so it is no call."""
         output = small_pki.vrf_scheme.prove(small_pki.vrf_private(1), b"a")
         sig = small_pki.signature_scheme.sign(small_pki.signature_private(1), b"a")
         before = small_pki.verification_counters()
-        assert small_pki.vrf_verify(pid, b"a", output) is False
-        assert small_pki.signature_verify(pid, b"a", sig) is False
+
+        def ok_citing(echo_sender):
+            return OkMsg(
+                "i", value=0, membership=output,
+                justification=((echo_sender, output, sig),),
+            )
+
+        assert admit(ok_citing(1), small_pki.n)
+        assert not admit(ok_citing(pid), small_pki.n)
         assert small_pki.verification_counters() == before
 
     def test_keys_are_distinct_across_processes(self, small_pki):

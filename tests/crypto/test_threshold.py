@@ -149,9 +149,3 @@ class TestCKSShareMemo:
             dealer.combine({0: shares[0] + 1, 1: shares[1]}, 0)
         with pytest.raises(ValueError):
             dealer.combine({0: dealer.coin_share(0, 1), 1: shares[1]}, 0)
-
-    def test_equal_but_distinct_round_ids_not_aliased(self):
-        # 1 == True, but they encode (and hash to a base) differently.
-        dealer = ThresholdCoinDealer(n=3, threshold=2, rng=random.Random(9))
-        assert dealer.coin_share(0, 1) != dealer.coin_share(0, True)
-        assert not dealer.verify_share(0, True, dealer.coin_share(0, 1))

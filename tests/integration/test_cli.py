@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.cli import ARGUMENTS, COMMANDS, _run_experiments, main
 from repro.experiments.protocols import PROTOCOLS
@@ -262,3 +268,34 @@ class TestProtocolFlag:
         assert "unknown protocol or scenario 'nope'" in message
         for name in (*PROTOCOLS, *SCENARIOS):
             assert name in message
+
+
+class TestClosedStdout:
+    """A reader that leaves early (``repro report r.jsonl | head``,
+    ``repro explain r.jsonl | grep -q ...``) ends the command quietly,
+    with the command's own exit code: no ``BrokenPipeError`` traceback,
+    no exit status of the interpreter's making."""
+
+    @staticmethod
+    def _run(*args, cwd):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the first write
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "repro", *args], stdout=write,
+                stderr=subprocess.PIPE, env=env, cwd=cwd, timeout=300,
+            )
+        finally:
+            os.close(write)
+
+    def test_a_command_that_succeeds_exits_0(self, tmp_path):
+        done = self._run("list", cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (0, b"")
+
+    def test_a_command_that_finds_something_exits_1(self, tmp_path, capsys):
+        for seed in (1, 2):
+            assert main(["record", "--n", "8", "--seed", str(seed),
+                         "--out", str(tmp_path / f"{seed}.jsonl")]) == 0
+        done = self._run("diff", "1.jsonl", "2.jsonl", cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (1, b"")

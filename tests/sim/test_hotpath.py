@@ -111,14 +111,6 @@ class TestVerifyCache:
         _, hits, _, _ = pki.verification_counters()
         assert hits == 1
 
-    def test_unhashable_proof_bypasses_cache(self):
-        pki = self.make_pki()
-        weird = VRFOutput(value=5, proof=[1, 2, 3])
-        assert not pki.vrf_verify(0, b"alpha", weird)
-        assert not pki.vrf_verify(0, b"alpha", weird)
-        verifs, hits, _, _ = pki.verification_counters()
-        assert (verifs, hits) == (2, 0)
-
 
 class TestMailboxProbeAllocation:
     def test_probe_does_not_allocate_a_buffer(self):
