@@ -34,7 +34,7 @@ from repro.experiments.forensics import explain_recording
 from repro.experiments.protocols import make_runner
 from repro.sim.diffing import DEFAULT_MAX_SLICE, diff_events
 from repro.sim.events import DeliverEvent
-from repro.sim.flightrecorder import FlightRecorder
+from repro.sim.flightrecorder import EventLog
 from repro.sim.runner import run_protocol, stop_when_all_decided
 
 ROOT_SEED = 2020
@@ -42,15 +42,15 @@ FULL_N = 40
 SMOKE_N = 16
 
 
-def _record_whp(n: int, seed: int) -> FlightRecorder:
+def _record_whp(n: int, seed: int) -> EventLog:
     factory, params, f = make_runner("whp_ba", n, seed=seed)
-    recorder = FlightRecorder()
+    log = EventLog()
     run_protocol(
         n, f, factory, corrupt=set(range(f)), params=params,
         stop_condition=stop_when_all_decided, seed=seed,
-        observers=[recorder],
+        observers=[log],
     )
-    return recorder
+    return log
 
 
 def run_forensics(n: int) -> tuple[str, dict]:

@@ -26,6 +26,14 @@ the :data:`OBSERVERS` table (the four stock observers of
   attached probe's (sampling is deterministic, not clocks/RNG).
 * **Recording cost** (reported, not asserted): wall-clock of the same
   run with a recorder attached, i.e. what `repro record` actually pays.
+* **Retained memory**: what the recorder and the monitor suite still
+  hold once the run is over (tracemalloc: the traced bytes freed by
+  dropping the observer), per delivery.  Asserted against
+  :data:`RETAINED_BUDGETS`: the recorder keeps a 12-byte schedule triple
+  per delivery and no event, the suite one delivery per (process,
+  depth).  An :class:`~repro.sim.flightrecorder.EventLog`, which keeps
+  every event and supplies the log the dispatch replays read, is
+  reported beside them for scale.
 
 Scale matters for the ratios: an observer's per-event cost is a fixed
 few hundred ns while the kernel's per-event cost *grows* with n (quorum
@@ -49,15 +57,17 @@ Run standalone for CI smoke::
 
 from __future__ import annotations
 
+import gc
 import sys
 import time
 import timeit
+import tracemalloc
 
 from repro.experiments.protocols import make_runner
 from repro.experiments.store import to_jsonable
 from repro.sim.coverage import CoverageProbe
 from repro.sim.events import EventBus
-from repro.sim.flightrecorder import FlightRecorder
+from repro.sim.flightrecorder import EventLog, FlightRecorder
 from repro.sim.monitors import MonitorSuite
 from repro.sim.runner import run_protocol, stop_when_all_decided
 from repro.sim.telemetry import TelemetryProbe
@@ -76,14 +86,21 @@ SMOKE_N = 24
 # the reference interpreter the budgets were set on (the guard
 # micro-benchmark doubles as the calibration probe: ~25ns/guard there);
 # at smoke scale its ratio assert flaked on slow or noisy machines.  The
-# recorder is reported, not budgeted.
+# recorder and the log are reported, not budgeted.
 OBSERVERS = {
+    "log": (EventLog, None, False),
     "recorder": (FlightRecorder, None, False),
     "monitor": (MonitorSuite, 4000.0, True),
     "telemetry": (TelemetryProbe, 1500.0, False),
     "coverage": (CoverageProbe, 2500.0, False),
 }
 REFERENCE_GUARD_NS = 25.0
+# name -> bytes an observer may still hold after the run, per delivery.
+# The recorder: 12 per schedule triple, plus the array's growth slack and
+# the open digest block.  The suite: one index entry (~250 bytes) per
+# (process, depth), which is ~65 per delivery at n=24 and fewer at
+# larger n, where a depth holds more deliveries.
+RETAINED_BUDGETS = {"recorder": 16.0, "monitor": 100.0}
 
 
 def _ba_run(n: int, seed: int, *observers):
@@ -113,6 +130,22 @@ def _replay(events, factory, repeats: int = 3):
     return min(costs), observer
 
 
+def _retained(n: int, factory) -> tuple[int, int]:
+    """Bytes a fresh ``factory()`` observer still holds after a run (what
+    dropping it frees, by tracemalloc), and the run's delivery count."""
+    tracemalloc.start()
+    try:
+        observer = factory()
+        _, result = _ba_run(n, ROOT_SEED, observer)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del observer
+        gc.collect()
+        return held - tracemalloc.get_traced_memory()[0], result.deliveries
+    finally:
+        tracemalloc.stop()
+
+
 def _guard_cost() -> float:
     """Measured seconds per no-subscriber guard (empty-list truthiness)."""
     iterations = 1_000_000
@@ -140,7 +173,7 @@ def run_comparison(n: int, max_overhead: float = 0.03, assert_ratios: bool = Tru
         "safety monitor fired on a seed scenario:\n"
         + "\n".join(v.describe() for v in suite.safety_violations)
     )
-    events = attached["recorder"].events
+    events = attached["log"].events
     coverage_snapshot = attached["coverage"].snapshot()
 
     # A second bare run: the min is the denominator for every ratio
@@ -216,6 +249,19 @@ def run_comparison(n: int, max_overhead: float = 0.03, assert_ratios: bool = Tru
             failures.append(
                 f"{name} dispatch cost {ratio:.4%} / {ns_per_event:.0f}ns/event"
             )
+    # Retained memory: what each observer still holds once the run ends.
+    retained = {}
+    for name in ("log", *RETAINED_BUDGETS):
+        held, deliveries = _retained(n, OBSERVERS[name][0])
+        retained[name] = per_delivery = held / deliveries
+        budget = RETAINED_BUDGETS.get(name)
+        limit = "for scale" if budget is None else f"budget {budget:.0f} B/delivery"
+        lines.append(
+            f"  {name + ' retains':<28}: {per_delivery:7.1f} B/delivery "
+            f"({held / 1024:.0f} KiB; {limit})"
+        )
+        if budget is not None and per_delivery > budget:
+            failures.append(f"{name} retains {per_delivery:.1f} B/delivery")
     report = "\n".join(lines)
     assert not failures, "over budget: " + "; ".join(failures) + "\n" + report
     # Deterministic counters top-level (gateable by `repro trends --gate`);
@@ -234,6 +280,10 @@ def run_comparison(n: int, max_overhead: float = 0.03, assert_ratios: bool = Tru
                 for name, ratio in dispatch_bounds.items()
             },
             "bare_seconds": bare_elapsed,
+            **{
+                f"{name}_retained_bytes_per_delivery": per_delivery
+                for name, per_delivery in retained.items()
+            },
         },
     }
     return report, summary

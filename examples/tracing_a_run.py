@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
 """Auditing a run through the kernel event bus.
 
-Subscribes a :class:`~repro.sim.FlightRecorder` to a WHP-coin run under
+Subscribes an :class:`~repro.sim.EventLog` to a WHP-coin run under
 adaptive *committee-hunting* corruption — the adversary corrupts every
 committee member the moment its message appears — and then uses the
 typed event log to verify the paper's process-replaceability argument
 event by event: each hunted member had already broadcast before it was
 corrupted, so the corruption changed nothing.
 
-The recorder sees every kernel event (sends, deliveries, corruptions,
+The log keeps every kernel event (sends, deliveries, corruptions,
 decisions, wait blocking, protocol phases).  A hand-built simulation
 attaches observers with ``sim.events.attach``, as done here;
-``run_protocol(..., observers=[recorder])`` is the same seam.  A
-recording can also be persisted and rendered: see ``python -m repro
-record`` / ``python -m repro report``.
+``run_protocol(..., observers=[log])`` is the same seam.  A run can
+also be recorded (a :class:`~repro.sim.FlightRecorder` keeps its
+schedule, not its events) and rendered: see ``python -m repro record``
+/ ``python -m repro report``.
 
 Run:  python examples/tracing_a_run.py
 """
@@ -28,7 +29,7 @@ from repro.crypto.pki import PKI
 from repro.sim import (
     Adversary,
     CommitteeTargetingCorruption,
-    FlightRecorder,
+    EventLog,
     PhaseEvent,
     RandomScheduler,
     Simulation,
@@ -47,13 +48,13 @@ def main() -> None:
         ),
         seed=11, params=params,
     )
-    recorder = sim.events.attach(FlightRecorder())
+    log = sim.events.attach(EventLog())
     sim.set_protocol_all(lambda ctx: whp_coin(ctx, 0))
     sim.run()
 
-    events = recorder.events
-    sends = recorder.of_kind("send")
-    delivers = recorder.of_kind("deliver")
+    events = log.events
+    sends = log.of_kind("send")
+    delivers = log.of_kind("deliver")
     outputs = {sim.returns[pid] for pid in sim.correct_pids if pid in sim.returns}
     print(f"coin outputs of correct processes: {outputs}")
     print(f"events recorded: {len(events)}  "
@@ -71,10 +72,10 @@ def main() -> None:
               f"{event.message_kind} ({event.summary.words} words, "
               f"depth {event.depth})")
 
-    corruptions = recorder.of_kind("corrupt")
+    corruptions = log.of_kind("corrupt")
     print(f"\nadaptive corruptions: {[e.pid for e in corruptions]}")
     for event in corruptions:
-        first_send = recorder.sends_by(event.pid)[0]
+        first_send = log.sends_by(event.pid)[0]
         verdict = (
             "TOO LATE (replaceability)"
             if first_send.step <= event.step

@@ -267,7 +267,7 @@ def _export_cell(
     directory.mkdir(parents=True, exist_ok=True)
     # repr(rate), like the spec's name: two swept rates never share a file.
     out = directory / f"cell_{scenario}_r{rate!r}_s{seed}.jsonl"
-    save_recording(out, recorder, result, protocol=run_header(spec, recorder.events))
+    save_recording(out, recorder, result, protocol=run_header(spec, recorder.corruptions))
     return out.name
 
 

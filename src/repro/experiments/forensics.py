@@ -29,13 +29,11 @@ from typing import Any, Callable, Sequence
 from repro.experiments.scenarios import RunSpec, describe_runs, resolve_run
 from repro.sim.adversary import ReplayScheduler, StaticCorruption
 from repro.sim.diffing import DEFAULT_MAX_SLICE, format_slice
-from repro.sim.events import CorruptEvent, KernelEvent
 from repro.sim.flightrecorder import (
     FlightRecorder,
     Recording,
     code_digest,
     load_recording,
-    stream_digest,
 )
 from repro.sim.fuzz import ScheduledCorruption
 from repro.sim.lossy import LossyLinkConfig
@@ -70,22 +68,22 @@ def resolve_protocol(recording: Recording, protocol: str | None = None) -> str:
     return name
 
 
-def run_header(spec: RunSpec, events: Sequence[KernelEvent]) -> dict[str, Any]:
+def run_header(spec: RunSpec, corruptions: Sequence[list[int]]) -> dict[str, Any]:
     """The header fields that name ``spec``'s run, for ``save_recording``.
 
     The spec's name and ``lossy`` config (a fuzz candidate's or a swept
     cell's perturbed links), and -- when any corruption fired mid-run --
-    every corruption in ``events`` as ``corrupt_after`` ``[pid, step]``
-    pairs, so adaptive and moved corruptions replay.  :func:`spec_of`
-    reads them back.
+    every one of the run's ``corruptions`` (a recorder's
+    :attr:`~repro.sim.flightrecorder.FlightRecorder.corruptions`, ``[pid,
+    step]`` pairs) as ``corrupt_after``, so adaptive and moved
+    corruptions replay.  :func:`spec_of` reads them back.
     """
     header: dict[str, Any] = {
         "protocol": spec.name,
         "lossy": None if spec.lossy is None else spec.lossy.to_dict(),
     }
-    corruptions = [[event.pid, event.step] for event in events if type(event) is CorruptEvent]
     if any(step for _, step in corruptions):
-        header["corrupt_after"] = corruptions
+        header["corrupt_after"] = list(corruptions)
     return header
 
 
@@ -270,7 +268,7 @@ def explain_recording(
         return payload
 
     recorded = recording.header.get("stream")
-    replayed = stream_digest(recorder.events)
+    replayed = recorder.stream
     payload["replay_identical"] = recorded == replayed
     if recorded != replayed:
         payload["replay_divergence"] = {

@@ -120,7 +120,7 @@ def _bundle_counterexample(
         recording_path,
         recorder,
         result,
-        protocol=run_header(_candidate_spec(spec, candidate), recorder.events),
+        protocol=run_header(_candidate_spec(spec, candidate), recorder.corruptions),
     )
     divergence_path = Path(f"{out_prefix}_ce{index}.divergence.json")
     payload = explain_recording(recording_path, minimize_budget=minimize_budget)

@@ -68,7 +68,7 @@ def record_run(
     spec = resolve_run(name, n, f=f, seed=seed)
     recorder = FlightRecorder()
     result = spec.run(observers=[recorder], profile=profile)
-    path = save_recording(out, recorder, result, protocol=run_header(spec, recorder.events))
+    path = save_recording(out, recorder, result, protocol=run_header(spec, recorder.corruptions))
     return path, result
 
 

@@ -52,6 +52,7 @@ from repro.sim.byzantine import (
 from repro.sim.mailbox import Mailbox
 from repro.sim.messages import Envelope, Message
 from repro.sim.flightrecorder import (
+    EventLog,
     FlightRecorder,
     critical_path,
     load_recording,
@@ -98,6 +99,7 @@ __all__ = [
     "DeliverEvent",
     "Envelope",
     "EventBus",
+    "EventLog",
     "FIFOScheduler",
     "FlightRecorder",
     "KernelEvent",

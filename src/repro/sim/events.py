@@ -326,9 +326,10 @@ class ChunkedObserver:
     The online path is one list append and one length check per event,
     bound as a closure with default-argument locals so it costs no
     attribute lookups; every ``_CHUNK`` events (and before any read, via
-    :meth:`_flush`) the buffer goes through the subclass's
-    :meth:`_fold` and is emptied.  Memory stays O(chunk), never
-    O(events).  No ``__slots__``: callers may rebind ``on_event`` on the
+    :meth:`_flush`, and when the run ends, via :meth:`finalize`) the
+    buffer goes through the subclass's :meth:`_fold` and is emptied.
+    Memory stays O(chunk), never O(events), and no event outlives the
+    run.  No ``__slots__``: callers may rebind ``on_event`` on the
     instance.
     """
 
@@ -360,6 +361,10 @@ class ChunkedObserver:
 
     def _fold(self, chunk: list[KernelEvent]) -> None:
         raise NotImplementedError
+
+    def finalize(self, result: Any, simulation: Any) -> None:
+        """Fold the last chunk: the run is over."""
+        self._flush()
 
 
 # -- serialization -------------------------------------------------------------

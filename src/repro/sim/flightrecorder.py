@@ -1,11 +1,14 @@
 """The flight recorder: kernel-event logs, their recordings and analyses.
 
-A :class:`FlightRecorder` is an event-bus subscriber that keeps every
-kernel event of a run (events hold no live message, so the log stays
-valid after the run).  :func:`critical_path` walks an event log back
-along the causal depth chain from the deepest decision, recovering the
-message sequence whose length *is* the run's running time (paper
-Section 2's longest causally-related chain).
+A :class:`FlightRecorder` is an event-bus subscriber that folds a run's
+kernel events, as they arrive, into what a recording keeps: the stream
+digest, the packed schedule and the corruptions; it keeps no event.  An
+:class:`EventLog` keeps them all, for code that reads them.
+:func:`critical_path` walks back along the causal depth chain from the
+deepest decision (through a :class:`CausalIndex`, one delivery per
+process and depth), recovering the message sequence whose length *is*
+the run's running time (paper Section 2's longest causally-related
+chain).
 
 A run replays seq-exactly from its spec and its schedule, so a recording
 (:func:`save_recording`, schema-versioned JSONL) keeps those, not the
@@ -32,14 +35,17 @@ from dataclasses import fields
 from functools import cache, cached_property
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 
 from repro.sim.events import (
     EVENT_SCHEMA,
     EVENT_SCHEMA_VERSION,
+    ChunkedObserver,
+    CorruptEvent,
     DecideEvent,
     DeliverEvent,
     KernelEvent,
+    PayloadSummary,
     SendEvent,
     require_schema_version,
 )
@@ -50,6 +56,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SCHEDULE_LINE",
+    "CausalIndex",
+    "EventLog",
     "FlightRecorder",
     "Recording",
     "causal_chain",
@@ -61,16 +69,56 @@ __all__ = [
 ]
 
 
-class FlightRecorder:
-    """Collects every kernel event of a run, ready to persist or analyse.
+# -- the stream digest ---------------------------------------------------------------
 
-    Attach via ``run_protocol(..., observers=[recorder])`` (or
-    ``simulation.events.attach(recorder)``).  It keeps the kernel's own
-    event objects; a deliver event carries only the immutable
+# Per event class, its ``kind`` tag and fields as one tuple (a deliver's
+# summary left out: it goes in as its own digest).
+_ROW = {
+    cls: attrgetter("kind", *(f.name for f in fields(cls) if f.name != "summary"))
+    for cls in KernelEvent.__args__
+}
+_DIGEST_CHUNK = 64  # events per marshalled block (larger blocks raise peak RSS)
+# Summary digests a recorder keeps, by summary id, oldest dropped first.
+# An entry holds its summary, so the id is that summary's while the entry
+# lives; the bound keeps the recorder from pinning every message's repr
+# (~3 MiB at n = 64).  The copies of one send arrive close together: at
+# n = 64, 256 entries hash 1,011 times for 954 summaries.
+_SUMMARY_CACHE = 256
+
+
+def stream_digest(events: Iterable[KernelEvent]) -> str:
+    """The SHA-256 of an event stream, read once, in blocks: what a
+    :class:`FlightRecorder` fed ``events`` reads as its :attr:`~FlightRecorder.stream`.
+
+    Each event is the tuple of its ``kind`` and its fields; a deliver's
+    :class:`~repro.sim.events.PayloadSummary` is the SHA-256 of its own
+    fields.  Blocks of ``_DIGEST_CHUNK`` tuples are ``marshal``-ed
+    (format 2, no object references), which is type-exact: ``1``,
+    ``True`` and ``1.0`` differ, as do a tuple and a list, so two
+    streams share a digest only if their events are equal field by
+    field with equal types.  A value ``marshal`` cannot write (an object
+    of a class) raises ``ValueError``.
+    """
+    recorder = FlightRecorder()
+    fold = recorder.on_event
+    for event in events:
+        fold(event)
+    return recorder.stream
+
+
+class EventLog:
+    """Keeps every kernel event of a run, in order, for code that reads
+    them: tests, examples, benchmarks and :attr:`Recording.events`.
+
+    Attach via ``run_protocol(..., observers=[log])`` (or
+    ``simulation.events.attach(log)``).  It keeps the kernel's own event
+    objects; a deliver event carries only the immutable
     :class:`~repro.sim.events.PayloadSummary` of its message, so holding
-    a recording never pins or aliases protocol message objects.
+    the log never pins or aliases protocol message objects.  A log grows
+    with the run (~200 bytes per event); a recording needs only a
+    :class:`FlightRecorder`.
 
-    One recorder holds one run: attaching it again starts a fresh
+    One log holds one run: attaching it again starts a fresh
     :attr:`events` list (the previous run's list is left intact for
     whoever still holds it).
     """
@@ -101,7 +149,110 @@ class FlightRecorder:
     def schedule(self) -> Schedule:
         """The run's ``(seq, sender, dest)`` deliveries, in order: what
         :class:`~repro.sim.adversary.ReplayScheduler` replays."""
-        return _schedule(self.events)
+        return tuple(
+            (event.seq, event.sender, event.dest)
+            for event in self.events
+            if type(event) is DeliverEvent
+        )
+
+
+class FlightRecorder(ChunkedObserver):
+    """Folds a run's kernel events, as they arrive, into what its
+    recording keeps: the :attr:`stream` digest, the packed schedule
+    (12 bytes per delivery), the :attr:`corruptions` and the
+    :attr:`event_count`.  It keeps no event past its chunk.
+
+    Attach via ``run_protocol(..., observers=[recorder])`` (or
+    ``simulation.events.attach(recorder)``), then hand it to
+    :func:`save_recording`.  The online path is
+    :class:`~repro.sim.events.ChunkedObserver`'s: every chunk of
+    ``_DIGEST_CHUNK`` events becomes its digest rows, and every
+    ``_DIGEST_CHUNK`` rows are hashed as one block, so the digest is
+    :func:`stream_digest`'s, block for block (an event value ``marshal``
+    cannot write raises ``ValueError`` when its block is hashed).
+
+    One recorder holds one run: attaching it again starts afresh.  Code
+    that reads the events themselves attaches an :class:`EventLog`.
+    """
+
+    _CHUNK = _DIGEST_CHUNK
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.begin_run()
+
+    def begin_run(self) -> None:
+        del self._pending[:]
+        self._hasher = hashlib.sha256()
+        self._rows: list[tuple] = []  # the open block
+        self._hashed = 0  # events in the hashed blocks
+        self._summaries: dict[int, tuple[PayloadSummary, bytes]] = {}
+        self._triples = array("I")
+        self._corruptions: list[list[int]] = []
+
+    def _fold(self, chunk: list[KernelEvent]) -> None:
+        rows, append = self._rows, self._rows.append
+        extend, corrupted = self._triples.extend, self._corruptions.append
+        summaries, sha256 = self._summaries, hashlib.sha256
+        deliver, corrupt, row_of = DeliverEvent, CorruptEvent, _ROW
+        for event in chunk:
+            cls = type(event)
+            row = row_of[cls](event)
+            if cls is deliver:
+                extend(row[2:5])  # seq, sender, dest
+                summary = event.summary
+                known = summaries.get(id(summary))
+                if known is None or known[0] is not summary:
+                    if len(summaries) >= _SUMMARY_CACHE:
+                        del summaries[next(iter(summaries))]
+                    parts = [summary.kind, summary.instance, summary.words, summary.text]
+                    known = summaries[id(summary)] = (
+                        summary, sha256(marshal.dumps(parts, 2)).digest()
+                    )
+                row += (known[1],)
+            elif cls is corrupt:
+                corrupted([event.pid, event.step])
+            append(row)
+        # A read mid-chunk folds a short chunk, so a block may straddle two.
+        while len(rows) >= _DIGEST_CHUNK:
+            self._hasher.update(marshal.dumps(rows[:_DIGEST_CHUNK], 2))
+            del rows[:_DIGEST_CHUNK]
+            self._hashed += _DIGEST_CHUNK
+
+    def finalize(self, result: "RunResult", simulation: Any) -> None:
+        """Fold the last chunk; no summary is seen again, so drop the cache."""
+        super().finalize(result, simulation)
+        self._summaries = {}
+
+    @property
+    def stream(self) -> str:
+        """The :func:`stream_digest` of the events seen so far."""
+        self._flush()
+        hasher = self._hasher.copy()
+        hasher.update(marshal.dumps(self._rows, 2))
+        return hasher.hexdigest()
+
+    @property
+    def event_count(self) -> int:
+        """How many events the recorder has seen."""
+        return self._hashed + len(self._rows) + len(self._pending)
+
+    @property
+    def corruptions(self) -> list[list[int]]:
+        """Every corruption so far, as ``[pid, step]`` pairs, in order."""
+        self._flush()
+        return self._corruptions
+
+    def packed_schedule(self) -> array:
+        """The schedule as one flat ``array("I")`` of ``seq, sender, dest``."""
+        self._flush()
+        return self._triples
+
+    def schedule(self) -> Schedule:
+        """The run's ``(seq, sender, dest)`` deliveries, in order: what
+        :class:`~repro.sim.adversary.ReplayScheduler` replays."""
+        triples = iter(self.packed_schedule())
+        return tuple(zip(triples, triples, triples))
 
 
 class Recording:
@@ -144,72 +295,18 @@ class Recording:
             )
         if not self.header.get("protocol"):
             raise ValueError(f"{self.source}: the header names no run to replay")
-        recorder = FlightRecorder()
+        log = EventLog()
         try:
-            replay_recording(self, observers=[recorder])
+            replay_recording(self, observers=[log])
         except RuntimeError as exc:
             raise ValueError(f"{self.source}: replay failed: {exc}") from None
-        replayed, recorded = stream_digest(recorder.events), self.header.get("stream")
+        replayed, recorded = stream_digest(log.events), self.header.get("stream")
         if replayed != recorded:
             raise ValueError(
                 f"{self.source}: stream digest mismatch: the replay hashes to "
                 f"{replayed}, the recording to {recorded}; re-record the run"
             )
-        return tuple(recorder.events)
-
-
-def _schedule(events) -> Schedule:
-    return tuple(
-        (event.seq, event.sender, event.dest)
-        for event in events
-        if type(event) is DeliverEvent
-    )
-
-
-# -- the stream digest ---------------------------------------------------------------
-
-# Per event class, its ``kind`` tag and fields as one tuple (a deliver's
-# summary left out: it goes in as its own digest, once per object).
-_ROW = {
-    cls: attrgetter("kind", *(f.name for f in fields(cls) if f.name != "summary"))
-    for cls in KernelEvent.__args__
-}
-_DIGEST_CHUNK = 64  # events per marshalled block (larger blocks raise peak RSS)
-
-
-def stream_digest(events: Sequence[KernelEvent]) -> str:
-    """The SHA-256 of an event stream, read once, in blocks.
-
-    Each event is the tuple of its ``kind`` and its fields; a deliver's
-    :class:`~repro.sim.events.PayloadSummary` is the SHA-256 of its own
-    fields, computed once per summary object.  Blocks of
-    ``_DIGEST_CHUNK`` tuples are ``marshal``-ed (format 2, no object
-    references), which is type-exact: ``1``, ``True`` and ``1.0`` differ,
-    as do a tuple and a list, so two streams share a digest only if
-    their events are equal field by field with equal types.  A value
-    ``marshal`` cannot write (an object of a class) raises ``ValueError``.
-    """
-    hasher, sha256 = hashlib.sha256(), hashlib.sha256
-    rows: list = []
-    append = rows.append
-    summaries: dict[int, bytes] = {}  # by id: the events keep them alive
-    deliver, row_of = DeliverEvent, _ROW
-    for event in events:
-        cls = type(event)
-        row = row_of[cls](event)
-        if cls is deliver:
-            summary = event.summary
-            known = summaries.get(id(summary))
-            if known is None:
-                parts = [summary.kind, summary.instance, summary.words, summary.text]
-                known = summaries[id(summary)] = sha256(marshal.dumps(parts, 2)).digest()
-            row += (known,)
-        append(row)
-        if len(rows) == _DIGEST_CHUNK:
-            hasher.update(marshal.dumps(rows, 2))
-            rows.clear()
-    hasher.update(marshal.dumps(rows, 2))
-    return hasher.hexdigest()
+        return tuple(log.events)
 
 
 @cache
@@ -266,21 +363,26 @@ def save_recording(
     too), which go into the header as they are.  Only a named recording
     replays its events.
 
-    Raises ``ValueError`` when the log's delivery count is not the
-    result's: the recorder watched a different run, or more than one.
-    The store only moves a completed file to ``path``, so nothing is left.
+    Raises ``ValueError``, and writes nothing, when the recorder's
+    delivery count is not the result's: it watched a different run, or
+    more than one.
     """
     from repro.experiments.store import save_jsonl, to_jsonable
 
-    events = recorder.events
+    triples = recorder.packed_schedule()
+    if len(triples) // 3 != result.deliveries:
+        raise ValueError(
+            f"{path}: recorder holds {len(triples) // 3} deliveries but the result "
+            f"reports {result.deliveries}; it did not record exactly this run"
+        )
     header: dict[str, Any] = {
         "k": "header",
         "schema": EVENT_SCHEMA,
         "version": EVENT_SCHEMA_VERSION,
         "digest": _UNSEALED.decode(),
         "code": code_digest(),
-        "stream": stream_digest(events),
-        "events": len(events),
+        "stream": recorder.stream,
+        "events": recorder.event_count,
         "n": result.n,
         "f": result.f,
         "seed": result.seed,
@@ -304,21 +406,9 @@ def save_recording(
 
     def lines() -> Iterator[dict[str, Any]]:
         yield to_jsonable(header)
-        ints, delivered = array("I"), 0
-        for event in events:
-            if type(event) is DeliverEvent:
-                ints.extend((event.seq, event.sender, event.dest))
-                delivered += 1
-                if len(ints) == 3 * SCHEDULE_LINE:
-                    yield {"k": "schedule", "packed": _packed(ints)}
-                    ints = array("I")
-        if ints:
-            yield {"k": "schedule", "packed": _packed(ints)}
-        if delivered != result.deliveries:
-            raise ValueError(
-                f"{path}: recorder holds {delivered} deliveries but the result "
-                f"reports {result.deliveries}; it did not record exactly this run"
-            )
+        width = 3 * SCHEDULE_LINE
+        for start in range(0, len(triples), width):
+            yield {"k": "schedule", "packed": _packed(triples[start:start + width])}
         yield to_jsonable(summary)
 
     return save_jsonl(path, lines(), finish=_seal)
@@ -425,6 +515,44 @@ def load_recording(path: str | Path) -> Recording:
     return Recording(header, summary, tuple(schedule), source=path)
 
 
+class CausalIndex:
+    """The first delivery to each process at each causal depth: all a
+    causal-chain walk reads (:func:`causal_chain`).
+
+    A process's depth only grows, and the walk from ``(pid, depth,
+    step)`` takes the earliest delivery that put ``pid`` at ``depth`` if
+    it came at or before ``step``, so one delivery per ``(dest, depth)``
+    answers every walk a full log would.  :attr:`first` maps ``(dest,
+    depth)`` to that delivery's ``(step, seq, sender, sent_step,
+    message_kind, instance, words)``: its event less the payload
+    summary, which would pin the message's ``repr``.  The
+    :class:`~repro.sim.monitors.MonitorSuite` keeps one online; the
+    event-list forms of :func:`causal_chain` and :func:`critical_path`
+    build one from the list.
+    """
+
+    __slots__ = ("first",)
+
+    def __init__(self, events: Iterable[KernelEvent] = ()) -> None:
+        self.first: dict[tuple[int, int], tuple] = {}
+        for event in events:
+            if type(event) is DeliverEvent:
+                self.add(event)
+
+    def add(self, event: DeliverEvent) -> None:
+        key, first = (event.dest, event.depth), self.first
+        if key not in first:
+            first[key] = (
+                event.step,
+                event.seq,
+                event.sender,
+                event.sent_step,
+                event.message_kind,
+                event.instance,
+                event.words,
+            )
+
+
 def critical_path(events, target: DecideEvent | None = None) -> list[dict[str, Any]]:
     """Recover the causal chain behind a decision in ``events``.
 
@@ -432,14 +560,16 @@ def critical_path(events, target: DecideEvent | None = None) -> list[dict[str, A
     sender's depth + 1; a receiver's depth is the max over its
     deliveries), so the deepest decision sits at the end of at least one
     send->deliver chain touching every depth.  This walks that chain
-    backwards: from the deciding process, find the first delivery that
-    brought it to its decision depth, jump to that message's sender via
-    the matching send, and repeat until depth 0.
+    backwards: from the deciding process, take the first delivery that
+    brought it to its decision depth, jump to that message's sender at
+    the step it was sent, and repeat until depth 0.
 
-    By default the chain ends at the deepest decision in the log (the
-    run's running time); pass ``target`` to explain a specific
-    :class:`DecideEvent` instead -- the conformance monitors use this to
-    attach the causal slice behind a violating decision.
+    ``events`` is an event list or a :class:`CausalIndex`.  By default
+    the chain ends at the deepest decision in the list (the run's
+    running time); pass ``target`` to explain a specific
+    :class:`DecideEvent` instead (an index needs one) -- the conformance
+    monitors use this to attach the causal slice behind a violating
+    decision.
 
     Returns the chain in causal order: a ``send``/``deliver`` entry per
     hop and a final ``decide`` entry.  Empty if nothing decided.
@@ -477,58 +607,46 @@ def causal_chain(
     The hop rule of :func:`critical_path`, exposed for any anchor -- the
     divergence differ (:mod:`repro.sim.diffing`) walks back from the
     first divergent event the same way the monitors walk back from a
-    violating decision.  Returns alternating ``deliver``/``send``
+    violating decision.  ``events`` is an event list or a
+    :class:`CausalIndex`.  Returns alternating ``deliver``/``send``
     entries in *reverse-causal* order (the delivery that put ``pid`` at
-    ``depth`` first); ``limit`` bounds the entry count so slices over
-    deep runs stay readable.  Stops early on an incomplete log (e.g. a
-    recording attached mid-run).
+    ``depth`` first); a send entry is read off its delivery (``seq``,
+    ``sender``, ``sent_step``).  ``limit`` bounds the entry count so
+    slices over deep runs stay readable.  Stops early on an incomplete
+    log (e.g. a recording attached mid-run).
     """
-    sends_by_seq: dict[int, SendEvent] = {
-        event.seq: event for event in events if type(event) is SendEvent
-    }
-    delivers_by_dest: dict[int, list[DeliverEvent]] = {}
-    for event in events:
-        if type(event) is DeliverEvent:
-            delivers_by_dest.setdefault(event.dest, []).append(event)
-
+    first = (events if type(events) is CausalIndex else CausalIndex(events)).first
     chain: list[dict[str, Any]] = []
     while depth > 0 and (limit is None or len(chain) < limit):
-        hop = next(
-            (
-                event
-                for event in delivers_by_dest.get(pid, ())
-                if event.depth == depth and event.step <= step
-            ),
-            None,
-        )
-        if hop is None:
+        hop = first.get((pid, depth))
+        if hop is None or hop[0] > step:
             break  # incomplete log (e.g. recording attached mid-run)
-        send = sends_by_seq.get(hop.seq)
+        delivered, seq, sender, sent_step, message_kind, instance, words = hop
         chain.append(
             {
                 "kind": "deliver",
-                "step": hop.step,
-                "seq": hop.seq,
-                "sender": hop.sender,
-                "dest": hop.dest,
-                "message_kind": hop.message_kind,
-                "instance": hop.instance,
-                "words": hop.words,
-                "depth": hop.depth,
+                "step": delivered,
+                "seq": seq,
+                "sender": sender,
+                "dest": pid,
+                "message_kind": message_kind,
+                "instance": instance,
+                "words": words,
+                "depth": depth,
             }
         )
-        if send is not None and (limit is None or len(chain) < limit):
+        if limit is None or len(chain) < limit:
             chain.append(
                 {
                     "kind": "send",
-                    "step": send.step,
-                    "seq": send.seq,
-                    "sender": send.sender,
-                    "dest": send.dest,
-                    "message_kind": send.message_kind,
-                    "instance": send.instance,
-                    "depth": send.depth,
+                    "step": sent_step,
+                    "seq": seq,
+                    "sender": sender,
+                    "dest": pid,
+                    "message_kind": message_kind,
+                    "instance": instance,
+                    "depth": depth,
                 }
             )
-        pid, depth, step = hop.sender, depth - 1, (send.step if send else hop.step)
+        pid, depth, step = sender, depth - 1, sent_step
     return chain

@@ -94,13 +94,16 @@ def admit(message: object, n: int) -> bool:
     """May ``message``, which correct code did not make (a corrupted
     process's send, a copy a lossy link flipped a bit in), enter a network
     of ``n`` processes?  Only a :class:`Message` whose fields all have
-    their declared kinds may (DESIGN.md §15)."""
+    their declared kinds may (DESIGN.md §15).  Every class of its MRO
+    that declares ``field_kinds`` is checked, so a subclass can add kinds
+    but not drop its parent's."""
     return (
         isinstance(message, Message)
         and is_canonical(message.instance)
         and all(
             kind(getattr(message, name), n)
-            for name, kind in type(message).field_kinds.items()
+            for cls in type(message).__mro__
+            for name, kind in vars(cls).get("field_kinds", {}).items()
         )
     )
 

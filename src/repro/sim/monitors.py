@@ -17,7 +17,8 @@ the run's protocol records and the trusted ground truth (committee
 censuses via the PKI -- safe post-run, the verification counters are
 already snapshotted).  A failed invariant becomes a structured
 :class:`ViolationReport` embedding the offending events and the causal
-critical-path slice from the flight-recorder log, so a violation arrives
+critical-path slice, walked through the suite's
+:class:`~repro.sim.flightrecorder.CausalIndex`, so a violation arrives
 with its explaining event chain.
 
 Severities separate hard failures from expected whp mass:
@@ -42,10 +43,11 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
 from repro.sim.events import (
     CorruptEvent,
     DecideEvent,
+    DeliverEvent,
     KernelEvent,
     event_to_record,
 )
-from repro.sim.flightrecorder import critical_path
+from repro.sim.flightrecorder import CausalIndex, critical_path
 
 if TYPE_CHECKING:
     from repro.sim.network import Simulation
@@ -132,12 +134,14 @@ class Monitor:
     def begin_run(self) -> None:
         self.runs += 1
 
-    def on_event(self, event: KernelEvent, events: list[KernelEvent]) -> None:
+    def on_event(self, event: KernelEvent, index: CausalIndex) -> None:
         """Online hook.  MUST stay pure bookkeeping: no crypto, no kernel
-        access -- anything heavier would make observation observable."""
+        access -- anything heavier would make observation observable.
+        ``index`` is the suite's causal index of the run so far, what
+        :func:`~repro.sim.flightrecorder.critical_path` walks."""
 
     def finalize(
-        self, result: "RunResult", simulation: "Simulation", events: list[KernelEvent]
+        self, result: "RunResult", simulation: "Simulation", index: CausalIndex
     ) -> None:
         """Authoritative pass after the run result is snapshotted."""
 
@@ -205,7 +209,7 @@ class SafetyMonitor(Monitor):
         self._corrupted: set[int] = set()
         self._run_reports: list[ViolationReport] = []
 
-    def on_event(self, event: KernelEvent, events: list[KernelEvent]) -> None:
+    def on_event(self, event: KernelEvent, index: CausalIndex) -> None:
         if type(event) is CorruptEvent:
             self._corrupted.add(event.pid)
             return
@@ -216,11 +220,11 @@ class SafetyMonitor(Monitor):
             if other_pid == event.pid or other_pid in self._corrupted:
                 continue
             if other.value != event.value:
-                self._flag_conflict(other, event, events)
+                self._flag_conflict(other, event, index)
                 break
 
     def _flag_conflict(
-        self, first: DecideEvent, second: DecideEvent, events: list[KernelEvent]
+        self, first: DecideEvent, second: DecideEvent, index: CausalIndex
     ) -> ViolationReport:
         report = ViolationReport(
             monitor=self.name,
@@ -233,13 +237,13 @@ class SafetyMonitor(Monitor):
             step=second.step,
             pids=(first.pid, second.pid),
             events=(event_to_record(first), event_to_record(second)),
-            critical_slice=tuple(critical_path(events, target=second)),
+            critical_slice=tuple(critical_path(index, target=second)),
         )
         self._run_reports.append(report)
         return self.flag(report)
 
     def finalize(
-        self, result: "RunResult", simulation: "Simulation", events: list[KernelEvent]
+        self, result: "RunResult", simulation: "Simulation", index: CausalIndex
     ) -> None:
         corrupted = result.corrupted
         # Drop online reports invalidated by later corruption, then add any
@@ -266,7 +270,7 @@ class SafetyMonitor(Monitor):
                 pair = frozenset((other.pid, event.pid))
                 if other.value != event.value and pair not in flagged_pairs:
                     flagged_pairs.add(pair)
-                    self._flag_conflict(other, event, events)
+                    self._flag_conflict(other, event, index)
             by_value.setdefault(event.value, event)
         self.agreement_violations = sum(
             1 for report in self.violations if report.prop == "Agreement"
@@ -297,7 +301,7 @@ class SafetyMonitor(Monitor):
                     step=event.step,
                     pids=(pid,),
                     events=(event_to_record(event),),
-                    critical_slice=tuple(critical_path(events, target=event)),
+                    critical_slice=tuple(critical_path(index, target=event)),
                 )
             )
 
@@ -344,7 +348,7 @@ class CommitteeMonitor(Monitor):
         self._last_params = None
 
     def finalize(
-        self, result: "RunResult", simulation: "Simulation", events: list[KernelEvent]
+        self, result: "RunResult", simulation: "Simulation", index: CausalIndex
     ) -> None:
         params = simulation.params
         if params is None or getattr(params, "lam", None) is None:
@@ -479,7 +483,7 @@ class CoinMonitor(Monitor):
         self._last_params = None
 
     def finalize(
-        self, result: "RunResult", simulation: "Simulation", events: list[KernelEvent]
+        self, result: "RunResult", simulation: "Simulation", index: CausalIndex
     ) -> None:
         if simulation.params is not None:
             self._last_params = simulation.params
@@ -580,7 +584,7 @@ class ApproverMonitor(Monitor):
         self.grades: Counter = Counter()
 
     def finalize(
-        self, result: "RunResult", simulation: "Simulation", events: list[KernelEvent]
+        self, result: "RunResult", simulation: "Simulation", index: CausalIndex
     ) -> None:
         corrupted = result.corrupted
         by_instance: dict[Hashable, list] = {}
@@ -714,11 +718,14 @@ def default_monitors() -> list[Monitor]:
 class MonitorSuite:
     """Attaches a set of monitors to a run (``run_protocol(observers=[suite])``).
 
-    The suite keeps its own payload-stripped event log (the evidence base
-    for critical-path slices) and dispatches each event only to the
-    monitors that declared its type in ``watched`` -- the online cost is
-    one list append plus one dict lookup per event, bounded alongside the
-    recorder by ``benchmarks/bench_observability_overhead.py``.
+    The suite keeps no event log: the evidence base for critical-path
+    slices is its :class:`~repro.sim.flightrecorder.CausalIndex`, the
+    first delivery to each process at each causal depth, so it holds at
+    most one delivery per ``(pid, depth)`` whatever the run's length.
+    It dispatches each event only to the monitors that declared its type
+    in ``watched`` -- the online cost is one dict lookup per event (and
+    one ``setdefault`` per delivery), bounded alongside the recorder by
+    ``benchmarks/bench_observability_overhead.py``.
 
     A suite may be attached to several runs in sequence; per-run state
     resets in :meth:`begin_run` while conformance statistics (coin
@@ -738,7 +745,7 @@ class MonitorSuite:
     ) -> None:
         self.monitors = list(monitors) if monitors is not None else default_monitors()
         self.on_violation = on_violation
-        self.events: list[KernelEvent] = []
+        self.index = CausalIndex()
         self.runs = 0
         self._dispatch: dict[type, list[Monitor]] = {}
         for monitor in self.monitors:
@@ -750,19 +757,20 @@ class MonitorSuite:
 
     def begin_run(self) -> None:
         self.runs += 1
-        self.events = []
+        self.index = CausalIndex()
         for monitor in self.monitors:
             monitor.begin_run()
 
     def on_event(self, event: KernelEvent) -> None:
-        events = self.events
-        events.append(event)
-        for monitor in self._dispatch.get(type(event), ()):
-            monitor.on_event(event, events)
+        cls = type(event)
+        if cls is DeliverEvent:
+            self.index.add(event)
+        for monitor in self._dispatch.get(cls, ()):
+            monitor.on_event(event, self.index)
 
     def finalize(self, result: "RunResult", simulation: "Simulation") -> None:
         for monitor in self.monitors:
-            monitor.finalize(result, simulation, self.events)
+            monitor.finalize(result, simulation, self.index)
 
     # -- results ---------------------------------------------------------------
 

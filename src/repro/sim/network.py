@@ -490,17 +490,13 @@ class Simulation:
             if emit is not None:
                 instance = flight.instance
                 for dest in dests:
+                    # Positional, in field order (step, seq, sender, dest,
+                    # instance, message_kind, words, depth, sender_correct):
+                    # keyword arguments make each event ~40% dearer to build.
                     emit(
                         SendEvent(
-                            step=sent_step,
-                            seq=seq,
-                            sender=sender,
-                            dest=dest,
-                            instance=instance,
-                            message_kind=kind,
-                            words=words,
-                            depth=depth,
-                            sender_correct=sender_correct,
+                            sent_step, seq, sender, dest, instance, kind, words,
+                            depth, sender_correct,
                         )
                     )
                     seq += 1
@@ -1018,18 +1014,15 @@ class Simulation:
                         summary = flight.summary = summarize_payload(
                             flight.payload
                         )
+                    # Positional, in field order (step, seq, sender, dest,
+                    # instance, message_kind, words, depth, sent_step,
+                    # summary): keyword arguments make each event ~40%
+                    # dearer to build.
                     emit(
                         DeliverEvent(
-                            step=self.deliveries,
-                            seq=seq,
-                            sender=flight.sender,
-                            dest=pid,
-                            instance=payload_instance,
-                            message_kind=summary.kind,
-                            words=summary.words,
-                            depth=flight.depth,
-                            sent_step=flight.sent_step,
-                            summary=summary,
+                            self.deliveries, seq, flight.sender, pid,
+                            payload_instance, summary.kind, summary.words,
+                            flight.depth, flight.sent_step, summary,
                         )
                     )
                 self.deliveries += 1

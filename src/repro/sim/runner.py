@@ -217,8 +217,10 @@ def run_protocol(
     and finalized against the snapshotted result after it.
     ``FlightRecorder``, ``MonitorSuite`` (reusable across runs to
     accumulate statistics), ``TelemetryProbe`` and ``CoverageProbe`` are
-    the stock ones (DESIGN.md sections 7-9 and 11); read them afterwards
-    through their own ``events`` / ``report()`` / ``snapshot()``.
+    the stock ones (DESIGN.md sections 7-9 and 11); each folds the events
+    as they arrive, so read them afterwards through ``save_recording`` /
+    ``report()`` / ``snapshot()``.  An ``EventLog`` keeps the events
+    themselves, in its ``events`` list.
     Observers never perturb the run or see each other, so order is
     irrelevant; with none attached a run does no observability work
     beyond one list-truthiness check per emission site.

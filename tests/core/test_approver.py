@@ -241,6 +241,30 @@ class TestByzantineResistance:
         assert result.live
         assert same_run(result, silent)
 
+    def test_a_subclass_cannot_drop_its_parents_kinds(self, params):
+        """A Byzantine subclass that declares no kinds of its own is still
+        held to ``OkMsg``'s: its int justification once passed admission
+        and killed the run in the flight's ``words()``."""
+
+        class Unchecked(OkMsg):
+            field_kinds = {}
+
+        def broadcast(ctx):
+            ctx.broadcast(
+                Unchecked(INSTANCE, value=1, membership=VRFOutput(value=1, proof=b"p"),
+                          justification=5)
+            )
+
+        result = self._run(
+            lambda pid: ScriptedBehavior(on_start=broadcast),
+            PKI.create(N, rng=random.Random(1)), params, 1,
+        )
+        silent = self._run(
+            lambda pid: SilentBehavior(), PKI.create(N, rng=random.Random(1)), params, 1,
+        )
+        assert result.live
+        assert same_run(result, silent)
+
 
 def relabelling_ok(params):
     """A behaviour factory: each corrupted ok-committee member

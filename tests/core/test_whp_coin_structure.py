@@ -12,7 +12,7 @@ from repro.core.params import ProtocolParams
 from repro.core.whp_coin import whp_coin
 from repro.crypto.pki import PKI
 from repro.sim.adversary import Adversary, RandomScheduler, StaticCorruption
-from repro.sim.flightrecorder import FlightRecorder
+from repro.sim.flightrecorder import EventLog
 from repro.sim.network import Simulation
 
 N, F = 60, 4
@@ -30,7 +30,7 @@ def setup():
         ),
         seed=321, params=params,
     )
-    trace = sim.events.attach(FlightRecorder())
+    trace = sim.events.attach(EventLog())
     sim.set_protocol_all(lambda ctx: whp_coin(ctx, 0))
     sim.run()
     return params, pki, sim, trace

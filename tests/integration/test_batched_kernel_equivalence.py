@@ -43,7 +43,7 @@ from repro.sim.adversary import (
     TargetedDelayScheduler,
 )
 from repro.sim.diffing import diff_events, divergence_hint
-from repro.sim.flightrecorder import FlightRecorder
+from repro.sim.flightrecorder import EventLog
 from repro.sim.monitors import MonitorSuite, default_monitors
 from repro.sim.network import LossyLinkConfig, Simulation
 from repro.sim.runner import (
@@ -148,7 +148,7 @@ class TestEventStreamIdentity:
         """Not just the aggregates: the *entire* event sequence (sends,
         deliveries, wait blocks/wakes, decides) matches event for event,
         so flight recordings and traces do not depend on dispatch."""
-        classic, batched = FlightRecorder(), FlightRecorder()
+        classic, batched = EventLog(), EventLog()
         run_ba("whp_ba", scheduler, seed=3, mode="classic", observers=[classic])
         run_ba("whp_ba", scheduler, seed=3, mode="batched", observers=[batched])
         classic_events, batched_events = classic.events, batched.events
@@ -208,7 +208,7 @@ def simulate_ba(n, seed, mode, scheduler, lossy=None, unicast=False):
         seed=seed, params=params,
         stop_condition=stop_when_all_decided, lossy=lossy,
     )
-    recorder = sim.events.attach(FlightRecorder())
+    recorder = sim.events.attach(EventLog())
     if unicast:
         for ctx in sim.contexts:
             ctx.broadcast = lambda message, send=ctx.send: [

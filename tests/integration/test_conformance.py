@@ -1,6 +1,6 @@
 """The conformance pipeline: trend store, `repro check`/`trends`/`export`
 CLI, the one-line diagnostics for damaged recordings, and every named
-run's recording replaying into the recorder's own events."""
+run's recording replaying into the run's own events."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from repro.experiments.protocols import PROTOCOLS
 from repro.experiments.scenarios import SCENARIOS, resolve_run
 from repro.sim.events import EVENT_SCHEMA_VERSION
 from repro.sim.flightrecorder import (
+    EventLog,
     FlightRecorder,
     load_recording,
     save_recording,
@@ -294,20 +295,22 @@ class TestEventSchemaVersion:
 class TestEveryNamedRunReplays:
     """A v5 recording holds no events: loading one replays its schedule.
     For every name ``repro list`` prints, that replay must give the
-    recorder's own events, and both must hash to the recorded digest."""
+    run's own events (an :class:`EventLog` of it), and both must hash to
+    the recorded digest, the recorder's streamed one."""
 
     @pytest.mark.parametrize("name", [*PROTOCOLS, *SCENARIOS])
     def test_loaded_events_are_the_recorders(self, name, tmp_path):
         for seed in range(3):
-            recorder = FlightRecorder()
-            result = resolve_run(name, 16, seed=seed).run(observers=[recorder])
+            recorder, log = FlightRecorder(), EventLog()
+            result = resolve_run(name, 16, seed=seed).run(observers=[recorder, log])
             path = save_recording(
                 tmp_path / f"{seed}.jsonl", recorder, result, protocol=name
             )
             recording = load_recording(path)
-            assert recording.events == tuple(recorder.events), (name, seed)
+            assert recording.events == tuple(log.events), (name, seed)
             assert (
                 stream_digest(recording.events)
-                == stream_digest(recorder.events)
+                == stream_digest(log.events)
+                == recorder.stream
                 == recording.header["stream"]
             )

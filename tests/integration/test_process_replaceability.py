@@ -66,7 +66,7 @@ class TestCorruptionTiming:
         """Every hunted process had its committee message submitted before
         corruption: the trace shows a send before the corrupt event."""
         from repro.crypto.pki import PKI
-        from repro.sim.flightrecorder import FlightRecorder
+        from repro.sim.flightrecorder import EventLog
         from repro.sim.network import Simulation
 
         pki = PKI.create(N, rng=random.Random(0))
@@ -74,7 +74,7 @@ class TestCorruptionTiming:
             n=N, f=F, pki=pki, adversary=committee_hunting_adversary(5),
             seed=5, params=params,
         )
-        trace = sim.events.attach(FlightRecorder())
+        trace = sim.events.attach(EventLog())
         sim.set_protocol_all(lambda ctx: whp_coin(ctx, 0))
         sim.run()
         corrupt_events = trace.of_kind("corrupt")

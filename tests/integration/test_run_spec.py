@@ -21,7 +21,7 @@ from repro.experiments.report import record_run
 from repro.experiments.scenarios import SCENARIOS, resolve_run
 from repro.experiments.store import to_jsonable
 from repro.sim.adversary import StaticCorruption
-from repro.sim.flightrecorder import FlightRecorder, load_recording, save_recording
+from repro.sim.flightrecorder import EventLog, FlightRecorder, load_recording, save_recording
 from repro.sim.runner import run_protocol, stop_when_all_decided
 
 N = 8  # smallest n with feasible whp_ba committee parameters
@@ -36,9 +36,9 @@ class TestRoundTrip:
         )
         recording = load_recording(path)
         assert recording.header["protocol"] == name
-        recorder = FlightRecorder()
-        replayed = replay_recording(recording, observers=[recorder])
-        assert tuple(recorder.events) == recording.events
+        log = EventLog()
+        replayed = replay_recording(recording, observers=[log])
+        assert tuple(log.events) == recording.events
         assert replayed.decisions == result.decisions
         assert replayed.words == result.words
 
@@ -48,15 +48,15 @@ class TestRoundTrip:
         spec = replace(
             resolve_run("whp_ba", N, seed=2), corruption=StaticCorruption({N - 1})
         )
-        recorder = FlightRecorder()
-        result = spec.run(observers=[recorder])
+        recorder, log = FlightRecorder(), EventLog()
+        result = spec.run(observers=[recorder, log])
         assert result.corrupted == {N - 1}
         path = save_recording(
             tmp_path / "odd.jsonl", recorder, result, protocol="whp_ba"
         )
-        twin = FlightRecorder()
+        twin = EventLog()
         replay_recording(load_recording(path), observers=[twin])
-        assert twin.events == recorder.events
+        assert twin.events == log.events
 
 
 class TestBenignSpec:

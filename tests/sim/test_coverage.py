@@ -16,6 +16,7 @@ from repro.sim.coverage import (
     signature_set,
 )
 from repro.sim.flightrecorder import (
+    EventLog,
     FlightRecorder,
     load_recording,
     save_recording,
@@ -37,11 +38,12 @@ def covered_run(*observers, seed=3):
 @pytest.fixture(scope="module")
 def recorded():
     """One recorded run with a live probe attached (module-scoped: the
-    run is the expensive part, the assertions are cheap)."""
-    recorder = FlightRecorder()
+    run is the expensive part, the assertions are cheap): the recorder
+    and an event log of the run, the probe's snapshot and the result."""
+    recorder, log = FlightRecorder(), EventLog()
     probe = CoverageProbe()
-    result = covered_run(probe, recorder)
-    return recorder, probe.snapshot(), result
+    result = covered_run(probe, recorder, log)
+    return (recorder, log), probe.snapshot(), result
 
 
 def canonical(snapshot):
@@ -53,13 +55,13 @@ class TestDeterminism:
         """The live probe and a replay over the recorded events produce
         byte-identical snapshots: coverage is a pure function of the
         event stream."""
-        recorder, live, _ = recorded
-        assert canonical(coverage_from_events(recorder.events)) == canonical(live)
+        (_, log), live, _ = recorded
+        assert canonical(coverage_from_events(log.events)) == canonical(live)
 
     def test_disk_roundtrip_equals_live(self, recorded, tmp_path):
         """Recompute from a recording *file*: serialisation must not
         perturb a single signature or count."""
-        recorder, live, result = recorded
+        (recorder, _), live, result = recorded
         path = tmp_path / "flight.jsonl"
         save_recording(path, recorder, result, protocol="whp_ba")
         replayed = coverage_from_events(load_recording(path).events)
@@ -127,15 +129,15 @@ class TestBounds:
     def test_tiny_budget_drops_deterministically(self, recorded):
         """An 8-key budget forces drops; the drop pattern is a pure
         function of the stream, so two replays agree exactly."""
-        recorder, _, _ = recorded
-        first = coverage_from_events(recorder.events, signature_budget=8)
-        second = coverage_from_events(recorder.events, signature_budget=8)
+        (_, log), _, _ = recorded
+        first = coverage_from_events(log.events, signature_budget=8)
+        second = coverage_from_events(log.events, signature_budget=8)
         assert first["dropped_signatures"] > 0
         assert canonical(first) == canonical(second)
 
     def test_budget_caps_tracked_keys(self, recorded):
-        recorder, full, _ = recorded
-        capped = coverage_from_events(recorder.events, signature_budget=8)
+        (_, log), full, _ = recorded
+        capped = coverage_from_events(log.events, signature_budget=8)
         assert capped["total_signatures"] < full["total_signatures"]
 
     def test_budget_floor_rejected(self):

@@ -1,7 +1,8 @@
 """Flight recordings: persistence (the v5 file, its lazy replay and
 what the loader rejects), replay fidelity, critical path, one-run-per-recorder,
-observability under mid-run corruption, and the ordering facts a test can
-read off a recorder's event log.  (Observer-effect freedom is
+the recorder's streaming fold against a kept log, observability under
+mid-run corruption, and the ordering facts a test can read off an event
+log.  (Observer-effect freedom is
 ``test_observers.py``'s; the one summary per flight is
 ``test_payload_memo.py``'s.)"""
 
@@ -21,7 +22,8 @@ from repro.core.params import ProtocolParams
 from repro.core.shared_coin import shared_coin
 from repro.crypto.pki import PKI
 from repro.experiments.forensics import explain_recording, format_explain, run_header
-from repro.experiments.scenarios import resolve_run
+from repro.experiments.protocols import PROTOCOLS
+from repro.experiments.scenarios import SCENARIOS, resolve_run
 from repro.experiments.store import to_jsonable
 from repro.sim.adversary import (
     Adversary,
@@ -30,10 +32,12 @@ from repro.sim.adversary import (
     ReplayScheduler,
     StaticCorruption,
 )
+from repro.sim import flightrecorder
 from repro.sim.diffing import diff_recordings
 from repro.sim.events import CorruptEvent, DecideEvent, DeliverEvent, PayloadSummary
 from repro.sim.flightrecorder import (
     SCHEDULE_LINE,
+    EventLog,
     FlightRecorder,
     _seal,
     code_digest,
@@ -93,12 +97,12 @@ class TestSurface:
 
 class TestRoundTrip:
     def test_save_load_preserves_events_and_summary(self, tmp_path):
-        recorder = FlightRecorder()
-        result = resolve_run("whp_ba", N, f=F, seed=3).run(observers=[recorder])
+        recorder, log = FlightRecorder(), EventLog()
+        result = resolve_run("whp_ba", N, f=F, seed=3).run(observers=[recorder, log])
         path = save_recording(tmp_path / "run.jsonl", recorder, result, protocol="whp_ba")
         recording = load_recording(path)
-        assert recording.schedule() == recorder.schedule()
-        assert list(recording.events) == recorder.events
+        assert recording.schedule() == recorder.schedule() == log.schedule()
+        assert list(recording.events) == log.events
         assert recording.header["n"] == N
         assert recording.header["f"] == F
         assert recording.header["seed"] == 3
@@ -131,7 +135,7 @@ class TestReplayFidelity:
             stop_condition=stop_when_all_decided,
             max_deliveries=200_000,
         )
-        recorder = sim.events.attach(FlightRecorder())
+        recorder = sim.events.attach(EventLog())
         sim.set_protocol_all(ba_factory)
         sim.run()
         return sim, recorder
@@ -181,22 +185,22 @@ class TestCriticalPath:
             ),
             seed=seed, params=ProtocolParams.simulation_scale(n=N, f=F),
         )
-        recorder = sim.events.attach(FlightRecorder())
+        log = sim.events.attach(EventLog())
         sim.set_protocol_all(protocol)
         sim.run()
-        return sim, recorder.events
+        return sim, log.events
 
     def test_empty_without_decisions(self):
         _, events = self.coin_events(lambda ctx: shared_coin(ctx, 0))
         assert critical_path(events) == []
 
     def test_chain_spans_every_depth(self):
-        recorder = FlightRecorder()
+        log = EventLog()
         result = run_protocol(
             N, F, ba_factory, seed=3,
-            observers=[recorder], **ba_args(),
+            observers=[log], **ba_args(),
         )
-        chain = critical_path(recorder.events)
+        chain = critical_path(log.events)
         assert chain, "a decided run must have a critical path"
         decide = chain[-1]
         assert decide["kind"] == "decide"
@@ -215,11 +219,11 @@ class TestCriticalPath:
         assert steps == sorted(steps)
 
     def test_survives_json_round_trip(self, tmp_path):
-        recorder = FlightRecorder()
-        result = resolve_run("whp_ba", N, f=F, seed=3).run(observers=[recorder])
+        recorder, log = FlightRecorder(), EventLog()
+        result = resolve_run("whp_ba", N, f=F, seed=3).run(observers=[recorder, log])
         path = save_recording(tmp_path / "run.jsonl", recorder, result, protocol="whp_ba")
         recording = load_recording(path)
-        assert critical_path(recording.events) == critical_path(recorder.events)
+        assert critical_path(recording.events) == critical_path(log.events)
 
 
 def coin_simulation(n=10, f=2, seed=3):
@@ -236,15 +240,19 @@ def coin_simulation(n=10, f=2, seed=3):
 
 class TestOneRunPerRecorder:
     def test_reused_recorder_holds_only_the_latest_run(self, tmp_path):
-        recorder = FlightRecorder()
+        recorder, log = FlightRecorder(), EventLog()
         first = run_protocol(N, F, ba_factory, seed=1, observers=[recorder], **ba_args())
-        first_events = recorder.events
-        second = run_protocol(N, F, ba_factory, seed=2, observers=[recorder], **ba_args())
-        # The first run's list is left alone for whoever still holds it ...
-        assert recorder.events is not first_events
-        assert len([e for e in first_events if type(e) is DeliverEvent]) == first.deliveries
+        first_schedule, first_stream = recorder.schedule(), recorder.stream
+        second = run_protocol(
+            N, F, ba_factory, seed=2, observers=[recorder, log], **ba_args()
+        )
+        # The first run's schedule is left alone for whoever still holds it ...
+        assert len(first_schedule) == first.deliveries
         # ... and the recorder now holds exactly the second run.
-        assert len(recorder.of_kind("deliver")) == second.deliveries
+        assert recorder.schedule() == log.schedule()
+        assert len(recorder.schedule()) == second.deliveries
+        assert recorder.stream == stream_digest(log.events) != first_stream
+        assert recorder.event_count == len(log.events)
         path = save_recording(tmp_path / "run.jsonl", recorder, second)
         assert len(load_recording(path).schedule()) == second.deliveries
 
@@ -258,7 +266,7 @@ class TestOneRunPerRecorder:
             sim.set_protocol_all(lambda ctx: shared_coin(ctx, 0))
             sim.run()
         result = RunResult.of(sim)
-        assert len(recorder.of_kind("deliver")) == 2 * result.deliveries
+        assert len(recorder.schedule()) == 2 * result.deliveries
         path = tmp_path / "two_runs.jsonl"
         with pytest.raises(ValueError, match="did not record exactly this run"):
             save_recording(path, recorder, result)
@@ -268,14 +276,14 @@ class TestOneRunPerRecorder:
 def run_traced_coin():
     sim = coin_simulation()
     sim.set_protocol_all(lambda ctx: shared_coin(ctx, 0))
-    trace = sim.events.attach(FlightRecorder())
+    trace = sim.events.attach(EventLog())
     sim.run()
     return sim, trace
 
 
 class TestAttachedTrace:
-    """Ordering facts the aggregate metrics cannot express, read off a
-    recorder's event log."""
+    """Ordering facts the aggregate metrics cannot express, read off an
+    event log."""
 
     def test_counts_match_metrics(self):
         sim, trace = run_traced_coin()
@@ -316,7 +324,7 @@ class TestAttachedTrace:
         """Attaching twice must not double-record every event."""
         sim = coin_simulation()
         sim.set_protocol_all(lambda ctx: shared_coin(ctx, 0))
-        trace = FlightRecorder()
+        trace = EventLog()
         assert sim.events.attach(trace) is trace
         sim.events.attach(trace)
         sim.run()
@@ -347,14 +355,15 @@ class TestCodecOnRealRuns:
          ("dup_storm", 8)],
     )
     def test_loaded_events_equal_the_recorders(self, name, n, tmp_path):
-        recorder = FlightRecorder()
-        result = run_named(name, n, 2, [recorder])
+        recorder, log = FlightRecorder(), EventLog()
+        result = run_named(name, n, 2, [recorder, log])
         recording = load_recording(
             save_recording(tmp_path / "run.jsonl", recorder, result, protocol=name)
         )
-        assert recording.schedule() == recorder.schedule()
-        assert recording.events == tuple(recorder.events)
-        assert recording.header["stream"] == stream_digest(recorder.events)
+        assert recording.schedule() == recorder.schedule() == log.schedule()
+        assert recording.events == tuple(log.events)
+        assert recording.header["stream"] == stream_digest(log.events) == recorder.stream
+        assert recording.header["events"] == len(log.events)
 
     def test_same_seed_recorded_twice_is_byte_identical(self, tmp_path):
         paths = []
@@ -377,27 +386,89 @@ class TestCodecOnRealRuns:
         recorder = FlightRecorder()
         result = run_named("whp_ba", 24, 1, [recorder])
         path = save_recording(tmp_path / "run.jsonl", recorder, result)
-        assert len(recorder.events) > 5_000
+        assert recorder.event_count > 5_000
         lines = path.read_bytes().splitlines()
         schedule = lines[1:-1]
         assert len(schedule) == -(-result.deliveries // SCHEDULE_LINE)
         framing = len(b'{"k":"schedule","packed":""}')
         assert sum(len(line) - framing for line in schedule) == 16 * result.deliveries
-        assert path.stat().st_size / len(recorder.events) < 16
+        assert path.stat().st_size / recorder.event_count < 16
 
     def test_nothing_is_left_behind_when_the_count_check_fails(self, tmp_path):
         recorder = FlightRecorder()
         result = run_named("whp_ba", 8, 1, [recorder])
         good = save_recording(tmp_path / "run.jsonl", recorder, result)
         before = good.read_bytes()
-        recorder.events.pop(
-            next(i for i, e in enumerate(recorder.events) if type(e) is DeliverEvent)
-        )
+        other = FlightRecorder()
+        assert run_named("whp_ba", 8, 2, [other]).deliveries != result.deliveries
         with pytest.raises(ValueError, match="did not record exactly this run"):
-            save_recording(good, recorder, result)
+            save_recording(good, other, result)
         # The older file survives and no partial file stays.
         assert good.read_bytes() == before
         assert [path.name for path in tmp_path.iterdir()] == ["run.jsonl"]
+
+
+def streaming_cases():
+    """Every ``repro list`` name, a lossy run and a mid-run corruption."""
+    names = [*PROTOCOLS, *SCENARIOS]
+    lossy = dataclasses.replace(
+        resolve_run("whp_ba", 16, seed=5),
+        lossy=LossyLinkConfig(duplicate_rate=0.3, reorder_rate=0.3),
+    )
+    adaptive = dataclasses.replace(
+        resolve_run("whp_ba", 12, seed=7),
+        corruption=CommitteeTargetingCorruption(message_kinds=("FirstMsg",)),
+    )
+    return [
+        *(pytest.param(resolve_run(name, 16, seed=1), id=name) for name in names),
+        pytest.param(lossy, id="lossy"),
+        pytest.param(adaptive, id="mid-run-corruption"),
+    ]
+
+
+class TestStreamingFold:
+    """The recorder folds each event as it arrives into exactly what a
+    kept log gives: the digest, the schedule and the corruptions."""
+
+    @pytest.mark.parametrize("spec", streaming_cases())
+    def test_the_fold_is_the_log(self, spec, monkeypatch):
+        recorder, log = FlightRecorder(), EventLog()
+        spec.run(observers=[recorder, log])
+        events = log.events
+        assert recorder.stream == stream_digest(events)
+        assert recorder.schedule() == log.schedule()
+        assert recorder.event_count == len(events)
+        assert recorder.corruptions == [
+            [event.pid, event.step] for event in events if type(event) is CorruptEvent
+        ]
+        # A summary cache of one entry drops every summary the moment
+        # the next one arrives; the digest cannot tell.
+        monkeypatch.setattr(flightrecorder, "_SUMMARY_CACHE", 1)
+        assert stream_digest(events) == recorder.stream
+        flushed = FlightRecorder()
+        spec.run(observers=[flushed])
+        assert flushed.stream == recorder.stream
+
+    def test_the_summary_cache_is_bounded(self):
+        log = EventLog()
+        run_named("whp_ba", 16, 3, [log])
+        summaries = {id(e.summary) for e in log.events if type(e) is DeliverEvent}
+        assert len(summaries) > flightrecorder._SUMMARY_CACHE
+        recorder = FlightRecorder()
+        for event in log.events:
+            recorder.on_event(event)
+            assert len(recorder._summaries) <= flightrecorder._SUMMARY_CACHE
+        assert recorder.stream == stream_digest(log.events)
+
+    def test_a_read_mid_block_changes_nothing(self):
+        log = EventLog()
+        run_named("whp_ba", 8, 1, [log])
+        recorder = FlightRecorder()
+        for position, event in enumerate(log.events):
+            recorder.on_event(event)
+            if position % 97 == 0:
+                assert recorder.stream == stream_digest(log.events[:position + 1])
+        assert recorder.stream == stream_digest(log.events)
 
 
 class TestStreamDigest:
@@ -693,7 +764,7 @@ class TestSaveMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(recorder.events) > 100_000
+        assert recorder.event_count > 100_000
         assert peak < 1 << 20
 
 
@@ -705,30 +776,31 @@ class TestSelfDescribingHeaders:
         spec = dataclasses.replace(
             spec, lossy=LossyLinkConfig(duplicate_rate=0.3, reorder_rate=0.2)
         )
-        recorder = FlightRecorder()
-        result = spec.run(observers=[recorder])
+        recorder, log = FlightRecorder(), EventLog()
+        result = spec.run(observers=[recorder, log])
         path = save_recording(
             tmp_path / "lossy.jsonl", recorder, result,
-            protocol=run_header(spec, recorder.events),
+            protocol=run_header(spec, recorder.corruptions),
         )
         recording = load_recording(path)
         assert recording.header["protocol"] == "whp_ba"
         assert recording.header["lossy"] == spec.lossy.to_dict()
-        assert recording.events == tuple(recorder.events)
+        assert recording.events == tuple(log.events)
 
     def test_mid_run_corruptions_replay_at_their_step(self, tmp_path):
         spec = dataclasses.replace(
             resolve_run("whp_ba", 12, seed=7),
             corruption=CommitteeTargetingCorruption(message_kinds=("FirstMsg",)),
         )
-        recorder = FlightRecorder()
-        result = spec.run(observers=[recorder])
-        corruptions = [[e.pid, e.step] for e in recorder.events if type(e) is CorruptEvent]
+        recorder, log = FlightRecorder(), EventLog()
+        result = spec.run(observers=[recorder, log])
+        corruptions = [[e.pid, e.step] for e in log.events if type(e) is CorruptEvent]
         assert any(step > 0 for _, step in corruptions)
+        assert recorder.corruptions == corruptions
         path = save_recording(
             tmp_path / "adaptive.jsonl", recorder, result,
-            protocol=run_header(spec, recorder.events),
+            protocol=run_header(spec, recorder.corruptions),
         )
         recording = load_recording(path)
         assert recording.header["corrupt_after"] == corruptions
-        assert recording.events == tuple(recorder.events)
+        assert recording.events == tuple(log.events)

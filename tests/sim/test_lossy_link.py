@@ -33,7 +33,7 @@ from repro.sim.adversary import (
     StaticCorruption,
 )
 from repro.sim.events import event_to_record
-from repro.sim.flightrecorder import FlightRecorder
+from repro.sim.flightrecorder import EventLog
 from repro.sim.messages import Message
 from repro.sim import lossy as lossy_module
 from repro.sim.lossy import LossyLinkConfig, _fate_thresholds, _LossyState
@@ -220,7 +220,7 @@ class TestInactiveConfigIsInvisible:
     def test_zero_rate_config_matches_no_config(self):
         recordings = []
         for lossy in (None, LossyLinkConfig()):
-            recorder = FlightRecorder()
+            recorder = EventLog()
             sim = run_gossip(seed=3, lossy=lossy, recorder=recorder)
             recordings.append(
                 ([event_to_record(e) for e in recorder.events], sim.returns)
@@ -405,7 +405,7 @@ class TestDeterminismAndReplay:
     )
 
     def _events(self, **kwargs):
-        recorder = FlightRecorder()
+        recorder = EventLog()
         sim = run_gossip(
             n=5, seed=7, lossy=self.LOSSY,
             recorder=recorder, **kwargs
@@ -420,7 +420,7 @@ class TestDeterminismAndReplay:
 
     def test_lossy_run_replays_seq_exactly(self):
         original, _, recorder = self._events()
-        replay = FlightRecorder()
+        replay = EventLog()
         sim = run_gossip(
             n=5, seed=7, lossy=self.LOSSY,
             scheduler=ReplayScheduler(recorder.schedule()),
@@ -439,7 +439,7 @@ class TestFastLoopUnderLossyLinks:
         lossy = LossyLinkConfig(duplicate_rate=0.3, reorder_rate=0.3, reorder_hold=4)
         results = {}
         for mode in ("classic", "batched"):
-            recorder = FlightRecorder()
+            recorder = EventLog()
             sim = run_gossip(
                 n=4, seed=9, lossy=lossy,
                 scheduler=dispatched(FIFOScheduler(), mode),

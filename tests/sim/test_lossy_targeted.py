@@ -24,7 +24,7 @@ from repro.sim.adversary import (
     StaticCorruption,
 )
 from repro.sim.events import event_to_record
-from repro.sim.flightrecorder import FlightRecorder
+from repro.sim.flightrecorder import EventLog
 from repro.sim.messages import Message
 from repro.sim.network import LossyLinkConfig, Simulation
 from repro.sim.process import Wait
@@ -148,7 +148,7 @@ class TestTargetedDeterminismAndReplay:
     )
 
     def _events(self, scheduler=None):
-        recorder = FlightRecorder()
+        recorder = EventLog()
         sim = run_gossip(
             n=5, seed=11, lossy=self.LOSSY,
             scheduler=scheduler, recorder=recorder,

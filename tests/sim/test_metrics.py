@@ -12,7 +12,7 @@ import pytest
 from repro.crypto.pki import PKI
 from repro.sim.adversary import Adversary, RandomScheduler
 from repro.sim.events import SendEvent
-from repro.sim.flightrecorder import FlightRecorder
+from repro.sim.flightrecorder import EventLog
 from repro.sim.lossy import LossyLinkConfig
 from repro.sim.messages import Message
 from repro.sim.metrics import MetricsRecorder, ProtocolRecord
@@ -85,7 +85,7 @@ class TestWordAccounting:
         """The twin takes a seq and a SendEvent of its own, but the network
         made it: the counters hold the copies the sender sent."""
         sim = kernel(lossy=LossyLinkConfig(duplicate_rate=1.0))
-        recorder = sim.events.attach(FlightRecorder())
+        recorder = sim.events.attach(EventLog())
         sim.contexts[0].send(1, ThreeWord("i"))
         sim.contexts[0].broadcast(ThreeWord("i"))
         metrics = sim.metrics

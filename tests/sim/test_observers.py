@@ -3,19 +3,28 @@
 One parameterised check stands in for the per-observer copies that used
 to live beside each observer's own tests: for every subset of the four
 stock observers, in either list order, the ``RunResult`` is the bare
-run's and each observer's own output is what it produces alone.
+run's and each observer's own output is what it produces alone.  And
+none of them keeps the run's events: what each retains is bounded.
 """
 
 from __future__ import annotations
 
+import gc
 from itertools import combinations
 
 import pytest
 
 from repro.experiments.protocols import make_runner
+from repro.experiments.scenarios import resolve_run
 from repro.experiments.store import to_jsonable
 from repro.sim.coverage import CoverageProbe
-from repro.sim.events import ChunkedObserver, CorruptEvent, EventBus
+from repro.sim.events import (
+    ChunkedObserver,
+    CorruptEvent,
+    DeliverEvent,
+    EventBus,
+    SendEvent,
+)
 from repro.sim.flightrecorder import FlightRecorder
 from repro.sim.monitors import MonitorSuite
 from repro.sim.runner import run_protocol, stop_when_all_decided
@@ -25,7 +34,10 @@ N, SEED = 16, 5
 
 # name -> (factory, what the observer reports after the run)
 OBSERVERS = {
-    "recorder": (FlightRecorder, lambda recorder: to_jsonable(recorder.events)),
+    "recorder": (
+        FlightRecorder,
+        lambda recorder: (recorder.stream, recorder.event_count, recorder.schedule()),
+    ),
     "suite": (MonitorSuite, lambda suite: suite.report()),
     "telemetry": (TelemetryProbe, lambda probe: probe.snapshot()),
     "coverage": (CoverageProbe, lambda probe: probe.snapshot()),
@@ -89,7 +101,7 @@ class TestAttach:
         bus.attach(recorder)
         event = CorruptEvent(step=0, pid=1)
         bus.emit(event)
-        assert seen == [event] and recorder.events == []
+        assert seen == [event] and recorder.event_count == 0
 
 
 class TestChunkedObserver:
@@ -109,3 +121,36 @@ class TestChunkedObserver:
         counter._flush()
         counter._flush()  # nothing pending: no empty fold
         assert counter.chunks == [4, 4, 2]
+
+
+def live_events() -> list:
+    gc.collect()
+    return [obj for obj in gc.get_objects() if type(obj) in (SendEvent, DeliverEvent)]
+
+
+class TestRetention:
+    def test_the_stock_observers_keep_no_event_log(self):
+        """After a run, the four stock observers hold no send and at most
+        one delivery per (process, depth) -- the suite's causal index,
+        which keeps none of the event objects themselves."""
+
+        class DepthPairs:  # the distinct (dest, depth) pairs, as ints only
+            def __init__(self):
+                self.pairs = set()
+
+            def on_event(self, event):
+                if type(event) is DeliverEvent:
+                    self.pairs.add((event.dest, event.depth))
+
+        earlier = live_events()  # other tests' logs, still referenced
+        known = {id(event) for event in earlier}
+        depth_pairs = DepthPairs()
+        observers = [FlightRecorder(), MonitorSuite(), TelemetryProbe(), CoverageProbe()]
+        result = resolve_run("whp_ba", 32, seed=0).run(observers=[*observers, depth_pairs])
+        assert result.deliveries > 10_000
+        live = [event for event in live_events() if id(event) not in known]
+        assert not [event for event in live if type(event) is SendEvent]
+        assert len(live) <= len(depth_pairs.pairs)
+        assert len(observers[1].index.first) == len(depth_pairs.pairs)
+        assert not hasattr(observers[0], "events")
+        del earlier

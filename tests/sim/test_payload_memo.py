@@ -26,7 +26,7 @@ from repro.experiments.scenarios import SCENARIOS, Nudge, resolve_run, split_dec
 from repro.sim.adversary import Adversary, StaticCorruption
 from repro.sim.byzantine import ScriptedBehavior
 from repro.sim.events import DeliverEvent, summarize_payload
-from repro.sim.flightrecorder import FlightRecorder
+from repro.sim.flightrecorder import EventLog
 from repro.sim.lossy import LossyLinkConfig
 from repro.sim.mailbox import Mailbox
 from repro.sim.messages import Message
@@ -204,7 +204,7 @@ class TestMemoScope:
         assert clone.summary.text != original.summary.text
 
     def test_a_held_recording_pins_no_protocol_object(self, monkeypatch):
-        recorder = FlightRecorder()
+        recorder = EventLog()
         probes = []
         real = network_module.summarize_payload
 
@@ -232,7 +232,7 @@ class TestOneSummaryPerMessageObject:
             return real(message)
 
         monkeypatch.setattr(network_module, "summarize_payload", counting)
-        recorder, audit = FlightRecorder(), SummaryAudit()
+        recorder, audit = EventLog(), SummaryAudit()
         result = run_named("whp_ba", 16, 3, [recorder, audit])
         # The log's distinct summary objects (what the stream digest
         # hashes once each) are the kernel's summarize calls.

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.protocols import make_runner
-from repro.sim.flightrecorder import FlightRecorder, load_recording, save_recording
+from repro.sim.flightrecorder import EventLog, FlightRecorder, load_recording, save_recording
 from repro.sim.runner import run_protocol, stop_when_all_decided
 from repro.sim.telemetry import (
     SeriesBank,
@@ -105,11 +105,11 @@ def _ba_run(*observers, seed=7, n=16):
 
 @pytest.fixture(scope="module")
 def probed_run():
-    """One whp_ba run with a probe and a recorder attached."""
+    """One whp_ba run with a probe, a recorder and an event log attached."""
     probe = TelemetryProbe(sample_budget=64)
-    recorder = FlightRecorder()
-    result = _ba_run(probe, recorder)
-    return probe, recorder, result
+    recorder, log = FlightRecorder(), EventLog()
+    result = _ba_run(probe, recorder, log)
+    return probe, (recorder, log), result
 
 
 class TestTelemetryProbe:
@@ -121,14 +121,14 @@ class TestTelemetryProbe:
         assert first.snapshot() == second.snapshot()
 
     def test_snapshot_is_pure_function_of_event_log(self, probed_run):
-        probe, recorder, _ = probed_run
-        replayed = telemetry_from_events(recorder.events, sample_budget=64)
+        probe, (_, log), _ = probed_run
+        replayed = telemetry_from_events(log.events, sample_budget=64)
         assert replayed == probe.snapshot()
 
     def test_saved_recording_replays_the_live_snapshot(self, probed_run, tmp_path):
         # What lets `repro record` write the recording alone: the file
         # holds everything the attached probe saw.
-        probe, recorder, result = probed_run
+        probe, (recorder, _), result = probed_run
         path = save_recording(tmp_path / "run.jsonl", recorder, result, protocol="whp_ba")
         replayed = telemetry_from_events(load_recording(path).events, sample_budget=64)
         assert replayed == probe.snapshot()
