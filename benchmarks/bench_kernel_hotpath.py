@@ -10,7 +10,10 @@ wait without its subscription, so each is re-evaluated after every
 delivery.  Asserts
 
 * every observable RunResult field is identical between the two paths
-  (the optimisations are pure); and
+  (the optimisations are pure);
+* the optimised arm evaluates a pending wait on at most 15 % of the
+  deliveries that reach it (the ``Wait.need`` floors stay engaged,
+  smoke included); and
 * the optimised kernel is at least 2x faster wall-clock on the combined
   sweep, with the verification-cache hit rate reported.
 
@@ -51,6 +54,9 @@ from tests.kernel_reference import unsubscribed  # noqa: E402
 COIN_N, COIN_F = 120, 4
 BA_N = 100
 ROOT_SEED = 2020
+# Ceiling on the cached+keyed arm's wait evaluations, as a share of
+# evaluations + skips (~8 % with the committee floors, ~71 % without).
+WAKE_SHARE_LIMIT = 0.15
 
 
 def _observable(result: RunResult) -> tuple:
@@ -149,6 +155,13 @@ def run_comparison(coin_trials: int, ba_trials: int, require_speedup: float | No
         f"wait evals {evaluations}, skips {skips})\n"
         f"  uncached+eager: {slow_elapsed:7.2f}s\n"
         f"  speedup      : {speedup:8.2f}x  (workers={os.cpu_count()})"
+    )
+    # The wake-up floors stay engaged: between two thresholds a delivery
+    # only bumps a tally, so most subscribed deliveries are skipped.
+    assert evaluations <= WAKE_SHARE_LIMIT * (evaluations + skips), (
+        f"wait evaluations are {evaluations / (evaluations + skips):.1%} of "
+        f"subscribed deliveries, above {WAKE_SHARE_LIMIT:.0%}: a floor "
+        "stopped engaging\n" + report
     )
     if require_speedup is not None:
         assert speedup >= require_speedup, (

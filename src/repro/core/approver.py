@@ -234,18 +234,32 @@ def approve(
                 ok_values.append(msg.value)
                 if len(ok_values) >= committee_quorum:
                     return frozenset(ok_values)
+        # The wake-up floor: a delivery adds at most one to one tally, so
+        # nothing can happen before the nearest trigger -- W oks, B+1
+        # inits of a value not echoed yet (an unseen value has 0), or,
+        # while the ok is pending, W echoes of one value.
+        need = committee_quorum - len(ok_values)
+        inits = max(
+            (tally[1] for candidate, tally in init_tallies.items()
+             if candidate not in echoed),
+            default=0,
+        )
+        need = min(need, byzantine_bound + 1 - inits)
+        if ok_pending:
+            echoes = max(
+                (len(entries) for _, entries in echo_records.values()), default=0
+            )
+            need = min(need, committee_quorum - echoes)
+        wait.need = need
         return None
 
+    wait = Wait(step, description=f"approve{instance}", instances={instance})
     with ctx.span("approve", instance):
-        # min_count: the earliest side effect (echoing a value) needs B+1
-        # init messages for that value, so the instance must hold at least
-        # B+1 deliveries before the condition can do anything.
-        result = yield Wait(
-            step,
-            description=f"approve{instance}",
-            instances={instance},
-            min_count=byzantine_bound + 1,
-        )
+        result = yield wait
+    # `step` reads `wait` through a closure cell: a cycle that would wait
+    # for the cycle collector.  Emptying the cell frees the instance's
+    # state by refcount, as soon as the kernel lets go of the wait.
+    del wait
     ctx.retire(instance)  # `step` was the instance's only reader
     ctx.annotate("committee", instance=instance, role=_INIT_ROLE, size=init_count)
     for candidate, (_, entries) in echo_records.items():

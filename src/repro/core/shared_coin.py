@@ -110,18 +110,18 @@ def shared_coin(
             ctx.broadcast(SecondMsg(instance, coin_value=state["min"]))
         if state["sent_second"] and second_count >= quorum:
             return state["min"].value & 1
+        # The wake-up floor, as in the whp coin: `quorum` SECONDs, or
+        # `quorum` FIRSTs while SECOND is unsent.
+        need = quorum - second_count
+        if not state["sent_second"]:
+            need = min(need, quorum - first_count)
+        wait.need = need
         return None
 
+    wait = Wait(step, description=f"shared_coin{instance}", instances={instance})
     with ctx.span("shared_coin", instance):
-        # min_count: the earliest side effect (broadcasting SECOND) needs
-        # `quorum` FIRST messages, so the instance must hold at least
-        # `quorum` deliveries before the condition can do anything.
-        result = yield Wait(
-            step,
-            description=f"shared_coin{instance}",
-            instances={instance},
-            min_count=quorum,
-        )
+        result = yield wait
+    del wait  # `step` <-> `wait` is a cycle: free it by refcount (see approve)
     ctx.retire(instance)  # `step` was the instance's only reader
     ctx.annotate(
         "coin",

@@ -146,18 +146,19 @@ def whp_coin(
             )
         if second_count >= committee_quorum:
             return state["min"].value & 1
+        # The wake-up floor: a delivery adds at most one to one count, and
+        # only W SECONDs (return) or, for a SECOND member yet to send, W
+        # FIRSTs (broadcast) can act.
+        need = committee_quorum - second_count
+        if in_second and not state["sent_second"]:
+            need = min(need, committee_quorum - first_count)
+        wait.need = need
         return None
 
+    wait = Wait(step, description=f"whp_coin{instance}", instances={instance})
     with ctx.span("whp_coin", instance):
-        # min_count: the earliest side effect (a SECOND-committee member
-        # broadcasting its SECOND) needs W valid FIRSTs; returning needs W
-        # valid SECONDs -- either way, at least W messages must be in.
-        result = yield Wait(
-            step,
-            description=f"whp_coin{instance}",
-            instances={instance},
-            min_count=committee_quorum,
-        )
+        result = yield wait
+    del wait  # `step` <-> `wait` is a cycle: free it by refcount (see approve)
     ctx.retire(instance)  # `step` was the instance's only reader
     ctx.annotate(
         "committee", instance=instance, role=_FIRST_ROLE, size=first_count

@@ -515,6 +515,10 @@ def load_recording(path: str | Path) -> Recording:
     return Recording(header, summary, tuple(schedule), source=path)
 
 
+# The depth map of a process that received nothing.
+_NO_DEPTHS: dict[int, tuple] = {}
+
+
 class CausalIndex:
     """The first delivery to each process at each causal depth: all a
     causal-chain walk reads (:func:`causal_chain`).
@@ -522,10 +526,12 @@ class CausalIndex:
     A process's depth only grows, and the walk from ``(pid, depth,
     step)`` takes the earliest delivery that put ``pid`` at ``depth`` if
     it came at or before ``step``, so one delivery per ``(dest, depth)``
-    answers every walk a full log would.  :attr:`first` maps ``(dest,
-    depth)`` to that delivery's ``(step, seq, sender, sent_step,
-    message_kind, instance, words)``: its event less the payload
-    summary, which would pin the message's ``repr``.  The
+    answers every walk a full log would.  :attr:`first` maps ``dest`` to
+    a dict from ``depth`` to that delivery's ``(step, seq, sender,
+    sent_step, message_kind, instance, words)``: its event less the
+    payload summary, which would pin the message's ``repr``.  One dict
+    per process, not one ``(dest, depth)`` key per pair, saves a
+    2-tuple per entry.  The
     :class:`~repro.sim.monitors.MonitorSuite` keeps one online; the
     event-list forms of :func:`causal_chain` and :func:`critical_path`
     build one from the list.
@@ -534,15 +540,17 @@ class CausalIndex:
     __slots__ = ("first",)
 
     def __init__(self, events: Iterable[KernelEvent] = ()) -> None:
-        self.first: dict[tuple[int, int], tuple] = {}
+        self.first: dict[int, dict[int, tuple]] = {}
         for event in events:
             if type(event) is DeliverEvent:
                 self.add(event)
 
     def add(self, event: DeliverEvent) -> None:
-        key, first = (event.dest, event.depth), self.first
-        if key not in first:
-            first[key] = (
+        by_depth = self.first.get(event.dest)
+        if by_depth is None:
+            by_depth = self.first[event.dest] = {}
+        if event.depth not in by_depth:
+            by_depth[event.depth] = (
                 event.step,
                 event.seq,
                 event.sender,
@@ -618,7 +626,7 @@ def causal_chain(
     first = (events if type(events) is CausalIndex else CausalIndex(events)).first
     chain: list[dict[str, Any]] = []
     while depth > 0 and (limit is None or len(chain) < limit):
-        hop = first.get((pid, depth))
+        hop = first.get(pid, _NO_DEPTHS).get(depth)
         if hop is None or hop[0] > step:
             break  # incomplete log (e.g. recording attached mid-run)
         delivered, seq, sender, sent_step, message_kind, instance, words = hop

@@ -16,8 +16,8 @@ it was handed out, exactly like the underlying list.
 
 An instance whose last reader has returned is *retired*
 (:meth:`Mailbox.retire`): its buffer is swapped for one shared discarding
-sink, so a late delivery is still counted but no longer buffered, and
-peak memory follows the live instances rather than the run's history.
+sink, so a late delivery is dropped rather than buffered, and peak
+memory follows the live instances rather than the run's history.
 """
 
 from __future__ import annotations
@@ -79,32 +79,15 @@ class _InstanceStream:
 
 
 class Mailbox:
-    """All messages delivered to one process, grouped by instance.
-
-    ``counts`` is the per-instance delivery counter, maintained on
-    :meth:`add`: the kernel's incremental-quorum gate (``Wait.min_count``)
-    reads message totals off it in O(subscribed instances) when a wait
-    blocks, instead of rescanning buffered streams on every delivery.
-    It keeps counting a retired instance's deliveries.
-    """
+    """All messages delivered to one process, grouped by instance."""
 
     def __init__(self) -> None:
         self._by_instance: dict[Hashable, list[tuple[int, Message]]] = {}
-        self.counts: dict[Hashable, int] = {}
-        self.total_delivered = 0
 
     def add(self, sender: int, message: Message) -> None:
         """Record a delivered message: the body the kernel's delivery loop
         inlines, and how a test fills a mailbox without a run."""
-        instance = message.instance
-        self._by_instance.setdefault(instance, []).append((sender, message))
-        self.counts[instance] = self.counts.get(instance, 0) + 1
-        self.total_delivered += 1
-
-    def total_for(self, instances) -> int:
-        """Total messages delivered across ``instances`` (O(len(instances)))."""
-        counts = self.counts
-        return sum(counts.get(instance, 0) for instance in instances)
+        self._by_instance.setdefault(message.instance, []).append((sender, message))
 
     def stream(self, instance: Hashable) -> list[tuple[int, Message]]:
         """The (growing) list of ``(sender, message)`` for ``instance``.
@@ -124,7 +107,7 @@ class Mailbox:
         return _InstanceStream(self._by_instance, instance)  # type: ignore[return-value]
 
     def retire(self, instance: Hashable) -> None:
-        """Drop ``instance``'s stream: later deliveries are counted only.
+        """Drop ``instance``'s stream: later deliveries are discarded.
 
         Call it once the instance's last reader has returned (DESIGN.md
         §6, "Instance lifetime").  Idempotent, and harmless for an
@@ -134,6 +117,3 @@ class Mailbox:
 
     def instances(self) -> Iterator[Hashable]:
         return iter(self._by_instance)
-
-    def count(self, instance: Hashable) -> int:
-        return self.counts.get(instance, 0)

@@ -319,10 +319,10 @@ class Simulation:
         self._listeners: dict[int, Callable[[ProcessContext, Envelope], None]] = {}
         self._generators: dict[int, Any] = {}
         self._pending: dict[int, Wait | None] = {}
-        # Incremental-quorum countdown per blocked pid: subscribed
-        # deliveries still needed before the pending wait's min_count
-        # floor is reached (0 = evaluate normally).
-        self._pending_remaining: dict[int, int] = {}
+        # Wake-up countdown per blocked pid: subscribed deliveries still
+        # needed before the pending wait can act, loaded from `Wait.need`
+        # after each evaluation that returned None (0 = evaluate normally).
+        self._pending_remaining = [0] * n
         self._factories: dict[int, ProtocolFactory] = {}
 
         # The pool is the only place a sent copy lives: three parallel
@@ -636,7 +636,6 @@ class Simulation:
             self.events.emit(CorruptEvent(step=self.deliveries, pid=pid))
         self._generators.pop(pid, None)
         self._pending.pop(pid, None)
-        self._pending_remaining.pop(pid, None)
         behavior = self.adversary.behavior_factory(pid)
         self._behaviors[pid] = behavior
         on_deliver = behavior.on_deliver
@@ -697,12 +696,7 @@ class Simulation:
             result = wait.condition(mailbox)
             if result is None:
                 self._pending[pid] = wait
-                min_count = wait.min_count
-                if min_count > 0 and wait.instances is not None:
-                    need = min_count - mailbox.total_for(wait.instances)
-                    self._pending_remaining[pid] = need if need > 0 else 0
-                else:
-                    self._pending_remaining[pid] = 0
+                self._pending_remaining[pid] = wait.need
                 if self._subscribers:
                     self.events.emit(
                         WaitBlockEvent(
@@ -836,8 +830,9 @@ class Simulation:
         Before each delivery the stop condition is checked and held
         (reordered) seqs are released.  After it the corruption strategy
         observes the delivery, and the receiver's pending wait is
-        re-evaluated unless its gates (instance subscription, min_count
-        countdown) prove the evaluation a no-op.  The next delivery is the
+        re-evaluated unless its gates (instance subscription, the
+        countdown its last ``Wait.need`` loaded) prove the evaluation a
+        no-op.  The next delivery is the
         next seq of a batch the scheduler committed through
         :meth:`~repro.sim.adversary.Scheduler.drain`, or else a batch of
         one: the seq at ``choose_index(len(pool))`` when the scheduler
@@ -863,7 +858,6 @@ class Simulation:
         contexts = self.contexts
         corrupted = self.corrupted
         listeners = self._listeners
-        generators = self._generators
         pending = self._pending
         remaining_map = self._pending_remaining
         metrics = self.metrics
@@ -1043,49 +1037,43 @@ class Simulation:
                     if stream_list is None:
                         by_instance[payload_instance] = stream_list = []
                     stream_list.append(flight.entry)
-                    mailbox_counts = mailbox.counts
-                    mailbox_counts[payload_instance] = (
-                        mailbox_counts.get(payload_instance, 0) + 1
-                    )
-                    mailbox.total_delivered += 1
                     if ctx.background_handlers:
                         handler = ctx.background_handlers.get(payload_instance)
                         if handler is not None:
                             handler(mailbox)
-                    if pid in generators:
-                        wait = pending.get(pid)
-                        if wait is not None:
-                            instances = wait.instances
-                            if instances is None:
-                                evaluate = True
-                            elif payload_instance in instances:
-                                remaining = remaining_map.get(pid, 0)
-                                if remaining > 1:
-                                    remaining_map[pid] = remaining - 1
-                                    evaluate = False
-                                else:
-                                    if remaining:
-                                        remaining_map[pid] = 0
-                                    evaluate = True
-                            else:
+                    wait = pending[pid]  # every correct pid has an entry
+                    if wait is not None:
+                        instances = wait.instances
+                        if instances is None:
+                            evaluate = True
+                        elif payload_instance in instances:
+                            remaining = remaining_map[pid]
+                            if remaining > 1:
+                                remaining_map[pid] = remaining - 1
                                 evaluate = False
-                            if evaluate:
-                                metrics.wait_evaluations += 1
-                                result = wait.condition(mailbox)
-                                if result is not None:
-                                    pending[pid] = None
-                                    if subscribers:
-                                        emit(
-                                            WaitWakeEvent(
-                                                step=self.deliveries,
-                                                pid=pid,
-                                                description=wait.description,
-                                                depth=ctx.depth,
-                                            )
-                                        )
-                                    advance(pid, result, False)
                             else:
-                                metrics.wait_skips += 1
+                                evaluate = True
+                        else:
+                            evaluate = False
+                        if evaluate:
+                            metrics.wait_evaluations += 1
+                            result = wait.condition(mailbox)
+                            if result is not None:
+                                pending[pid] = None
+                                if subscribers:
+                                    emit(
+                                        WaitWakeEvent(
+                                            step=self.deliveries,
+                                            pid=pid,
+                                            description=wait.description,
+                                            depth=ctx.depth,
+                                        )
+                                    )
+                                advance(pid, result, False)
+                            else:
+                                remaining_map[pid] = wait.need
+                        else:
+                            metrics.wait_skips += 1
                 if corruption_reacts and len(corrupted) < budget:
                     view = EnvelopeView.of(_envelope(seq, flight, pid))
                     for pid in corruption.on_delivery(view, frozenset(corrupted)):

@@ -3,8 +3,9 @@
 A protocol is a generator function ``protocol(ctx)`` that performs sends
 through ``ctx``, then ``yield``s :class:`Wait` objects whose condition
 closures implement the protocol's ``upon receiving ...`` handlers.  The
-kernel re-evaluates the pending condition after every delivery to the
-process; when the condition returns non-``None`` the generator resumes
+kernel re-evaluates the pending condition after each delivery to the
+process that could change it (see :class:`Wait`'s ``instances`` and
+``need``); when the condition returns non-``None`` the generator resumes
 with that value.  Sub-protocols (the approver inside Byzantine Agreement,
 for instance) compose with ``yield from`` and simply return their result.
 
@@ -59,20 +60,21 @@ class Wait:
     pre-subscription behaviour: re-evaluate after every delivery.  Leave it
     ``None`` whenever the condition reads state mutated elsewhere.
 
-    ``min_count`` is the incremental-quorum floor: the declaring protocol
-    promises that until the subscribed instances hold at least
-    ``min_count`` messages *in total*, the condition (a) returns ``None``
-    and (b) performs no kernel-visible side effect (no send, no decide, no
-    annotation).  Under that promise the kernel may skip evaluations below
-    the floor entirely, maintaining a per-process countdown decremented on
-    each subscribed delivery instead of re-running the condition -- the
-    deferred evaluations are pure no-ops by (a)+(b), so skipping them is
-    observationally identical.  Quorum waits ("upon receiving X from q
-    processes") declare the smallest message count that can trigger their
-    *earliest* side effect.  ``0`` (the default) disables the floor;
-    ``min_count`` is only honoured when ``instances`` is given (the floor
-    is defined over the subscribed streams).  The equivalence tests'
-    reference re-yields every ``Wait`` without either
+    ``need`` is the wake-up floor: the number of *further* subscribed
+    deliveries before the condition can return non-``None`` or perform a
+    kernel-visible side effect (a send, a decide, an annotation).  The
+    condition restates it each time it returns ``None`` -- a protocol
+    binds its own ``Wait`` (``wait = Wait(step, ...)``; ``result = yield
+    wait``) and ``step`` writes ``wait.need`` -- and the kernel reads it
+    after every evaluation that returns ``None``, then skips the next
+    ``need - 1`` subscribed deliveries: the skipped evaluations are
+    no-ops by the promise, so skipping them is observationally
+    identical.  A threshold rule ("upon receiving X from q processes")
+    whose every delivery adds at most one to one tally states the
+    smallest distance from any tally to its trigger.  ``0`` (the
+    default) evaluates on every subscribed delivery; ``need`` is only
+    honoured with ``instances``.  The equivalence tests' reference
+    re-yields every ``Wait`` without either
     (``tests/kernel_reference.py``), so each pending condition is
     re-evaluated after every delivery to its process.
     """
@@ -80,7 +82,7 @@ class Wait:
     condition: Callable[[Mailbox], Any]
     description: str = ""
     instances: Iterable[Hashable] | None = None
-    min_count: int = 0
+    need: int = 0
 
     def __post_init__(self) -> None:
         if self.instances is not None and not isinstance(self.instances, frozenset):
@@ -178,7 +180,7 @@ class ProcessContext:
         self.background_handlers[instance] = handler
 
     def retire(self, instance: Hashable) -> None:
-        """Declare ``instance`` finished: its late messages are counted, not
+        """Declare ``instance`` finished: its late messages are dropped, not
         buffered.  Only when no wait or handler will read it again.  Once
         every correct process has retired it, the PKI drops the
         instance's validation memo."""

@@ -28,9 +28,11 @@ def stop_when_all_decided(simulation: Simulation) -> bool:
     This is how runs of the (forever-looping) Byzantine Agreement protocol
     terminate: the algorithm never halts, the experiment does.
 
-    Evaluated after every delivery, so the common case (not done yet) is a
-    cheap length check; the precise set union only runs when the counts
-    could possibly cover every correct process.
+    Asked *before* each delivery (and once more when the pool empties),
+    and only when decided/finished/corrupted grew, so the common case (not
+    done yet) is a cheap length check; the precise set union only runs
+    when the counts could possibly cover every correct process.  A run it
+    stops may leave waits holding entries their floors deferred.
     """
     if len(simulation.decided) + len(simulation.corrupted) < simulation.n:
         return False

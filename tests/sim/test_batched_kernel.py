@@ -1,8 +1,7 @@
 """Unit tests for the batched-delivery kernel machinery.
 
 Covers the scheduler ``drain``/``on_submit`` contracts, the
-mailbox's per-instance delivery counters, the ``Wait.min_count``
-incremental-quorum gate, and the broadcast submission fast path --
+``Wait.need`` wake-up floor, and the broadcast submission fast path --
 each against its documented contract (see DESIGN.md section 10).
 """
 
@@ -24,7 +23,6 @@ from repro.sim.adversary import (
     RandomScheduler,
     StaticCorruption,
 )
-from repro.sim.mailbox import Mailbox
 from repro.sim.messages import Message
 from repro.sim.network import Simulation
 from repro.sim.process import Wait
@@ -271,103 +269,66 @@ class TestSchedulerBase:
         assert scheduler.drain(None, 4) is None
 
 
-# -- mailbox counters --------------------------------------------------------
+# -- Wait.need wake-up floor -------------------------------------------------
 
 
-class TestMailboxCounters:
-    def test_counts_maintained_on_add(self):
-        mailbox = Mailbox()
-        mailbox.add(0, Note("a"))
-        mailbox.add(1, Note("a"))
-        mailbox.add(2, Note("b"))
-        assert mailbox.counts == {"a": 2, "b": 1}
-        assert mailbox.total_delivered == 3
+class TestNeedGate:
+    SENDERS = 6
 
-    def test_total_for_sums_subscribed_instances(self):
-        mailbox = Mailbox()
-        for instance in ("a", "a", "b", "c"):
-            mailbox.add(0, Note(instance))
-        assert mailbox.total_for({"a", "b"}) == 3
-        assert mailbox.total_for({"c"}) == 1
-        assert mailbox.total_for({"missing"}) == 0
-
-
-# -- Wait.min_count incremental-quorum gate ----------------------------------
-
-
-class TestMinCountGate:
-    def _run(self, min_count, eager=False):
-        """Process 0 waits for 3 Notes on one instance; 1..3 each send one.
-        Returns the mailbox totals seen at each condition evaluation."""
+    def _run(self, needs, eager=False, declared=0):
+        """Process 0 waits for one Note from each of 1..6 on instance "x"
+        (each also sends one on "y", which the wait does not read); every
+        ``None`` declares the next entry of ``needs`` (the last repeats).
+        Returns the "x" stream length seen at each evaluation."""
         observed = []
 
         def waiter(ctx):
             def condition(mailbox):
-                observed.append(mailbox.total_for({"x"}))
-                stream = mailbox.stream("x")
-                return True if len(stream) >= 3 else None
+                got = len(mailbox.stream("x"))
+                observed.append(got)
+                if got >= self.SENDERS:
+                    return True
+                wait.need = needs[min(len(observed), len(needs)) - 1]
+                return None
 
-            result = yield Wait(
-                condition, description="3 notes",
-                instances={"x"}, min_count=min_count,
-            )
-            return result
+            wait = Wait(condition, instances={"x"}, need=declared)
+            return (yield wait)
 
         def sender(ctx):
+            ctx.send(0, Note("y"))
             ctx.send(0, Note("x"))
             return None
             yield
 
-        sim = make_sim(scheduler=FIFOScheduler())
+        sim = make_sim(n=self.SENDERS + 1, scheduler=FIFOScheduler())
         sim.set_protocol(0, unsubscribed(waiter) if eager else waiter)
-        for pid in (1, 2, 3):
+        for pid in range(1, self.SENDERS + 1):
             sim.set_protocol(pid, sender)
         sim.run()
         assert sim.returns[0] is True
         return observed
 
-    def test_gate_skips_below_floor(self):
-        """After the block-time probe (always evaluated: the condition may
-        already be satisfiable from buffered messages), the condition is
-        never re-invoked while the subscribed instance holds fewer than
-        min_count messages."""
-        observed = self._run(min_count=3)
-        assert observed[0] == 0  # the block-time probe
-        assert observed[1:], "condition never re-evaluated"
-        assert all(total >= 3 for total in observed[1:])
+    def test_the_block_time_probe_always_runs(self):
+        """A floor stated before the wait blocks does not skip the probe:
+        the condition may already be satisfiable from buffered messages."""
+        observed = self._run([6], declared=6)
+        assert observed == [0, 6]
 
-    def test_no_floor_evaluates_incrementally(self):
-        observed = self._run(min_count=0)
-        assert {1, 2} <= set(observed)  # woken below the quorum
+    def test_no_evaluation_while_the_countdown_exceeds_one(self):
+        observed = self._run([3])
+        assert observed == [0, 3, 6]
 
-    def test_eager_wakeups_ignore_floor(self):
-        """The eager reference (the wait re-yielded unsubscribed) bypasses
-        gating entirely -- and the protocol still returns the same result."""
-        observed = self._run(min_count=3, eager=True)
-        assert {1, 2} <= set(observed)
+    def test_the_countdown_rearms_after_every_none(self):
+        observed = self._run([2, 1, 3])
+        assert observed == [0, 2, 3, 6]
+        assert self._run([0]) == [0, 1, 2, 3, 4, 5, 6]
 
-    def test_batched_mode_honours_floor(self):
-        observed = []
-
-        def waiter(ctx):
-            def condition(mailbox):
-                observed.append(mailbox.total_for({"x"}))
-                return True if len(mailbox.stream("x")) >= 3 else None
-
-            return (yield Wait(condition, instances={"x"}, min_count=3))
-
-        def sender(ctx):
-            ctx.send(0, Note("x"))
-            return None
-            yield
-
-        sim = make_sim(scheduler=FIFOScheduler())
-        sim.set_protocol(0, waiter)
-        for pid in (1, 2, 3):
-            sim.set_protocol(pid, sender)
-        sim.run()
-        assert sim.returns[0] is True
-        assert all(total >= 3 for total in observed[1:])
+    def test_the_unsubscribed_reference_ignores_the_floor(self):
+        """The reference re-yields the wait without its subscription or
+        floor: evaluated on every delivery, "y" included -- and the
+        protocol returns the same result."""
+        observed = self._run([6], eager=True, declared=6)
+        assert observed == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]
 
 
 # -- broadcast submission fast path ------------------------------------------

@@ -118,7 +118,7 @@ class TestMailboxProbeAllocation:
         for i in range(100):
             box.stream(("future-round", i))
         assert list(box.instances()) == []
-        assert box.count(("future-round", 0)) == 0
+        assert len(box.stream(("future-round", 0))) == 0
 
     def test_probe_view_sees_later_deliveries(self):
         box = Mailbox()

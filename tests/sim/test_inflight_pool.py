@@ -586,11 +586,16 @@ def gossip_rounds(rounds):
     def protocol(ctx):
         for r in range(rounds):
             ctx.broadcast(Note(r))
-            yield Wait(
-                lambda mailbox, r=r: True if mailbox.counts.get(r, 0) >= ctx.n else None,
-                instances={r},
-                min_count=ctx.n,
-            )
+
+            def all_in(mailbox, r=r):
+                missing = ctx.n - len(mailbox.stream(r))
+                if missing <= 0:
+                    return True
+                wait.need = missing
+                return None
+
+            wait = Wait(all_in, instances={r})
+            yield wait
 
     return protocol
 

@@ -17,9 +17,11 @@ that safe and worth it:
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import random
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from repro.crypto.pki import PKI
 from repro.experiments.protocols import PROTOCOLS
 from repro.experiments.scenarios import SCENARIOS, resolve_run
 from repro.sim.adversary import Adversary, CorruptionStrategy, RandomScheduler
+from repro.sim import mailbox as mailbox_module
 from repro.sim.mailbox import Mailbox
 from repro.sim.messages import Message
 from repro.sim.network import Simulation
@@ -134,7 +137,7 @@ class TestRetirementIsObservationallyPure:
 
 def _buffered(simulation: Simulation, kinds: tuple[str, ...]) -> dict:
     """Per returned-from instance of ``kinds``: entries its process still
-    buffers, and deliveries it counted."""
+    buffers, and whether it retired the instance."""
     held = {}
     correct = set(simulation.correct_pids)
     for record in simulation.metrics.protocol_records:
@@ -142,10 +145,8 @@ def _buffered(simulation: Simulation, kinds: tuple[str, ...]) -> dict:
             continue
         instance = record.get("instance")
         mailbox = simulation.contexts[record.pid].mailbox
-        held[record.pid, instance] = (
-            len(mailbox._by_instance.get(instance, ())),
-            mailbox.count(instance),
-        )
+        buffer = mailbox._by_instance.get(instance, ())
+        held[record.pid, instance] = (len(buffer), buffer is mailbox_module._RETIRED)
     return held
 
 
@@ -163,7 +164,7 @@ class TestNothingBufferedAfterReturn:
         held = _buffered(simulation, ("approve", "coin"))
         assert len(held) >= 3 * len(simulation.correct_pids)
         assert {buffered for buffered, _ in held.values()} == {0}
-        assert all(counted > 0 for _, counted in held.values())
+        assert all(retired for _, retired in held.values())
 
     def test_mmr_with_the_shared_coin(self):
         simulation = _ledger_run("mmr_coin_n200", 32)
@@ -174,6 +175,37 @@ class TestNothingBufferedAfterReturn:
         assert len(mailbox.stream(("mmr", 0))) > 0
 
 
+class TestAFinishedWaitIsFreedByRefcount:
+    """A committee condition writes its own ``Wait.need``, so the wait and
+    its condition reference each other.  Once the wait returns, the
+    protocol breaks that cycle: with the cycle collector off, every wait
+    but the one each process still blocks on is gone by the run's end."""
+
+    @pytest.mark.parametrize(
+        "protocol, module",
+        [("whp_ba", "approver"), ("whp_ba", "whp_coin"), ("mmr+alg1", "shared_coin")],
+    )
+    def test_with_the_collector_off(self, monkeypatch, protocol, module):
+        made = []
+
+        class Tracked(Wait):
+            def __post_init__(self):
+                super().__post_init__()
+                made.append(weakref.ref(self))
+
+        core_module = importlib.import_module(f"repro.core.{module}")
+        monkeypatch.setattr(core_module, "Wait", Tracked)
+        n = 16
+        gc.collect()
+        gc.disable()
+        try:
+            resolve_run(protocol, n, seed=0).run()
+            alive = sum(ref() is not None for ref in made)
+        finally:
+            gc.enable()
+        assert alive <= n < len(made)
+
+
 class TestReadingARetiredInstanceFailsLoudly:
     @pytest.mark.parametrize("mode", ARMS)
     def test_the_run_raises_instead_of_blocking(self, mode):
@@ -181,7 +213,7 @@ class TestReadingARetiredInstanceFailsLoudly:
 
         def rereads(ctx):
             ctx.broadcast(Message("x"))
-            yield Wait(lambda box: box.count("x") or None, instances={"x"})
+            yield Wait(lambda box: len(box.stream("x")) or None, instances={"x"})
             ctx.retire("x")
             yield Wait(lambda box: box.stream("x") or None, instances={"x"})
 

@@ -135,11 +135,13 @@ class TestWaitConditions:
             ctx.broadcast(Ping("g", payload=ctx.pid))
             # First wait: everything from pid 0 only.
             got = yield Wait(
-                lambda mailbox: True if mailbox.count("g") >= 3 else None
+                lambda mailbox: True if len(mailbox.stream("g")) >= 3 else None
             )
             # Second wait over the same instance, starting from scratch.
             count = yield Wait(
-                lambda mailbox: mailbox.count("g") if mailbox.count("g") >= 3 else None
+                lambda mailbox: (
+                    len(mailbox.stream("g")) if len(mailbox.stream("g")) >= 3 else None
+                )
             )
             return (got, count)
 
@@ -167,8 +169,8 @@ class TestWaitConditions:
 
             def got_new(mailbox):
                 nonlocal seen
-                if mailbox.total_delivered > seen:
-                    seen = mailbox.total_delivered
+                if len(mailbox.stream("c")) > seen:
+                    seen = len(mailbox.stream("c"))
                     return True
                 return None
 
@@ -188,7 +190,7 @@ class TestWaitConditions:
 
         def decider(ctx):
             ctx.broadcast(Ping("d"))
-            yield Wait(lambda mailbox: mailbox.total_delivered or None)
+            yield Wait(lambda mailbox: len(mailbox.stream("d")) or None)
             ctx.decide("v")
             yield Wait(lambda mailbox: None)  # never returns
 
@@ -281,10 +283,10 @@ class TestCausalDepth:
         def relay(ctx):
             if ctx.pid == 0:
                 ctx.send(1, Ping("hop", payload=0))
-                yield Wait(lambda mailbox: True if mailbox.count("hop2") else None)
+                yield Wait(lambda mailbox: True if len(mailbox.stream("hop2")) else None)
                 ctx.decide("done")
                 return "initiator"
-            yield Wait(lambda mailbox: True if mailbox.count("hop") else None)
+            yield Wait(lambda mailbox: True if len(mailbox.stream("hop")) else None)
             ctx.send(0, Ping("hop2"))
             ctx.decide("done")
             return "responder"
@@ -305,7 +307,7 @@ class TestBackgroundHandlers:
             ctx.broadcast(Ping("bg", payload=ctx.pid))
             # Wait for one message first so there is a backlog when the
             # handler is registered.
-            yield Wait(lambda mailbox: True if mailbox.count("bg") >= 1 else None)
+            yield Wait(lambda mailbox: True if len(mailbox.stream("bg")) >= 1 else None)
             log = seen.setdefault(ctx.pid, [])
             cursor = 0
 
@@ -319,7 +321,7 @@ class TestBackgroundHandlers:
                 return "bg"
 
             ctx.add_background_handler(handler)
-            yield Wait(lambda mailbox: True if mailbox.count("bg") >= 3 else None)
+            yield Wait(lambda mailbox: True if len(mailbox.stream("bg")) >= 3 else None)
             return sorted(log)
 
         sim.set_protocol_all(protocol)
@@ -335,7 +337,7 @@ class TestBackgroundHandlers:
             log = calls.setdefault(ctx.pid, [])
 
             def handler(mailbox):
-                log.append(("bg", mailbox.count("bg")))
+                log.append(("bg", len(mailbox.stream("bg"))))
                 return "bg"
 
             ctx.add_background_handler(handler)
@@ -343,9 +345,9 @@ class TestBackgroundHandlers:
             ctx.broadcast(Ping("other", payload=ctx.pid))
             yield Wait(
                 lambda mailbox: True
-                if mailbox.count("bg") + mailbox.count("other") >= 6 else None
+                if len(mailbox.stream("bg")) + len(mailbox.stream("other")) >= 6 else None
             )
-            return ctx.mailbox.total_delivered
+            return len(ctx.mailbox.stream("bg")) + len(ctx.mailbox.stream("other"))
 
         sim.set_protocol_all(protocol)
         sim.run()
@@ -362,11 +364,11 @@ class TestBackgroundHandlers:
 
         def protocol(ctx):
             ctx.broadcast(Ping("bg", payload=ctx.pid))
-            yield Wait(lambda mailbox: True if mailbox.count("bg") >= 2 else None)
+            yield Wait(lambda mailbox: True if len(mailbox.stream("bg")) >= 2 else None)
             log = seen.setdefault(ctx.pid, [])
 
             def handler(mailbox):
-                log.append(mailbox.count("bg"))
+                log.append(len(mailbox.stream("bg")))
                 return "bg"
 
             # Both "bg" messages are already buffered and no more come:

@@ -151,6 +151,9 @@ class TestRetention:
         live = [event for event in live_events() if id(event) not in known]
         assert not [event for event in live if type(event) is SendEvent]
         assert len(live) <= len(depth_pairs.pairs)
-        assert len(observers[1].index.first) == len(depth_pairs.pairs)
+        first = observers[1].index.first
+        assert {(dest, depth) for dest in first for depth in first[dest]} == (
+            depth_pairs.pairs
+        )
         assert not hasattr(observers[0], "events")
         del earlier

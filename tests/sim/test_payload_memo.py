@@ -85,7 +85,10 @@ class SummaryAudit:
             self.summaries[id(summary)] = summary
         # Every delivery to a correct process was audited, none twice.
         assert self.audited == sum(
-            simulation.contexts[pid].mailbox.total_delivered for pid in correct
+            len(mailbox.stream(instance))
+            for pid in correct
+            for mailbox in [simulation.contexts[pid].mailbox]
+            for instance in mailbox.instances()
         )
 
     @property

@@ -149,7 +149,7 @@ class TestRunProtocol:
     def test_stop_when_all_decided(self):
         def decide_then_loop(ctx):
             ctx.broadcast(Beat("hb"))
-            yield Wait(lambda mailbox: True if mailbox.count("hb") else None)
+            yield Wait(lambda mailbox: True if len(mailbox.stream("hb")) else None)
             ctx.decide(1)
             yield Wait(lambda mailbox: None)  # would deadlock without stop
 
