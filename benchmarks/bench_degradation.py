@@ -14,8 +14,9 @@ Run standalone for CI smoke::
     PYTHONPATH=src python benchmarks/bench_degradation.py --smoke
 
 The smoke run records the same ``degradation`` trend-series payload as
-``python -m repro degrade --smoke`` (the journal dedupes the twin), so
-either entry point keeps ``repro trends --gate`` fed.
+``python -m repro degrade --smoke`` (the journal dedupes the twin).  The
+payload itself is pinned exactly as the ``degrade_smoke`` cell of
+``tests/fingerprints.json`` (``python -m repro fingerprint``).
 
 The smoke run also guards the *lossy tax*: one ``whp_ba`` run over
 duplicating and reordering links against the same seed over reliable
@@ -112,7 +113,7 @@ def run_degradation(smoke: bool = False) -> tuple[str, dict]:
         f"({first_s:.2f} s + {second_s:.2f} s)",
     ]
     summary = dict(payload)
-    summary["wallclock"] = {  # excluded from gating: machine-dependent
+    summary["wallclock"] = {  # volatile: machine-dependent
         "first_sweep_s": first_s,
         "second_sweep_s": second_s,
     }

@@ -111,7 +111,7 @@ def run_forensics(n: int) -> tuple[str, dict]:
         "slice_events": len(report.slice),
         "minimal_deliveries": minimized["deliveries"],
         "minimize_tests": minimized["tests"],
-        "wallclock": {  # excluded from gating: machine-dependent
+        "wallclock": {  # volatile: machine-dependent
             "diff_s": diff_s, "explain_s": explain_s,
         },
     }

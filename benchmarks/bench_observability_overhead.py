@@ -46,9 +46,8 @@ the table's *absolute* ns/event dispatch budgets, which catch the same
 regressions without the unrepresentative small-n denominator.
 
 The smoke run also appends its deterministic counters (events,
-deliveries, words) to the cross-run trend store so ``repro trends
---gate`` has an observability series to enforce; wall-clock readings
-ride along under an excluded-from-gating key.
+deliveries, words) to the cross-run trend store, where ``repro trends``
+shows their drift; wall-clock readings ride along under a volatile key.
 
 Run standalone for CI smoke::
 
@@ -264,8 +263,9 @@ def run_comparison(n: int, max_overhead: float = 0.03, assert_ratios: bool = Tru
             failures.append(f"{name} retains {per_delivery:.1f} B/delivery")
     report = "\n".join(lines)
     assert not failures, "over budget: " + "; ".join(failures) + "\n" + report
-    # Deterministic counters top-level (gateable by `repro trends --gate`);
-    # wall-clock readings under "wallclock" (excluded from gating).
+    # Deterministic counters top-level (the drift column of `repro
+    # trends` compares them); wall-clock readings under "wallclock",
+    # which it skips.
     summary = {
         "n": n,
         "seed": ROOT_SEED,

@@ -29,7 +29,8 @@ def save_report():
     when given (``results/<name>.json``); returns the table's path.
 
     Each call journals one trend record: the rows when given, since the
-    gate diffs their numbers run over run, else the rendered text.
+    trends table's drift column diffs their numbers run over run, else
+    the rendered text.
     """
     from repro.experiments.store import save_results
     from repro.experiments.trends import record_bench

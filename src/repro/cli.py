@@ -57,12 +57,12 @@ the degradation observatory (see DESIGN.md section 14)::
         --rates 0,0.02,0.05,0.1 --seeds 8   # decide-rate curves + knee;
                                             # failing cells export
                                             # recordings for `explain`
-    python -m repro degrade --smoke          # CI shape, feeds the trend store
+    python -m repro degrade --smoke          # smoke shape, feeds the trend store
 
 and the telemetry pane (see DESIGN.md section 9)::
 
     python -m repro dashboard flight.jsonl --out dashboard.html
-    python -m repro trends --gate --tolerance 25   # exit 1 on drift
+    python -m repro fingerprint    # every pinned count: tests/fingerprints.json
 
 Every command is one :class:`Command` in :data:`COMMANDS`: the flags it
 reads, with its own defaults, and its handler.  A flag or positional a
@@ -73,6 +73,7 @@ input, so exit 1 keeps one meaning -- a check found something.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -354,10 +355,9 @@ def _run_degrade(args) -> tuple[str, int]:
     from repro.experiments.trends import record_bench
 
     if args.smoke:
-        # The CI configuration: tiny, deterministic, and the one shape
-        # that feeds the trend store's `degradation` series (full sweeps
-        # vary by config, so gating them against each other would flag
-        # every parameter change as drift).
+        # Tiny, deterministic, and the one shape that feeds the trend
+        # store's `degradation` series (full sweeps vary by config, so
+        # comparing them would flag every parameter change as drift).
         payload = degradation.smoke_degradation()
         snapshot, _ = record_bench("degradation", payload)
         text = degradation.format_degradation(payload)
@@ -389,12 +389,15 @@ def _run_trends(args) -> tuple[str, int]:
     store = trends.TrendStore(".")
     tolerance = args.tolerance / 100.0
     try:
-        if args.gate:
-            verdict = trends.gate_trends(store, rel_tol=tolerance, last=args.last)
-            return trends.format_gate(verdict), 0 if verdict["ok"] else 1
         return trends.render_trends(store, rel_tol=tolerance, last=args.last), 0
     except (OSError, ValueError) as exc:
         raise SystemExit(f"repro trends: {exc}")
+
+
+def _run_fingerprint(args) -> tuple[str, int]:
+    from repro.experiments.fingerprint import fingerprint
+
+    return json.dumps(fingerprint(), indent=1, sort_keys=True), 0
 
 
 def _run_dashboard(args) -> tuple[str, int]:
@@ -469,7 +472,7 @@ ARGUMENTS: dict[str, tuple[Callable[[str], Any] | None, str]] = {
     ),
     "protocols": (str, "check: comma-separated protocol list"),
     "no_profile": (None, "record: no wall-clock phase timers"),
-    "gate": (None, "trends/coverage: exit 1 on drift / stagnation"),
+    "gate": (None, "coverage: exit 1 on stagnation"),
     "tolerance": (
         _checked(float, lambda value: value >= 0, "a number >= 0"),
         "trends/dashboard: drift tolerance in percent",
@@ -563,8 +566,11 @@ COMMANDS: dict[str, Command] = {
             quick=dict(n=16, seeds=2),
         ),
         Command(
-            "trends", "trends  cross-run drift tables (--gate exits 1 on drift)",
-            _run_trends, dict(gate=False, tolerance=25.0, last=2),
+            "trends", "trends  cross-run drift tables",
+            _run_trends, dict(tolerance=25.0, last=2),
+        ),
+        Command(
+            "fingerprint", "fingerprint  every pinned run's counts", _run_fingerprint, {}
         ),
         Command(
             "coverage", "coverage  schedule-coverage atlas views (--gate: stagnation)",

@@ -142,9 +142,9 @@ def run_check(
             }
     if coverage:
         # ``unique_signatures`` counts only this sweep's signatures (a
-        # deterministic function of the configuration, so the trend
-        # gate may judge it); the novelty counts depend on the atlas'
-        # prior state and are gate-excluded by name.
+        # deterministic function of the configuration, so drift may
+        # judge it); the novelty counts depend on the atlas' prior
+        # state and are volatile by name.
         payload["coverage"] = {
             "unique_signatures": len(sweep_signatures),
             "baseline_signatures": baseline,

@@ -8,8 +8,8 @@ around.
 
 The page is :data:`PANELS`, one row per section in page order: the run
 summary and telemetry of a flight recording (replayed from its events),
-the trend-store series with drift highlighted (same numeric-leaves
-rules as ``repro trends --gate``), the newest conformance verdict,
+the trend-store series with drift highlighted (the numeric-leaves
+rules of ``repro trends``), the newest conformance verdict,
 divergence report, fuzzing campaign and degradation sweep, the
 schedule-coverage atlas, and the E4 scaling curves.  Each row names its
 ``source``, the function that renders it, and the one line shown when

@@ -21,7 +21,7 @@ are seeded ``0..seeds-1``, lossy fates are functions of (seed, seq), and
 the payload carries no timestamps, so the same sweep always produces the
 same curve JSON (``benchmarks/bench_degradation.py`` asserts this).  The
 ``--smoke`` configuration feeds the trend store's ``degradation`` series
-(gated by ``repro trends --gate``); full sweeps write standalone
+(``tests/fingerprints.json`` pins it); full sweeps write standalone
 ``degradation_<scenario>.json`` artifacts that the dashboard renders as
 rate-vs-metric curves with knee markers.  Failing cells export one
 recording per swept rate (protocol header ``scenario@rate``), so
@@ -141,7 +141,7 @@ def _aggregate_point(
         "runs": runs,
         "decided_runs": decided,
         "decide_rate": _round(decided / runs),
-        # "interval" keys are gate-excluded by name: the bound depends on
+        # "interval" keys are volatile by name: the bound depends on
         # the sample size, which a config tweak legitimately changes.
         "decide_rate_interval": [_round(low), _round(high)],
         "deadlock_fraction": _round(deadlocked / runs),

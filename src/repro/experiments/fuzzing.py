@@ -363,8 +363,8 @@ def fuzz_recording(
     # One trend-store record per fuzz run so `repro trends` and the
     # dashboard track the campaign.  Atlas-dependent quantities (corpus
     # growth, realizability -- both functions of what previous runs
-    # already explored) live under "novelty", which the trend gate
-    # excludes; the stable configuration stays at the top level.
+    # already explored) live under "novelty", which drift skips; the
+    # stable configuration stays at the top level.
     bench_path, _ = record_bench(
         "fuzzing",
         {

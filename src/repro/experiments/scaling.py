@@ -21,43 +21,7 @@ from repro.experiments.ascii_plot import loglog_plot
 from repro.experiments.sweep import BACell, BARun, ba_sweep, ba_trial, mean_or_nan
 from repro.experiments.tables import format_table
 
-__all__ = ["ScalingCurve", "format_scaling", "make_adversary", "run"]
-
-# Schedulers by name, for callers that rebuild a run from primitive
-# (picklable) arguments; ``None`` keeps run_protocol's seeded
-# uniform-random default, which is what the E4 sweep runs under.
-_SCHEDULERS = ("fifo", "delay", "random")
-
-
-def make_adversary(scheduler: str | None, f_used: int, seed: int):
-    """Build the (picklable-by-name) adversary for one sweep trial."""
-    if scheduler is None:
-        return None
-    import random as _random
-
-    from repro.crypto.hashing import derive_seed
-    from repro.sim.adversary import (
-        Adversary,
-        DelayBoundedScheduler,
-        FIFOScheduler,
-        RandomScheduler,
-        StaticCorruption,
-    )
-
-    rng = _random.Random(derive_seed(seed, "sched"))
-    if scheduler == "fifo":
-        chosen = FIFOScheduler()
-    elif scheduler == "delay":
-        chosen = DelayBoundedScheduler(rng=rng)
-    elif scheduler == "random":
-        chosen = RandomScheduler(rng)
-    else:
-        raise ValueError(
-            f"unknown scheduler {scheduler!r}; expected one of {_SCHEDULERS}"
-        )
-    return Adversary(
-        scheduler=chosen, corruption=StaticCorruption(set(range(f_used)))
-    )
+__all__ = ["ScalingCurve", "format_scaling", "run"]
 
 
 def _delivery_cap(n: int) -> int:
@@ -124,11 +88,10 @@ def _curve(name: str, points: list[tuple[int, BACell]]) -> ScalingCurve:
 def _fit(n_values, ys, protocol: str, series: str) -> float:
     """Log-log slope over the finite points, or NaN *with a diagnostic*.
 
-    A NaN slope used to be silent; since every downstream consumer (the
-    trend gate, the dashboard's fitted-slope line) simply omits NaN, a
-    curve whose runs all failed would vanish without a trace.  Name the
-    curve and the dropped n-values on stderr instead, dashboard-style:
-    one line, no exception.
+    Every downstream consumer (the trends table, the dashboard's
+    fitted-slope line) omits NaN, so a curve whose runs all failed would
+    vanish without a trace: name the curve and the dropped n-values on
+    stderr instead, dashboard-style, one line, no exception.
     """
     import sys
 

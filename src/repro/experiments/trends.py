@@ -13,17 +13,12 @@ Records are ``{schema, version, ts, name, payload}``; foreign or
 future-versioned records fail loudly on load (same policy as flight
 recordings).
 
-Drift has one rule, :func:`numeric_drifts`: it walks the numeric leaves
-of a series' newest-vs-baseline payloads and flags any beyond a relative
-tolerance.  ``python -m repro trends`` renders it as the drift column,
-the dashboard highlights it, and the store *enforces* it:
-:func:`gate_trends` fails on any such drift -- ``python -m repro trends
---gate --tolerance <pct>`` exits non-zero, which is what the CI
-conformance job runs.  Volatile fields (wall-clock timings, timestamps,
-rendered report text) are excluded by path substring so the gate only
-judges the deterministic quantities the paper's claims are about: words,
-rounds, coin-success rates, deliveries (see
-:data:`GATE_EXCLUDED_SUBSTRINGS`).
+Drift has one rule, :func:`numeric_drifts`: numeric leaves of a series'
+newest-vs-baseline payloads beyond a relative tolerance, volatile paths
+(:data:`VOLATILE_SUBSTRINGS`: wall clock, timestamps, rendered text)
+skipped.  ``python -m repro trends`` shows it as the drift column and the
+dashboard highlights it; exact counts are pinned by
+``tests/fingerprints.json`` (:mod:`repro.experiments.fingerprint`).
 """
 
 from __future__ import annotations
@@ -42,18 +37,17 @@ from repro.experiments.store import (
 )
 
 __all__ = [
-    "GATE_EXCLUDED_SUBSTRINGS",
     "TREND_SCHEMA",
     "TREND_SCHEMA_VERSION",
     "TrendStore",
+    "VOLATILE_SUBSTRINGS",
     "bench_json_path",
-    "format_gate",
-    "gate_trends",
     "numeric_drifts",
     "payload_fingerprint",
     "record_bench",
     "render_trends",
     "sparkline",
+    "strip_volatile",
 ]
 
 TREND_SCHEMA = "repro.trends"
@@ -69,15 +63,15 @@ def bench_json_path(name: str, root: str | Path = ".") -> Path:
 _DROPPED = object()
 
 
-def _strip_volatile(payload: Any, path: str = "$") -> Any:
-    """``payload`` with every gate-excluded (volatile) path removed --
-    the configuration-and-results view a fingerprint should hash."""
-    if _gate_excluded(path):
+def strip_volatile(payload: Any, path: str = "$") -> Any:
+    """``payload`` with every volatile path removed -- the
+    configuration-and-results view a fingerprint should hash."""
+    if _volatile(path):
         return _DROPPED
     if isinstance(payload, dict):
         stripped = {}
         for key in sorted(payload):
-            value = _strip_volatile(payload[key], f"{path}.{key}")
+            value = strip_volatile(payload[key], f"{path}.{key}")
             if value is not _DROPPED:
                 stripped[key] = value
         return stripped
@@ -85,25 +79,20 @@ def _strip_volatile(payload: Any, path: str = "$") -> Any:
         return [
             item
             for index, entry in enumerate(payload)
-            for item in (_strip_volatile(entry, f"{path}[{index}]"),)
+            for item in (strip_volatile(entry, f"{path}[{index}]"),)
             if item is not _DROPPED
         ]
     return payload
 
 
 def payload_fingerprint(payload: Any) -> str:
-    """Deterministic config fingerprint of a payload's non-volatile part.
-
-    Wall-clock timings, timestamps and rendered report text are stripped
-    (same :data:`GATE_EXCLUDED_SUBSTRINGS` rules as the gate) before
-    hashing, so two runs of the same benchmark at the same configuration
-    fingerprint identically even though their wall clocks differ.
-    Payloads that are *all* volatile (e.g. a rendered-report-only
-    record) hash whole, so they only ever dedupe byte-identical twins.
-    """
+    """Hash of a payload's non-volatile part (:func:`strip_volatile`): two
+    runs at one configuration match whatever their wall clocks read.  A
+    payload that is *all* volatile (a rendered-report-only record) hashes
+    whole, so it only ever dedupes byte-identical twins."""
     jsonable = to_jsonable(payload)
-    stripped = _strip_volatile(jsonable)
-    if stripped is _DROPPED or stripped == {} or stripped == []:
+    stripped = strip_volatile(jsonable)
+    if stripped == {} or stripped == []:
         stripped = jsonable
     digest = hashlib.sha256(
         json.dumps(stripped, sort_keys=True).encode()
@@ -143,15 +132,10 @@ class TrendStore:
     ) -> dict:
         """Append one record for series ``name``; returns the record.
 
-        Re-running a benchmark in an unchanged working tree used to
-        append a second, numerically identical record -- which widened
-        sparkline windows with noise and made the drift column compare a
-        record against its own clone.  Records therefore carry a
-        ``fingerprint`` (:func:`payload_fingerprint`: config + results,
-        volatile fields stripped) and the checkout's ``commit``; when
-        ``dedupe`` is on (default) and the series' newest record matches
-        on both, the append is skipped and the existing record returned.
-        Records written by older builds lack the fields and never match.
+        Records carry a ``fingerprint`` (:func:`payload_fingerprint`) and
+        the checkout's ``commit``; with ``dedupe`` on, a rerun matching the
+        series' newest record on both is not appended, and that record is
+        returned (the drift column must not compare a record with its clone).
         """
         fingerprint = payload_fingerprint(payload)
         commit = _current_commit(self.root)
@@ -195,11 +179,6 @@ class TrendStore:
         history = self.history(name)
         return history[-1] if history else None
 
-    def window(self, name: str, last: int = 2) -> list[dict]:
-        """The newest ``last`` records of a series, oldest first."""
-        history = self.history(name)
-        return history[-max(1, last):]
-
 
 def record_bench(
     name: str, payload: Any, root: str | Path = "."
@@ -218,14 +197,14 @@ def record_bench(
     return path, record
 
 
-# -- numeric drift extraction (the gate's view of a payload) -----------------
+# -- numeric drift extraction ------------------------------------------------
 
-# Path substrings excluded from gating and sparklines: legitimately
+# Path substrings excluded from drift and sparklines: legitimately
 # volatile between otherwise identical runs (wall clock, peak resident
 # set, timestamps, rendered text, machine-speed-derived bounds, and
 # coverage-novelty counts, which depend on how much the atlas had
 # accumulated *before* the run rather than on the run itself).
-GATE_EXCLUDED_SUBSTRINGS = (
+VOLATILE_SUBSTRINGS = (
     "phase_timings",
     "wallclock",
     "elapsed",
@@ -244,19 +223,19 @@ GATE_EXCLUDED_SUBSTRINGS = (
 )
 
 
-def _gate_excluded(path: str) -> bool:
+def _volatile(path: str) -> bool:
     lowered = path.lower()
-    return any(token in lowered for token in GATE_EXCLUDED_SUBSTRINGS)
+    return any(token in lowered for token in VOLATILE_SUBSTRINGS)
 
 
 def numeric_leaves(payload: Any, path: str = "$") -> dict[str, float]:
-    """Flatten a payload's gate-relevant numeric leaves to ``path -> value``.
+    """Flatten a payload's non-volatile numeric leaves to ``path -> value``.
 
     Bools are skipped (they are verdicts, not magnitudes), as is every
-    path matching :data:`GATE_EXCLUDED_SUBSTRINGS`.
+    path matching :data:`VOLATILE_SUBSTRINGS`.
     """
     leaves: dict[str, float] = {}
-    if _gate_excluded(path):
+    if _volatile(path):
         return leaves
     if isinstance(payload, dict):
         for key in sorted(payload):
@@ -272,7 +251,7 @@ def numeric_leaves(payload: Any, path: str = "$") -> dict[str, float]:
 def numeric_drifts(
     baseline: Any, current: Any, rel_tol: float = 0.1
 ) -> list[str]:
-    """Out-of-tolerance numeric drift between two payloads, gate rules.
+    """Out-of-tolerance numeric drift between two payloads.
 
     Only numeric leaves present in *both* payloads are judged, and the
     excluded (volatile) paths are skipped -- structure growth (a new
@@ -280,8 +259,7 @@ def numeric_drifts(
     and a number is a drift (a statistic appearing or vanishing is a
     real change); a leaf that is NaN on *both* sides is skipped -- NaN
     compares unequal to itself, so the naive tolerance check would
-    silently pass it forever (:func:`gate_trends` surfaces those as a
-    per-series note instead).
+    silently pass it forever.
     """
     before = numeric_leaves(baseline)
     after = numeric_leaves(current)
@@ -307,7 +285,7 @@ def sparkline(values: list[float]) -> str:
     """Render a numeric series as a fixed-charset ASCII sparkline.
 
     Flat series render as all-middle characters; a single value is one
-    character.  Used by the trends table and the gate report to show
+    character.  Used by the trends table and the dashboard to show
     drift *direction*, not just magnitude.
     """
     finite = [v for v in values if v == v]
@@ -399,106 +377,4 @@ def render_trends(store: TrendStore, rel_tol: float = 0.1, last: int = 2) -> str
             lines.append(f"{'':<28}   {description}")
         if len(drifts) > 8:
             lines.append(f"{'':<28}   ... and {len(drifts) - 8} more")
-    return "\n".join(lines)
-
-
-# -- the gate ----------------------------------------------------------------
-
-
-def gate_trends(
-    store: TrendStore, rel_tol: float = 0.25, last: int = 2
-) -> dict[str, Any]:
-    """Machine-readable regression verdict over every series in the store.
-
-    For each series with at least two records, diffs the newest payload
-    against the oldest record in the newest-``last`` window with
-    :func:`numeric_drifts`.  Returns ``{ok, tolerance, window, series}``
-    where ``series`` maps each name to its record count, drift list and
-    per-series verdict.  An empty or missing store passes vacuously
-    (``checked == 0``): the gate enforces trajectories once they exist,
-    it does not demand one on day zero.  Degenerate inputs are named
-    instead of silently passing: an empty store, a store where no series
-    has two records, and series whose shared leaves are all-NaN each get
-    a one-line diagnostic (``verdict["note"]`` / ``entry["note"]``).
-    """
-    verdict: dict[str, Any] = {
-        "ok": True,
-        "tolerance": rel_tol,
-        "window": last,
-        "checked": 0,
-        "series": {},
-    }
-    for name in store.names():
-        window = store.window(name, last=last)
-        entry: dict[str, Any] = {"records": len(store.history(name))}
-        if len(window) < 2:
-            entry["drifts"] = []
-            entry["ok"] = True
-            entry["note"] = "first record; nothing to diff"
-        else:
-            before = numeric_leaves(window[0]["payload"])
-            after = numeric_leaves(window[-1]["payload"])
-            drifts = numeric_drifts(
-                window[0]["payload"], window[-1]["payload"], rel_tol=rel_tol
-            )
-            entry["drifts"] = drifts
-            entry["ok"] = not drifts
-            verdict["checked"] += 1
-            if drifts:
-                verdict["ok"] = False
-            shared = set(before) & set(after)
-            both_nan = sorted(
-                path for path in shared
-                if before[path] != before[path] and after[path] != after[path]
-            )
-            if both_nan:
-                entry["note"] = (
-                    f"{len(both_nan)} all-NaN leaf/leaves skipped "
-                    f"(e.g. {both_nan[0]})"
-                )
-            elif not shared:
-                entry["note"] = (
-                    "no numeric leaves shared between the window's records; "
-                    "nothing to diff"
-                )
-        scalar = canonical_scalar(window) if len(window) > 1 else None
-        if scalar:
-            entry["tracking"] = scalar[0]
-            entry["trend"] = scalar[1]
-        verdict["series"][name] = entry
-    if not verdict["series"]:
-        verdict["note"] = (
-            f"trend store empty or missing at {store.path}; nothing to gate "
-            "(benchmarks and `repro check` append here as they run)"
-        )
-    elif verdict["checked"] == 0:
-        verdict["note"] = (
-            "no series has two records in the window yet; nothing to gate"
-        )
-    return verdict
-
-
-def format_gate(verdict: dict[str, Any]) -> str:
-    """Human-readable gate report (`repro trends --gate` output)."""
-    lines = [
-        f"trend gate: tolerance {verdict['tolerance']:.0%}, "
-        f"window {verdict['window']}, {verdict['checked']} series checked"
-    ]
-    if verdict.get("note"):
-        lines.append(f"  note: {verdict['note']}")
-    for name, entry in verdict["series"].items():
-        status = "ok" if entry["ok"] else "DRIFT"
-        spark = sparkline(entry["trend"]) if "trend" in entry else ""
-        suffix = f"  [{spark}] {entry.get('tracking', '')}" if spark else ""
-        note = f"  ({entry['note']})" if "note" in entry else ""
-        lines.append(f"  {status:>5}  {name}{note}{suffix}")
-        for description in entry["drifts"]:
-            lines.append(f"         {description}")
-    lines.append(
-        "GATE: " + ("PASS" if verdict["ok"] else "FAIL (out-of-tolerance drift)")
-    )
-    if not verdict["ok"]:
-        from repro.sim.diffing import divergence_hint
-
-        lines.append(divergence_hint("to localize a drifted run"))
     return "\n".join(lines)

@@ -1,5 +1,6 @@
-"""The benchmark harness files must parse, and the registry must stay
-consistent with the CLI and DESIGN.md's experiment index."""
+"""The benchmark harness files must parse, the registry must stay
+consistent with the CLI and DESIGN.md's experiment index, and every test
+DESIGN.md or the verify recipe cites must exist."""
 
 from __future__ import annotations
 
@@ -56,3 +57,22 @@ def test_benches_save_reports():
         source = path.read_text()
         assert "save_report" in source, path.name
         assert "What must reproduce" in source or "see DESIGN.md" in source, path.name
+
+
+def test_design_md_cites_only_existing_tests():
+    # Every `tests/<path>.py[::Name...]` DESIGN.md or the verify recipe
+    # cites names a file that exists and, in it, a definition of each Name.
+    cited = re.compile(r"(tests/[\w/]+\.py)((?:::\w+)*)")
+    missing = []
+    for doc in ("DESIGN.md", ".claude/skills/verify/SKILL.md"):
+        for path, names in sorted(set(cited.findall((ROOT / doc).read_text()))):
+            source = ROOT / path
+            if not source.is_file():
+                missing.append(f"{doc}: {path}")
+                continue
+            text = source.read_text()
+            for name in names.split("::")[1:]:
+                defined = rf"^\s*(?:async\s+)?(?:def|class)\s+{name}\b"
+                if not re.search(defined, text, re.M):
+                    missing.append(f"{doc}: {path}::{name}")
+    assert not missing, "\n".join(missing)

@@ -24,7 +24,7 @@ from repro.sim.flightrecorder import (
 from repro.experiments.trends import (
     TrendStore,
     bench_json_path,
-    gate_trends,
+    numeric_drifts,
     record_bench,
     render_trends,
 )
@@ -47,15 +47,10 @@ class TestTrendStore:
         assert store.load() == []
         assert "no trend records" in render_trends(store)
 
-    def test_regressions_beyond_tolerance(self, tmp_path):
-        store = TrendStore(tmp_path)
-        store.append("bench", {"words": 100}, ts=1.0)
-        store.append("bench", {"words": 200}, ts=2.0)
-        verdict = gate_trends(store, rel_tol=0.1)
-        drifts = verdict["series"]["bench"]["drifts"]
-        assert not verdict["ok"]
-        assert len(drifts) == 1 and "words" in drifts[0]
-        assert gate_trends(store, rel_tol=2.0)["ok"]
+    def test_regressions_beyond_tolerance(self):
+        drifts = numeric_drifts({"words": 100}, {"words": 200}, rel_tol=0.1)
+        assert drifts == ["$.words: 100 -> 200 (beyond 10%)"]
+        assert numeric_drifts({"words": 100}, {"words": 200}, rel_tol=2.0) == []
 
     def test_foreign_schema_rejected(self, tmp_path):
         store = TrendStore(tmp_path)

@@ -1,5 +1,5 @@
-"""`repro dashboard` and `repro trends --gate`: the single-pane HTML
-report and the CI regression gate over the trend store."""
+"""`repro dashboard` and `repro trends`: the single-pane HTML report
+and the drift column over the trend store."""
 
 from __future__ import annotations
 
@@ -14,10 +14,10 @@ from repro.cli import main
 from repro.experiments.dashboard import PANELS, build_dashboard, render_dashboard
 from repro.experiments.trends import (
     TrendStore,
-    format_gate,
-    gate_trends,
+    canonical_scalar,
     numeric_drifts,
     numeric_leaves,
+    render_trends,
     sparkline,
 )
 
@@ -191,20 +191,23 @@ class TestDashboardCLI:
         assert "dashboard" in capsys.readouterr().out
 
 
-class TestTrendGate:
-    def test_gate_fails_on_injected_regression(self, tmp_path, monkeypatch, capsys):
+class TestTrendDrift:
+    """`repro trends`' drift column: each series' newest record against
+    the window's oldest, by `numeric_drifts` at `--tolerance`."""
+
+    def test_injected_regression_shows_as_drift(self, tmp_path, monkeypatch, capsys):
         store = TrendStore(tmp_path)
         store.append("E4_scaling", {"mean_words": 1000}, ts=1.0)
         store.append("E4_scaling", {"mean_words": 2000}, ts=2.0)
         monkeypatch.chdir(tmp_path)
-        assert main(["trends", "--gate"]) == 1
+        assert main(["trends"]) == 0
         out = capsys.readouterr().out
-        assert "GATE: FAIL" in out
-        assert "mean_words" in out and "DRIFT" in out
+        assert "1 field(s)" in out
+        assert "$.mean_words: 1000 -> 2000 (beyond 25%)" in out
 
-    def test_bench_saves_reach_the_gate(self, tmp_path, monkeypatch, capsys):
+    def test_bench_saves_reach_the_trends_table(self, tmp_path, monkeypatch, capsys):
         # `save_report` journals one record per bench run, the rows when
-        # given: two runs whose rows differ 5x must fail the gate.
+        # given: two runs whose rows differ 5x show as drift.
         spec = importlib.util.spec_from_file_location(
             "bench_conftest", Path(__file__).parents[2] / "benchmarks" / "conftest.py"
         )
@@ -220,84 +223,72 @@ class TestTrendGate:
         assert len(TrendStore(tmp_path).history("E4_scaling")) == 2
         capsys.readouterr()
         monkeypatch.chdir(tmp_path)
-        assert main(["trends", "--gate"]) == 1
+        assert main(["trends"]) == 0
         out = capsys.readouterr().out
-        assert "1 series checked" in out and "mean_words" in out
+        assert "E4_scaling" in out and "1 field(s)" in out
+        assert "$[0].mean_words[0]: 1000 -> 5000" in out
 
-    def test_gate_passes_within_tolerance(self, tmp_path, monkeypatch, capsys):
+    def test_within_tolerance_is_no_drift(self, tmp_path, monkeypatch, capsys):
         store = TrendStore(tmp_path)
         store.append("bench", {"words": 100}, ts=1.0)
         store.append("bench", {"words": 104}, ts=2.0)
         monkeypatch.chdir(tmp_path)
-        assert main(["trends", "--gate"]) == 0
-        assert "GATE: PASS" in capsys.readouterr().out
+        assert main(["trends"]) == 0
+        assert "none (within 25%)" in capsys.readouterr().out
 
-    def test_tolerance_flag_tightens_the_gate(self, tmp_path, monkeypatch):
+    def test_tolerance_flag_tightens_the_drift_column(
+        self, tmp_path, monkeypatch, capsys
+    ):
         store = TrendStore(tmp_path)
         store.append("bench", {"words": 100}, ts=1.0)
         store.append("bench", {"words": 110}, ts=2.0)
         monkeypatch.chdir(tmp_path)
-        assert main(["trends", "--gate"]) == 0  # default 25%
-        assert main(["trends", "--gate", "--tolerance", "5"]) == 1
+        assert main(["trends"]) == 0  # default 25%
+        assert "none (within 25%)" in capsys.readouterr().out
+        assert main(["trends", "--tolerance", "5"]) == 0
+        assert "$.words: 100 -> 110 (beyond 5%)" in capsys.readouterr().out
 
-    def test_gate_passes_on_real_store(self, tmp_path, monkeypatch, capsys):
-        # The CI wiring: two real conformance runs append to the store,
-        # then the gate must pass -- the sweep is deterministic, so the
-        # two payloads' numeric leaves are identical.
+    def test_real_store_keeps_one_record_of_a_rerun(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # The sweep is deterministic, so a second run of it in the same
+        # checkout has the first's payload fingerprint and is not appended.
         monkeypatch.chdir(tmp_path)
         for _ in range(2):
             main(["check", "--n", "16", "--seeds", "1", "--protocols", "whp_ba"])
         capsys.readouterr()
-        assert main(["trends", "--gate"]) == 0
-        out = capsys.readouterr().out
-        assert "GATE: PASS" in out and "conformance" in out
+        assert len(TrendStore(".").history("conformance")) == 1
+        assert main(["trends"]) == 0
+        row = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("conformance")
+        )
+        assert "(first record)" in row
 
-    def test_empty_store_passes_vacuously(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["trends", "--gate"]) == 0
+    def test_tracking_and_trend_of_a_window(self, tmp_path):
+        store = TrendStore(tmp_path)
+        store.append("bench", {"words": 100}, ts=1.0)
+        store.append("bench", {"words": 400}, ts=2.0)
+        assert canonical_scalar(store.history("bench")) == ("$.words", [100.0, 400.0])
+        table = render_trends(store, rel_tol=0.25)
+        assert "tracking $.words" in table
+        assert sparkline([100.0, 400.0]) in table
 
-    def test_wallclock_fields_not_gated(self):
+    def test_wallclock_fields_not_judged(self):
         before = {"words": 100, "wallclock": {"bare_seconds": 1.0}}
         after = {"words": 100, "wallclock": {"bare_seconds": 9.0}}
         assert numeric_drifts(before, after, rel_tol=0.25) == []
         assert "$.words" in numeric_leaves(before)
 
-    def test_gate_verdict_structure(self, tmp_path):
+
+class TestTrendDriftRules:
+    """What `numeric_drifts` judges, and what it leaves alone."""
+
+    def test_single_record_series_is_a_first_record(self, tmp_path):
         store = TrendStore(tmp_path)
         store.append("bench", {"words": 100}, ts=1.0)
-        store.append("bench", {"words": 400}, ts=2.0)
-        verdict = gate_trends(store, rel_tol=0.25)
-        assert verdict["ok"] is False and verdict["checked"] == 1
-        entry = verdict["series"]["bench"]
-        assert entry["ok"] is False and len(entry["drifts"]) == 1
-        assert entry["tracking"] == "$.words"
-        assert entry["trend"] == [100.0, 400.0]
-        assert "GATE: FAIL" in format_gate(verdict)
-
-
-class TestTrendGateDiagnostics:
-    """Satellite: degenerate gate inputs get a one-line diagnosis instead
-    of a bare vacuous PASS."""
-
-    def test_empty_store_names_the_missing_path(self, tmp_path):
-        store = TrendStore(tmp_path)
-        verdict = gate_trends(store, rel_tol=0.25)
-        assert verdict["ok"] is True and verdict["checked"] == 0
-        assert "trend store empty or missing" in verdict["note"]
-        assert str(store.path) in verdict["note"]
-        assert f"note: {verdict['note']}" in format_gate(verdict)
-
-    def test_single_record_series_is_named_not_counted(self, tmp_path):
-        store = TrendStore(tmp_path)
-        store.append("bench", {"words": 100}, ts=1.0)
-        verdict = gate_trends(store, rel_tol=0.25)
-        assert verdict["ok"] is True and verdict["checked"] == 0
-        assert verdict["note"] == (
-            "no series has two records in the window yet; nothing to gate"
-        )
-        entry = verdict["series"]["bench"]
-        assert entry["note"] == "first record; nothing to diff"
-        assert "(first record; nothing to diff)" in format_gate(verdict)
+        table = render_trends(store, rel_tol=0.25)
+        assert "(first record)" in table and "tracking" not in table
 
     def test_nan_transition_is_a_drift(self):
         drifts = numeric_drifts(
@@ -309,7 +300,7 @@ class TestTrendGateDiagnostics:
             {"rate": 1.0}, {"rate": float("nan")}, rel_tol=0.25
         ) == ["$.rate: 1 -> nan (NaN transition)"]
 
-    def test_all_nan_leaves_are_skipped_with_a_note(self, tmp_path):
+    def test_all_nan_leaves_are_skipped(self, tmp_path):
         # store.append maps NaN to null (to_jsonable), so a NaN-bearing
         # journal comes from an external writer -- simulate one directly.
         store = TrendStore(tmp_path)
@@ -321,25 +312,20 @@ class TestTrendGateDiagnostics:
             for ts, words in ((1.0, 7), (2.0, 8))
         ]
         store.path.write_text("\n".join(lines) + "\n")
-        verdict = gate_trends(store, rel_tol=0.25)
-        assert verdict["ok"] is True and verdict["checked"] == 1
-        entry = verdict["series"]["bench"]
-        assert entry["ok"] is True
-        assert "all-NaN" in entry["note"] and "$.rate" in entry["note"]
+        before, after = (record["payload"] for record in store.history("bench"))
+        assert numeric_drifts(before, after, rel_tol=0.1) == [
+            "$.words: 7 -> 8 (beyond 10%)"
+        ]
+        assert "none (within 25%)" in render_trends(store, rel_tol=0.25)
 
-    def test_no_shared_leaves_is_named(self, tmp_path):
+    def test_no_shared_leaves_is_no_drift(self, tmp_path):
         store = TrendStore(tmp_path)
         store.append("bench", {"old_metric": 1}, ts=1.0)
         store.append("bench", {"new_metric": 2}, ts=2.0)
-        verdict = gate_trends(store, rel_tol=0.25)
-        entry = verdict["series"]["bench"]
-        assert entry["ok"] is True
-        assert entry["note"] == (
-            "no numeric leaves shared between the window's records; "
-            "nothing to diff"
-        )
+        table = render_trends(store, rel_tol=0.25)
+        assert "none (within 25%)" in table and "tracking" not in table
 
-    def test_fuzz_novelty_counters_not_gated(self):
+    def test_fuzz_novelty_counters_not_judged(self):
         # Fuzz campaigns nest all atlas-dependent counters under
         # "novelty"; a second campaign legitimately finds fewer novel
         # signatures, which must not read as a regression.
@@ -347,11 +333,31 @@ class TestTrendGateDiagnostics:
         after = {"budget": 200, "novelty": {"new_signatures": 0}}
         assert numeric_drifts(before, after, rel_tol=0.25) == []
 
+
+class TestTrendGate:
+    """A missing trend store is not a failure: a fresh checkout has no
+    journal until a benchmark or `repro check` appends to it."""
+
+    def test_empty_store_passes_vacuously(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["trends"]) == 0
+
+
+class TestTrendGateDiagnostics:
+    """A missing trend store is named by its path, not shown as an empty
+    table."""
+
+    def test_empty_store_names_the_missing_path(self, tmp_path):
+        store = TrendStore(tmp_path)
+        table = render_trends(store, rel_tol=0.25)
+        assert table.startswith(f"no trend records at {store.path}\n")
+        assert "tracking" not in table
+
     def test_trends_cli_reports_missing_store(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert main(["trends", "--gate"]) == 0
+        assert main(["trends"]) == 0
         out = capsys.readouterr().out
-        assert "note: trend store empty or missing" in out
+        assert f"no trend records at {TrendStore('.').path}" in out
 
 
 class TestTrendsWindow:
@@ -366,13 +372,12 @@ class TestTrendsWindow:
     def test_last_flag_widens_drift_baseline(self, tmp_path, monkeypatch, capsys):
         self._store(tmp_path)
         monkeypatch.chdir(tmp_path)
-        # Newest vs one back: 200 -> 400 is beyond 150%? No: tolerance
-        # 300% passes the adjacent pair but fails against 4 records back.
-        assert main(["trends", "--gate", "--tolerance", "150"]) == 0
-        assert main(
-            ["trends", "--gate", "--tolerance", "150", "--last", "4"]
-        ) == 1
-        capsys.readouterr()
+        # 200 -> 400 is within 150% of the record one back; 100 -> 400,
+        # against four records back, is not.
+        assert main(["trends", "--tolerance", "150"]) == 0
+        assert "none (within 150%)" in capsys.readouterr().out
+        assert main(["trends", "--tolerance", "150", "--last", "4"]) == 0
+        assert "$.words: 100 -> 400 (beyond 150%)" in capsys.readouterr().out
 
     def test_sparkline_rendered_over_window(self, tmp_path, monkeypatch, capsys):
         self._store(tmp_path)
