@@ -10,7 +10,8 @@ EXPERIMENTS.md).  Resilience-stressed configurations are T1/E8's job.
 What must reproduce: per-round word slope ≈ 2 for the quadratic
 baselines, materially smaller (n·λ² with λ plateauing, ≈ 1.5 here) for
 the committee-based BA; message counts cross over in our favour within
-the sweep.
+the sweep; and each baseline row's law words equal its mean words (the
+laws are exact; tier-1 checks them only up to n = 64).
 """
 
 from __future__ import annotations
@@ -34,4 +35,7 @@ def test_e4_scaling_curves(benchmark, save_report):
     )
     # Message-count crossover by the top of the sweep.
     assert by_name["whp_ba"].mean_messages[-1] < by_name["mmr+alg1"].mean_messages[-1]
+    # whp_ba's law is exact only up to its named terms (whp_ba_words).
+    for name in ("cachin", "mmr+alg1"):
+        assert by_name[name].law_words == by_name[name].mean_words, name
     save_report(*E4.artefact(curves), rows=curves)

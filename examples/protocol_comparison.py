@@ -8,7 +8,8 @@ its own resilience operating point.  Compare the 'mean rounds' column:
 the local-coin protocols pay many rounds, the common-coin ones a small
 constant.  The word columns show the quadratic-versus-Õ(n) structure
 (the committee protocol's advantage is asymptotic; see
-benchmarks/bench_e4_scaling.py for the crossover).
+benchmarks/bench_e4_scaling.py for the scaling and each protocol's
+word law).
 
 Run:  python examples/protocol_comparison.py            (~1 minute)
 """

@@ -1,7 +1,7 @@
 """Analytical companion to the protocols: the paper's closed-form bounds,
-Chernoff tail calculators for the committee properties S1-S4, theoretical
-complexity curves for the Table 1 comparison, and the Monte-Carlo
-statistics helpers the benchmark harness uses.
+Chernoff tail calculators for the committee properties S1-S4, the word
+laws of the Table 1 protocols (:mod:`repro.analysis.complexity`), and the
+Monte-Carlo statistics helpers the benchmark harness uses.
 """
 
 from repro.analysis.bounds import (
@@ -13,12 +13,7 @@ from repro.analysis.bounds import (
     shared_coin_success_bound,
     whp_coin_success_bound,
 )
-from repro.analysis.complexity import (
-    expected_rounds_bound,
-    fit_loglog_slope,
-    predicted_crossover,
-    word_complexity_model,
-)
+from repro.analysis.complexity import expected_rounds_bound, fit_loglog_slope
 from repro.analysis.stats import (
     BernoulliEstimate,
     estimate_probability,
@@ -35,7 +30,6 @@ __all__ = [
     "estimate_probability",
     "expected_rounds_bound",
     "fit_loglog_slope",
-    "predicted_crossover",
     "shared_coin_success_bound",
     "whp_coin_success_bound",
     "wilson_interval",

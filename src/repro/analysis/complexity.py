@@ -1,21 +1,24 @@
-"""Theoretical complexity curves behind the Table 1 comparison.
+"""Word laws and the log-log fit behind the Table 1 comparison.
 
-These model the *expected words sent by correct processes* per protocol as
-a function of n, in the same units the simulator's
-:class:`~repro.sim.metrics.MetricsRecorder` measures, so benches can plot
-measured points against predicted shapes and fit log-log slopes.
+A law counts the words correct processes send in one run (the simulator's
+``words_correct``) from what the run fixes: n, its f silent processes,
+the deciding round r (``BARun.max_round``), split or unanimous inputs
+and, for ``whp_ba``, W and the committees the run sampled.  Each law
+restates its messages' costs; ``tests/analysis/test_word_laws.py`` checks it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Mapping
 
 __all__ = [
+    "WORD_LAWS",
+    "bracha_words_bound",
     "expected_rounds_bound",
     "fit_loglog_slope",
-    "predicted_crossover",
-    "word_complexity_model",
+    "mmr_words_bound",
+    "whp_ba_words",
 ]
 
 
@@ -30,65 +33,66 @@ def expected_rounds_bound(success_rate: float) -> float:
     return 1 / success_rate
 
 
-def word_complexity_model(protocol: str) -> Callable[[int, float], float]:
-    """Leading-order word count per BA instance for each Table 1 row.
+# The baselines.  Every quorum is n - f, so the n - f correct processes
+# run the same rounds, broadcasting (n copies) one-word messages.  MMR's
+# round is a BVAL of the estimate, an AUX and the coin; the run stops
+# after round r + 1's BVAL and AUX, and split inputs add round 1's relay
+# of the other value (exact while the estimates agree from round 2 on,
+# as in every run measured).  Ben-Or's round is a report, a proposal and
+# the coin; the run stops after round r + 1's report.
+WORD_LAWS: dict[str, Callable[[int, int, int, bool], int]] = {
+    "benor": lambda n, f, r, split: n * (n - f) * (2 * r + 1),  # local coin
+    "rabin": lambda n, f, r, split: n * (n - f) * (3 * r + 1),  # lottery share
+    "cachin": lambda n, f, r, split: n * (n - f) * (3 * r + 2 + split),  # coin share
+    # Algorithm 1's coin: FIRST and SECOND, 2 words (VRF value, proof) each.
+    "mmr+alg1": lambda n, f, r, split: n * (n - f) * (6 * r + 2 + split),
+}
+"""``law(n, f, r, split) -> words`` for each baseline whose count is exact."""
 
-    Returns ``model(n, lam) -> words``.  Constants are order-of-magnitude
-    (per-round message counts times the round structure), good enough to
-    check shape and crossover in the scaling experiment E4:
 
-    * quadratic rows (Rabin, Cachin/MMR): ~c · n² per round;
-    * our protocol: coin 2nλ + two approvers ~ n λ(4 + 3λ) per round
-      (the λ² term is the W signatures inside ok messages).
+def mmr_words_bound(n: int, f: int, r: int) -> int:
+    """Plain MMR relays as the schedule lets it: at most two BVALs and an
+    AUX per round, in rounds 1 to r + 1."""
+    return 3 * n * (n - f) * (r + 1)
+
+
+def bracha_words_bound(n: int, f: int, r: int) -> int:
+    """Bracha echoes as the schedule lets it: per RBC step a SEND and at
+    most an ECHO and a READY per correct originator, three steps a round
+    for r rounds, then round r + 1's first."""
+    return n * (n - f) * (1 + 2 * (n - f)) * (3 * r + 1)
+
+
+# The one message a committee member sends: init is value + membership
+# proof, echo adds a signature, FIRST is a VRF value and proof plus the
+# membership proof, SECOND adds the origin's membership proof.
+_ROLE_WORDS = {"init": 3, "echo": 4, "first": 4, "second": 6}
+
+
+def whp_ba_words(
+    n: int, committee_quorum: int, r: int, members: Mapping[tuple, int]
+) -> int:
+    """Words of a ``whp_ba`` run that decided in round r.
+
+    ``members`` maps each committee the run drew, ``(instance, role)``,
+    to its correct members (``MetricsRecorder.sampled_members``).  Each
+    sends its role's message to n processes; an ok carries W echoes at 3
+    words each (the λ² term).  Left out: the ok members of
+    ``("ba", r, "est")``, the instance ``stop_when_all_decided`` cuts.
+
+    Two named terms make the law inexact: measured = law +
+    n(3 + 3W)(c - e_ok) - 6n e_second, where c of the cut instance's ok
+    members got W echoes before the stop (0 <= c <= its members), and
+    e_ok / e_second ok / SECOND members elsewhere returned on W others'
+    messages before their own trigger (0 <= e <= members).
     """
-    models: dict[str, Callable[[int, float], float]] = {
-        "benor": lambda n, lam: 2 * n * n,
-        "rabin": lambda n, lam: 3 * n * n,
-        "bracha": lambda n, lam: 9 * n * n * n,  # 3 RBC polls, each O(n^3) msgs
-        "cachin": lambda n, lam: 3 * n * n,
-        "mmr": lambda n, lam: 3 * n * n,
-        "mmr_shared_coin": lambda n, lam: 7 * n * n,
-        "whp_ba": lambda n, lam: n * lam * (4 + 3 * lam),
-    }
-    try:
-        return models[protocol]
-    except KeyError:
-        raise ValueError(
-            f"unknown protocol {protocol!r}; one of {sorted(models)}"
-        ) from None
-
-
-def predicted_crossover(
-    protocol_a: str,
-    protocol_b: str,
-    lam_fn: Callable[[int], float] | None = None,
-    n_max: int = 10**8,
-) -> int | None:
-    """Smallest n at which ``protocol_a``'s modelled word count drops below
-    ``protocol_b``'s, scanning geometrically up to ``n_max``.
-
-    ``lam_fn`` maps n to the committee parameter (default: the paper's
-    8 ln n).  Returns ``None`` if no crossover occurs in range.  E4 quotes
-    this to place its measured points on the asymptotic story.
-    """
-    lam_fn = lam_fn or (lambda n: 8 * math.log(n))
-    model_a = word_complexity_model(protocol_a)
-    model_b = word_complexity_model(protocol_b)
-    n = 8
-    while n <= n_max:
-        lam = lam_fn(n)
-        if model_a(n, lam) < model_b(n, lam):
-            # Binary-search the exact boundary in the last octave.
-            low, high = n // 2, n
-            while low + 1 < high:
-                mid = (low + high) // 2
-                if model_a(mid, lam_fn(mid)) < model_b(mid, lam_fn(mid)):
-                    high = mid
-                else:
-                    low = mid
-            return high
-        n *= 2
-    return None
+    cut = ("ba", r, "est")
+    return n * sum(
+        count * (3 + 3 * committee_quorum if role == "ok"
+                 else _ROLE_WORDS[role[0] if isinstance(role, tuple) else role])
+        for (instance, role), count in members.items()
+        if not (role == "ok" and instance == cut)
+    )
 
 
 def fit_loglog_slope(xs: list[float], ys: list[float]) -> float:

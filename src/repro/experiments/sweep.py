@@ -12,10 +12,11 @@ budget an artefact runs at -- is :mod:`repro.experiments.registry`.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import mean
 from typing import Any, Callable, Iterable, Sequence
 
+from repro.analysis.complexity import WORD_LAWS, whp_ba_words
 from repro.analysis.stats import BernoulliEstimate
 from repro.experiments.parallel import parallel_map
 from repro.experiments.protocols import make_runner
@@ -48,6 +49,7 @@ class BARun:
     messages: int  # sent by correct processes
     duration: int  # causal depth of the deepest decision
     rounds: tuple[int, ...]  # 1-based deciding round of each process that noted one
+    law_words: int | None = None  # the protocol's word law, set by ba_trial
 
     @classmethod
     def from_result(cls, result: RunResult, lam: float | None = None) -> "BARun":
@@ -105,7 +107,15 @@ def ba_trial(
         stop_condition=stop_when_all_decided, seed=seed,
         max_deliveries=max_deliveries,
     )
-    return BARun.from_result(result, params.lam)
+    run = BARun.from_result(result, params.lam)
+    r = run.max_round
+    if r is not None and protocol == "whp_ba":
+        members = result.metrics.sampled_members()
+        run = replace(run, law_words=whp_ba_words(n, params.committee_quorum, r, members))
+    elif r is not None and protocol in WORD_LAWS:
+        split = unanimous_value is None
+        run = replace(run, law_words=WORD_LAWS[protocol](n, f_run, r, split))
+    return run
 
 
 def sweep(

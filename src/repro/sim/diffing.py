@@ -2,8 +2,8 @@
 
 Every correctness check in this repository ends in "these two runs must
 be identical" -- drained vs one-choose dispatch, cached vs uncached
-verification, replay fidelity, trend gates.  When one trips, the raw
-verdict is a boolean.  This module turns it into an explanation:
+verification, replay fidelity, the run fingerprint.  When one trips, the
+raw verdict is a boolean.  This module turns it into an explanation:
 
 * :func:`diff_events` walks two kernel-event logs in lockstep (events
   are totally ordered, and sends/deliveries are anchored by their
@@ -417,9 +417,9 @@ def save_divergence(
 def divergence_hint(context: str) -> str:
     """The repo-standard one-line pointer into the differ.
 
-    Printed by equivalence-test helpers and the trend gate when an
-    identity check fails, so every red boolean comes with the command
-    that explains it.
+    Printed by the equivalence suites, ``format_check`` and the
+    fingerprint test when an identity check fails, so every red boolean
+    comes with the command that explains it.
     """
     return (
         f"{context}: record both runs and localize the first divergent "

@@ -291,21 +291,20 @@ class MetricsRecorder:
             )
         return {role: histogram(sizes) for role, sizes in sorted(by_role.items())}
 
-    def sampled_committee_sizes(self) -> dict[str, dict[int, int]]:
-        """Self-reported committee sizes from the ``sampled`` records.
-
-        Counts the processes whose private ``sample_i`` came up True, per
-        (instance, role), then histograms those counts by role family --
-        the trusted-setup-free twin of experiment F1's committee view.
-        """
-        sizes: dict[Hashable, int] = {}
+    def sampled_members(self) -> dict[tuple[Hashable, Hashable], int]:
+        """``(instance, role) -> processes whose private sample_i came up
+        True`` over every committee the ``sampled`` records name."""
+        sizes: dict[tuple[Hashable, Hashable], int] = {}
         for record in self.records_of("sampled"):
             key = (record.get("instance"), record.get("role"))
-            sizes.setdefault(key, 0)
-            if record.get("member"):
-                sizes[key] += 1
+            sizes[key] = sizes.get(key, 0) + bool(record.get("member"))
+        return sizes
+
+    def sampled_committee_sizes(self) -> dict[str, dict[int, int]]:
+        """Self-reported committee sizes (:meth:`sampled_members`) by role
+        family: the trusted-setup-free twin of experiment F1's view."""
         by_role: dict[str, list[int]] = {}
-        for (_, role), size in sizes.items():
+        for (_, role), size in self.sampled_members().items():
             by_role.setdefault(self._role_family(role), []).append(size)
         return {role: histogram(sizes) for role, sizes in sorted(by_role.items())}
 

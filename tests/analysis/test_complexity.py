@@ -1,18 +1,15 @@
-"""Complexity models and the log-log slope fitter."""
+"""The expected-rounds bound and the log-log slope fitter (the word laws
+are checked against runs in test_word_laws.py)."""
 
 from __future__ import annotations
-
-import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis.complexity import (
-    expected_rounds_bound,
-    fit_loglog_slope,
-    word_complexity_model,
-)
+from repro.analysis.complexity import WORD_LAWS, expected_rounds_bound, fit_loglog_slope
+from repro.core.params import ProtocolParams
+from tests.analysis.test_word_laws import expected_round_words
 
 
 class TestExpectedRounds:
@@ -25,69 +22,6 @@ class TestExpectedRounds:
             expected_rounds_bound(0.0)
         with pytest.raises(ValueError):
             expected_rounds_bound(1.5)
-
-
-class TestWordModels:
-    def test_known_protocols_available(self):
-        for name in ("benor", "rabin", "bracha", "cachin", "mmr",
-                     "mmr_shared_coin", "whp_ba"):
-            model = word_complexity_model(name)
-            assert model(100, 50.0) > 0
-
-    def test_unknown_protocol_rejected(self):
-        with pytest.raises(ValueError):
-            word_complexity_model("paxos")
-
-    def test_ours_beats_quadratic_asymptotically(self):
-        ours = word_complexity_model("whp_ba")
-        mmr = word_complexity_model("mmr")
-        n = 100_000
-        lam = 8 * math.log(n)
-        assert ours(n, lam) < mmr(n, lam)
-
-    def test_quadratic_wins_at_tiny_n(self):
-        # The crossover exists: at small n the lambda^2 constant dominates.
-        ours = word_complexity_model("whp_ba")
-        mmr = word_complexity_model("mmr")
-        n = 50
-        lam = 8 * math.log(n)
-        assert ours(n, lam) > mmr(n, lam)
-
-
-class TestPredictedCrossover:
-    def test_ours_eventually_beats_every_quadratic_row(self):
-        from repro.analysis.complexity import predicted_crossover
-
-        for baseline in ("rabin", "cachin", "mmr", "mmr_shared_coin"):
-            crossover = predicted_crossover("whp_ba", baseline)
-            assert crossover is not None
-            assert 100 < crossover < 10**6
-
-    def test_crossover_is_a_boundary(self):
-        import math as m
-        from repro.analysis.complexity import predicted_crossover
-
-        crossover = predicted_crossover("whp_ba", "mmr")
-        ours = word_complexity_model("whp_ba")
-        mmr = word_complexity_model("mmr")
-        lam = lambda n: 8 * m.log(n)
-        assert ours(crossover, lam(crossover)) < mmr(crossover, lam(crossover))
-        assert ours(crossover - 1, lam(crossover - 1)) >= mmr(
-            crossover - 1, lam(crossover - 1)
-        )
-
-    def test_no_crossover_returns_none(self):
-        from repro.analysis.complexity import predicted_crossover
-
-        # Bracha's O(n^3) messages never undercut MMR's O(n^2).
-        assert predicted_crossover("bracha", "mmr", n_max=10**7) is None
-
-    def test_quadratic_wins_from_the_start_counts_as_crossover_at_floor(self):
-        from repro.analysis.complexity import predicted_crossover
-
-        # MMR is already cheaper than ours at the scan floor, so the
-        # 'crossover' is immediate.
-        assert predicted_crossover("mmr", "whp_ba") <= 8
 
 
 class TestLogLogFit:
@@ -103,12 +37,15 @@ class TestLogLogFit:
         assert fit_loglog_slope(xs, ys) == pytest.approx(exponent, rel=1e-6)
 
     def test_model_slopes_match_table1(self):
-        ns = [100.0, 300.0, 1000.0, 3000.0, 10000.0]
-        mmr = word_complexity_model("mmr")
-        ours = word_complexity_model("whp_ba")
-        slope_mmr = fit_loglog_slope(ns, [mmr(int(n), 8 * math.log(n)) for n in ns])
-        slope_ours = fit_loglog_slope(ns, [ours(int(n), 8 * math.log(n)) for n in ns])
-        assert slope_mmr == pytest.approx(2.0, abs=0.01)
+        # At a fixed round count a baseline's law is quadratic in n; ours,
+        # with the paper's λ = 8 ln n members per committee, n log² n.
+        ns = [100, 300, 1000, 3000, 10000]
+        cachin = WORD_LAWS["cachin"]
+        slope_cachin = fit_loglog_slope(ns, [cachin(n, 2, 3, True) for n in ns])
+        slope_ours = fit_loglog_slope(
+            ns, [expected_round_words(ProtocolParams.from_paper(n)) for n in ns]
+        )
+        assert slope_cachin == pytest.approx(2.0, abs=0.01)
         assert 1.0 < slope_ours < 1.4  # n log^2 n
 
     def test_rejects_bad_input(self):

@@ -38,7 +38,7 @@ class TestScalingFormatting:
             words_per_round=(50.0, NAN),
             slope_words=NAN,
             slope_words_per_round=NAN,
-            model_words=(120.0, 240.0),
+            law_words=(100.0, NAN),
         )
         text = format_scaling([curve])
         assert "whp_ba" in text

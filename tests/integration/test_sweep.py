@@ -8,7 +8,6 @@ import math
 
 import pytest
 
-from repro.analysis.complexity import word_complexity_model
 from repro.experiments import coin_success
 from repro.experiments.registry import E2_SIMULATION_SCALE, EXPERIMENTS
 from repro.experiments.sweep import BACell, ba_trial, ratio_cell, sweep
@@ -68,8 +67,10 @@ def test_e4_runs_at_the_margin_its_bundles_name():
     )
     (curve,) = e4.run(**budget)
     (params,) = e4.params(**budget)
-    model = word_complexity_model("whp_ba")
-    assert curve.model_words == (model(params.n, params.lam),)
+    # The law column is the law of the run E4 made, at its margin's λ.
+    run = ba_trial("whp_ba", 30, 4.5, 0, f=2)
+    assert (curve.mean_words, curve.law_words) == ((run.words,), (run.law_words,))
+    assert run.lam == params.lam
     # 4.5 sigma is not the table's 3: the key moved lambda.
     (tracked,) = e4.params(**{**budget, "safety_sigmas": e4.budget["safety_sigmas"]})
     assert tracked.lam != params.lam
