@@ -13,9 +13,8 @@ Run standalone for CI smoke::
 
     PYTHONPATH=src python benchmarks/bench_degradation.py --smoke
 
-The smoke run records the same ``degradation`` trend-series payload as
-``python -m repro degrade --smoke`` (the journal dedupes the twin).  The
-payload itself is pinned exactly as the ``degrade_smoke`` cell of
+The smoke run saves the same ``BENCH_degradation.json`` snapshot as
+``python -m repro degrade --smoke``.  The payload itself is pinned exactly as the ``degrade_smoke`` cell of
 ``tests/fingerprints.json`` (``python -m repro fingerprint``).
 
 The smoke run also guards the *lossy tax*: one ``whp_ba`` run over
@@ -131,14 +130,14 @@ def main(argv: list[str]) -> int:
     import argparse
     from pathlib import Path
 
-    from repro.experiments.trends import record_bench
+    from repro.experiments.store import save_results
 
     parser = argparse.ArgumentParser(
         description="Assert degradation-sweep determinism and time it."
     )
     parser.add_argument(
         "--smoke", action="store_true",
-        help="CI-sized sweep (2 rates x 2 seeds); feeds the trend store",
+        help="CI-sized sweep (2 rates x 2 seeds), saved as BENCH_degradation.json",
     )
     smoke = parser.parse_args(argv).smoke
     report, summary = run_degradation(smoke=smoke)
@@ -154,14 +153,14 @@ def main(argv: list[str]) -> int:
             print("lossy tax above its limit: the link layer, not the protocol, "
                   "is what a lossy run pays for (see DESIGN.md section 13)")
             return 1
-        # Record the raw sweep payload (not the timed summary): it must
-        # fingerprint identically to `python -m repro degrade --smoke`.
+        # Save the raw sweep payload (not the timed summary): the same
+        # snapshot `python -m repro degrade --smoke` writes.
         payload = {
             key: value for key, value in summary.items() if key != "wallclock"
         }
         repo_root = Path(__file__).resolve().parent.parent
-        path, _ = record_bench("degradation", payload, root=repo_root)
-        print(f"trend record -> {path}")
+        path = save_results("BENCH_degradation", payload, repo_root)
+        print(f"snapshot -> {path}")
     return 0
 
 

@@ -9,9 +9,9 @@ verification/cache/wait counters) are the ``E4_scaling_n1000`` cell of
 ``tests/fingerprints.json``, so a change that moves any of them shows as
 that file's diff.  This bench adds what the fingerprint cannot pin:
 
-* wall-clock, in fields containing ``seconds`` (volatile to the trend
-  store's drift column), *asserted* single-digit only in the full
-  (non-smoke) run, where the machine is the one the claim is made on;
+* wall-clock, in fields containing ``seconds``, *asserted* single-digit
+  only in the full (non-smoke) run, where the machine is the one the
+  claim is made on;
 * the process's peak resident set (``peak_rss_mib``, from
   ``resource.getrusage``), *asserted* at most ``RSS_BUDGET_MIB`` in
   every run, smoke included -- memory, not time, is what caps the E4
@@ -25,8 +25,8 @@ The timed section runs with the cyclic GC disabled (standard bench
 hygiene: the run keeps ~1.6M mailbox entries that a mid-run collection
 would otherwise scan; nothing in the kernel relies on collection).
 
-Run standalone for CI (records the trend series; the memory assertion
-holds, the timing one is skipped)::
+Run standalone for CI (saves ``BENCH_E4_scaling_n1000.json``; the memory
+assertion holds, the timing one is skipped)::
 
     PYTHONPATH=src python benchmarks/bench_e4_scaling_n1000.py --smoke
 """
@@ -46,7 +46,7 @@ RSS_BUDGET_MIB = 105.0  # peak resident set, smoke included
 
 
 def run_point() -> tuple[dict, RunResult]:
-    """The n=1000 fast-VRF point; returns (trend payload, result)."""
+    """The n=1000 fast-VRF point; returns (snapshot payload, result)."""
     run = n1000_run()
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -99,7 +99,7 @@ def test_e4_n1000_single_digit_seconds(benchmark, save_report):
 def main(argv: list[str]) -> int:
     import argparse
 
-    from repro.experiments.trends import record_bench
+    from repro.experiments.store import save_results
 
     from conftest import REPO_ROOT
 
@@ -112,7 +112,7 @@ def main(argv: list[str]) -> int:
     )
     smoke = parser.parse_args(argv).smoke
     payload, _ = run_point()
-    record_bench("E4_scaling_n1000", payload, root=REPO_ROOT)
+    save_results("BENCH_E4_scaling_n1000", payload, REPO_ROOT)
     print(format_point(payload))
     failed = 0
     if payload["peak_rss_mib"] > RSS_BUDGET_MIB:

@@ -2,8 +2,8 @@
 
 What must reproduce (see DESIGN.md section 12): the forensics layer's
 two acceptance properties, exercised end to end on real recordings and
-timed so regressions in the differ or the delta-debugger show up in the
-trend store:
+timed so regressions in the differ or the delta-debugger show up in
+``BENCH_forensics.json``:
 
 * **diff localization**: recording a whp_ba run twice yields an
   identical-verdict diff; corrupting exactly one deliver event in the
@@ -129,7 +129,7 @@ def main(argv: list[str]) -> int:
     import argparse
     from pathlib import Path
 
-    from repro.experiments.trends import record_bench
+    from repro.experiments.store import save_results
 
     parser = argparse.ArgumentParser(
         description="Assert and time the diff/explain forensics round-trip."
@@ -143,8 +143,8 @@ def main(argv: list[str]) -> int:
     print(report)
     if smoke:
         repo_root = Path(__file__).resolve().parent.parent
-        path, _ = record_bench("forensics", summary, root=repo_root)
-        print(f"trend record -> {path}")
+        path = save_results("BENCH_forensics", summary, repo_root)
+        print(f"snapshot -> {path}")
     return 0
 
 

@@ -45,9 +45,9 @@ asserts the same byte-identity, determinism and guard properties plus
 the table's *absolute* ns/event dispatch budgets, which catch the same
 regressions without the unrepresentative small-n denominator.
 
-The smoke run also appends its deterministic counters (events,
-deliveries, words) to the cross-run trend store, where ``repro trends``
-shows their drift; wall-clock readings ride along under a volatile key.
+The smoke run also saves its deterministic counters (events,
+deliveries, words) as ``BENCH_observability_overhead.json``; wall-clock
+readings ride along under one ``wallclock`` key.
 
 Run standalone for CI smoke::
 
@@ -263,9 +263,8 @@ def run_comparison(n: int, max_overhead: float = 0.03, assert_ratios: bool = Tru
             failures.append(f"{name} retains {per_delivery:.1f} B/delivery")
     report = "\n".join(lines)
     assert not failures, "over budget: " + "; ".join(failures) + "\n" + report
-    # Deterministic counters top-level (the drift column of `repro
-    # trends` compares them); wall-clock readings under "wallclock",
-    # which it skips.
+    # Deterministic counters top-level; wall-clock readings under
+    # "wallclock".
     summary = {
         "n": n,
         "seed": ROOT_SEED,
@@ -300,7 +299,7 @@ def main(argv: list[str]) -> int:
     import argparse
     from pathlib import Path
 
-    from repro.experiments.trends import record_bench
+    from repro.experiments.store import save_results
 
     parser = argparse.ArgumentParser(
         description="Bound the no-subscriber event-bus overhead and check "
@@ -321,8 +320,8 @@ def main(argv: list[str]) -> int:
     print(report)
     if smoke:
         repo_root = Path(__file__).resolve().parent.parent
-        path, _ = record_bench("observability_overhead", summary, root=repo_root)
-        print(f"trend record -> {path}")
+        path = save_results("BENCH_observability_overhead", summary, repo_root)
+        print(f"snapshot -> {path}")
     return 0
 
 

@@ -33,8 +33,6 @@ the conformance pair (see DESIGN.md section 8)::
     python -m repro check --n 24 --seeds 6   # monitored sweep; writes
                                              # BENCH_conformance.json,
                                              # exits 1 on safety violations
-    python -m repro trends                   # cross-run drift tables
-    python -m repro trends --last 5          # wider window + sparklines
 
 the schedule-coverage atlas (see DESIGN.md section 11)::
 
@@ -57,7 +55,7 @@ the degradation observatory (see DESIGN.md section 14)::
         --rates 0,0.02,0.05,0.1 --seeds 8   # decide-rate curves + knee;
                                             # failing cells export
                                             # recordings for `explain`
-    python -m repro degrade --smoke          # smoke shape, feeds the trend store
+    python -m repro degrade --smoke          # smoke shape -> BENCH_degradation.json
 
 and the telemetry pane (see DESIGN.md section 9)::
 
@@ -314,18 +312,10 @@ def _run_coverage(args) -> tuple[str, int]:
 
     atlas = CoverageAtlas(".")
     if args.gate:
-        from repro.experiments.trends import TrendStore
-
         try:
-            newest = TrendStore(".").latest("conformance")
+            verdict = conformance.coverage_gate(conformance.read_conformance())
         except (OSError, ValueError) as exc:
             raise SystemExit(f"repro coverage: {exc}")
-        if newest is None:
-            raise SystemExit(
-                "repro coverage: no conformance record in the trend store; "
-                "run `python -m repro check` first"
-            )
-        verdict = conformance.coverage_gate(newest["payload"])
         text = conformance.format_coverage_gate(verdict)
         return text, 0 if verdict["ok"] else 1
     if args.path:
@@ -352,16 +342,15 @@ def _run_coverage(args) -> tuple[str, int]:
 
 def _run_degrade(args) -> tuple[str, int]:
     from repro.experiments import degradation
-    from repro.experiments.trends import record_bench
+    from repro.experiments.store import save_results
 
     if args.smoke:
-        # Tiny, deterministic, and the one shape that feeds the trend
-        # store's `degradation` series (full sweeps vary by config, so
-        # comparing them would flag every parameter change as drift).
+        # Tiny and deterministic: the one shape the dashboard shows when
+        # no full sweep's artifact is there.
         payload = degradation.smoke_degradation()
-        snapshot, _ = record_bench("degradation", payload)
+        snapshot = save_results("BENCH_degradation", payload, ".")
         text = degradation.format_degradation(payload)
-        return text + f"\n[degradation trends -> {snapshot}]", 0
+        return text + f"\n[smoke sweep -> {snapshot}]", 0
     from pathlib import Path
 
     from repro.experiments.scenarios import parse_scenario_name
@@ -383,17 +372,6 @@ def _run_degrade(args) -> tuple[str, int]:
     return text + f"\n[curve artifact -> {path}]", 0
 
 
-def _run_trends(args) -> tuple[str, int]:
-    from repro.experiments import trends
-
-    store = trends.TrendStore(".")
-    tolerance = args.tolerance / 100.0
-    try:
-        return trends.render_trends(store, rel_tol=tolerance, last=args.last), 0
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"repro trends: {exc}")
-
-
 def _run_fingerprint(args) -> tuple[str, int]:
     from repro.experiments.fingerprint import fingerprint
 
@@ -403,10 +381,7 @@ def _run_fingerprint(args) -> tuple[str, int]:
 def _run_dashboard(args) -> tuple[str, int]:
     from repro.experiments.dashboard import render_dashboard
 
-    path, diagnostics = render_dashboard(
-        args.out, recording_path=args.path, root=".",
-        rel_tol=args.tolerance / 100.0,
-    )
+    path, diagnostics = render_dashboard(args.out, recording_path=args.path, root=".")
     lines = [f"dashboard -> {path} (self-contained HTML, open in any browser)"]
     lines += [f"  note: {message}" for message in diagnostics]
     return "\n".join(lines), 0
@@ -473,11 +448,6 @@ ARGUMENTS: dict[str, tuple[Callable[[str], Any] | None, str]] = {
     "protocols": (str, "check: comma-separated protocol list"),
     "no_profile": (None, "record: no wall-clock phase timers"),
     "gate": (None, "coverage: exit 1 on stagnation"),
-    "tolerance": (
-        _checked(float, lambda value: value >= 0, "a number >= 0"),
-        "trends/dashboard: drift tolerance in percent",
-    ),
-    "last": (_COUNT, "trends: window size for sparklines and drift"),
     "rarest": (_COUNT, "coverage: how many rarest-hit signatures to list"),
     "budget": (_COUNT, "fuzz: mutated-candidate budget"),
     "atlas": (str, "fuzz: directory holding the coverage atlas"),
@@ -486,7 +456,7 @@ ARGUMENTS: dict[str, tuple[Callable[[str], Any] | None, str]] = {
         str, "degrade: zoo scenario to sweep (a @rate suffix pins the rate)"
     ),
     "rates": (_rates, "degrade: comma-separated hostility rates"),
-    "smoke": (None, "degrade: tiny fixed sweep feeding the trend store"),
+    "smoke": (None, "degrade: tiny fixed sweep, saved as BENCH_degradation.json"),
     "quick": (None, "smoke-scale parameters"),
     "workers": (
         _INT, "parallel sweep workers (default: serial, or REPRO_WORKERS; "
@@ -566,10 +536,6 @@ COMMANDS: dict[str, Command] = {
             quick=dict(n=16, seeds=2),
         ),
         Command(
-            "trends", "trends  cross-run drift tables",
-            _run_trends, dict(tolerance=25.0, last=2),
-        ),
-        Command(
             "fingerprint", "fingerprint  every pinned run's counts", _run_fingerprint, {}
         ),
         Command(
@@ -578,8 +544,8 @@ COMMANDS: dict[str, Command] = {
         ),
         Command(
             "dashboard",
-            "dashboard  single-pane HTML report (telemetry+trends+conformance)",
-            _run_dashboard, dict(path=None, out="dashboard.html", tolerance=25.0),
+            "dashboard  single-pane HTML report (telemetry+conformance+scaling)",
+            _run_dashboard, dict(path=None, out="dashboard.html"),
         ),
         Command(
             "degrade", "degrade  lossy-rate sweep over a zoo scenario (curves + knee)",

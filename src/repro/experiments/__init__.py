@@ -10,9 +10,9 @@ on (the BA-run record, ``sweep`` over cells x seeds, the folds).
 
 Around them: ``protocols`` (uniform construction of the Table 1
 protocols), ``parallel`` (deterministic multi-seed execution),
-``tables``/``ascii_plot`` (rendering), ``store`` (JSON persistence with
-drift comparison), ``trends`` (the cross-run BENCH_* trend store) and
-``conformance`` (the monitored `repro check` sweep).
+``tables``/``ascii_plot`` (rendering), ``store`` (JSON persistence,
+including the ``BENCH_<name>.json`` snapshots) and ``conformance`` (the
+monitored `repro check` sweep).
 """
 
 from repro.experiments.tables import format_table

@@ -5,9 +5,8 @@ protocol means its benign run) over a seed sweep with one
 :class:`~repro.sim.monitors.MonitorSuite` attached per protocol (the
 suite accumulates across seeds -- that is what gives the coin-rho and
 S1-S4 Wilson intervals their trials), renders a conformance table per
-paper property, and persists the full payload as ``BENCH_conformance.json``
-through the trend store, so conformance itself has a cross-run
-trajectory.
+paper property, and persists the full payload as ``BENCH_conformance.json``,
+the snapshot ``repro coverage --gate`` and the dashboard read.
 
 Exit discipline (used verbatim by the CI conformance job): any
 ``"safety"``-severity violation -- Agreement, Validity, a committee
@@ -19,10 +18,12 @@ probability.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.experiments.scenarios import resolve_run
-from repro.experiments.trends import record_bench
+from repro.experiments.store import save_results
 from repro.sim.coverage import CoverageProbe, signature_set
 from repro.sim.monitors import MonitorSuite
 from repro.sim.network import DEFAULT_MAX_DELIVERIES
@@ -34,6 +35,7 @@ __all__ = [
     "coverage_gate",
     "format_check",
     "format_coverage_gate",
+    "read_conformance",
     "run_check",
     "write_conformance",
 ]
@@ -157,10 +159,29 @@ def run_check(
     return payload
 
 
-def write_conformance(payload: dict[str, Any], root: str = "."):
-    """Persist the payload as ``BENCH_conformance.json`` + a trend record."""
-    path, _ = record_bench("conformance", payload, root=root)
-    return path
+def write_conformance(payload: dict[str, Any], root: str | Path = ".") -> Path:
+    """Persist the payload as ``<root>/BENCH_conformance.json``."""
+    return save_results("BENCH_conformance", payload, root)
+
+
+def read_conformance(path: str | Path = "BENCH_conformance.json") -> dict[str, Any]:
+    """The payload :func:`write_conformance` left at ``path``.
+
+    Raises ``OSError`` or ``ValueError``, naming the file, when it is
+    missing, is not JSON or is not a conformance payload (no
+    ``protocols``): a gate must not pass on a file it cannot judge.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise FileNotFoundError(
+            f"no conformance record at {path}; run `python -m repro check` first"
+        ) from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(payload, dict) or "protocols" not in payload:
+        raise ValueError(f"{path}: not a conformance payload (no 'protocols' key)")
+    return payload
 
 
 def _rate_anomalies(node: Any, path: str = "") -> list[str]:

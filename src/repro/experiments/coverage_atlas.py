@@ -3,7 +3,7 @@
 One :class:`~repro.sim.coverage.CoverageProbe` snapshot describes one
 run; this module accumulates the signature **sets** of many runs into a
 schema-versioned JSONL journal (``BENCH_coverage_atlas.jsonl`` at the
-repository root, the trend store's sibling) so the question "did this
+repository root) so the question "did this
 seed/scheduler/protocol explore anything new?" has a durable answer.
 Each record stores the run's identity header, its full signature list,
 and the novelty accounting at append time -- which signatures were new
@@ -23,7 +23,7 @@ Render with ``python -m repro coverage`` (atlas view: growth sparkline,
 per-family breakdown, rarest-hit signatures) or ``python -m repro
 coverage <recording.jsonl>`` (per-run view: recompute a recording's
 coverage and diff it against the atlas).  Damaged or foreign journals
-fail loudly with one-line diagnoses, same policy as the trend store.
+fail loudly with one-line diagnoses, same policy as flight recordings.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.experiments.store import append_jsonl, load_journal
-from repro.experiments.trends import sparkline
 from repro.sim.coverage import signature_families
 
 __all__ = [
@@ -43,11 +42,29 @@ __all__ = [
     "CoverageAtlas",
     "format_atlas",
     "format_coverage_run",
+    "sparkline",
 ]
 
 ATLAS_SCHEMA = "repro.coverage_atlas"
 ATLAS_SCHEMA_VERSION = 1
 ATLAS_FILENAME = "BENCH_coverage_atlas.jsonl"
+
+
+_SPARK_LEVELS = "_.:-=+*#%@"  # low -> high
+
+
+def sparkline(values: list[float]) -> str:
+    """One character per value, scaled between the series' minimum and
+    maximum; a flat series renders as the middle level throughout."""
+    if not values:
+        return ""
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        return _SPARK_LEVELS[len(_SPARK_LEVELS) // 2] * len(values)
+    top = len(_SPARK_LEVELS) - 1
+    return "".join(
+        _SPARK_LEVELS[round((value - lo) / (hi - lo) * top)] for value in values
+    )
 
 
 class CoverageAtlas:

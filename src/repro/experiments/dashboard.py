@@ -8,20 +8,20 @@ around.
 
 The page is :data:`PANELS`, one row per section in page order: the run
 summary and telemetry of a flight recording (replayed from its events),
-the trend-store series with drift highlighted (the numeric-leaves
-rules of ``repro trends``), the newest conformance verdict,
-divergence report, fuzzing campaign and degradation sweep, the
-schedule-coverage atlas, and the E4 scaling curves.  Each row names its
-``source``, the function that renders it, and the one line shown when
-its input is absent, which names the command that creates it.
+the newest conformance verdict, divergence report, fuzzing campaign and
+degradation sweep, the schedule-coverage atlas, and the E4 scaling
+curves.  Each row names its ``source``, the function that renders it,
+and the one line shown when its input is absent, which names the
+command that creates it.
 
-Inputs are read once each, from one root: the recording, the trend
-journal (parsed once, then filtered per series), the coverage atlas,
-and the newest ``*.divergence.json`` and ``degradation_*.json``.  No
-input ever stops the page: an absent one shows its panel's ``missing``
-line, a damaged one a line that names the file and the error, so a
-dashboard of an empty repository is a valid dashboard that says what
-to run next.
+Inputs are read once each, from one root: the recording, the
+``BENCH_<name>.json`` snapshots (each the payload its writer saved last),
+the coverage atlas, the newest ``*.divergence.json`` and
+``degradation_*.json``, and the tracked
+``benchmarks/results/E4_scaling.json``.  No input ever stops the page:
+an absent one shows its panel's ``missing`` line, a damaged one a line
+that names the file and the error, so a dashboard of an empty repository
+is a valid dashboard that says what to run next.
 """
 
 from __future__ import annotations
@@ -33,12 +33,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.experiments.conformance import read_conformance
 from repro.experiments.coverage_atlas import CoverageAtlas
-from repro.experiments.trends import (
-    TrendStore,
-    canonical_scalar,
-    numeric_drifts,
-)
 from repro.sim.coverage import signature_families
 from repro.sim.flightrecorder import Recording, load_recording
 from repro.sim.telemetry import telemetry_from_events
@@ -192,6 +188,17 @@ def _diag(message: str) -> str:
 # -- the inputs --------------------------------------------------------------
 
 
+def _json(path: Path) -> Any:
+    return json.loads(path.read_text())
+
+
+def _json_object(path: Path) -> dict[str, Any]:
+    document = _json(path)
+    if not isinstance(document, dict):
+        raise ValueError("not a JSON object")
+    return document
+
+
 class _Inputs:
     """Everything the page reads, from one root, each input read once.
 
@@ -200,13 +207,9 @@ class _Inputs:
     so the panels that share an input share one read and one verdict.
     """
 
-    def __init__(
-        self, root: str | Path, recording_path: str | Path | None, rel_tol: float
-    ) -> None:
+    def __init__(self, root: str | Path, recording_path: str | Path | None) -> None:
         self.root = Path(root)
         self.recording_path = recording_path
-        self.rel_tol = rel_tol
-        self.store = TrendStore(self.root)
         self._read: dict[Any, Any] = {}
 
     def _once(self, path: str | Path, read: Callable[[], Any]) -> Any:
@@ -241,22 +244,15 @@ class _Inputs:
             recording[1].events
         )
 
-    def series(self) -> dict[str, list[dict]]:
-        """The trend journal's records by series name, names sorted."""
-
-        def by_series() -> dict[str, list[dict]]:
-            records = self.store.load()
-            return {
-                name: [record for record in records if record["name"] == name]
-                for name in sorted({record["name"] for record in records})
-            }
-
-        return self._once(self.store.path, by_series)
-
-    def latest(self, name: str) -> Any:
-        """The newest payload of one trend series, or None."""
-        history = self.series().get(name)
-        return history[-1]["payload"] if history else None
+    def document(
+        self, name: str, read: Callable[[Path], Any] = _json_object
+    ) -> Any:
+        """The document at ``root/name`` as ``read`` parses it, or None
+        when there is none."""
+        path = self.root / name
+        if not path.exists():
+            return None
+        return self._once(path, lambda: read(path))
 
     def atlas(self) -> tuple[CoverageAtlas, list[dict]] | None:
         atlas = CoverageAtlas(self.root)
@@ -274,13 +270,6 @@ class _Inputs:
         if path is None:
             return None
         return path, self._once(path, lambda: _json_object(path))
-
-
-def _json_object(path: Path) -> dict[str, Any]:
-    document = json.loads(path.read_text())
-    if not isinstance(document, dict):
-        raise ValueError("not a JSON object")
-    return document
 
 
 # -- the panels --------------------------------------------------------------
@@ -381,45 +370,6 @@ def _telemetry(telemetry: dict[str, Any]) -> str:
         f"<div class='charts'>{''.join(charts)}"
         f"<div>{depth_chart}</div></div>"
         f"<h3>latency quantiles (virtual time)</h3>{q_table}"
-    )
-
-
-def _trend_series(inputs: _Inputs):
-    series = inputs.series()
-    return (inputs.store.path, series, inputs.rel_tol) if series else None
-
-
-def _trends(source) -> str:
-    path, series, rel_tol = source
-    rows = []
-    for name, history in series.items():
-        window = history[-8:]
-        scalar = canonical_scalar(window) if len(window) > 1 else None
-        spark = _spark_svg(scalar[1]) if scalar else ""
-        tracking = _esc(scalar[0]) if scalar else ""
-        if len(history) < 2:
-            drift_cell = "<span class='ok'>first record</span>"
-        else:
-            drifts = numeric_drifts(
-                history[-2]["payload"], history[-1]["payload"], rel_tol=rel_tol
-            )
-            drift_cell = (
-                f"<span class='drift'>{len(drifts)} field(s): "
-                + "; ".join(_esc(d) for d in drifts[:3])
-                + "</span>"
-                if drifts
-                else f"<span class='ok'>within {rel_tol:.0%}</span>"
-            )
-        rows.append(
-            f"<tr><td>{_esc(name)}</td><td>{len(history)}</td>"
-            f"<td>{spark}</td><td>{tracking}</td><td>{drift_cell}</td></tr>"
-        )
-    return (
-        f"<p>{_esc(path)}</p>"
-        "<table><tr><th>series</th><th>records</th><th>trend</th>"
-        "<th>tracking</th><th>drift vs previous</th></tr>"
-        + "".join(rows)
-        + "</table>"
     )
 
 
@@ -552,15 +502,12 @@ def _fuzzing(payload: dict[str, Any]) -> str:
 
 
 def _degradation_sweep(inputs: _Inputs):
-    """The newest sweep artifact, else the trend journal's
-    ``degradation`` series (the CI smoke sweep)."""
+    """The newest sweep artifact, else the smoke sweep's snapshot."""
     sweep = inputs.newest("degradation_*.json")
     if sweep is not None:
         return sweep
-    smoke = inputs.latest("degradation")
-    return None if smoke is None else (
-        "trend store: degradation (smoke sweep)", smoke
-    )
+    smoke = inputs.document("BENCH_degradation.json")
+    return None if smoke is None else ("BENCH_degradation.json (smoke sweep)", smoke)
 
 
 def _degradation(source) -> str:
@@ -717,9 +664,9 @@ class Panel:
 
     ``source`` reads the panel's input and returns what ``render``
     draws: None when the input is absent (the panel shows ``missing``,
-    which names the command that creates it; ``{journal}`` stands for
-    the trend journal's path), and it raises ``OSError``/``ValueError``
-    when the input is damaged (the panel names the file and the error).
+    which names the command that creates it), and it raises
+    ``OSError``/``ValueError`` when the input is damaged (the panel names
+    the file and the error).
     """
 
     id: str
@@ -740,13 +687,9 @@ PANELS: tuple[Panel, ...] = (
         "no telemetry (pass a recording; its events are replayed)",
     ),
     Panel(
-        "trends", "Trends", _trend_series, _trends,
-        "trend store empty at {journal} "
-        "(benchmarks and `repro check` append here as they run)",
-    ),
-    Panel(
         "conformance", "Conformance",
-        lambda inputs: inputs.latest("conformance"), _conformance,
+        lambda inputs: inputs.document("BENCH_conformance.json", read_conformance),
+        _conformance,
         "no conformance record (run `python -m repro check`)",
     ),
     Panel(
@@ -757,7 +700,7 @@ PANELS: tuple[Panel, ...] = (
     ),
     Panel(
         "fuzzing", "Fuzzing",
-        lambda inputs: inputs.latest("fuzzing"), _fuzzing,
+        lambda inputs: inputs.document("BENCH_fuzzing.json"), _fuzzing,
         "no fuzzing record (run `python -m repro fuzz <recording.jsonl>`)",
     ),
     Panel(
@@ -772,9 +715,10 @@ PANELS: tuple[Panel, ...] = (
     ),
     Panel(
         "scaling", "Scaling (E4)",
-        lambda inputs: inputs.latest("E4_scaling"), _scaling,
-        "no scaling record (run `pytest benchmarks/bench_e4_scaling.py "
-        "--benchmark-only`)",
+        lambda inputs: inputs.document("benchmarks/results/E4_scaling.json", _json),
+        _scaling,
+        "no scaling table at benchmarks/results/E4_scaling.json (run "
+        "`pytest benchmarks/bench_e4_scaling.py --benchmark-only`)",
     ),
 )
 
@@ -790,7 +734,7 @@ def _section(panel: Panel, inputs: _Inputs, diagnostics: list[str]) -> str:
     except (OSError, ValueError) as exc:
         data, message = None, str(exc)
     else:
-        message = panel.missing.format(journal=inputs.store.path)
+        message = panel.missing
     if data is not None:
         body = panel.render(data)
     else:
@@ -800,14 +744,12 @@ def _section(panel: Panel, inputs: _Inputs, diagnostics: list[str]) -> str:
 
 
 def build_dashboard(
-    root: str | Path = ".",
-    recording_path: str | Path | None = None,
-    rel_tol: float = 0.25,
+    root: str | Path = ".", recording_path: str | Path | None = None
 ) -> tuple[str, list[str]]:
     """Assemble the dashboard of everything under ``root`` (plus the
     recording, if given); returns ``(html, diagnostics)``, one
     diagnostic per panel that had nothing to render."""
-    inputs = _Inputs(root, recording_path, rel_tol)
+    inputs = _Inputs(root, recording_path)
     diagnostics: list[str] = []
     sections = [_section(panel, inputs, diagnostics) for panel in PANELS]
     document = (
@@ -817,7 +759,7 @@ def build_dashboard(
         f"<style>{_CSS}</style></head><body>"
         "<h1>repro dashboard</h1>"
         "<p class='legend'>self-contained report: virtual-time telemetry, "
-        "cross-run trends, paper-property conformance, scaling &mdash; "
+        "paper-property conformance, coverage, scaling &mdash; "
         "generated by <code>python -m repro dashboard</code></p>"
         + "".join(sections)
         + "</body></html>\n"
@@ -829,11 +771,10 @@ def render_dashboard(
     out: str | Path,
     recording_path: str | Path | None = None,
     root: str | Path = ".",
-    rel_tol: float = 0.25,
 ) -> tuple[Path, list[str]]:
     """Write the dashboard of ``root`` to ``out``; returns
     ``(path, diagnostics)``."""
-    document, diagnostics = build_dashboard(root, recording_path, rel_tol)
+    document, diagnostics = build_dashboard(root, recording_path)
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(document)

@@ -20,7 +20,7 @@ Everything is deterministic given ``(scenario, n, rates, seeds)``: runs
 are seeded ``0..seeds-1``, lossy fates are functions of (seed, seq), and
 the payload carries no timestamps, so the same sweep always produces the
 same curve JSON (``benchmarks/bench_degradation.py`` asserts this).  The
-``--smoke`` configuration feeds the trend store's ``degradation`` series
+``--smoke`` configuration is saved as ``BENCH_degradation.json``
 (``tests/fingerprints.json`` pins it); full sweeps write standalone
 ``degradation_<scenario>.json`` artifacts that the dashboard renders as
 rate-vs-metric curves with knee markers.  Failing cells export one
@@ -58,9 +58,9 @@ DEFAULT_THRESHOLD = 0.5
 
 # The CI conformance job's configuration: tiny (2 rates x 2 seeds x one
 # scenario) but it walks the whole pipeline, and its payload is the
-# trend store's `degradation` series -- so it must be byte-stable across
-# machines.  `benchmarks/bench_degradation.py --smoke` records the same
-# payload (the journal dedupes the twin).
+# fingerprint's `degrade_smoke` cell -- so it must be byte-stable across
+# machines.  `benchmarks/bench_degradation.py --smoke` saves the same
+# payload.
 SMOKE_SWEEP: dict[str, Any] = {
     "scenario": "lossy_uniform",
     "n": 8,

@@ -5,7 +5,8 @@ A run cell's ``identity`` is what the run is (stream digest, events,
 decisions, words and messages by kind, deliveries, deciding round, link
 faults when lossy); its ``cost`` is what simulating it took, the one
 block a performance change may move.  ``check_quick`` and
-``degrade_smoke`` are those payloads less their volatile paths.
+``degrade_smoke`` are those payloads less their volatile paths
+(:func:`strip_volatile`).
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ from repro.experiments.protocols import PROTOCOLS
 from repro.experiments.scenarios import SCENARIOS, RunSpec, resolve_run
 from repro.experiments.store import to_jsonable
 from repro.experiments.sweep import BARun
-from repro.experiments.trends import strip_volatile
 from repro.sim import adversary as adv
 from repro.sim.flightrecorder import FlightRecorder
 from repro.sim.lossy import LossyLinkConfig
 from repro.sim.runner import RunResult, run_protocol
 
-__all__ = ["PINS", "fingerprint", "n1000_counters", "n1000_run", "pin_cell"]
+__all__ = [
+    "PINS", "fingerprint", "n1000_counters", "n1000_run", "pin_cell", "strip_volatile",
+]
 
 # The delivery-order cells, each on reliable and on LOSSY links: whp_ba
 # at n = 24 under the four content-oblivious schedulers, the shared coin
@@ -114,6 +116,36 @@ def n1000_counters(result: RunResult) -> dict[str, dict[str, int]]:
         "verifications", "verification_cache_hits", "wait_evaluations", "wait_skips"
     )
     return {"identity": identity, "cost": {k: getattr(metrics, k) for k in cost}}
+
+
+# Path substrings of the check and smoke payloads that are not facts about
+# their runs: the coverage-novelty counts depend on how much the atlas had
+# accumulated before the sweep, and a Wilson interval restates the counts
+# it is computed from.
+VOLATILE_SUBSTRINGS = (
+    "interval", "new_signatures", "runs_with_new", "baseline_signatures", "new_rate",
+)
+
+
+def _volatile(path: str) -> bool:
+    return any(token in path.lower() for token in VOLATILE_SUBSTRINGS)
+
+
+def strip_volatile(payload: Any, path: str = "$") -> Any:
+    """A JSON-native ``payload`` less every key whose path holds one of
+    :data:`VOLATILE_SUBSTRINGS`."""
+    if isinstance(payload, dict):
+        return {
+            key: strip_volatile(value, f"{path}.{key}")
+            for key, value in payload.items()
+            if not _volatile(f"{path}.{key}")
+        }
+    if isinstance(payload, list):
+        return [
+            strip_volatile(item, f"{path}[{index}]")
+            for index, item in enumerate(payload)
+        ]
+    return payload
 
 
 def fingerprint() -> dict[str, Any]:

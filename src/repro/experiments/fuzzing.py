@@ -41,7 +41,7 @@ from repro.crypto.hashing import derive_seed
 from repro.experiments.coverage_atlas import CoverageAtlas
 from repro.experiments.forensics import explain_recording, run_header, spec_of
 from repro.experiments.scenarios import RunSpec
-from repro.experiments.trends import record_bench
+from repro.experiments.store import save_results
 from repro.sim.adversary import RandomScheduler, ReplayScheduler
 from repro.sim.coverage import CoverageProbe, signature_families, signature_set
 from repro.sim.diffing import save_divergence
@@ -360,13 +360,12 @@ def fuzz_recording(
         }
     )
 
-    # One trend-store record per fuzz run so `repro trends` and the
-    # dashboard track the campaign.  Atlas-dependent quantities (corpus
-    # growth, realizability -- both functions of what previous runs
-    # already explored) live under "novelty", which drift skips; the
-    # stable configuration stays at the top level.
-    bench_path, _ = record_bench(
-        "fuzzing",
+    # The campaign's summary, the dashboard's Fuzzing panel.  Atlas-
+    # dependent quantities (corpus growth, realizability -- both functions
+    # of what previous runs already explored) live under "novelty"; the
+    # configuration and verdict stay at the top level.
+    bench_path = save_results(
+        "BENCH_fuzzing",
         {
             "recording": payload["recording"],
             **run,
@@ -384,7 +383,7 @@ def fuzz_recording(
                 counterexamples=len(bundles),
             ),
         },
-        root=atlas_root,
+        atlas_root,
     )
     payload["bench_file"] = str(bench_path)
     return payload

@@ -10,6 +10,7 @@ tracked table and re-budgeting an artefact is an edit to this file.
 
 from __future__ import annotations
 
+import subprocess
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -31,9 +32,23 @@ from repro.experiments import (
     whp_coin_sweep,
 )
 from repro.experiments.protocols import PROTOCOLS, make_runner
-from repro.experiments.trends import _current_commit
 
 __all__ = ["E2_SIMULATION_SCALE", "EXPERIMENTS", "Experiment"]
+
+
+def _current_commit() -> str:
+    """The HEAD commit of the checkout these sources are in, or
+    ``unknown`` outside a git checkout."""
+    try:
+        proc = subprocess.run(
+            ["git", "-C", str(Path(__file__).resolve().parent), "rev-parse", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return (proc.returncode == 0 and proc.stdout.strip()) or "unknown"
 
 
 @dataclass(frozen=True)
@@ -66,7 +81,7 @@ class Experiment:
         is a ``# `` header block saying what made the table."""
         lines = [
             f"experiment: {self.key}",
-            f"commit: {_current_commit(Path(__file__).parent) or 'unknown'}",
+            f"commit: {_current_commit()}",
             f"seeds: {' '.join(map(str, self.budget['seeds']))}",
             "budget: " + " ".join(f"{k}={v!r}" for k, v in self.budget.items()),
         ]

@@ -85,7 +85,7 @@ def _curve(name: str, points: list[tuple[int, BACell]]) -> ScalingCurve:
 def _fit(n_values, ys, protocol: str, series: str) -> float:
     """Log-log slope over the finite points, or NaN *with a diagnostic*.
 
-    Every downstream consumer (the trends table, the dashboard's
+    Every downstream consumer (the E4 table, the dashboard's
     fitted-slope line) omits NaN, so a curve whose runs all failed would
     vanish without a trace: name the curve and the dropped n-values on
     stderr instead, dashboard-style, one line, no exception.

@@ -1,9 +1,10 @@
-"""Persist experiment results as JSON and diff them across runs.
+"""Persist experiment results as JSON and JSONL.
 
 The text tables in ``benchmarks/results`` are for humans; this module
 gives the same data a machine-readable life: experiment dataclasses
-serialise to JSON (NaN-safe) and reload as plain dicts.  Drift between
-stored runs is judged by one rule, :func:`repro.experiments.trends.numeric_drifts`.
+serialise to JSON (NaN-safe) and reload as plain dicts.  A
+``BENCH_<name>.json`` snapshot is :func:`save_results` of the payload
+itself; exact counts are pinned by ``tests/fingerprints.json``.
 """
 
 from __future__ import annotations

@@ -4,6 +4,8 @@ DESIGN.md or the verify recipe cites must exist."""
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import py_compile
 import re
 from pathlib import Path
@@ -57,6 +59,25 @@ def test_benches_save_reports():
         source = path.read_text()
         assert "save_report" in source, path.name
         assert "What must reproduce" in source or "see DESIGN.md" in source, path.name
+
+
+def test_save_report_writes_under_results_only(tmp_path, monkeypatch):
+    # The table and, when given, its rows; no copy at the repository root.
+    spec = importlib.util.spec_from_file_location(
+        "bench_conftest", ROOT / "benchmarks" / "conftest.py"
+    )
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    monkeypatch.setattr(harness, "RESULTS_DIR", tmp_path / "results")
+    monkeypatch.setattr(harness, "REPO_ROOT", tmp_path)
+    monkeypatch.chdir(tmp_path)
+    rows = [{"protocol": "whp_ba", "mean_words": [1000]}]
+    harness.save_report.__wrapped__()("E4_scaling", "E4 table", "# h\n", rows=rows)
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+        "results", "results/E4_scaling.json", "results/E4_scaling.txt",
+    ]
+    assert json.loads((tmp_path / "results" / "E4_scaling.json").read_text()) == rows
+    assert (tmp_path / "results" / "E4_scaling.txt").read_text() == "# h\nE4 table\n"
 
 
 def test_design_md_cites_only_existing_tests():

@@ -163,9 +163,9 @@ class TestCommandTable:
         ["check", "--n", "0"],
         ["fuzz", "a.jsonl", "--budget", "-1"],
         ["diff", "a.jsonl", "b.jsonl", "--slice", "-4"],
-        ["trends", "--tolerance", "-50"],
-        ["trends", "--tolerance", "nan"],
-        ["trends", "--last", "-3"],
+        ["record", "--seed", "x"],
+        ["explain", "a.jsonl", "--slice", "0"],
+        ["e1", "--workers", "two"],
         ["coverage", "--rarest", "-2"],
     ])
     def test_out_of_range_value_exits_2(self, argv, tmp_path, monkeypatch, capsys):
@@ -179,6 +179,19 @@ class TestCommandTable:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []  # nothing ran
+
+    @pytest.mark.parametrize("argv,error", [
+        (["trends"], "invalid choice: 'trends'"),
+        (["dashboard", "--tolerance", "5"], "unrecognized arguments: --tolerance"),
+    ])
+    def test_a_deleted_command_or_flag_is_an_argparse_error(
+        self, argv, error, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert error in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["check", "--n", "3"], ["t1", "--n", "3"],

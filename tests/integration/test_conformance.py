@@ -1,4 +1,4 @@
-"""The conformance pipeline: trend store, `repro check`/`trends`/`export`
+"""The conformance pipeline: `repro check`, its snapshot, the `export`
 CLI, the one-line diagnostics for damaged recordings, and every named
 run's recording replaying into the run's own events."""
 
@@ -21,66 +21,7 @@ from repro.sim.flightrecorder import (
     save_recording,
     stream_digest,
 )
-from repro.experiments.trends import (
-    TrendStore,
-    bench_json_path,
-    numeric_drifts,
-    record_bench,
-    render_trends,
-)
-
-
-class TestTrendStore:
-    def test_append_load_history(self, tmp_path):
-        store = TrendStore(tmp_path)
-        store.append("bench_x", {"words": 100}, ts=1.0)
-        store.append("bench_x", {"words": 110}, ts=2.0)
-        store.append("bench_y", {"rate": 0.5}, ts=3.0)
-        assert store.names() == ["bench_x", "bench_y"]
-        history = store.history("bench_x")
-        assert [r["payload"]["words"] for r in history] == [100, 110]
-        assert store.latest("bench_x")["ts"] == 2.0
-        assert store.latest("missing") is None
-
-    def test_empty_store(self, tmp_path):
-        store = TrendStore(tmp_path)
-        assert store.load() == []
-        assert "no trend records" in render_trends(store)
-
-    def test_regressions_beyond_tolerance(self):
-        drifts = numeric_drifts({"words": 100}, {"words": 200}, rel_tol=0.1)
-        assert drifts == ["$.words: 100 -> 200 (beyond 10%)"]
-        assert numeric_drifts({"words": 100}, {"words": 200}, rel_tol=2.0) == []
-
-    def test_foreign_schema_rejected(self, tmp_path):
-        store = TrendStore(tmp_path)
-        store.path.write_text('{"schema": "other.thing", "version": 1}\n')
-        with pytest.raises(ValueError, match="schema"):
-            store.load()
-
-    def test_truncated_journal_diagnosed_with_line_number(self, tmp_path):
-        store = TrendStore(tmp_path)
-        store.append("bench", {"words": 100})
-        with store.path.open("a") as handle:
-            handle.write('{"schema": "repro.trends", "vers')  # cut mid-write
-        with pytest.raises(ValueError, match="line 2"):
-            store.load()
-
-    def test_record_bench_writes_snapshot_and_journal(self, tmp_path):
-        path, record = record_bench("observability", {"bound": 0.01}, tmp_path)
-        assert path == bench_json_path("observability", tmp_path)
-        snapshot = json.loads(path.read_text())
-        assert snapshot["payload"] == {"bound": 0.01}
-        assert snapshot == record
-        assert TrendStore(tmp_path).latest("observability") == record
-
-    def test_render_trends_table(self, tmp_path):
-        store = TrendStore(tmp_path)
-        store.append("bench", {"words": 100}, ts=1.0)
-        store.append("bench", {"words": 500}, ts=2.0)
-        table = render_trends(store)
-        assert "bench" in table
-        assert "words" in table  # the drift line names the field
+from repro.experiments.store import to_jsonable
 
 
 class TestRunCheck:
@@ -105,32 +46,21 @@ class TestRunCheck:
 
 class TestCheckCLI:
     def test_check_writes_conformance_json(self, capsys, tmp_path, monkeypatch):
+        # An empty cwd holds exactly the snapshot and the atlas afterwards;
+        # the snapshot is the payload itself (an empty atlas is no atlas).
         monkeypatch.chdir(tmp_path)
-        code = main(
-            ["check", "--n", "16", "--seeds", "2", "--protocols", "whp_ba"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "RESULT: OK" in out
-        conformance_json = tmp_path / "BENCH_conformance.json"
-        assert conformance_json.exists()
-        payload = json.loads(conformance_json.read_text())["payload"]
-        assert payload["ok"] is True
-        assert (tmp_path / "BENCH_trends.jsonl").exists()
-
-    def test_trends_renders_after_check(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        main(["check", "--n", "16", "--seeds", "1", "--protocols", "whp_ba"])
-        capsys.readouterr()
-        assert main(["trends"]) == 0
-        out = capsys.readouterr().out
-        assert "conformance" in out
-        assert "(first record)" in out
+        assert main(["check", "--quick"]) == 0
+        assert "RESULT: OK" in capsys.readouterr().out
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "BENCH_conformance.json", "BENCH_coverage_atlas.jsonl",
+        ]
+        snapshot = json.loads((tmp_path / "BENCH_conformance.json").read_text())
+        assert snapshot == to_jsonable(conformance.run_check(n=16, seeds=range(2)))
 
     def test_check_listed(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in ("check", "trends", "export"):
+        for name in ("check", "export"):
             assert name in out
 
 

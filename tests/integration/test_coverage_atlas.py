@@ -1,6 +1,6 @@
 """The coverage atlas pipeline: cross-run accumulation, the conformance
-sweep's novelty accounting, the stagnation gate, the `repro coverage`
-CLI and trend-store dedupe."""
+sweep's novelty accounting, the stagnation gate and the `repro coverage`
+CLI."""
 
 from __future__ import annotations
 
@@ -15,9 +15,9 @@ from repro.experiments.coverage_atlas import (
     CoverageAtlas,
     format_atlas,
     format_coverage_run,
+    sparkline,
 )
 from repro.experiments.dashboard import build_dashboard
-from repro.experiments.trends import TrendStore, payload_fingerprint
 
 
 def seeded_atlas(tmp_path, runs):
@@ -83,6 +83,14 @@ class TestAtlasJournal:
 
 
 class TestAtlasRendering:
+    def test_sparkline_charset(self):
+        assert sparkline([]) == ""
+        assert sparkline([5.0]) == "+"  # the charset's middle level
+        flat = sparkline([3.0, 3.0, 3.0])
+        assert len(set(flat)) == 1
+        ramp = sparkline([0.0, 1.0, 2.0, 3.0])
+        assert ramp[0] == "_" and ramp[-1] == "@"
+
     def test_atlas_view(self, tmp_path):
         atlas = seeded_atlas(tmp_path, [
             ("a", ["race:x:A^B", "perm:x:A>B"]),
@@ -218,6 +226,29 @@ class TestCoverageCLI:
         with pytest.raises(SystemExit, match="no conformance record"):
             main(["coverage", "--gate"])
 
+    # What `coverage_gate` alone would pass as vacuous (no "coverage" key):
+    # the gate refuses every file that is not a conformance payload.
+    WRAPPED = {"schema": "repro.trends", "version": 1, "ts": 1.0,
+               "commit": None, "payload": {"ok": True, "protocols": {}}}
+
+    @pytest.mark.parametrize("content", [
+        None, '{"protocols": {"whp_ba"', json.dumps(WRAPPED),
+    ], ids=["missing", "not_json", "wrapped"])
+    def test_gate_refuses_a_file_it_cannot_judge(
+        self, content, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        if content is not None:
+            (tmp_path / "BENCH_conformance.json").write_text(content)
+        if content == json.dumps(self.WRAPPED):
+            assert conformance.coverage_gate(self.WRAPPED)["ok"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["coverage", "--gate"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro coverage: ") and err.count("\n") == 1
+        assert "BENCH_conformance.json" in err
+
     def test_missing_recording_diagnosed(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit, match="no such recording"):
@@ -239,60 +270,21 @@ class TestCoverageCLI:
         assert "coverage" in capsys.readouterr().out
 
 
-class TestTrendDedupe:
-    def test_identical_payload_same_commit_dedupes(self, tmp_path):
-        store = TrendStore(tmp_path)
-        first = store.append("bench", {"words": 100})
-        second = store.append("bench", {"words": 100})
-        assert second is first or second == first
-        assert len(store.history("bench")) == 1
-
-    def test_changed_payload_appends(self, tmp_path):
-        store = TrendStore(tmp_path)
-        store.append("bench", {"words": 100})
-        store.append("bench", {"words": 101})
-        assert len(store.history("bench")) == 2
-
-    def test_dedupe_opt_out(self, tmp_path):
-        store = TrendStore(tmp_path)
-        store.append("bench", {"words": 100}, dedupe=False)
-        store.append("bench", {"words": 100}, dedupe=False)
-        assert len(store.history("bench")) == 2
-
-    def test_fingerprint_ignores_volatile_fields(self):
-        base = {"deliveries": 10, "wallclock": {"bare_seconds": 1.0}}
-        slower = {"deliveries": 10, "wallclock": {"bare_seconds": 9.0}}
-        assert payload_fingerprint(base) == payload_fingerprint(slower)
-        assert payload_fingerprint(base) != payload_fingerprint(
-            {"deliveries": 11, "wallclock": {"bare_seconds": 1.0}}
-        )
-
-    def test_atlas_novelty_fields_excluded_from_fingerprint(self):
-        """Atlas-dependent novelty numbers shift between identical
-        sweeps as the atlas accumulates; they must not defeat dedupe
-        (nor be gated -- same exclusion list)."""
-        first = {"coverage": {"unique_signatures": 9, "runs_with_new": 2,
-                              "baseline_signatures": 0, "new_rate": 1.0}}
-        second = {"coverage": {"unique_signatures": 9, "runs_with_new": 0,
-                               "baseline_signatures": 9, "new_rate": 0.0}}
-        assert payload_fingerprint(first) == payload_fingerprint(second)
-
-
 class TestDashboardCoverage:
     def test_coverage_section_renders(self, tmp_path):
         atlas = seeded_atlas(tmp_path, [
             ("a", ["race:x:A^B"]), ("b", ["race:x:A^B", "perm:x:A>B"]),
         ])
-        html, diagnostics = build_dashboard(tmp_path, None, 0.25)
+        html, diagnostics = build_dashboard(tmp_path)
         assert "Schedule coverage" in html and "2 distinct signatures" in html
         assert not any("coverage atlas" in d for d in diagnostics)
 
     def test_empty_atlas_becomes_diagnostic(self, tmp_path):
-        html, diagnostics = build_dashboard(tmp_path, None, 0.25)
+        html, diagnostics = build_dashboard(tmp_path)
         assert any("no coverage atlas" in d for d in diagnostics)
 
     def test_unreadable_atlas_becomes_diagnostic(self, tmp_path):
         atlas = CoverageAtlas(tmp_path)
         atlas.path.write_text("not json\n")
-        html, diagnostics = build_dashboard(tmp_path, None, 0.25)
+        html, diagnostics = build_dashboard(tmp_path)
         assert any(f"cannot read {atlas.path}" in d for d in diagnostics)

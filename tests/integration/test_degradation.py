@@ -193,7 +193,7 @@ class TestDashboard:
 
         sweep = tmp_path / "degradation_lossy_uniform.json"
         sweep.write_text(json.dumps(smoke_payload))
-        html, _ = build_dashboard(tmp_path, None, 0.25)
+        html, _ = build_dashboard(tmp_path)
         assert "Degradation curves" in html
         assert f"{sweep} &mdash;" in html
         assert "knee 0.3" in html
@@ -201,7 +201,7 @@ class TestDashboard:
     def test_degrades_to_diagnostic_without_a_sweep(self, tmp_path):
         from repro.experiments.dashboard import build_dashboard
 
-        html, diagnostics = build_dashboard(tmp_path, None, 0.25)
+        html, diagnostics = build_dashboard(tmp_path)
         assert "no degradation sweep" in html
         assert any("degrad" in note for note in diagnostics)
 

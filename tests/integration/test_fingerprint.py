@@ -16,6 +16,7 @@ import json
 from pathlib import Path
 
 from repro.cli import main
+from repro.experiments.fingerprint import strip_volatile
 from repro.sim.diffing import divergence_hint
 
 FILE = Path(__file__).parents[1] / "fingerprints.json"
@@ -57,3 +58,16 @@ def test_fingerprint_matches_committed_file(capsys):
             f"if the change is meant to move these counts: {REGENERATE}",
             divergence_hint("if it is not"),
         ]))
+
+
+def test_strip_volatile_drops_the_atlas_novelty_counts():
+    # Two identical sweeps differ only in what the atlas knew before them.
+    first = {"coverage": {"unique_signatures": 9, "runs_with_new": 2,
+                          "baseline_signatures": 0, "new_rate": 1.0},
+             "rows": [{"new_signatures": 3, "signatures": 9}]}
+    second = {"coverage": {"unique_signatures": 9, "runs_with_new": 0,
+                           "baseline_signatures": 9, "new_rate": 0.0},
+              "rows": [{"new_signatures": 0, "signatures": 9}]}
+    assert strip_volatile(first) == strip_volatile(second) == {
+        "coverage": {"unique_signatures": 9}, "rows": [{"signatures": 9}],
+    }

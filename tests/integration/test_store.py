@@ -1,4 +1,4 @@
-"""The JSON result store: NaN-safe serialisation, golden baselines, drift."""
+"""The JSON result store: NaN-safe serialisation and golden baselines."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.experiments.store import (
     save_results,
     to_jsonable,
 )
-from repro.experiments.trends import numeric_drifts, numeric_leaves
 
 
 class TestToJsonable:
@@ -62,23 +61,7 @@ class TestSaveLoad:
 
 
 class TestCompare:
-    """Drift between stored payloads has one rule, the trend gate's."""
-
-    def test_identical_is_clean(self):
-        data = {"a": [1, 2.0, "x"], "b": {"c": True}}
-        assert numeric_drifts(data, data) == []
-
-    def test_within_tolerance_is_clean(self):
-        assert numeric_drifts({"v": 100.0}, {"v": 105.0}, rel_tol=0.1) == []
-
-    def test_beyond_tolerance_reports(self):
-        drifts = numeric_drifts({"v": 100.0}, {"v": 150.0}, rel_tol=0.1)
-        assert len(drifts) == 1
-        assert "$.v" in drifts[0]
-
-    def test_bool_not_treated_as_number(self):
-        # True == 1 numerically; a flag is not a measured quantity.
-        assert numeric_leaves({"a": True, "b": 1}) == {"$.b": 1.0}
+    """A stored run compares equal to its rerun: seeds fix the payload."""
 
     def test_golden_baseline_workflow(self, tmp_path):
         from repro.experiments import coin_success
