@@ -16,31 +16,48 @@ one kernel, :func:`_multi_mult`, in Jacobian coordinates (X, Y, Z) ↔
   Y' = M(S − X') − 8Y⁴, Z' = 2YZ;
 * mixed addition of an affine (x₂, y₂): H = x₂Z² − X, R = y₂Z³ − Y,
   X' = R² − H³ − 2XH², Y' = R(XH² − X') − YH³, Z' = ZH;
-* a variable base gets a 4-bit window: 1·P … 15·P are built per call and
-  made affine with one shared inversion (Montgomery's trick), then each
-  window costs four doublings and at most one addition;
+* a variable base P is split by the GLV endomorphism of secp256k1:
+  φ(x, y) = (βx, y) = λ·P with β³ ≡ 1 (mod p), λ³ ≡ 1 (mod N), so
+  k·P = k₁·P + k₂·φ(P) where k ≡ k₁ + k₂λ (mod N).  Babai rounding
+  against a reduced basis (a₁, b₁), (a₂, b₂) of the lattice
+  {(a, b) : a + bλ ≡ 0 (mod N)}, c₁ = ⌊b₂k/N⌉, c₂ = ⌊−b₁k/N⌉,
+  k₁ = k − c₁a₁ − c₂a₂, k₂ = −c₁b₁ − c₂b₂, gives |k₁|, |k₂| < 2¹²⁹ (about
+  2¹²⁸), so the term becomes two half-length terms; a negative kᵢ takes
+  the base's negation (x, p − y);
+* a variable base gets a 4-bit window: 1·P … 15·P, made affine with one
+  shared inversion (Montgomery's trick), then each window costs four
+  doublings and at most one addition per term.  φ's window is the same
+  table with every x times β.  The table is built on a base's first use
+  and kept in an LRU cache keyed by the affine point (:data:`_BASE_TABLES`
+  bases, under 3 KB each on CPython 3.11, so under 0.4 MiB when full):
+  public keys and ``hash_to_point`` outputs recur in every prove and
+  verify, while a proof's Γ is seen once per send;
 * several terms share the doublings (Strauss-Shamir): ``a·P + b·Q`` is one
-  ladder of max(|a|, |b|) bits, not two;
+  ladder of max(|aᵢ|, |bᵢ|) ≈ 128 bits over four half-length terms, not
+  two ladders of 256;
 * terms on ``G`` need no doublings: (j·16ⁱ)·G for i < 64, j ≤ 15 is tabled
   on first use (never at import), so ``k·G`` is at most 64 additions.
 
 Outputs are unchanged by construction: every result is normalised to the
 unique affine (x, y) of the group element, which is what affine
-double-and-add returned, so keys, proofs, signatures and run fingerprints
-are byte-identical.  The cases the affine law handled implicitly are
-explicit: ``k ≡ 0 (mod N)`` and infinity terms are dropped up front; the
-mixed addition doubles when accumulator = addend (H = R = 0; also how the
-window table gets 2·P) and yields infinity when accumulator = −addend
-(H = 0, R ≠ 0), which covers ``P = ±Q``; doubling keeps infinity at
-infinity.  Off-curve inputs raise ``ValueError``: on the curve no multiple
-below N is infinity, which the shared inversion relies on.
+double-and-add returned, and the split changes only the addition chain
+that reaches that element, so keys, proofs, signatures and run
+fingerprints are byte-identical.  The cases the affine law handled
+implicitly are explicit: ``k ≡ 0 (mod N)``, zero halves and infinity
+terms are dropped up front; the mixed addition doubles when accumulator
+= addend (H = R = 0; also how the window table gets 2·P) and yields
+infinity when accumulator = −addend (H = 0, R ≠ 0), which covers
+``P = ±Q`` and a P-table entry meeting a ±φ(P) one; doubling keeps
+infinity at infinity.  Off-curve inputs raise ``ValueError`` before any
+table is built: on the curve no multiple below N is infinity, which the
+shared inversion relies on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.crypto.numtheory import modinv
 
@@ -67,6 +84,18 @@ _GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 _WINDOW_BITS = 4
 _WINDOW_MASK = (1 << _WINDOW_BITS) - 1
 _WINDOWS = 256 // _WINDOW_BITS
+
+# The GLV endomorphism φ(x, y) = (βx, y) = λ·(x, y), and a reduced basis
+# (a₁, b₁), (a₂, b₂) of {(a, b) : a + bλ ≡ 0 (mod N)} (b₂ = a₁).
+_BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+_LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+
+# Variable bases whose window tables are kept (LRU): room for every public
+# key and committee hash point a small deployment's run keeps reusing.
+_BASE_TABLES = 128
 
 
 @dataclass(frozen=True)
@@ -188,10 +217,23 @@ def _generator_table() -> tuple[list[_Affine], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=_BASE_TABLES)
+def _base_table(base: _Affine) -> tuple[_Affine, ...]:
+    """Affine ``1·P … 15·P`` for a variable base; built on the base's first use."""
+    return tuple(_multiples(base, _WINDOW_MASK))
+
+
+def _glv_split(k: int) -> tuple[int, int]:
+    """``(k₁, k₂)``, ``k ≡ k₁ + k₂·λ (mod N)``, ``|kᵢ| < 2¹²⁹``, for 0 ≤ k < N."""
+    c1 = (2 * _A1 * k + CURVE_ORDER) // (2 * CURVE_ORDER)
+    c2 = (-2 * _B1 * k + CURVE_ORDER) // (2 * CURVE_ORDER)
+    return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _A1
+
+
 def _multi_mult(terms: Iterable[tuple[int, Point]]) -> Point:
     """``Σ kᵢ·Pᵢ`` with every ``kᵢ`` reduced mod N (see the module docstring)."""
     fixed = 0
-    variable: list[tuple[int, list[_Affine]]] = []
+    variable: list[tuple[int, Sequence[_Affine]]] = []
     for k, point in terms:
         if not is_on_curve(point):
             raise ValueError(f"{point!r} is not on secp256k1")
@@ -200,8 +242,17 @@ def _multi_mult(terms: Iterable[tuple[int, Point]]) -> Point:
             continue
         if point == GENERATOR:
             fixed += k
-        else:
-            variable.append((k, _multiples((point.x, point.y), _WINDOW_MASK)))
+            continue
+        table = _base_table((point.x, point.y))
+        k1, k2 = _glv_split(k)
+        if k1 > 0:
+            variable.append((k1, table))
+        elif k1:
+            variable.append((-k1, [(x, FIELD_P - y) for x, y in table]))
+        if k2:
+            variable.append((abs(k2), [
+                (_BETA * x % FIELD_P, y if k2 > 0 else FIELD_P - y) for x, y in table
+            ]))
     acc = _JACOBIAN_INFINITY
     if variable:
         top_bit = max(k for k, _ in variable).bit_length() - 1

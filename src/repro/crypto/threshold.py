@@ -97,6 +97,9 @@ class ThresholdCoinDealer:
         # one per verification.  Round ids are canonical values, on which
         # ``==`` is type-exact, so equal keys name one base.
         self._shares: dict[tuple[int, int], int] = {}
+        # round_id -> coin bit.  Any ``threshold`` valid shares interpolate
+        # to the same H(r)**x, so a round is interpolated once per dealer.
+        self._coins: dict[int, int] = {}
 
     def coin_share(self, process_id: int, round_id: int) -> int:
         """Process ``process_id``'s share of the round-``round_id`` coin."""
@@ -119,9 +122,12 @@ class ThresholdCoinDealer:
     def combine(self, shares: dict[int, int], round_id: int) -> int:
         """Combine ``threshold`` valid shares into the coin bit for the round.
 
-        ``shares`` maps process id -> coin share.  Invalid or excess shares
-        raise; the combination is independent of *which* k valid shares are
-        used -- the property the baselines' agreement proofs need.
+        ``shares`` maps process id -> coin share.  Too few shares, or an
+        invalid one among the ``threshold`` lowest ids, raise; the result is
+        independent of *which* k valid shares are used -- the property the
+        baselines' agreement proofs need, and why a round's bit is
+        interpolated once and then served from the dealer's memo (after
+        the same checks).
         """
         if len(shares) < self.threshold:
             raise ValueError(
@@ -131,12 +137,16 @@ class ThresholdCoinDealer:
         for process_id, share in chosen:
             if not self.verify_share(process_id, round_id, share):
                 raise ValueError(f"invalid coin share from process {process_id}")
-        xs = [process_id + 1 for process_id, _ in chosen]
-        lagrange = _lagrange_at_zero(xs, _SCHNORR_Q)
-        sigma = 1
-        for (_, share), coefficient in zip(chosen, lagrange):
-            sigma = sigma * pow(share, coefficient, _SCHNORR_P) % _SCHNORR_P
-        return hash_to_int("threshold-coin-out", round_id, sigma, bits=1)
+        bit = self._coins.get(round_id)
+        if bit is None:
+            xs = [process_id + 1 for process_id, _ in chosen]
+            lagrange = _lagrange_at_zero(xs, _SCHNORR_Q)
+            sigma = 1
+            for (_, share), coefficient in zip(chosen, lagrange):
+                sigma = sigma * pow(share, coefficient, _SCHNORR_P) % _SCHNORR_P
+            bit = hash_to_int("threshold-coin-out", round_id, sigma, bits=1)
+            self._coins[round_id] = bit
+        return bit
 
 
 class RabinLotteryDealer:

@@ -18,6 +18,7 @@ from typing import Any, Callable
 
 from repro.core.params import ProtocolParams
 from repro.core.shared_coin import shared_coin
+from repro.crypto.hashing import derive_seed
 from repro.experiments.conformance import run_check
 from repro.experiments.degradation import smoke_degradation
 from repro.experiments.protocols import PROTOCOLS
@@ -27,7 +28,7 @@ from repro.experiments.sweep import BARun
 from repro.sim import adversary as adv
 from repro.sim.flightrecorder import FlightRecorder
 from repro.sim.lossy import LossyLinkConfig
-from repro.sim.runner import RunResult, run_protocol
+from repro.sim.runner import RunResult, run_protocol, stop_when_all_decided
 
 __all__ = [
     "PINS", "fingerprint", "n1000_counters", "n1000_run", "pin_cell", "strip_volatile",
@@ -83,6 +84,19 @@ def _coin(lossy: LossyLinkConfig | None) -> dict[str, Any]:
         16, 3, lambda ctx: shared_coin(ctx, 0), adversary=adv.Adversary(scheduler),
         params=ProtocolParams(n=16, f=3), seed=5, lossy=lossy, observers=observers,
     ), lossy)
+
+
+def _ec() -> dict[str, Any]:
+    """``whp_ba``'s benign named run at n = 8 over the secp256k1 ECVRF and
+    Schnorr keys (``PKI.create(8, "ec", ...)``): the one cell whose
+    committees come from the curve arithmetic's outputs."""
+    spec = resolve_run("whp_ba", 8)
+    scheduler = spec.scheduler(random.Random(derive_seed(spec.seed, "sched")))
+    return _cell(lambda observers: run_protocol(
+        spec.n, spec.f, spec.factory, seed=spec.seed, backend="ec",
+        adversary=adv.Adversary(scheduler, spec.corruption), params=spec.params,
+        stop_condition=stop_when_all_decided, observers=observers,
+    ), None)
 
 
 def pin_cell(name: str, links: str) -> dict[str, Any]:
@@ -155,6 +169,7 @@ def fingerprint() -> dict[str, Any]:
         for name in (*PROTOCOLS, *SCENARIOS) for seed in range(2)
     }
     cells["named/whp_ba/n40/s0"] = _spec(resolve_run("whp_ba", 40))
+    cells["named/whp_ba_ec/n8/s0"] = _ec()
     for name in PINS:
         for links in ("reliable", "lossy"):
             cells[f"pins/{name}/{links}"] = pin_cell(name, links)

@@ -88,6 +88,34 @@ class TestKernelAgainstReference:
         assert ec.lincomb2(1, p, 1, p) == ec.point_add(p, p)
         assert ec.lincomb2(16, p, N - 16, p).is_infinity
 
+    @pytest.mark.parametrize("a, b", [
+        (1, 1), (1, N - 1), (5, 7), (2**255, 2**127),
+        (ec._LAMBDA, 1), (N - ec._LAMBDA, N - 1),
+    ], ids=["1,1", "1,-1", "5,7", "2^255,2^127", "lambda,1", "-lambda,-1"])
+    @pytest.mark.parametrize("q_name", ["lambda", "-lambda"])
+    def test_lincomb2_against_the_endomorphism_image(self, a, b, q_name):
+        """Q = ±λP: the φ(P) table and Q's tables meet mid-ladder."""
+        p = RANDOM_POINT
+        q = reference_scalar_mult(ec._LAMBDA, p)
+        assert q == ec.Point(ec._BETA * p.x % ec.FIELD_P, p.y)
+        if q_name == "-lambda":
+            q = negate(q)
+        expected = ec.point_add(reference_scalar_mult(a, p), reference_scalar_mult(b, q))
+        assert ec.lincomb2(a, p, b, q) == expected
+
+    def test_cached_base_takes_new_scalars(self):
+        p = ec.hash_to_point(b"cached base")
+        minus_p = negate(p)
+        rng = random.Random(54)
+        for _ in range(3):
+            a, b = rng.randrange(N), rng.randrange(N)
+            assert ec.scalar_mult(a, p) == reference_scalar_mult(a, p)
+            expected = ec.point_add(reference_scalar_mult(a, p),
+                                    reference_scalar_mult(b, minus_p))
+            assert ec.lincomb2(a, p, b, minus_p) == expected
+            assert ec.lincomb2(a, p, a, minus_p).is_infinity
+        assert ec._base_table((p.x, p.y)) is ec._base_table((p.x, p.y))
+
     def test_results_are_on_curve_points(self):
         assert ec.is_on_curve(ec.scalar_mult(0xDEADBEEF, RANDOM_POINT))
         assert ec.scalar_mult(0, RANDOM_POINT) is ec.INFINITY
@@ -105,7 +133,9 @@ class TestKernelAgainstReference:
         assert ec.public_key(0xABCDEF) == reference_scalar_mult(0xABCDEF, G)
 
     def test_generator_table_is_built_on_first_use_not_at_import(self):
-        """The simulated backends must not pay for (or even import) the table."""
+        """The simulated backends must not pay for (or even import) the
+        tables; neither the ``G`` table nor any per-base one is built
+        before a multiplication needs it."""
         import os
         import subprocess
         import sys
@@ -115,11 +145,43 @@ class TestKernelAgainstReference:
             "assert 'repro.crypto.ec' not in sys.modules\n"
             "from repro.crypto import ec\n"
             "assert ec._generator_table.cache_info().currsize == 0\n"
+            "assert ec._base_table.cache_info().currsize == 0\n"
             "ec.scalar_mult(5, ec.GENERATOR)\n"
             "assert ec._generator_table.cache_info().currsize == 1\n"
+            "assert ec._base_table.cache_info().currsize == 0\n"
+            "ec.scalar_mult(5, ec.scalar_mult(3, ec.GENERATOR))\n"
+            "assert ec._base_table.cache_info().currsize == 1\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         subprocess.run([sys.executable, "-c", script], check=True, timeout=60, env=env)
+
+
+GLV_EDGES = [0, 1, ec._LAMBDA, N - ec._LAMBDA, N - 1, 2**255]
+
+
+class TestGLVSplit:
+    """k = k₁ + k₂·λ (mod N) with both halves about half as long as k."""
+
+    @staticmethod
+    def check(k):
+        k1, k2 = ec._glv_split(k)
+        assert (k1 + k2 * ec._LAMBDA - k) % N == 0
+        assert abs(k1) < 2**129 and abs(k2) < 2**129
+
+    @pytest.mark.parametrize("k", GLV_EDGES)
+    def test_edges(self, k):
+        self.check(k)
+
+    @given(st.integers(0, N - 1))
+    @settings(max_examples=200)
+    def test_random_scalars(self, k):
+        self.check(k)
+
+    def test_constants(self):
+        assert pow(ec._LAMBDA, 3, N) == 1 and pow(ec._BETA, 3, ec.FIELD_P) == 1
+        assert ec.scalar_mult(ec._LAMBDA, G) == ec.Point(ec._BETA * G.x % ec.FIELD_P, G.y)
+        for a, b in ((ec._A1, ec._B1), (ec._A2, ec._A1)):
+            assert (a + b * ec._LAMBDA) % N == 0
 
 
 class TestCurveArithmetic:

@@ -10,14 +10,20 @@ import pytest
 from repro.crypto.threshold import RabinLotteryDealer, ThresholdCoinDealer
 
 
+DEALERS = {
+    "cks": lambda: ThresholdCoinDealer(n=7, threshold=3, rng=random.Random(51)),
+    "lottery": lambda: RabinLotteryDealer(n=7, threshold=3, rng=random.Random(52)),
+}
+
+
 @pytest.fixture(scope="module")
 def cks_dealer():
-    return ThresholdCoinDealer(n=7, threshold=3, rng=random.Random(51))
+    return DEALERS["cks"]()
 
 
 @pytest.fixture(scope="module")
 def lottery_dealer():
-    return RabinLotteryDealer(n=7, threshold=3, rng=random.Random(52))
+    return DEALERS["lottery"]()
 
 
 @pytest.fixture(scope="module", params=["cks", "lottery"])
@@ -65,12 +71,17 @@ class TestDealerContract:
         with pytest.raises(ValueError):
             dealer.combine(shares, 0)
 
-    def test_all_subsets_combine_to_same_bit(self, dealer):
+    @pytest.mark.parametrize("kind", sorted(DEALERS))
+    def test_all_subsets_combine_to_same_bit(self, kind):
+        # A fresh same-seed dealer per subset: a dealer serves a round's
+        # bit from its memo after the first combine, so only a cold one
+        # shows that every subset interpolates to the same value.
         round_id = 3
-        all_shares = {pid: dealer.coin_share(pid, round_id) for pid in range(dealer.n)}
         bits = set()
-        for subset in combinations(range(dealer.n), dealer.threshold):
-            bits.add(dealer.combine({pid: all_shares[pid] for pid in subset}, round_id))
+        for subset in combinations(range(7), 3):
+            dealer = DEALERS[kind]()
+            shares = {pid: dealer.coin_share(pid, round_id) for pid in subset}
+            bits.add(dealer.combine(shares, round_id))
         assert len(bits) == 1
         assert bits.pop() in (0, 1)
 
@@ -149,3 +160,31 @@ class TestCKSShareMemo:
             dealer.combine({0: shares[0] + 1, 1: shares[1]}, 0)
         with pytest.raises(ValueError):
             dealer.combine({0: dealer.coin_share(0, 1), 1: shares[1]}, 0)
+
+    def test_round_interpolated_once(self, monkeypatch):
+        from repro.crypto import threshold
+
+        calls = []
+        original = threshold._lagrange_at_zero
+
+        def counting(xs, modulus):
+            calls.append(tuple(xs))
+            return original(xs, modulus)
+
+        monkeypatch.setattr(threshold, "_lagrange_at_zero", counting)
+        dealer = ThresholdCoinDealer(n=5, threshold=2, rng=random.Random(10))
+        shares = {pid: dealer.coin_share(pid, 0) for pid in range(5)}
+        bits = {dealer.combine({a: shares[a], b: shares[b]}, 0)
+                for a, b in combinations(range(5), 2)}
+        assert len(bits) == 1 and calls == [(1, 2)]
+
+    def test_memoised_round_still_checks_its_shares(self):
+        dealer = ThresholdCoinDealer(n=5, threshold=2, rng=random.Random(11))
+        shares = {pid: dealer.coin_share(pid, 0) for pid in range(5)}
+        dealer.combine(shares, 0)
+        with pytest.raises(ValueError, match="invalid coin share from process 0"):
+            dealer.combine({0: shares[0] + 1, 1: shares[1]}, 0)
+        with pytest.raises(ValueError, match="invalid coin share from process 1"):
+            dealer.combine({0: shares[0], 1: dealer.coin_share(1, 1)}, 0)
+        with pytest.raises(ValueError, match="need 2 shares"):
+            dealer.combine({0: shares[0]}, 0)

@@ -1,9 +1,9 @@
 """The run fingerprint against its committed copy.
 
 ``tests/fingerprints.json`` is what ``python -m repro fingerprint``
-prints (:mod:`repro.experiments.fingerprint`): for every named run, the
-delivery-order cells, the conformance and degradation smoke payloads
-and E4's n = 1000 point, an ``identity`` block (stream digest, words and
+prints (:mod:`repro.experiments.fingerprint`): for every named run,
+``whp_ba`` at n = 8 on the EC backend, the delivery-order cells, the
+conformance and degradation smoke payloads and E4's n = 1000 point, an ``identity`` block (stream digest, words and
 messages by kind, decisions, deliveries, rounds) and a ``cost`` block
 (wait and verification counters).  A fresh computation must equal it
 byte for byte.  A change meant to move a count regenerates the file,
